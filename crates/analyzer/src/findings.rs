@@ -1,8 +1,8 @@
 //! Finding types, lint identities, and report rendering.
 //!
-//! `serde_json` is stubbed in this offline workspace, so the `--json`
-//! output is rendered by hand; the escaping helper covers everything a
-//! source snippet can contain.
+//! The analyzer depends on no other crate, so the `--json` output is
+//! rendered by hand; the escaping helper covers everything a source
+//! snippet can contain.
 
 use std::fmt;
 use std::path::PathBuf;

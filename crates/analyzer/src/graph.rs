@@ -813,10 +813,7 @@ pub fn build(files: &[FileGraph], crate_names: &BTreeSet<String>) -> CallGraph {
 
 /// Roots that are definitely not workspace crates (std & vendored).
 fn is_external_root(seg: &str) -> bool {
-    matches!(
-        seg,
-        "std" | "core" | "alloc" | "rand" | "serde" | "serde_json" | "proptest" | "criterion"
-    )
+    matches!(seg, "std" | "core" | "alloc" | "rand" | "proptest")
 }
 
 #[cfg(test)]

@@ -8,7 +8,7 @@
 //!   (held to the NaN and physical-range lints, not the lib-only ones);
 //! * `tests/` and `benches/` targets are **skipped** — every lint either
 //!   exempts test code or applies only to library code;
-//! * `vendor/` (offline dependency stand-ins) and `target/` are skipped.
+//! * `vendor/` (in-tree `rand`/`proptest` replacements) and `target/` are skipped.
 
 use std::fs;
 use std::io;
@@ -168,7 +168,7 @@ mod tests {
         assert!(items
             .iter()
             .any(|i| i.rel.ends_with("crates/analyzer/src/lib.rs")));
-        // Vendor stubs and test targets must not be.
+        // Vendored crates and test targets must not be.
         assert!(!items.iter().any(|i| i.rel.starts_with("vendor")));
         assert!(!items.iter().any(|i| i.rel.starts_with("tests")));
     }

@@ -2,7 +2,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use selfheal_units::DutyCycle;
 
 /// How the circuit under test is exercised during a stress phase (§3.2).
@@ -23,7 +22,7 @@ use selfheal_units::DutyCycle;
 /// assert!(SwitchingActivity::Dc.stress_duty().get()
 ///     > SwitchingActivity::Ac.stress_duty().get());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SwitchingActivity {
     /// Static inputs: continuous stress on the selected devices.
     Dc,

@@ -3,7 +3,6 @@
 //! arbitrary stress/recovery schedule.
 
 use selfheal_telemetry as telemetry;
-use serde::{Deserialize, Serialize};
 use selfheal_units::{Millivolts, Ratio, Seconds};
 
 use crate::condition::{DeviceCondition, Environment, Phase};
@@ -37,7 +36,7 @@ use super::stress::StressModel;
 /// model.advance(heal, Hours::new(6.0).into());
 /// assert!(model.delta_vth().get() < 0.5 * aged.get());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AnalyticBti {
     stress: StressModel,
     recovery: RecoveryModel,
@@ -163,7 +162,7 @@ impl AnalyticBti {
 }
 
 /// One sample of a duty-cycled simulation.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CycleSample {
     /// Wall-clock time since the start of the schedule.
     pub time: Seconds,
@@ -179,7 +178,7 @@ pub struct CycleSample {
 ///
 /// Produces the Fig. 1 behavioural sawtooth and the Fig. 9 long-run
 /// comparison between plain wearout and scheduled accelerated recovery.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CycleModel {
     /// Active-vs-sleep ratio α.
     pub alpha: Ratio,

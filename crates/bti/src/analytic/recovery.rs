@@ -1,6 +1,5 @@
 //! Eq. (3)/(4): first-order accelerated recovery.
 
-use serde::{Deserialize, Serialize};
 use selfheal_units::{ElectronVolts, Fraction, Millivolts, PerSecond, PerVolt, Seconds};
 
 use crate::condition::Environment;
@@ -44,7 +43,7 @@ use crate::constants::ACTIVATION_ENERGY_EMISSION_EV;
 /// let f_passive = model.recovered_fraction(Hours::new(6.0).into(), Hours::new(24.0).into(), passive);
 /// assert!(f_best.get() > 2.0 * f_passive.get());
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryModel {
     /// `k2`: weight of the log terms in `η`.
     pub k2: f64,

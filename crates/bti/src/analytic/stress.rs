@@ -1,6 +1,5 @@
 //! Eq. (1)/(2): first-order wearout under stress.
 
-use serde::{Deserialize, Serialize};
 use selfheal_units::{ElectronVolts, Millivolts, PerSecond, PerVolt, Seconds};
 
 use crate::condition::{DeviceCondition, Environment};
@@ -32,7 +31,7 @@ use crate::constants::{reference_stress_voltage, reference_temperature};
 /// let shift = model.delta_vth(day, env);
 /// assert!(shift.get() > 20.0 && shift.get() < 60.0, "{shift}");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct StressModel {
     /// `A`: overall magnitude at the reference condition.
     pub amplitude: Millivolts,

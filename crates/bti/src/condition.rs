@@ -3,7 +3,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use selfheal_units::{Celsius, DutyCycle, Kelvin, Volts};
 
 /// The externally-controlled environment of a chip: supply voltage and
@@ -21,7 +20,7 @@ use selfheal_units::{Celsius, DutyCycle, Kelvin, Volts};
 /// assert!(heal.supply().is_negative());
 /// assert_eq!(stress.temperature_c(), Celsius::new(110.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Environment {
     supply: Volts,
     temperature: Kelvin,
@@ -91,7 +90,7 @@ impl fmt::Display for Environment {
 
 /// Which phase of the BTI cycle a device is in (paper §1: "Depending on the
 /// bias condition of the gate, there are two phases of BTI").
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
     /// Gate under stress (`Vgs < 0` for PMOS, `Vgs > 0` for NMOS): traps
     /// capture carriers, |Vth| grows.
@@ -116,7 +115,7 @@ impl fmt::Display for Phase {
 /// `stress_duty` is the fraction of the interval the gate spends in the
 /// stress phase: `1.0` for DC stress, `0.5` for the paper's symmetric AC
 /// stress, `0.0` during sleep/recovery.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DeviceCondition {
     env: Environment,
     stress_duty: DutyCycle,

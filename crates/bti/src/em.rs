@@ -9,13 +9,12 @@
 //! nothing for a void; the only mercy sleep offers EM is that a gated
 //! wire carries no current.
 
-use serde::{Deserialize, Serialize};
 use selfheal_units::{Fraction, Kelvin, Seconds, BOLTZMANN_EV_PER_K};
 
 use crate::condition::DeviceCondition;
 
 /// Electromigration kinetics for one interconnect segment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EmParams {
     /// Fractional resistance drift per second of full-activity operation
     /// at the reference temperature.
@@ -85,7 +84,7 @@ impl EmParams {
 /// wire.advance(heal, Seconds::new(365.25 * 86_400.0));
 /// assert_eq!(wire.resistance_drift(), after_a_year);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Electromigration {
     drift: f64,
 }

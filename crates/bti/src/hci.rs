@@ -9,13 +9,12 @@
 //! less and arrive hotter. Sleep of any flavour does nothing for it
 //! except stop the switching.
 
-use serde::{Deserialize, Serialize};
 use selfheal_units::{Millivolts, Seconds, BOLTZMANN_EV_PER_K};
 
 use crate::condition::DeviceCondition;
 
 /// HCI kinetics.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HciParams {
     /// Threshold drift per second of full-activity switching at the
     /// nominal 1.2 V supply and 110 °C, in mV/s.
@@ -71,7 +70,7 @@ impl Default for HciParams {
 /// device.advance(parked, Seconds::new(365.25 * 86_400.0));
 /// assert_eq!(device.delta_vth(), before);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct HotCarrier {
     exposure_s: f64,
 }

@@ -2,7 +2,6 @@
 
 use rand::Rng;
 use selfheal_telemetry as telemetry;
-use serde::{Deserialize, Serialize};
 use selfheal_units::{Millivolts, Seconds};
 
 use crate::condition::DeviceCondition;
@@ -23,7 +22,7 @@ use super::trap::Trap;
 /// what makes AC stress so much milder than DC), traps with large `u` hold
 /// their charge for days (these are what passive recovery cannot drain in
 /// any useful time — the paper's motivation for *accelerated* healing).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrapEnsembleParams {
     /// Mean number of BTI-active traps per device (Poisson distributed).
     pub mean_trap_count: f64,
@@ -97,7 +96,7 @@ impl TrapEnsembleParams {
 /// [`crate::td::kernel`]); this type is the compatibility facade — the
 /// sampling, iteration, and reduction API is unchanged, and every path
 /// is bit-for-bit identical to the old per-[`Trap`] storage.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrapEnsemble {
     bank: TrapBank,
 }

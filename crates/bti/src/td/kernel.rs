@@ -43,7 +43,6 @@
 //! * Reductions accumulate in trap index order, so sums match the old
 //!   sequential iterator passes to the last ulp.
 
-use serde::{Deserialize, Serialize};
 use selfheal_units::{Millivolts, Seconds};
 
 use crate::condition::DeviceCondition;
@@ -213,7 +212,7 @@ pub struct BankSummary {
 /// auto-vectorizable; [`Trap`] values are materialized on demand for
 /// iteration and serialization. See the module docs for the layout
 /// decisions the bit-exactness contract forces.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct TrapBank {
     /// Capture time constants at reference stress (s).
     tau_c0: Vec<f64>,
@@ -458,23 +457,7 @@ impl TrapBank {
     /// results are bit-identical to the old sequential passes.
     #[must_use]
     pub fn summary(&self) -> BankSummary {
-        // -0.0 starts for `Iterator::sum` parity — see `advance_all`.
-        let mut delta_vth_mv = -0.0;
-        let mut permanent_delta_vth_mv = -0.0;
-        let mut expected_occupied = -0.0;
-        for i in 0..self.occupancy.len() {
-            let contribution = self.occupancy[i] * self.step_mv[i];
-            delta_vth_mv += contribution;
-            if self.permanent[i] {
-                permanent_delta_vth_mv += contribution;
-            }
-            expected_occupied += self.occupancy[i];
-        }
-        BankSummary {
-            delta_vth: Millivolts::new(delta_vth_mv),
-            permanent_delta_vth: Millivolts::new(permanent_delta_vth_mv),
-            expected_occupied,
-        }
+        self.summary_range(0..self.len())
     }
 
     /// The [`summary`](TrapBank::summary) reductions restricted to the

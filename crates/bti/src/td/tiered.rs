@@ -57,7 +57,6 @@
 //! determinism is preserved because the replay depends only on the
 //! frozen occupancies and the integer epoch counters.
 
-use serde::{Deserialize, Serialize};
 use selfheal_units::{Millivolts, Seconds};
 
 use crate::condition::DeviceCondition;
@@ -70,7 +69,7 @@ const MIN_COLD_EPOCHS: f64 = 2.0;
 ///
 /// The trap occupancies stay frozen in the bank; this records the
 /// chip's own anchored extrapolation and when it must wake.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ColdChip {
     /// The bank's exact ΔVth at the demotion epoch — the extrapolation
     /// starts here, bit-for-bit.
@@ -93,7 +92,7 @@ pub struct ColdChip {
 }
 
 /// Integration tier of one chip in a tiered fleet.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub enum ChipTier {
     /// Full trap-ensemble resolution; eligible for demotion.
     #[default]
@@ -124,7 +123,7 @@ impl ChipTier {
 /// Per-tier chip counts — the fleet's observability probes and `stats`
 /// responses report these so `selfheal-top` can show the hot/cold
 /// split live.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TierCounts {
     /// Chips at full resolution and demotion-eligible.
     pub hot: usize,
@@ -156,7 +155,7 @@ impl TierCounts {
 /// Pure and deterministic: every decision is a closed-form function of
 /// the chip's observed shifts, its condition, and integer epoch
 /// indices.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TierPolicy {
     /// The fleet's end-of-life threshold shift.
     pub margin: Millivolts,

@@ -1,7 +1,6 @@
 //! A single oxide trap: a two-state Markov system with an exact
 //! inter-interval occupancy solution.
 
-use serde::{Deserialize, Serialize};
 use selfheal_units::{Millivolts, Seconds};
 
 use crate::condition::DeviceCondition;
@@ -26,7 +25,7 @@ use super::kernel::PhaseRates;
 /// `permanent` traps never emit once captured — they model the
 /// irreversible component of aging the paper notes "accumulates at a
 /// different rate" and can never be healed.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Trap {
     tau_c0: f64,
     tau_e0: f64,

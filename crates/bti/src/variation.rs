@@ -8,7 +8,6 @@
 //! what this module provides.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use selfheal_units::Millivolts;
 
 /// Gaussian process-variation parameters for fresh threshold voltages.
@@ -28,7 +27,7 @@ use selfheal_units::Millivolts;
 /// let device = pv.sample_device_offset(&mut rng);
 /// assert!(chip.get().abs() < 100.0 && device.get().abs() < 100.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProcessVariation {
     /// σ of the chip-level (global) Vth offset.
     pub chip_sigma_mv: Millivolts,

@@ -9,7 +9,6 @@
 //! controllable) temperature respond.
 
 use selfheal_telemetry as telemetry;
-use serde::{Deserialize, Serialize};
 use selfheal_bti::Environment;
 use selfheal_fpga::{Chip, Odometer, RoMode};
 use selfheal_units::{Fraction, Nanoseconds, Seconds};
@@ -17,7 +16,7 @@ use selfheal_units::{Fraction, Nanoseconds, Seconds};
 use crate::policy::{PolicyDecision, RecoveryPolicy};
 
 /// Outcome of one closed-loop run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClosedLoopRun {
     /// The policy's name.
     pub policy: String,
@@ -34,7 +33,7 @@ pub struct ClosedLoopRun {
 }
 
 /// Configuration of a closed-loop run.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClosedLoopConfig {
     /// Operating condition while awake.
     pub active_env: Environment,

@@ -18,7 +18,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfheal_runtime::{self as runtime, CacheOutcome, CacheRecord, ResultCache};
 use selfheal_telemetry::{self as telemetry, json::Json};
-use serde::{Deserialize, Serialize};
 use selfheal_fpga::{Chip, ChipId};
 use selfheal_testbench::cases::{self, PhaseKind, TestCase};
 use selfheal_testbench::{PhaseSpec, TestHarness};
@@ -30,7 +29,7 @@ use crate::metrics::{
 };
 
 /// Result of one stress case.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StressOutcome {
     /// The Table 1 row that was run.
     pub case: TestCase,
@@ -63,7 +62,7 @@ impl StressOutcome {
 }
 
 /// Result of one recovery case.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RecoveryOutcome {
     /// The Table 1 row that was run.
     pub case: TestCase,
@@ -87,7 +86,7 @@ impl RecoveryOutcome {
 }
 
 /// Everything the campaign produced.
-#[derive(Debug, Clone, PartialEq, Default, Serialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct ExperimentOutputs {
     /// Stress cases in chronological order of execution.
     pub stresses: Vec<StressOutcome>,
@@ -119,7 +118,7 @@ impl ExperimentOutputs {
 }
 
 /// The campaign runner. See the crate-level quickstart.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PaperExperiment {
     seed: u64,
     stress_sampling: Seconds,

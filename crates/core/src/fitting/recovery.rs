@@ -11,7 +11,6 @@
 //! the extracted parameters. `t₁` (the stress time that inflicted the
 //! shift) is known from the schedule, not fitted.
 
-use serde::{Deserialize, Serialize};
 use selfheal_units::{Nanoseconds, Seconds};
 
 use super::rmse;
@@ -35,7 +34,7 @@ use super::rmse;
 /// let fit = FittedRecoveryCurve::fit(&samples, t1).expect("enough samples");
 /// assert!(fit.rmse_ns < 0.01);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FittedRecoveryCurve {
     /// Amplitude `a` in nanoseconds.
     pub a_ns: f64,

@@ -1,6 +1,5 @@
 //! Fitting the Eq. (10) wearout law `ΔTd(t) = β·log(1 + C·t)`.
 
-use serde::{Deserialize, Serialize};
 use selfheal_units::{Nanoseconds, Seconds};
 
 use super::rmse;
@@ -24,7 +23,7 @@ use super::rmse;
 /// assert!((fit.beta_ns - 0.4).abs() < 0.02);
 /// assert!(fit.rmse_ns < 1e-3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FittedStressCurve {
     /// The amplitude `β` in nanoseconds (folds the paper's `β·A`).
     pub beta_ns: f64,

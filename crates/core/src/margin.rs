@@ -7,7 +7,6 @@
 //! it stress has consumed, and how long a chip can run before the budget
 //! is exhausted under a given model.
 
-use serde::{Deserialize, Serialize};
 use selfheal_bti::analytic::StressModel;
 use selfheal_bti::Environment;
 use selfheal_units::{Fraction, Millivolts, Nanoseconds, Seconds};
@@ -26,7 +25,7 @@ use selfheal_units::{Fraction, Millivolts, Nanoseconds, Seconds};
 /// let available = budget.available_fraction(fresh, Nanoseconds::new(92.3));
 /// assert!(available.get() > 0.7 && available.get() < 0.8);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MarginBudget {
     guardband: Fraction,
 }

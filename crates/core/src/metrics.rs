@@ -1,14 +1,13 @@
 //! Healing metrics: frequency degradation, the Recovered Delay of
 //! Eq. (16) and the design-margin-relaxed parameter of Table 4.
 
-use serde::{Deserialize, Serialize};
 use selfheal_testbench::MeasurementRecord;
 use selfheal_units::{Nanoseconds, Percent, Seconds};
 
 /// One point of a wearout curve (Figs. 4–5): elapsed stress time against
 /// frequency degradation and delay shift, both relative to the series'
 /// own first sample.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DegradationPoint {
     /// Time since the start of the stress phase.
     pub elapsed: Seconds,
@@ -21,7 +20,7 @@ pub struct DegradationPoint {
 
 /// One point of a recovery curve (Figs. 6–8): elapsed sleep time against
 /// the Recovered Delay.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryPoint {
     /// Time since the start of the sleep phase.
     pub elapsed: Seconds,
@@ -93,7 +92,7 @@ pub fn recovery_series(
 }
 
 /// The Table 4 summary of one recovery experiment.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RecoveryAssessment {
     /// The delay shift inflicted by the stress phase, `ΔTd(t₁)`.
     pub inflicted: Nanoseconds,

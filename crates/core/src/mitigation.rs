@@ -19,7 +19,6 @@
 //! The comparison metric is the steady shift after a work-preserving
 //! schedule: every strategy completes the *same work* per period.
 
-use serde::{Deserialize, Serialize};
 use selfheal_bti::analytic::AnalyticBti;
 use selfheal_bti::{DeviceCondition, Environment};
 use selfheal_units::{Celsius, Millivolts, Seconds, Volts};
@@ -36,7 +35,7 @@ pub fn speedup_at(vdd: Volts, nominal: Environment) -> f64 {
 }
 
 /// Outcome of one mitigation strategy over a horizon.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct MitigationOutcome {
     /// Strategy label.
     pub strategy: String,

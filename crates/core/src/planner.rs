@@ -8,7 +8,6 @@
 //! throughput must be sacrificed to hold a given margin, or conversely how
 //! much margin a given rhythm buys back.
 
-use serde::{Deserialize, Serialize};
 use selfheal_bti::analytic::{AnalyticBti, CycleModel, RecoveryModel, StressModel};
 use selfheal_bti::td::{PhaseRates, TrapBank};
 use selfheal_bti::{DeviceCondition, Environment};
@@ -17,7 +16,7 @@ use selfheal_units::{float, Fraction, Millivolts, Ratio, Seconds};
 use crate::technique::RejuvenationTechnique;
 
 /// A planned circadian rhythm.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct RejuvenationPlan {
     /// The chosen active-vs-sleep ratio.
     pub alpha: Ratio,
@@ -38,7 +37,7 @@ impl RejuvenationPlan {
 }
 
 /// The planner: first-order models plus the operating point.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SchedulePlanner {
     stress: StressModel,
     recovery: RecoveryModel,

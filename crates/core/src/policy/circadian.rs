@@ -1,7 +1,6 @@
 //! Circadian rejuvenation: a biological day/night rhythm with the paper's
 //! α ratio.
 
-use serde::{Deserialize, Serialize};
 use selfheal_units::{Fraction, Ratio, Seconds};
 
 use crate::technique::RejuvenationTechnique;
@@ -31,7 +30,7 @@ use super::{PolicyDecision, ProactivePolicy, RecoveryPolicy};
 /// );
 /// assert!((policy.night_length().to_hours().get() - 6.0).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CircadianPolicy {
     inner: ProactivePolicy,
     period: Seconds,

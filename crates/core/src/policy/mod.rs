@@ -20,7 +20,6 @@ pub use circadian::CircadianPolicy;
 pub use proactive::ProactivePolicy;
 pub use reactive::ReactivePolicy;
 
-use serde::{Deserialize, Serialize};
 use selfheal_bti::analytic::AnalyticBti;
 use selfheal_bti::{DeviceCondition, Environment};
 use selfheal_units::{Fraction, Millivolts, Seconds};
@@ -28,7 +27,7 @@ use selfheal_units::{Fraction, Millivolts, Seconds};
 use crate::technique::RejuvenationTechnique;
 
 /// What a policy wants to do next.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PolicyDecision {
     /// Keep working.
     StayActive,
@@ -56,7 +55,7 @@ pub trait RecoveryPolicy {
 }
 
 /// Outcome of driving one policy over a horizon.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PolicyRun {
     /// The policy's name.
     pub policy: String,

@@ -1,7 +1,6 @@
 //! Proactive rejuvenation: sleep on a fixed schedule, ahead of any sign
 //! of wearout.
 
-use serde::{Deserialize, Serialize};
 use selfheal_units::{Fraction, Hours, Seconds};
 
 use crate::technique::RejuvenationTechnique;
@@ -26,7 +25,7 @@ use super::{PolicyDecision, RecoveryPolicy};
 /// let d = policy.decide(Seconds::ZERO, Fraction::ZERO);
 /// assert_eq!(d, PolicyDecision::StayActive);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ProactivePolicy {
     awake: Seconds,
     sleep: Seconds,

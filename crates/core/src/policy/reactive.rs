@@ -1,7 +1,6 @@
 //! Reactive rejuvenation: sleep only once measured wearout crosses a
 //! threshold.
 
-use serde::{Deserialize, Serialize};
 use selfheal_units::{Fraction, Seconds};
 
 use crate::technique::RejuvenationTechnique;
@@ -33,7 +32,7 @@ use super::{PolicyDecision, RecoveryPolicy};
 ///     PolicyDecision::Sleep { .. }
 /// ));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ReactivePolicy {
     threshold: Fraction,
     technique: RejuvenationTechnique,

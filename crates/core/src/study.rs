@@ -9,7 +9,6 @@
 
 use selfheal_runtime::{self as runtime, CacheOutcome, ResultCache};
 use selfheal_telemetry as telemetry;
-use serde::{Deserialize, Serialize};
 use selfheal_units::float;
 
 use crate::experiment::PaperExperiment;
@@ -22,7 +21,7 @@ const RECOVERY_NAMES: [&str; 5] = ["R20Z6", "AR20N6", "AR110Z6", "AR110N6", "AR1
 const STUDY_CELL_CACHE_VERSION: u32 = 1;
 
 /// Summary statistics of one metric across campaign repetitions.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MetricStats {
     /// Sample mean.
     pub mean: f64,
@@ -68,7 +67,7 @@ impl MetricStats {
 }
 
 /// Results of repeating the Table 1 campaign across chip populations.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct VariationStudyOutcome {
     /// Number of campaign repetitions.
     pub runs: usize,
@@ -81,7 +80,7 @@ pub struct VariationStudyOutcome {
 }
 
 /// The study runner.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct VariationStudy {
     /// Number of independent chip populations to simulate.
     pub runs: usize,

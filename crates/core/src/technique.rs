@@ -7,7 +7,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use selfheal_bti::Environment;
 use selfheal_units::{Celsius, Volts};
 
@@ -23,7 +22,7 @@ use selfheal_units::{Celsius, Volts};
 /// assert!(env.supply().is_negative());
 /// assert_eq!(env.temperature_c(), selfheal_units::Celsius::new(110.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RejuvenationTechnique {
     /// Plain power gating at ambient temperature — the industry-standard
     /// "sleep" the paper argues is *not* enough (case R20Z6).

@@ -88,8 +88,9 @@ impl FleetConfig {
     /// # Errors
     ///
     /// Returns `Err` for an empty fleet, a shard count of zero or larger
-    /// than the chip count, non-positive margin or time steps, or
-    /// invalid trap-ensemble parameters.
+    /// than the chip count, a margin, time step or (when tiered) guard
+    /// band that is not finite and positive, or invalid trap-ensemble
+    /// parameters.
     pub fn validate(&self) -> Result<(), String> {
         if self.chips == 0 {
             return Err("fleet must contain at least one chip".into());
@@ -100,17 +101,21 @@ impl FleetConfig {
                 self.chips, self.shards
             ));
         }
-        if self.margin.get() <= 0.0 {
-            return Err("margin must be positive".into());
+        // NaN fails every comparison and +∞ passes `> 0.0`, so neither a
+        // `<= 0.0` rejection nor a `> 0.0` test alone keeps them out.
+        let finite_positive = |x: f64| x.is_finite() && x > 0.0;
+        if !finite_positive(self.margin.get()) {
+            return Err("margin must be finite and positive".into());
         }
-        if self.epoch_dt.get() <= 0.0 || self.period.get() <= 0.0 || self.horizon.get() <= 0.0 {
-            return Err("epoch_dt, period and horizon must be positive".into());
+        if ![self.epoch_dt, self.period, self.horizon].iter().all(|t| finite_positive(t.get())) {
+            return Err("epoch_dt, period and horizon must be finite and positive".into());
         }
         if self.tiered
-            && (self.guard_band.get() <= 0.0 || self.guard_band.get() >= self.margin.get())
+            && !(finite_positive(self.guard_band.get())
+                && self.guard_band.get() < self.margin.get())
         {
             return Err(format!(
-                "guard band must be positive and below the margin (got {} of {})",
+                "guard band must be finite, positive and below the margin (got {} of {})",
                 self.guard_band, self.margin
             ));
         }
@@ -277,5 +282,27 @@ mod tests {
         config.tiered = false;
         assert_eq!(config.validate(), Ok(()), "untiered ignores the band");
         assert!(config.tier_policy().is_none());
+    }
+
+    #[test]
+    fn non_finite_fields_are_rejected() {
+        type Setter = fn(&mut FleetConfig, f64);
+        let fields: [(&str, Setter); 5] = [
+            ("margin", |c, x| c.margin = Millivolts::new(x)),
+            ("epoch_dt", |c, x| c.epoch_dt = Seconds::new(x)),
+            ("period", |c, x| c.period = Seconds::new(x)),
+            ("horizon", |c, x| c.horizon = Seconds::new(x)),
+            ("guard_band", |c, x| c.guard_band = Millivolts::new(x)),
+        ];
+        for (name, set) in fields {
+            for bad in [f64::NAN, f64::INFINITY] {
+                let mut config = FleetConfig {
+                    tiered: true,
+                    ..FleetConfig::default()
+                };
+                set(&mut config, bad);
+                assert!(config.validate().is_err(), "{name} = {bad} must be rejected");
+            }
+        }
     }
 }

@@ -3,7 +3,6 @@
 
 use rand::Rng;
 use selfheal_telemetry as telemetry;
-use serde::{Deserialize, Serialize};
 use selfheal_bti::td::PhaseRateCache;
 use selfheal_bti::Environment;
 use selfheal_units::{Hertz, Millivolts, Nanoseconds, Seconds};
@@ -14,7 +13,7 @@ use crate::ring_oscillator::{RingOscillator, RoMode};
 
 /// Identity of a physical chip in the test population ("Chip 1"…"Chip 5"
 /// in the paper's Table 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ChipId(u32);
 
 impl ChipId {
@@ -39,7 +38,7 @@ impl std::fmt::Display for ChipId {
 
 /// One measurement of the CUT, as the paper's diagnostic program would log
 /// it: the raw counter capture plus the derived frequency and delay.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Measurement {
     /// Raw counter reading.
     pub reading: CounterReading,
@@ -54,7 +53,7 @@ pub struct Measurement {
 /// Carries its own process corner (all devices share a chip-level Vth
 /// offset, plus local mismatch), its ring-oscillator CUT and the counter.
 /// See the crate-level example for typical use.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Chip {
     id: ChipId,
     family: Family,

@@ -7,11 +7,10 @@
 //! reading as repeatable "within ±5 counts"; we add exactly that jitter.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use selfheal_units::{Hertz, Nanoseconds};
 
 /// A single counter capture.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterReading {
     /// The captured count `Cout`.
     pub count: u32,
@@ -21,7 +20,7 @@ pub struct CounterReading {
 }
 
 /// The counter peripheral: width plus reference clock.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FrequencyCounter {
     bits: u32,
     fref: Hertz,

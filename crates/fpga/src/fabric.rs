@@ -12,7 +12,6 @@ use std::sync::Arc;
 use rand::Rng;
 use selfheal_runtime::{self as runtime, CacheOutcome, CacheRecord, ResultCache, SeedSequence};
 use selfheal_telemetry::{self as telemetry, json::Json, manifest::fnv1a};
-use serde::{Deserialize, Serialize};
 use selfheal_bti::td::PhaseRateCache;
 use selfheal_bti::Environment;
 use selfheal_units::{float, Millivolts, Nanoseconds, Seconds};
@@ -22,7 +21,7 @@ use crate::family::Family;
 use crate::ring_oscillator::{RingOscillator, RoMode};
 
 /// A CUT site on the die grid.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DieLocation {
     /// Column index.
     pub column: u8,
@@ -38,7 +37,7 @@ impl std::fmt::Display for DieLocation {
 
 /// Within-die systematic variation: a linear threshold gradient across
 /// the die, on top of the chip corner and local mismatch.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DieGradient {
     /// Systematic Vth slope per column, mV.
     pub mv_per_column: f64,
@@ -89,7 +88,7 @@ impl DieGradient {
 /// let spread = array.fresh_delay_spread();
 /// assert!(spread.get() > 0.0, "locations differ: {spread}");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct CutArray {
     cuts: Vec<(DieLocation, RingOscillator)>,
     gradient: DieGradient,

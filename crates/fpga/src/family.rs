@@ -1,6 +1,5 @@
 //! Device-family parameters for the simulated commercial 40 nm FPGA.
 
-use serde::{Deserialize, Serialize};
 use selfheal_bti::td::TrapEnsembleParams;
 use selfheal_bti::variation::ProcessVariation;
 use selfheal_units::{Celsius, Hertz, Nanoseconds, Volts};
@@ -21,7 +20,7 @@ use selfheal_units::{Celsius, Hertz, Nanoseconds, Volts};
 /// assert!(family.allows_accelerated_temperature(selfheal_units::Celsius::new(110.0)));
 /// assert!(!family.allows_accelerated_temperature(selfheal_units::Celsius::new(150.0)));
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Family {
     /// Marketing-style family name.
     pub name: String,

@@ -25,7 +25,6 @@
 //! stressed; with `In0 = 0`, only the buffer NMOS `M7` is.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use selfheal_bti::td::PhaseRateCache;
 use selfheal_bti::{DeviceCondition, Environment};
 use selfheal_units::{DutyCycle, Millivolts, Nanoseconds, Seconds, Volts};
@@ -55,7 +54,7 @@ const M8: usize = 7;
 /// assert!(!inv.evaluate(true, true));  // In0 = 1 → 0
 /// assert!(inv.evaluate(false, true));  // In0 = 0 → 1
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct LutConfig {
     bits: [bool; 4],
 }
@@ -96,7 +95,7 @@ impl LutConfig {
 }
 
 /// One pass-transistor LUT instance with live devices.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Lut {
     config: LutConfig,
     devices: Vec<Transistor>,

@@ -2,7 +2,6 @@
 //! blocks (Eq. 7's `LD` and `Ns` live here).
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use selfheal_bti::td::PhaseRateCache;
 use selfheal_bti::Environment;
 use selfheal_units::{Millivolts, Nanoseconds, Seconds, Volts};
@@ -12,7 +11,7 @@ use crate::lut::{Lut, LutConfig};
 use crate::routing::RoutingBlock;
 
 /// One inverter stage: a LUT plus its downstream routing block.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Stage {
     /// The LUT-mapped inverter.
     pub lut: Lut,
@@ -28,7 +27,7 @@ pub struct Stage {
 /// logic levels: stage `i` sees input `1` for even `i` — so even stages
 /// carry the paper's `{M1, M5}`-style stress set and odd stages the `{M7}`
 /// set, and about half of the POI devices are stressed in total.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct InverterChain {
     stages: Vec<Stage>,
     fresh_delay: Nanoseconds,

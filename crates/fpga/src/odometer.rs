@@ -10,7 +10,6 @@
 //! policies carry a hardware cost that proactive ones avoid.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use selfheal_bti::Environment;
 use selfheal_units::{Fraction, Millivolts, Seconds, Volts};
 
@@ -36,7 +35,7 @@ use crate::ring_oscillator::{RingOscillator, RoMode};
 /// odo.advance(RoMode::Static, stress, Hours::new(24.0).into());
 /// assert!(odo.read().get() > 0.01, "a day of hot stress registers");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Odometer {
     witness: RingOscillator,
     reference: RingOscillator,

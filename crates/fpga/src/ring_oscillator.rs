@@ -2,7 +2,6 @@
 //! an enable gate that selects between AC and DC stress modes.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use selfheal_bti::td::PhaseRateCache;
 use selfheal_bti::Environment;
 use selfheal_units::{Hertz, Millivolts, Nanoseconds, Seconds, Volts};
@@ -12,7 +11,7 @@ use crate::netlist::InverterChain;
 
 /// What the enable signal (and the power supply) make the ring oscillator
 /// do during an interval.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum RoMode {
     /// `En` asserted: the loop oscillates — AC stress ("RO is always
     /// enabled to switch", case AS110AC24).
@@ -40,7 +39,7 @@ impl std::fmt::Display for RoMode {
 /// The oscillation frequency is `1 / (2·T_poi)` where `T_poi` is the total
 /// propagation delay around the loop — the quantity the paper's Eq. (15)
 /// recovers from the counter reading.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RingOscillator {
     chain: InverterChain,
 }

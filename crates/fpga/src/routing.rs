@@ -8,7 +8,6 @@
 //! DC stress, exactly as for the LUT's output buffer.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use selfheal_bti::td::PhaseRateCache;
 use selfheal_bti::{DeviceCondition, Environment};
 use selfheal_units::{Millivolts, Nanoseconds, Seconds, Volts};
@@ -17,7 +16,7 @@ use crate::family::Family;
 use crate::transistor::{Polarity, Transistor};
 
 /// One routing stage on the POI.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RoutingBlock {
     devices: [Transistor; 2],
 }

@@ -2,7 +2,6 @@
 //! variation) and its BTI aging state.
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use selfheal_bti::td::{PhaseRates, TrapEnsemble, TrapEnsembleParams};
 use selfheal_bti::DeviceCondition;
 use selfheal_units::{Millivolts, Nanoseconds, Seconds, Volts};
@@ -14,7 +13,7 @@ use crate::delay::device_delay;
 /// the two as symmetric in magnitude for high-k 40 nm processes (§3.1),
 /// and so do we — the polarity matters for *which bias condition counts as
 /// stress*, which the LUT's structural analysis resolves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Polarity {
     /// N-channel device (pass transistors, buffer pull-down) — PBTI.
     Nmos,
@@ -39,7 +38,7 @@ impl std::fmt::Display for Polarity {
 /// oscillator — Hypothesis 1's "not all transistors on POI are under
 /// stress" has the complementary face that not all stressed transistors
 /// are on the POI).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Transistor {
     name: String,
     polarity: Polarity,

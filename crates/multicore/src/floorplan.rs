@@ -1,9 +1,7 @@
 //! The Fig. 10 floorplan: an 8-core grid above a shared L3.
 
-use serde::{Deserialize, Serialize};
-
 /// A core's index on the die.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct CoreId(usize);
 
 impl CoreId {
@@ -43,7 +41,7 @@ impl std::fmt::Display for CoreId {
 /// let neighbours = plan.neighbours(CoreId::new(2));
 /// assert_eq!(neighbours.len(), 3);
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Floorplan {
     columns: usize,
     rows: usize,

@@ -2,7 +2,6 @@
 //! wear budget — the "extending life time" half of §6.2's closing claim.
 
 use selfheal_runtime as runtime;
-use serde::{Deserialize, Serialize};
 use selfheal_units::{float, Millivolts, Seconds};
 
 use crate::scheduler::Scheduler;
@@ -11,7 +10,7 @@ use crate::workload::Workload;
 
 /// Result of running a scheduler until its worst core exhausts the wear
 /// budget (or the horizon expires first).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LifetimeEstimate {
     /// The scheduler under test.
     pub scheduler: String,

@@ -2,7 +2,6 @@
 //! scheduler, a workload and the thermal network, for months of simulated
 //! time.
 
-use serde::{Deserialize, Serialize};
 use selfheal_bti::analytic::AnalyticBti;
 use selfheal_bti::{DeviceCondition, Environment};
 use selfheal_telemetry as telemetry;
@@ -14,7 +13,7 @@ use crate::thermal::ThermalGrid;
 use crate::workload::Workload;
 
 /// Simulation parameters.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// The die layout.
     pub floorplan: Floorplan,
@@ -53,7 +52,7 @@ impl Default for SimConfig {
 }
 
 /// End-of-run summary for one scheduler.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SystemReport {
     /// The scheduler that produced this system state.
     pub scheduler: String,

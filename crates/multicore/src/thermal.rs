@@ -13,7 +13,6 @@
 //! entire §6.2 "on-chip heaters" effect — an idle core's temperature is
 //! set by how many of its neighbours are burning power.
 
-use serde::{Deserialize, Serialize};
 use selfheal_units::Celsius;
 
 use crate::floorplan::{CoreId, Floorplan};
@@ -32,7 +31,7 @@ use crate::floorplan::{CoreId, Floorplan};
 /// // The sleeping core is much warmer than ambient thanks to neighbours.
 /// assert!(temps[2].get() > grid.ambient().get() + 10.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalGrid {
     floorplan: Floorplan,
     ambient: Celsius,

@@ -1,7 +1,6 @@
 //! Synthetic workloads: how many cores the system needs active at each
 //! scheduling interval.
 
-use serde::{Deserialize, Serialize};
 use selfheal_units::Seconds;
 
 /// A demand generator: maps elapsed time to the number of cores that must
@@ -18,7 +17,7 @@ use selfheal_units::Seconds;
 /// let midnight = diurnal.demand(Seconds::new(0.0), 8);
 /// assert!(noon > midnight, "daytime peak");
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Workload {
     /// A constant demand of `n` cores.
     Constant {

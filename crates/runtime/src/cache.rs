@@ -49,10 +49,10 @@ pub fn cache_enabled() -> bool {
 
 /// A value that can round-trip through the cache's JSON file format.
 ///
-/// The vendored `serde`/`serde_json` stand-ins are no-op stubs, so cache
-/// payloads serialize via the telemetry [`Json`] value instead of
-/// derive macros. `from_cache_json` returning `None` (schema drift,
-/// hand-edited file) degrades to a cache miss.
+/// The workspace has no external crates, so cache payloads serialize
+/// through the telemetry [`Json`] value with one explicit impl per record
+/// type. `from_cache_json` returning `None` (schema drift, hand-edited
+/// file) degrades to a cache miss.
 pub trait CacheRecord: Sized {
     /// Serializes the value into a JSON payload.
     fn to_cache_json(&self) -> Json;

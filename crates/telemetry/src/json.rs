@@ -1,8 +1,8 @@
 //! A minimal JSON value, writer and parser.
 //!
-//! The workspace builds fully offline; the vendored `serde`/`serde_json`
-//! stand-ins are no-op stubs, so the telemetry layer carries its own tiny
-//! JSON implementation. It covers exactly what sinks and manifests need:
+//! The workspace builds offline with no external crates, so this is its
+//! one JSON codec: sinks, manifests, cache records, checkpoints and the
+//! fleet wire protocol all go through it. It covers exactly what they need:
 //! objects with string keys, arrays, finite numbers, strings, booleans and
 //! null. Non-finite numbers serialize as `null` (JSON has no NaN), which a
 //! manifest diff surfaces as an anomaly instead of a parse error.
@@ -334,15 +334,18 @@ fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, ParseError> {
                 *pos += 1;
             }
             Some(_) => {
-                // Consume one UTF-8 character (input is &str, so this is
-                // always well-formed).
-                let rest = &bytes[*pos..];
-                let s = std::str::from_utf8(rest).map_err(|_| err(*pos, "invalid UTF-8"))?;
-                let Some(c) = s.chars().next() else {
-                    return Err(err(*pos, "unterminated string"));
-                };
-                out.push(c);
-                *pos += c.len_utf8();
+                // Copy the whole run up to the next quote or escape. Both
+                // are ASCII, so the run ends on a char boundary of the
+                // (valid, since it came from a &str) input, and UTF-8
+                // validation stays linear in the document size.
+                let end = bytes[*pos..]
+                    .iter()
+                    .position(|b| matches!(b, b'"' | b'\\'))
+                    .map_or(bytes.len(), |n| *pos + n);
+                let run = std::str::from_utf8(&bytes[*pos..end])
+                    .map_err(|_| err(*pos, "invalid UTF-8"))?;
+                out.push_str(run);
+                *pos = end;
             }
         }
     }

@@ -1,7 +1,6 @@
 //! The paper's Table 1: the accelerated wearout and self-healing test
 //! matrix, encoded verbatim.
 
-use serde::{Deserialize, Serialize};
 use selfheal_bti::SwitchingActivity;
 use selfheal_fpga::ChipId;
 use selfheal_units::{Celsius, Hours, Minutes, Ratio, Volts};
@@ -9,7 +8,7 @@ use selfheal_units::{Celsius, Hours, Minutes, Ratio, Volts};
 use crate::schedule::PhaseSpec;
 
 /// Whether a test case is an active (stress) or sleep (recovery) phase.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum PhaseKind {
     /// Active wearout phase (`AS…` cases).
     Stress {
@@ -37,7 +36,7 @@ pub enum PhaseKind {
 /// assert!(headline.supply.is_negative());
 /// assert_eq!(headline.code(), "AR110N6");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TestCase {
     /// The paper's case name (`AS110DC24`, `AR110N6`, …).
     pub name: &'static str,

@@ -3,7 +3,6 @@
 use std::fmt;
 
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 use selfheal_units::Celsius;
 
 /// Errors from chamber operation.
@@ -48,7 +47,7 @@ impl std::error::Error for ChamberError {}
 /// assert!(chamber.set_temperature(Celsius::new(500.0)).is_err());
 /// # Ok::<(), selfheal_testbench::ChamberError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ThermalChamber {
     setpoint: Celsius,
     range: (Celsius, Celsius),

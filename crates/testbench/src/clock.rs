@@ -2,7 +2,6 @@
 //! "A clock generator provides the external clock source for the
 //! counter").
 
-use serde::{Deserialize, Serialize};
 use selfheal_units::{Hertz, Seconds};
 
 /// A fixed-frequency clock source.
@@ -15,7 +14,7 @@ use selfheal_units::{Hertz, Seconds};
 /// let clk = ClockGenerator::paper_reference();
 /// assert_eq!(clk.frequency(), selfheal_units::Hertz::new(500.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ClockGenerator {
     frequency: Hertz,
 }

@@ -4,7 +4,6 @@ use std::fmt;
 
 use rand::Rng;
 use selfheal_telemetry as telemetry;
-use serde::{Deserialize, Serialize};
 use selfheal_bti::Environment;
 use selfheal_fpga::{Chip, Measurement, RoMode};
 use selfheal_units::{Seconds, Volts};
@@ -58,7 +57,7 @@ impl From<SupplyError> for HarnessError {
 }
 
 /// One timestamped sample from the diagnostic program.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MeasurementRecord {
     /// Time since the start of the current phase.
     pub elapsed_in_phase: Seconds,
@@ -75,7 +74,7 @@ pub struct MeasurementRecord {
 }
 
 /// The complete result of one phase.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseResult {
     /// The phase's label.
     pub name: String,

@@ -1,7 +1,6 @@
 //! Phase specifications: what to do to a chip, for how long, and how often
 //! to sample it.
 
-use serde::{Deserialize, Serialize};
 use selfheal_fpga::RoMode;
 use selfheal_units::{Celsius, Minutes, Seconds, Volts};
 
@@ -24,7 +23,7 @@ use selfheal_units::{Celsius, Minutes, Seconds, Volts};
 /// );
 /// assert!(spec.validate().is_ok());
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PhaseSpec {
     /// Human-readable label (shows up in records and logs).
     pub name: String,
@@ -141,7 +140,7 @@ impl PhaseSpec {
 }
 
 /// An ordered sequence of phases applied to one chip.
-#[derive(Debug, Clone, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Schedule {
     phases: Vec<PhaseSpec>,
 }

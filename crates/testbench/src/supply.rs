@@ -8,7 +8,6 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
 use selfheal_units::Volts;
 
 /// Errors from supply programming.
@@ -52,7 +51,7 @@ impl std::error::Error for SupplyError {}
 /// assert_eq!(supply.voltage(), Volts::ZERO);
 /// # Ok::<(), selfheal_testbench::SupplyError>(())
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PowerSupply {
     voltage: Volts,
     range: (Volts, Volts),

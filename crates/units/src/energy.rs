@@ -7,8 +7,6 @@
 use std::fmt;
 use std::ops::{Add, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::temperature::Kelvin;
 use crate::BOLTZMANN_EV_PER_K;
 
@@ -24,8 +22,7 @@ use crate::BOLTZMANN_EV_PER_K;
 /// let boltzmann = activation.boltzmann_factor(t);
 /// assert!(boltzmann > 0.0 && boltzmann < 1.0);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct ElectronVolts(f64);
 
 impl ElectronVolts {

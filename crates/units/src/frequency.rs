@@ -7,8 +7,6 @@
 use std::fmt;
 use std::ops::{Add, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::{Nanoseconds, Seconds};
 
 /// A frequency in hertz.
@@ -21,8 +19,7 @@ use crate::time::{Nanoseconds, Seconds};
 /// let fref = Hertz::new(500.0); // the paper's counter reference clock
 /// assert!((fref.period().get() - 2e-3).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Hertz(f64);
 
 impl Hertz {
@@ -137,8 +134,7 @@ impl From<Megahertz> for Hertz {
 /// let hz: Hertz = fosc.into();
 /// assert!((hz.get() - 5.5e6).abs() < 1e-3);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Megahertz(f64);
 
 impl Megahertz {

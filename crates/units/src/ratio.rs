@@ -4,8 +4,6 @@
 use std::fmt;
 use std::ops::{Add, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 use crate::time::Seconds;
 
 /// A dimensionless value in `[0, 1]`.
@@ -23,8 +21,7 @@ use crate::time::Seconds;
 /// let recovered = Fraction::new(0.724); // the paper's headline 72.4 %
 /// assert!((recovered.to_percent().get() - 72.4).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Fraction(f64);
 
 impl Fraction {
@@ -89,8 +86,7 @@ impl From<Percent> for Fraction {
 /// assert!(degradation > Percent::new(1.0));
 /// assert_eq!(degradation.to_string(), "2.30 %");
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Percent(f64);
 
 impl Percent {
@@ -155,8 +151,7 @@ impl Mul<f64> for Percent {
 /// assert!((alpha.get() - 4.0).abs() < 1e-12);
 /// assert!((alpha.active_fraction().get() - 0.8).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Ratio(f64);
 
 impl Ratio {
@@ -235,8 +230,7 @@ impl fmt::Display for Ratio {
 /// let ac = DutyCycle::symmetric(); // 50 % stress / 50 % recovery
 /// assert_eq!(ac.get(), 0.5);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct DutyCycle(f64);
 
 impl DutyCycle {

@@ -7,8 +7,6 @@
 use std::fmt;
 use std::ops::{Add, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// Offset between the Celsius and Kelvin scales.
 const KELVIN_OFFSET: f64 = 273.15;
 
@@ -23,8 +21,7 @@ const KELVIN_OFFSET: f64 = 273.15;
 /// assert!(chamber > Celsius::new(100.0));
 /// assert!((chamber.to_kelvin().get() - 383.15).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Celsius(f64);
 
 impl Celsius {
@@ -83,8 +80,7 @@ impl From<Kelvin> for Celsius {
 /// let t: Kelvin = Celsius::new(20.0).to_kelvin();
 /// assert!((t.get() - 293.15).abs() < 1e-9);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd)]
 pub struct Kelvin(f64);
 
 impl Kelvin {

@@ -10,8 +10,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Sub};
 
-use serde::{Deserialize, Serialize};
-
 /// A duration in seconds, the common time currency of the workspace.
 ///
 /// # Examples
@@ -23,8 +21,7 @@ use serde::{Deserialize, Serialize};
 /// let sleep: Seconds = Hours::new(6.0).into();
 /// assert!((stress / sleep - 4.0).abs() < 1e-12); // the paper's α = 4
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Seconds(f64);
 
 impl Seconds {
@@ -155,8 +152,7 @@ impl From<Minutes> for Seconds {
 
 /// A duration in hours, matching the paper's test-case notation
 /// (e.g. `AS110DC24` = 24 h of accelerated DC stress).
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Hours(f64);
 
 impl Hours {
@@ -193,8 +189,7 @@ impl From<Seconds> for Hours {
 
 /// A duration in minutes (sampling cadences: "every 20 minutes", "every 30
 /// minutes").
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Minutes(f64);
 
 impl Minutes {
@@ -235,8 +230,7 @@ impl fmt::Display for Minutes {
 /// let shift = aged - fresh;
 /// assert!((shift.get() - 2.3).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Nanoseconds(f64);
 
 impl Nanoseconds {
@@ -342,8 +336,7 @@ impl Sum for Nanoseconds {
 /// // ...and dividing by the rate recovers the duration.
 /// assert_eq!(x / rate, Seconds::new(300.0));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct PerSecond(f64);
 
 impl PerSecond {

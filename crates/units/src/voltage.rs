@@ -9,8 +9,6 @@ use std::fmt;
 use std::iter::Sum;
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Serialize};
-
 /// A potential difference in volts.
 ///
 /// # Examples
@@ -23,8 +21,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(nominal - droop, Volts::new(1.15));
 /// assert_eq!(-Volts::new(0.3), Volts::new(-0.3));
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Volts(f64);
 
 impl Volts {
@@ -169,8 +166,7 @@ impl From<Millivolts> for Volts {
 /// let exponent: f64 = gain * Volts::new(0.1);
 /// assert!((exponent - 0.25).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct PerVolt(f64);
 
 impl PerVolt {
@@ -240,8 +236,7 @@ impl Mul<PerVolt> for f64 {
 /// let as_volts: Volts = shift.into();
 /// assert!((as_volts.get() - 0.042).abs() < 1e-12);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default, Serialize, Deserialize)]
-#[serde(transparent)]
+#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Millivolts(f64);
 
 impl Millivolts {

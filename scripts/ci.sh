@@ -1,7 +1,9 @@
 #!/usr/bin/env bash
 # The local CI gauntlet, in dependency order: build everything in release
-# mode, run the full test suite, run the domain-aware static-analysis
-# gate, and smoke-check the perf ledger + regression gate.
+# mode, run the full test suite (no test may be ignored), run the
+# domain-aware static-analysis gate, smoke-check the perf ledger +
+# regression gate and the fleet daemon, and smoke-run the repository
+# benchmark.
 #
 # `perf_gate --smoke` deliberately runs no benchmarks: it validates that
 # every committed bench_history/*.jsonl parses and that the gate's
@@ -11,6 +13,8 @@
 # on quiet hardware.
 set -euo pipefail
 cd "$(dirname "$0")/.."
+SMOKE_DIR="$(mktemp -d)"
+trap 'rm -rf "$SMOKE_DIR"' EXIT
 
 echo "== cargo build --release" >&2
 # --workspace matters: the root Cargo.toml is both workspace root and a
@@ -23,7 +27,12 @@ echo "== cargo test" >&2
 # --workspace: the root package holds the cross-crate tier-1 suites, but
 # per-crate tests (fleet resume/protocol, analyzer fixtures, ...) live
 # in their own crates and must run too.
-cargo test -q --workspace
+cargo test -q --workspace | tee "$SMOKE_DIR/test.log"
+# A permanently ignored test is a suite that never runs; none may exist.
+if grep -E 'test result:.* [1-9][0-9]* ignored' "$SMOKE_DIR/test.log" >&2; then
+    echo "cargo test reports ignored tests; run them or delete them" >&2
+    exit 1
+fi
 
 echo "== cargo analyzer check" >&2
 # Includes the workspace dataflow pass: any deterministic root reaching
@@ -50,8 +59,6 @@ echo "== telemetry sampler smoke" >&2
 # status file must parse as valid text exposition (selfheal-top --check
 # embeds the in-tree parser) and the time-series JSONL must carry
 # strictly monotone sample timestamps.
-SMOKE_DIR="$(mktemp -d)"
-trap 'rm -rf "$SMOKE_DIR"' EXIT
 SELFHEAL_TELEMETRY="timeseries:$SMOKE_DIR/series.jsonl" \
 SELFHEAL_TELEMETRY_SAMPLE=20ms \
     target/release/telemetry_sampler --json --status "$SMOKE_DIR/status.prom" \
@@ -185,5 +192,14 @@ grep -q '(resumed: true)' "$SMOKE_DIR/tiered.second.log" \
 target/release/fleet_storm --smoke --connect "$(cat "$SMOKE_DIR/tiered.addr")" --shutdown
 wait "$TIERED_PID"
 echo "tiered fleet smoke: served all request types, kill -9 resumed from tiered checkpoint" >&2
+
+echo "== repository benchmark (smoke)" >&2
+# The benchmark is its own package (fleetbench/, outside the workspace):
+# its unit tests, then one short round of every workload with every
+# correctness check on (stats digest gate, bit-identical replay,
+# structural reply checks). This also proves it still builds against
+# the current crates.
+cargo test -q --manifest-path fleetbench/Cargo.toml
+bash fleetbench/run.sh --smoke
 
 echo "ci: all gates green" >&2
