@@ -8,7 +8,7 @@
 //! ```text
 //! perf_ledger --repeats 5 -- target/release/trap_kernel --json
 //! perf_ledger --manifest run1.json --manifest run2.json --manifest run3.json
-//! perf_ledger --keys soa_ns_per_trap_10000 --repeats 3 -- target/release/trap_kernel --json
+//! perf_ledger --keys kernel_ns_per_trap_step_10000 --repeats 3 -- target/release/trap_kernel --json
 //! perf_ledger --prune [--keep 50]            # cap every history file
 //! ```
 //!

@@ -1,35 +1,27 @@
-//! Kernel microbenchmark: per-trap scalar advance vs hoisted rates vs
-//! the SoA [`TrapBank`] fast path vs the cache-blocked batched-phase
-//! traversal, at 1k / 10k / 100k / 1M traps.
+//! Kernel microbenchmark: the per-trap scalar oracle vs the chunked
+//! structure-of-arrays kernel, at 1k / 10k / 100k / 1M traps.
 //!
 //! Run with `cargo run -p selfheal-bench --release --bin trap_kernel --
-//! --out BENCH_kernel.json` to record the manifest the kernel's speedup
-//! claims are pinned against. All four variants are bit-for-bit
-//! interchangeable (`tests/kernel_equivalence.rs` is the gate); only
-//! wall-clock separates them. Each is timed over the same four-phase
-//! schedule (stress / recovery / AC stress / recovery):
+//! --out BENCH_kernel.json` to record the manifest the kernel's speed is
+//! pinned against. Both columns are bit-for-bit interchangeable
+//! (`tests/kernel_equivalence.rs` is the gate); only wall-clock
+//! separates them. Each is timed over the same four-phase schedule
+//! (stress / recovery / AC stress / recovery):
 //!
-//! * **scalar** — `Trap::advance` per trap per phase: every trap
-//!   re-derives the phase's rate multipliers (the pre-kernel cost
-//!   profile);
-//! * **hoisted** — [`PhaseRates`] evaluated once per phase step, traps
-//!   advanced through `Trap::advance_with_rates` on an AoS `Vec<Trap>`;
-//! * **soa** — the chunked kernel, one [`TrapEnsemble::advance`] call
-//!   per phase: hoisted rates *and* the structure-of-arrays bank;
-//! * **batched** — one [`TrapEnsemble::advance_phases`] call for the
-//!   whole schedule: the bank is traversed **once** per batch, every
-//!   chunk threaded through all four phases while it is cache-resident.
+//! * **scalar** — [`Trap::advance`] per trap per phase on an AoS
+//!   `Vec<Trap>`: every trap re-derives the phase's rate multipliers;
+//! * **kernel** — one [`TrapEnsemble::advance`] call per phase: rates
+//!   evaluated once per phase and the bank's `LANES`-chunked loop.
 //!
-//! The headline `speedup_<size>` is scalar vs batched. The batched
-//! column is what removes the out-of-cache cliff the sequential soa
-//! path hits past ~100k traps — per-trap cost at 1M should match 10k.
+//! The headline `speedup_<size>` is scalar vs kernel. The kernel's
+//! per-trap cost should stay flat from 1k to 1M traps.
 
 use std::time::Instant;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use selfheal_bench::{fmt, BenchRun, Table};
-use selfheal_bti::td::{PhaseRates, Trap, TrapEnsemble, TrapEnsembleParams};
+use selfheal_bti::td::{Trap, TrapEnsemble, TrapEnsembleParams};
 use selfheal_bti::{DeviceCondition, Environment};
 use selfheal_units::{Celsius, Millivolts, Minutes, Seconds, Volts};
 
@@ -92,7 +84,7 @@ fn time_per_batch(budget: usize, trap_steps: usize, mut step: impl FnMut()) -> f
 
 fn main() {
     let mut run = BenchRun::start("trap_kernel");
-    run.say("Trap-kinetics kernel: scalar vs hoisted vs SoA bank vs batched phases\n");
+    run.say("Trap-kinetics kernel: scalar oracle vs SoA kernel\n");
 
     let batch = phase_batch();
     let budget = 8_000_000;
@@ -100,16 +92,14 @@ fn main() {
     let mut table = Table::new(&[
         "traps",
         "scalar (ns/trap-step)",
-        "hoisted (ns/trap-step)",
-        "soa (ns/trap-step)",
-        "batched (ns/trap-step)",
+        "kernel (ns/trap-step)",
         "speedup",
     ]);
     let mut headline_speedup = 0.0;
 
     for (i, &size) in SIZES.iter().enumerate() {
-        // One top-level span per size: the manifest's phase ledger gets
-        // a `kernel_<size>` entry instead of the old empty `phases: []`.
+        // One top-level span per size, so the manifest's phase ledger
+        // gets a `kernel_<size>` entry.
         let phase = run.phase_named(format!("kernel_{size}"));
         let ensemble = ensemble_of(size, 2014 + i as u64);
         let traps: Vec<Trap> = ensemble.iter().collect();
@@ -125,58 +115,46 @@ fn main() {
             }
         });
 
-        let mut hoisted = traps.clone();
-        let hoisted_ns = time_per_batch(budget, trap_steps, || {
+        let mut kernel = ensemble.clone();
+        let kernel_ns = time_per_batch(budget, trap_steps, || {
             for &(cond, dt) in &batch {
-                let rates = PhaseRates::for_condition(cond);
-                for trap in &mut hoisted {
-                    trap.advance_with_rates(&rates, dt);
-                }
+                kernel.advance(cond, dt);
             }
-        });
-
-        let mut soa = ensemble.clone();
-        let soa_ns = time_per_batch(budget, trap_steps, || {
-            for &(cond, dt) in &batch {
-                soa.advance(cond, dt);
-            }
-        });
-
-        let mut batched = ensemble.clone();
-        let batched_ns = time_per_batch(budget, trap_steps, || {
-            batched.advance_phases(&batch);
         });
         drop(phase);
 
         #[allow(clippy::cast_precision_loss)]
         let per_step = |total_ns: f64| total_ns / trap_steps as f64;
-        let speedup = scalar_ns / batched_ns;
+        let speedup = scalar_ns / kernel_ns;
         if size == HEADLINE {
             headline_speedup = speedup;
         }
         table.row(&[
             &count.to_string(),
             &fmt(per_step(scalar_ns), 2),
-            &fmt(per_step(hoisted_ns), 2),
-            &fmt(per_step(soa_ns), 2),
-            &fmt(per_step(batched_ns), 2),
+            &fmt(per_step(kernel_ns), 2),
             &format!("{speedup:.2}x"),
         ]);
-        run.value(&format!("scalar_ns_per_trap_step_{size}"), per_step(scalar_ns));
-        run.value(&format!("hoisted_ns_per_trap_step_{size}"), per_step(hoisted_ns));
-        run.value(&format!("soa_ns_per_trap_step_{size}"), per_step(soa_ns));
-        run.value(&format!("batched_ns_per_trap_step_{size}"), per_step(batched_ns));
+        run.value(
+            &format!("scalar_ns_per_trap_step_{size}"),
+            per_step(scalar_ns),
+        );
+        run.value(
+            &format!("kernel_ns_per_trap_step_{size}"),
+            per_step(kernel_ns),
+        );
         run.value(&format!("speedup_{size}"), speedup);
     }
 
     run.table(&table);
     run.say(format!(
-        "\nheadline: {headline_speedup:.2}x at {HEADLINE} traps (scalar loop vs batched kernel).\n\
-         The gap is the hoist (one rate evaluation per phase, not per trap), the bank's\n\
-         flat chunked inner loop, and the batch traversal paying memory traffic once\n\
-         per schedule instead of once per phase — which is what holds the per-trap\n\
-         cost flat from 10k to 1M traps.",
+        "\nheadline: {headline_speedup:.2}x at {HEADLINE} traps (scalar oracle vs kernel).\n\
+         The gap is the hoist (one rate evaluation per phase, not per trap) and the\n\
+         bank's flat chunked inner loop.",
     ));
     run.value("speedup_10k", headline_speedup);
-    run.finish("sizes=1k,10k,100k,1M schedule=DC/rec/AC/rec dt=20min budget=8e6 trap-steps/variant");
+    run.finish(
+        "sizes=1k,10k,100k,1M schedule=DC/rec/AC/rec dt=20min budget=8e6 trap-steps/variant \
+         columns=scalar,kernel",
+    );
 }

@@ -213,38 +213,6 @@ impl TrapEnsemble {
         }
     }
 
-    /// Advances the ensemble through a whole batch of phases in one
-    /// bank traversal — the cache-blocked fast path for phase loops.
-    ///
-    /// Bit-identical to calling [`advance`](Self::advance) once per
-    /// phase (see [`TrapBank::advance_phases`]); past L2-sized banks it
-    /// pays the memory traffic once per batch instead of once per
-    /// phase. Telemetry counters are attributed exactly as the
-    /// equivalent sequence of `advance` calls would attribute them in
-    /// aggregate: one net capture/emission delta over the batch, and
-    /// one traversal's worth of traps advanced per phase.
-    pub fn advance_phases(&mut self, phases: &[(DeviceCondition, Seconds)]) {
-        let steps: Vec<(PhaseRates, Seconds)> = phases
-            .iter()
-            .map(|&(cond, dt)| (PhaseRates::for_condition(cond), dt))
-            .collect();
-        let stats = self.bank.advance_phases(&steps);
-        if telemetry::metrics::enabled() {
-            let net = stats.occupied_after - stats.occupied_before;
-            if net >= 0.0 {
-                telemetry::metrics::counter_add("bti.td.trap_captures", net);
-            } else {
-                telemetry::metrics::counter_add("bti.td.trap_emissions", -net);
-            }
-            telemetry::metrics::gauge_set("bti.td.expected_occupied", stats.occupied_after);
-            telemetry::metrics::counter_add(
-                "bti.td.kernel.traps_advanced",
-                (self.bank.len() * steps.len()) as f64,
-            );
-            telemetry::metrics::counter_add("bti.td.kernel.advance_calls", steps.len() as f64);
-        }
-    }
-
     /// Total expected threshold-voltage shift right now.
     #[must_use]
     pub fn delta_vth(&self) -> Millivolts {

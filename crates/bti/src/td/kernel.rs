@@ -3,24 +3,28 @@
 //!
 //! Every experiment in the stack bottoms out in advancing trap
 //! occupancies, and the two rate multipliers that drive a step depend
-//! only on the [`DeviceCondition`] — not on the trap. The scalar path
-//! re-derived them per trap (two `exp` calls plus an Arrhenius factor
-//! each), which is millions of redundant transcendentals per run. This
-//! module restructures that hot path in three layers:
+//! only on the [`DeviceCondition`] — not on the trap. Re-deriving them
+//! per trap (two `exp` calls plus an Arrhenius factor each) would cost
+//! millions of redundant transcendentals per run, so the hot path is
+//! split in three:
 //!
-//! 1. [`PhaseRates`] evaluates the multipliers **once per condition**
-//!    and is threaded through every advance loop, so a 24 h stress phase
-//!    over a whole chip computes its transcendentals once, not once per
-//!    trap.
+//! 1. [`PhaseRates`] evaluates the multipliers **once per condition**,
+//!    so a 24 h stress phase over a whole chip computes its
+//!    transcendentals once, not once per trap.
 //! 2. [`PhaseRateCache`] memoizes `PhaseRates` across the handful of
 //!    distinct conditions a fan-out produces (stressed / recovering /
 //!    toggling devices under one environment), so higher layers can
 //!    share one evaluation across thousands of devices.
 //! 3. [`TrapBank`] stores an ensemble's traps as flat arrays
-//!    (structure-of-arrays) with a tight, branch-light
-//!    [`advance_all`](TrapBank::advance_all) kernel and a fused
-//!    single-pass [`summary`](TrapBank::summary) reduction replacing the
-//!    three separate iterator passes the AoS layout required.
+//!    (structure-of-arrays) with **one** advance loop,
+//!    [`advance_range`](TrapBank::advance_range): one phase per call,
+//!    over a [`LANES`]-chunked span of the bank.
+//!    [`advance_all`](TrapBank::advance_all) is its whole-bank range,
+//!    and a fused single-pass [`summary`](TrapBank::summary) reduction
+//!    replaces three separate iterator passes.
+//!
+//! [`Trap::advance`] stays as the scalar oracle the kernel is pinned
+//! against; nothing on a hot path calls it.
 //!
 //! # Bit-exactness contract
 //!
@@ -59,7 +63,7 @@ pub const KERNEL_VERSION: u32 = 3;
 
 /// Fixed chunk width of the advance kernels, in traps.
 ///
-/// The hot loops process the SoA columns in blocks of this many lanes
+/// The hot loop processes the SoA columns in blocks of this many lanes
 /// (one AVX-512 register of `f64`, two AVX2 registers) with a scalar
 /// tail, so the per-lane divisions and multiplies autovectorize while
 /// the reductions still accumulate in strict trap-index order. Exposed
@@ -128,10 +132,15 @@ impl PhaseRates {
     /// The equilibrium occupancy and relaxation time constant for a trap
     /// with the given time constants under these rates.
     ///
-    /// This is the arithmetic core shared by the scalar path
-    /// ([`super::kinetics::occupancy_relaxation`] delegates here) and
-    /// the bank kernel, so there is exactly one place the rate math
-    /// lives.
+    /// This is the arithmetic core shared by the scalar oracle
+    /// ([`Trap::advance`]) and the bank kernel, so there is exactly one
+    /// place the rate math lives.
+    ///
+    /// Returns `(p_inf, tau_eff)`: the equilibrium occupancy the trap
+    /// relaxes towards and the exponential time constant of that
+    /// relaxation, i.e. the exact solution of `dp/dt = (1−p)·rc − p·re`.
+    /// When both effective rates are zero the trap is frozen: `tau_eff`
+    /// is infinite and `p_inf` unused.
     #[must_use]
     pub fn relaxation(&self, tau_c0: f64, tau_e0: f64) -> (f64, f64) {
         let capture_rate = self.capture_mult / tau_c0;
@@ -308,16 +317,8 @@ impl TrapBank {
         }
     }
 
-    /// Advances every trap by `dt` under pre-evaluated rates.
-    ///
-    /// This is the hot kernel: one division pair, one `exp`, and a
-    /// clamp per trap — the transcendentals in the rate multipliers are
-    /// already paid for in `rates`. The loop runs in [`LANES`]-wide
-    /// chunks (plus a scalar tail) so the divisions and multiplies
-    /// autovectorize; the occupancy sums entering and leaving the step
-    /// still accumulate in strict trap index order, so callers get the
-    /// telemetry deltas for free *and* bit-identical to the old scalar
-    /// accumulation.
+    /// Advances every trap by `dt` under pre-evaluated rates: the
+    /// whole-bank [`advance_range`](TrapBank::advance_range).
     pub fn advance_all(&mut self, rates: &PhaseRates, dt: Seconds) -> AdvanceStats {
         self.advance_range(0..self.occupancy.len(), rates, dt)
     }
@@ -325,12 +326,19 @@ impl TrapBank {
     /// Advances the traps in `range` by `dt` under pre-evaluated rates,
     /// leaving every trap outside the range untouched.
     ///
-    /// This is the shard-level entry point: a fleet shard stores many
-    /// chips' traps contiguously in one bank and advances each chip's
-    /// slice under that chip's own condition. The per-trap arithmetic is
-    /// exactly [`advance_all`](TrapBank::advance_all)'s (they share the
-    /// chunked span kernel), so advancing a bank chip-range by
-    /// chip-range under one shared condition is bit-identical to one
+    /// This is the hot kernel: one division pair, one `exp`, and a
+    /// clamp per trap — the transcendentals in the rate multipliers are
+    /// already paid for in `rates`. The loop runs in [`LANES`]-wide
+    /// chunks (plus a scalar tail) so the divisions and multiplies
+    /// autovectorize; both run the same per-trap `relax` step. The
+    /// occupancy sums entering and leaving the step accumulate in strict
+    /// trap index order, so callers get the telemetry deltas for free
+    /// *and* bit-identical to a scalar accumulation.
+    ///
+    /// A fleet shard stores many chips' traps contiguously in one bank
+    /// and advances each chip's slice under that chip's own condition.
+    /// Each trap's step depends only on that trap, so advancing a bank
+    /// range by range under one shared condition is bit-identical to one
     /// whole-bank advance — except that the [`AdvanceStats`] sums cover
     /// only the range.
     ///
@@ -352,96 +360,42 @@ impl TrapBank {
         // starts differ only in the sign bit of an empty bank's sum.
         let mut occupied_before = -0.0;
         let mut occupied_after = -0.0;
+        let occupancy = &mut self.occupancy[start..end];
         if dt.is_zero_or_negative() {
             // Frozen step: both sums walk the unchanged occupancies.
-            for i in start..end {
-                let p = self.occupancy[i];
+            for &p in occupancy.iter() {
                 occupied_before += p;
                 occupied_after += p;
             }
         } else {
-            advance_span(
-                &self.tau_c0[start..end],
-                &self.tau_e[start..end],
-                &mut self.occupancy[start..end],
-                rates,
-                -dt.get(),
-                &mut occupied_before,
-                &mut occupied_after,
-            );
-        }
-        AdvanceStats {
-            occupied_before,
-            occupied_after,
-        }
-    }
-
-    /// Advances every trap through a whole batch of phases in **one**
-    /// traversal of the bank.
-    ///
-    /// Sequential [`advance_all`](TrapBank::advance_all) calls walk the
-    /// SoA columns once per phase; past L2-sized banks every walk pays
-    /// full memory traffic, which is the 100k-trap cache cliff. Here
-    /// each [`LANES`]-sized chunk is carried through *all* phases while
-    /// hot in cache, so the traffic is paid once per batch. Per-trap
-    /// evolution is independent and the per-phase arithmetic is exactly
-    /// `advance_all`'s, so the resulting occupancies are bit-identical
-    /// to issuing the phases one at a time (pinned in
-    /// `tests/kernel_equivalence.rs`). Zero-length phases are frozen
-    /// no-ops, exactly as in `advance_all`.
-    ///
-    /// The returned stats sum the occupancies entering the first phase
-    /// and leaving the last, both in trap index order — the same values
-    /// the first and last call of the equivalent `advance_all` sequence
-    /// report.
-    pub fn advance_phases(&mut self, phases: &[(PhaseRates, Seconds)]) -> AdvanceStats {
-        let steps: Vec<(PhaseRates, f64)> = phases
-            .iter()
-            .filter(|(_, dt)| !dt.is_zero_or_negative())
-            .map(|&(rates, dt)| (rates, -dt.get()))
-            .collect();
-        // -0.0 starts for `Iterator::sum` parity — see `advance_all`.
-        let mut occupied_before = -0.0;
-        let mut occupied_after = -0.0;
-        let n = self.occupancy.len();
-        let whole = n - n % LANES;
-        let mut i = 0;
-        while i < whole {
-            for j in 0..LANES {
-                occupied_before += self.occupancy[i + j];
-            }
-            for &(ref rates, neg_dt) in &steps {
+            let tau_c0 = &self.tau_c0[start..end];
+            let tau_e = &self.tau_e[start..end];
+            let neg_dt = -dt.get();
+            let n = occupancy.len();
+            let whole = n - n % LANES;
+            let mut i = 0;
+            while i < whole {
+                // Every lane's next occupancy first (the lanes are
+                // independent, so this block autovectorizes), then the
+                // ordered sums and stores.
                 let mut next = [0.0f64; LANES];
                 for j in 0..LANES {
-                    let p = self.occupancy[i + j];
-                    let (p_inf, tau) = rates.relaxation(self.tau_c0[i + j], self.tau_e[i + j]);
-                    next[j] = if tau.is_infinite() {
-                        p
-                    } else {
-                        let decay = (neg_dt / tau).exp();
-                        (p_inf + (p - p_inf) * decay).clamp(0.0, 1.0)
-                    };
+                    next[j] = relax(rates, tau_c0[i + j], tau_e[i + j], occupancy[i + j], neg_dt);
                 }
-                self.occupancy[i..i + LANES].copy_from_slice(&next);
-            }
-            for j in 0..LANES {
-                occupied_after += self.occupancy[i + j];
-            }
-            i += LANES;
-        }
-        for k in whole..n {
-            let p = self.occupancy[k];
-            occupied_before += p;
-            let mut value = p;
-            for &(ref rates, neg_dt) in &steps {
-                let (p_inf, tau) = rates.relaxation(self.tau_c0[k], self.tau_e[k]);
-                if !tau.is_infinite() {
-                    let decay = (neg_dt / tau).exp();
-                    value = (p_inf + (value - p_inf) * decay).clamp(0.0, 1.0);
+                for j in 0..LANES {
+                    occupied_before += occupancy[i + j];
+                    occupied_after += next[j];
+                    occupancy[i + j] = next[j];
                 }
+                i += LANES;
             }
-            self.occupancy[k] = value;
-            occupied_after += value;
+            for k in whole..n {
+                let p = occupancy[k];
+                let next = relax(rates, tau_c0[k], tau_e[k], p, neg_dt);
+                occupied_before += p;
+                occupied_after += next;
+                occupancy[k] = next;
+            }
         }
         AdvanceStats {
             occupied_before,
@@ -519,61 +473,21 @@ impl TrapBank {
     }
 }
 
-/// The chunked hot loop shared by [`TrapBank::advance_all`] and
-/// [`TrapBank::advance_range`]: [`LANES`]-wide blocks over the SoA
-/// column slices with a scalar tail.
+/// One trap's step: occupancy `p` relaxed for `-neg_dt` seconds
+/// towards its equilibrium under `rates`.
 ///
-/// Each block first evaluates every lane's next occupancy (the lanes
-/// are independent, so the divisions, multiplies and clamps
-/// autovectorize), then accumulates the before/after sums and stores
-/// the results in strict trap index order — bit-identical to the scalar
-/// loop this replaced, whose accumulation order the `AdvanceStats`
-/// contract pins.
-#[allow(clippy::too_many_arguments)]
-fn advance_span(
-    tau_c0: &[f64],
-    tau_e: &[f64],
-    occupancy: &mut [f64],
-    rates: &PhaseRates,
-    neg_dt: f64,
-    occupied_before: &mut f64,
-    occupied_after: &mut f64,
-) {
-    let n = occupancy.len();
-    let whole = n - n % LANES;
-    let mut i = 0;
-    while i < whole {
-        let mut next = [0.0f64; LANES];
-        for j in 0..LANES {
-            let p = occupancy[i + j];
-            let (p_inf, tau) = rates.relaxation(tau_c0[i + j], tau_e[i + j]);
-            next[j] = if tau.is_infinite() {
-                p
-            } else {
-                let decay = (neg_dt / tau).exp();
-                (p_inf + (p - p_inf) * decay).clamp(0.0, 1.0)
-            };
-        }
-        for j in 0..LANES {
-            *occupied_before += occupancy[i + j];
-            *occupied_after += next[j];
-            occupancy[i + j] = next[j];
-        }
-        i += LANES;
+/// The same guards in the same order as [`Trap::advance`]: an infinite
+/// relaxation time (a frozen trap) leaves `p` as it is, the decay is
+/// `exp(-dt / tau)` (not `exp(-dt * rate)`), and the result is clamped to
+/// `[0, 1]`.
+#[inline(always)]
+fn relax(rates: &PhaseRates, tau_c0: f64, tau_e: f64, p: f64, neg_dt: f64) -> f64 {
+    let (p_inf, tau) = rates.relaxation(tau_c0, tau_e);
+    if tau.is_infinite() {
+        return p;
     }
-    for k in whole..n {
-        let p = occupancy[k];
-        *occupied_before += p;
-        let (p_inf, tau) = rates.relaxation(tau_c0[k], tau_e[k]);
-        if !tau.is_infinite() {
-            let decay = (neg_dt / tau).exp();
-            let next = (p_inf + (p - p_inf) * decay).clamp(0.0, 1.0);
-            occupancy[k] = next;
-            *occupied_after += next;
-        } else {
-            *occupied_after += p;
-        }
-    }
+    let decay = (neg_dt / tau).exp();
+    (p_inf + (p - p_inf) * decay).clamp(0.0, 1.0)
 }
 
 impl<'a> IntoIterator for &'a TrapBank {

@@ -92,29 +92,6 @@ pub fn emission_rate_multiplier(cond: DeviceCondition) -> f64 {
     thermal * (stressed_part + recovering_part)
 }
 
-/// Effective occupancy relaxation parameters for a trap with tabulated
-/// time constants `(tau_c0, tau_e0)` (seconds at reference conditions)
-/// under `cond`.
-///
-/// Returns `(p_inf, tau_eff)`: the equilibrium occupancy the trap relaxes
-/// towards and the exponential time constant of that relaxation, i.e. the
-/// exact solution of `dp/dt = (1−p)·rc − p·re`.
-///
-/// When both effective rates are zero (a cryogenic, unbiased corner case)
-/// the trap is frozen: `(p_inf, ∞)` with `p_inf` unused by callers because
-/// `exp(−dt/∞) = 1`.
-#[must_use]
-pub fn occupancy_relaxation(
-    tau_c0: f64,
-    tau_e0: f64,
-    cond: DeviceCondition,
-) -> (f64, f64) {
-    // Single arithmetic source: the kernel's hoisted rates perform the
-    // identical `multiplier / tau` division, so scalar and bank paths
-    // cannot drift apart.
-    super::kernel::PhaseRates::for_condition(cond).relaxation(tau_c0, tau_e0)
-}
-
 /// Convenience: the Arrhenius emission speed-up between two temperatures,
 /// used by the multi-core thermal analysis to reason about "on-chip
 /// heaters" (§6.2).
@@ -128,6 +105,7 @@ pub fn emission_thermal_speedup(from: Kelvin, to: Kelvin) -> f64 {
 mod tests {
     use super::*;
     use crate::condition::Environment;
+    use crate::td::PhaseRates;
     use selfheal_units::{Celsius, DutyCycle, Volts};
 
     fn env(v: f64, t: f64) -> Environment {
@@ -207,22 +185,16 @@ mod tests {
     #[test]
     fn relaxation_at_reference_stress_prefers_occupied() {
         // τe ≫ τc under stress ⇒ equilibrium occupancy near 1.
-        let (p_inf, tau) = occupancy_relaxation(
-            10.0,
-            1000.0,
-            DeviceCondition::dc_stress(env(1.2, 110.0)),
-        );
+        let (p_inf, tau) = PhaseRates::for_condition(DeviceCondition::dc_stress(env(1.2, 110.0)))
+            .relaxation(10.0, 1000.0);
         assert!(p_inf > 0.9, "p_inf = {p_inf}");
         assert!(tau.is_finite() && tau > 0.0);
     }
 
     #[test]
     fn relaxation_during_recovery_prefers_empty() {
-        let (p_inf, _) = occupancy_relaxation(
-            10.0,
-            1000.0,
-            DeviceCondition::recovery(env(-0.3, 110.0)),
-        );
+        let (p_inf, _) = PhaseRates::for_condition(DeviceCondition::recovery(env(-0.3, 110.0)))
+            .relaxation(10.0, 1000.0);
         assert_eq!(p_inf, 0.0, "no capture during sleep");
     }
 
@@ -230,7 +202,7 @@ mod tests {
     fn frozen_trap_has_infinite_tau() {
         // Unstressed and emission astronomically slow: simulate by a huge τe.
         let cond = DeviceCondition::recovery(env(0.0, 20.0));
-        let (_, tau) = occupancy_relaxation(1.0, f64::INFINITY, cond);
+        let (_, tau) = PhaseRates::for_condition(cond).relaxation(1.0, f64::INFINITY);
         assert!(tau.is_infinite());
     }
 

@@ -26,8 +26,5 @@ pub use kernel::{
 };
 pub use tiered::{ChipTier, ColdChip, TierCounts, TierPolicy};
 pub use population::{advance_population, sample_population, sample_population_cached};
-pub use kinetics::{
-    capture_rate_multiplier, emission_rate_multiplier, emission_thermal_speedup,
-    occupancy_relaxation,
-};
+pub use kinetics::{capture_rate_multiplier, emission_rate_multiplier, emission_thermal_speedup};
 pub use trap::Trap;

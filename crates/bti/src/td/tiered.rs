@@ -208,7 +208,7 @@ impl TierPolicy {
     /// model recovery), chips whose shift shrank or jumped non-finitely
     /// over the window (the deceleration argument needs a non-negative
     /// observed rate), chips already inside the guard band, and chips
-    /// whose rate would wake them in under [`MIN_COLD_EPOCHS`]. On
+    /// whose rate would wake them in under `MIN_COLD_EPOCHS`. On
     /// success the returned state anchors the extrapolation at
     /// `current` with the window-mean rate — an upper bound on every
     /// later epoch's growth, because the trajectory decelerates — and

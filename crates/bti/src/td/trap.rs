@@ -135,24 +135,16 @@ impl Trap {
     /// Because the solution is exact, callers may take arbitrarily large
     /// steps as long as the condition is constant over the step — this is
     /// what lets 24-hour stress phases simulate in microseconds.
+    ///
+    /// This per-trap path re-derives the condition's rate multipliers on
+    /// every call; it is the scalar oracle the
+    /// [`TrapBank`](super::TrapBank) kernel is pinned against bit for bit.
     pub fn advance(&mut self, cond: DeviceCondition, dt: Seconds) {
         if dt.is_zero_or_negative() {
             return;
         }
-        self.advance_with_rates(&PhaseRates::for_condition(cond), dt);
-    }
-
-    /// [`Trap::advance`] with the condition's rate multipliers already
-    /// evaluated — the hoisted entry point phase loops use so the two
-    /// transcendental-heavy multipliers are paid once per phase, not once
-    /// per trap. Bit-identical to [`Trap::advance`] under
-    /// `PhaseRates::for_condition(cond)`.
-    pub fn advance_with_rates(&mut self, rates: &PhaseRates, dt: Seconds) {
-        if dt.is_zero_or_negative() {
-            return;
-        }
         let tau_e = if self.permanent { f64::INFINITY } else { self.tau_e0 };
-        let (p_inf, tau) = rates.relaxation(self.tau_c0, tau_e);
+        let (p_inf, tau) = PhaseRates::for_condition(cond).relaxation(self.tau_c0, tau_e);
         if tau.is_infinite() {
             return; // frozen: nothing can change
         }

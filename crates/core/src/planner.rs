@@ -197,31 +197,6 @@ impl SchedulePlanner {
         .plan(technique, period, horizon)
     }
 
-    /// [`plan_with_consumed`](Self::plan_with_consumed) reading the
-    /// consumed margin straight off a live [`TrapBank`] view: `range` is
-    /// the chip's trap slice inside a (possibly shard-sized) bank.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `range` ends past the bank (as
-    /// [`TrapBank::summary_range`] does).
-    #[must_use]
-    pub fn plan_from_bank(
-        &self,
-        bank: &TrapBank,
-        range: std::ops::Range<usize>,
-        technique: RejuvenationTechnique,
-        period: Seconds,
-        horizon: Seconds,
-    ) -> Option<RejuvenationPlan> {
-        self.plan_with_consumed(
-            bank.summary_range(range).delta_vth,
-            technique,
-            period,
-            horizon,
-        )
-    }
-
     /// The shift a chip's trap slice would reach after running `dt`
     /// under `cond`, projected forward from the live bank state (the
     /// bank itself is untouched — the projection advances a copy).
@@ -241,32 +216,6 @@ impl SchedulePlanner {
         let mut projection = TrapBank::from_traps(&traps);
         projection.advance_all(&PhaseRates::for_condition(cond), dt);
         projection.summary().delta_vth
-    }
-
-    /// The analytic counterpart of
-    /// [`predicted_shift_from_bank`](Self::predicted_shift_from_bank):
-    /// resumes the fitted stress curve at the equivalent time of
-    /// `current` under `cond` and projects it `dt` forward, in closed
-    /// form. This is how a tiered fleet serves `predict` for cold chips
-    /// without materializing (or advancing a copy of) their frozen trap
-    /// slices.
-    ///
-    /// A zero duty cycle inflicts nothing, so the projection is
-    /// `current` itself; stress aging is monotone, so the result is
-    /// never below `current`.
-    #[must_use]
-    pub fn predicted_shift_analytic(
-        &self,
-        current: Millivolts,
-        cond: DeviceCondition,
-        dt: Seconds,
-    ) -> Millivolts {
-        if cond.stress_duty().get() <= 0.0 {
-            return current;
-        }
-        let t_eq = self.stress.equivalent_time_with_duty(current, cond);
-        let projected = self.stress.delta_vth_with_duty(t_eq + dt, cond);
-        Millivolts::new(projected.get().max(current.get()))
     }
 
     fn plan_for(
@@ -431,36 +380,6 @@ mod tests {
     }
 
     #[test]
-    fn analytic_projection_resumes_the_stress_curve() {
-        use selfheal_units::DutyCycle;
-
-        let p = planner(30.0);
-        let env = Environment::new(Volts::new(1.2), Celsius::new(90.0));
-        let cond = DeviceCondition::new(env, DutyCycle::new(0.6));
-        let current = Millivolts::new(8.0);
-        let dt: Seconds = Hours::new(24.0).into();
-
-        // Stressed projection grows, monotonically in dt.
-        let one_day = p.predicted_shift_analytic(current, cond, dt);
-        let two_days = p.predicted_shift_analytic(current, cond, Seconds::new(2.0 * dt.get()));
-        assert!(one_day.get() > current.get());
-        assert!(two_days.get() > one_day.get());
-
-        // Resuming is consistent: projecting 2·dt at once equals
-        // projecting dt from the dt-projection (the curve has no memory
-        // beyond its equivalent time).
-        let chained = p.predicted_shift_analytic(one_day, cond, dt);
-        assert!(
-            (chained.get() - two_days.get()).abs() < 1e-9 * two_days.get(),
-            "chained {chained} vs direct {two_days}"
-        );
-
-        // Idle chips do not age.
-        let idle = DeviceCondition::new(env, DutyCycle::new(0.0));
-        assert_eq!(p.predicted_shift_analytic(current, idle, dt), current);
-    }
-
-    #[test]
     fn bank_views_agree_with_scalar_entry_points() {
         use rand::SeedableRng;
         use selfheal_bti::td::{TrapEnsemble, TrapEnsembleParams};
@@ -469,20 +388,6 @@ mod tests {
         let device = TrapEnsemble::sample(&TrapEnsembleParams::default(), &mut rng);
         let bank = device.bank().clone();
         let p = planner(26.0);
-        let via_bank = p.plan_from_bank(
-            &bank,
-            0..bank.len(),
-            RejuvenationTechnique::Combined,
-            day_period(),
-            year(),
-        );
-        let via_consumed = p.plan_with_consumed(
-            bank.summary_range(0..bank.len()).delta_vth,
-            RejuvenationTechnique::Combined,
-            day_period(),
-            year(),
-        );
-        assert_eq!(via_bank, via_consumed);
 
         // The projection advances a copy: the bank itself must not move,
         // and the projected shift matches advancing the slice directly.

@@ -20,6 +20,17 @@ use crate::config::FleetConfig;
 use crate::proto::{ErrorCode, Request, Response, StatsReply};
 use crate::state::FleetState;
 
+/// The most day/night cycles one `plan` request may span
+/// (`horizon / period`, rounded up); longer plans are refused as
+/// `bad-request`.
+///
+/// The planner simulates every cycle of the horizon some forty times
+/// while it bisects, so an unbounded count lets one request stall the
+/// state thread or abort the daemon on allocation. A year of daily
+/// cycles is 365; at the cap a plan costs about 0.15 s of state-thread
+/// time (roughly 1.8 µs per simulated cycle on a 2-vCPU x86-64 host).
+pub const MAX_PLAN_CYCLES: u32 = 2_000;
+
 /// The fleet daemon: state, planner, checkpoint policy.
 #[derive(Debug)]
 pub struct FleetDaemon {
@@ -157,16 +168,23 @@ impl FleetDaemon {
             return unknown_chip(chip);
         };
         let config = self.state.config();
+        let period = period.unwrap_or(config.period);
+        let horizon = horizon.unwrap_or(config.horizon);
+        let cycles = (horizon.get() / period.get()).ceil();
+        if cycles > f64::from(MAX_PLAN_CYCLES) {
+            return Response::Error {
+                code: ErrorCode::BadRequest,
+                message: format!(
+                    "horizon / period asks for {cycles} cycles; at most {MAX_PLAN_CYCLES} are planned"
+                ),
+            };
+        }
         // `chip_consumed` is tier-aware (analytic for cold chips, the
-        // exact bank slice otherwise), and `plan_from_bank` is defined
-        // as `plan_with_consumed` of the slice summary — so both tiers
-        // flow through the same planner entry point, read-only.
-        let plan = self.planner.plan_with_consumed(
-            consumed,
-            technique,
-            period.unwrap_or(config.period),
-            horizon.unwrap_or(config.horizon),
-        );
+        // exact bank slice otherwise), so both tiers flow through the
+        // same planner entry point, read-only.
+        let plan = self
+            .planner
+            .plan_with_consumed(consumed, technique, period, horizon);
         Response::Plan {
             chip,
             consumed,

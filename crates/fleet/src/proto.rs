@@ -5,7 +5,7 @@
 //! and partial reads, and the registry/message-passing idiom the server
 //! follows (no async runtime, no external deps).
 //!
-//! All raw socket transfer funnels through one function, [`pump`],
+//! All raw socket transfer funnels through one function, `pump`,
 //! which carries the module's single `analyzer: trust(io)` annotation:
 //! everything above it (framing, parsing, dispatch, state) stays in the
 //! deterministic lattice classes, and the analyzer would flag any new
@@ -705,11 +705,11 @@ fn field_u64(doc: &Json, key: &str) -> Result<u64, (ErrorCode, String)> {
 fn positive_field(doc: &Json, key: &str) -> Result<f64, (ErrorCode, String)> {
     doc.get(key)
         .and_then(Json::as_f64)
-        .filter(|v| *v > 0.0)
+        .filter(|v| *v > 0.0 && v.is_finite())
         .ok_or_else(|| {
             (
                 ErrorCode::BadRequest,
-                format!("\"{key}\" must be a positive number"),
+                format!("\"{key}\" must be a finite positive number"),
             )
         })
 }
@@ -858,11 +858,15 @@ mod tests {
 
     #[test]
     fn malformed_requests_map_to_stable_codes() {
-        let cases: [(&[u8], ErrorCode); 5] = [
+        let cases: [(&[u8], ErrorCode); 6] = [
             (b"not json at all", ErrorCode::BadJson),
             (b"{\"chip\":3}", ErrorCode::BadRequest),
             (b"{\"type\":\"frobnicate\"}", ErrorCode::UnknownType),
             (b"{\"type\":\"plan\"}", ErrorCode::BadRequest),
+            (
+                b"{\"type\":\"plan\",\"chip\":0,\"period_s\":1e999}",
+                ErrorCode::BadRequest,
+            ),
             (b"{\"type\":\"report\",\"chip\":1,\"duty\":1.5}", ErrorCode::BadRequest),
         ];
         for (payload, expected) in cases {

@@ -16,8 +16,9 @@
 //! early-warning signal, visible before the quantile itself crosses.
 //!
 //! Objectives are *observability* configuration: they never touch the
-//! simulation and deliberately stay out of [`FleetConfig::cache_key`]
-//! (`crate::config`), so adding an SLO cannot invalidate checkpoints.
+//! simulation and deliberately stay out of
+//! [`FleetConfig::cache_key`](crate::FleetConfig::cache_key), so adding
+//! an SLO cannot invalidate checkpoints.
 
 use selfheal_telemetry::metrics::MetricsSnapshot;
 use selfheal_telemetry::{gauge, Histogram, Metric};

@@ -86,7 +86,8 @@ impl Shard {
     /// (most chips still at the default duty) at one rate computation
     /// per distinct condition.
     ///
-    /// With a [`TierPolicy`] in force, cold chips cost one integer
+    /// Without a [`TierPolicy`] every chip advances at full resolution.
+    /// With one in force, cold chips cost one integer
     /// comparison: their occupancies stay frozen until `epoch_end`
     /// reaches their precomputed wake epoch, at which point the whole
     /// cold window replays as one fused
@@ -102,21 +103,12 @@ impl Shard {
     ) {
         let mut rates = PhaseRateCache::new();
         let Shard { chips, bank, .. } = self;
-        let Some(policy) = policy else {
-            // Untiered: every chip advances at full resolution.
-            for chip in chips.iter_mut() {
-                let cond = DeviceCondition::new(config.active_env, chip.duty);
-                let phase = rates.rates(cond);
-                bank.advance_range(chip.traps.clone(), &phase, dt);
-            }
-            return;
-        };
         for chip in chips.iter_mut() {
             // The tier check comes first: at steady state almost every
             // chip is cold, and a cold epoch must stay at one integer
             // compare per chip — no condition or rate lookups.
-            match &chip.tier {
-                ChipTier::Cold(cold) => {
+            match (&chip.tier, policy) {
+                (ChipTier::Cold(cold), Some(policy)) => {
                     if !policy.should_wake(cold, epoch_end) {
                         continue;
                     }
@@ -132,13 +124,12 @@ impl Shard {
                     let phase = rates.rates(cond);
                     bank.advance_range(chip.traps.clone(), &phase, elapsed);
                     let current = bank.summary_range(chip.traps.clone()).delta_vth;
-                    chip.tier =
-                        match policy.try_demote(anchor, current, window, cond, epoch_end) {
-                            Some(cold) => ChipTier::Cold(cold),
-                            None => ChipTier::Hot,
-                        };
+                    chip.tier = match policy.try_demote(anchor, current, window, cond, epoch_end) {
+                        Some(cold) => ChipTier::Cold(cold),
+                        None => ChipTier::Hot,
+                    };
                 }
-                ChipTier::Hot => {
+                (ChipTier::Hot, Some(policy)) => {
                     // Demotion needs the chip's observed per-epoch
                     // rate, so bracket the advance with two summary
                     // scans.
@@ -147,31 +138,19 @@ impl Shard {
                     let phase = rates.rates(cond);
                     bank.advance_range(chip.traps.clone(), &phase, dt);
                     let current = bank.summary_range(chip.traps.clone()).delta_vth;
-                    if let Some(cold) = policy.try_demote(previous, current, 1, cond, epoch_end)
-                    {
+                    if let Some(cold) = policy.try_demote(previous, current, 1, cond, epoch_end) {
                         chip.tier = ChipTier::Cold(cold);
                     }
                 }
-                ChipTier::Pinned => {
+                // No policy means "never demote": untiered chips, like
+                // pinned ones, advance at full resolution.
+                _ => {
                     let cond = DeviceCondition::new(config.active_env, chip.duty);
                     let phase = rates.rates(cond);
                     bank.advance_range(chip.traps.clone(), &phase, dt);
                 }
             }
         }
-    }
-
-    /// The chip's consumed margin as recorded in the bank: the ΔVth of
-    /// its trap slice. For a cold chip this is the *frozen* value at its
-    /// demotion epoch — use [`FleetState::chip_consumed`] for the
-    /// tier-aware live value.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `local` is out of range.
-    #[must_use]
-    pub fn chip_delta_vth(&self, local: usize) -> Millivolts {
-        self.bank.summary_range(self.chips[local].traps.clone()).delta_vth
     }
 }
 
@@ -324,11 +303,25 @@ impl FleetState {
     pub fn chip_consumed(&self, chip: usize) -> Option<Millivolts> {
         let (shard, local) = self.locate(chip)?;
         let shard = &self.shards[shard];
-        let slot = &shard.chips[local];
-        Some(match (self.config.tier_policy(), &slot.tier) {
+        Some(self.slot_consumed(
+            self.config.tier_policy().as_ref(),
+            shard,
+            &shard.chips[local],
+        ))
+    }
+
+    /// The one place a chip's consumed margin is decided: the analytic
+    /// line for a cold chip under `policy`, the bank slice otherwise.
+    fn slot_consumed(
+        &self,
+        policy: Option<&TierPolicy>,
+        shard: &Shard,
+        slot: &ChipSlot,
+    ) -> Millivolts {
+        match (policy, &slot.tier) {
             (Some(policy), ChipTier::Cold(cold)) => policy.analytic_delta_vth(cold, self.epoch),
             _ => shard.bank.summary_range(slot.traps.clone()).delta_vth,
-        })
+        }
     }
 
     /// Per-tier chip counts across the fleet (all-hot when untiered).
@@ -393,12 +386,7 @@ impl FleetState {
         let mut over = 0usize;
         for shard in &self.shards {
             for chip in &shard.chips {
-                let mv = match (&policy, &chip.tier) {
-                    (Some(policy), ChipTier::Cold(cold)) => {
-                        policy.analytic_delta_vth(cold, self.epoch).get()
-                    }
-                    _ => shard.bank.summary_range(chip.traps.clone()).delta_vth.get(),
-                };
+                let mv = self.slot_consumed(policy.as_ref(), shard, chip).get();
                 total += mv;
                 if mv > worst {
                     worst = mv;

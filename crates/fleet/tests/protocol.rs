@@ -116,6 +116,23 @@ fn abuse_cases_never_wedge_the_worker() {
         drop(stream);
     }
 
+    // 6. Hostile plans: a horizon of billions of cycles, an infinite
+    //    horizon, and cycle counts past `usize::MAX`. Each must be
+    //    refused as a bad request on a connection that stays usable,
+    //    never planned (which would allocate one entry per cycle).
+    {
+        let mut stream = raw_connection(addr);
+        for payload in [
+            &b"{\"type\":\"plan\",\"chip\":0,\"period_s\":0.001}"[..],
+            b"{\"type\":\"plan\",\"chip\":0,\"horizon_s\":1e999}",
+            b"{\"type\":\"plan\",\"chip\":0,\"horizon_s\":1e300}",
+            b"{\"type\":\"plan\",\"chip\":0,\"period_s\":5e-324}",
+        ] {
+            send_frame(&mut stream, payload);
+            expect_error(&mut stream, ErrorCode::BadRequest);
+        }
+    }
+
     // After all of that, the single worker still serves real traffic.
     let mut client = FleetClient::connect(addr).expect("connect typed client");
     match client.call(&Request::Report {

@@ -198,8 +198,8 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 
 /// The work-stealing execution engine.
 ///
-/// See the [module docs](self) for topology and the determinism
-/// contract. Construct with [`Pool::new`] (dedicated worker threads) or
+/// Per-worker deques plus a global injector; see the [crate docs](crate)
+/// for the determinism contract. Construct with [`Pool::new`] (dedicated worker threads) or
 /// [`Pool::serial`] (zero workers — every `par_*` call executes inline
 /// on the caller, which is both the determinism reference and the
 /// degenerate single-thread configuration).

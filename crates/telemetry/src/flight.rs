@@ -19,7 +19,7 @@
 //! and returns the retained records oldest-first.
 //!
 //! All recorder bytes reach the filesystem through one function,
-//! [`persist`], which carries this module's single `analyzer: trust(io)`
+//! `persist`, which carries this module's single `analyzer: trust(io)`
 //! annotation — the panic-hook, shutdown and `debug-dump` paths all
 //! funnel through it.
 

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # The local CI gauntlet, in dependency order: build everything in release
 # mode, run the full test suite (no test may be ignored), run the
-# domain-aware static-analysis gate, smoke-check the perf ledger +
-# regression gate and the fleet daemon, and smoke-run the repository
-# benchmark.
+# domain-aware static-analysis gate, build warning-free rustdoc,
+# smoke-check the perf ledger + regression gate and the fleet daemon,
+# and smoke-run the repository benchmark.
 #
 # `perf_gate --smoke` deliberately runs no benchmarks: it validates that
 # every committed bench_history/*.jsonl parses and that the gate's
@@ -50,6 +50,11 @@ assert g["nodes"] and g["edges"] and g["roots"]
 n, e, r, c = (len(g[k]) for k in ("nodes", "edges", "roots", "crates"))
 print(f"analyzer graph: {n} nodes, {e} edges, {r} roots across {c} crates")
 '
+
+echo "== cargo doc" >&2
+# Rustdoc only warns on a stale or private intra-doc link, so a deleted
+# item can stay linked from docs unnoticed; here every warning fails.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 
 echo "== perf_gate --smoke" >&2
 cargo run -q --release -p selfheal-bench --bin perf_gate -- --smoke

@@ -250,56 +250,60 @@ proptest! {
         }
     }
 
-    /// One batched traversal through a whole phase schedule must be
-    /// bit-identical to issuing the phases one `advance_all` at a time —
-    /// occupancies *and* the first-before/last-after stats — at any bank
-    /// size (chunk-ragged included) and any batch (zero-dt phases
-    /// included).
+    /// Fleet epochs advance a shard's bank chip slice by chip slice.
+    /// Those slices start at arbitrary offsets, so each one's chunk and
+    /// tail split differs from a whole-bank advance. Splitting a bank at
+    /// random points (plus one at `LANES - 1`, `LANES` or `LANES + 1`)
+    /// and advancing range by range through the phase sequence must
+    /// match the scalar oracle trap for trap, to the bit, with each
+    /// range's stats the ordered sums over that range.
     #[test]
-    fn batched_phase_advance_matches_sequential_bitwise(
+    fn ranged_advance_matches_scalar_oracle_bitwise(
         size in 0usize..200,
-        schedule in proptest::collection::vec((0usize..5, 0usize..2), 1..6),
+        cuts in proptest::collection::vec(0usize..200, 0..8),
+        lane_offset in 0usize..3,
     ) {
-        let all_phases = phase_sequence();
-        let phases: Vec<(PhaseRates, Seconds)> = schedule
-            .iter()
-            .map(|&(phase, zero_dt)| {
-                let (cond, dt) = all_phases[phase];
-                let dt = if zero_dt == 1 { Seconds::new(0.0) } else { dt };
-                (PhaseRates::for_condition(cond), dt)
-            })
-            .collect();
+        let mut bounds: Vec<usize> = cuts.into_iter().map(|cut| cut % (size + 1)).collect();
+        bounds.push((LANES - 1 + lane_offset).min(size));
+        bounds.extend([0, size]);
+        bounds.sort_unstable();
+        bounds.dedup();
 
         let traps = traps_of_len(size);
-        let mut sequential = TrapBank::from_traps(&traps);
-        let mut batched = TrapBank::from_traps(&traps);
-
-        let mut first_before = None;
-        let mut last_after = None;
-        for (rates, dt) in &phases {
-            let stats = sequential.advance_all(rates, *dt);
-            first_before.get_or_insert(stats.occupied_before);
-            last_after = Some(stats.occupied_after);
+        let mut scalar = traps.clone();
+        let mut bank = TrapBank::from_traps(&traps);
+        for (step, (cond, dt)) in phase_sequence().into_iter().enumerate() {
+            let before: Vec<f64> = scalar.iter().map(Trap::occupancy).collect();
+            for trap in &mut scalar {
+                trap.advance(cond, dt);
+            }
+            let rates = PhaseRates::for_condition(cond);
+            for span in bounds.windows(2) {
+                let range = span[0]..span[1];
+                let stats = bank.advance_range(range.clone(), &rates, dt);
+                let want_before: f64 = before[range.clone()].iter().sum();
+                let want_after: f64 = scalar[range.clone()].iter().map(Trap::occupancy).sum();
+                prop_assert_eq!(
+                    stats.occupied_before.to_bits(),
+                    want_before.to_bits(),
+                    "phase={} range={:?}: occupied_before",
+                    step, range
+                );
+                prop_assert_eq!(
+                    stats.occupied_after.to_bits(),
+                    want_after.to_bits(),
+                    "phase={} range={:?}: occupied_after",
+                    step, range
+                );
+            }
+            for (i, (want, got)) in scalar.iter().zip(bank.iter()).enumerate() {
+                prop_assert_eq!(
+                    want.occupancy().to_bits(),
+                    got.occupancy().to_bits(),
+                    "size={} bounds={:?} phase={} trap={}",
+                    size, bounds, step, i
+                );
+            }
         }
-        let batch_stats = batched.advance_phases(&phases);
-
-        for (i, (want, got)) in sequential.occupancies().iter().zip(batched.occupancies()).enumerate() {
-            prop_assert_eq!(
-                want.to_bits(),
-                got.to_bits(),
-                "size={} schedule={:?} trap={}",
-                size, schedule, i
-            );
-        }
-        prop_assert_eq!(
-            batch_stats.occupied_before.to_bits(),
-            first_before.unwrap_or(-0.0).to_bits(),
-            "occupied_before must match the first sequential step"
-        );
-        prop_assert_eq!(
-            batch_stats.occupied_after.to_bits(),
-            last_after.unwrap_or(-0.0).to_bits(),
-            "occupied_after must match the last sequential step"
-        );
     }
 }
