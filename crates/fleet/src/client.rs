@@ -1,6 +1,6 @@
 //! A minimal blocking client for the fleet protocol.
 //!
-//! Used by `fleet_storm`, the protocol tests and the CI smoke — one
+//! Used by `fleet_smoke` (the CI smoke) and the protocol tests — one
 //! connection, synchronous request/response round trips. With
 //! [`FleetClient::enable_trace`] the client stamps every request with a
 //! deterministic [`TraceContext`] and emits its half of the

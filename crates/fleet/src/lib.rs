@@ -21,8 +21,9 @@
 //!   a fleet through a `--status` file), and graceful shutdown with a
 //!   final checkpoint.
 //!
-//! The `fleetd` binary wires the three together; `fleet_storm` (in
-//! `selfheal-bench`) measures the service under seeded Poisson traffic.
+//! The `fleetd` binary wires the three together; `fleet_smoke` (in
+//! `selfheal-bench`) checks a running daemon with one request of each
+//! type, and `fleetbench/` measures it under open-loop load.
 
 pub mod checkpoint;
 pub mod client;

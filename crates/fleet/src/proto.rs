@@ -216,6 +216,15 @@ pub enum ErrorCode {
 }
 
 impl ErrorCode {
+    /// Every code, in declaration order.
+    const ALL: [ErrorCode; 5] = [
+        ErrorCode::BadJson,
+        ErrorCode::UnknownType,
+        ErrorCode::BadRequest,
+        ErrorCode::UnknownChip,
+        ErrorCode::Oversize,
+    ];
+
     /// The wire spelling.
     #[must_use]
     pub fn as_str(self) -> &'static str {
@@ -229,15 +238,9 @@ impl ErrorCode {
     }
 
     fn parse(text: &str) -> Option<ErrorCode> {
-        [
-            ErrorCode::BadJson,
-            ErrorCode::UnknownType,
-            ErrorCode::BadRequest,
-            ErrorCode::UnknownChip,
-            ErrorCode::Oversize,
-        ]
-        .into_iter()
-        .find(|code| code.as_str() == text)
+        ErrorCode::ALL
+            .into_iter()
+            .find(|code| code.as_str() == text)
     }
 }
 
@@ -377,7 +380,10 @@ impl Request {
                 technique: match doc.get("technique").and_then(Json::as_str) {
                     None => RejuvenationTechnique::Combined,
                     Some(name) => parse_technique(name).ok_or_else(|| {
-                        (ErrorCode::BadRequest, format!("unknown technique {name:?}"))
+                        (
+                            ErrorCode::BadRequest,
+                            format!("unknown technique {:?}", echo(name)),
+                        )
                     })?,
                 },
                 period: optional_seconds(&doc, "period_s")?,
@@ -408,7 +414,7 @@ impl Request {
             "shutdown" => Ok(Request::Shutdown),
             other => Err((
                 ErrorCode::UnknownType,
-                format!("unknown request type {other:?}"),
+                format!("unknown request type {:?}", echo(other)),
             )),
         }
     }
@@ -682,6 +688,19 @@ pub fn parse_technique(name: &str) -> Option<RejuvenationTechnique> {
         .find(|t| technique_name(*t) == name)
 }
 
+/// Most chars of client text an error message quotes back.
+const ECHO_CHARS: usize = 64;
+
+/// The first [`ECHO_CHARS`] chars of `text`. Error messages quote client
+/// text through `Debug`, which can double its length, so an unbounded
+/// echo of a frame-sized name would outgrow [`MAX_FRAME`] and the reply
+/// could not be sent.
+fn echo(text: &str) -> &str {
+    text.char_indices()
+        .nth(ECHO_CHARS)
+        .map_or(text, |(cut, _)| &text[..cut])
+}
+
 #[allow(clippy::cast_precision_loss)]
 fn number_u64(value: u64) -> Json {
     Json::Number(value as f64)
@@ -752,26 +771,7 @@ mod tests {
 
     #[test]
     fn requests_round_trip_through_the_wire_format() {
-        let requests = [
-            Request::Plan {
-                chip: 42,
-                technique: RejuvenationTechnique::HighTemperature,
-                period: Some(Seconds::new(43_200.0)),
-                horizon: None,
-            },
-            Request::Predict {
-                chip: 7,
-                dt: Seconds::new(3_600.0),
-            },
-            Request::Report {
-                chip: 3,
-                duty: DutyCycle::new(0.25),
-            },
-            Request::Stats,
-            Request::DebugDump,
-            Request::Shutdown,
-        ];
-        for request in requests {
+        for (request, _) in golden_requests() {
             let payload = request.to_json().render().into_bytes();
             assert_eq!(Request::from_payload(&payload), Ok(request));
         }
@@ -780,21 +780,7 @@ mod tests {
     #[test]
     fn trace_context_rides_alongside_any_request() {
         let seeds = SeedSequence::new(0xfee1);
-        let requests = [
-            Request::Plan {
-                chip: 42,
-                technique: RejuvenationTechnique::Combined,
-                period: None,
-                horizon: None,
-            },
-            Request::Predict {
-                chip: 7,
-                dt: Seconds::new(3_600.0),
-            },
-            Request::Stats,
-            Request::DebugDump,
-        ];
-        for (i, request) in requests.into_iter().enumerate() {
+        for (i, (request, _)) in golden_requests().into_iter().enumerate() {
             let trace = TraceContext::derive(&seeds, i as u64);
             assert!(trace.trace_id <= TRACE_ID_MASK);
             assert!(trace.flow_id <= TRACE_ID_MASK);
@@ -878,62 +864,213 @@ mod tests {
     }
 
     #[test]
+    fn error_messages_echo_a_bounded_prefix_of_client_text() {
+        for head in [
+            "{\"type\":\"",
+            "{\"type\":\"plan\",\"chip\":0,\"technique\":\"",
+        ] {
+            let quotes = (MAX_FRAME - head.len() - 2) / 2;
+            let payload = format!("{head}{}\"}}", "\\\"".repeat(quotes));
+            assert!(payload.len() <= MAX_FRAME);
+            match Request::from_payload(payload.as_bytes()) {
+                Err((_, message)) => assert!(message.len() < 256, "{} bytes", message.len()),
+                Ok(request) => panic!("must not parse, got {request:?}"),
+            }
+        }
+        // The cut counts chars, so no multi-byte sequence is split.
+        let payload = format!("{{\"type\":\"{}\"}}", "é🦀".repeat(50));
+        assert_eq!(
+            Request::from_payload(payload.as_bytes()),
+            Err((
+                ErrorCode::UnknownType,
+                format!("unknown request type {:?}", "é🦀".repeat(32))
+            ))
+        );
+    }
+
+    #[test]
     fn responses_round_trip_through_the_wire_format() {
-        let responses = [
-            Response::Plan {
-                chip: 1,
-                consumed: Millivolts::new(4.25),
-                plan: Ratio::new(3.5).map(|alpha| RejuvenationPlan {
-                    alpha,
-                    technique: RejuvenationTechnique::Combined,
-                    period: Seconds::new(86_400.0),
-                    predicted_peak: Millivolts::new(21.5),
-                }),
-            },
-            Response::Plan {
-                chip: 2,
-                consumed: Millivolts::new(31.0),
-                plan: None,
-            },
-            Response::Predict {
-                chip: 9,
-                current: Millivolts::new(3.0),
-                projected: Millivolts::new(5.5),
-                headroom: Millivolts::new(-1.25),
-            },
-            Response::Report {
-                chip: 4,
-                duty: DutyCycle::new(0.5),
-                epoch: 12,
-            },
-            Response::Stats(StatsReply {
-                chips: 100,
-                shards: 8,
-                epoch: 3,
-                sim_time: Seconds::new(10_800.0),
-                requests: 512,
-                mean_delta_vth: Millivolts::new(2.125),
-                worst_delta_vth: Millivolts::new(9.75),
-                over_budget_chips: 0,
-                state_digest: 0xdead_beef_cafe_f00d,
-            }),
-            Response::DebugDump {
-                events: 57,
-                path: Some("/tmp/flight.jsonl".into()),
-            },
-            Response::DebugDump {
-                events: 0,
-                path: None,
-            },
-            Response::Bye,
-            Response::Error {
-                code: ErrorCode::UnknownChip,
-                message: "chip 10 is outside the fleet".into(),
-            },
-        ];
-        for response in responses {
+        for (response, _) in golden_responses() {
             let payload = response.to_payload();
             assert_eq!(Response::from_payload(&payload), Some(response));
+        }
+    }
+
+    /// One value of every request variant with its exact wire bytes.
+    fn golden_requests() -> Vec<(Request, &'static str)> {
+        vec![
+            (
+                Request::Plan {
+                    chip: 42,
+                    technique: RejuvenationTechnique::HighTemperature,
+                    period: Some(Seconds::new(43_200.0)),
+                    horizon: Some(Seconds::new(31_536_000.0)),
+                },
+                r#"{"chip":42.0,"horizon_s":31536000.0,"period_s":43200.0,"technique":"high-temperature","type":"plan"}"#,
+            ),
+            (
+                Request::Plan {
+                    chip: 0,
+                    technique: RejuvenationTechnique::Combined,
+                    period: None,
+                    horizon: None,
+                },
+                r#"{"chip":0.0,"technique":"combined","type":"plan"}"#,
+            ),
+            (
+                Request::Predict {
+                    chip: 7,
+                    dt: Seconds::new(3_600.0),
+                },
+                r#"{"chip":7.0,"dt_s":3600.0,"type":"predict"}"#,
+            ),
+            (
+                Request::Report {
+                    chip: 3,
+                    duty: DutyCycle::new(0.25),
+                },
+                r#"{"chip":3.0,"duty":0.25,"type":"report"}"#,
+            ),
+            (Request::Stats, r#"{"type":"stats"}"#),
+            (Request::DebugDump, r#"{"type":"debug-dump"}"#),
+            (Request::Shutdown, r#"{"type":"shutdown"}"#),
+        ]
+    }
+
+    /// One value of every response variant (and every error code) with
+    /// its exact wire bytes.
+    fn golden_responses() -> Vec<(Response, &'static str)> {
+        let error = |code| Response::Error {
+            code,
+            message: "chip 10 is outside the fleet".into(),
+        };
+        vec![
+            (
+                Response::Plan {
+                    chip: 1,
+                    consumed: Millivolts::new(4.25),
+                    plan: Ratio::new(3.5).map(|alpha| RejuvenationPlan {
+                        alpha,
+                        technique: RejuvenationTechnique::Combined,
+                        period: Seconds::new(86_400.0),
+                        predicted_peak: Millivolts::new(21.5),
+                    }),
+                },
+                r#"{"alpha":3.5,"chip":1.0,"consumed_mv":4.25,"feasible":true,"period_s":86400.0,"predicted_peak_mv":21.5,"sleep_s_per_period":19200.0,"technique":"combined","type":"plan"}"#,
+            ),
+            (
+                Response::Plan {
+                    chip: 2,
+                    consumed: Millivolts::new(31.0),
+                    plan: None,
+                },
+                r#"{"chip":2.0,"consumed_mv":31.0,"feasible":false,"type":"plan"}"#,
+            ),
+            (
+                Response::Predict {
+                    chip: 9,
+                    current: Millivolts::new(3.0),
+                    projected: Millivolts::new(5.5),
+                    headroom: Millivolts::new(-1.25),
+                },
+                r#"{"chip":9.0,"current_mv":3.0,"headroom_mv":-1.25,"projected_mv":5.5,"type":"predict"}"#,
+            ),
+            (
+                Response::Report {
+                    chip: 4,
+                    duty: DutyCycle::new(0.5),
+                    epoch: 12,
+                },
+                r#"{"chip":4.0,"duty":0.5,"epoch":12.0,"type":"report"}"#,
+            ),
+            (
+                Response::Stats(StatsReply {
+                    chips: 100,
+                    shards: 8,
+                    epoch: 3,
+                    sim_time: Seconds::new(10_800.0),
+                    requests: 512,
+                    mean_delta_vth: Millivolts::new(2.125),
+                    worst_delta_vth: Millivolts::new(9.75),
+                    over_budget_chips: 0,
+                    state_digest: 0xdead_beef_cafe_f00d,
+                }),
+                r#"{"chips":100.0,"epoch":3.0,"mean_delta_vth_mv":2.125,"over_budget_chips":0.0,"requests":512.0,"shards":8.0,"sim_time_s":10800.0,"state_digest":"deadbeefcafef00d","type":"stats","worst_delta_vth_mv":9.75}"#,
+            ),
+            (
+                Response::DebugDump {
+                    events: 57,
+                    path: Some("/var/log/flight.jsonl".into()),
+                },
+                r#"{"events":57.0,"path":"/var/log/flight.jsonl","type":"debug-dump"}"#,
+            ),
+            (
+                Response::DebugDump {
+                    events: 0,
+                    path: None,
+                },
+                r#"{"events":0.0,"type":"debug-dump"}"#,
+            ),
+            (Response::Bye, r#"{"type":"bye"}"#),
+            (
+                error(ErrorCode::BadJson),
+                r#"{"code":"bad-json","message":"chip 10 is outside the fleet","type":"error"}"#,
+            ),
+            (
+                error(ErrorCode::UnknownType),
+                r#"{"code":"unknown-type","message":"chip 10 is outside the fleet","type":"error"}"#,
+            ),
+            (
+                error(ErrorCode::BadRequest),
+                r#"{"code":"bad-request","message":"chip 10 is outside the fleet","type":"error"}"#,
+            ),
+            (
+                error(ErrorCode::UnknownChip),
+                r#"{"code":"unknown-chip","message":"chip 10 is outside the fleet","type":"error"}"#,
+            ),
+            (
+                error(ErrorCode::Oversize),
+                r#"{"code":"oversize","message":"chip 10 is outside the fleet","type":"error"}"#,
+            ),
+        ]
+    }
+
+    /// Prepends a key no parser knows to a rendered object.
+    fn with_unknown_field(payload: &str) -> String {
+        format!("{{\"x_unknown\":[1,{{\"nested\":null}}],{}", &payload[1..])
+    }
+
+    /// A round trip through this codec cannot catch a field renamed on
+    /// both sides; the golden bytes can, and an old peer would break on
+    /// exactly that. Every parser must also skip unknown fields.
+    #[test]
+    fn wire_bytes_are_pinned() {
+        for (request, wire) in golden_requests() {
+            assert_eq!(request.to_json().render(), wire);
+            assert_eq!(Request::from_payload(wire.as_bytes()), Ok(request.clone()));
+            assert_eq!(
+                Request::from_payload(with_unknown_field(wire).as_bytes()),
+                Ok(request)
+            );
+        }
+        let traced = Request::Stats.to_json_with_trace(Some(TraceContext {
+            trace_id: 5,
+            flow_id: 9,
+        }));
+        assert_eq!(
+            traced.render(),
+            r#"{"trace":{"flow":9.0,"id":5.0},"type":"stats"}"#
+        );
+        for (response, wire) in golden_responses() {
+            assert_eq!(response.to_payload(), wire.as_bytes());
+            assert_eq!(
+                Response::from_payload(wire.as_bytes()),
+                Some(response.clone())
+            );
+            assert_eq!(
+                Response::from_payload(with_unknown_field(wire).as_bytes()),
+                Some(response)
+            );
         }
     }
 }

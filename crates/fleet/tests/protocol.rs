@@ -12,7 +12,7 @@ use std::net::TcpStream;
 use std::time::Duration;
 
 use selfheal_fleet::proto::{
-    read_frame, ErrorCode, Request, Response,
+    read_frame, ErrorCode, Request, Response, MAX_FRAME,
 };
 use selfheal_fleet::{FleetClient, FleetConfig, FleetDaemon, FleetServer, ServerConfig};
 use selfheal_runtime::ResultCache;
@@ -131,6 +131,33 @@ fn abuse_cases_never_wedge_the_worker() {
             send_frame(&mut stream, payload);
             expect_error(&mut stream, ErrorCode::BadRequest);
         }
+    }
+
+    // 7. Frame-sized bad names made of `"`, which an unbounded echo
+    //    would escape to a reply twice the frame limit. Each still gets
+    //    its structured error on a connection that then serves stats.
+    {
+        let mut stream = raw_connection(addr);
+        for (head, expected) in [
+            (&b"{\"type\":\""[..], ErrorCode::UnknownType),
+            (
+                b"{\"type\":\"plan\",\"chip\":0,\"technique\":\"",
+                ErrorCode::BadRequest,
+            ),
+        ] {
+            let quotes = (MAX_FRAME - head.len() - 2) / 2;
+            let mut payload = head.to_vec();
+            payload.extend(b"\\\"".repeat(quotes));
+            payload.extend(b"\"}");
+            send_frame(&mut stream, &payload);
+            expect_error(&mut stream, expected);
+        }
+        send_frame(&mut stream, b"{\"type\":\"stats\"}");
+        let payload = read_frame(&mut stream).expect("stats after the long names");
+        assert!(matches!(
+            Response::from_payload(&payload),
+            Some(Response::Stats(_))
+        ));
     }
 
     // After all of that, the single worker still serves real traffic.

@@ -19,7 +19,7 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 echo "== cargo build --release" >&2
 # --workspace matters: the root Cargo.toml is both workspace root and a
 # package, so a bare `cargo build` builds only the root package and the
-# member *bins* this script executes (fleetd, fleet_storm, perf_gate,
+# member *bins* this script executes (fleetd, fleet_smoke, perf_gate,
 # the ledgered benches) would silently stay stale.
 cargo build --release --workspace
 
@@ -86,7 +86,7 @@ echo "== fleet daemon smoke" >&2
 # End-to-end service path: fleetd on an ephemeral loopback port with a
 # small fleet, an isolated checkpoint store, latency objectives, a flight
 # recorder, and a Chrome-trace sink; one request of each type (plus a
-# debug-dump) via fleet_storm --smoke tracing its own side, the live
+# debug-dump) via fleet_smoke tracing its own side, the live
 # status file re-checked (including mtime freshness and the slo gauges),
 # both trace halves merged into one connected flow graph, and a clean
 # shutdown that must leave a final checkpoint behind.
@@ -105,7 +105,7 @@ done
 [ -s "$SMOKE_DIR/fleet.addr" ] || { echo "fleetd never published its address" >&2; exit 1; }
 # Let a couple of wall-clock epochs land before poking it.
 sleep 0.3
-target/release/fleet_storm --smoke --connect "$(cat "$SMOKE_DIR/fleet.addr")" \
+target/release/fleet_smoke --connect "$(cat "$SMOKE_DIR/fleet.addr")" \
     --trace "$SMOKE_DIR/fleet.client.trace.json" --shutdown
 wait "$FLEETD_PID"
 target/release/selfheal-top --check --max-age 60s "$SMOKE_DIR/fleet.prom"
@@ -166,7 +166,7 @@ done
 [ -s "$SMOKE_DIR/tiered.addr" ] || { echo "tiered fleetd never published its address" >&2; exit 1; }
 # Enough wall-clock epochs for the checkpoint cadence to fire at least once.
 sleep 0.5
-target/release/fleet_storm --smoke --connect "$(cat "$SMOKE_DIR/tiered.addr")"
+target/release/fleet_smoke --connect "$(cat "$SMOKE_DIR/tiered.addr")"
 kill -9 "$TIERED_PID"
 wait "$TIERED_PID" 2>/dev/null || true
 grep -q '\[tiered, guard band' "$SMOKE_DIR/tiered.first.log" \
@@ -194,7 +194,7 @@ done
 grep -q '(resumed: true)' "$SMOKE_DIR/tiered.second.log" \
     || { echo "restarted tiered fleetd did not resume from its checkpoint" >&2; \
          cat "$SMOKE_DIR/tiered.second.log" >&2; exit 1; }
-target/release/fleet_storm --smoke --connect "$(cat "$SMOKE_DIR/tiered.addr")" --shutdown
+target/release/fleet_smoke --connect "$(cat "$SMOKE_DIR/tiered.addr")" --shutdown
 wait "$TIERED_PID"
 echo "tiered fleet smoke: served all request types, kill -9 resumed from tiered checkpoint" >&2
 
