@@ -23,7 +23,7 @@ fn main() {
     ));
     let outputs = {
         let _phase = run.phase("campaign");
-        campaign()
+        campaign(run.cache())
     };
 
     run.say("| artefact | quantity | paper | measured | shape holds |");

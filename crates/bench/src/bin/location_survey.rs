@@ -11,13 +11,11 @@ use selfheal_bench::{fmt, BenchRun, Table};
 use selfheal_bti::Environment;
 use selfheal_fpga::fabric::CutArray;
 use selfheal_fpga::{Family, RoMode};
-use selfheal_runtime::ResultCache;
 use selfheal_units::{Celsius, Hours, Millivolts, Volts};
 
 fn main() {
     let mut run = BenchRun::start("location_survey");
     run.say("Die survey: CUT delay across a 4 x 3 placement grid\n");
-    let cache = ResultCache::standard();
 
     let mut array = CutArray::sample_seeded(
         &Family::commercial_40nm(),
@@ -32,7 +30,7 @@ fn main() {
     // sessions would be.
     let (fresh, fresh_outcome) = {
         let _phase = run.phase("fresh-survey");
-        array.survey_cached(1, &cache)
+        array.survey_cached(1, run.cache())
     };
     run.say(format!(
         "fresh survey (ns), spread {}:\n",
@@ -48,7 +46,7 @@ fn main() {
             Environment::new(Volts::new(1.2), Celsius::new(110.0)),
             Hours::new(24.0).into(),
         );
-        array.survey_cached(2, &cache)
+        array.survey_cached(2, run.cache())
     };
     run.say(format!(
         "result cache: fresh survey {fresh_outcome:?}, aged survey {aged_outcome:?}\n"

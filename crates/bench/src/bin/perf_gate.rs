@@ -1,9 +1,10 @@
 //! The perf regression gate: compares a current benchmark run against
 //! the `bench_history/` ledger with an IQR-based tolerance.
 //!
-//! Exits non-zero when any gated key's current median exceeds the recent
-//! same-config baseline by more than `max(iqr_mult × pooled IQR,
-//! rel_floor × baseline)` — noise passes, real slowdowns do not.
+//! Exits non-zero when any gated key's current median exceeds the
+//! baseline of the last `GATE_WINDOW` same-config entries by more than
+//! `max(GATE_IQR_MULT × pooled IQR, GATE_REL_FLOOR × baseline)` (the
+//! `ledger` constants) — noise passes, real slowdowns do not.
 //!
 //! ```text
 //! perf_gate --manifest target/manifests/trap_kernel.json
@@ -23,12 +24,10 @@ struct Args {
     keys: Option<Vec<String>>,
     manifest: Option<PathBuf>,
     command: Vec<String>,
-    config: ledger::GateConfig,
     smoke: bool,
 }
 
-const USAGE: &str = "usage: perf_gate [--history <dir>] [--window <n>] [--iqr-mult <x>] \
-                     [--rel-floor <f>] [--keys k1,k2] [--repeats <n>] \
+const USAGE: &str = "usage: perf_gate [--history <dir>] [--keys k1,k2] [--repeats <n>] \
                      (--manifest <path> | -- <benchmark command printing --json> | --smoke)";
 
 fn parse_args() -> Result<Args, String> {
@@ -38,7 +37,6 @@ fn parse_args() -> Result<Args, String> {
         keys: None,
         manifest: None,
         command: Vec::new(),
-        config: ledger::GateConfig::default(),
         smoke: false,
     };
     let mut args = std::env::args().skip(1);
@@ -46,27 +44,6 @@ fn parse_args() -> Result<Args, String> {
         match arg.as_str() {
             "--history" => {
                 parsed.history = args.next().map(PathBuf::from).ok_or("--history needs a dir")?;
-            }
-            "--window" => {
-                parsed.config.window = args
-                    .next()
-                    .and_then(|raw| raw.parse().ok())
-                    .filter(|n| *n > 0)
-                    .ok_or("--window needs a positive count")?;
-            }
-            "--iqr-mult" => {
-                parsed.config.iqr_mult = args
-                    .next()
-                    .and_then(|raw| raw.parse().ok())
-                    .filter(|x: &f64| x.is_finite() && *x >= 0.0)
-                    .ok_or("--iqr-mult needs a non-negative number")?;
-            }
-            "--rel-floor" => {
-                parsed.config.rel_floor = args
-                    .next()
-                    .and_then(|raw| raw.parse().ok())
-                    .filter(|x: &f64| x.is_finite() && *x >= 0.0)
-                    .ok_or("--rel-floor needs a non-negative number")?;
             }
             "--repeats" => {
                 parsed.repeats = args
@@ -138,12 +115,11 @@ fn smoke(history_dir: &PathBuf) -> Result<(), String> {
     };
     let history: Vec<ledger::LedgerEntry> =
         (0..5).map(|i| mk(100.0 + i as f64, 3.0)).collect();
-    let config = ledger::GateConfig::default();
-    let noisy = ledger::gate(&history, &mk(106.0, 3.0), &config);
+    let noisy = ledger::gate(&history, &mk(106.0, 3.0));
     if noisy.iter().any(|v| v.regressed) {
         return Err("smoke: IQR-level noise must pass the gate".to_string());
     }
-    let doubled = ledger::gate(&history, &mk(204.0, 3.0), &config);
+    let doubled = ledger::gate(&history, &mk(204.0, 3.0));
     if !doubled.iter().all(|v| v.regressed) {
         return Err("smoke: a synthetic 2× slowdown must fail the gate".to_string());
     }
@@ -175,7 +151,7 @@ fn run_gate(args: &Args) -> Result<bool, String> {
     }
     let current = ledger::LedgerEntry::from_samples(&name, &config_hash, None, 0, &samples);
     let history = ledger::load(&args.history, &name).map_err(|err| err.to_string())?;
-    let verdicts = ledger::gate(&history, &current, &args.config);
+    let verdicts = ledger::gate(&history, &current);
     let mut regressed = false;
     for verdict in &verdicts {
         match verdict.baseline {

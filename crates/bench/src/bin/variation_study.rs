@@ -16,15 +16,13 @@ fn main() {
         "Variation study: {runs} independent five-chip populations (quick cadence)\n"
     ));
 
-    // `run_with_manifest` captures the study's own manifest (per-phase
-    // timings + headline numbers) in addition to the bench one.
-    let (outcome, study_manifest) = {
+    let outcome = {
         let _phase = run.phase("study");
         VariationStudy {
             runs,
             base_seed: 2014,
         }
-        .run_with_manifest()
+        .run_cached(run.cache())
     };
 
     run.say("Margin relaxed (%) per recovery condition:\n");
@@ -78,10 +76,6 @@ fn main() {
         fmt(headline.std_dev, 1),
         headline.contains_within_sigma(paper::AR110N6_MARGIN_RELAXED_PERCENT, 2.0),
     ));
-
-    if !run.is_json() {
-        run.say(format!("\nstudy manifest:\n{}", study_manifest.render()));
-    }
 
     run.value("runs", runs as f64);
     run.value("ar110n6_margin_relaxed_mean_pct", headline.mean);

@@ -18,7 +18,7 @@ use std::collections::BTreeMap;
 use std::io::{self, Write as _};
 use std::path::{Path, PathBuf};
 
-use selfheal_telemetry::{Json, RunManifest};
+use selfheal_telemetry::Json;
 
 /// Robust summary of one key's repeated measurements.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -279,27 +279,13 @@ pub fn prune(dir: &Path, name: &str, keep: usize) -> io::Result<usize> {
     Ok(dropped)
 }
 
-/// Gate tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct GateConfig {
-    /// How many recent same-config entries form the baseline window.
-    pub window: usize,
-    /// Tolerance in pooled-IQR multiples.
-    pub iqr_mult: f64,
-    /// Relative tolerance floor (fraction of the baseline median) — the
-    /// backstop when a quiet machine recorded near-zero IQRs.
-    pub rel_floor: f64,
-}
-
-impl Default for GateConfig {
-    fn default() -> Self {
-        GateConfig {
-            window: 5,
-            iqr_mult: 3.0,
-            rel_floor: 0.10,
-        }
-    }
-}
+/// How many recent same-config entries form the gate's baseline window.
+pub const GATE_WINDOW: usize = 5;
+/// The gate's tolerance in pooled-IQR multiples.
+pub const GATE_IQR_MULT: f64 = 3.0;
+/// The gate's relative tolerance floor (fraction of the baseline
+/// median) — the backstop when a quiet machine recorded near-zero IQRs.
+pub const GATE_REL_FLOOR: f64 = 0.10;
 
 /// One key's gate verdict.
 #[derive(Debug, Clone, PartialEq)]
@@ -322,7 +308,7 @@ pub struct KeyVerdict {
 /// pass (first run after a config change seeds the new baseline instead
 /// of failing it).
 #[must_use]
-pub fn gate(history: &[LedgerEntry], current: &LedgerEntry, config: &GateConfig) -> Vec<KeyVerdict> {
+pub fn gate(history: &[LedgerEntry], current: &LedgerEntry) -> Vec<KeyVerdict> {
     let comparable: Vec<&LedgerEntry> = history
         .iter()
         .filter(|entry| entry.name == current.name && entry.config_hash == current.config_hash)
@@ -335,7 +321,7 @@ pub fn gate(history: &[LedgerEntry], current: &LedgerEntry, config: &GateConfig)
                 .iter()
                 .rev()
                 .filter_map(|entry| entry.keys.get(key))
-                .take(config.window)
+                .take(GATE_WINDOW)
                 .collect();
             if window.is_empty() {
                 return KeyVerdict {
@@ -353,7 +339,7 @@ pub fn gate(history: &[LedgerEntry], current: &LedgerEntry, config: &GateConfig)
             // `window` is non-empty, so both quantiles exist.
             let baseline = quantile(&medians, 0.5).unwrap_or(f64::NAN);
             let pooled_iqr = quantile(&iqrs, 0.5).unwrap_or(0.0);
-            let tolerance = (config.iqr_mult * pooled_iqr).max(config.rel_floor * baseline.abs());
+            let tolerance = (GATE_IQR_MULT * pooled_iqr).max(GATE_REL_FLOOR * baseline.abs());
             KeyVerdict {
                 key: key.clone(),
                 current: stats.median,
@@ -447,16 +433,6 @@ pub fn collect_samples(
     Some((name?, config_hash?, samples))
 }
 
-/// As [`manifest_samples`], from an in-process [`RunManifest`].
-#[must_use]
-pub fn manifest_values(manifest: &RunManifest) -> BTreeMap<String, f64> {
-    manifest
-        .values
-        .iter()
-        .filter_map(|(key, value)| Some((key.clone(), value.as_f64()?)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -516,43 +492,39 @@ mod tests {
         let history: Vec<LedgerEntry> = (0..5)
             .map(|i| entry("c1", &[("ms", 100.0 + i as f64, 3.0)]))
             .collect();
-        let config = GateConfig::default();
         // IQR-level wiggle passes.
-        let ok = gate(&history, &entry("c1", &[("ms", 106.0, 3.0)]), &config);
+        let ok = gate(&history, &entry("c1", &[("ms", 106.0, 3.0)]));
         assert_eq!(ok.len(), 1);
         assert!(!ok[0].regressed, "{ok:?}");
         // A 2× slowdown fails.
-        let bad = gate(&history, &entry("c1", &[("ms", 204.0, 3.0)]), &config);
+        let bad = gate(&history, &entry("c1", &[("ms", 204.0, 3.0)]));
         assert!(bad[0].regressed, "{bad:?}");
         // An improvement never fails (one-sided gate).
-        let fast = gate(&history, &entry("c1", &[("ms", 50.0, 3.0)]), &config);
+        let fast = gate(&history, &entry("c1", &[("ms", 50.0, 3.0)]));
         assert!(!fast[0].regressed);
     }
 
     #[test]
     fn gate_ignores_other_configs_and_unknown_keys() {
         let history = vec![entry("old", &[("ms", 10.0, 0.1)])];
-        let config = GateConfig::default();
         // Same key, different config hash: no baseline, passes.
-        let verdicts = gate(&history, &entry("new", &[("ms", 1000.0, 0.1)]), &config);
+        let verdicts = gate(&history, &entry("new", &[("ms", 1000.0, 0.1)]));
         assert_eq!(verdicts[0].baseline, None);
         assert!(!verdicts[0].regressed);
         // Key absent from history: passes too.
-        let verdicts = gate(&history, &entry("old", &[("other", 5.0, 0.1)]), &config);
+        let verdicts = gate(&history, &entry("old", &[("other", 5.0, 0.1)]));
         assert!(!verdicts[0].regressed);
     }
 
     #[test]
     fn rel_floor_guards_zero_iqr_histories() {
-        let history: Vec<LedgerEntry> = (0..5)
-            .map(|_| entry("c1", &[("ms", 100.0, 0.0)]))
-            .collect();
-        let config = GateConfig::default();
+        let history: Vec<LedgerEntry> =
+            (0..5).map(|_| entry("c1", &[("ms", 100.0, 0.0)])).collect();
         // Zero recorded IQR: 10 % floor still admits small jitter…
-        let ok = gate(&history, &entry("c1", &[("ms", 109.0, 0.0)]), &config);
+        let ok = gate(&history, &entry("c1", &[("ms", 109.0, 0.0)]));
         assert!(!ok[0].regressed);
         // …but not a real regression.
-        let bad = gate(&history, &entry("c1", &[("ms", 120.0, 0.0)]), &config);
+        let bad = gate(&history, &entry("c1", &[("ms", 120.0, 0.0)]));
         assert!(bad[0].regressed);
     }
 

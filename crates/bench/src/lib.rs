@@ -27,19 +27,17 @@ use selfheal_units::float;
 pub const CAMPAIGN_SEED: u64 = 2014;
 
 /// Runs the full Table 1 campaign at the paper's sampling cadence,
-/// through the standard per-chip result cache.
+/// through `cache` — a binary passes its [`BenchRun::cache`].
 ///
 /// The first figure binary of a session pays for the simulation; the
 /// rest rehydrate bit-identical outputs from `target/cache/`. Pass
-/// `--no-cache` (or set `SELFHEAL_CACHE=off`) to force a full recompute —
-/// the cached and recomputed outputs are interchangeable, but a cache hit
-/// skips the campaign's per-chip telemetry, so manifests meant to profile
-/// the simulation itself should bypass it.
+/// `--no-cache` to force a full recompute — the cached and recomputed
+/// outputs are interchangeable, but a cache hit skips the campaign's
+/// per-chip telemetry, so manifests meant to profile the simulation
+/// itself should bypass it.
 #[must_use]
-pub fn campaign() -> ExperimentOutputs {
-    let (outputs, _outcomes) =
-        PaperExperiment::paper_cadence(CAMPAIGN_SEED).run_cached(&runtime::ResultCache::standard());
-    outputs
+pub fn campaign(cache: &runtime::ResultCache) -> ExperimentOutputs {
+    PaperExperiment::paper_cadence(CAMPAIGN_SEED).run_cached(cache).0
 }
 
 /// One telemetry-backed run of a figure/table binary.
@@ -60,8 +58,8 @@ pub fn campaign() -> ExperimentOutputs {
 /// * `--threads <n>` — size the `selfheal-runtime` global pool (`0` =
 ///   inline serial; the default follows `SELFHEAL_THREADS` or the
 ///   machine's parallelism). Results are bit-identical at any setting;
-/// * `--no-cache` — disable the `target/cache/` result cache for this
-///   run (every stage recomputes);
+/// * `--no-cache` — make [`cache`](Self::cache) the disabled cache
+///   instead of `target/cache/` (every stage recomputes);
 /// * `--trace <path>` — write a Chrome/Perfetto trace of the run (same
 ///   exporter as `SELFHEAL_TELEMETRY=trace:<path>`, as an extra sink);
 /// * `--folded <path>` — write the run's self-time profile in the
@@ -80,6 +78,7 @@ pub struct BenchRun {
     json: bool,
     out: Option<PathBuf>,
     folded: Option<PathBuf>,
+    cache: runtime::ResultCache,
     values: Vec<(String, f64)>,
     sampler: Option<telemetry::Sampler>,
     _sink: Option<telemetry::SinkGuard>,
@@ -91,7 +90,7 @@ impl BenchRun {
     /// sink plus the `--trace` exporter, and resets metrics and the
     /// self-time ledger so the run accumulates a fresh snapshot.
     ///
-    /// Sinks are installed *before* the thread/cache flags are applied:
+    /// Sinks are installed *before* the thread flag is applied:
     /// `--threads` sizes the global pool whose workers announce themselves
     /// with a `runtime.worker.start` event the trace must not miss.
     #[must_use]
@@ -138,9 +137,6 @@ impl BenchRun {
         if let Some(threads) = threads {
             runtime::set_global_threads(threads);
         }
-        if no_cache {
-            runtime::set_cache_enabled(false);
-        }
         // The sampler starts after the pool is sized (its live probes
         // should watch the pool this run actually uses) and after the
         // registry reset, on fresh ring buffers.
@@ -152,6 +148,11 @@ impl BenchRun {
             json,
             out,
             folded,
+            cache: if no_cache {
+                runtime::ResultCache::disabled()
+            } else {
+                runtime::ResultCache::standard()
+            },
             values: Vec::new(),
             sampler,
             _sink: sink,
@@ -159,10 +160,11 @@ impl BenchRun {
         }
     }
 
-    /// Whether `--json` suppressed the human report.
+    /// The run's result cache: `target/cache/`, or the disabled cache
+    /// under `--no-cache`.
     #[must_use]
-    pub fn is_json(&self) -> bool {
-        self.json
+    pub fn cache(&self) -> &runtime::ResultCache {
+        &self.cache
     }
 
     /// Prints one line of the human report (dropped under `--json`).

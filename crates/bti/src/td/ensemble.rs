@@ -148,8 +148,8 @@ impl TrapEnsemble {
         }
     }
 
-    /// Rebuilds an ensemble from explicit traps — the cache rehydration
-    /// path (see [`crate::td::sample_population_cached`]).
+    /// Builds an ensemble from explicit traps (the sampler's last step,
+    /// and synthetic devices in benches).
     #[must_use]
     pub fn from_traps(traps: Vec<Trap>) -> Self {
         TrapEnsemble {

@@ -25,6 +25,6 @@ pub use kernel::{
     LANES,
 };
 pub use tiered::{ChipTier, ColdChip, TierCounts, TierPolicy};
-pub use population::{advance_population, sample_population, sample_population_cached};
+pub use population::{advance_population, sample_population};
 pub use kinetics::{capture_rate_multiplier, emission_rate_multiplier, emission_thermal_speedup};
 pub use trap::Trap;

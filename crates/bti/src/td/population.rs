@@ -7,15 +7,14 @@
 //! alone, so the population is bit-for-bit identical whether it was
 //! sampled serially or across any number of workers.
 
-use selfheal_runtime::{self as runtime, CacheOutcome, CacheRecord, ResultCache, SeedSequence};
-use selfheal_telemetry::{self as telemetry, json::Json};
-use selfheal_units::{Millivolts, Seconds};
+use selfheal_runtime::{self as runtime, SeedSequence};
+use selfheal_telemetry as telemetry;
+use selfheal_units::Seconds;
 
 use crate::condition::DeviceCondition;
 
 use super::ensemble::{TrapEnsemble, TrapEnsembleParams};
 use super::kernel::PhaseRates;
-use super::trap::Trap;
 
 /// Samples `count` independent devices on the global pool.
 ///
@@ -65,91 +64,6 @@ pub fn advance_population(
     })
 }
 
-/// Bump when the ensemble cache payload schema or the sampling
-/// procedure changes meaning.
-const POPULATION_CACHE_VERSION: u32 = 1;
-
-/// [`sample_population`] memoized through a [`ResultCache`].
-///
-/// The cache key encodes every sampling input (`params`, `count`,
-/// `seed`), and the stored traps round-trip bit-for-bit (the JSON layer
-/// writes shortest-round-trip floats), so a hit returns exactly the
-/// population a miss would have computed. Returns the population and
-/// whether the cache hit.
-#[must_use]
-pub fn sample_population_cached(
-    params: &TrapEnsembleParams,
-    count: usize,
-    seed: u64,
-    cache: &ResultCache,
-) -> (Vec<TrapEnsemble>, CacheOutcome) {
-    let key = format!("params={params:?};count={count};seed={seed}");
-    let (wrapper, outcome) = cache.get_or_compute("bti-population", POPULATION_CACHE_VERSION, &key, || {
-        PopulationRecord(sample_population(params, count, seed))
-    });
-    (wrapper.0, outcome)
-}
-
-/// Newtype giving a device population a cache-file representation.
-struct PopulationRecord(Vec<TrapEnsemble>);
-
-impl CacheRecord for PopulationRecord {
-    fn to_cache_json(&self) -> Json {
-        Json::Array(self.0.iter().map(ensemble_to_json).collect())
-    }
-
-    fn from_cache_json(json: &Json) -> Option<Self> {
-        let devices = json
-            .as_array()?
-            .iter()
-            .map(ensemble_from_json)
-            .collect::<Option<Vec<_>>>()?;
-        Some(PopulationRecord(devices))
-    }
-}
-
-fn ensemble_to_json(device: &TrapEnsemble) -> Json {
-    Json::Array(
-        device
-            .iter()
-            .map(|trap| {
-                Json::Array(vec![
-                    Json::Number(trap.tau_c0().get()),
-                    Json::Number(trap.tau_e0_raw().get()),
-                    Json::Number(trap.delta_vth_step().get()),
-                    Json::Bool(trap.is_permanent()),
-                    Json::Number(trap.occupancy()),
-                ])
-            })
-            .collect(),
-    )
-}
-
-fn ensemble_from_json(json: &Json) -> Option<TrapEnsemble> {
-    let traps = json
-        .as_array()?
-        .iter()
-        .map(|entry| {
-            let fields = entry.as_array()?;
-            let [tau_c0, tau_e0, step, permanent, occupancy] = fields else {
-                return None;
-            };
-            let permanent = match permanent {
-                Json::Bool(b) => *b,
-                _ => return None,
-            };
-            Some(Trap::restore(
-                Seconds::new(tau_c0.as_f64()?),
-                Seconds::new(tau_e0.as_f64()?),
-                Millivolts::new(step.as_f64()?),
-                permanent,
-                occupancy.as_f64()?,
-            ))
-        })
-        .collect::<Option<Vec<_>>>()?;
-    Some(TrapEnsemble::from_traps(traps))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,25 +93,6 @@ mod tests {
             .collect();
         let parallel = sample_population(&p, 50, 2014);
         assert_eq!(serial, parallel);
-    }
-
-    #[test]
-    fn cached_population_round_trips_bit_for_bit() {
-        let root = std::env::temp_dir().join(format!(
-            "selfheal-bti-popcache-{}",
-            std::process::id()
-        ));
-        let _ = std::fs::remove_dir_all(&root);
-        let cache = ResultCache::at(root);
-        let p = TrapEnsembleParams::default();
-        // Advance before caching so occupancy state is non-trivial.
-        let (missed, o1) = sample_population_cached(&p, 20, 5, &cache);
-        assert_eq!(o1, CacheOutcome::Miss);
-        let (hit, o2) = sample_population_cached(&p, 20, 5, &cache);
-        assert_eq!(o2, CacheOutcome::Hit);
-        assert_eq!(missed, hit, "rehydrated population is bit-identical");
-        let (_, o3) = sample_population_cached(&p, 21, 5, &cache);
-        assert_eq!(o3, CacheOutcome::Miss, "count is part of the key");
     }
 
     #[test]

@@ -59,10 +59,10 @@ impl Trap {
         }
     }
 
-    /// Rebuilds a trap from previously captured state — the cache
-    /// rehydration path ([`crate::td::sample_population_cached`]). Unlike
-    /// [`Trap::new`] this restores `occupancy` verbatim, so a cached
-    /// ensemble resumes exactly where it was stored.
+    /// Rebuilds a trap from previously captured state — how
+    /// [`TrapBank::get`](crate::td::TrapBank::get) materializes a column
+    /// row. Unlike [`Trap::new`] this restores `occupancy` verbatim, so
+    /// the trap resumes exactly where it was stored.
     ///
     /// # Panics
     ///

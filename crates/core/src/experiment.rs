@@ -160,20 +160,7 @@ impl PaperExperiment {
     /// this replaced, at any worker count.
     #[must_use]
     pub fn run(&self) -> ExperimentOutputs {
-        // Root span on the submitting thread: per-chip spans then nest
-        // under it (or are drained by pool workers), keeping the phase
-        // ledger a manifest drains deterministic under parallelism.
-        let _campaign_span = telemetry::span!("experiment.campaign", chips = 5u32);
-        let this = self.clone();
-        let per_chip = runtime::par_map((1..=5u32).collect(), move |chip_no| {
-            this.run_chip(chip_no)
-        });
-        let mut outputs = ExperimentOutputs::default();
-        for (stresses, recoveries) in per_chip {
-            outputs.stresses.extend(stresses);
-            outputs.recoveries.extend(recoveries);
-        }
-        outputs
+        self.run_cached(&ResultCache::disabled()).0
     }
 
     /// Runs the whole campaign through a per-chip result cache.
@@ -193,6 +180,9 @@ impl PaperExperiment {
     /// in chip order.
     #[must_use]
     pub fn run_cached(&self, cache: &ResultCache) -> (ExperimentOutputs, Vec<CacheOutcome>) {
+        // Root span on the submitting thread: per-chip spans then nest
+        // under it (or are drained by pool workers), keeping the phase
+        // ledger a manifest drains deterministic under parallelism.
         let _campaign_span = telemetry::span!("experiment.campaign", chips = 5u32);
         let this = self.clone();
         let cache = cache.clone();
@@ -337,23 +327,6 @@ impl PaperExperiment {
             }
         }
         (outputs.stresses, outputs.recoveries)
-    }
-
-    /// Runs the whole campaign and captures a [`telemetry::RunManifest`]
-    /// of it: config hash, per-chip phase timings and the metric snapshot
-    /// accumulated during the run.
-    ///
-    /// Metrics recording is switched on for the duration so the manifest
-    /// is populated even when no sink is installed.
-    #[must_use]
-    pub fn run_with_manifest(&self) -> (ExperimentOutputs, telemetry::RunManifest) {
-        telemetry::metrics::set_enabled(true);
-        let outputs = self.run();
-        let manifest = telemetry::RunManifest::capture("paper-experiment", &format!("{self:?}"))
-            .with_number("chips", 5.0)
-            .with_number("stress_cases", outputs.stresses.len() as f64)
-            .with_number("recovery_cases", outputs.recoveries.len() as f64);
-        (outputs, manifest)
     }
 }
 

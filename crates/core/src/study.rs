@@ -108,8 +108,7 @@ impl VariationStudy {
     /// [`Self::run`] with study cells memoized through `cache`: a
     /// population whose campaign configuration (cadence + derived seed)
     /// was already evaluated is loaded instead of re-simulated. Bench
-    /// binaries pass [`ResultCache::standard`]; `--no-cache` turns the
-    /// loaded cache off globally.
+    /// binaries pass their run's cache, which `--no-cache` disables.
     ///
     /// # Panics
     ///
@@ -156,26 +155,6 @@ impl VariationStudy {
             dc110_degradation: stats_nonempty(&dc110),
             ac_over_dc: stats_nonempty(&ratio),
         }
-    }
-
-    /// Runs the study and captures a [`telemetry::RunManifest`] of it —
-    /// per-population span timings plus the accumulated metric snapshot.
-    ///
-    /// Metrics recording is switched on for the duration so the manifest
-    /// is populated even when no sink is installed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `runs` is zero, as [`Self::run`] does.
-    #[must_use]
-    pub fn run_with_manifest(&self) -> (VariationStudyOutcome, telemetry::RunManifest) {
-        telemetry::metrics::set_enabled(true);
-        let outcome = self.run_cached(&ResultCache::standard());
-        let manifest = telemetry::RunManifest::capture("variation-study", &format!("{self:?}"))
-            .with_number("runs", outcome.runs as f64)
-            .with_number("dc110_degradation_mean", outcome.dc110_degradation.mean)
-            .with_number("ac_over_dc_mean", outcome.ac_over_dc.mean);
-        (outcome, manifest)
     }
 }
 

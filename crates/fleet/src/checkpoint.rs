@@ -8,11 +8,12 @@
 //! snapshot at one `f64` per trap instead of six.
 //!
 //! Storage uses [`ResultCache::store_record`]/[`ResultCache::load_record`] (the
-//! checkpoint-store entry points, not the memo table): a *head* record
-//! under a per-config key names the latest epoch, and each epoch's
-//! snapshot lives under a key that includes the mutation digest, so a
-//! resumed daemon can only ever load a snapshot produced by the exact
-//! request history it claims.
+//! checkpoint-store entry points, not the memo table): each save
+//! atomically overwrites the one snapshot record under a per-config key,
+//! so a fleet keeps exactly one checkpoint file. The key carries no
+//! epoch or digest — [`FleetCheckpoint::restore`] re-verifies the
+//! recorded state digest, so a snapshot that does not reproduce its own
+//! state never resumes.
 
 use selfheal_bti::td::{ChipTier, ColdChip, KERNEL_VERSION};
 use selfheal_runtime::{CacheRecord, ResultCache};
@@ -29,15 +30,6 @@ pub const CHECKPOINT_NAMESPACE: &str = "fleet-checkpoint";
 /// Version 2 added per-chip integration tiers + cold-chip analytic
 /// state for tiered fleets.
 pub const CHECKPOINT_VERSION: u32 = 2;
-
-/// The latest-checkpoint pointer for one fleet configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct CheckpointHead {
-    /// Epoch of the newest snapshot.
-    pub epoch: u64,
-    /// That snapshot's state digest (also part of its cache key).
-    pub state_digest: u64,
-}
 
 /// A full mutable-state snapshot of a fleet.
 #[derive(Debug, Clone, PartialEq)]
@@ -122,63 +114,37 @@ impl FleetCheckpoint {
     }
 }
 
-/// Writes `fleet`'s snapshot and advances the head pointer. Returns
-/// `false` when the cache is disabled (nothing written).
+/// Writes `fleet`'s snapshot over the previous one. Returns `false`
+/// when the cache is disabled (nothing written).
 pub fn save(cache: &ResultCache, fleet: &FleetState) -> bool {
     if !cache.is_active() {
         return false;
     }
-    let snapshot = FleetCheckpoint::capture(fleet);
-    let head = CheckpointHead {
-        epoch: snapshot.epoch,
-        state_digest: snapshot.state_digest,
-    };
     cache.store_record(
         CHECKPOINT_NAMESPACE,
         CHECKPOINT_VERSION,
-        &snapshot_key(fleet.config(), head.epoch, head.state_digest),
-        &snapshot,
-    );
-    cache.store_record(
-        CHECKPOINT_NAMESPACE,
-        CHECKPOINT_VERSION,
-        &head_key(fleet.config()),
-        &head,
+        &checkpoint_key(fleet.config()),
+        &FleetCheckpoint::capture(fleet),
     );
     true
-}
-
-/// Loads the newest snapshot for `config`, if one exists.
-#[must_use]
-pub fn load_latest(cache: &ResultCache, config: &FleetConfig) -> Option<FleetCheckpoint> {
-    let head: CheckpointHead =
-        cache.load_record(CHECKPOINT_NAMESPACE, CHECKPOINT_VERSION, &head_key(config))?;
-    cache.load_record(
-        CHECKPOINT_NAMESPACE,
-        CHECKPOINT_VERSION,
-        &snapshot_key(config, head.epoch, head.state_digest),
-    )
 }
 
 /// Resumes a fleet from its newest checkpoint, or `None` when no valid
 /// snapshot exists (caller falls back to a fresh build).
 #[must_use]
 pub fn resume(cache: &ResultCache, config: &FleetConfig) -> Option<FleetState> {
-    load_latest(cache, config)?.restore(config.clone())
+    let snapshot: FleetCheckpoint = cache.load_record(
+        CHECKPOINT_NAMESPACE,
+        CHECKPOINT_VERSION,
+        &checkpoint_key(config),
+    )?;
+    snapshot.restore(config.clone())
 }
 
-/// The per-config key prefix. Includes the kernel version: a kernel
+/// The per-config checkpoint key. Includes the kernel version: a kernel
 /// change invalidates every stored occupancy trajectory.
-fn base_key(config: &FleetConfig) -> String {
+fn checkpoint_key(config: &FleetConfig) -> String {
     format!("{}|k{KERNEL_VERSION}", config.cache_key())
-}
-
-fn head_key(config: &FleetConfig) -> String {
-    format!("{}|head", base_key(config))
-}
-
-fn snapshot_key(config: &FleetConfig, epoch: u64, state_digest: u64) -> String {
-    format!("{}|epoch={epoch}|state={state_digest:016x}", base_key(config))
 }
 
 fn u64_hex(value: u64) -> Json {
@@ -238,24 +204,6 @@ fn json_tier(json: &Json) -> Option<ChipTier> {
 
 fn vec_tier(json: &Json) -> Option<Vec<ChipTier>> {
     json.as_array()?.iter().map(json_tier).collect()
-}
-
-impl CacheRecord for CheckpointHead {
-    fn to_cache_json(&self) -> Json {
-        #[allow(clippy::cast_precision_loss)]
-        Json::object(vec![
-            ("epoch".into(), Json::Number(self.epoch as f64)),
-            ("state_digest".into(), u64_hex(self.state_digest)),
-        ])
-    }
-
-    fn from_cache_json(json: &Json) -> Option<Self> {
-        #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
-        Some(CheckpointHead {
-            epoch: json.get("epoch")?.as_f64()? as u64,
-            state_digest: hex_u64(json.get("state_digest")?)?,
-        })
-    }
 }
 
 impl CacheRecord for FleetCheckpoint {
@@ -377,7 +325,7 @@ mod tests {
         assert!(save(&cache, &fleet));
         let resumed = match resume(&cache, &config) {
             Some(fleet) => fleet,
-            None => panic!("resume must find the saved head"),
+            None => panic!("resume must find the saved snapshot"),
         };
         assert_eq!(resumed.epoch(), 2);
         assert_eq!(resumed.state_digest(), fleet.state_digest());
@@ -385,5 +333,36 @@ mod tests {
         assert!(resume(&cache, &tiny_config(6)).is_none());
         // A disabled cache stores nothing.
         assert!(!save(&ResultCache::disabled(), &fleet));
+    }
+
+    #[test]
+    fn repeated_saves_leave_one_file_holding_the_newest_state() {
+        let root = std::env::temp_dir().join(format!(
+            "selfheal-fleet-ckpt-one-file-{}",
+            std::process::id()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        let cache = ResultCache::at(root.clone());
+        let config = tiny_config(7);
+        let mut fleet = FleetState::build(config.clone());
+        for (chip, duty) in [(0, 0.2), (3, 0.4), (5, 0.6), (8, 0.8)] {
+            fleet.advance_epoch();
+            assert!(fleet.fold_report(chip, DutyCycle::new(duty)));
+            fleet.advance_epoch();
+            assert!(save(&cache, &fleet));
+        }
+        let files: Vec<_> = match std::fs::read_dir(root.join(CHECKPOINT_NAMESPACE)) {
+            Ok(dir) => dir.flatten().map(|entry| entry.path()).collect(),
+            Err(err) => panic!("checkpoint namespace directory missing: {err}"),
+        };
+        assert_eq!(files.len(), 1, "one checkpoint file per fleet: {files:?}");
+        let resumed = match resume(&cache, &config) {
+            Some(fleet) => fleet,
+            None => panic!("resume must find the newest snapshot"),
+        };
+        assert_eq!(resumed.epoch(), 8);
+        assert_eq!(resumed.mutation_digest(), fleet.mutation_digest());
+        assert_eq!(resumed.state_digest(), fleet.state_digest());
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

@@ -235,20 +235,10 @@ impl Lut {
     /// Ages the LUT with inputs held statically at `(in0, in1)` — DC
     /// stress. Stressed devices see full DC stress; the rest passively
     /// recover at the same environment.
+    ///
+    /// `rates` is a caller-owned rate cache, so a whole-chip advance
+    /// evaluates each condition's rate multipliers once.
     pub fn advance_static(
-        &mut self,
-        in0: bool,
-        in1: bool,
-        env: Environment,
-        dt: Seconds,
-    ) {
-        self.advance_static_cached(in0, in1, env, dt, &mut PhaseRateCache::new());
-    }
-
-    /// [`advance_static`](Self::advance_static) sharing a caller-owned
-    /// rate cache, so a whole-chip advance evaluates each condition's
-    /// rate multipliers once rather than once per LUT.
-    pub fn advance_static_cached(
         &mut self,
         in0: bool,
         in1: bool,
@@ -270,13 +260,7 @@ impl Lut {
     /// Ages the LUT while `In0` toggles (AC stress): each device's stress
     /// duty is the fraction of the two `In0` states in which it is
     /// statically stressed.
-    pub fn advance_toggling(&mut self, in1: bool, env: Environment, dt: Seconds) {
-        self.advance_toggling_cached(in1, env, dt, &mut PhaseRateCache::new());
-    }
-
-    /// [`advance_toggling`](Self::advance_toggling) sharing a
-    /// caller-owned rate cache across LUTs.
-    pub fn advance_toggling_cached(
+    pub fn advance_toggling(
         &mut self,
         in1: bool,
         env: Environment,
@@ -294,18 +278,7 @@ impl Lut {
 
     /// Ages the LUT during sleep: no device is stressed; all recover under
     /// the (possibly negative-voltage, possibly heated) sleep environment.
-    pub fn advance_sleep(&mut self, env: Environment, dt: Seconds) {
-        self.advance_sleep_cached(env, dt, &mut PhaseRateCache::new());
-    }
-
-    /// [`advance_sleep`](Self::advance_sleep) sharing a caller-owned
-    /// rate cache across LUTs.
-    pub fn advance_sleep_cached(
-        &mut self,
-        env: Environment,
-        dt: Seconds,
-        rates: &mut PhaseRateCache,
-    ) {
+    pub fn advance_sleep(&mut self, env: Environment, dt: Seconds, rates: &mut PhaseRateCache) {
         let recovery = rates.rates(DeviceCondition::recovery(env));
         for device in &mut self.devices {
             device.advance_with_rates(&recovery, dt);
@@ -360,7 +333,13 @@ mod tests {
         // The stress set depends only on the inputs, not on elapsed time.
         let mut lut = fresh_inverter();
         let before = lut.stressed_indices(true, true);
-        lut.advance_static(true, true, hot_stress(), Hours::new(24.0).into());
+        lut.advance_static(
+            true,
+            true,
+            hot_stress(),
+            Hours::new(24.0).into(),
+            &mut PhaseRateCache::new(),
+        );
         let after = lut.stressed_indices(true, true);
         assert_eq!(before, after);
     }
@@ -368,13 +347,20 @@ mod tests {
     #[test]
     fn hypothesis_2_recovery_only_affects_stressed_devices() {
         let mut lut = fresh_inverter();
-        lut.advance_static(true, true, hot_stress(), Hours::new(24.0).into());
+        lut.advance_static(
+            true,
+            true,
+            hot_stress(),
+            Hours::new(24.0).into(),
+            &mut PhaseRateCache::new(),
+        );
         let aged: Vec<bool> = lut.devices().iter().map(Transistor::is_aged).collect();
 
         // Deep rejuvenation:
         lut.advance_sleep(
             Environment::new(Volts::new(-0.3), Celsius::new(110.0)),
             Hours::new(6.0).into(),
+            &mut PhaseRateCache::new(),
         );
         for (device, was_aged) in lut.devices().iter().zip(aged) {
             if !was_aged {
@@ -409,7 +395,13 @@ mod tests {
     #[test]
     fn dc_stress_slows_the_stressed_path_more() {
         let mut lut = fresh_inverter();
-        lut.advance_static(true, true, hot_stress(), Hours::new(24.0).into());
+        lut.advance_static(
+            true,
+            true,
+            hot_stress(),
+            Hours::new(24.0).into(),
+            &mut PhaseRateCache::new(),
+        );
         let stressed_path = lut.path_delay(Volts::new(1.2), true, true);
         let other_path = lut.path_delay(Volts::new(1.2), false, true);
         // Both paths share the aged M5/M8, but the stressed path also has
@@ -438,8 +430,19 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let mut ac = Lut::sample(LutConfig::inverter_in0(), &family, Millivolts::new(0.0), &mut rng);
 
-        dc.advance_static(true, true, hot_stress(), Hours::new(24.0).into());
-        ac.advance_toggling(true, hot_stress(), Hours::new(24.0).into());
+        dc.advance_static(
+            true,
+            true,
+            hot_stress(),
+            Hours::new(24.0).into(),
+            &mut PhaseRateCache::new(),
+        );
+        ac.advance_toggling(
+            true,
+            hot_stress(),
+            Hours::new(24.0).into(),
+            &mut PhaseRateCache::new(),
+        );
 
         let vdd = Volts::new(1.2);
         let dc_shift = dc.switching_delay(vdd, true).get() - 0.55;
@@ -451,12 +454,19 @@ mod tests {
     #[test]
     fn sleep_heals_a_stressed_lut() {
         let mut lut = fresh_inverter();
-        lut.advance_static(true, true, hot_stress(), Hours::new(24.0).into());
+        lut.advance_static(
+            true,
+            true,
+            hot_stress(),
+            Hours::new(24.0).into(),
+            &mut PhaseRateCache::new(),
+        );
         let vdd = Volts::new(1.2);
         let aged = lut.switching_delay(vdd, true);
         lut.advance_sleep(
             Environment::new(Volts::new(-0.3), Celsius::new(110.0)),
             Hours::new(6.0).into(),
+            &mut PhaseRateCache::new(),
         );
         let healed = lut.switching_delay(vdd, true);
         assert!(healed < aged);

@@ -130,63 +130,32 @@ impl InverterChain {
     }
 
     /// Ages the chain with the loop parked (DC stress).
-    pub fn advance_static(&mut self, env: Environment, dt: Seconds) {
-        self.advance_static_cached(env, dt, &mut PhaseRateCache::new());
-    }
-
-    /// [`advance_static`](Self::advance_static) sharing a caller-owned
-    /// rate cache — chip- and fabric-level loops pass one cache so the
-    /// whole advance evaluates each condition's multipliers once.
-    pub fn advance_static_cached(
-        &mut self,
-        env: Environment,
-        dt: Seconds,
-        rates: &mut PhaseRateCache,
-    ) {
+    ///
+    /// `rates` is a caller-owned rate cache, so a whole-chip advance
+    /// evaluates each condition's rate multipliers once.
+    pub fn advance_static(&mut self, env: Environment, dt: Seconds, rates: &mut PhaseRateCache) {
         for (i, stage) in self.stages.iter_mut().enumerate() {
             let in0 = Self::static_input(i);
-            stage.lut.advance_static_cached(in0, true, env, dt, rates);
+            stage.lut.advance_static(in0, true, env, dt, rates);
             // The routing net parks at the LUT's output level.
             let out = stage.lut.evaluate(in0, true);
-            stage.routing.advance_static_cached(out, env, dt, rates);
+            stage.routing.advance_static(out, env, dt, rates);
         }
     }
 
     /// Ages the chain while it oscillates (AC stress).
-    pub fn advance_toggling(&mut self, env: Environment, dt: Seconds) {
-        self.advance_toggling_cached(env, dt, &mut PhaseRateCache::new());
-    }
-
-    /// [`advance_toggling`](Self::advance_toggling) sharing a
-    /// caller-owned rate cache.
-    pub fn advance_toggling_cached(
-        &mut self,
-        env: Environment,
-        dt: Seconds,
-        rates: &mut PhaseRateCache,
-    ) {
+    pub fn advance_toggling(&mut self, env: Environment, dt: Seconds, rates: &mut PhaseRateCache) {
         for stage in &mut self.stages {
-            stage.lut.advance_toggling_cached(true, env, dt, rates);
-            stage.routing.advance_toggling_cached(env, dt, rates);
+            stage.lut.advance_toggling(true, env, dt, rates);
+            stage.routing.advance_toggling(env, dt, rates);
         }
     }
 
     /// Ages the chain during sleep (no stress anywhere).
-    pub fn advance_sleep(&mut self, env: Environment, dt: Seconds) {
-        self.advance_sleep_cached(env, dt, &mut PhaseRateCache::new());
-    }
-
-    /// [`advance_sleep`](Self::advance_sleep) sharing a caller-owned
-    /// rate cache.
-    pub fn advance_sleep_cached(
-        &mut self,
-        env: Environment,
-        dt: Seconds,
-        rates: &mut PhaseRateCache,
-    ) {
+    pub fn advance_sleep(&mut self, env: Environment, dt: Seconds, rates: &mut PhaseRateCache) {
         for stage in &mut self.stages {
-            stage.lut.advance_sleep_cached(env, dt, rates);
-            stage.routing.advance_sleep_cached(env, dt, rates);
+            stage.lut.advance_sleep(env, dt, rates);
+            stage.routing.advance_sleep(env, dt, rates);
         }
     }
 }
@@ -242,7 +211,7 @@ mod tests {
     #[test]
     fn dc_stress_shifts_delay_about_two_percent() {
         let mut c = chain(75);
-        c.advance_static(hot(), Hours::new(24.0).into());
+        c.advance_static(hot(), Hours::new(24.0).into(), &mut PhaseRateCache::new());
         let rel = c.delay_shift().get() / c.fresh_delay().get();
         assert!(rel > 0.012 && rel < 0.04, "relative shift = {rel}");
     }
@@ -250,9 +219,9 @@ mod tests {
     #[test]
     fn ac_path_shift_is_about_half_of_dc() {
         let mut dc = chain(75);
-        dc.advance_static(hot(), Hours::new(24.0).into());
+        dc.advance_static(hot(), Hours::new(24.0).into(), &mut PhaseRateCache::new());
         let mut ac = chain(75);
-        ac.advance_toggling(hot(), Hours::new(24.0).into());
+        ac.advance_toggling(hot(), Hours::new(24.0).into(), &mut PhaseRateCache::new());
         let ratio = ac.delay_shift().get() / dc.delay_shift().get();
         assert!(ratio > 0.35 && ratio < 0.7, "AC/DC path ratio = {ratio}");
     }
@@ -260,11 +229,12 @@ mod tests {
     #[test]
     fn sleep_recovers_most_of_the_shift() {
         let mut c = chain(75);
-        c.advance_static(hot(), Hours::new(24.0).into());
+        c.advance_static(hot(), Hours::new(24.0).into(), &mut PhaseRateCache::new());
         let aged = c.delay_shift().get();
         c.advance_sleep(
             Environment::new(Volts::new(-0.3), Celsius::new(110.0)),
             Hours::new(6.0).into(),
+            &mut PhaseRateCache::new(),
         );
         let healed = c.delay_shift().get();
         let recovered = (aged - healed) / aged;
@@ -276,7 +246,7 @@ mod tests {
         let mut c = chain(0);
         assert!(c.is_empty());
         assert_eq!(c.path_delay(Volts::new(1.2)), Nanoseconds::ZERO);
-        c.advance_static(hot(), Hours::new(1.0).into());
+        c.advance_static(hot(), Hours::new(1.0).into(), &mut PhaseRateCache::new());
         assert_eq!(c.delay_shift(), Nanoseconds::ZERO);
     }
 }

@@ -114,9 +114,9 @@ impl RingOscillator {
             mode
         };
         match effective {
-            RoMode::Oscillating => self.chain.advance_toggling_cached(env, dt, rates),
-            RoMode::Static => self.chain.advance_static_cached(env, dt, rates),
-            RoMode::Sleep => self.chain.advance_sleep_cached(env, dt, rates),
+            RoMode::Oscillating => self.chain.advance_toggling(env, dt, rates),
+            RoMode::Static => self.chain.advance_static(env, dt, rates),
+            RoMode::Sleep => self.chain.advance_sleep(env, dt, rates),
         }
     }
 }

@@ -67,13 +67,10 @@ impl RoutingBlock {
     }
 
     /// Ages the block with its input parked at `value` (DC stress).
-    pub fn advance_static(&mut self, value: bool, env: Environment, dt: Seconds) {
-        self.advance_static_cached(value, env, dt, &mut PhaseRateCache::new());
-    }
-
-    /// [`advance_static`](Self::advance_static) sharing a caller-owned
-    /// rate cache across routing blocks.
-    pub fn advance_static_cached(
+    ///
+    /// `rates` is a caller-owned rate cache, so a whole-chip advance
+    /// evaluates each condition's rate multipliers once.
+    pub fn advance_static(
         &mut self,
         value: bool,
         env: Environment,
@@ -93,18 +90,7 @@ impl RoutingBlock {
 
     /// Ages the block while its input toggles (AC stress): both devices at
     /// 50 % duty.
-    pub fn advance_toggling(&mut self, env: Environment, dt: Seconds) {
-        self.advance_toggling_cached(env, dt, &mut PhaseRateCache::new());
-    }
-
-    /// [`advance_toggling`](Self::advance_toggling) sharing a
-    /// caller-owned rate cache across routing blocks.
-    pub fn advance_toggling_cached(
-        &mut self,
-        env: Environment,
-        dt: Seconds,
-        rates: &mut PhaseRateCache,
-    ) {
+    pub fn advance_toggling(&mut self, env: Environment, dt: Seconds, rates: &mut PhaseRateCache) {
         let ac = rates.rates(DeviceCondition::ac_stress(env));
         for device in &mut self.devices {
             device.advance_with_rates(&ac, dt);
@@ -112,18 +98,7 @@ impl RoutingBlock {
     }
 
     /// Ages the block during sleep: both devices recover.
-    pub fn advance_sleep(&mut self, env: Environment, dt: Seconds) {
-        self.advance_sleep_cached(env, dt, &mut PhaseRateCache::new());
-    }
-
-    /// [`advance_sleep`](Self::advance_sleep) sharing a caller-owned
-    /// rate cache across routing blocks.
-    pub fn advance_sleep_cached(
-        &mut self,
-        env: Environment,
-        dt: Seconds,
-        rates: &mut PhaseRateCache,
-    ) {
+    pub fn advance_sleep(&mut self, env: Environment, dt: Seconds, rates: &mut PhaseRateCache) {
         let recovery = rates.rates(DeviceCondition::recovery(env));
         for device in &mut self.devices {
             device.advance_with_rates(&recovery, dt);
@@ -164,7 +139,12 @@ mod tests {
     #[test]
     fn static_stress_only_ages_one_device() {
         let mut block = fresh_block();
-        block.advance_static(true, hot(), Hours::new(24.0).into());
+        block.advance_static(
+            true,
+            hot(),
+            Hours::new(24.0).into(),
+            &mut PhaseRateCache::new(),
+        );
         assert!(block.devices()[0].is_aged());
         assert!(!block.devices()[1].is_aged());
     }
@@ -172,9 +152,14 @@ mod tests {
     #[test]
     fn toggling_ages_both_but_less() {
         let mut parked = fresh_block();
-        parked.advance_static(true, hot(), Hours::new(24.0).into());
+        parked.advance_static(
+            true,
+            hot(),
+            Hours::new(24.0).into(),
+            &mut PhaseRateCache::new(),
+        );
         let mut toggling = fresh_block();
-        toggling.advance_toggling(hot(), Hours::new(24.0).into());
+        toggling.advance_toggling(hot(), Hours::new(24.0).into(), &mut PhaseRateCache::new());
 
         assert!(toggling.devices()[0].is_aged());
         assert!(toggling.devices()[1].is_aged());
@@ -187,11 +172,17 @@ mod tests {
     #[test]
     fn sleep_recovers_delay() {
         let mut block = fresh_block();
-        block.advance_static(false, hot(), Hours::new(24.0).into());
+        block.advance_static(
+            false,
+            hot(),
+            Hours::new(24.0).into(),
+            &mut PhaseRateCache::new(),
+        );
         let aged = block.delay(Volts::new(1.2));
         block.advance_sleep(
             Environment::new(Volts::new(-0.3), Celsius::new(110.0)),
             Hours::new(6.0).into(),
+            &mut PhaseRateCache::new(),
         );
         assert!(block.delay(Volts::new(1.2)) < aged);
     }

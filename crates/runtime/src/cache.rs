@@ -1,6 +1,6 @@
 //! The content-addressed result cache.
 //!
-//! Expensive stage outputs (ensemble statistics, study cells, fabric
+//! Expensive stage outputs (campaign chips, study cells, fabric
 //! surveys) are memoized to `target/cache/` keyed by a content hash of
 //! the stage's full configuration — the same FNV-1a hash the telemetry
 //! [`RunManifest`](selfheal_telemetry::RunManifest) stamps into run
@@ -24,28 +24,11 @@
 //! collision or truncated file degrades to a miss, never a wrong hit.
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, Ordering};
 
 use selfheal_telemetry::{self as telemetry, json::Json, manifest::fnv1a};
 
 /// Bump to orphan every existing cache entry at once (format changes).
 const CACHE_FORMAT: u32 = 1;
-
-/// Process-wide cache switch (the `--no-cache` flag lands here).
-static CACHE_ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables all [`ResultCache`] reads *and* writes
-/// process-wide. Disabled caches report [`CacheOutcome::Disabled`] and
-/// always recompute.
-pub fn set_cache_enabled(enabled: bool) {
-    CACHE_ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether caching is currently enabled process-wide.
-#[must_use]
-pub fn cache_enabled() -> bool {
-    CACHE_ENABLED.load(Ordering::Relaxed)
-}
 
 /// A value that can round-trip through the cache's JSON file format.
 ///
@@ -68,7 +51,7 @@ pub enum CacheOutcome {
     Hit,
     /// The value was computed and (best-effort) stored.
     Miss,
-    /// Caching is off (globally, by env, or no cache root); computed.
+    /// The cache is [`ResultCache::disabled`]; computed.
     Disabled,
 }
 
@@ -98,13 +81,9 @@ pub struct ResultCache {
 
 impl ResultCache {
     /// The standard process cache at `target/cache/` (relative to the
-    /// working directory). Honors `SELFHEAL_CACHE=off` by constructing
-    /// a disabled cache.
+    /// working directory).
     #[must_use]
     pub fn standard() -> ResultCache {
-        if std::env::var("SELFHEAL_CACHE").is_ok_and(|v| v == "off" || v == "0") {
-            return ResultCache::disabled();
-        }
         ResultCache::at(Path::new("target").join("cache"))
     }
 
@@ -114,16 +93,17 @@ impl ResultCache {
         ResultCache { root: Some(root) }
     }
 
-    /// A cache that never hits and never writes.
+    /// A cache that never hits and never writes — the one off switch
+    /// (`--no-cache` builds this).
     #[must_use]
     pub fn disabled() -> ResultCache {
         ResultCache { root: None }
     }
 
-    /// Whether this cache instance can hit at all right now.
+    /// Whether this cache can hit at all (false only when disabled).
     #[must_use]
     pub fn is_active(&self) -> bool {
-        self.root.is_some() && cache_enabled()
+        self.root.is_some()
     }
 
     /// Returns the cached value for `(namespace, version, key)` or runs

@@ -13,7 +13,7 @@
 //!   keyed by FNV-1a content hashes (the same hash
 //!   [`RunManifest`](selfheal_telemetry::RunManifest) stamps as
 //!   `config_hash`) with versioned invalidation, memoizing expensive
-//!   stage outputs (ensemble statistics, study cells, fabric surveys).
+//!   stage outputs (campaign chips, study cells, fabric surveys).
 //!
 //! Both report into the `selfheal-telemetry` registry: queue depth,
 //! steal and job counters, cache hit/miss counters.
@@ -49,7 +49,7 @@ mod cache;
 mod pool;
 mod seed;
 
-pub use cache::{cache_enabled, set_cache_enabled, CacheOutcome, CacheRecord, ResultCache};
+pub use cache::{CacheOutcome, CacheRecord, ResultCache};
 pub use pool::Pool;
 pub use seed::SeedSequence;
 

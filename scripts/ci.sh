@@ -143,9 +143,10 @@ crossed = [k for k, pids in flows.items() if len(pids) > 1]
 assert crossed, f"no flow spans both processes ({len(flows)} flow id(s))"
 print(f"trace merge: {len(crossed)} cross-process flow(s) of {len(flows)}")
 PY
+# A fleet keeps exactly one checkpoint file, overwritten at every save.
 CKPTS=$(find "$SMOKE_DIR/fleet-cache" -name '*.json' | wc -l)
-[ "$CKPTS" -ge 2 ] || { echo "no final checkpoint written (found $CKPTS cache files)" >&2; exit 1; }
-echo "fleet smoke: clean shutdown, $CKPTS checkpoint file(s)" >&2
+[ "$CKPTS" -eq 1 ] || { echo "expected exactly one checkpoint file, found $CKPTS" >&2; exit 1; }
+echo "fleet smoke: clean shutdown, one checkpoint file" >&2
 
 echo "== tiered fleet smoke" >&2
 # The tiered integrator end to end: a --tiered daemon serves every
@@ -196,6 +197,10 @@ grep -q '(resumed: true)' "$SMOKE_DIR/tiered.second.log" \
          cat "$SMOKE_DIR/tiered.second.log" >&2; exit 1; }
 target/release/fleet_smoke --connect "$(cat "$SMOKE_DIR/tiered.addr")" --shutdown
 wait "$TIERED_PID"
+# Cadence saves, the kill -9, the resume and the final save all share
+# one checkpoint file.
+CKPTS=$(find "$SMOKE_DIR/tiered-cache" -name '*.json' | wc -l)
+[ "$CKPTS" -eq 1 ] || { echo "tiered: expected exactly one checkpoint file, found $CKPTS" >&2; exit 1; }
 echo "tiered fleet smoke: served all request types, kill -9 resumed from tiered checkpoint" >&2
 
 echo "== repository benchmark (smoke)" >&2

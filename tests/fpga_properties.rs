@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use selfheal_bti::td::PhaseRateCache;
 use selfheal_bti::Environment;
 use selfheal_fpga::{Chip, ChipId, Family, Lut, LutConfig, RoMode};
 use selfheal_units::{Celsius, Hours, Millivolts, Seconds, Volts};
@@ -75,11 +76,12 @@ proptest! {
     fn hypothesis_2_fresh_devices_stay_fresh(config in arb_config(), in0: bool, in1: bool, sleep_h in 1.0f64..50.0) {
         // Recovery "has no effect on 'fresh' (never aged) transistors".
         let mut lut = lut_with(config, 5);
-        lut.advance_static(in0, in1, hot(), Hours::new(24.0).into());
+        lut.advance_static(in0, in1, hot(), Hours::new(24.0).into(), &mut PhaseRateCache::new());
         let aged_before: Vec<bool> = lut.devices().iter().map(|d| d.is_aged()).collect();
         lut.advance_sleep(
             Environment::new(Volts::new(-0.3), Celsius::new(110.0)),
             Seconds::new(sleep_h * 3600.0),
+            &mut PhaseRateCache::new(),
         );
         for (device, was_aged) in lut.devices().iter().zip(aged_before) {
             if !was_aged {
@@ -94,7 +96,7 @@ proptest! {
         let vdd = Volts::new(1.2);
         let fresh = lut.path_delay(vdd, in0, in1);
         prop_assert!(fresh.get() > 0.0);
-        lut.advance_static(in0, in1, hot(), Hours::new(24.0).into());
+        lut.advance_static(in0, in1, hot(), Hours::new(24.0).into(), &mut PhaseRateCache::new());
         let aged = lut.path_delay(vdd, in0, in1);
         prop_assert!(aged >= fresh, "stress can only slow a path");
     }
