@@ -1,11 +1,10 @@
-//! Finding types, lint identities, and report rendering.
-//!
-//! The analyzer depends on no other crate, so the `--json` output is
-//! rendered by hand; the escaping helper covers everything a source
-//! snippet can contain.
+//! Finding types, lint identities, and the `--json` report, rendered
+//! through the workspace's one JSON codec (`selfheal_telemetry::Json`).
 
 use std::fmt;
 use std::path::PathBuf;
+
+use selfheal_telemetry::Json;
 
 /// The domain lints the analyzer implements.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -48,8 +47,8 @@ pub const ALL_LINTS: [Lint; 10] = [
     Lint::TaintedRoot,
 ];
 
-/// How serious a finding is. Every non-baselined finding gates the
-/// build regardless of severity; the split is informational.
+/// How serious a finding is. Every finding gates the build regardless
+/// of severity; the split is informational.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Style/robustness debt.
@@ -68,7 +67,7 @@ impl fmt::Display for Severity {
 }
 
 impl Lint {
-    /// Stable kebab-case id used on the CLI, in baselines and in allows.
+    /// Stable kebab-case id used on the CLI, in reports and in allows.
     #[must_use]
     pub fn id(self) -> &'static str {
         match self {
@@ -206,80 +205,41 @@ impl Finding {
     }
 }
 
-/// Escapes a string for inclusion in a JSON document.
-#[must_use]
-pub fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
-
-/// Renders the full machine-readable report.
+/// The `check --json` report: `{"findings": [..], "total": n}`.
 ///
-/// Shape:
-/// ```json
-/// {
-///   "findings": [{"lint": "...", "severity": "...", "file": "...",
-///                 "line": 1, "message": "...", "snippet": "...",
-///                 "call_path": ["root (f.rs:1)", "sink (g.rs:9)"]}],
-///   "total": 3,
-///   "baselined": 2,
-///   "new": 1
-/// }
-/// ```
-///
-/// `call_path` is `[]` for per-file token lints and lists each hop from
-/// a deterministic root down to the tainted sink for graph findings.
+/// Each finding carries `lint`, `severity`, `file`, `line`, `message`,
+/// `snippet` and `call_path`: `[]` for the per-file token lints, one
+/// `name (file:line)` hop per entry, root first, for graph findings.
 #[must_use]
-pub fn render_json(findings: &[Finding], baselined: usize) -> String {
-    let mut out = String::from("{\n  \"findings\": [");
-    for (i, f) in findings.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let call_path = f
-            .call_path
-            .iter()
-            .map(|hop| format!("\"{}\"", json_escape(hop)))
-            .collect::<Vec<_>>()
-            .join(", ");
-        out.push_str(&format!(
-            "\n    {{\"lint\": \"{}\", \"severity\": \"{}\", \"file\": \"{}\", \"line\": {}, \"message\": \"{}\", \"snippet\": \"{}\", \"call_path\": [{call_path}]}}",
-            f.lint.id(),
-            f.severity(),
-            json_escape(&f.file.display().to_string()),
-            f.line,
-            json_escape(&f.message),
-            json_escape(&f.snippet),
-        ));
-    }
-    if !findings.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str(&format!(
-        "],\n  \"total\": {},\n  \"baselined\": {},\n  \"new\": {}\n}}\n",
-        findings.len(),
-        baselined,
-        findings.len().saturating_sub(baselined),
-    ));
-    out
+pub fn report_json(findings: &[Finding]) -> Json {
+    let text = |s: &str| Json::String(s.to_string());
+    let entries = findings
+        .iter()
+        .map(|f| {
+            Json::object(vec![
+                ("lint".into(), text(f.lint.id())),
+                ("severity".into(), Json::String(f.severity().to_string())),
+                ("file".into(), Json::String(f.file.display().to_string())),
+                ("line".into(), Json::Number(f64::from(f.line))),
+                ("message".into(), text(&f.message)),
+                ("snippet".into(), text(&f.snippet)),
+                (
+                    "call_path".into(),
+                    Json::Array(f.call_path.iter().map(|hop| text(hop)).collect()),
+                ),
+            ])
+        })
+        .collect();
+    Json::object(vec![
+        ("findings".into(), Json::Array(entries)),
+        ("total".into(), Json::Number(findings.len() as f64)),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use selfheal_telemetry::json::parse;
 
     #[test]
     fn ids_round_trip() {
@@ -290,13 +250,7 @@ mod tests {
     }
 
     #[test]
-    fn json_escaping_covers_controls_and_quotes() {
-        assert_eq!(json_escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(json_escape("\u{1}"), "\\u0001");
-    }
-
-    #[test]
-    fn json_report_is_well_formed_enough_to_eyeball() {
+    fn json_report_round_trips_through_the_codec() {
         let f = Finding::new(
             Lint::UnwrapInLib,
             PathBuf::from("crates/core/src/lib.rs"),
@@ -304,17 +258,14 @@ mod tests {
             "say \"no\" to unwrap".into(),
             ".unwrap()".into(),
         );
-        let json = render_json(&[f], 0);
-        assert!(json.contains("\"lint\": \"unwrap-in-lib\""));
-        assert!(json.contains("\"line\": 7"));
-        assert!(json.contains("\\\"no\\\""));
-        assert!(json.contains("\"call_path\": []"));
-        assert!(json.contains("\"total\": 1"));
-        assert!(json.contains("\"new\": 1"));
-        // Braces and brackets balance.
-        let opens = json.matches('{').count();
-        let closes = json.matches('}').count();
-        assert_eq!(opens, closes);
+        let doc = parse(&report_json(&[f]).render_pretty()).expect("report parses");
+        assert_eq!(doc.get("total").and_then(Json::as_f64), Some(1.0));
+        let entry = &doc.get("findings").and_then(Json::as_array).expect("findings")[0];
+        assert_eq!(entry.get("lint").and_then(Json::as_str), Some("unwrap-in-lib"));
+        assert_eq!(entry.get("severity").and_then(Json::as_str), Some("error"));
+        assert_eq!(entry.get("line").and_then(Json::as_f64), Some(7.0));
+        assert_eq!(entry.get("message").and_then(Json::as_str), Some("say \"no\" to unwrap"));
+        assert_eq!(entry.get("call_path").and_then(Json::as_array), Some(&[][..]));
     }
 
     #[test]
@@ -330,10 +281,16 @@ mod tests {
             "run_chip (crates/core/src/experiment.rs:12)".into(),
             "now_ns (crates/telemetry/src/event.rs:170)".into(),
         ];
-        let json = render_json(&[f.clone()], 0);
-        assert!(json.contains(
-            "\"call_path\": [\"run_chip (crates/core/src/experiment.rs:12)\", \"now_ns (crates/telemetry/src/event.rs:170)\"]"
-        ));
+        let doc = report_json(&[f.clone()]);
+        let entry = &doc.get("findings").and_then(Json::as_array).expect("findings")[0];
+        let hops: Vec<&str> = entry
+            .get("call_path")
+            .and_then(Json::as_array)
+            .expect("call_path")
+            .iter()
+            .filter_map(Json::as_str)
+            .collect();
+        assert_eq!(hops, f.call_path);
         let text = f.render_text();
         assert!(text.contains("-> run_chip"));
         assert!(text.contains("-> now_ns"));
@@ -341,8 +298,8 @@ mod tests {
 
     #[test]
     fn empty_report_renders() {
-        let json = render_json(&[], 0);
-        assert!(json.contains("\"findings\": []"));
-        assert!(json.contains("\"total\": 0"));
+        let doc = report_json(&[]);
+        assert_eq!(doc.get("findings").and_then(Json::as_array), Some(&[][..]));
+        assert_eq!(doc.get("total").and_then(Json::as_f64), Some(0.0));
     }
 }

@@ -24,10 +24,10 @@
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
 
-use crate::lexer::{LexedFile, Token, TokenKind, Trust};
-use crate::lints::FileContext;
+use crate::lexer::{Token, TokenKind, Trust};
+use crate::lints::{unseeded_rng_at, FileContext};
 use crate::purity::{taint_bit, CLOCK, ENV, HASH_ITER, IO, RNG};
-use crate::sig::{parse_all_fns, parse_use_decls, test_region_mask};
+use crate::sig::{parse_use_decls, ParsedFile};
 
 /// Why a function is a deterministic root.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -167,12 +167,10 @@ const ENV_FNS: [&str; 9] = [
 /// so free functions with these names stay clean.
 const SOCKET_METHOD_SINKS: [&str; 3] = ["accept", "read_exact", "write_all"];
 
-/// Extracts one file's graph contribution from its lexed form.
+/// Extracts one file's graph contribution from its parsed form.
 #[must_use]
-pub fn extract_file(rel: &std::path::Path, lexed: &LexedFile, ctx: &FileContext) -> FileGraph {
-    let tokens = &lexed.tokens;
-    let mask = test_region_mask(tokens);
-    let parsed = parse_all_fns(tokens, &mask);
+pub fn extract_file(rel: &std::path::Path, parsed: &ParsedFile, ctx: &FileContext) -> FileGraph {
+    let tokens = &parsed.lexed.tokens;
     let uses = parse_use_decls(tokens)
         .into_iter()
         .map(|b| (b.local, b.root))
@@ -180,7 +178,7 @@ pub fn extract_file(rel: &std::path::Path, lexed: &LexedFile, ctx: &FileContext)
     let file_has_rwlock = tokens.iter().any(|t| t.is_ident("RwLock"));
 
     let mut fns = Vec::new();
-    for pf in &parsed {
+    for pf in &parsed.fns {
         if pf.in_test_region {
             continue;
         }
@@ -206,7 +204,7 @@ pub fn extract_file(rel: &std::path::Path, lexed: &LexedFile, ctx: &FileContext)
         crate_name: ctx.crate_name.clone(),
         fns,
         uses,
-        trusts: lexed.trusts.clone(),
+        trusts: parsed.lexed.trusts.clone(),
     }
 }
 
@@ -344,16 +342,8 @@ fn scan_sinks(
             note(IO, format!(".{}", t.text), t.line, &mut taint);
         }
         // Unseeded RNG.
-        if t.is_ident("thread_rng") || t.is_ident("from_entropy") || t.is_ident("OsRng") {
-            note(RNG, t.text.clone(), t.line, &mut taint);
-        }
-        if t.is_ident("random")
-            && i >= 3
-            && tokens[i - 1].is_punct(':')
-            && tokens[i - 2].is_punct(':')
-            && tokens[i - 3].is_ident("rand")
-        {
-            note(RNG, "rand::random".to_string(), t.line, &mut taint);
+        if let Some(what) = unseeded_rng_at(tokens, i) {
+            note(RNG, what.to_string(), t.line, &mut taint);
         }
         // Hash-order iteration: an order-exposing method on a hash
         // collection constructed in the same body.
@@ -819,13 +809,12 @@ fn is_external_root(seg: &str) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
     use std::path::Path;
 
     fn file(rel: &str, crate_name: &str, src: &str) -> FileGraph {
         extract_file(
             Path::new(rel),
-            &lex(src),
+            &ParsedFile::new(src),
             &FileContext::lib(crate_name),
         )
     }

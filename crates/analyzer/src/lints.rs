@@ -1,12 +1,12 @@
-//! The six domain lints, implemented over the token stream.
+//! The eight per-file domain lints, implemented over the token stream
+//! (`tainted-root` and `lock-order` are workspace-wide: see
+//! [`crate::purity`]).
 
 use std::path::Path;
 
 use crate::findings::{Finding, Lint};
-use crate::lexer::{literal_value, LexedFile, Token, TokenKind};
-use crate::sig::{
-    parse_pub_fns, parse_pub_struct_fields, test_region_mask, FnSig, SelfKind, StructField,
-};
+use crate::lexer::{literal_value, Token, TokenKind};
+use crate::sig::{parse_pub_struct_fields, FnItem, ParsedFile, SelfKind, StructField};
 
 /// Where a file sits in the workspace; drives lint applicability.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -106,35 +106,39 @@ const PHYSICAL_NAME_HINTS: [(&str, &str); 11] = [
     ("_mv", "Millivolts"),
 ];
 
-/// Runs every applicable lint over one lexed file.
+/// Runs every applicable lint over one parsed file.
 #[must_use]
-pub fn run_all(path: &Path, lexed: &LexedFile, ctx: &FileContext) -> Vec<Finding> {
+pub fn run_all(path: &Path, parsed: &ParsedFile, ctx: &FileContext) -> Vec<Finding> {
+    let lexed = &parsed.lexed;
     let tokens = &lexed.tokens;
-    let mask = test_region_mask(tokens);
+    let mask = &parsed.test_mask;
     let mut findings = Vec::new();
 
     let non_test_code = !ctx.is_test_target;
     if non_test_code {
-        findings.extend(nan_unsafe_ordering(path, tokens, &mask));
-        findings.extend(suspicious_physical_literal(path, tokens, &mask));
-        findings.extend(unseeded_rng(path, tokens, &mask));
+        findings.extend(nan_unsafe_ordering(path, tokens, mask));
+        findings.extend(suspicious_physical_literal(path, tokens, mask));
+        findings.extend(unseeded_rng(path, tokens, mask));
         if !THREAD_SPAWN_EXEMPT_CRATES.contains(&ctx.crate_name.as_str()) {
-            findings.extend(raw_thread_spawn(path, tokens, &mask));
+            findings.extend(raw_thread_spawn(path, tokens, mask));
         }
     }
     if ctx.is_lib {
-        findings.extend(nondeterministic_iteration(path, tokens, &mask));
-    }
-    if ctx.is_lib {
-        let sigs = parse_pub_fns(tokens, &mask);
+        findings.extend(nondeterministic_iteration(path, tokens, mask));
+        // The signature lints police API surface: non-test `pub fn`s.
+        let api: Vec<&FnItem> = parsed
+            .fns
+            .iter()
+            .filter(|f| f.is_pub && !f.in_test_region)
+            .collect();
         if ctx.crate_name != "selfheal-units" {
-            findings.extend(bare_physical_f64(path, &sigs));
-            let fields = parse_pub_struct_fields(tokens, &mask);
+            findings.extend(bare_physical_f64(path, &api));
+            let fields = parse_pub_struct_fields(tokens, mask);
             findings.extend(bare_physical_f64_fields(path, &fields));
         }
-        findings.extend(missing_must_use(path, &sigs));
+        findings.extend(missing_must_use(path, &api));
         if UNWRAP_GATED_CRATES.contains(&ctx.crate_name.as_str()) {
-            findings.extend(unwrap_in_lib(path, tokens, &mask));
+            findings.extend(unwrap_in_lib(path, tokens, mask));
         }
     }
 
@@ -160,9 +164,9 @@ fn physical_hint(name: &str) -> Option<(&'static str, &'static str)> {
 
 /// Lint: `pub fn` parameters/returns passing physical quantities as
 /// bare `f64`.
-fn bare_physical_f64(path: &Path, sigs: &[FnSig]) -> Vec<Finding> {
+fn bare_physical_f64(path: &Path, sigs: &[&FnItem]) -> Vec<Finding> {
     let mut out = Vec::new();
-    for sig in sigs.iter().filter(|s| !s.in_test_region) {
+    for sig in sigs {
         for param in &sig.params {
             if param.ty != "f64" {
                 continue;
@@ -485,6 +489,22 @@ fn suspicious_physical_literal(path: &Path, tokens: &[Token], mask: &[bool]) -> 
 /// `SeedSequence` stream — each silently breaks reproducibility.
 const UNSEEDED_RNG_CONSTRUCTORS: [&str; 3] = ["thread_rng", "from_entropy", "OsRng"];
 
+/// The unseeded-RNG construct at token `i`, if there is one:
+/// `thread_rng`, `from_entropy`, `OsRng` or `rand::random`. Shared by
+/// the `unseeded-rng` lint and the dataflow pass's rng sink.
+pub(crate) fn unseeded_rng_at(tokens: &[Token], i: usize) -> Option<&'static str> {
+    let t = &tokens[i];
+    if let Some(ctor) = UNSEEDED_RNG_CONSTRUCTORS.into_iter().find(|c| t.is_ident(c)) {
+        return Some(ctor);
+    }
+    (t.is_ident("random")
+        && i >= 3
+        && tokens[i - 1].is_punct(':')
+        && tokens[i - 2].is_punct(':')
+        && tokens[i - 3].is_ident("rand"))
+    .then_some("rand::random")
+}
+
 /// Lint: RNG construction not derived from a `SeedSequence`.
 ///
 /// Flags `thread_rng()`, `SeedableRng::from_entropy`, `OsRng` and
@@ -496,19 +516,7 @@ fn unseeded_rng(path: &Path, tokens: &[Token], mask: &[bool]) -> Vec<Finding> {
         if mask.get(i).copied().unwrap_or(false) {
             continue;
         }
-        let flagged = if UNSEEDED_RNG_CONSTRUCTORS.iter().any(|c| t.is_ident(c)) {
-            Some(t.text.clone())
-        } else if t.is_ident("random")
-            && i >= 3
-            && tokens[i - 1].is_punct(':')
-            && tokens[i - 2].is_punct(':')
-            && tokens[i - 3].is_ident("rand")
-        {
-            Some("rand::random".to_string())
-        } else {
-            None
-        };
-        if let Some(snippet) = flagged {
+        if let Some(snippet) = unseeded_rng_at(tokens, i) {
             out.push(Finding {
                 lint: Lint::UnseededRng,
                 file: path.to_path_buf(),
@@ -516,7 +524,7 @@ fn unseeded_rng(path: &Path, tokens: &[Token], mask: &[bool]) -> Vec<Finding> {
                 message: format!(
                     "`{snippet}` draws entropy outside the SeedSequence contract; derive a per-item StdRng from SeedSequence::rng instead",
                 ),
-                snippet,
+                snippet: snippet.to_string(),
                 call_path: Vec::new(),
             });
         }
@@ -663,9 +671,9 @@ fn tokens_contain_for(tokens: &[Token], at: usize) -> bool {
 /// A "pure accessor" here is a `pub fn` taking `self` or `&self` whose
 /// return type is exactly one selfheal-units newtype. Ignoring such a
 /// value is always a bug — the call has no side effects.
-fn missing_must_use(path: &Path, sigs: &[FnSig]) -> Vec<Finding> {
+fn missing_must_use(path: &Path, sigs: &[&FnItem]) -> Vec<Finding> {
     let mut out = Vec::new();
-    for sig in sigs.iter().filter(|s| !s.in_test_region) {
+    for sig in sigs {
         if !matches!(sig.self_kind, SelfKind::Ref | SelfKind::Value) {
             continue;
         }
@@ -694,11 +702,10 @@ fn missing_must_use(path: &Path, sigs: &[FnSig]) -> Vec<Finding> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::lexer::lex;
     use std::path::PathBuf;
 
     fn run(src: &str, ctx: &FileContext) -> Vec<Finding> {
-        run_all(&PathBuf::from("x.rs"), &lex(src), ctx)
+        run_all(&PathBuf::from("x.rs"), &ParsedFile::new(src), ctx)
     }
 
     fn lint_ids(findings: &[Finding]) -> Vec<&'static str> {

@@ -1,45 +1,36 @@
 //! CLI for the selfheal-analyzer static-analysis gate.
 //!
 //! ```text
-//! selfheal-analyzer check [--json] [--baseline <file>] [--update-baseline] [--root <dir>]
+//! selfheal-analyzer check [--json] [--root <dir>]
 //! selfheal-analyzer graph [--root <dir>]
 //! selfheal-analyzer lints
 //! ```
 //!
-//! Exit codes: 0 = clean (all findings baselined), 1 = new findings,
-//! 2 = usage or I/O error.
+//! Exit codes: 0 = no findings, 1 = findings, 2 = usage or I/O error.
 
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::process::ExitCode;
 
-use selfheal_analyzer::{analyze_workspace, baseline, findings, purity, walk, ALL_LINTS};
+use selfheal_analyzer::{analyze_workspace, findings, purity, walk, ALL_LINTS};
 
 const USAGE: &str = "\
 selfheal-analyzer — domain-aware static analysis for the self-healing workspace
 
 USAGE:
-    selfheal-analyzer check [--json] [--baseline <file>] [--update-baseline] [--root <dir>]
+    selfheal-analyzer check [--json] [--root <dir>]
     selfheal-analyzer graph [--root <dir>]
     selfheal-analyzer lints
     selfheal-analyzer --version
 
 OPTIONS:
     --json               emit a machine-readable JSON report
-    --baseline <file>    ratchet file (default: <root>/analyzer-baseline.txt)
-    --update-baseline    rewrite the baseline to match current findings
     --root <dir>         workspace root (default: walk up from cwd)
 
+`check` prints every finding and fails if there is any.
 `graph` dumps the workspace call graph with per-function purity labels
 (deterministic / seeded-rng / env-tainted / clock-tainted / io-tainted)
 as JSON on stdout.
 ";
-
-struct Options {
-    json: bool,
-    update_baseline: bool,
-    baseline: Option<PathBuf>,
-    root: Option<PathBuf>,
-}
 
 fn main() -> ExitCode {
     let mut args = std::env::args().skip(1);
@@ -48,34 +39,12 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     };
     match command.as_str() {
-        "check" => {
-            let mut opts = Options {
-                json: false,
-                update_baseline: false,
-                baseline: None,
-                root: None,
-            };
-            while let Some(arg) = args.next() {
-                match arg.as_str() {
-                    "--json" => opts.json = true,
-                    "--update-baseline" => opts.update_baseline = true,
-                    "--baseline" => match args.next() {
-                        Some(path) => opts.baseline = Some(PathBuf::from(path)),
-                        None => return usage_error("--baseline needs a file argument"),
-                    },
-                    "--root" => match args.next() {
-                        Some(path) => opts.root = Some(PathBuf::from(path)),
-                        None => return usage_error("--root needs a directory argument"),
-                    },
-                    other => return usage_error(&format!("unknown option `{other}`")),
-                }
-            }
-            check(&opts)
-        }
-        "graph" | "--graph" => {
+        "check" | "graph" => {
+            let mut json = false;
             let mut root = None;
             while let Some(arg) = args.next() {
                 match arg.as_str() {
+                    "--json" if command == "check" => json = true,
                     "--root" => match args.next() {
                         Some(path) => root = Some(PathBuf::from(path)),
                         None => return usage_error("--root needs a directory argument"),
@@ -83,7 +52,31 @@ fn main() -> ExitCode {
                     other => return usage_error(&format!("unknown option `{other}`")),
                 }
             }
-            graph_dump(root)
+            let root = match resolve_root(root) {
+                Ok(root) => root,
+                Err(code) => return code,
+            };
+            let (all, flow) = match analyze_workspace(&root) {
+                Ok(result) => result,
+                Err(err) => {
+                    eprintln!("error: failed to analyze workspace: {err}");
+                    return ExitCode::from(2);
+                }
+            };
+            if command == "graph" {
+                println!("{}", purity::graph_json(&flow).render_pretty());
+                return ExitCode::SUCCESS;
+            }
+            if json {
+                println!("{}", findings::report_json(&all).render_pretty());
+            } else {
+                report_text(&all);
+            }
+            if all.is_empty() {
+                ExitCode::SUCCESS
+            } else {
+                ExitCode::FAILURE
+            }
         }
         "lints" => {
             for lint in ALL_LINTS {
@@ -109,7 +102,7 @@ fn usage_error(message: &str) -> ExitCode {
     ExitCode::from(2)
 }
 
-/// Resolves the workspace root like `check` does.
+/// The `--root` directory, else the workspace root above the cwd.
 fn resolve_root(root: Option<PathBuf>) -> Result<PathBuf, ExitCode> {
     match root {
         Some(root) => Ok(root),
@@ -123,142 +116,17 @@ fn resolve_root(root: Option<PathBuf>) -> Result<PathBuf, ExitCode> {
     }
 }
 
-fn graph_dump(root: Option<PathBuf>) -> ExitCode {
-    let root = match resolve_root(root) {
-        Ok(root) => root,
-        Err(code) => return code,
-    };
-    match selfheal_analyzer::workspace_dataflow(&root) {
-        Ok(flow) => {
-            print!("{}", purity::render_graph_json(&flow));
-            ExitCode::SUCCESS
-        }
-        Err(err) => {
-            eprintln!("error: failed to analyze workspace: {err}");
-            ExitCode::from(2)
-        }
-    }
-}
-
-fn check(opts: &Options) -> ExitCode {
-    let root = match &opts.root {
-        Some(root) => root.clone(),
-        None => {
-            let cwd = std::env::current_dir().unwrap_or_else(|_| PathBuf::from("."));
-            match walk::find_workspace_root(&cwd) {
-                Some(root) => root,
-                None => {
-                    eprintln!("error: no workspace root found above {}", cwd.display());
-                    return ExitCode::from(2);
-                }
-            }
-        }
-    };
-
-    let all = match analyze_workspace(&root) {
-        Ok(findings) => findings,
-        Err(err) => {
-            eprintln!("error: failed to analyze workspace: {err}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let baseline_path = opts
-        .baseline
-        .clone()
-        .unwrap_or_else(|| root.join("analyzer-baseline.txt"));
-    let accepted = match load_baseline(&baseline_path, opts.baseline.is_some()) {
-        Ok(map) => map,
-        Err(message) => {
-            eprintln!("error: {message}");
-            return ExitCode::from(2);
-        }
-    };
-
-    let current = baseline::summarize(&all);
-
-    if opts.update_baseline {
-        let rendered = baseline::render(&current);
-        if let Err(err) = std::fs::write(&baseline_path, rendered) {
-            eprintln!("error: cannot write {}: {err}", baseline_path.display());
-            return ExitCode::from(2);
-        }
-        println!(
-            "analyzer: baseline updated ({} findings across {} (lint, file) pairs) -> {}",
-            all.len(),
-            current.len(),
-            baseline_path.display()
-        );
-        return ExitCode::SUCCESS;
-    }
-
-    let verdict = baseline::check(&current, &accepted);
-    // Stale entries fail the gate too, matching `tests/analyzer_gate.rs`:
-    // the ratchet is one-way, so improvements must be locked in.
-    let gate_fails = !verdict.regressions.is_empty() || !verdict.stale.is_empty();
-
-    if opts.json {
-        print!("{}", findings::render_json(&all, verdict.baselined));
-    } else {
-        report_text(&all, &verdict);
-    }
-
-    if gate_fails {
-        ExitCode::FAILURE
-    } else {
-        ExitCode::SUCCESS
-    }
-}
-
-/// Loads the baseline; a missing default file is an empty baseline, a
-/// missing explicitly-requested file is an error.
-fn load_baseline(path: &Path, explicit: bool) -> Result<baseline::Baseline, String> {
-    match std::fs::read_to_string(path) {
-        Ok(text) => baseline::parse(&text).map_err(|e| format!("{}: {e}", path.display())),
-        Err(err) if err.kind() == std::io::ErrorKind::NotFound && !explicit => {
-            Ok(baseline::Baseline::new())
-        }
-        Err(err) => Err(format!("cannot read {}: {err}", path.display())),
-    }
-}
-
-fn report_text(all: &[selfheal_analyzer::Finding], verdict: &baseline::Verdict) {
-    // Print findings for any (lint, file) pair that regressed; fully
-    // baselined pairs stay quiet to keep the signal readable.
-    let mut shown = 0usize;
+fn report_text(all: &[selfheal_analyzer::Finding]) {
     for f in all {
-        let over_budget = verdict
-            .regressions
-            .iter()
-            .any(|(lint, file, ..)| lint == f.lint.id() && *file == f.file.display().to_string());
-        if over_budget {
-            println!("{}", f.render_text());
-            shown += 1;
-        }
+        println!("{}", f.render_text());
     }
-    if shown > 0 {
+    if !all.is_empty() {
         println!();
     }
-    for (lint, file, current, allowed) in &verdict.regressions {
-        println!("regression: {lint} in {file}: {current} findings, baseline allows {allowed}");
-    }
-    for (lint, file, current, allowed) in &verdict.stale {
-        println!(
-            "stale baseline: {lint} in {file}: baseline allows {allowed} but only {current} remain \
-             (re-run with --update-baseline to ratchet down)"
-        );
-    }
-    println!(
-        "analyzer: {} findings ({} baselined, {} new)",
-        all.len(),
-        verdict.baselined,
-        all.len() - verdict.baselined,
-    );
-    if !verdict.regressions.is_empty() {
-        println!("analyzer: gate FAILED — fix the findings or extend the baseline deliberately");
-    } else if verdict.stale.is_empty() {
+    println!("analyzer: {} findings", all.len());
+    if all.is_empty() {
         println!("analyzer: gate clean");
     } else {
-        println!("analyzer: gate FAILED — baseline is stale, ratchet it down with --update-baseline");
+        println!("analyzer: gate FAILED — fix the findings, or allow/trust a site with a justification");
     }
 }

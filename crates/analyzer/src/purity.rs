@@ -22,6 +22,8 @@
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
+use selfheal_telemetry::Json;
+
 use crate::findings::{Finding, Lint};
 use crate::graph::CallGraph;
 
@@ -372,89 +374,64 @@ fn dfs_cycles<'a>(
     done.insert(node);
 }
 
-/// Renders the full graph + purity dump for `cargo analyzer graph`.
+/// The `cargo analyzer graph` document: `crates`, `nodes` (one per
+/// function, with its purity label, root reason, effective taints and
+/// trusted kinds), `edges`, `roots` (node ids) and the `findings` count.
 #[must_use]
-pub fn render_graph_json(flow: &Dataflow) -> String {
-    use crate::findings::json_escape;
-    use std::fmt::Write as _;
-
+pub fn graph_json(flow: &Dataflow) -> Json {
     let graph = &flow.graph;
+    let text = |s: &str| Json::String(s.to_string());
+    let num = |n: usize| Json::Number(n as f64);
+    let kinds = |bits: u8| Json::Array(taint_names(bits).into_iter().map(text).collect());
     let crates: BTreeSet<&str> = graph.nodes.iter().map(|n| n.crate_name.as_str()).collect();
-    let mut out = String::from("{\n  \"crates\": [");
-    for (i, c) in crates.iter().enumerate() {
-        if i > 0 {
-            out.push_str(", ");
-        }
-        let _ = write!(out, "\"{}\"", json_escape(c));
-    }
-    out.push_str("],\n  \"nodes\": [");
-    for (i, node) in graph.nodes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let list = |bits: u8| {
-            taint_names(bits)
-                .iter()
-                .map(|n| format!("\"{n}\""))
-                .collect::<Vec<_>>()
-                .join(", ")
-        };
-        let root = graph.roots.get(&i).map_or("null".to_string(), |k| {
-            format!("\"{}\"", json_escape(k.describe()))
-        });
-        let _ = write!(
-            out,
-            "\n    {{\"id\": {i}, \"crate\": \"{}\", \"file\": \"{}\", \"fn\": \"{}\", \"line\": {}, \"purity\": \"{}\", \"root\": {root}, \"taints\": [{}], \"trusted\": [{}]}}",
-            json_escape(&node.crate_name),
-            json_escape(&node.file.display().to_string()),
-            json_escape(&node.qualified),
-            node.line,
-            purity_label(flow.effective[i], node.seeded),
-            list(flow.effective[i]),
-            list(node.trusted),
-        );
-    }
-    if !graph.nodes.is_empty() {
-        out.push_str("\n  ");
-    }
-    out.push_str("],\n  \"edges\": [");
-    let mut first = true;
-    for (from, es) in graph.edges.iter().enumerate() {
-        for e in es {
-            if !first {
-                out.push(',');
-            }
-            first = false;
-            let _ = write!(
-                out,
-                "\n    {{\"from\": {from}, \"to\": {}, \"line\": {}}}",
-                e.to, e.line
-            );
-        }
-    }
-    if !first {
-        out.push_str("\n  ");
-    }
-    let roots: Vec<String> = graph.roots.keys().map(usize::to_string).collect();
-    let _ = write!(
-        out,
-        "],\n  \"roots\": [{}],\n  \"findings\": {}\n}}\n",
-        roots.join(", "),
-        flow.findings.len(),
-    );
-    out
+    let nodes = graph.nodes.iter().enumerate().map(|(i, node)| {
+        Json::object(vec![
+            ("id".into(), num(i)),
+            ("crate".into(), text(&node.crate_name)),
+            ("file".into(), Json::String(node.file.display().to_string())),
+            ("fn".into(), text(&node.qualified)),
+            ("line".into(), Json::Number(f64::from(node.line))),
+            ("purity".into(), text(purity_label(flow.effective[i], node.seeded))),
+            (
+                "root".into(),
+                graph.roots.get(&i).map_or(Json::Null, |k| text(k.describe())),
+            ),
+            ("taints".into(), kinds(flow.effective[i])),
+            ("trusted".into(), kinds(node.trusted)),
+        ])
+    });
+    let edges = graph.edges.iter().enumerate().flat_map(|(from, es)| {
+        es.iter().map(move |e| {
+            Json::object(vec![
+                ("from".into(), num(from)),
+                ("to".into(), num(e.to)),
+                ("line".into(), Json::Number(f64::from(e.line))),
+            ])
+        })
+    });
+    Json::object(vec![
+        ("crates".into(), Json::Array(crates.into_iter().map(text).collect())),
+        ("nodes".into(), Json::Array(nodes.collect())),
+        ("edges".into(), Json::Array(edges.collect())),
+        ("roots".into(), Json::Array(graph.roots.keys().map(|&r| num(r)).collect())),
+        ("findings".into(), num(flow.findings.len())),
+    ])
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::graph::{build, extract_file};
-    use crate::lexer::lex;
     use crate::lints::FileContext;
+    use crate::sig::ParsedFile;
     use std::path::Path;
 
     fn flow(src: &str) -> Dataflow {
-        let fg = extract_file(Path::new("crates/x/src/lib.rs"), &lex(src), &FileContext::lib("x"));
+        let fg = extract_file(
+            Path::new("crates/x/src/lib.rs"),
+            &ParsedFile::new(src),
+            &FileContext::lib("x"),
+        );
         analyze(build(&[fg], &["x".to_string()].into_iter().collect()))
     }
 
@@ -592,12 +569,17 @@ mod tests {
             fn b() { let t = Instant::now(); }
             ",
         );
-        let json = render_graph_json(&flow);
-        assert!(json.contains("\"crates\": [\"x\"]"));
-        assert!(json.contains("\"fn\": \"a\""));
-        assert!(json.contains("\"purity\": \"clock-tainted\""));
-        assert!(json.contains("\"from\": 0, \"to\": 1"));
-        let opens = json.matches('{').count();
-        assert_eq!(opens, json.matches('}').count());
+        let doc = selfheal_telemetry::json::parse(&graph_json(&flow).render_pretty())
+            .expect("graph parses");
+        let field = |v: &Json, k: &str| v.get(k).cloned().unwrap_or(Json::Null);
+        assert_eq!(field(&doc, "crates"), Json::Array(vec![Json::String("x".into())]));
+        let nodes = doc.get("nodes").and_then(Json::as_array).expect("nodes");
+        assert_eq!(field(&nodes[0], "fn"), Json::String("a".into()));
+        assert_eq!(field(&nodes[0], "purity"), Json::String("clock-tainted".into()));
+        assert_eq!(field(&nodes[0], "root"), Json::Null);
+        let edges = doc.get("edges").and_then(Json::as_array).expect("edges");
+        assert_eq!(edges.len(), 1);
+        assert_eq!(field(&edges[0], "from"), Json::Number(0.0));
+        assert_eq!(field(&edges[0], "to"), Json::Number(1.0));
     }
 }

@@ -1,7 +1,8 @@
-//! Token-level scope and signature utilities shared by the lints:
-//! `#[cfg(test)]` region masking and `pub fn` signature parsing.
+//! Token-level scope and signature utilities shared by the lints and
+//! the call graph: `#[cfg(test)]` region masking, `fn` item parsing,
+//! `use` bindings and `pub struct` fields.
 
-use crate::lexer::{Token, TokenKind};
+use crate::lexer::{lex, LexedFile, Token, TokenKind};
 
 /// Returns a mask over `tokens`: `true` where the token lies inside a
 /// `#[cfg(test)] mod`, a `#[cfg(test)]`-gated item, or a `#[test]` fn.
@@ -98,10 +99,40 @@ pub(crate) fn item_end(tokens: &[Token], start: usize) -> usize {
     tokens.len()
 }
 
-/// One `fn` item of any visibility, with its body token range — the
-/// unit the call-graph pass works over.
+/// A lexed file with the structure both passes read, computed once:
+/// the `#[cfg(test)]` mask and every `fn` item.
+#[derive(Debug)]
+pub struct ParsedFile {
+    /// Tokens and `// analyzer:` comments.
+    pub lexed: LexedFile,
+    /// [`test_region_mask`] over `lexed.tokens`.
+    pub test_mask: Vec<bool>,
+    /// Every `fn` item, in source order.
+    pub fns: Vec<FnItem>,
+}
+
+impl ParsedFile {
+    /// Lexes `source` and parses its test regions and `fn` items.
+    #[must_use]
+    pub fn new(source: &str) -> ParsedFile {
+        let lexed = lex(source);
+        let test_mask = test_region_mask(&lexed.tokens);
+        let fns = parse_fns(&lexed.tokens, &test_mask);
+        ParsedFile {
+            lexed,
+            test_mask,
+            fns,
+        }
+    }
+}
+
+/// One `fn` item of any visibility: the signature the lints check and
+/// the body token range the call-graph pass scans.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ParsedFn {
+pub struct FnItem {
+    /// True for `pub` and `pub(crate)`/`pub(super)`/...: the unit-safety
+    /// lints care about any API callable from outside its module.
+    pub is_pub: bool,
     /// The bare function name.
     pub name: String,
     /// `Type::name` inside `impl`/`trait` blocks (the `for` type of a
@@ -115,56 +146,131 @@ pub struct ParsedFn {
     pub body_start: usize,
     /// Exclusive token index just past the body's `}` (or the `;`).
     pub body_end: usize,
+    /// Idents appearing in the attributes attached to this fn.
+    pub attr_idents: Vec<String>,
+    /// How the function binds `self`.
+    pub self_kind: SelfKind,
+    /// The non-`self` parameters in order.
+    pub params: Vec<Param>,
+    /// Return type as token texts (`f64`, `Option < Volts >`); empty
+    /// for `()`-returning functions.
+    pub ret: Vec<String>,
     /// True when the fn lies inside a `#[cfg(test)]` region.
     pub in_test_region: bool,
 }
 
-/// Parses every `fn` item — any visibility — recording qualified names
-/// (`Type::method` inside `impl Type` / `impl Trait for Type` / `trait
-/// Type` blocks) and body token ranges for the call-graph pass.
+/// Parses every `fn` item (any visibility, nested ones included).
 #[must_use]
-pub fn parse_all_fns(tokens: &[Token], test_mask: &[bool]) -> Vec<ParsedFn> {
+pub fn parse_fns(tokens: &[Token], test_mask: &[bool]) -> Vec<FnItem> {
     let qualifiers = qualifier_regions(tokens);
     let mut fns = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if !(tokens[i].is_ident("fn")
-            && tokens.get(i + 1).is_some_and(|t| t.kind == TokenKind::Ident))
+    for fn_idx in 0..tokens.len() {
+        if !(tokens[fn_idx].is_ident("fn")
+            && tokens.get(fn_idx + 1).is_some_and(|t| t.kind == TokenKind::Ident))
         {
-            i += 1;
             continue;
         }
-        let fn_idx = i;
-        let name = tokens[i + 1].text.clone();
-        // Locate the body opener: first `{` before any `;` (a `;` first
-        // means a body-less trait/extern declaration).
+        let name = tokens[fn_idx + 1].text.clone();
+        // A `;` before any `{` means a body-less trait/extern declaration.
         let end = item_end(tokens, fn_idx);
-        let mut body_start = fn_idx;
-        while body_start < end {
-            if tokens[body_start].is_punct('{') {
-                break;
-            }
-            body_start += 1;
-        }
+        let body_start = (fn_idx..end)
+            .find(|&k| tokens[k].is_punct('{'))
+            .unwrap_or(end);
         // The innermost qualifier region containing this fn names it.
         let qualified = qualifiers
             .iter()
             .filter(|(start, qend, _)| *start <= fn_idx && fn_idx < *qend)
             .max_by_key(|(start, ..)| *start)
             .map_or_else(|| name.clone(), |(_, _, ty)| format!("{ty}::{name}"));
-        fns.push(ParsedFn {
+        let (is_pub, start) = item_start(tokens, fn_idx);
+        let (self_kind, params, ret) = parse_signature(tokens, fn_idx + 2);
+        fns.push(FnItem {
+            is_pub,
             name,
             qualified,
             line: tokens[fn_idx].line,
             end_line: tokens.get(end.saturating_sub(1)).map_or(0, |t| t.line),
-            body_start: body_start.min(end),
+            body_start,
             body_end: end,
+            attr_idents: attrs_before(tokens, start),
+            self_kind,
+            params,
+            ret,
             in_test_region: test_mask.get(fn_idx).copied().unwrap_or(false),
         });
-        // Continue *inside* the item so nested fns are found too.
-        i = fn_idx + 2;
     }
     fns
+}
+
+/// Walks back from the `fn` keyword at `fn_idx` over its qualifiers
+/// (`const`, `async`, `unsafe`, `extern "C"`) and its visibility.
+/// Returns whether the item is `pub` and the index of its first token,
+/// where its attributes end.
+fn item_start(tokens: &[Token], fn_idx: usize) -> (bool, usize) {
+    let mut k = fn_idx;
+    while k > 0
+        && (tokens[k - 1].kind == TokenKind::Literal
+            || ["const", "async", "unsafe", "extern"]
+                .iter()
+                .any(|q| tokens[k - 1].is_ident(q)))
+    {
+        k -= 1;
+    }
+    // `pub(crate)` / `pub(in path)`: the group holds no nested parens.
+    let mut vis = k;
+    if vis > 0 && tokens[vis - 1].is_punct(')') {
+        if let Some(open) = (0..vis - 1).rev().find(|&m| tokens[m].is_punct('(')) {
+            vis = open;
+        }
+    }
+    if vis > 0 && tokens[vis - 1].is_ident("pub") {
+        (true, vis - 1)
+    } else {
+        (false, k)
+    }
+}
+
+/// Parses the generics, parameter list and return type that follow a
+/// fn's name, starting at token index `j`.
+fn parse_signature(tokens: &[Token], mut j: usize) -> (SelfKind, Vec<Param>, Vec<String>) {
+    if tokens.get(j).is_some_and(|t| t.is_punct('<')) {
+        j = generics_end(tokens, j);
+    }
+    if !tokens.get(j).is_some_and(|t| t.is_punct('(')) {
+        return (SelfKind::None, Vec::new(), Vec::new());
+    }
+    let (self_kind, params, mut j) = parse_params(tokens, j);
+    let mut ret = Vec::new();
+    if tokens.get(j).is_some_and(|t| t.is_punct('-'))
+        && tokens.get(j + 1).is_some_and(|t| t.is_punct('>'))
+    {
+        j += 2;
+        while let Some(t) = tokens.get(j) {
+            if t.is_punct('{') || t.is_punct(';') || t.is_ident("where") {
+                break;
+            }
+            ret.push(t.text.clone());
+            j += 1;
+        }
+    }
+    (self_kind, params, ret)
+}
+
+/// Index just past the `>` closing the generics list opened at `open`.
+/// The `>` of a `->` (as in `F: Fn() -> f64`) closes nothing.
+fn generics_end(tokens: &[Token], open: usize) -> usize {
+    let mut depth = 0i32;
+    for (k, t) in tokens.iter().enumerate().skip(open) {
+        if t.is_punct('<') {
+            depth += 1;
+        } else if t.is_punct('>') && !tokens[k - 1].is_punct('-') {
+            depth -= 1;
+            if depth == 0 {
+                return k + 1;
+            }
+        }
+    }
+    tokens.len()
 }
 
 /// Finds `impl`/`trait` regions: `(body_start_token, body_end_token,
@@ -351,127 +457,6 @@ pub struct Param {
     pub ty: String,
     /// Source line of the parameter name.
     pub line: u32,
-}
-
-/// A parsed `pub fn` signature.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FnSig {
-    /// The function name.
-    pub name: String,
-    /// Source line of the `fn` keyword.
-    pub line: u32,
-    /// Idents appearing in the attributes attached to this fn.
-    pub attr_idents: Vec<String>,
-    /// How the function binds `self`.
-    pub self_kind: SelfKind,
-    /// The non-`self` parameters in order.
-    pub params: Vec<Param>,
-    /// Return type as token texts (`f64`, `Option < Volts >`); empty
-    /// for `()`-returning functions.
-    pub ret: Vec<String>,
-    /// True when the fn lies inside a `#[cfg(test)]` region.
-    pub in_test_region: bool,
-}
-
-/// Parses every `pub fn` signature in the token stream.
-///
-/// Visibility modifiers `pub(crate)`, `pub(super)` etc. count as `pub`
-/// here; the unit-safety lints care about any API a reviewer can call
-/// from outside the defining module.
-#[must_use]
-pub fn parse_pub_fns(tokens: &[Token], test_mask: &[bool]) -> Vec<FnSig> {
-    let mut sigs = Vec::new();
-    let mut i = 0;
-    while i < tokens.len() {
-        if !tokens[i].is_ident("pub") {
-            i += 1;
-            continue;
-        }
-        let pub_idx = i;
-        let mut j = i + 1;
-        // pub(crate) / pub(in path)
-        if tokens.get(j).is_some_and(|t| t.is_punct('(')) {
-            let mut depth = 0i32;
-            while j < tokens.len() {
-                if tokens[j].is_punct('(') {
-                    depth += 1;
-                } else if tokens[j].is_punct(')') {
-                    depth -= 1;
-                    if depth == 0 {
-                        j += 1;
-                        break;
-                    }
-                }
-                j += 1;
-            }
-        }
-        // Qualifiers before `fn`.
-        while tokens.get(j).is_some_and(|t| {
-            t.is_ident("const") || t.is_ident("async") || t.is_ident("unsafe") || t.is_ident("extern")
-        }) || tokens.get(j).is_some_and(|t| t.kind == TokenKind::Literal)
-        {
-            j += 1;
-        }
-        if !tokens.get(j).is_some_and(|t| t.is_ident("fn")) {
-            i += 1;
-            continue;
-        }
-        let fn_idx = j;
-        let Some(name_tok) = tokens.get(j + 1) else {
-            break;
-        };
-        let name = name_tok.text.clone();
-        j += 2;
-        // Generics.
-        if tokens.get(j).is_some_and(|t| t.is_punct('<')) {
-            let mut angle = 0i32;
-            while j < tokens.len() {
-                if tokens[j].is_punct('<') {
-                    angle += 1;
-                } else if tokens[j].is_punct('>') {
-                    // A `->` cannot appear inside a generics list.
-                    angle -= 1;
-                    if angle == 0 {
-                        j += 1;
-                        break;
-                    }
-                }
-                j += 1;
-            }
-        }
-        if !tokens.get(j).is_some_and(|t| t.is_punct('(')) {
-            i = j;
-            continue;
-        }
-        let (self_kind, params, after_params) = parse_params(tokens, j);
-        j = after_params;
-        // Return type.
-        let mut ret = Vec::new();
-        if tokens.get(j).is_some_and(|t| t.is_punct('-'))
-            && tokens.get(j + 1).is_some_and(|t| t.is_punct('>'))
-        {
-            j += 2;
-            while j < tokens.len() {
-                let t = &tokens[j];
-                if t.is_punct('{') || t.is_punct(';') || t.is_ident("where") {
-                    break;
-                }
-                ret.push(t.text.clone());
-                j += 1;
-            }
-        }
-        sigs.push(FnSig {
-            name,
-            line: tokens[fn_idx].line,
-            attr_idents: attrs_before(tokens, pub_idx),
-            self_kind,
-            params,
-            ret,
-            in_test_region: test_mask.get(fn_idx).copied().unwrap_or(false),
-        });
-        i = j.max(i + 1);
-    }
-    sigs
 }
 
 /// Parses the parenthesised parameter list starting at the `(` token at
@@ -814,10 +799,12 @@ mod tests {
     use super::*;
     use crate::lexer::lex;
 
-    fn sigs(src: &str) -> Vec<FnSig> {
-        let lexed = lex(src);
-        let mask = test_region_mask(&lexed.tokens);
-        parse_pub_fns(&lexed.tokens, &mask)
+    fn all_fns(src: &str) -> Vec<FnItem> {
+        ParsedFile::new(src).fns
+    }
+
+    fn sigs(src: &str) -> Vec<FnItem> {
+        all_fns(src).into_iter().filter(|f| f.is_pub).collect()
     }
 
     #[test]
@@ -902,6 +889,20 @@ mod tests {
         assert_eq!(s[0].name, "freq_mhz");
     }
 
+    #[test]
+    fn visibility_and_attrs_reach_back_over_qualifiers() {
+        let f = all_fns(
+            "#[must_use] pub(crate) const unsafe fn a() {}\n\
+             #[inline] extern \"C\" fn b() {}\n\
+             fn c(&mut self) {}",
+        );
+        let vis: Vec<(&str, bool)> = f.iter().map(|x| (x.name.as_str(), x.is_pub)).collect();
+        assert_eq!(vis, vec![("a", true), ("b", false), ("c", false)]);
+        assert_eq!(f[0].attr_idents, vec!["must_use"]);
+        assert_eq!(f[1].attr_idents, vec!["inline"]);
+        assert_eq!(f[2].self_kind, SelfKind::RefMut);
+    }
+
     fn fields(src: &str) -> Vec<StructField> {
         let lexed = lex(src);
         let mask = test_region_mask(&lexed.tokens);
@@ -967,12 +968,6 @@ mod tests {
         let f = fields("pub struct S { pub alpha: f64 }");
         assert_eq!(f.len(), 1);
         assert_eq!(f[0].ty, "f64");
-    }
-
-    fn all_fns(src: &str) -> Vec<ParsedFn> {
-        let lexed = lex(src);
-        let mask = test_region_mask(&lexed.tokens);
-        parse_all_fns(&lexed.tokens, &mask)
     }
 
     #[test]

@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 
 use proptest::{collection, proptest};
 use selfheal_analyzer::purity::propagate;
-use selfheal_analyzer::{workspace_dataflow, Lint};
+use selfheal_analyzer::{analyze_workspace, Lint};
 
 /// Materializes a mini workspace (root manifest + one member crate)
 /// under a scratch dir and returns its root.
@@ -52,7 +52,7 @@ fn helper() -> f64 {
 #[test]
 fn tainted_chain_reports_the_exact_call_path() {
     let root = mini_workspace("chain", TAINTED_CHAIN);
-    let flow = workspace_dataflow(&root).expect("analyzable workspace");
+    let (_, flow) = analyze_workspace(&root).expect("analyzable workspace");
     let tainted: Vec<_> = flow
         .findings
         .iter()
@@ -87,7 +87,7 @@ fn trust_annotation_silences_the_chain() {
         "// analyzer: trust(clock): fixture — timestamp is discarded\nfn helper() -> f64 {",
     );
     let root = mini_workspace("trusted", &trusted);
-    let flow = workspace_dataflow(&root).expect("analyzable workspace");
+    let (_, flow) = analyze_workspace(&root).expect("analyzable workspace");
     assert!(
         flow.findings.iter().all(|f| f.lint != Lint::TaintedRoot),
         "findings: {:#?}",

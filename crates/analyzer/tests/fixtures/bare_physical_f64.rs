@@ -32,6 +32,11 @@ pub fn schedule(temp_celsius: f64, weight: f64) -> f64 { //~ bare-physical-f64
     temp_celsius * weight
 }
 
+// The `->` of an `Fn` bound does not close the generics list early.
+pub fn wait<F: Fn() -> f64>(f: F, vdd: f64) -> f64 { //~ bare-physical-f64
+    f() * vdd
+}
+
 // True negative: private functions are not part of the API contract.
 fn helper(vdd_volts: f64) -> f64 {
     vdd_volts

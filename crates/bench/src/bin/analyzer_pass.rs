@@ -24,17 +24,17 @@ fn main() {
     };
 
     // Warm the page cache so the timed pass measures analysis, not disk.
-    let flow = analyzer::workspace_dataflow(&root).expect("warm-up pass");
-    let nodes = flow.graph.nodes.len();
-    let edges: usize = flow.graph.edges.iter().map(Vec::len).sum();
-    let roots = flow.graph.roots.len();
+    analyzer::analyze_workspace(&root).expect("warm-up pass");
 
     let started = Instant::now();
-    let findings = {
+    let (findings, flow) = {
         let _phase = run.phase("analyze");
         analyzer::analyze_workspace(&root).expect("analysis pass")
     };
     let wall_ms = started.elapsed().as_secs_f64() * 1e3;
+    let nodes = flow.graph.nodes.len();
+    let edges: usize = flow.graph.edges.iter().map(Vec::len).sum();
+    let roots = flow.graph.roots.len();
 
     run.say(format!(
         "root={}\nnodes={nodes} edges={edges} roots={roots} findings={}\nwall: {wall_ms:8.3} ms",

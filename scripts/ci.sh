@@ -37,8 +37,15 @@ fi
 echo "== cargo analyzer check" >&2
 # Includes the workspace dataflow pass: any deterministic root reaching
 # a clock/env/IO/unseeded-RNG sink without a justified trust annotation
-# is a finding, and the baseline is kept empty.
+# is a finding, and the gate is zero findings.
 cargo analyzer check
+# The JSON report end to end: it must parse and agree with the gate.
+cargo analyzer check --json | python3 -c '
+import json, sys
+report = json.load(sys.stdin)
+assert report["total"] == 0 and report["findings"] == [], report
+print("analyzer report: 0 findings")
+'
 
 echo "== cargo analyzer graph (smoke)" >&2
 # The graph dump must stay valid JSON and see every workspace crate.
