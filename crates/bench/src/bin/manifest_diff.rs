@@ -12,9 +12,8 @@
 //! `|a - b| <= tol * max(1, |a|, |b|)`. Strings and booleans compare
 //! exactly. Volatile fields are skipped by default: `created_unix_s`,
 //! `git_describe`, every phase's `wall_s`/`self_s`, the `self_time`
-//! profile, the pool's steal statistics, and the sampled `timeseries`
-//! summaries (phase *names and order* still compare — a run that gained
-//! or lost a phase is a real change).
+//! profile and the pool's steal statistics (phase *names and order*
+//! still compare — a run that gained or lost a phase is a real change).
 //! `--ignore <prefix>` skips additional dotted paths, e.g.
 //! `--ignore metrics.runtime.pool` to drop the remaining
 //! worker-count-dependent pool gauges when comparing across `--threads`
@@ -103,12 +102,6 @@ fn ignored(path: &str, extra: &[String]) -> bool {
     // Steal counts are scheduling noise: how often a worker steals
     // depends on OS timing, not on what was computed.
     if path.starts_with("metrics.runtime.pool.steal") {
-        return true;
-    }
-    // The sampled time-series summary (points/min/max/mean/last per
-    // metric) depends on when the sampler ticked relative to the run —
-    // wall-clock shaped, like self_time.
-    if path == "timeseries" || path.starts_with("timeseries.") {
         return true;
     }
     extra
@@ -260,9 +253,6 @@ mod tests {
         assert!(ignored("self_time.0.self_ns", &[]));
         assert!(ignored("metrics.runtime.pool.steals_total", &[]));
         assert!(ignored("metrics.runtime.pool.steal_ratio.p50", &[]));
-        assert!(ignored("timeseries", &[]));
-        assert!(ignored("timeseries.runtime.pool.queue_depth.mean", &[]));
-        assert!(ignored("timeseries.bti.td.expected_occupied.last", &[]));
         assert!(!ignored("metrics.runtime.pool.jobs", &[]));
         assert!(!ignored("phases.3.name", &[]));
         assert!(!ignored("values.sites", &[]));

@@ -1,22 +1,22 @@
-//! Appends a noise-aware entry to the perf ledger.
+//! The perf ledger: records a benchmark run and gates it against history.
 //!
 //! Runs a benchmark command N times (or reads pre-captured manifest
-//! files), collapses each headline value to its median and IQR, and
-//! appends one JSONL record to `bench_history/<name>.jsonl` — the history
-//! `perf_gate` compares future runs against.
+//! files), keeps the duration values (`ledger::is_duration_key`),
+//! collapses each to its median and IQR, gates the result against the
+//! last `GATE_WINDOW` same-config entries of
+//! `bench_history/<name>.jsonl`, then appends it there.
 //!
 //! ```text
 //! perf_ledger --repeats 5 -- target/release/trap_kernel --json
 //! perf_ledger --manifest run1.json --manifest run2.json --manifest run3.json
-//! perf_ledger --keys kernel_ns_per_trap_step_10000 --repeats 3 -- target/release/trap_kernel --json
-//! perf_ledger --prune [--keep 50]            # cap every history file
 //! ```
 //!
-//! `--prune` caps every `bench_history/*.jsonl` at the `--keep`
-//! most-recent entries *per config hash* — history stays bounded without
-//! ever evicting a live config's baseline window.
+//! A key regresses when its median exceeds the window's baseline by more
+//! than `max(GATE_IQR_MULT × pooled IQR, GATE_REL_FLOOR × baseline)` (the
+//! `ledger` constants) — noise passes, real slowdowns do not. Any
+//! regression exits 1 after the entry is appended; undo an unaccepted run
+//! with `git checkout bench_history/`.
 
-use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::{SystemTime, UNIX_EPOCH};
@@ -27,26 +27,20 @@ use selfheal_telemetry::{git_describe, json};
 struct Args {
     history: PathBuf,
     repeats: usize,
-    keys: Option<Vec<String>>,
     manifests: Vec<PathBuf>,
     command: Vec<String>,
-    prune: bool,
-    keep: usize,
 }
 
-const USAGE: &str = "usage: perf_ledger [--history <dir>] [--repeats <n>] [--keys k1,k2] \
-                     (--manifest <path>... | -- <benchmark command printing --json>)\n\
-                     \x20      perf_ledger [--history <dir>] --prune [--keep <n>]";
+const USAGE: &str = "usage: perf_ledger [--history <dir>] [--repeats <n>] \
+                     (--manifest <path>... | -- <bench command printing its manifest JSON>)";
 
-fn parse_args() -> Result<Args, String> {
+/// `Ok(None)` when `--help` asked for the usage text.
+fn parse_args() -> Result<Option<Args>, String> {
     let mut parsed = Args {
         history: PathBuf::from("bench_history"),
         repeats: 5,
-        keys: None,
         manifests: Vec::new(),
         command: Vec::new(),
-        prune: false,
-        keep: 50,
     };
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
@@ -61,83 +55,29 @@ fn parse_args() -> Result<Args, String> {
                     .filter(|n| *n > 0)
                     .ok_or("--repeats needs a positive count")?;
             }
-            "--keys" => {
-                let list = args.next().ok_or("--keys needs a comma-separated list")?;
-                parsed.keys = Some(list.split(',').map(str::to_string).collect());
-            }
             "--manifest" => {
                 parsed
                     .manifests
                     .push(args.next().map(PathBuf::from).ok_or("--manifest needs a path")?);
             }
-            "--prune" => parsed.prune = true,
-            "--keep" => {
-                parsed.keep = args
-                    .next()
-                    .and_then(|raw| raw.parse().ok())
-                    .filter(|n| *n > 0)
-                    .ok_or("--keep needs a positive count")?;
-            }
             "--" => {
                 parsed.command = args.collect();
                 break;
             }
-            "--help" | "-h" => return Err(USAGE.to_string()),
+            "--help" | "-h" => return Ok(None),
             other => return Err(format!("unknown argument {other}\n{USAGE}")),
         }
     }
-    if parsed.prune {
-        if !parsed.manifests.is_empty() || !parsed.command.is_empty() {
-            return Err(format!("--prune takes no manifests or command\n{USAGE}"));
-        }
-    } else if parsed.manifests.is_empty() == parsed.command.is_empty() {
+    if parsed.manifests.is_empty() == parsed.command.is_empty() {
         return Err(format!(
             "pass either --manifest files or a benchmark command after --\n{USAGE}"
         ));
     }
-    Ok(parsed)
+    Ok(Some(parsed))
 }
 
-/// Caps every `<history>/*.jsonl` at `keep` entries per config hash.
-fn prune_all(history: &PathBuf, keep: usize) -> Result<(), String> {
-    let entries = match std::fs::read_dir(history) {
-        Ok(entries) => entries,
-        Err(err) if err.kind() == std::io::ErrorKind::NotFound => {
-            println!("perf_ledger: {} does not exist, nothing to prune", history.display());
-            return Ok(());
-        }
-        Err(err) => return Err(format!("{}: {err}", history.display())),
-    };
-    let mut names: Vec<String> = entries
-        .filter_map(Result::ok)
-        .filter_map(|e| {
-            let path = e.path();
-            (path.extension().is_some_and(|x| x == "jsonl"))
-                .then(|| path.file_stem()?.to_str().map(ToString::to_string))
-                .flatten()
-        })
-        .collect();
-    names.sort();
-    let mut total = 0usize;
-    for name in &names {
-        let dropped = ledger::prune(history, name, keep).map_err(|err| format!("{name}: {err}"))?;
-        if dropped > 0 {
-            println!("perf_ledger: pruned {dropped} entry(ies) from {name}.jsonl");
-        }
-        total += dropped;
-    }
-    println!(
-        "perf_ledger: prune done — {total} entry(ies) dropped across {} file(s) (keep={keep} per config)",
-        names.len()
-    );
-    Ok(())
-}
-
-fn run() -> Result<(), String> {
-    let args = parse_args()?;
-    if args.prune {
-        return prune_all(&args.history, args.keep);
-    }
+/// Records one run; `Ok(false)` when a key regressed.
+fn run(args: &Args) -> Result<bool, String> {
     let manifests: Vec<json::Json> = if args.command.is_empty() {
         args.manifests
             .iter()
@@ -155,18 +95,9 @@ fn run() -> Result<(), String> {
         );
         ledger::run_repeats(&args.command, args.repeats).map_err(|err| err.to_string())?
     };
-    let (name, config_hash, mut samples) = ledger::collect_samples(&manifests)
-        .ok_or("manifests disagree on name/config or are not bench manifests")?;
-    if let Some(keys) = &args.keys {
-        samples.retain(|key, _| keys.iter().any(|k| k == key));
-        for key in keys {
-            if !samples.contains_key(key) {
-                return Err(format!("key {key} not found in the manifest values"));
-            }
-        }
-    }
+    let (name, config_hash, samples) = ledger::collect_samples(&manifests)?;
     if samples.is_empty() {
-        return Err(format!("{name}: no numeric values to record"));
+        return Err(format!("{name}: no duration values to record"));
     }
     let created_unix_s = SystemTime::now()
         .duration_since(UNIX_EPOCH)
@@ -178,25 +109,57 @@ fn run() -> Result<(), String> {
         created_unix_s,
         &samples,
     );
+    let history = ledger::load(&args.history, &name).map_err(|err| err.to_string())?;
+    let mut regressed = false;
+    for verdict in ledger::gate(&history, &entry) {
+        let stats = entry.keys[&verdict.key];
+        match verdict.baseline {
+            None => println!(
+                "perf_ledger: {name}.{}: {:.6} (iqr {:.6}) — no same-config baseline, pass",
+                verdict.key, verdict.current, stats.iqr
+            ),
+            Some(baseline) => {
+                let status = if verdict.regressed { "REGRESSED" } else { "ok" };
+                println!(
+                    "perf_ledger: {name}.{}: {:.6} (iqr {:.6}) vs baseline {:.6} \
+                     (+{:.6} allowed) — {status}",
+                    verdict.key, verdict.current, stats.iqr, baseline, verdict.tolerance
+                );
+                regressed |= verdict.regressed;
+            }
+        }
+    }
     ledger::append(&args.history, &entry).map_err(|err| err.to_string())?;
-    let path = ledger::history_path(&args.history, &name);
     println!(
-        "perf_ledger: appended {} (n={}, {} key(s)) to {}",
-        name,
+        "perf_ledger: appended {name} (n={}, {} key(s)) to {}",
         entry.n,
         entry.keys.len(),
-        path.display()
+        ledger::history_path(&args.history, &name).display()
     );
-    let entries: BTreeMap<String, ledger::KeyStats> = entry.keys;
-    for (key, stats) in entries {
-        println!("  {key}: median={:.6} iqr={:.6}", stats.median, stats.iqr);
-    }
-    Ok(())
+    Ok(!regressed)
 }
 
 fn main() -> ExitCode {
-    match run() {
-        Ok(()) => ExitCode::SUCCESS,
+    let args = match parse_args() {
+        Ok(Some(args)) => args,
+        Ok(None) => {
+            println!("{USAGE}");
+            return ExitCode::SUCCESS;
+        }
+        Err(message) => {
+            eprintln!("perf_ledger: {message}");
+            return ExitCode::FAILURE;
+        }
+    };
+    match run(&args) {
+        Ok(true) => ExitCode::SUCCESS,
+        Ok(false) => {
+            eprintln!(
+                "perf_ledger: performance regression detected; \
+                 undo the append with `git checkout bench_history/`"
+            );
+            ExitCode::FAILURE
+        }
         Err(message) => {
             eprintln!("perf_ledger: {message}");
             ExitCode::FAILURE

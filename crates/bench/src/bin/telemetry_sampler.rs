@@ -3,13 +3,15 @@
 //!
 //! The sampler thread snapshots the metrics registry at its cadence
 //! while the workload hammers the same registry from the hot loop; this
-//! bench pins the cost of that contention. `off_ms` and `on_ms` feed
-//! `bench_history/telemetry_sampler.jsonl` via `perf_ledger`, so
-//! `perf_gate` catches the sampler ever becoming non-negligible:
+//! bench pins the cost of that contention. `perf_ledger` records and
+//! gates the `off_ms` and `on_ms` durations in
+//! `bench_history/telemetry_sampler.jsonl` (`overhead_pct` is not a
+//! duration, so it is neither), catching the sampler ever becoming
+//! non-negligible:
 //!
 //! ```text
 //! cargo run -q --release -p selfheal-bench --bin perf_ledger -- \
-//!     --keys off_ms,on_ms --repeats 5 -- target/release/telemetry_sampler --json
+//!     --repeats 5 -- target/release/telemetry_sampler --json
 //! ```
 
 use std::time::{Duration, Instant};

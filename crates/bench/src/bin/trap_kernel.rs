@@ -1,11 +1,12 @@
 //! Kernel microbenchmark: the per-trap scalar oracle vs the chunked
 //! structure-of-arrays kernel, at 1k / 10k / 100k / 1M traps.
 //!
-//! Run with `cargo run -p selfheal-bench --release --bin trap_kernel --
-//! --out BENCH_kernel.json` to record the manifest the kernel's speed is
-//! pinned against. Both columns are bit-for-bit interchangeable
-//! (`tests/kernel_equivalence.rs` is the gate); only wall-clock
-//! separates them. Each is timed over the same four-phase schedule
+//! Run with `cargo run -p selfheal-bench --release --bin trap_kernel`.
+//! The kernel's speed history is `bench_history/trap_kernel.jsonl`,
+//! recorded and gated with `perf_ledger --repeats 3 --
+//! target/release/trap_kernel --json`. Both columns are bit-for-bit
+//! interchangeable (`tests/kernel_equivalence.rs` is the gate); only
+//! wall-clock separates them. Each is timed over the same four-phase schedule
 //! (stress / recovery / AC stress / recovery):
 //!
 //! * **scalar** — [`Trap::advance`] per trap per phase on an AoS
@@ -13,8 +14,9 @@
 //! * **kernel** — one [`TrapEnsemble::advance`] call per phase: rates
 //!   evaluated once per phase and the bank's `LANES`-chunked loop.
 //!
-//! The headline `speedup_<size>` is scalar vs kernel. The kernel's
-//! per-trap cost should stay flat from 1k to 1M traps.
+//! The headline `speedup_<size>` is scalar vs kernel; the ledger keeps
+//! only the `*_ns_per_trap_step_<size>` durations. The kernel's per-trap
+//! cost should stay flat from 1k to 1M traps.
 
 use std::time::Instant;
 
@@ -152,7 +154,6 @@ fn main() {
          The gap is the hoist (one rate evaluation per phase, not per trap) and the\n\
          bank's flat chunked inner loop.",
     ));
-    run.value("speedup_10k", headline_speedup);
     run.finish(
         "sizes=1k,10k,100k,1M schedule=DC/rec/AC/rec dt=20min budget=8e6 trap-steps/variant \
          columns=scalar,kernel",

@@ -1,18 +1,19 @@
 //! The perf ledger: noise-aware benchmark history and the regression gate.
 //!
-//! One run of `perf_ledger` appends one JSONL line to
-//! `bench_history/<name>.jsonl` — a [`LedgerEntry`] holding, per headline
+//! One run of `perf_ledger` gates and appends one JSONL line to
+//! `bench_history/<name>.jsonl` — a [`LedgerEntry`] holding, per duration
 //! key, the **median** and **IQR** of N repeated measurements, plus the
-//! run's `git describe` and config hash. `perf_gate` then compares a
-//! current entry against the recent window of same-config history with an
+//! run's `git describe` and config hash. Before appending, the entry is
+//! compared against the recent window of same-config history with an
 //! IQR-based tolerance ([`gate`]): medians absorb outlier repeats, the
 //! pooled IQR scales the tolerance to the key's observed noise, and a
 //! relative floor keeps near-zero-noise histories from tripping on
 //! scheduler jitter.
 //!
-//! The gate is one-sided and assumes **lower is better** (the ledger is
-//! meant for time-like keys: ns-per-item, wall milliseconds). Improvements
-//! never fail; only `current > baseline + tolerance` does.
+//! The gate is one-sided and **lower is better**, which holds because the
+//! ledger keeps only duration keys ([`is_duration_key`]): ratios, counts
+//! and percentages in a manifest's `values` are never recorded or gated.
+//! Improvements never fail; only `current > baseline + tolerance` does.
 
 use std::collections::BTreeMap;
 use std::io::{self, Write as _};
@@ -78,9 +79,9 @@ pub fn summarize(samples: &[f64]) -> Option<KeyStats> {
 }
 
 impl LedgerEntry {
-    /// Builds an entry from per-key repeated samples (every key must have
-    /// the same number of repeats; keys with no finite samples are
-    /// dropped).
+    /// Builds an entry from per-key repeated samples (every key holds the
+    /// same number of repeats, as [`collect_samples`] guarantees; keys with
+    /// no finite samples are dropped).
     #[must_use]
     pub fn from_samples(
         name: &str,
@@ -231,54 +232,6 @@ pub fn load(dir: &Path, name: &str) -> io::Result<Vec<LedgerEntry>> {
     Ok(entries)
 }
 
-/// Caps a benchmark's history at the `keep` most-recent entries *per
-/// config hash*, preserving file order. Bounded history keeps clone
-/// sizes sane without losing any config's baseline window (pruning the
-/// file globally would let one chatty config evict another's history).
-/// The rewrite goes through a sibling temp file + rename so a crash
-/// cannot leave a half-written ledger. Returns how many entries were
-/// dropped; a missing file prunes zero.
-///
-/// # Errors
-///
-/// Propagates read/parse errors from [`load`] and write/rename errors.
-pub fn prune(dir: &Path, name: &str, keep: usize) -> io::Result<usize> {
-    let entries = load(dir, name)?;
-    if entries.is_empty() {
-        return Ok(0);
-    }
-    // Count entries per config hash, then keep only each entry whose
-    // position is within the last `keep` of its config.
-    let mut remaining: BTreeMap<&str, usize> = BTreeMap::new();
-    for entry in &entries {
-        *remaining.entry(entry.config_hash.as_str()).or_insert(0) += 1;
-    }
-    let mut kept = Vec::with_capacity(entries.len());
-    for entry in &entries {
-        let left = remaining
-            .get_mut(entry.config_hash.as_str())
-            .expect("counted above");
-        if *left <= keep {
-            kept.push(entry);
-        }
-        *left -= 1;
-    }
-    let dropped = entries.len() - kept.len();
-    if dropped == 0 {
-        return Ok(0);
-    }
-    let path = history_path(dir, name);
-    let tmp = path.with_extension("jsonl.tmp");
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        for entry in &kept {
-            writeln!(file, "{}", entry.to_json().render())?;
-        }
-    }
-    std::fs::rename(&tmp, &path)?;
-    Ok(dropped)
-}
-
 /// How many recent same-config entries form the gate's baseline window.
 pub const GATE_WINDOW: usize = 5;
 /// The gate's tolerance in pooled-IQR multiples.
@@ -351,22 +304,15 @@ pub fn gate(history: &[LedgerEntry], current: &LedgerEntry) -> Vec<KeyVerdict> {
         .collect()
 }
 
-/// Extracts the numeric `values` map from a bench manifest's JSON
-/// rendering, with its name and config hash — what the repeat-runner
-/// collects per repetition.
+/// True when `key` names a duration: one of its `_`-separated tokens is a
+/// time unit (`ns`, `us`, `ms` or `s`), as in `wall_ms` or
+/// `kernel_ns_per_trap_step_1000`. Only durations are recorded and gated,
+/// because the gate reads larger as worse; `speedup_100000`,
+/// `graph_nodes` and `overhead_percent` are not durations.
 #[must_use]
-pub fn manifest_samples(json: &Json) -> Option<(String, String, BTreeMap<String, f64>)> {
-    let name = json.get("name").and_then(Json::as_str)?.to_string();
-    let config_hash = json.get("config_hash").and_then(Json::as_str)?.to_string();
-    let values = json.get("values")?;
-    let Json::Object(pairs) = values else {
-        return None;
-    };
-    let numbers = pairs
-        .iter()
-        .filter_map(|(key, value)| Some((key.clone(), value.as_f64()?)))
-        .collect();
-    Some((name, config_hash, numbers))
+pub fn is_duration_key(key: &str) -> bool {
+    key.split('_')
+        .any(|token| matches!(token, "ns" | "us" | "ms" | "s"))
 }
 
 /// The repeat-runner: invokes `command` `repeats` times, parsing each
@@ -407,30 +353,58 @@ pub fn run_repeats(command: &[String], repeats: usize) -> io::Result<Vec<Json>> 
     Ok(manifests)
 }
 
+/// One benchmark's repeats: `(name, config_hash, per-key samples)`.
+pub type Repeats = (String, String, BTreeMap<String, Vec<f64>>);
+
 /// Collapses a set of parsed manifests (repeats of one benchmark) into
-/// `(name, config_hash, per-key samples)`. `None` when the set is empty,
-/// a manifest is malformed, or names disagree; a config hash that varies
-/// across repeats is also rejected (repeats must measure one config).
-#[must_use]
-pub fn collect_samples(
-    manifests: &[Json],
-) -> Option<(String, String, BTreeMap<String, Vec<f64>>)> {
-    let mut name: Option<String> = None;
-    let mut config_hash: Option<String> = None;
+/// [`Repeats`], keeping only the numeric
+/// [duration](is_duration_key) values. Repeats must measure one config:
+/// same name, same config hash, same duration keys.
+///
+/// # Errors
+///
+/// An empty set, a manifest without `name`, `config_hash` or `values`, a
+/// name or config hash that varies across repeats, or a duration key
+/// missing from some repeat (the message names the key).
+pub fn collect_samples(manifests: &[Json]) -> Result<Repeats, String> {
+    let mut identity: Option<(&str, &str)> = None;
     let mut samples: BTreeMap<String, Vec<f64>> = BTreeMap::new();
-    for manifest in manifests {
-        let (this_name, this_hash, values) = manifest_samples(manifest)?;
-        if *name.get_or_insert_with(|| this_name.clone()) != this_name {
-            return None;
-        }
-        if *config_hash.get_or_insert_with(|| this_hash.clone()) != this_hash {
-            return None;
+    for (repeat, manifest) in manifests.iter().enumerate() {
+        let (Some(name), Some(config_hash), Some(Json::Object(values))) = (
+            manifest.get("name").and_then(Json::as_str),
+            manifest.get("config_hash").and_then(Json::as_str),
+            manifest.get("values"),
+        ) else {
+            return Err(format!(
+                "repeat {}: not a bench manifest (needs name, config_hash and values)",
+                repeat + 1
+            ));
+        };
+        let first = *identity.get_or_insert((name, config_hash));
+        if first != (name, config_hash) {
+            return Err(format!(
+                "repeat {}: {name}/{config_hash} differs from {}/{} \
+                 (repeats must measure one benchmark config)",
+                repeat + 1,
+                first.0,
+                first.1
+            ));
         }
         for (key, value) in values {
-            samples.entry(key).or_default().push(value);
+            if let (true, Some(value)) = (is_duration_key(key), value.as_f64()) {
+                samples.entry(key.clone()).or_default().push(value);
+            }
         }
     }
-    Some((name?, config_hash?, samples))
+    let (name, config_hash) = identity.ok_or("no manifests to record")?;
+    if let Some((key, series)) = samples.iter().find(|(_, s)| s.len() != manifests.len()) {
+        return Err(format!(
+            "{name}: key {key} appears in {} of {} repeats",
+            series.len(),
+            manifests.len()
+        ));
+    }
+    Ok((name.to_string(), config_hash.to_string(), samples))
 }
 
 #[cfg(test)]
@@ -529,37 +503,24 @@ mod tests {
     }
 
     #[test]
-    fn prune_keeps_the_last_n_per_config_hash() {
-        let dir = std::env::temp_dir().join(format!(
-            "selfheal-ledger-prune-test-{}",
-            selfheal_telemetry::current_thread_hash()
-        ));
-        std::fs::remove_dir_all(&dir).ok();
-        // Interleave two configs: 4 entries of c1, 2 of c2.
-        for (i, config) in [(1, "c1"), (2, "c1"), (3, "c2"), (4, "c1"), (5, "c2"), (6, "c1")] {
-            append(&dir, &entry(config, &[("ms", f64::from(i), 0.0)])).expect("test value");
+    fn only_duration_keys_are_recorded() {
+        for key in [
+            "wall_ms",
+            "record_ns",
+            "setup_s",
+            "kernel_ns_per_trap_step_1000",
+        ] {
+            assert!(is_duration_key(key), "{key}");
         }
-        let dropped = prune(&dir, "bench", 2).expect("test value");
-        assert_eq!(dropped, 2);
-        let left = load(&dir, "bench").expect("test value");
-        // Last 2 of c1 (4, 6) and both of c2 (3, 5), file order intact.
-        let medians: Vec<(String, f64)> = left
-            .iter()
-            .map(|e| (e.config_hash.clone(), e.keys["ms"].median))
-            .collect();
-        assert_eq!(
-            medians,
-            vec![
-                ("c2".to_string(), 3.0),
-                ("c1".to_string(), 4.0),
-                ("c2".to_string(), 5.0),
-                ("c1".to_string(), 6.0),
-            ]
-        );
-        // Already within budget: nothing dropped, file untouched.
-        assert_eq!(prune(&dir, "bench", 2).expect("test value"), 0);
-        assert_eq!(prune(&dir, "missing", 2).expect("test value"), 0);
-        std::fs::remove_dir_all(&dir).ok();
+        for key in [
+            "speedup_100000",
+            "graph_nodes",
+            "overhead_percent",
+            "msg_count",
+            "sms",
+        ] {
+            assert!(!is_duration_key(key), "{key}");
+        }
     }
 
     #[test]

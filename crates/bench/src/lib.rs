@@ -137,10 +137,8 @@ impl BenchRun {
         if let Some(threads) = threads {
             runtime::set_global_threads(threads);
         }
-        // The sampler starts after the pool is sized (its live probes
-        // should watch the pool this run actually uses) and after the
-        // registry reset, on fresh ring buffers.
-        telemetry::timeseries::reset_series();
+        // The sampler starts after the pool is sized: its live probes
+        // should watch the pool this run actually uses.
         let sampler =
             telemetry::Sampler::start(telemetry::SamplerConfig::from_env().with_status(status));
         BenchRun {

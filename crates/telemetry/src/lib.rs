@@ -28,8 +28,7 @@
 //! A fourth layer streams *time-resolved* metrics while the run is
 //! still going: the [`timeseries`] module's background sampler snapshots
 //! the registry at a `SELFHEAL_TELEMETRY_SAMPLE` cadence and exports
-//! ring buffers, a JSONL series, Chrome-trace counter tracks and a
-//! Prometheus text-exposition status file that `selfheal-top` tails.
+//! a JSONL series, Chrome-trace counter tracks and a Prometheus text-exposition status file that `selfheal-top` tails.
 //!
 //! # Example
 //!
@@ -81,7 +80,7 @@ pub use span::{
 };
 pub use timeseries::{
     parse_exposition, parse_interval, register_probe, render_exposition, Exposition, Sampler,
-    SamplerConfig, SeriesPoint, SeriesSummary, SAMPLE_ENV_VAR,
+    SamplerConfig, SAMPLE_ENV_VAR,
 };
 
 /// True when any telemetry consumer is active: a sink is installed or the

@@ -14,7 +14,6 @@ use std::time::{SystemTime, UNIX_EPOCH};
 use crate::json::Json;
 use crate::metrics::{self, MetricsSnapshot};
 use crate::span::{self, PhaseTiming, SelfTimeEntry};
-use crate::timeseries::{self, SeriesSummary};
 
 /// 64-bit FNV-1a over arbitrary bytes — the config-hash function.
 ///
@@ -68,10 +67,6 @@ pub struct RunManifest {
     pub self_time: Vec<SelfTimeEntry>,
     /// Snapshot of the metrics registry at capture.
     pub metrics: MetricsSnapshot,
-    /// Per-metric summaries of the sampled time-series ring buffers
-    /// (empty when the sampler never ran). Wall-clock shaped —
-    /// `manifest_diff` auto-ignores the whole section.
-    pub timeseries: Vec<SeriesSummary>,
     /// Arbitrary named result values the caller attached.
     pub values: BTreeMap<String, Json>,
 }
@@ -93,7 +88,6 @@ impl RunManifest {
             phases: span::take_phase_timings(),
             self_time: span::self_time_snapshot(),
             metrics: metrics::snapshot(),
-            timeseries: timeseries::summaries(),
             values: BTreeMap::new(),
         }
     }
@@ -159,15 +153,6 @@ impl RunManifest {
             ("phases".to_string(), phases),
             ("self_time".to_string(), self_time),
             ("metrics".to_string(), self.metrics.to_json()),
-            (
-                "timeseries".to_string(),
-                Json::object(
-                    self.timeseries
-                        .iter()
-                        .map(|s| (s.name.clone(), s.to_json()))
-                        .collect(),
-                ),
-            ),
             (
                 "values".to_string(),
                 Json::object(self.values.clone().into_iter().collect()),

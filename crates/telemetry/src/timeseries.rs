@@ -1,14 +1,11 @@
-//! Streaming time-series telemetry: the periodic sampler, per-metric ring
-//! buffers, the JSONL time-series export and the Prometheus
-//! text-exposition status file.
+//! Streaming time-series telemetry: the periodic sampler, the JSONL
+//! time-series export and the Prometheus text-exposition status file.
 //!
 //! Everything else in this crate produces *end-of-run* artifacts; this
 //! module is the live half. A background sampler thread snapshots the
 //! metrics registry (plus any registered live [`register_probe`] values)
-//! at a configurable cadence and fans each tick out to four surfaces:
+//! at a configurable cadence and fans each tick out to three surfaces:
 //!
-//! * fixed-capacity **ring buffers** per metric (`series_snapshot`,
-//!   summarized into run manifests),
 //! * a **JSONL** time-series file (`SELFHEAL_TELEMETRY=timeseries:<path>`),
 //! * an atomically-rewritten **Prometheus text-exposition** status file
 //!   (`--status <path>` on bench binaries; `selfheal-top` tails it),
@@ -18,8 +15,8 @@
 //! # Determinism
 //!
 //! The sampler is strictly *read-only* with respect to the metrics
-//! registry and the span ledgers: probe values flow into rings, files
-//! and trace counters, never back into metrics. Simulation results and
+//! registry and the span ledgers: probe values flow into files and
+//! trace counters, never back into metrics. Simulation results and
 //! manifest metric snapshots are therefore bit-identical with sampling
 //! on or off — pinned by `tests/runtime_determinism.rs`. Wall-clock
 //! access goes through the crate's single trusted chokepoint
@@ -27,7 +24,7 @@
 //! sampling cadence itself, which is why everything the sampler writes
 //! lands in surfaces `manifest_diff` ignores.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fs::File;
 use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
@@ -40,82 +37,13 @@ use crate::metrics::{self, Metric};
 
 /// The environment variable holding the sampling cadence (`250ms`, `2s`,
 /// `off`). Setting it enables the sampler even without a `--status` path
-/// or JSONL export, so ring buffers fill for the manifest summary.
+/// or JSONL export, so probe values still reach Chrome-trace counter
+/// tracks.
 pub const SAMPLE_ENV_VAR: &str = "SELFHEAL_TELEMETRY_SAMPLE";
 
 /// Default sampling cadence when outputs are requested but no cadence is
 /// configured.
 pub const DEFAULT_INTERVAL: Duration = Duration::from_millis(250);
-
-/// Ring-buffer capacity per series: at the default 250 ms cadence this
-/// holds the trailing ~8.5 minutes; older points fall off the front.
-const RING_CAPACITY: usize = 2048;
-
-/// One sampled point.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct SeriesPoint {
-    /// Nanoseconds since the process trace epoch (same clock as
-    /// `Event.ts_ns`).
-    pub ts_ns: u64,
-    /// The sampled value.
-    pub value: f64,
-}
-
-/// A fixed-capacity ring of sampled points for one metric.
-#[derive(Debug, Clone, Default)]
-struct Ring {
-    points: VecDeque<SeriesPoint>,
-}
-
-impl Ring {
-    fn push(&mut self, point: SeriesPoint) {
-        if self.points.len() == RING_CAPACITY {
-            self.points.pop_front();
-        }
-        self.points.push_back(point);
-    }
-}
-
-/// End-of-run summary of one series, reported by [`summaries`] and
-/// embedded in run manifests (where `manifest_diff` auto-ignores it —
-/// sampling cadence is wall-clock dependent by nature).
-#[derive(Debug, Clone, PartialEq)]
-pub struct SeriesSummary {
-    /// Metric name (dotted, as registered).
-    pub name: String,
-    /// Number of retained points.
-    pub points: usize,
-    /// Smallest sampled value.
-    pub min: f64,
-    /// Largest sampled value.
-    pub max: f64,
-    /// Arithmetic mean of the retained points.
-    pub mean: f64,
-    /// Most recent sampled value.
-    pub last: f64,
-}
-
-impl SeriesSummary {
-    /// JSON object with the per-metric summary fields.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
-        Json::object(vec![
-            ("points".to_string(), Json::Number(self.points as f64)),
-            ("min".to_string(), Json::Number(self.min)),
-            ("max".to_string(), Json::Number(self.max)),
-            ("mean".to_string(), Json::Number(self.mean)),
-            ("last".to_string(), Json::Number(self.last)),
-        ])
-    }
-}
-
-/// The ring-buffer store. Locked briefly per tick; never held across any
-/// other lock acquisition (the registry snapshot completes first).
-static SERIES: Mutex<BTreeMap<String, Ring>> = Mutex::new(BTreeMap::new());
-
-fn series_store() -> MutexGuard<'static, BTreeMap<String, Ring>> {
-    SERIES.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// A live-value probe: sampled by the sampler thread each tick. Returning
 /// `None` unregisters the probe (probes holding `Weak` references to
@@ -151,50 +79,6 @@ fn sample_probes() -> Vec<(String, f64)> {
         None => false,
     });
     values
-}
-
-/// Clears every ring buffer (bench runs call this at start so manifests
-/// summarize only their own run).
-pub fn reset_series() {
-    series_store().clear();
-}
-
-/// A copy of every ring buffer's retained points.
-#[must_use]
-pub fn series_snapshot() -> BTreeMap<String, Vec<SeriesPoint>> {
-    series_store()
-        .iter()
-        .map(|(name, ring)| (name.clone(), ring.points.iter().copied().collect()))
-        .collect()
-}
-
-/// Per-series min/max/mean/last summaries, deterministically ordered by
-/// name — the manifest's `timeseries` section.
-#[must_use]
-pub fn summaries() -> Vec<SeriesSummary> {
-    series_snapshot()
-        .into_iter()
-        .filter(|(_, points)| !points.is_empty())
-        .map(|(name, points)| {
-            let values: Vec<f64> = points.iter().map(|p| p.value).collect();
-            let mut min = f64::INFINITY;
-            let mut max = f64::NEG_INFINITY;
-            let mut sum = 0.0;
-            for v in &values {
-                min = if v.total_cmp(&min).is_lt() { *v } else { min };
-                max = if v.total_cmp(&max).is_gt() { *v } else { max };
-                sum += v;
-            }
-            SeriesSummary {
-                name,
-                points: values.len(),
-                min,
-                max,
-                mean: sum / values.len() as f64,
-                last: *values.last().expect("filtered non-empty"),
-            }
-        })
-        .collect()
 }
 
 /// Parses a human cadence: `250ms`, `2s`, `1500us`. `None` for anything
@@ -400,30 +284,12 @@ impl Drop for Sampler {
 }
 
 /// One sampling tick: read probes, snapshot the registry, fan out to the
-/// rings, the trace counter tracks, the JSONL export and the status file.
+/// trace counter tracks, the JSONL export and the status file.
 /// Strictly read-only against the metrics registry.
 fn sample_tick(jsonl: &mut Option<BufWriter<File>>, status: Option<&Path>) {
     let ts_ns = trace_epoch_ns();
     let probes = sample_probes();
     let snapshot = metrics::snapshot();
-    let mut values: Vec<(String, f64)> = probes.clone();
-    for (name, metric) in &snapshot.metrics {
-        match metric {
-            Metric::Counter(v) | Metric::Gauge(v) => values.push((name.clone(), *v)),
-            Metric::Histogram(h) => {
-                values.push((format!("{name}.count"), h.count() as f64));
-                if let Some(mean) = h.mean() {
-                    values.push((format!("{name}.mean"), mean));
-                }
-                if let Some(p99) = h.quantile(0.99) {
-                    values.push((format!("{name}.p99"), p99));
-                }
-            }
-        }
-    }
-    values.sort_by(|a, b| a.0.cmp(&b.0));
-    values.dedup_by(|a, b| a.0 == b.0);
-    store_points(ts_ns, &values);
     // Live probe values become Chrome-trace counter tracks, alongside a
     // derived cache hit-rate track: the Perfetto "over time" view.
     for (name, value) in &probes {
@@ -432,25 +298,40 @@ fn sample_tick(jsonl: &mut Option<BufWriter<File>>, status: Option<&Path>) {
     if let Some(rate) = cache_hit_rate(&snapshot) {
         crate::emit_counter("runtime.cache.hit_rate", rate);
     }
-    // An all-empty tick (before the first metric registers) carries no
-    // information: skip the JSONL line. The status file still rewrites
-    // below — it doubles as the liveness heartbeat for dashboards.
-    if let (Some(writer), false) = (jsonl.as_mut(), values.is_empty()) {
-        let line = Json::object(vec![
-            ("ts_ns".to_string(), Json::Number(ts_ns as f64)),
-            (
-                "metrics".to_string(),
-                Json::object(
-                    values
-                        .iter()
-                        .map(|(name, value)| (name.clone(), Json::Number(*value)))
-                        .collect(),
-                ),
-            ),
-        ]);
-        // A full disk loses samples, never the run.
-        let _ = writeln!(writer, "{}", line.render());
-        let _ = writer.flush();
+    if let Some(writer) = jsonl.as_mut() {
+        let mut values = BTreeMap::new();
+        for (name, metric) in &snapshot.metrics {
+            match metric {
+                Metric::Counter(v) | Metric::Gauge(v) => {
+                    values.insert(name.clone(), Json::Number(*v));
+                }
+                Metric::Histogram(h) => {
+                    values.insert(format!("{name}.count"), Json::Number(h.count() as f64));
+                    if let Some(mean) = h.mean() {
+                        values.insert(format!("{name}.mean"), Json::Number(mean));
+                    }
+                    if let Some(p99) = h.quantile(0.99) {
+                        values.insert(format!("{name}.p99"), Json::Number(p99));
+                    }
+                }
+            }
+        }
+        // Probes shadow same-named registry metrics.
+        for (name, value) in &probes {
+            values.insert(name.clone(), Json::Number(*value));
+        }
+        // An all-empty tick (before the first metric registers) carries
+        // no information: skip the line. The status file still rewrites
+        // below — it doubles as the liveness heartbeat for dashboards.
+        if !values.is_empty() {
+            let line = Json::object(vec![
+                ("ts_ns".to_string(), Json::Number(ts_ns as f64)),
+                ("metrics".to_string(), Json::Object(values)),
+            ]);
+            // A full disk loses samples, never the run.
+            let _ = writeln!(writer, "{}", line.render());
+            let _ = writer.flush();
+        }
     }
     if let Some(path) = status {
         write_status_file(path, ts_ns, &snapshot, &probes);
@@ -472,20 +353,6 @@ fn cache_hit_rate(snapshot: &metrics::MetricsSnapshot) -> Option<f64> {
     let (hits, misses) = (hits.unwrap_or(0.0), misses.unwrap_or(0.0));
     let total = hits + misses;
     (total > 0.0).then(|| hits / total)
-}
-
-/// Appends one tick's values into the ring buffers.
-fn store_points(ts_ns: u64, values: &[(String, f64)]) {
-    let mut store = series_store();
-    for (name, value) in values {
-        store
-            .entry(name.clone())
-            .or_default()
-            .push(SeriesPoint {
-                ts_ns,
-                value: *value,
-            });
-    }
 }
 
 /// Sanitizes a dotted metric name into a Prometheus metric name:
@@ -815,32 +682,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_buffers_cap_and_summarize() {
-        // Unique prefix: the store is process-global and tests run in
-        // parallel.
-        reset_series();
-        let mut store = series_store();
-        let ring = store.entry("test.ts.ring".to_string()).or_default();
-        for i in 0..(RING_CAPACITY + 10) {
-            ring.push(SeriesPoint {
-                ts_ns: i as u64,
-                value: i as f64,
-            });
-        }
-        assert_eq!(ring.points.len(), RING_CAPACITY);
-        assert_eq!(ring.points.front().expect("non-empty").ts_ns, 10);
-        drop(store);
-        let summary = summaries()
-            .into_iter()
-            .find(|s| s.name == "test.ts.ring")
-            .expect("series summarized");
-        assert_eq!(summary.points, RING_CAPACITY);
-        assert_eq!(summary.min, 10.0);
-        assert_eq!(summary.max, (RING_CAPACITY + 9) as f64);
-        assert_eq!(summary.last, (RING_CAPACITY + 9) as f64);
-    }
-
-    #[test]
     fn probes_sample_and_expire() {
         register_probe("test.ts.probe_live", || Some(7.0));
         register_probe("test.ts.probe_dead", || None);
@@ -959,8 +800,6 @@ mod tests {
         let parsed = parse_exposition(&status_text).expect("valid exposition");
         assert!(parsed.value("selfheal_sample_ts_ns").is_some());
         assert!(parsed.value("selfheal_test_ts_lifecycle").is_some());
-        // The rings filled too.
-        assert!(series_snapshot().contains_key("test.ts.lifecycle"));
         std::fs::remove_file(&jsonl).ok();
         std::fs::remove_file(&status).ok();
     }

@@ -2,15 +2,13 @@
 # The local CI gauntlet, in dependency order: build everything in release
 # mode, run the full test suite (no test may be ignored), run the
 # domain-aware static-analysis gate, build warning-free rustdoc,
-# smoke-check the perf ledger + regression gate and the fleet daemon,
-# and smoke-run the repository benchmark.
+# smoke-check the telemetry sampler and the fleet daemon, and smoke-run
+# the repository benchmark.
 #
-# `perf_gate --smoke` deliberately runs no benchmarks: it validates that
-# every committed bench_history/*.jsonl parses and that the gate's
-# discrimination logic holds on synthetic data, so this script stays
-# deterministic on noisy shared machines. Record fresh ledger entries
-# with `perf_ledger` and gate real runs with `perf_gate --repeats N --`
-# on quiet hardware.
+# No benchmark is timed here, so this script stays deterministic on
+# noisy shared machines: `cargo test` checks that every committed
+# bench_history/*.jsonl parses. Record and gate real runs with
+# `perf_ledger --repeats N --` on quiet hardware.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 SMOKE_DIR="$(mktemp -d)"
@@ -19,8 +17,8 @@ trap 'rm -rf "$SMOKE_DIR"' EXIT
 echo "== cargo build --release" >&2
 # --workspace matters: the root Cargo.toml is both workspace root and a
 # package, so a bare `cargo build` builds only the root package and the
-# member *bins* this script executes (fleetd, fleet_smoke, perf_gate,
-# the ledgered benches) would silently stay stale.
+# member *bins* this script executes (fleetd, fleet_smoke, selfheal-top,
+# the sampled bench) would silently stay stale.
 cargo build --release --workspace
 
 echo "== cargo test" >&2
@@ -62,9 +60,6 @@ echo "== cargo doc" >&2
 # Rustdoc only warns on a stale or private intra-doc link, so a deleted
 # item can stay linked from docs unnoticed; here every warning fails.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
-
-echo "== perf_gate --smoke" >&2
-cargo run -q --release -p selfheal-bench --bin perf_gate -- --smoke
 
 echo "== telemetry sampler smoke" >&2
 # One real bench run with the streaming sampler on: the Prometheus
