@@ -6,7 +6,9 @@
 //! seeded [`FleetDaemon`]s — recorder off, then recorder on — straight
 //! through [`FleetDaemon::handle`] (no sockets, no threads, no epoch
 //! clock), so the measured delta is the recording cost and nothing
-//! else. A third measurement times the raw `flight::record` call.
+//! else. The recorder records only while a dump path is set, so the
+//! passes switch it through a scratch path that is never written. A
+//! third measurement times the raw `flight::record` call.
 //!
 //! Ledger keys: `off_ms`, `on_ms`, `record_ns`, `overhead_percent`
 //! (the satellite requirement is overhead < 1 % on the storm-shaped
@@ -25,6 +27,7 @@ use selfheal_bench::BenchRun;
 use selfheal_fleet::{FleetConfig, FleetDaemon, Request};
 use selfheal_runtime::{ResultCache, SeedSequence};
 use selfheal_telemetry::flight;
+use selfheal_telemetry::sink::scratch_path;
 use selfheal_units::{DutyCycle, Seconds};
 
 /// Epochs of pre-aging so plans work on real occupancy.
@@ -131,7 +134,7 @@ fn drive(daemon: &mut FleetDaemon, chips: u64, requests: u64, seed: u64) -> f64 
         let kind = request.kind();
         drop(daemon.handle(&request));
         // Mirror the server's per-request flight record (a formatted
-        // detail string, built only while the recorder is on).
+        // detail string, built only while a dump path is set).
         flight::record("request", kind, || format!("chip={chip}"));
     }
     started.elapsed().as_secs_f64() * 1e3
@@ -148,7 +151,7 @@ fn bench(opts: &Options) -> Result<(), String> {
             build_daemon(opts)?
         };
         let _phase = run.phase("drive_off");
-        flight::set_enabled(false);
+        flight::set_dump_path(None);
         drive(&mut daemon, chips, opts.requests, opts.seed ^ 0xf11e)
     };
     let on_ms = {
@@ -157,10 +160,10 @@ fn bench(opts: &Options) -> Result<(), String> {
             build_daemon(opts)?
         };
         let _phase = run.phase("drive_on");
-        flight::set_enabled(true);
+        flight::set_dump_path(Some(scratch_path("flight_recorder-unused.jsonl")));
         drive(&mut daemon, chips, opts.requests, opts.seed ^ 0xf11e)
     };
-    flight::set_enabled(true);
+    flight::set_dump_path(None);
 
     // Raw record cost, amortized over a wraparound-heavy burst.
     let record_ns = {

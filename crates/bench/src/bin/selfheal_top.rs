@@ -118,7 +118,7 @@ fn render_frame(path: &Path, exposition: &Exposition, previous: &Scrape, stale: 
         None => "-".to_string(),
     };
 
-    // Pool: live queue depth probe + steal ratio derived from the
+    // Pool: queue depth gauge + steal ratio derived from the
     // cumulative counters (recent = this scrape interval, run = overall).
     let depth = value("selfheal_runtime_pool_queue_depth");
     let run_ratio = (now.executed > 0.0).then(|| now.steals / now.executed);

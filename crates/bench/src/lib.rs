@@ -64,14 +64,15 @@ pub fn campaign(cache: &runtime::ResultCache) -> ExperimentOutputs {
 ///   exporter as `SELFHEAL_TELEMETRY=trace:<path>`, as an extra sink);
 /// * `--folded <path>` — write the run's self-time profile in the
 ///   folded-stacks format `flamegraph.pl` consumes;
-/// * `--status <path>` — stream an atomically-rewritten Prometheus
-///   text-exposition status file at the sampling cadence (point
-///   `selfheal-top <path>` at it for a live dashboard);
-/// * `SELFHEAL_TELEMETRY=pretty|jsonl:<path>|trace:<path>|timeseries:<path>`
-///   (comma-separated) — attach span/event sinks and the sampled
-///   time-series export for the duration of the run;
-/// * `SELFHEAL_TELEMETRY_SAMPLE=250ms` — sampling cadence for the
-///   time-series surfaces (also *enables* sampling on its own).
+/// * `--status <path>` — run the sampler, which rewrites a Prometheus
+///   text-exposition status file from the metrics registry at the
+///   sampling cadence (point `selfheal-top <path>` at it for a live
+///   dashboard);
+/// * `SELFHEAL_TELEMETRY=pretty|jsonl:<path>|trace:<path>`
+///   (comma-separated) — attach span/event sinks for the duration of
+///   the run;
+/// * `SELFHEAL_TELEMETRY_SAMPLE=250ms` — the `--status` sampling
+///   cadence.
 #[derive(Debug)]
 pub struct BenchRun {
     name: &'static str,
@@ -137,10 +138,8 @@ impl BenchRun {
         if let Some(threads) = threads {
             runtime::set_global_threads(threads);
         }
-        // The sampler starts after the pool is sized: its live probes
-        // should watch the pool this run actually uses.
         let sampler =
-            telemetry::Sampler::start(telemetry::SamplerConfig::from_env().with_status(status));
+            status.and_then(|path| telemetry::Sampler::start(path, telemetry::interval_from_env()));
         BenchRun {
             name,
             json,
@@ -210,8 +209,7 @@ impl BenchRun {
     /// stdout. Returns the manifest for callers that want to inspect it.
     pub fn finish(mut self, config_repr: &str) -> telemetry::RunManifest {
         // Stop the sampler first: it takes a final read-only tick, so the
-        // exports and the manifest's time-series summary both see the
-        // finished run's last state.
+        // status file sees the finished run's last state.
         if let Some(sampler) = self.sampler.take() {
             sampler.stop();
         }

@@ -17,7 +17,7 @@ use selfheal_fleet::slo::SloObjective;
 use selfheal_fleet::{FleetConfig, FleetDaemon, FleetServer, ServerConfig};
 use selfheal_runtime::ResultCache;
 use selfheal_telemetry::flight;
-use selfheal_telemetry::timeseries::{Sampler, SamplerConfig};
+use selfheal_telemetry::timeseries::{interval_from_env, Sampler};
 
 /// Parsed CLI options.
 #[derive(Debug)]
@@ -151,7 +151,10 @@ fn main() {
         selfheal_runtime::set_global_threads(threads);
     }
     let _telemetry = selfheal_telemetry::init_from_env();
-    let sampler = Sampler::start(SamplerConfig::from_env().with_status(options.status.clone()));
+    let sampler = options
+        .status
+        .clone()
+        .and_then(|path| Sampler::start(path, interval_from_env()));
     // The registry is off by default (the bare daemon's request path pays
     // nothing); an observer — the sampler exporting a status file — or a
     // latency objective needs the histograms and gauges recording.

@@ -89,8 +89,9 @@ impl FleetConfig {
     ///
     /// Returns `Err` for an empty fleet, a shard count of zero or larger
     /// than the chip count, a margin, time step or (when tiered) guard
-    /// band that is not finite and positive, or invalid trap-ensemble
-    /// parameters.
+    /// band that is not finite and positive, two SLOs on the same kind
+    /// and quantile label (they would publish the same gauges), or
+    /// invalid trap-ensemble parameters.
     pub fn validate(&self) -> Result<(), String> {
         if self.chips == 0 {
             return Err("fleet must contain at least one chip".into());
@@ -119,11 +120,21 @@ impl FleetConfig {
                 self.guard_band, self.margin
             ));
         }
-        for slo in &self.slos {
+        for (at, slo) in self.slos.iter().enumerate() {
             // Re-parsing the canonical spelling catches objectives built
             // by hand with out-of-range quantiles or targets.
             SloObjective::parse(&slo.render())
                 .map_err(|e| format!("invalid SLO {:?}: {e}", slo.render()))?;
+            let same_gauges = |o: &&SloObjective| o.kind == slo.kind && o.label == slo.label;
+            if let Some(earlier) = self.slos[..at].iter().find(same_gauges) {
+                return Err(format!(
+                    "duplicate SLO {}:{}: {:?} and {:?} would publish the same gauges",
+                    slo.kind,
+                    slo.label,
+                    earlier.render(),
+                    slo.render()
+                ));
+            }
         }
         self.trap_params.validate()
     }
@@ -265,6 +276,27 @@ mod tests {
             target_us: -4.0,
         }];
         assert!(config.validate().is_err(), "negative target must fail");
+    }
+
+    #[test]
+    fn duplicate_slo_objectives_are_rejected() {
+        let parse = |text: &str| SloObjective::parse(text).expect("parses");
+        let mut config = FleetConfig::default();
+        config.slos = vec![
+            parse("plan:p99<500us"),
+            parse("plan:p50<1ms"),
+            parse("stats:p99<1ms"),
+        ];
+        assert_eq!(
+            config.validate(),
+            Ok(()),
+            "same kind or same label alone is fine"
+        );
+        config.slos.push(parse("plan:p99<1ms"));
+        let err = config
+            .validate()
+            .expect_err("same kind and label must fail");
+        assert!(err.contains("duplicate SLO plan:p99"), "{err}");
     }
 
     #[test]

@@ -439,7 +439,7 @@ mod tests {
         flight::record("lifecycle", "test-marker", String::new);
         match daemon.handle(&Request::DebugDump) {
             Response::DebugDump { events, path } => {
-                assert!(events > 0, "the epoch marker alone fills the ring");
+                assert!(events > 0, "the marker recorded once the path was set");
                 assert_eq!(path.as_deref(), Some(target.display().to_string().as_str()));
             }
             other => panic!("expected a debug-dump reply, got {other:?}"),

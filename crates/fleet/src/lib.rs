@@ -16,10 +16,9 @@
 //!   so a killed daemon resumes bit-exactly ([`checkpoint`]).
 //! * [`FleetServer`] is the zero-dependency socket front end:
 //!   length-prefixed JSON frames over `std::net::TcpListener`, a
-//!   blocking worker-accept loop, per-request latency histograms and
-//!   live probes into the telemetry pipeline (`selfheal-top` can watch
-//!   a fleet through a `--status` file), and graceful shutdown with a
-//!   final checkpoint.
+//!   blocking worker-accept loop, per-request latency histograms in the
+//!   metrics registry (`selfheal-top` can watch a fleet through a
+//!   `--status` file), and graceful shutdown with a final checkpoint.
 //!
 //! The `fleetd` binary wires the three together; `fleet_smoke` (in
 //! `selfheal-bench`) checks a running daemon with one request of each

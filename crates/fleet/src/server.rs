@@ -18,13 +18,13 @@
 //! flag at their next read timeout.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Weak};
+use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use selfheal_telemetry::{
-    counter, emit_flow_end, emit_flow_start, flight, histogram, metrics, register_probe, span,
+    counter, emit_flow_end, emit_flow_start, flight, histogram, metrics, span,
 };
 
 use crate::daemon::FleetDaemon;
@@ -77,14 +77,6 @@ pub struct ServeSummary {
     pub checkpointed: bool,
 }
 
-/// Counters shared between the state thread and the workers.
-#[derive(Debug, Default)]
-struct Shared {
-    shutdown: AtomicBool,
-    epoch: AtomicU64,
-    served: AtomicU64,
-}
-
 /// One decoded request in flight from a worker to the state thread.
 #[derive(Debug)]
 struct Job {
@@ -104,14 +96,13 @@ pub struct FleetServer {
     listener: TcpListener,
     addr: SocketAddr,
     config: ServerConfig,
-    shared: Arc<Shared>,
+    /// The shutdown flag the state thread raises and the workers poll.
+    shutdown: Arc<AtomicBool>,
 }
 
 impl FleetServer {
-    /// Binds the listener and registers the live probes
-    /// (`fleet.epoch`, `fleet.requests`) the status-file sampler picks
-    /// up. Call [`addr`](Self::addr) to learn the ephemeral port, then
-    /// [`run`](Self::run).
+    /// Binds the listener. Call [`addr`](Self::addr) to learn the
+    /// ephemeral port, then [`run`](Self::run).
     ///
     /// # Errors
     ///
@@ -119,27 +110,12 @@ impl FleetServer {
     pub fn bind(daemon: FleetDaemon, config: ServerConfig) -> std::io::Result<FleetServer> {
         let listener = TcpListener::bind(&config.addr)?;
         let addr = listener.local_addr()?;
-        let shared = Arc::new(Shared::default());
-        let for_epoch: Weak<Shared> = Arc::downgrade(&shared);
-        register_probe("fleet.epoch", move || {
-            #[allow(clippy::cast_precision_loss)]
-            for_epoch
-                .upgrade()
-                .map(|s| s.epoch.load(Ordering::Relaxed) as f64)
-        });
-        let for_served: Weak<Shared> = Arc::downgrade(&shared);
-        register_probe("fleet.requests", move || {
-            #[allow(clippy::cast_precision_loss)]
-            for_served
-                .upgrade()
-                .map(|s| s.served.load(Ordering::Relaxed) as f64)
-        });
         Ok(FleetServer {
             daemon,
             listener,
             addr,
             config,
-            shared,
+            shutdown: Arc::new(AtomicBool::new(false)),
         })
     }
 
@@ -161,9 +137,9 @@ impl FleetServer {
                 Err(err) => panic!("cannot clone fleet listener: {err}"),
             };
             let tx = tx.clone();
-            let shared = Arc::clone(&self.shared);
+            let shutdown = Arc::clone(&self.shutdown);
             let builder = std::thread::Builder::new().name(format!("fleet-worker-{index}"));
-            match builder.spawn(move || worker_loop(&listener, &tx, &shared)) {
+            match builder.spawn(move || worker_loop(&listener, &tx, &shutdown)) {
                 Ok(handle) => workers.push(handle),
                 Err(err) => panic!("cannot spawn fleet worker: {err}"),
             }
@@ -172,7 +148,7 @@ impl FleetServer {
 
         let epochs = self.state_loop(&rx);
 
-        self.shared.shutdown.store(true, Ordering::SeqCst);
+        self.shutdown.store(true, Ordering::SeqCst);
         let checkpointed = self.daemon.final_checkpoint();
         // Wake workers parked in accept(); a worker mid-connection exits
         // at its next read poll instead.
@@ -196,7 +172,7 @@ impl FleetServer {
         let mut epochs = 0u64;
         let mut next_epoch = self.config.epoch_interval.map(|d| Instant::now() + d);
         loop {
-            if self.shared.shutdown.load(Ordering::SeqCst) {
+            if self.shutdown.load(Ordering::SeqCst) {
                 return epochs;
             }
             if let Some(max) = self.config.max_epochs {
@@ -210,9 +186,6 @@ impl FleetServer {
                     if now >= deadline {
                         self.daemon.advance_epoch();
                         epochs += 1;
-                        self.shared
-                            .epoch
-                            .store(self.daemon.state().epoch(), Ordering::Relaxed);
                         // Re-judge the latency objectives once per epoch
                         // from the histograms the workers have been
                         // feeding; pure reads, published as slo.* gauges.
@@ -250,7 +223,6 @@ impl FleetServer {
                 }
                 self.daemon.handle(&job.request)
             };
-            self.shared.served.fetch_add(1, Ordering::Relaxed);
             drop(job.reply.send(response));
             if wants_shutdown {
                 return epochs;
@@ -260,21 +232,21 @@ impl FleetServer {
 }
 
 /// One worker: accept, serve the connection to completion, repeat.
-fn worker_loop(listener: &TcpListener, tx: &Sender<Job>, shared: &Shared) {
+fn worker_loop(listener: &TcpListener, tx: &Sender<Job>, shutdown: &AtomicBool) {
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shutdown.load(Ordering::SeqCst) {
             return;
         }
         match listener.accept() {
             Ok((stream, _peer)) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
+                if shutdown.load(Ordering::SeqCst) {
                     return;
                 }
                 counter!("fleet.connections", 1);
-                serve_connection(stream, tx, shared);
+                serve_connection(stream, tx, shutdown);
             }
             Err(_) => {
-                if shared.shutdown.load(Ordering::SeqCst) {
+                if shutdown.load(Ordering::SeqCst) {
                     return;
                 }
             }
@@ -283,11 +255,11 @@ fn worker_loop(listener: &TcpListener, tx: &Sender<Job>, shared: &Shared) {
 }
 
 /// Serves one connection until it closes, errors fatally, or shutdown.
-fn serve_connection(mut stream: TcpStream, tx: &Sender<Job>, shared: &Shared) {
+fn serve_connection(mut stream: TcpStream, tx: &Sender<Job>, shutdown: &AtomicBool) {
     drop(stream.set_read_timeout(Some(READ_POLL)));
     drop(stream.set_nodelay(true));
     loop {
-        if shared.shutdown.load(Ordering::SeqCst) {
+        if shutdown.load(Ordering::SeqCst) {
             return;
         }
         match read_frame(&mut stream) {

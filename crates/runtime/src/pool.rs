@@ -31,8 +31,9 @@ use std::time::Duration;
 
 use selfheal_telemetry as telemetry;
 
-/// A unit of work owned by the pool.
-type Job = Box<dyn FnOnce() + Send + 'static>;
+/// A unit of work owned by the pool; it receives the pool state so it
+/// can count itself done before it signals its batch.
+type Job = Box<dyn FnOnce(&Shared) + Send + 'static>;
 
 /// How long a parked worker sleeps before re-scanning the queues — the
 /// backstop against the (benign, rare) missed-wakeup race between a
@@ -105,8 +106,20 @@ impl Shared {
     /// and is infallible; the panic itself is captured there and
     /// re-raised on the submitting caller).
     fn run_job(&self, job: Job) {
-        let _ = catch_unwind(AssertUnwindSafe(job));
-        self.executed.fetch_add(1, Ordering::Relaxed);
+        let _ = catch_unwind(AssertUnwindSafe(|| job(self)));
+    }
+
+    /// Counts one finished job. Jobs call this before signalling their
+    /// batch, so a caller that sees the batch done sees every job
+    /// counted. The lifetime totals go to the registry as high-water
+    /// marks, which keeps them live while a batch runs.
+    fn count_executed(&self) {
+        let executed = self.executed.fetch_add(1, Ordering::Relaxed) + 1;
+        if telemetry::metrics::enabled() {
+            let steals = self.steals.load(Ordering::Relaxed);
+            telemetry::metrics::gauge_max("runtime.pool.jobs_executed_total", executed as f64);
+            telemetry::metrics::gauge_max("runtime.pool.steals_total", steals as f64);
+        }
     }
 
     fn worker_loop(&self, home: usize) {
@@ -249,35 +262,10 @@ impl Pool {
                     .unwrap_or_else(|err| panic!("cannot spawn pool worker {w}: {err}"))
             })
             .collect();
-        Self::register_sampler_probes(&shared);
         Pool {
             shared,
             workers: handles,
         }
-    }
-
-    /// Registers live-value probes for the telemetry sampler: queue
-    /// depth, cumulative steals and cumulative executed jobs. The probes
-    /// hold a `Weak` handle, so they read nothing once the pool drops
-    /// (returning `None` unregisters them), and same-name registration
-    /// means a replacement global pool supersedes its predecessor's
-    /// probes. Strictly read-only: sampling can never perturb
-    /// deterministic scheduling.
-    fn register_sampler_probes(shared: &Arc<Shared>) {
-        let weak = Arc::downgrade(shared);
-        telemetry::register_probe("runtime.pool.queue_depth", move || {
-            weak.upgrade().map(|s| s.depth() as f64)
-        });
-        let weak = Arc::downgrade(shared);
-        telemetry::register_probe("runtime.pool.steals_total", move || {
-            weak.upgrade()
-                .map(|s| s.steals.load(Ordering::Relaxed) as f64)
-        });
-        let weak = Arc::downgrade(shared);
-        telemetry::register_probe("runtime.pool.jobs_executed_total", move || {
-            weak.upgrade()
-                .map(|s| s.executed.load(Ordering::Relaxed) as f64)
-        });
     }
 
     /// The inline-serial pool: no worker threads, every batch runs on
@@ -407,7 +395,7 @@ impl Pool {
                 telemetry::emit_flow_start("runtime.pool.job", id);
                 id
             });
-            let job: Job = Box::new(move || {
+            let job: Job = Box::new(move |shared| {
                 if let Some(id) = flow {
                     telemetry::emit_flow_end("runtime.pool.job", id);
                 }
@@ -424,6 +412,7 @@ impl Pool {
                         .unwrap_or_else(PoisonError::into_inner)
                         .push(panic_message(payload.as_ref())),
                 }
+                shared.count_executed();
                 batch.finish_one();
             });
             // Pre-distribute round-robin across worker deques; imbalance
@@ -493,8 +482,7 @@ impl Pool {
         if metrics_on {
             let steals = self.shared.steals.load(Ordering::Relaxed);
             let executed = self.shared.executed.load(Ordering::Relaxed);
-            telemetry::metrics::gauge_set("runtime.pool.steals_total", steals as f64);
-            telemetry::metrics::gauge_set("runtime.pool.jobs_executed_total", executed as f64);
+            telemetry::metrics::gauge_set("runtime.pool.queue_depth", self.shared.depth() as f64);
             // This region's share of the pool's work. `executed` deltas
             // can include jobs from concurrently draining batches, so the
             // ratio is best-effort — but batches overwhelmingly run one

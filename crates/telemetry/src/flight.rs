@@ -7,7 +7,9 @@
 //! markers, protocol errors, lifecycle marks — in memory at a cost of
 //! one atomic increment plus one uncontended per-slot lock per record,
 //! and dumps them as JSONL on demand: on panic (the daemon installs a
-//! hook), on graceful shutdown, and on a `debug-dump` request.
+//! hook), on graceful shutdown, and on a `debug-dump` request. The
+//! global recorder records only while a dump path is set
+//! ([`set_dump_path`]): a ring nothing can dump is never filled.
 //!
 //! Concurrency model: writers claim a slot with a single
 //! `fetch_add` on the head cursor, then fill `slots[seq % capacity]`
@@ -164,14 +166,9 @@ impl FlightRecorder {
     ///
     /// Propagates the filesystem write failure.
     pub fn dump_to(&self, path: &Path) -> io::Result<usize> {
-        let records = self.snapshot();
-        let mut out = String::new();
-        for record in &records {
-            out.push_str(&record.to_json().render());
-            out.push('\n');
-        }
-        persist(path, &out)?;
-        Ok(records.len())
+        let jsonl = self.render_jsonl();
+        persist(path, &jsonl)?;
+        Ok(jsonl.lines().count())
     }
 }
 
@@ -183,43 +180,35 @@ fn persist(path: &Path, jsonl: &str) -> io::Result<()> {
     std::fs::write(path, jsonl)
 }
 
-/// Recording toggle for the process-global recorder (on by default; the
-/// overhead bench flips it to measure the disabled baseline).
-static ENABLED: AtomicBool = AtomicBool::new(true);
-
-/// Enables or disables global recording.
-pub fn set_enabled(enabled: bool) {
-    ENABLED.store(enabled, Ordering::Relaxed);
-}
-
-/// Whether the global recorder is recording.
-#[must_use]
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
 /// The process-global recorder ([`DEFAULT_CAPACITY`] slots).
 pub fn global() -> &'static FlightRecorder {
     static GLOBAL: OnceLock<FlightRecorder> = OnceLock::new();
     GLOBAL.get_or_init(|| FlightRecorder::with_capacity(DEFAULT_CAPACITY))
 }
 
-/// Records into the global ring; `detail` is only built while recording
-/// is enabled, so instrumented paths pay one atomic load when it is off.
+/// Records into the global ring while a dump path is configured — a
+/// ring nothing can dump is never filled. `detail` is only built while
+/// recording, so instrumented paths pay one atomic load when it is off.
 pub fn record(kind: &'static str, name: &str, detail: impl FnOnce() -> String) {
-    if !enabled() {
+    if !RECORDING.load(Ordering::Relaxed) {
         return;
     }
     global().record(kind, name, detail());
 }
 
 /// Where [`dump`] writes (set once by the daemon CLI from
-/// `--flight-dump`; `None` disables dumping).
+/// `--flight-dump`; `None` disables dumping and recording).
 static DUMP_PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
 
-/// Configures the global dump destination.
+/// Mirrors `DUMP_PATH.is_some()` so [`record`] stays one atomic load.
+static RECORDING: AtomicBool = AtomicBool::new(false);
+
+/// Configures the global dump destination; `Some` turns recording on,
+/// `None` turns it off.
 pub fn set_dump_path(path: Option<PathBuf>) {
-    *DUMP_PATH.lock().unwrap_or_else(PoisonError::into_inner) = path;
+    let mut dump_path = DUMP_PATH.lock().unwrap_or_else(PoisonError::into_inner);
+    RECORDING.store(path.is_some(), Ordering::Relaxed);
+    *dump_path = path;
 }
 
 /// The configured dump destination, if any.
@@ -315,27 +304,33 @@ mod tests {
         let _ = std::fs::remove_file(&path);
     }
 
+    /// Serializes the tests that set the global dump path.
+    static PATH_LOCK: Mutex<()> = Mutex::new(());
+
     #[test]
-    fn global_record_respects_the_toggle() {
+    fn global_record_follows_the_dump_path() {
+        let _lock = PATH_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
+        let previous = dump_path();
         // The global ring is shared across tests; count deltas instead of
-        // absolute contents, and only while enabled is definitely ours.
-        set_enabled(false);
+        // absolute contents.
+        set_dump_path(None);
         let before = global().recorded();
         let mut built = false;
         record("test", "off", || {
             built = true;
             String::new()
         });
-        assert_eq!(global().recorded(), before, "disabled recorder claims nothing");
-        assert!(!built, "detail must not be built while disabled");
-        set_enabled(true);
+        assert_eq!(global().recorded(), before, "no dump path, no record");
+        assert!(!built, "detail must not be built without a dump path");
+        set_dump_path(Some(std::env::temp_dir().join("selfheal-flight-unused.jsonl")));
         record("test", "on", String::new);
         assert!(global().recorded() > before);
+        set_dump_path(previous);
     }
 
     #[test]
     fn dump_without_a_path_is_a_no_op() {
-        // Serialize against other tests touching the global path.
+        let _lock = PATH_LOCK.lock().unwrap_or_else(PoisonError::into_inner);
         let previous = dump_path();
         set_dump_path(None);
         assert_eq!(dump().expect("no-op dump"), None);

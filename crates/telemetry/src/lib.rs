@@ -21,14 +21,13 @@
 //! SELFHEAL_TELEMETRY=pretty               # human-readable span tree on stderr
 //! SELFHEAL_TELEMETRY=jsonl:out.jsonl      # one JSON object per event
 //! SELFHEAL_TELEMETRY=trace:out.json       # Chrome/Perfetto trace export
-//! SELFHEAL_TELEMETRY=timeseries:ts.jsonl  # sampled time-series (see below)
 //! SELFHEAL_TELEMETRY=pretty,trace:t.json  # comma-separated: several at once
 //! ```
 //!
-//! A fourth layer streams *time-resolved* metrics while the run is
-//! still going: the [`timeseries`] module's background sampler snapshots
-//! the registry at a `SELFHEAL_TELEMETRY_SAMPLE` cadence and exports
-//! a JSONL series, Chrome-trace counter tracks and a Prometheus text-exposition status file that `selfheal-top` tails.
+//! A fourth layer streams the registry while the run is still going:
+//! the [`timeseries`] module's background sampler snapshots it at a
+//! `SELFHEAL_TELEMETRY_SAMPLE` cadence into a Prometheus
+//! text-exposition status file that `selfheal-top` tails.
 //!
 //! # Example
 //!
@@ -79,8 +78,8 @@ pub use span::{
     PhaseTiming, SelfTimeEntry, Span,
 };
 pub use timeseries::{
-    parse_exposition, parse_interval, register_probe, render_exposition, Exposition, Sampler,
-    SamplerConfig, SAMPLE_ENV_VAR,
+    interval_from_env, parse_exposition, parse_interval, render_exposition, Exposition, Sampler,
+    SAMPLE_ENV_VAR,
 };
 
 /// True when any telemetry consumer is active: a sink is installed or the

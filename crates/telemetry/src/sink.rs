@@ -468,15 +468,11 @@ pub const ENV_VAR: &str = "SELFHEAL_TELEMETRY";
 /// * unset / empty / `off` — no sink (returns `None`);
 /// * `pretty` or `stderr` — the stderr pretty-printer;
 /// * `jsonl:<path>` — the JSONL file sink;
-/// * `trace:<path>` — the Chrome/Perfetto trace exporter;
-/// * `timeseries:<path>` — not an event sink: records the sampled
-///   time-series JSONL path for the next
-///   [`crate::timeseries::Sampler`] start.
+/// * `trace:<path>` — the Chrome/Perfetto trace exporter.
 ///
 /// Unrecognized specs and file-creation failures print one warning to
 /// stderr and are skipped — a typo in an env var must not kill a
-/// multi-hour simulation. Returns `None` when no event sink was
-/// installed (a lone `timeseries:` spec still takes effect).
+/// multi-hour simulation. Returns `None` when no sink was installed.
 #[must_use = "the sink is removed when the guard drops"]
 pub fn init_from_env() -> Option<SinkGuard> {
     let value = std::env::var(ENV_VAR).ok()?;
@@ -506,11 +502,9 @@ pub fn init_from_env() -> Option<SinkGuard> {
                             eprintln!("[telemetry] cannot open {path}: {err}; spec skipped");
                         }
                     }
-                } else if let Some(path) = spec.strip_prefix("timeseries:") {
-                    crate::timeseries::set_jsonl_path(Some(PathBuf::from(path)));
                 } else {
                     eprintln!(
-                        "[telemetry] unrecognized {ENV_VAR} spec {spec:?}; expected off | pretty | jsonl:<path> | trace:<path> | timeseries:<path>"
+                        "[telemetry] unrecognized {ENV_VAR} spec {spec:?}; expected off | pretty | jsonl:<path> | trace:<path>"
                     );
                 }
             }

@@ -1,85 +1,40 @@
-//! Streaming time-series telemetry: the periodic sampler, the JSONL
-//! time-series export and the Prometheus text-exposition status file.
+//! Streaming time-series telemetry: the periodic sampler and the
+//! Prometheus text-exposition status file it rewrites.
 //!
 //! Everything else in this crate produces *end-of-run* artifacts; this
 //! module is the live half. A background sampler thread snapshots the
-//! metrics registry (plus any registered live [`register_probe`] values)
-//! at a configurable cadence and fans each tick out to three surfaces:
-//!
-//! * a **JSONL** time-series file (`SELFHEAL_TELEMETRY=timeseries:<path>`),
-//! * an atomically-rewritten **Prometheus text-exposition** status file
-//!   (`--status <path>` on bench binaries; `selfheal-top` tails it),
-//! * **Chrome-trace counter tracks** (via [`crate::emit_counter`]), so
-//!   Perfetto shows queue depth and cache hit-rate *over time*.
+//! metrics registry at a configurable cadence and atomically rewrites a
+//! status file (`--status <path>` on bench binaries and `fleetd`;
+//! `selfheal-top` tails it). The registry is the only input: anything a
+//! dashboard shows is a registry metric.
 //!
 //! # Determinism
 //!
 //! The sampler is strictly *read-only* with respect to the metrics
-//! registry and the span ledgers: probe values flow into files and
-//! trace counters, never back into metrics. Simulation results and
-//! manifest metric snapshots are therefore bit-identical with sampling
-//! on or off — pinned by `tests/runtime_determinism.rs`. Wall-clock
-//! access goes through the crate's single trusted chokepoint
+//! registry and the span ledgers: snapshots flow into the status file,
+//! never back into metrics. Simulation results and manifest metric
+//! snapshots are therefore bit-identical with sampling on or off —
+//! pinned by `tests/runtime_determinism.rs`. Wall-clock access goes
+//! through the crate's single trusted chokepoint
 //! ([`crate::trace_epoch_ns`]); the only other nondeterminism is the
-//! sampling cadence itself, which is why everything the sampler writes
-//! lands in surfaces `manifest_diff` ignores.
+//! sampling cadence itself, which only decides when the status file is
+//! rewritten.
 
 use std::collections::BTreeMap;
-use std::fs::File;
-use std::io::{BufWriter, Write};
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
 use std::time::Duration;
 
 use crate::event::trace_epoch_ns;
-use crate::json::Json;
 use crate::metrics::{self, Metric};
 
-/// The environment variable holding the sampling cadence (`250ms`, `2s`,
-/// `off`). Setting it enables the sampler even without a `--status` path
-/// or JSONL export, so probe values still reach Chrome-trace counter
-/// tracks.
+/// The environment variable holding the sampling cadence (`250ms`, `2s`).
+/// It only sets the cadence; a sampler runs only when a status path is
+/// given.
 pub const SAMPLE_ENV_VAR: &str = "SELFHEAL_TELEMETRY_SAMPLE";
 
-/// Default sampling cadence when outputs are requested but no cadence is
-/// configured.
+/// Sampling cadence when `SELFHEAL_TELEMETRY_SAMPLE` is unset or invalid.
 pub const DEFAULT_INTERVAL: Duration = Duration::from_millis(250);
-
-/// A live-value probe: sampled by the sampler thread each tick. Returning
-/// `None` unregisters the probe (probes holding `Weak` references to
-/// pool internals expire this way when the pool is dropped).
-type Probe = Box<dyn Fn() -> Option<f64> + Send + Sync>;
-
-/// Registered probes, sampled in registration order.
-static PROBES: Mutex<Vec<(String, Probe)>> = Mutex::new(Vec::new());
-
-fn probe_store() -> MutexGuard<'static, Vec<(String, Probe)>> {
-    PROBES.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Registers a live-value probe under `name`, replacing any existing
-/// probe with the same name (a new global pool supersedes the old one's
-/// probes). The probe runs on the sampler thread; it must be cheap and
-/// must not touch the metrics registry. Return `None` to unregister.
-pub fn register_probe(name: &str, probe: impl Fn() -> Option<f64> + Send + Sync + 'static) {
-    let mut probes = probe_store();
-    probes.retain(|(existing, _)| existing != name);
-    probes.push((name.to_string(), Box::new(probe)));
-}
-
-/// Samples every registered probe, pruning the expired ones.
-fn sample_probes() -> Vec<(String, f64)> {
-    let mut probes = probe_store();
-    let mut values = Vec::with_capacity(probes.len());
-    probes.retain(|(name, probe)| match probe() {
-        Some(value) => {
-            values.push((name.clone(), value));
-            true
-        }
-        None => false,
-    });
-    values
-}
 
 /// Parses a human cadence: `250ms`, `2s`, `1500us`. `None` for anything
 /// else (including `off`, zero and negatives).
@@ -99,6 +54,16 @@ pub fn parse_interval(spec: &str) -> Option<Duration> {
     (count > 0).then(|| unit(count))
 }
 
+/// The sampling cadence from `SELFHEAL_TELEMETRY_SAMPLE`, or
+/// [`DEFAULT_INTERVAL`] when it is unset or unparseable.
+#[must_use]
+pub fn interval_from_env() -> Duration {
+    sample_env()
+        .as_deref()
+        .and_then(parse_interval)
+        .unwrap_or(DEFAULT_INTERVAL)
+}
+
 /// Reads `SELFHEAL_TELEMETRY_SAMPLE` — the sampler's one environment
 /// chokepoint. The cadence only modulates *when* read-only samples are
 /// taken, never what the simulation computes, so it cannot perturb
@@ -106,70 +71,6 @@ pub fn parse_interval(spec: &str) -> Option<Duration> {
 fn sample_env() -> Option<String> {
     // analyzer: trust(env): sampling cadence only affects observation timing, not simulation state
     std::env::var(SAMPLE_ENV_VAR).ok()
-}
-
-/// The JSONL time-series path configured via
-/// `SELFHEAL_TELEMETRY=timeseries:<path>` (stored by
-/// [`crate::init_from_env`], consumed by [`SamplerConfig::from_env`]).
-static JSONL_PATH: Mutex<Option<PathBuf>> = Mutex::new(None);
-
-/// Records the JSONL export path for the next sampler start.
-pub fn set_jsonl_path(path: Option<PathBuf>) {
-    *JSONL_PATH.lock().unwrap_or_else(PoisonError::into_inner) = path;
-}
-
-fn jsonl_path() -> Option<PathBuf> {
-    JSONL_PATH
-        .lock()
-        .unwrap_or_else(PoisonError::into_inner)
-        .clone()
-}
-
-/// Sampler configuration: cadence plus the optional export surfaces.
-#[derive(Debug, Clone, Default)]
-pub struct SamplerConfig {
-    /// Sampling cadence; `None` means "not explicitly configured" (the
-    /// default [`DEFAULT_INTERVAL`] applies if an output enables the
-    /// sampler).
-    pub interval: Option<Duration>,
-    /// JSONL time-series output path.
-    pub jsonl: Option<PathBuf>,
-    /// Prometheus text-exposition status-file path.
-    pub status: Option<PathBuf>,
-}
-
-impl SamplerConfig {
-    /// Builds a config from `SELFHEAL_TELEMETRY_SAMPLE` (cadence) and the
-    /// `timeseries:<path>` spec recorded by [`crate::init_from_env`].
-    #[must_use]
-    pub fn from_env() -> SamplerConfig {
-        let interval = sample_env().as_deref().and_then(parse_interval);
-        SamplerConfig {
-            interval,
-            jsonl: jsonl_path(),
-            status: None,
-        }
-    }
-
-    /// Sets the status-file path (`--status <path>`).
-    #[must_use]
-    pub fn with_status(mut self, path: Option<PathBuf>) -> SamplerConfig {
-        self.status = path;
-        self
-    }
-
-    /// Whether anything asked for sampling: an explicit cadence or any
-    /// output surface.
-    #[must_use]
-    pub fn should_run(&self) -> bool {
-        self.interval.is_some() || self.jsonl.is_some() || self.status.is_some()
-    }
-
-    /// The effective cadence.
-    #[must_use]
-    pub fn effective_interval(&self) -> Duration {
-        self.interval.unwrap_or(DEFAULT_INTERVAL)
-    }
 }
 
 /// Shared state between the sampler handle and its thread.
@@ -180,7 +81,7 @@ struct SamplerShared {
 
 /// Handle to the background sampler thread. Sampling runs from
 /// [`Sampler::start`] until [`Sampler::stop`] (or drop), which takes one
-/// final sample before joining so even sub-cadence runs export a
+/// final sample before joining so even sub-cadence runs leave a
 /// complete last tick.
 pub struct Sampler {
     shared: Arc<SamplerShared>,
@@ -194,40 +95,22 @@ impl std::fmt::Debug for Sampler {
 }
 
 impl Sampler {
-    /// Spawns the sampler thread. Returns `None` when the config requests
-    /// no sampling, or when a requested output file cannot be created
-    /// (one warning on stderr — telemetry must never kill the run).
+    /// Spawns the sampler thread, rewriting the `status` file every
+    /// `interval`. Returns `None` when the thread cannot be spawned (one
+    /// warning on stderr — telemetry must never kill the run).
     #[must_use]
-    pub fn start(config: SamplerConfig) -> Option<Sampler> {
-        if !config.should_run() {
-            return None;
-        }
-        let mut jsonl = None;
-        if let Some(path) = &config.jsonl {
-            match File::create(path) {
-                Ok(file) => jsonl = Some(BufWriter::new(file)),
-                Err(err) => {
-                    eprintln!(
-                        "[telemetry] cannot open time-series file {}: {err}; export disabled",
-                        path.display(),
-                    );
-                }
-            }
-        }
+    pub fn start(status: PathBuf, interval: Duration) -> Option<Sampler> {
         let shared = Arc::new(SamplerShared {
             stop: Mutex::new(false),
             wake: Condvar::new(),
         });
         let thread_shared = Arc::clone(&shared);
-        let interval = config.effective_interval();
-        let status = config.status.clone();
         let thread = std::thread::Builder::new()
             .name("selfheal-sampler".to_string())
             .spawn(move || {
                 crate::event::register_thread_name("selfheal-sampler");
-                let mut jsonl = jsonl;
                 loop {
-                    sample_tick(&mut jsonl, status.as_deref());
+                    sample_tick(&status);
                     let guard = thread_shared
                         .stop
                         .lock()
@@ -238,9 +121,9 @@ impl Sampler {
                         .unwrap_or_else(PoisonError::into_inner);
                     if *guard {
                         drop(guard);
-                        // Final tick: the exported tail reflects end-of-run
+                        // Final tick: the status file reflects end-of-run
                         // state even when the run is shorter than one period.
-                        sample_tick(&mut jsonl, status.as_deref());
+                        sample_tick(&status);
                         break;
                     }
                 }
@@ -257,8 +140,7 @@ impl Sampler {
         }
     }
 
-    /// Stops the sampler: takes a final sample, flushes the exports and
-    /// joins the thread.
+    /// Stops the sampler: takes a final sample and joins the thread.
     pub fn stop(mut self) {
         self.shutdown();
     }
@@ -281,78 +163,6 @@ impl Drop for Sampler {
     fn drop(&mut self) {
         self.shutdown();
     }
-}
-
-/// One sampling tick: read probes, snapshot the registry, fan out to the
-/// trace counter tracks, the JSONL export and the status file.
-/// Strictly read-only against the metrics registry.
-fn sample_tick(jsonl: &mut Option<BufWriter<File>>, status: Option<&Path>) {
-    let ts_ns = trace_epoch_ns();
-    let probes = sample_probes();
-    let snapshot = metrics::snapshot();
-    // Live probe values become Chrome-trace counter tracks, alongside a
-    // derived cache hit-rate track: the Perfetto "over time" view.
-    for (name, value) in &probes {
-        crate::emit_counter(name, *value);
-    }
-    if let Some(rate) = cache_hit_rate(&snapshot) {
-        crate::emit_counter("runtime.cache.hit_rate", rate);
-    }
-    if let Some(writer) = jsonl.as_mut() {
-        let mut values = BTreeMap::new();
-        for (name, metric) in &snapshot.metrics {
-            match metric {
-                Metric::Counter(v) | Metric::Gauge(v) => {
-                    values.insert(name.clone(), Json::Number(*v));
-                }
-                Metric::Histogram(h) => {
-                    values.insert(format!("{name}.count"), Json::Number(h.count() as f64));
-                    if let Some(mean) = h.mean() {
-                        values.insert(format!("{name}.mean"), Json::Number(mean));
-                    }
-                    if let Some(p99) = h.quantile(0.99) {
-                        values.insert(format!("{name}.p99"), Json::Number(p99));
-                    }
-                }
-            }
-        }
-        // Probes shadow same-named registry metrics.
-        for (name, value) in &probes {
-            values.insert(name.clone(), Json::Number(*value));
-        }
-        // An all-empty tick (before the first metric registers) carries
-        // no information: skip the line. The status file still rewrites
-        // below — it doubles as the liveness heartbeat for dashboards.
-        if !values.is_empty() {
-            let line = Json::object(vec![
-                ("ts_ns".to_string(), Json::Number(ts_ns as f64)),
-                ("metrics".to_string(), Json::Object(values)),
-            ]);
-            // A full disk loses samples, never the run.
-            let _ = writeln!(writer, "{}", line.render());
-            let _ = writer.flush();
-        }
-    }
-    if let Some(path) = status {
-        write_status_file(path, ts_ns, &snapshot, &probes);
-    }
-}
-
-/// Derived cache hit rate from the registry counters (absent counter
-/// reads as zero; `None` until any cache traffic exists).
-fn cache_hit_rate(snapshot: &metrics::MetricsSnapshot) -> Option<f64> {
-    let scalar = |name: &str| match snapshot.get(name) {
-        Some(Metric::Counter(v) | Metric::Gauge(v)) => Some(*v),
-        _ => None,
-    };
-    let hits = scalar("runtime.cache.hits");
-    let misses = scalar("runtime.cache.misses");
-    if hits.is_none() && misses.is_none() {
-        return None;
-    }
-    let (hits, misses) = (hits.unwrap_or(0.0), misses.unwrap_or(0.0));
-    let total = hits + misses;
-    (total > 0.0).then(|| hits / total)
 }
 
 /// Sanitizes a dotted metric name into a Prometheus metric name:
@@ -402,15 +212,11 @@ fn format_value(value: f64) -> String {
 
 /// Renders the full Prometheus text exposition for one sample tick:
 /// every registry metric (histograms as cumulative `_bucket`/`_sum`/
-/// `_count` families), every probe value as a gauge, the sample
-/// timestamp (`selfheal_sample_ts_ns`, the clock `selfheal-top` derives
-/// rates against) and the top self-time spans as labelled gauges.
+/// `_count` families), the sample timestamp (`selfheal_sample_ts_ns`,
+/// the clock `selfheal-top` derives rates against) and the top self-time
+/// spans as labelled gauges.
 #[must_use]
-pub fn render_exposition(
-    ts_ns: u64,
-    snapshot: &metrics::MetricsSnapshot,
-    probes: &[(String, f64)],
-) -> String {
+pub fn render_exposition(ts_ns: u64, snapshot: &metrics::MetricsSnapshot) -> String {
     let mut out = String::new();
     let mut emit = |name: &str, kind: &str, lines: &[String]| {
         out.push_str(&format!("# TYPE {name} {kind}\n"));
@@ -424,16 +230,7 @@ pub fn render_exposition(
         "gauge",
         &[format!("selfheal_sample_ts_ns {}", format_value(ts_ns as f64))],
     );
-    for (name, value) in probes {
-        let name = prometheus_name(name);
-        emit(&name, "gauge", &[format!("{name} {}", format_value(*value))]);
-    }
     for (name, metric) in &snapshot.metrics {
-        // A probe with the same name owns the family (live beats
-        // registry); skip the registry copy to keep names unique.
-        if probes.iter().any(|(p, _)| p == name) {
-            continue;
-        }
         let prom = prometheus_name(name);
         match metric {
             Metric::Counter(v) => {
@@ -471,16 +268,12 @@ pub fn render_exposition(
     out
 }
 
-/// Renders the exposition and atomically replaces the status file
+/// One sampling tick: snapshots the registry (strictly read-only),
+/// renders the exposition and atomically replaces the status file
 /// (sibling tmp + rename), so a concurrent `selfheal-top` never reads a
 /// torn write.
-fn write_status_file(
-    path: &Path,
-    ts_ns: u64,
-    snapshot: &metrics::MetricsSnapshot,
-    probes: &[(String, f64)],
-) {
-    let text = render_exposition(ts_ns, snapshot, probes);
+fn sample_tick(path: &Path) {
+    let text = render_exposition(trace_epoch_ns(), &metrics::snapshot());
     let mut tmp = path.as_os_str().to_owned();
     tmp.push(".tmp");
     let tmp = PathBuf::from(tmp);
@@ -682,28 +475,6 @@ mod tests {
     }
 
     #[test]
-    fn probes_sample_and_expire() {
-        register_probe("test.ts.probe_live", || Some(7.0));
-        register_probe("test.ts.probe_dead", || None);
-        let values = sample_probes();
-        assert!(values.contains(&("test.ts.probe_live".to_string(), 7.0)));
-        assert!(values.iter().all(|(n, _)| n != "test.ts.probe_dead"));
-        // The dead probe was pruned; re-sampling sees only live ones.
-        assert!(probe_store().iter().all(|(n, _)| n != "test.ts.probe_dead"));
-        // Replacement: same name re-registered supersedes.
-        register_probe("test.ts.probe_live", || Some(9.0));
-        let values = sample_probes();
-        assert_eq!(
-            values
-                .iter()
-                .filter(|(n, _)| n == "test.ts.probe_live")
-                .count(),
-            1
-        );
-        assert!(values.contains(&("test.ts.probe_live".to_string(), 9.0)));
-    }
-
-    #[test]
     fn exposition_round_trips_through_the_parser() {
         let mut h = crate::metrics::Histogram::new();
         for v in [0.5, 1.0, 2.5, -1.0] {
@@ -716,12 +487,10 @@ mod tests {
         snapshot
             .metrics
             .insert("test.ts.hist".to_string(), Metric::Histogram(h.clone()));
-        let probes = vec![("test.ts.depth".to_string(), 4.0)];
-        let text = render_exposition(123, &snapshot, &probes);
+        let text = render_exposition(123, &snapshot);
         let parsed = parse_exposition(&text).expect("valid exposition");
         assert_eq!(parsed.value("selfheal_sample_ts_ns"), Some(123.0));
         assert_eq!(parsed.value("selfheal_test_ts_counter"), Some(3.0));
-        assert_eq!(parsed.value("selfheal_test_ts_depth"), Some(4.0));
         assert_eq!(
             parsed.types.get("selfheal_test_ts_hist").map(String::as_str),
             Some("histogram")
@@ -771,36 +540,18 @@ mod tests {
 
     #[test]
     fn sampler_lifecycle_ticks_and_stops() {
-        let dir = std::env::temp_dir();
         let unique = crate::event::current_thread_hash();
-        let jsonl = dir.join(format!("selfheal-ts-{unique}.jsonl"));
-        let status = dir.join(format!("selfheal-ts-{unique}.prom"));
+        let status = std::env::temp_dir().join(format!("selfheal-ts-{unique}.prom"));
         crate::metrics::set_enabled(true);
         crate::metrics::counter_add("test.ts.lifecycle", 5.0);
-        let sampler = Sampler::start(SamplerConfig {
-            interval: Some(Duration::from_millis(10)),
-            jsonl: Some(jsonl.clone()),
-            status: Some(status.clone()),
-        })
-        .expect("sampler starts");
+        let sampler =
+            Sampler::start(status.clone(), Duration::from_millis(10)).expect("sampler starts");
         std::thread::sleep(Duration::from_millis(40));
         sampler.stop();
-        let text = std::fs::read_to_string(&jsonl).expect("jsonl written");
-        let lines: Vec<&str> = text.lines().collect();
-        assert!(lines.len() >= 2, "at least first+final ticks: {lines:?}");
-        let mut last_ts = -1.0;
-        for line in &lines {
-            let json = crate::json::parse(line).expect("valid JSONL");
-            let ts = json.get("ts_ns").and_then(Json::as_f64).expect("ts_ns");
-            assert!(ts >= last_ts, "timestamps monotone");
-            last_ts = ts;
-            assert!(json.get("metrics").is_some());
-        }
         let status_text = std::fs::read_to_string(&status).expect("status written");
         let parsed = parse_exposition(&status_text).expect("valid exposition");
         assert!(parsed.value("selfheal_sample_ts_ns").is_some());
         assert!(parsed.value("selfheal_test_ts_lifecycle").is_some());
-        std::fs::remove_file(&jsonl).ok();
         std::fs::remove_file(&status).ok();
     }
 }

@@ -64,32 +64,19 @@ RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
 echo "== telemetry sampler smoke" >&2
 # One real bench run with the streaming sampler on: the Prometheus
 # status file must parse as valid text exposition (selfheal-top --check
-# embeds the in-tree parser) and the time-series JSONL must carry
-# strictly monotone sample timestamps.
-SELFHEAL_TELEMETRY="timeseries:$SMOKE_DIR/series.jsonl" \
+# embeds the in-tree parser and requires selfheal_sample_ts_ns).
 SELFHEAL_TELEMETRY_SAMPLE=20ms \
     target/release/telemetry_sampler --json --status "$SMOKE_DIR/status.prom" \
     > /dev/null
 target/release/selfheal-top --check "$SMOKE_DIR/status.prom"
-python3 - "$SMOKE_DIR/series.jsonl" <<'PY'
-import json, sys
-stamps = []
-with open(sys.argv[1]) as fh:
-    for line in fh:
-        tick = json.loads(line)
-        stamps.append(tick["ts_ns"])
-        assert tick["metrics"], "sampler tick carries no metrics"
-assert stamps, "sampler wrote no time-series ticks"
-assert all(a < b for a, b in zip(stamps, stamps[1:])), "ts_ns not monotone"
-print(f"timeseries: {len(stamps)} ticks, ts_ns strictly monotone")
-PY
 
 echo "== fleet daemon smoke" >&2
 # End-to-end service path: fleetd on an ephemeral loopback port with a
 # small fleet, an isolated checkpoint store, latency objectives, a flight
 # recorder, and a Chrome-trace sink; one request of each type (plus a
 # debug-dump) via fleet_smoke tracing its own side, the live
-# status file re-checked (including mtime freshness and the slo gauges),
+# status file re-checked (including mtime freshness, the epoch gauge and
+# the slo gauges),
 # both trace halves merged into one connected flow graph, and a clean
 # shutdown that must leave a final checkpoint behind.
 SELFHEAL_TELEMETRY_SAMPLE=50ms \
@@ -113,6 +100,8 @@ wait "$FLEETD_PID"
 target/release/selfheal-top --check --max-age 60s "$SMOKE_DIR/fleet.prom"
 grep -q '^selfheal_slo_plan_p99_ok' "$SMOKE_DIR/fleet.prom" \
     || { echo "status file carries no slo gauges" >&2; exit 1; }
+grep -q '^selfheal_fleet_epoch ' "$SMOKE_DIR/fleet.prom" \
+    || { echo "status file carries no fleet epoch gauge" >&2; exit 1; }
 # A stale status file (dead writer) must now fail the checker.
 touch -d '10 minutes ago' "$SMOKE_DIR/fleet.prom"
 if target/release/selfheal-top --check --max-age 60s "$SMOKE_DIR/fleet.prom" 2>/dev/null; then

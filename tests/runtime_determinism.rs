@@ -75,17 +75,17 @@ proptest! {
 fn par_matches_serial_with_sampling_enabled() {
     // The streaming sampler must be a pure observer: with metrics
     // recording on and the sampler thread snapshotting the registry at an
-    // aggressive cadence (plus live pool probes firing), parallel results
-    // stay bit-for-bit identical to serial.
+    // aggressive cadence into a status file, parallel results stay
+    // bit-for-bit identical to serial.
     use std::time::Duration;
     let expected = serial_reference(2014, 24);
     selfheal_telemetry::metrics::set_enabled(true);
-    let sampler = selfheal_telemetry::Sampler::start(selfheal_telemetry::SamplerConfig {
-        interval: Some(Duration::from_millis(1)),
-        jsonl: None,
-        status: None,
-    })
-    .expect("sampler starts");
+    let status = std::env::temp_dir().join(format!(
+        "selfheal-determinism-{}.prom",
+        std::process::id()
+    ));
+    let sampler = selfheal_telemetry::Sampler::start(status.clone(), Duration::from_millis(1))
+        .expect("sampler starts");
     for workers in [2usize, 8] {
         let pool = Pool::new(workers);
         let seeds = SeedSequence::new(2014);
@@ -94,6 +94,7 @@ fn par_matches_serial_with_sampling_enabled() {
         assert_eq!(expected, parallel, "workers={workers} with sampler running");
     }
     sampler.stop();
+    std::fs::remove_file(&status).ok();
 }
 
 #[test]
