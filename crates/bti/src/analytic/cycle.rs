@@ -113,7 +113,7 @@ impl AnalyticBti {
             Phase::Recovery => self.advance_recovery(cond.env(), dt),
         }
         telemetry::counter!("bti.analytic.advance_calls", 1.0);
-        telemetry::gauge!("bti.analytic.delta_vth_mv", self.total_mv);
+        telemetry::histogram!("bti.analytic.delta_vth_mv", self.total_mv);
     }
 
     fn advance_stress(&mut self, cond: DeviceCondition, dt: Seconds) {

@@ -201,7 +201,7 @@ impl TrapEnsemble {
             } else {
                 telemetry::metrics::counter_add("bti.td.trap_emissions", -net);
             }
-            telemetry::metrics::gauge_set("bti.td.expected_occupied", stats.occupied_after);
+            telemetry::metrics::histogram_observe("bti.td.expected_occupied", stats.occupied_after);
             // Throughput counters: the sampler's time-series (and the
             // `selfheal-top` dashboard) derive traps-advanced/s and
             // kernel-calls/s from successive samples of these.

@@ -11,9 +11,11 @@
 use std::net::{SocketAddr, TcpStream};
 
 use selfheal_runtime::SeedSequence;
-use selfheal_telemetry::{emit_flow_end, emit_flow_start, span};
+use selfheal_telemetry::{emit_flow_end, emit_flow_start};
 
-use crate::proto::{read_frame, write_frame, FrameError, Request, Response, TraceContext};
+use crate::proto::{
+    read_frame, trace_span, write_frame, FrameError, Request, Response, TraceContext,
+};
 
 /// One connection to a fleet daemon.
 #[derive(Debug)]
@@ -68,14 +70,7 @@ impl FleetClient {
     /// surfaces as [`FrameError::Io`].
     pub fn call(&mut self, request: &Request) -> Result<Response, FrameError> {
         let trace = self.tracer.as_mut().map(Tracer::next);
-        let _span = match trace {
-            Some(trace) => span!(
-                "fleet.client.request",
-                kind = request.kind(),
-                trace_id = trace.trace_id,
-            ),
-            None => span!("fleet.client.request", kind = request.kind()),
-        };
+        let _span = trace_span("fleet.client.request", request.kind(), trace);
         let payload = request.to_json_with_trace(trace).render().into_bytes();
         if let Some(trace) = trace {
             emit_flow_start("fleet.rpc", trace.flow_id);

@@ -25,10 +25,10 @@ use crate::state::FleetState;
 /// `bad-request`.
 ///
 /// The planner simulates every cycle of the horizon some forty times
-/// while it bisects, so an unbounded count lets one request stall the
-/// state thread or abort the daemon on allocation. A year of daily
-/// cycles is 365; at the cap a plan costs about 0.15 s of state-thread
-/// time (roughly 1.8 µs per simulated cycle on a 2-vCPU x86-64 host).
+/// while it bisects, so an unbounded count lets one request hold the
+/// daemon lock indefinitely or abort the daemon on allocation. A year of
+/// daily cycles is 365; at the cap a plan holds the lock for about
+/// 0.15 s (roughly 1.8 µs per simulated cycle on a 2-vCPU x86-64 host).
 pub const MAX_PLAN_CYCLES: u32 = 2_000;
 
 /// The fleet daemon: state, planner, checkpoint policy.

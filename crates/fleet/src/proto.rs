@@ -16,7 +16,7 @@ use std::io::{Read, Write};
 use selfheal::{RejuvenationPlan, RejuvenationTechnique};
 use selfheal_runtime::SeedSequence;
 use selfheal_units::{DutyCycle, Millivolts, Ratio, Seconds};
-use selfheal_telemetry::{json, Json};
+use selfheal_telemetry::{json, span, Json, Span};
 
 /// Hard ceiling on frame payloads (1 MiB). A peer announcing more is
 /// answered with an `oversize` error and disconnected — the bytes are
@@ -134,11 +134,11 @@ pub const TRACE_ID_MASK: u64 = (1 << 48) - 1;
 /// The ids derive from the client's [`SeedSequence`], so a seeded run
 /// produces the same trace ids every time — traces are diffable across
 /// runs, like everything else in the workspace. A request's `flow_id`
-/// names the client→daemon arrow; the two deterministic salted
-/// variants, [`queue_flow`](Self::queue_flow) and
-/// [`reply_flow`](Self::reply_flow), name the daemon-internal mpsc
-/// hand-off and the daemon→client reply arrow, so one request renders
-/// as a connected three-arrow chain in a merged trace.
+/// names the client→daemon arrow and its salted variant,
+/// [`reply_flow`](Self::reply_flow), the daemon→client reply arrow, so
+/// one request renders as a connected two-arrow chain in a merged
+/// trace: client span → rpc arrow → the worker's `fleet.request` span
+/// (with `fleet.execute` nested inside it) → reply arrow back.
 ///
 /// Old daemons ignore the `trace` field (unknown JSON fields are
 /// skipped by every parser in this module) and old clients simply never
@@ -160,12 +160,6 @@ impl TraceContext {
             trace_id: seeds.derive(request_index * 2) & TRACE_ID_MASK,
             flow_id: seeds.derive(request_index * 2 + 1) & TRACE_ID_MASK,
         }
-    }
-
-    /// Flow id of the worker→state-thread mpsc hand-off arrow.
-    #[must_use]
-    pub fn queue_flow(self) -> u64 {
-        self.flow_id ^ 1
     }
 
     /// Flow id of the daemon→client reply arrow.
@@ -197,6 +191,15 @@ impl TraceContext {
             trace_id: id,
             flow_id: flow,
         })
+    }
+}
+
+/// Opens the span `name` for one request of type `kind`, stamped with
+/// the client's trace id when the request carried one.
+pub(crate) fn trace_span(name: &str, kind: &'static str, trace: Option<TraceContext>) -> Span {
+    match trace {
+        Some(trace) => span!(name, kind = kind, trace_id = trace.trace_id),
+        None => span!(name, kind = kind),
     }
 }
 
@@ -784,11 +787,9 @@ mod tests {
             let trace = TraceContext::derive(&seeds, i as u64);
             assert!(trace.trace_id <= TRACE_ID_MASK);
             assert!(trace.flow_id <= TRACE_ID_MASK);
-            // Salted flow variants stay distinct so the three arrows of
+            // The salted reply flow stays distinct so the two arrows of
             // one request never collapse onto each other.
-            assert_ne!(trace.flow_id, trace.queue_flow());
             assert_ne!(trace.flow_id, trace.reply_flow());
-            assert_ne!(trace.queue_flow(), trace.reply_flow());
 
             let payload = request
                 .to_json_with_trace(Some(trace))

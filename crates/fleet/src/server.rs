@@ -2,34 +2,33 @@
 //! `std::net::TcpListener`.
 //!
 //! N worker threads share one listener (via `try_clone`) and each
-//! serves one connection at a time; decoded requests travel over an
-//! mpsc channel to the single *state thread* (the caller of
-//! [`FleetServer::run`]), which owns the [`FleetDaemon`] outright — no
-//! locks around fleet state, and request handling is serialized exactly
-//! like the registry/message-server idiom this follows. The state
-//! thread doubles as the epoch clock: between requests it waits with a
-//! deadline and advances the fleet when the wall-clock epoch interval
-//! elapses.
+//! serves one connection at a time. A worker decodes a frame, takes the
+//! one daemon lock, runs [`FleetDaemon::handle`], releases the lock and
+//! writes the reply, so requests execute strictly one at a time and in
+//! order per connection. The caller of [`FleetServer::run`] keeps only
+//! the epoch clock: at each wall-clock deadline it advances the fleet
+//! under the same lock and re-judges the latency objectives.
 //!
 //! Shutdown is cooperative: a `shutdown` request (the SIGTERM
-//! equivalent — the CLI sends one over loopback) flips a shared flag,
-//! the state thread writes a final checkpoint, wakes every worker with
-//! a dummy connection, and joins them. Connections in flight notice the
+//! equivalent — the CLI sends one over loopback) raises a shared flag
+//! under the lock and wakes the clock once. A request that takes the
+//! lock after that is dropped unanswered and never runs, so the final
+//! checkpoint, written under the lock, holds every answered mutation.
+//! The clock thread then wakes every worker parked in `accept` with a
+//! dummy connection and joins them; connections in flight notice the
 //! flag at their next read timeout.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-use selfheal_telemetry::{
-    counter, emit_flow_end, emit_flow_start, flight, histogram, metrics, span,
-};
+use selfheal_telemetry::{counter, emit_flow_end, emit_flow_start, flight, histogram, metrics};
 
 use crate::daemon::FleetDaemon;
 use crate::proto::{
-    read_frame, write_frame, ErrorCode, FrameError, Request, Response, TraceContext,
+    read_frame, trace_span, write_frame, ErrorCode, FrameError, Request, Response, TraceContext,
 };
 use crate::slo;
 
@@ -77,18 +76,6 @@ pub struct ServeSummary {
     pub checkpointed: bool,
 }
 
-/// One decoded request in flight from a worker to the state thread.
-#[derive(Debug)]
-struct Job {
-    request: Request,
-    /// The client's trace context, if it sent one — carried across the
-    /// mpsc hand-off so the state thread's execution span joins the same
-    /// flow chain the worker and client are emitting into.
-    trace: Option<TraceContext>,
-    kind: &'static str,
-    reply: Sender<Response>,
-}
-
 /// A bound-but-not-yet-running fleet server.
 #[derive(Debug)]
 pub struct FleetServer {
@@ -96,8 +83,27 @@ pub struct FleetServer {
     listener: TcpListener,
     addr: SocketAddr,
     config: ServerConfig,
-    /// The shutdown flag the state thread raises and the workers poll.
-    shutdown: Arc<AtomicBool>,
+}
+
+/// What the workers and the epoch clock share.
+struct Shared {
+    /// The one daemon lock: every request and every epoch runs under it.
+    daemon: Mutex<FleetDaemon>,
+    /// Raised under the daemon lock; a request that takes the lock
+    /// after it is dropped unanswered.
+    shutdown: AtomicBool,
+    /// Wakes the epoch clock once a worker has executed `shutdown`.
+    wake: Sender<()>,
+}
+
+impl Shared {
+    fn lock(&self) -> MutexGuard<'_, FleetDaemon> {
+        self.daemon.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn shutting_down(&self) -> bool {
+        self.shutdown.load(Ordering::SeqCst)
+    }
 }
 
 impl FleetServer {
@@ -115,7 +121,6 @@ impl FleetServer {
             listener,
             addr,
             config,
-            shutdown: Arc::new(AtomicBool::new(false)),
         })
     }
 
@@ -128,28 +133,39 @@ impl FleetServer {
     /// Serves until shutdown (request or epoch limit), then writes the
     /// final checkpoint and joins every worker. Blocking — spawn a
     /// thread to run it alongside test clients.
-    pub fn run(mut self) -> ServeSummary {
-        let (tx, rx) = mpsc::channel::<Job>();
+    pub fn run(self) -> ServeSummary {
+        let (wake, woken) = mpsc::channel();
+        let shared = Arc::new(Shared {
+            daemon: Mutex::new(self.daemon),
+            shutdown: AtomicBool::new(false),
+            wake,
+        });
         let mut workers = Vec::with_capacity(self.config.workers.max(1));
         for index in 0..self.config.workers.max(1) {
             let listener = match self.listener.try_clone() {
                 Ok(listener) => listener,
                 Err(err) => panic!("cannot clone fleet listener: {err}"),
             };
-            let tx = tx.clone();
-            let shutdown = Arc::clone(&self.shutdown);
+            let shared = Arc::clone(&shared);
             let builder = std::thread::Builder::new().name(format!("fleet-worker-{index}"));
-            match builder.spawn(move || worker_loop(&listener, &tx, &shutdown)) {
+            match builder.spawn(move || worker_loop(&listener, &shared)) {
                 Ok(handle) => workers.push(handle),
                 Err(err) => panic!("cannot spawn fleet worker: {err}"),
             }
         }
-        drop(tx);
 
-        let epochs = self.state_loop(&rx);
+        let epochs = epoch_clock(&shared, &self.config, &woken);
 
-        self.shutdown.store(true, Ordering::SeqCst);
-        let checkpointed = self.daemon.final_checkpoint();
+        let summary = {
+            let daemon = shared.lock();
+            shared.shutdown.store(true, Ordering::SeqCst);
+            ServeSummary {
+                requests: daemon.requests_served(),
+                epochs,
+                final_state_digest: daemon.state().state_digest(),
+                checkpointed: daemon.final_checkpoint(),
+            }
+        };
         // Wake workers parked in accept(); a worker mid-connection exits
         // at its next read poll instead.
         for _ in &workers {
@@ -158,95 +174,85 @@ impl FleetServer {
         for worker in workers {
             drop(worker.join());
         }
-        ServeSummary {
-            requests: self.daemon.requests_served(),
-            epochs,
-            final_state_digest: self.daemon.state().state_digest(),
-            checkpointed,
-        }
-    }
-
-    /// The state thread: single owner of the daemon. Returns the number
-    /// of epochs advanced.
-    fn state_loop(&mut self, rx: &Receiver<Job>) -> u64 {
-        let mut epochs = 0u64;
-        let mut next_epoch = self.config.epoch_interval.map(|d| Instant::now() + d);
-        loop {
-            if self.shutdown.load(Ordering::SeqCst) {
-                return epochs;
-            }
-            if let Some(max) = self.config.max_epochs {
-                if epochs >= max {
-                    return epochs;
-                }
-            }
-            let job = match (next_epoch, self.config.epoch_interval) {
-                (Some(deadline), Some(interval)) => {
-                    let now = Instant::now();
-                    if now >= deadline {
-                        self.daemon.advance_epoch();
-                        epochs += 1;
-                        // Re-judge the latency objectives once per epoch
-                        // from the histograms the workers have been
-                        // feeding; pure reads, published as slo.* gauges.
-                        let slos = &self.daemon.state().config().slos;
-                        if !slos.is_empty() && metrics::enabled() {
-                            drop(slo::evaluate_and_publish(slos, &metrics::snapshot()));
-                        }
-                        next_epoch = Some(now + interval);
-                        continue;
-                    }
-                    match rx.recv_timeout(deadline - now) {
-                        Ok(job) => job,
-                        Err(RecvTimeoutError::Timeout) => continue,
-                        Err(RecvTimeoutError::Disconnected) => return epochs,
-                    }
-                }
-                _ => match rx.recv() {
-                    Ok(job) => job,
-                    Err(_) => return epochs,
-                },
-            };
-            let wants_shutdown = matches!(job.request, Request::Shutdown);
-            let response = {
-                let _span = match job.trace {
-                    Some(trace) => span!(
-                        "fleet.execute",
-                        kind = job.kind,
-                        trace_id = trace.trace_id,
-                    ),
-                    None => span!("fleet.execute", kind = job.kind),
-                };
-                // Close the mpsc hand-off arrow the worker opened.
-                if let Some(trace) = job.trace {
-                    emit_flow_end("fleet.queue", trace.queue_flow());
-                }
-                self.daemon.handle(&job.request)
-            };
-            drop(job.reply.send(response));
-            if wants_shutdown {
-                return epochs;
-            }
-        }
+        summary
     }
 }
 
-/// One worker: accept, serve the connection to completion, repeat.
-fn worker_loop(listener: &TcpListener, tx: &Sender<Job>, shutdown: &AtomicBool) {
+/// The epoch clock, run by the caller of [`FleetServer::run`]: advances
+/// the fleet under the daemon lock at each deadline until `max_epochs`
+/// or until a worker has executed `shutdown`. Returns the epochs
+/// advanced.
+fn epoch_clock(shared: &Shared, config: &ServerConfig, woken: &Receiver<()>) -> u64 {
+    let mut epochs = 0u64;
+    let mut next_epoch = config.epoch_interval.map(|d| Instant::now() + d);
     loop {
-        if shutdown.load(Ordering::SeqCst) {
+        if config.max_epochs.is_some_and(|max| epochs >= max) {
+            return epochs;
+        }
+        let (Some(deadline), Some(interval)) = (next_epoch, config.epoch_interval) else {
+            let _ = woken.recv();
+            return epochs;
+        };
+        let now = Instant::now();
+        if now < deadline {
+            match woken.recv_timeout(deadline - now) {
+                Err(RecvTimeoutError::Timeout) => continue,
+                Ok(()) | Err(RecvTimeoutError::Disconnected) => return epochs,
+            }
+        }
+        let mut daemon = shared.lock();
+        if shared.shutting_down() {
+            return epochs;
+        }
+        daemon.advance_epoch();
+        epochs += 1;
+        // Re-judge the latency objectives once per epoch from the
+        // histograms the workers have been feeding; pure reads,
+        // published as slo.* gauges.
+        let slos = &daemon.state().config().slos;
+        if !slos.is_empty() && metrics::enabled() {
+            drop(slo::evaluate_and_publish(slos, &metrics::snapshot()));
+        }
+        next_epoch = Some(now + interval);
+    }
+}
+
+/// Executes one request under the daemon lock inside its
+/// `fleet.execute` span, or returns `None` when shutdown took the lock
+/// first: such a request is dropped unanswered and never runs, so the
+/// final checkpoint holds every answered mutation.
+fn execute(shared: &Shared, request: &Request, trace: Option<TraceContext>) -> Option<Response> {
+    let mut daemon = shared.lock();
+    if shared.shutting_down() {
+        return None;
+    }
+    let response = {
+        let _span = trace_span("fleet.execute", request.kind(), trace);
+        daemon.handle(request)
+    };
+    if matches!(request, Request::Shutdown) {
+        shared.shutdown.store(true, Ordering::SeqCst);
+        let _ = shared.wake.send(());
+    }
+    Some(response)
+}
+
+/// One worker: accept, serve the connection to completion, repeat.
+fn worker_loop(listener: &TcpListener, shared: &Shared) {
+    loop {
+        if shared.shutting_down() {
             return;
         }
         match listener.accept() {
             Ok((stream, _peer)) => {
-                if shutdown.load(Ordering::SeqCst) {
+                if shared.shutting_down() {
                     return;
                 }
                 counter!("fleet.connections", 1);
-                serve_connection(stream, tx, shutdown);
+                serve_connection(stream, shared);
             }
             Err(_) => {
-                if shutdown.load(Ordering::SeqCst) {
+                if shared.shutting_down() {
                     return;
                 }
             }
@@ -255,11 +261,11 @@ fn worker_loop(listener: &TcpListener, tx: &Sender<Job>, shutdown: &AtomicBool) 
 }
 
 /// Serves one connection until it closes, errors fatally, or shutdown.
-fn serve_connection(mut stream: TcpStream, tx: &Sender<Job>, shutdown: &AtomicBool) {
+fn serve_connection(mut stream: TcpStream, shared: &Shared) {
     drop(stream.set_read_timeout(Some(READ_POLL)));
     drop(stream.set_nodelay(true));
     loop {
-        if shutdown.load(Ordering::SeqCst) {
+        if shared.shutting_down() {
             return;
         }
         match read_frame(&mut stream) {
@@ -270,34 +276,12 @@ fn serve_connection(mut stream: TcpStream, tx: &Sender<Job>, shutdown: &AtomicBo
                     Ok((request, request_trace)) => {
                         trace = request_trace;
                         let kind = request.kind();
-                        let _span = match trace {
-                            Some(trace) => span!(
-                                "fleet.request",
-                                kind = kind,
-                                trace_id = trace.trace_id,
-                            ),
-                            None => span!("fleet.request", kind = kind),
-                        };
+                        let _span = trace_span("fleet.request", kind, trace);
                         if let Some(trace) = trace {
-                            // Land the client's rpc arrow in this span,
-                            // then open the mpsc hand-off arrow the state
-                            // thread will close.
+                            // Land the client's rpc arrow in this span.
                             emit_flow_end("fleet.rpc", trace.flow_id);
-                            emit_flow_start("fleet.queue", trace.queue_flow());
                         }
-                        let (reply_tx, reply_rx) = mpsc::channel();
-                        if tx
-                            .send(Job {
-                                request,
-                                trace,
-                                kind,
-                                reply: reply_tx,
-                            })
-                            .is_err()
-                        {
-                            return; // state thread gone: shutting down
-                        }
-                        let Ok(response) = reply_rx.recv() else {
+                        let Some(response) = execute(shared, &request, trace) else {
                             return;
                         };
                         let elapsed = started.elapsed();

@@ -20,7 +20,7 @@ use selfheal_bti::td::{
 };
 use selfheal_bti::DeviceCondition;
 use selfheal_runtime::{par_map_indexed, SeedSequence};
-use selfheal_telemetry::fnv1a;
+use selfheal_telemetry::{fnv1a, fnv1a_extend};
 use selfheal_units::{DutyCycle, Millivolts, Seconds};
 
 use crate::config::FleetConfig;
@@ -366,12 +366,10 @@ impl FleetState {
             self.shards[shard].chips[local].tier = ChipTier::Pinned;
         }
         self.shards[shard].chips[local].duty = duty;
-        let mut bytes = Vec::with_capacity(32);
-        bytes.extend_from_slice(&self.mutation_digest.to_be_bytes());
-        bytes.extend_from_slice(&self.epoch.to_be_bytes());
-        bytes.extend_from_slice(&(chip as u64).to_be_bytes());
-        bytes.extend_from_slice(&duty.get().to_bits().to_be_bytes());
-        self.mutation_digest = fnv1a(&bytes);
+        let mut hash = fnv1a(&self.mutation_digest.to_be_bytes());
+        hash = fnv1a_extend(hash, &self.epoch.to_be_bytes());
+        hash = fnv1a_extend(hash, &(chip as u64).to_be_bytes());
+        self.mutation_digest = fnv1a_extend(hash, &duty.get().to_bits().to_be_bytes());
         true
     }
 
@@ -408,29 +406,28 @@ impl FleetState {
     /// Two states with equal digests answer every request identically.
     #[must_use]
     pub fn state_digest(&self) -> u64 {
-        let mut bytes = Vec::new();
-        bytes.extend_from_slice(&self.epoch.to_be_bytes());
-        bytes.extend_from_slice(&self.mutation_digest.to_be_bytes());
+        let mut hash = fnv1a(&self.epoch.to_be_bytes());
+        hash = fnv1a_extend(hash, &self.mutation_digest.to_be_bytes());
         for shard in &self.shards {
             for occ in shard.bank.occupancies() {
-                bytes.extend_from_slice(&occ.to_bits().to_be_bytes());
+                hash = fnv1a_extend(hash, &occ.to_bits().to_be_bytes());
             }
             for chip in &shard.chips {
-                bytes.extend_from_slice(&chip.duty.get().to_bits().to_be_bytes());
+                hash = fnv1a_extend(hash, &chip.duty.get().to_bits().to_be_bytes());
                 match &chip.tier {
-                    ChipTier::Hot => bytes.push(0),
-                    ChipTier::Pinned => bytes.push(1),
+                    ChipTier::Hot => hash = fnv1a_extend(hash, &[0]),
+                    ChipTier::Pinned => hash = fnv1a_extend(hash, &[1]),
                     ChipTier::Cold(cold) => {
-                        bytes.push(2);
-                        bytes.extend_from_slice(&cold.anchor.get().to_bits().to_be_bytes());
-                        bytes.extend_from_slice(&cold.rate_mv_per_s.to_bits().to_be_bytes());
-                        bytes.extend_from_slice(&cold.since_epoch.to_be_bytes());
-                        bytes.extend_from_slice(&cold.wake_epoch.to_be_bytes());
+                        hash = fnv1a_extend(hash, &[2]);
+                        hash = fnv1a_extend(hash, &cold.anchor.get().to_bits().to_be_bytes());
+                        hash = fnv1a_extend(hash, &cold.rate_mv_per_s.to_bits().to_be_bytes());
+                        hash = fnv1a_extend(hash, &cold.since_epoch.to_be_bytes());
+                        hash = fnv1a_extend(hash, &cold.wake_epoch.to_be_bytes());
                     }
                 }
             }
         }
-        fnv1a(&bytes)
+        hash
     }
 
     /// Total traps across all shards.
@@ -581,5 +578,20 @@ mod tests {
             assert!(range.end <= shard.bank.len());
         }
         assert!(fleet.chip_view(10).is_none());
+    }
+
+    /// Both digests are part of the checkpoint and the `stats` reply, so
+    /// their values are pinned for a tiered fleet with cold and pinned
+    /// chips after a report and two epochs.
+    #[test]
+    fn digests_are_pinned() {
+        let mut fleet = FleetState::build(tiered_config());
+        fleet.advance_epoch();
+        assert_eq!(fleet.chip_tier(1).map(|t| t.is_cold()), Some(true));
+        assert!(fleet.fold_report(1, DutyCycle::new(0.3)));
+        fleet.advance_epoch();
+        assert_eq!(fleet.tier_counts().cold, 8, "cold-tier bytes are hashed");
+        assert_eq!(fleet.mutation_digest(), 0x499e_2534_14bb_b5a8);
+        assert_eq!(fleet.state_digest(), 0x9d30_a254_2483_26cd);
     }
 }

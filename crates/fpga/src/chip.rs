@@ -150,8 +150,8 @@ impl Chip {
             cut_delay: self.counter.delay_of_count(mean),
         };
         telemetry::counter!("fpga.chip.measurements", 1.0);
-        telemetry::gauge!("fpga.chip.ro_frequency_mhz", measurement.frequency.get() / 1e6);
-        telemetry::gauge!("fpga.chip.cut_delay_ns", measurement.cut_delay.get());
+        telemetry::histogram!("fpga.chip.ro_frequency_mhz", measurement.frequency.get() / 1e6);
+        telemetry::histogram!("fpga.chip.cut_delay_ns", measurement.cut_delay.get());
         telemetry::event!(
             "fpga.chip.measure",
             chip = self.id.get(),

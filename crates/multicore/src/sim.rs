@@ -208,7 +208,7 @@ impl MulticoreSim {
         if telemetry::metrics::enabled() {
             let worst = float::max_of(self.cores.iter().map(|c| c.delta_vth().get()))
                 .unwrap_or(0.0);
-            telemetry::metrics::gauge_set("multicore.worst_delta_vth_mv", worst);
+            telemetry::metrics::histogram_observe("multicore.worst_delta_vth_mv", worst);
             let hottest = float::max_of(temps.iter().map(|t| t.get())).unwrap_or(0.0);
             telemetry::metrics::histogram_observe("multicore.hottest_core_celsius", hottest);
         }

@@ -61,8 +61,11 @@ fn one_scheduler_decision_event_per_sim_step() {
         Some(&Metric::Counter(f64::from(steps as u32))),
     );
     assert!(
-        matches!(snapshot.get("multicore.worst_delta_vth_mv"), Some(Metric::Gauge(mv)) if *mv >= 0.0),
-        "worst-core gauge is recorded"
+        matches!(
+            snapshot.get("multicore.worst_delta_vth_mv"),
+            Some(Metric::Histogram(h)) if h.count() == steps as u64 && h.min() >= Some(0.0)
+        ),
+        "the worst core is observed once per step"
     );
     telemetry::metrics::set_enabled(false);
 }

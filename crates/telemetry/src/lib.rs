@@ -67,7 +67,7 @@ pub use event::{
 };
 pub use flight::{FlightRecord, FlightRecorder};
 pub use json::Json;
-pub use manifest::{fnv1a, git_describe, RunManifest};
+pub use manifest::{fnv1a, fnv1a_extend, git_describe, RunManifest};
 pub use metrics::{counter_add, gauge_set, histogram_observe, Histogram, Metric, MetricsSnapshot};
 pub use sink::{
     events_enabled, flush_all, init_from_env, install_sink, ChromeTraceSink, JsonlSink,
@@ -235,7 +235,7 @@ macro_rules! counter {
     };
 }
 
-/// Sets a named gauge: `gauge!("multicore.worst_delta_vth_mv", mv)`.
+/// Sets a named gauge: `gauge!("fleet.epoch", epoch)`.
 #[macro_export]
 macro_rules! gauge {
     ($name:expr, $value:expr $(,)?) => {

@@ -120,19 +120,27 @@ assert "lifecycle" in kinds, f"no lifecycle records in {set(kinds)}"
 assert "request" in kinds, f"no request records in {set(kinds)}"
 print(f"flight dump: {len(kinds)} parseable event(s)")
 PY
-# Merge the two trace halves: at least one rpc flow must span both pids.
+# Merge the two trace halves: each request is two arrows, the client's
+# fleet.rpc into the daemon and the daemon's fleet.reply back, so each
+# name needs at least one id spanning both pids. Neither half may carry
+# the fleet.queue hand-off arrow the daemon no longer has.
 target/release/trace_merge --out "$SMOKE_DIR/fleet.merged.trace.json" \
     "$SMOKE_DIR/fleet.client.trace.json" "$SMOKE_DIR/fleet.daemon.trace.json"
-python3 - "$SMOKE_DIR/fleet.merged.trace.json" <<'PY'
+python3 - "$SMOKE_DIR/fleet.merged.trace.json" \
+    "$SMOKE_DIR/fleet.client.trace.json" "$SMOKE_DIR/fleet.daemon.trace.json" <<'PY'
 import json, sys
 doc = json.load(open(sys.argv[1]))
 flows = {}
 for event in doc["traceEvents"]:
     if event.get("ph") in ("s", "f"):
         flows.setdefault((event["name"], event["id"]), set()).add(event["pid"])
-crossed = [k for k, pids in flows.items() if len(pids) > 1]
-assert crossed, f"no flow spans both processes ({len(flows)} flow id(s))"
-print(f"trace merge: {len(crossed)} cross-process flow(s) of {len(flows)}")
+crossed = {name for (name, _), pids in flows.items() if len(pids) > 1}
+for name in ("fleet.rpc", "fleet.reply"):
+    assert name in crossed, f"no {name} flow spans both processes ({len(flows)} flow id(s))"
+for half in sys.argv[2:]:
+    events = json.load(open(half))["traceEvents"]
+    assert not any(e.get("name") == "fleet.queue" for e in events), f"{half} has a fleet.queue event"
+print(f"trace merge: {sum(len(p) > 1 for p in flows.values())} cross-process flow(s) of {len(flows)}")
 PY
 # A fleet keeps exactly one checkpoint file, overwritten at every save.
 CKPTS=$(find "$SMOKE_DIR/fleet-cache" -name '*.json' | wc -l)
