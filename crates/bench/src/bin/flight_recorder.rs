@@ -56,9 +56,10 @@ impl Default for Options {
 const USAGE: &str = "usage: flight_recorder [--chips N] [--shards N] [--seed N] [--traps MEAN]\n\
                      \x20                       [--requests N] [--json]";
 
-fn parse_options() -> Result<Options, String> {
+/// Parses the arguments [`BenchRun::start`] left over.
+fn parse_options(args: &[String]) -> Result<Options, String> {
     let mut opts = Options::default();
-    let mut args = std::env::args().skip(1);
+    let mut args = args.iter().cloned();
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| args.next().ok_or(format!("{flag} needs a value"));
         match arg.as_str() {
@@ -68,11 +69,6 @@ fn parse_options() -> Result<Options, String> {
             "--traps" => opts.traps = parse(&value("--traps")?)?,
             "--requests" => opts.requests = parse(&value("--requests")?)?,
             "--help" | "-h" => return Err(USAGE.to_string()),
-            // BenchRun's common flags.
-            "--json" | "--no-cache" => {}
-            "--out" | "--trace" | "--folded" | "--status" | "--threads" => {
-                let _ = args.next();
-            }
             other => return Err(format!("unknown argument {other}\n{USAGE}")),
         }
     }
@@ -140,8 +136,7 @@ fn drive(daemon: &mut FleetDaemon, chips: u64, requests: u64, seed: u64) -> f64 
     started.elapsed().as_secs_f64() * 1e3
 }
 
-fn bench(opts: &Options) -> Result<(), String> {
-    let mut run = BenchRun::start("flight_recorder");
+fn bench(mut run: BenchRun, opts: &Options) -> Result<(), String> {
     run.say("Flight recorder: request-path overhead, recorder off vs on\n");
     let chips = u64::try_from(opts.chips).map_err(|_| "too many chips".to_string())?;
 
@@ -204,14 +199,15 @@ fn bench(opts: &Options) -> Result<(), String> {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_options() {
+    let run = BenchRun::start("flight_recorder");
+    let opts = match parse_options(run.args()) {
         Ok(opts) => opts,
         Err(message) => {
             eprintln!("flight_recorder: {message}");
             return ExitCode::FAILURE;
         }
     };
-    match bench(&opts) {
+    match bench(run, &opts) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("flight_recorder: {message}");

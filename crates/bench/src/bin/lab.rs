@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! USAGE:
-//!   lab [--seed N] [--chip N] [--csv FILE] [--json] [--out FILE] PHASE [PHASE ...]
+//!   lab [--seed N] [--chip N] [--csv FILE] [BenchRun flags] PHASE [PHASE ...]
 //!
 //! PHASE is either a Table 1 case name (AS110DC24, AR110N6, ...) or an
 //! ad-hoc spec  kind:temp_c:volts:hours[:sampling_min]  with kind one of
@@ -15,7 +15,9 @@
 //! ```
 //!
 //! Run with `cargo run -p selfheal-bench --release --bin lab -- <args>`.
-//! Pass `--json` for the run manifest instead of the human report.
+//! The common `BenchRun` flags (`--json`, `--out`, `--threads`,
+//! `--no-cache`, `--folded`, `--status`) work here as in every bench
+//! binary; `--json` prints the run manifest instead of the human report.
 
 use std::fs::File;
 use std::io::BufWriter;
@@ -29,7 +31,7 @@ use selfheal_testbench::{cases, PhaseSpec, TestHarness};
 use selfheal_units::{Celsius, Hours, Minutes, Seconds, Volts};
 
 fn main() -> ExitCode {
-    match run(std::env::args().skip(1).collect()) {
+    match run(BenchRun::start("lab")) {
         Ok(()) => ExitCode::SUCCESS,
         Err(message) => {
             eprintln!("lab: {message}");
@@ -40,13 +42,13 @@ fn main() -> ExitCode {
     }
 }
 
-fn run(args: Vec<String>) -> Result<(), String> {
+fn run(mut bench: BenchRun) -> Result<(), String> {
     let mut seed = 1u64;
     let mut chip_no = 1u32;
     let mut csv_path: Option<String> = None;
     let mut phases: Vec<PhaseSpec> = Vec::new();
 
-    let mut iter = args.into_iter().peekable();
+    let mut iter = bench.args().to_vec().into_iter();
     while let Some(arg) = iter.next() {
         match arg.as_str() {
             "--seed" => {
@@ -66,14 +68,10 @@ fn run(args: Vec<String>) -> Result<(), String> {
             "--csv" => {
                 csv_path = Some(iter.next().ok_or("--csv needs a path")?);
             }
-            // Consumed by BenchRun::start; skipped here.
-            "--json" => {}
-            "--out" => {
-                iter.next().ok_or("--out needs a path")?;
-            }
             "--help" | "-h" => {
                 return Err("help requested".to_string());
             }
+            other if other.starts_with("--") => return Err(format!("unknown flag {other}")),
             other => phases.push(parse_phase(other)?),
         }
     }
@@ -81,7 +79,6 @@ fn run(args: Vec<String>) -> Result<(), String> {
         return Err("no phases given".to_string());
     }
 
-    let mut bench = BenchRun::start("lab");
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
     let chip = Chip::commercial_40nm(ChipId::new(chip_no), &mut rng);
     let mut harness = TestHarness::new(chip);

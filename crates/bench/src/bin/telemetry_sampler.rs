@@ -18,13 +18,13 @@
 use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use selfheal_bench::{fmt, BenchRun, Table};
-use selfheal_bti::td::{Trap, TrapEnsemble, TrapEnsembleParams};
+use selfheal_bti::td::{PhaseRates, TrapBank, TrapEnsembleParams};
 use selfheal_bti::{DeviceCondition, Environment};
 use selfheal_telemetry::sink::scratch_path;
 use selfheal_telemetry::Sampler;
-use selfheal_units::{Celsius, Millivolts, Minutes, Seconds, Volts};
+use selfheal_units::{Celsius, Minutes, Seconds, Volts};
 
 /// Ensemble size: the kernel bench's headline size.
 const TRAPS: usize = 10_000;
@@ -34,38 +34,25 @@ const STEPS: usize = 200;
 /// overhead upper-bounds ordinary configurations.
 const SAMPLE_EVERY: Duration = Duration::from_millis(10);
 
-/// Builds an ensemble of exactly `TRAPS` traps from the default 40 nm
+/// A bank of exactly `TRAPS` traps from the default 40 nm
 /// distributions (same construction as the `trap_kernel` bench).
-fn ensemble(seed: u64) -> TrapEnsemble {
-    let params = TrapEnsembleParams::default();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (lo, hi) = params.log10_tau_c_range;
-    let (rlo, rhi) = params.log10_tau_ratio_range;
-    let traps: Vec<Trap> = (0..TRAPS)
-        .map(|_| {
-            let log_tau_c = rng.gen_range(lo..hi);
-            let ratio = rng.gen_range(rlo..rhi);
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            Trap::new(
-                Seconds::new(10f64.powf(log_tau_c)),
-                Seconds::new(10f64.powf(log_tau_c + ratio)),
-                Millivolts::new(-params.delta_vth_mean_mv.get() * u.ln()),
-                rng.gen_bool(params.permanent_fraction),
-            )
-        })
-        .collect();
-    TrapEnsemble::from_traps(traps)
+fn bank(seed: u64) -> TrapBank {
+    TrapEnsembleParams::default()
+        .traps(TRAPS, &mut StdRng::seed_from_u64(seed))
+        .collect()
 }
 
-/// One timed pass: `STEPS` DC-stress advances over the ensemble (the
-/// Fig. 5 aging loop's shape), metrics firing per step. Returns wall ms.
+/// One timed pass: `STEPS` DC-stress advances over the bank (the
+/// Fig. 5 aging loop's shape), the kernel counters firing per step.
+/// Returns wall ms.
 fn timed_pass(seed: u64) -> f64 {
     let cond = DeviceCondition::dc_stress(Environment::new(Volts::new(1.2), Celsius::new(110.0)));
+    let rates = PhaseRates::for_condition(cond);
     let dt: Seconds = Minutes::new(20.0).into();
-    let mut bank = ensemble(seed);
+    let mut bank = bank(seed);
     let started = Instant::now();
     for _ in 0..STEPS {
-        bank.advance(cond, dt);
+        bank.advance_all(&rates, dt);
     }
     started.elapsed().as_nanos() as f64 / 1e6
 }

@@ -11,7 +11,7 @@
 //!
 //! * **scalar** — [`Trap::advance`] per trap per phase on an AoS
 //!   `Vec<Trap>`: every trap re-derives the phase's rate multipliers;
-//! * **kernel** — one [`TrapEnsemble::advance`] call per phase: rates
+//! * **kernel** — one [`TrapBank::advance_all`] call per phase: rates
 //!   evaluated once per phase and the bank's `LANES`-chunked loop.
 //!
 //! The headline `speedup_<size>` is scalar vs kernel; the ledger keeps
@@ -21,11 +21,11 @@
 use std::time::Instant;
 
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::SeedableRng;
 use selfheal_bench::{fmt, BenchRun, Table};
-use selfheal_bti::td::{Trap, TrapEnsemble, TrapEnsembleParams};
+use selfheal_bti::td::{PhaseRates, Trap, TrapBank, TrapEnsembleParams};
 use selfheal_bti::{DeviceCondition, Environment};
-use selfheal_units::{Celsius, Millivolts, Minutes, Seconds, Volts};
+use selfheal_units::{Celsius, Minutes, Seconds, Volts};
 
 /// Sizes swept, in traps per ensemble.
 const SIZES: [usize; 4] = [1_000, 10_000, 100_000, 1_000_000];
@@ -47,28 +47,13 @@ fn phase_batch() -> Vec<(DeviceCondition, Seconds)> {
     ]
 }
 
-/// Builds an ensemble of *exactly* `size` traps drawn from the default
-/// 40 nm distributions. ([`TrapEnsemble::sample`] draws a Poisson count,
-/// which cannot reach these benchmark sizes.)
-fn ensemble_of(size: usize, seed: u64) -> TrapEnsemble {
-    let params = TrapEnsembleParams::default();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let (lo, hi) = params.log10_tau_c_range;
-    let (rlo, rhi) = params.log10_tau_ratio_range;
-    let traps: Vec<Trap> = (0..size)
-        .map(|_| {
-            let log_tau_c = rng.gen_range(lo..hi);
-            let ratio = rng.gen_range(rlo..rhi);
-            let u: f64 = rng.gen_range(f64::EPSILON..1.0);
-            Trap::new(
-                Seconds::new(10f64.powf(log_tau_c)),
-                Seconds::new(10f64.powf(log_tau_c + ratio)),
-                Millivolts::new(-params.delta_vth_mean_mv.get() * u.ln()),
-                rng.gen_bool(params.permanent_fraction),
-            )
-        })
-        .collect();
-    TrapEnsemble::from_traps(traps)
+/// Draws *exactly* `size` traps from the default 40 nm distributions.
+/// ([`TrapBank::sample`] draws a Poisson count, which cannot reach these
+/// benchmark sizes.)
+fn traps_of(size: usize, seed: u64) -> Vec<Trap> {
+    TrapEnsembleParams::default()
+        .traps(size, &mut StdRng::seed_from_u64(seed))
+        .collect()
 }
 
 /// Times `step` (one full four-phase batch) over enough repetitions to
@@ -103,8 +88,7 @@ fn main() {
         // One top-level span per size, so the manifest's phase ledger
         // gets a `kernel_<size>` entry.
         let phase = run.phase_named(format!("kernel_{size}"));
-        let ensemble = ensemble_of(size, 2014 + i as u64);
-        let traps: Vec<Trap> = ensemble.iter().collect();
+        let traps = traps_of(size, 2014 + i as u64);
         let count = traps.len();
         let trap_steps = count * batch.len();
 
@@ -117,10 +101,10 @@ fn main() {
             }
         });
 
-        let mut kernel = ensemble.clone();
+        let mut kernel: TrapBank = traps.iter().copied().collect();
         let kernel_ns = time_per_batch(budget, trap_steps, || {
             for &(cond, dt) in &batch {
-                kernel.advance(cond, dt);
+                kernel.advance_all(&PhaseRates::for_condition(cond), dt);
             }
         });
         drop(phase);

@@ -60,8 +60,6 @@ pub fn campaign(cache: &runtime::ResultCache) -> ExperimentOutputs {
 ///   machine's parallelism). Results are bit-identical at any setting;
 /// * `--no-cache` — make [`cache`](Self::cache) the disabled cache
 ///   instead of `target/cache/` (every stage recomputes);
-/// * `--trace <path>` — write a Chrome/Perfetto trace of the run (same
-///   exporter as `SELFHEAL_TELEMETRY=trace:<path>`, as an extra sink);
 /// * `--folded <path>` — write the run's self-time profile in the
 ///   folded-stacks format `flamegraph.pl` consumes;
 /// * `--status <path>` — run the sampler, which rewrites a Prometheus
@@ -70,9 +68,12 @@ pub fn campaign(cache: &runtime::ResultCache) -> ExperimentOutputs {
 ///   dashboard);
 /// * `SELFHEAL_TELEMETRY=pretty|jsonl:<path>|trace:<path>`
 ///   (comma-separated) — attach span/event sinks for the duration of
-///   the run;
+///   the run (`trace:<path>` writes a Chrome/Perfetto trace);
 /// * `SELFHEAL_TELEMETRY_SAMPLE=250ms` — the `--status` sampling
 ///   cadence.
+///
+/// Every other argument is left, in order, in [`args`](Self::args) for
+/// the binary's own flags.
 #[derive(Debug)]
 pub struct BenchRun {
     name: &'static str,
@@ -80,16 +81,16 @@ pub struct BenchRun {
     out: Option<PathBuf>,
     folded: Option<PathBuf>,
     cache: runtime::ResultCache,
+    args: Vec<String>,
     values: Vec<(String, f64)>,
     sampler: Option<telemetry::Sampler>,
     _sink: Option<telemetry::SinkGuard>,
-    _trace: Option<telemetry::SinkGuard>,
 }
 
 impl BenchRun {
     /// Starts a run: parses the common flags, attaches any env-configured
-    /// sink plus the `--trace` exporter, and resets metrics and the
-    /// self-time ledger so the run accumulates a fresh snapshot.
+    /// sink, and resets metrics and the self-time ledger so the run
+    /// accumulates a fresh snapshot.
     ///
     /// Sinks are installed *before* the thread flag is applied:
     /// `--threads` sizes the global pool whose workers announce themselves
@@ -98,17 +99,16 @@ impl BenchRun {
     pub fn start(name: &'static str) -> Self {
         let mut json = false;
         let mut out = None;
-        let mut trace = None;
         let mut folded = None;
         let mut status = None;
         let mut threads = None;
         let mut no_cache = false;
+        let mut rest = Vec::new();
         let mut args = std::env::args().skip(1);
         while let Some(arg) = args.next() {
             match arg.as_str() {
                 "--json" => json = true,
                 "--out" => out = args.next().map(PathBuf::from),
-                "--trace" => trace = args.next().map(PathBuf::from),
                 "--folded" => folded = args.next().map(PathBuf::from),
                 "--status" => status = args.next().map(PathBuf::from),
                 "--threads" => {
@@ -120,17 +120,10 @@ impl BenchRun {
                     }
                 }
                 "--no-cache" => no_cache = true,
-                _ => {}
+                _ => rest.push(arg),
             }
         }
         let sink = telemetry::init_from_env();
-        let trace_sink = trace.and_then(|path| match telemetry::ChromeTraceSink::create(&path) {
-            Ok(sink) => Some(telemetry::install_sink(std::sync::Arc::new(sink))),
-            Err(err) => {
-                eprintln!("{name}: cannot open trace file {}: {err}", path.display());
-                None
-            }
-        });
         telemetry::metrics::reset();
         telemetry::metrics::set_enabled(true);
         telemetry::reset_self_time();
@@ -150,11 +143,18 @@ impl BenchRun {
             } else {
                 runtime::ResultCache::standard()
             },
+            args: rest,
             values: Vec::new(),
             sampler,
             _sink: sink,
-            _trace: trace_sink,
         }
+    }
+
+    /// The command-line arguments [`start`](Self::start) did not
+    /// consume, in order: the binary's own flags and operands.
+    #[must_use]
+    pub fn args(&self) -> &[String] {
+        &self.args
     }
 
     /// The run's result cache: `target/cache/`, or the disabled cache

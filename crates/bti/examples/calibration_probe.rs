@@ -13,7 +13,7 @@
 //! * 100 °C degradation ≈ 85–90 % of 110 °C (Fig. 5 gap)
 
 use rand::SeedableRng;
-use selfheal_bti::td::{TrapEnsemble, TrapEnsembleParams};
+use selfheal_bti::td::{PhaseRates, TrapBank, TrapEnsembleParams};
 use selfheal_bti::{DeviceCondition, Environment};
 use selfheal_units::{Celsius, Hours, Volts};
 
@@ -21,11 +21,15 @@ fn main() {
     let mut rng = rand::rngs::StdRng::seed_from_u64(1);
     let params = TrapEnsembleParams::default();
     let n = 60;
-    let devices: Vec<TrapEnsemble> = (0..n)
-        .map(|_| TrapEnsemble::sample(&params, &mut rng))
+    let devices: Vec<TrapBank> = (0..n)
+        .map(|_| TrapBank::sample(&params, &mut rng))
         .collect();
+    let shift = |device: &TrapBank| device.summary().delta_vth.get();
 
-    let stress = DeviceCondition::dc_stress(Environment::new(Volts::new(1.2), Celsius::new(110.0)));
+    let stress = PhaseRates::for_condition(DeviceCondition::dc_stress(Environment::new(
+        Volts::new(1.2),
+        Celsius::new(110.0),
+    )));
 
     println!("== recovery after 24 h DC stress @110 °C, 6 h sleep ==");
     let cases = [
@@ -38,33 +42,41 @@ fn main() {
         let mut recovered = 0.0;
         for device in &devices {
             let mut device = device.clone();
-            device.advance(stress, Hours::new(24.0).into());
-            let aged = device.delta_vth().get();
-            let sleep =
-                DeviceCondition::recovery(Environment::new(Volts::new(v), Celsius::new(t)));
-            device.advance(sleep, Hours::new(6.0).into());
-            recovered += (aged - device.delta_vth().get()) / aged;
+            device.advance_all(&stress, Hours::new(24.0).into());
+            let aged = shift(&device);
+            let sleep = PhaseRates::for_condition(DeviceCondition::recovery(Environment::new(
+                Volts::new(v),
+                Celsius::new(t),
+            )));
+            device.advance_all(&sleep, Hours::new(6.0).into());
+            recovered += (aged - shift(&device)) / aged;
         }
         println!("{name}: recovered fraction = {:.3}", recovered / f64::from(n));
     }
 
     println!("== stress shape ==");
-    let ac = DeviceCondition::ac_stress(Environment::new(Volts::new(1.2), Celsius::new(110.0)));
-    let s100 = DeviceCondition::dc_stress(Environment::new(Volts::new(1.2), Celsius::new(100.0)));
+    let ac = PhaseRates::for_condition(DeviceCondition::ac_stress(Environment::new(
+        Volts::new(1.2),
+        Celsius::new(110.0),
+    )));
+    let s100 = PhaseRates::for_condition(DeviceCondition::dc_stress(Environment::new(
+        Volts::new(1.2),
+        Celsius::new(100.0),
+    )));
     let (mut dc_sum, mut ac_sum, mut c100_sum, mut h3_sum) = (0.0, 0.0, 0.0, 0.0);
     for device in &devices {
         let mut x = device.clone();
-        x.advance(stress, Hours::new(24.0).into());
-        dc_sum += x.delta_vth().get();
+        x.advance_all(&stress, Hours::new(24.0).into());
+        dc_sum += shift(&x);
         let mut y = device.clone();
-        y.advance(ac, Hours::new(24.0).into());
-        ac_sum += y.delta_vth().get();
+        y.advance_all(&ac, Hours::new(24.0).into());
+        ac_sum += shift(&y);
         let mut z = device.clone();
-        z.advance(s100, Hours::new(24.0).into());
-        c100_sum += z.delta_vth().get();
+        z.advance_all(&s100, Hours::new(24.0).into());
+        c100_sum += shift(&z);
         let mut w = device.clone();
-        w.advance(stress, Hours::new(3.0).into());
-        h3_sum += w.delta_vth().get();
+        w.advance_all(&stress, Hours::new(3.0).into());
+        h3_sum += shift(&w);
     }
     println!("mean dVth after 24 h DC @110 C = {:.1} mV", dc_sum / f64::from(n));
     println!("per-device AC/DC ratio         = {:.3}", ac_sum / dc_sum);

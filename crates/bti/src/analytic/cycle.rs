@@ -12,11 +12,12 @@ use super::stress::StressModel;
 
 /// Stateful first-order BTI model.
 ///
-/// Mirrors the [`crate::td::TrapEnsemble`] interface (`advance` +
-/// `delta_vth`) so the two engines are interchangeable wherever an aging
-/// model is needed, but evolves the closed-form Eqs. (1)–(4) instead of a
-/// trap population. Crossing from a recovery phase back into stress resumes
-/// the stress curve from the *recovered* level — the unrecovered remainder
+/// The closed-form counterpart of a stochastic device's
+/// [`crate::td::TrapBank`]: it answers the same question (`delta_vth`
+/// after an `advance` under a condition), but evolves the closed-form
+/// Eqs. (1)–(4) instead of a trap population. Crossing from a recovery
+/// phase back into stress resumes the stress curve from the
+/// *recovered* level — the unrecovered remainder
 /// is carried into the next stress phase and accumulates, reproducing the
 /// Fig. 1 sawtooth.
 ///

@@ -33,23 +33,24 @@
 //! # Example: stress then accelerated recovery
 //!
 //! ```
-//! use selfheal_bti::td::{TrapEnsemble, TrapEnsembleParams};
+//! use selfheal_bti::td::{PhaseRates, TrapBank, TrapEnsembleParams};
 //! use selfheal_bti::{DeviceCondition, Environment};
 //! use selfheal_units::{Celsius, Hours, Volts};
 //! use rand::SeedableRng;
 //!
 //! let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-//! let mut device = TrapEnsemble::sample(&TrapEnsembleParams::default(), &mut rng);
+//! let mut device = TrapBank::sample(&TrapEnsembleParams::default(), &mut rng);
 //!
-//! // 24 h of DC stress at 110 °C / 1.2 V.
+//! // 24 h of DC stress at 110 °C / 1.2 V. A phase's rate multipliers
+//! // are evaluated once, then every trap steps under them.
 //! let stress = DeviceCondition::dc_stress(Environment::new(Volts::new(1.2), Celsius::new(110.0)));
-//! device.advance(stress, Hours::new(24.0).into());
-//! let aged = device.delta_vth();
+//! device.advance_all(&PhaseRates::for_condition(stress), Hours::new(24.0).into());
+//! let aged = device.summary().delta_vth;
 //!
 //! // 6 h of accelerated self-healing at 110 °C / −0.3 V.
 //! let heal = DeviceCondition::recovery(Environment::new(Volts::new(-0.3), Celsius::new(110.0)));
-//! device.advance(heal, Hours::new(6.0).into());
-//! assert!(device.delta_vth() < aged, "rejuvenation reduces the threshold shift");
+//! device.advance_all(&PhaseRates::for_condition(heal), Hours::new(6.0).into());
+//! assert!(device.summary().delta_vth < aged, "rejuvenation reduces the threshold shift");
 //! ```
 
 #![forbid(unsafe_code)]

@@ -19,11 +19,8 @@ mod population;
 pub mod tiered;
 mod trap;
 
-pub use ensemble::{TrapEnsemble, TrapEnsembleParams};
-pub use kernel::{
-    AdvanceStats, BankSummary, PhaseRateCache, PhaseRates, TrapBank, TrapIter, KERNEL_VERSION,
-    LANES,
-};
+pub use ensemble::TrapEnsembleParams;
+pub use kernel::{BankSummary, PhaseRateCache, PhaseRates, TrapBank, KERNEL_VERSION, LANES};
 pub use tiered::{ChipTier, ColdChip, TierCounts, TierPolicy};
 pub use population::{advance_population, sample_population};
 pub use kinetics::{capture_rate_multiplier, emission_rate_multiplier, emission_thermal_speedup};

@@ -13,8 +13,8 @@ use selfheal_units::Seconds;
 
 use crate::condition::DeviceCondition;
 
-use super::ensemble::{TrapEnsemble, TrapEnsembleParams};
-use super::kernel::PhaseRates;
+use super::ensemble::TrapEnsembleParams;
+use super::kernel::{PhaseRates, TrapBank};
 
 /// Samples `count` independent devices on the global pool.
 ///
@@ -25,20 +25,20 @@ use super::kernel::PhaseRates;
 /// # Panics
 ///
 /// Panics if `params` fails [`TrapEnsembleParams::validate`] (as
-/// [`TrapEnsemble::sample`] does).
+/// [`TrapBank::sample`] does).
 #[must_use]
 pub fn sample_population(
     params: &TrapEnsembleParams,
     count: usize,
     seed: u64,
-) -> Vec<TrapEnsemble> {
+) -> Vec<TrapBank> {
     // Caller-side root span: keeps the pool's internal spans nested, so
     // manifests list the same phases at any worker count.
     let _span = telemetry::span!("bti.population_sample", devices = count);
     let params = params.clone();
     let seeds = SeedSequence::new(seed);
     runtime::par_map_indexed(vec![(); count], move |i, ()| {
-        TrapEnsemble::sample(&params, &mut seeds.rng(i as u64))
+        TrapBank::sample(&params, &mut seeds.rng(i as u64))
     })
 }
 
@@ -48,10 +48,10 @@ pub fn sample_population(
 /// result is identical to a serial loop; the pool only buys wall-clock.
 #[must_use]
 pub fn advance_population(
-    devices: Vec<TrapEnsemble>,
+    devices: Vec<TrapBank>,
     cond: DeviceCondition,
     dt: Seconds,
-) -> Vec<TrapEnsemble> {
+) -> Vec<TrapBank> {
     let _span = telemetry::span!("bti.population_advance", devices = devices.len());
     // Hoist the condition's rate multipliers out of the fan-out: every
     // device shares the same condition, so the transcendentals are paid
@@ -59,7 +59,7 @@ pub fn advance_population(
     // rewrite, once per trap).
     let rates = PhaseRates::for_condition(cond);
     runtime::par_map(devices, move |mut device| {
-        device.advance_with_rates(&rates, dt);
+        device.advance_all(&rates, dt);
         device
     })
 }
@@ -88,8 +88,8 @@ mod tests {
     fn parallel_sampling_matches_manual_serial_loop() {
         let p = TrapEnsembleParams::default();
         let seeds = SeedSequence::new(2014);
-        let serial: Vec<TrapEnsemble> = (0..50)
-            .map(|i| TrapEnsemble::sample(&p, &mut seeds.rng(i)))
+        let serial: Vec<TrapBank> = (0..50)
+            .map(|i| TrapBank::sample(&p, &mut seeds.rng(i)))
             .collect();
         let parallel = sample_population(&p, 50, 2014);
         assert_eq!(serial, parallel);
@@ -101,8 +101,9 @@ mod tests {
         let devices = sample_population(&p, 30, 99);
         let dt: Seconds = Hours::new(24.0).into();
         let mut serial = devices.clone();
+        let rates = PhaseRates::for_condition(stress());
         for device in &mut serial {
-            device.advance(stress(), dt);
+            device.advance_all(&rates, dt);
         }
         let parallel = advance_population(devices, stress(), dt);
         assert_eq!(serial, parallel);

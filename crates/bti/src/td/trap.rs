@@ -59,10 +59,9 @@ impl Trap {
         }
     }
 
-    /// Rebuilds a trap from previously captured state — how
-    /// [`TrapBank::get`](crate::td::TrapBank::get) materializes a column
-    /// row. Unlike [`Trap::new`] this restores `occupancy` verbatim, so
-    /// the trap resumes exactly where it was stored.
+    /// Rebuilds a trap at a given occupancy. Unlike [`Trap::new`] this
+    /// sets `occupancy` verbatim, so tests can start the scalar oracle
+    /// and a [`TrapBank`](crate::td::TrapBank) from any state.
     ///
     /// # Panics
     ///
@@ -89,14 +88,6 @@ impl Trap {
     #[must_use]
     pub fn tau_c0(&self) -> Seconds {
         Seconds::new(self.tau_c0)
-    }
-
-    /// The raw tabulated emission constant, ignoring permanence (what
-    /// [`Trap::restore`] expects back; [`Trap::tau_e0`] reports infinity
-    /// for permanent traps instead).
-    #[must_use]
-    pub fn tau_e0_raw(&self) -> Seconds {
-        Seconds::new(self.tau_e0)
     }
 
     /// The tabulated emission time constant at reference rest.

@@ -212,8 +212,7 @@ impl SchedulePlanner {
         cond: DeviceCondition,
         dt: Seconds,
     ) -> Millivolts {
-        let traps: Vec<_> = range.filter_map(|i| bank.get(i)).collect();
-        let mut projection = TrapBank::from_traps(&traps);
+        let mut projection = bank.copy_range(range);
         projection.advance_all(&PhaseRates::for_condition(cond), dt);
         projection.summary().delta_vth
     }
@@ -382,11 +381,10 @@ mod tests {
     #[test]
     fn bank_views_agree_with_scalar_entry_points() {
         use rand::SeedableRng;
-        use selfheal_bti::td::{TrapEnsemble, TrapEnsembleParams};
+        use selfheal_bti::td::TrapEnsembleParams;
 
         let mut rng = rand::rngs::StdRng::seed_from_u64(7);
-        let device = TrapEnsemble::sample(&TrapEnsembleParams::default(), &mut rng);
-        let bank = device.bank().clone();
+        let bank = TrapBank::sample(&TrapEnsembleParams::default(), &mut rng);
         let p = planner(26.0);
 
         // The projection advances a copy: the bank itself must not move,
@@ -399,8 +397,13 @@ mod tests {
         let before = bank.clone();
         let projected = p.predicted_shift_from_bank(&bank, 0..bank.len(), cond, dt);
         assert_eq!(bank, before, "projection must not mutate the live bank");
-        let mut direct = device.clone();
-        direct.advance(cond, dt);
-        assert_eq!(projected.get().to_bits(), direct.delta_vth().get().to_bits());
+        let mut direct = bank.clone();
+        direct.advance_all(&PhaseRates::for_condition(cond), dt);
+        assert_eq!(projected.get().to_bits(), direct.summary().delta_vth.get().to_bits());
+        // A chip's slice of a larger bank projects like the chip alone.
+        let mut shard = bank.clone();
+        shard.extend(TrapEnsembleParams::default().sample_traps(&mut rng));
+        let sliced = p.predicted_shift_from_bank(&shard, 0..bank.len(), cond, dt);
+        assert_eq!(sliced.get().to_bits(), projected.get().to_bits());
     }
 }

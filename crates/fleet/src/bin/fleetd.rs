@@ -58,7 +58,7 @@ fleetd — sharded rejuvenation-scheduling daemon
   --chips N              fleet size (default 1024)
   --shards N             shard count (default 8)
   --seed N               base seed (default 2014)
-  --traps N              mean traps per chip (default 16)
+  --traps N              mean traps per chip, at most 700 (default 16)
   --epoch-ms N           wall-clock epoch cadence; 0 disables (default 1000)
   --epoch-dt-s N         simulated seconds per epoch (default 3600)
   --tiered               advance far-from-threshold chips analytically (O(1)/epoch)

@@ -15,9 +15,7 @@
 
 use std::ops::Range;
 
-use selfheal_bti::td::{
-    ChipTier, PhaseRateCache, PhaseRates, TierCounts, TierPolicy, TrapBank, TrapEnsemble,
-};
+use selfheal_bti::td::{ChipTier, PhaseRateCache, PhaseRates, TierCounts, TierPolicy, TrapBank};
 use selfheal_bti::DeviceCondition;
 use selfheal_runtime::{par_map_indexed, SeedSequence};
 use selfheal_telemetry::{fnv1a, fnv1a_extend};
@@ -51,22 +49,18 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// Samples a fresh shard: each chip draws its ensemble from its own
-    /// `seeds.rng(local_index)` stream, so the shard's contents depend
-    /// only on `(config.seed, shard_index, local_index)` — never on
-    /// execution order.
+    /// Samples a fresh shard: each chip draws its traps from its own
+    /// `seeds.rng(local_index)` stream straight into the shard bank, so
+    /// the shard's contents depend only on `(config.seed, shard_index,
+    /// local_index)` — never on execution order.
     #[must_use]
     pub fn sample(config: &FleetConfig, shard_index: usize, seeds: &SeedSequence) -> Shard {
         let chip_range = config.shard_chip_range(shard_index);
         let mut bank = TrapBank::new();
         let mut chips = Vec::with_capacity(chip_range.len());
         for local in 0..chip_range.len() {
-            let mut rng = seeds.rng(local as u64);
-            let ensemble = TrapEnsemble::sample(&config.trap_params, &mut rng);
             let start = bank.len();
-            for trap in ensemble.iter() {
-                bank.push(trap);
-            }
+            bank.extend(config.trap_params.sample_traps(&mut seeds.rng(local as u64)));
             chips.push(ChipSlot {
                 traps: start..bank.len(),
                 duty: DutyCycle::default(),
@@ -93,15 +87,17 @@ impl Shard {
     /// cold window replays as one fused
     /// [`advance_range`](TrapBank::advance_range) under the chip's
     /// (constant) condition. Hot chips that end the epoch outside the
-    /// guard band demote; pinned chips never do.
+    /// guard band demote; pinned chips never do. Returns the number of
+    /// traps stepped (a cold chip that stays asleep steps none).
     pub fn advance(
         &mut self,
         config: &FleetConfig,
         dt: Seconds,
         epoch_end: u64,
         policy: Option<&TierPolicy>,
-    ) {
+    ) -> usize {
         let mut rates = PhaseRateCache::new();
+        let mut stepped = 0;
         let Shard { chips, bank, .. } = self;
         for chip in chips.iter_mut() {
             // The tier check comes first: at steady state almost every
@@ -150,7 +146,9 @@ impl Shard {
                     bank.advance_range(chip.traps.clone(), &phase, dt);
                 }
             }
+            stepped += chip.traps.len();
         }
+        stepped
     }
 }
 
@@ -237,7 +235,8 @@ impl FleetState {
     }
 
     /// Advances the whole fleet by one epoch (`config.epoch_dt` of
-    /// simulated time) in parallel over shards.
+    /// simulated time) in parallel over shards. With metrics on, each
+    /// shard feeds the `bti.td.kernel.*` counters once, never per chip.
     pub fn advance_epoch(&mut self) {
         let config = self.config.clone();
         let dt = config.epoch_dt;
@@ -252,7 +251,7 @@ impl FleetState {
             // latency. The clock is telemetry-only — the advance itself
             // is identical with timing off.
             let started = timing.then(selfheal_telemetry::trace_epoch_ns);
-            shard.advance(&config, dt, epoch_end, policy.as_ref());
+            let stepped = shard.advance(&config, dt, epoch_end, policy.as_ref());
             if let Some(started) = started {
                 let elapsed_ns = selfheal_telemetry::trace_epoch_ns().saturating_sub(started);
                 #[allow(clippy::cast_precision_loss)]
@@ -260,6 +259,12 @@ impl FleetState {
                     &format!("fleet.shard.{index}.epoch_us"),
                     elapsed_ns as f64 / 1e3,
                 );
+                #[allow(clippy::cast_precision_loss)]
+                selfheal_telemetry::metrics::counter_add(
+                    "bti.td.kernel.traps_advanced",
+                    stepped as f64,
+                );
+                selfheal_telemetry::metrics::counter_add("bti.td.kernel.advance_calls", 1.0);
             }
             shard
         });

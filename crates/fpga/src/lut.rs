@@ -253,7 +253,7 @@ impl Lut {
             } else {
                 DeviceCondition::recovery(env)
             };
-            device.advance_with_rates(&rates.rates(cond), dt);
+            device.advance(&rates.rates(cond), dt);
         }
     }
 
@@ -272,7 +272,7 @@ impl Lut {
         for (idx, device) in self.devices.iter_mut().enumerate() {
             let count = u8::from(low.contains(&idx)) + u8::from(high.contains(&idx));
             let duty = DutyCycle::new(f64::from(count) / 2.0);
-            device.advance_with_rates(&rates.rates(DeviceCondition::new(env, duty)), dt);
+            device.advance(&rates.rates(DeviceCondition::new(env, duty)), dt);
         }
     }
 
@@ -281,7 +281,7 @@ impl Lut {
     pub fn advance_sleep(&mut self, env: Environment, dt: Seconds, rates: &mut PhaseRateCache) {
         let recovery = rates.rates(DeviceCondition::recovery(env));
         for device in &mut self.devices {
-            device.advance_with_rates(&recovery, dt);
+            device.advance(&recovery, dt);
         }
     }
 }

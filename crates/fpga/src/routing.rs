@@ -84,7 +84,7 @@ impl RoutingBlock {
             } else {
                 DeviceCondition::recovery(env)
             };
-            device.advance_with_rates(&rates.rates(cond), dt);
+            device.advance(&rates.rates(cond), dt);
         }
     }
 
@@ -93,7 +93,7 @@ impl RoutingBlock {
     pub fn advance_toggling(&mut self, env: Environment, dt: Seconds, rates: &mut PhaseRateCache) {
         let ac = rates.rates(DeviceCondition::ac_stress(env));
         for device in &mut self.devices {
-            device.advance_with_rates(&ac, dt);
+            device.advance(&ac, dt);
         }
     }
 
@@ -101,7 +101,7 @@ impl RoutingBlock {
     pub fn advance_sleep(&mut self, env: Environment, dt: Seconds, rates: &mut PhaseRateCache) {
         let recovery = rates.rates(DeviceCondition::recovery(env));
         for device in &mut self.devices {
-            device.advance_with_rates(&recovery, dt);
+            device.advance(&recovery, dt);
         }
     }
 }

@@ -2,8 +2,7 @@
 //! variation) and its BTI aging state.
 
 use rand::Rng;
-use selfheal_bti::td::{PhaseRates, TrapEnsemble, TrapEnsembleParams};
-use selfheal_bti::DeviceCondition;
+use selfheal_bti::td::{PhaseRates, TrapBank, TrapEnsembleParams};
 use selfheal_units::{Millivolts, Nanoseconds, Seconds, Volts};
 
 use crate::delay::device_delay;
@@ -45,7 +44,7 @@ pub struct Transistor {
     vth_fresh: Volts,
     vth_ref: Volts,
     delay_share: Nanoseconds,
-    aging: TrapEnsemble,
+    aging: TrapBank,
 }
 
 impl Transistor {
@@ -68,7 +67,7 @@ impl Transistor {
             vth_fresh,
             vth_ref,
             delay_share,
-            aging: TrapEnsemble::sample(trap_params, rng),
+            aging: TrapBank::sample(trap_params, rng),
         }
     }
 
@@ -93,19 +92,19 @@ impl Transistor {
     /// Current threshold magnitude: fresh + BTI shift.
     #[must_use]
     pub fn vth(&self) -> Volts {
-        self.vth_fresh + Volts::from(self.aging.delta_vth())
+        self.vth_fresh + Volts::from(self.delta_vth())
     }
 
     /// Current BTI threshold shift.
     #[must_use]
     pub fn delta_vth(&self) -> Millivolts {
-        self.aging.delta_vth()
+        self.aging.summary().delta_vth
     }
 
     /// Whether this device has (measurably) aged.
     #[must_use]
     pub fn is_aged(&self) -> bool {
-        self.aging.delta_vth().get() > 1e-9
+        self.delta_vth().get() > 1e-9
     }
 
     /// This device's fresh share of the POI delay.
@@ -129,21 +128,17 @@ impl Transistor {
         device_delay(self.delay_share, vdd, self.vth(), self.vth_ref)
     }
 
-    /// Ages the device by `dt` under `cond`.
-    pub fn advance(&mut self, cond: DeviceCondition, dt: Seconds) {
-        self.aging.advance(cond, dt);
-    }
-
-    /// [`advance`](Self::advance) with the condition's rate multipliers
-    /// already evaluated — chip-level advance loops hoist the
-    /// transcendental work once per condition and fan it out here.
-    pub fn advance_with_rates(&mut self, rates: &PhaseRates, dt: Seconds) {
-        self.aging.advance_with_rates(rates, dt);
+    /// Ages the device by `dt` under a condition's pre-evaluated rate
+    /// multipliers — chip-level advance loops hoist the transcendental
+    /// work once per condition (a [`PhaseRateCache`](selfheal_bti::td::PhaseRateCache))
+    /// and fan it out here.
+    pub fn advance(&mut self, rates: &PhaseRates, dt: Seconds) {
+        self.aging.advance_all(rates, dt);
     }
 
     /// Immutable view of the trap population (for diagnostics).
     #[must_use]
-    pub fn aging(&self) -> &TrapEnsemble {
+    pub fn aging(&self) -> &TrapBank {
         &self.aging
     }
 }
@@ -169,8 +164,11 @@ mod tests {
         )
     }
 
-    fn stress() -> DeviceCondition {
-        DeviceCondition::dc_stress(Environment::new(Volts::new(1.2), Celsius::new(110.0)))
+    fn stress() -> PhaseRates {
+        PhaseRates::for_condition(DeviceCondition::dc_stress(Environment::new(
+            Volts::new(1.2),
+            Celsius::new(110.0),
+        )))
     }
 
     #[test]
@@ -183,7 +181,7 @@ mod tests {
     #[test]
     fn stressed_device_slows_down() {
         let mut t = device(0.15);
-        t.advance(stress(), Hours::new(24.0).into());
+        t.advance(&stress(), Hours::new(24.0).into());
         assert!(t.is_aged());
         assert!(t.delay(Volts::new(1.2)) > Nanoseconds::new(0.15));
         assert!(t.vth() > t.vth_fresh());
@@ -192,7 +190,7 @@ mod tests {
     #[test]
     fn off_poi_device_contributes_no_delay() {
         let mut t = device(0.0);
-        t.advance(stress(), Hours::new(24.0).into());
+        t.advance(&stress(), Hours::new(24.0).into());
         assert!(t.is_aged(), "it ages...");
         assert_eq!(t.delay(Volts::new(1.2)), Nanoseconds::ZERO, "...but adds no delay");
         assert!(!t.is_on_poi());

@@ -41,9 +41,9 @@ pub fn enabled() -> bool {
 /// One registered metric.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Metric {
-    /// A monotone accumulator. Float-valued because the trap-ensemble
-    /// instrumentation counts *expected* (fractional) capture/emission
-    /// events.
+    /// A monotone accumulator of whole counts. Float-valued so every
+    /// metric shares one number type; while totals stay below 2^53 each
+    /// sum is exact, so it does not depend on the order pool jobs add.
     Counter(f64),
     /// Last-value-wins.
     Gauge(f64),

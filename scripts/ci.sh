@@ -69,6 +69,10 @@ SELFHEAL_TELEMETRY_SAMPLE=20ms \
     target/release/telemetry_sampler --json --status "$SMOKE_DIR/status.prom" \
     > /dev/null
 target/release/selfheal-top --check "$SMOKE_DIR/status.prom"
+# TrapBank::advance_all feeds the kernel counters; the sampled bench
+# steps 10k traps 200 times per pass, so the total must be nonzero.
+grep -Eq '^selfheal_bti_td_kernel_traps_advanced [1-9]' "$SMOKE_DIR/status.prom" \
+    || { echo "sampler status file carries no kernel traps_advanced count" >&2; exit 1; }
 
 echo "== fleet daemon smoke" >&2
 # End-to-end service path: fleetd on an ephemeral loopback port with a
@@ -102,6 +106,10 @@ grep -q '^selfheal_slo_plan_p99_ok' "$SMOKE_DIR/fleet.prom" \
     || { echo "status file carries no slo gauges" >&2; exit 1; }
 grep -q '^selfheal_fleet_epoch ' "$SMOKE_DIR/fleet.prom" \
     || { echo "status file carries no fleet epoch gauge" >&2; exit 1; }
+# Fleet epochs step chip ranges, not whole banks: each shard counts the
+# traps it stepped, so the live daemon has a kernel line too.
+grep -Eq '^selfheal_bti_td_kernel_traps_advanced [1-9]' "$SMOKE_DIR/fleet.prom" \
+    || { echo "fleet status file carries no kernel traps_advanced count" >&2; exit 1; }
 # A stale status file (dead writer) must now fail the checker.
 touch -d '10 minutes ago' "$SMOKE_DIR/fleet.prom"
 if target/release/selfheal-top --check --max-age 60s "$SMOKE_DIR/fleet.prom" 2>/dev/null; then

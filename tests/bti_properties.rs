@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfheal_bti::analytic::{AnalyticBti, RecoveryModel, StressModel};
-use selfheal_bti::td::{TrapEnsemble, TrapEnsembleParams};
+use selfheal_bti::td::{PhaseRates, TrapBank, TrapEnsembleParams};
 use selfheal_bti::{DeviceCondition, Environment};
 use selfheal_units::{Celsius, Millivolts, Seconds, Volts};
 
@@ -18,43 +18,53 @@ fn arb_recovery_env() -> impl Strategy<Value = Environment> {
         .prop_map(|(v, t)| Environment::new(Volts::new(v), Celsius::new(t)))
 }
 
+/// Ages a stochastic device by `hours` under `cond`.
+fn age(device: &mut TrapBank, cond: DeviceCondition, hours: f64) {
+    device.advance_all(&PhaseRates::for_condition(cond), Seconds::new(hours * 3600.0));
+}
+
+/// A stochastic device's current threshold shift in mV.
+fn shift(device: &TrapBank) -> f64 {
+    device.summary().delta_vth.get()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
     fn stochastic_occupancy_stays_bounded(seed in 0u64..1000, hours in 0.1f64..200.0, env in arb_stress_env()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut device = TrapEnsemble::sample(&TrapEnsembleParams::default(), &mut rng);
-        device.advance(DeviceCondition::dc_stress(env), Seconds::new(hours * 3600.0));
-        for trap in device.iter() {
-            prop_assert!((0.0..=1.0).contains(&trap.occupancy()));
+        let mut device = TrapBank::sample(&TrapEnsembleParams::default(), &mut rng);
+        age(&mut device, DeviceCondition::dc_stress(env), hours);
+        for p in device.occupancies() {
+            prop_assert!((0.0..=1.0).contains(p));
         }
-        prop_assert!(device.delta_vth().get() >= 0.0);
-        prop_assert!(device.permanent_delta_vth().get() <= device.delta_vth().get() + 1e-9);
+        prop_assert!(shift(&device) >= 0.0);
+        prop_assert!(device.summary().permanent_delta_vth.get() <= shift(&device) + 1e-9);
     }
 
     #[test]
     fn stochastic_stress_is_monotone_in_time(seed in 0u64..1000, h1 in 0.1f64..50.0, h2 in 0.1f64..50.0, env in arb_stress_env()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let device = TrapEnsemble::sample(&TrapEnsembleParams::default(), &mut rng);
+        let device = TrapBank::sample(&TrapEnsembleParams::default(), &mut rng);
         let mut a = device.clone();
-        a.advance(DeviceCondition::dc_stress(env), Seconds::new(h1 * 3600.0));
-        let at_h1 = a.delta_vth().get();
-        a.advance(DeviceCondition::dc_stress(env), Seconds::new(h2 * 3600.0));
-        prop_assert!(a.delta_vth().get() >= at_h1 - 1e-9, "stress never heals");
+        age(&mut a, DeviceCondition::dc_stress(env), h1);
+        let at_h1 = shift(&a);
+        age(&mut a, DeviceCondition::dc_stress(env), h2);
+        prop_assert!(shift(&a) >= at_h1 - 1e-9, "stress never heals");
     }
 
     #[test]
     fn stochastic_recovery_never_increases_shift(seed in 0u64..1000, stress_h in 1.0f64..50.0, sleep_h in 0.1f64..100.0, env in arb_recovery_env()) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut device = TrapEnsemble::sample(&TrapEnsembleParams::default(), &mut rng);
+        let mut device = TrapBank::sample(&TrapEnsembleParams::default(), &mut rng);
         let hot = Environment::new(Volts::new(1.2), Celsius::new(110.0));
-        device.advance(DeviceCondition::dc_stress(hot), Seconds::new(stress_h * 3600.0));
-        let aged = device.delta_vth().get();
-        let permanent = device.permanent_delta_vth().get();
-        device.advance(DeviceCondition::recovery(env), Seconds::new(sleep_h * 3600.0));
-        prop_assert!(device.delta_vth().get() <= aged + 1e-9);
-        prop_assert!(device.delta_vth().get() >= permanent - 1e-9, "permanent floor holds");
+        age(&mut device, DeviceCondition::dc_stress(hot), stress_h);
+        let aged = shift(&device);
+        let permanent = device.summary().permanent_delta_vth.get();
+        age(&mut device, DeviceCondition::recovery(env), sleep_h);
+        prop_assert!(shift(&device) <= aged + 1e-9);
+        prop_assert!(shift(&device) >= permanent - 1e-9, "permanent floor holds");
     }
 
     #[test]
@@ -62,17 +72,17 @@ proptest! {
         // Advancing in one step equals advancing in k sub-steps (the trap
         // update is an exact solution, not an integrator).
         let mut rng = StdRng::seed_from_u64(seed);
-        let device = TrapEnsemble::sample(&TrapEnsembleParams::default(), &mut rng);
+        let device = TrapBank::sample(&TrapEnsembleParams::default(), &mut rng);
         let env = Environment::new(Volts::new(1.2), Celsius::new(110.0));
         let cond = DeviceCondition::dc_stress(env);
 
         let mut whole = device.clone();
-        whole.advance(cond, Seconds::new(hours * 3600.0));
+        age(&mut whole, cond, hours);
         let mut pieces = device.clone();
         for _ in 0..splits {
-            pieces.advance(cond, Seconds::new(hours * 3600.0 / splits as f64));
+            age(&mut pieces, cond, hours / splits as f64);
         }
-        prop_assert!((whole.delta_vth().get() - pieces.delta_vth().get()).abs() < 1e-7);
+        prop_assert!((shift(&whole) - shift(&pieces)).abs() < 1e-7);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfheal_bti::analytic::AnalyticBti;
-use selfheal_bti::td::{TrapEnsemble, TrapEnsembleParams};
+use selfheal_bti::td::{PhaseRates, TrapBank, TrapEnsembleParams};
 use selfheal_bti::{DeviceCondition, Environment};
 use selfheal_units::{Celsius, Hours, Seconds, Volts};
 
@@ -20,11 +20,11 @@ fn stochastic_mean(schedule: &[(DeviceCondition, Seconds)], n: u64) -> f64 {
     let mut total = 0.0;
     for seed in 0..n {
         let mut rng = StdRng::seed_from_u64(seed);
-        let mut device = TrapEnsemble::sample(&params, &mut rng);
+        let mut device = TrapBank::sample(&params, &mut rng);
         for (cond, dt) in schedule {
-            device.advance(*cond, *dt);
+            device.advance_all(&PhaseRates::for_condition(*cond), *dt);
         }
-        total += device.delta_vth().get();
+        total += device.summary().delta_vth.get();
     }
     total / n as f64
 }

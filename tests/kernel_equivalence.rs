@@ -11,8 +11,7 @@
 
 use proptest::prelude::*;
 use selfheal_bti::td::{
-    advance_population, sample_population, PhaseRates, Trap, TrapBank, TrapEnsemble,
-    TrapEnsembleParams, LANES,
+    advance_population, sample_population, PhaseRates, Trap, TrapBank, TrapEnsembleParams, LANES,
 };
 use selfheal_bti::{DeviceCondition, Environment};
 use selfheal_runtime::{set_global_threads, SeedSequence};
@@ -34,19 +33,21 @@ fn phase_sequence() -> Vec<(DeviceCondition, Seconds)> {
     ]
 }
 
-/// Asserts that an ensemble (bank path) and a scalar trap vector carry
-/// identical state and identical ordered reductions, to the bit.
-fn assert_bit_identical(scalar: &[Trap], ensemble: &TrapEnsemble, context: &str) {
-    assert_eq!(scalar.len(), ensemble.trap_count(), "{context}");
-    for (i, (s, b)) in scalar.iter().zip(ensemble.iter()).enumerate() {
-        assert_eq!(
-            s.occupancy().to_bits(),
-            b.occupancy().to_bits(),
-            "{context}: trap {i} occupancy"
-        );
+/// Asserts that a bank range and a scalar trap slice carry identical
+/// state and identical ordered reductions, to the bit.
+fn assert_bit_identical(
+    scalar: &[Trap],
+    bank: &TrapBank,
+    range: std::ops::Range<usize>,
+    context: &str,
+) {
+    assert_eq!(scalar.len(), range.len(), "{context}");
+    for (i, (s, b)) in scalar.iter().zip(&bank.occupancies()[range.clone()]).enumerate() {
+        assert_eq!(s.occupancy().to_bits(), b.to_bits(), "{context}: trap {i} occupancy");
     }
     // The fused single-pass reductions must reproduce the scalar
     // iterator sums exactly — both accumulate in trap index order.
+    let summary = bank.summary_range(range);
     let delta: f64 = scalar.iter().map(|t| t.contribution().get()).sum();
     let permanent: f64 = scalar
         .iter()
@@ -54,36 +55,40 @@ fn assert_bit_identical(scalar: &[Trap], ensemble: &TrapEnsemble, context: &str)
         .map(|t| t.contribution().get())
         .sum();
     let occupied: f64 = scalar.iter().map(Trap::occupancy).sum();
-    assert_eq!(
-        delta.to_bits(),
-        ensemble.delta_vth().get().to_bits(),
-        "{context}: delta_vth"
-    );
+    assert_eq!(delta.to_bits(), summary.delta_vth.get().to_bits(), "{context}: delta_vth");
     assert_eq!(
         permanent.to_bits(),
-        ensemble.permanent_delta_vth().get().to_bits(),
+        summary.permanent_delta_vth.get().to_bits(),
         "{context}: permanent_delta_vth"
     );
     assert_eq!(
         occupied.to_bits(),
-        ensemble.expected_occupied().to_bits(),
+        summary.expected_occupied.to_bits(),
         "{context}: expected_occupied"
     );
+}
+
+/// [`assert_bit_identical`] over the whole bank, which must also be
+/// what [`TrapBank::summary`] reports.
+fn assert_bank_bit_identical(scalar: &[Trap], bank: &TrapBank, context: &str) {
+    assert_bit_identical(scalar, bank, 0..bank.len(), context);
+    assert_eq!(bank.summary(), bank.summary_range(0..bank.len()), "{context}: summary");
 }
 
 #[test]
 fn bank_matches_per_trap_advance_across_phase_sequence() {
     let seeds = SeedSequence::new(2014);
     let params = TrapEnsembleParams::default();
-    let mut ensemble = TrapEnsemble::sample(&params, &mut seeds.rng(0));
-    let mut scalar: Vec<Trap> = ensemble.iter().collect();
-    assert_bit_identical(&scalar, &ensemble, "fresh");
+    let mut bank = TrapBank::sample(&params, &mut seeds.rng(0));
+    // The scalar oracle draws from the same sampler and stream.
+    let mut scalar: Vec<Trap> = params.sample_traps(&mut seeds.rng(0)).collect();
+    assert_bank_bit_identical(&scalar, &bank, "fresh");
     for (step, (cond, dt)) in phase_sequence().into_iter().enumerate() {
         for trap in &mut scalar {
             trap.advance(cond, dt);
         }
-        ensemble.advance(cond, dt);
-        assert_bit_identical(&scalar, &ensemble, &format!("after phase {step}"));
+        bank.advance_all(&PhaseRates::for_condition(cond), dt);
+        assert_bank_bit_identical(&scalar, &bank, &format!("after phase {step}"));
     }
 }
 
@@ -93,12 +98,13 @@ fn population_fanout_is_worker_count_invariant_bitwise() {
     let fresh = sample_population(&params, 12, 99);
     let sequence = phase_sequence();
 
-    // Reference: every device's traps stepped one at a time through the
-    // pre-kernel scalar entry point, on this thread.
-    let reference: Vec<Vec<Trap>> = fresh
-        .iter()
-        .map(|device| {
-            let mut traps: Vec<Trap> = device.iter().collect();
+    // Reference: every device's traps, drawn from the stream
+    // `sample_population` gives device `i`, stepped one at a time
+    // through the scalar oracle on this thread.
+    let seeds = SeedSequence::new(99);
+    let reference: Vec<Vec<Trap>> = (0..fresh.len() as u64)
+        .map(|i| {
+            let mut traps: Vec<Trap> = params.sample_traps(&mut seeds.rng(i)).collect();
             for &(cond, dt) in &sequence {
                 for trap in &mut traps {
                     trap.advance(cond, dt);
@@ -115,13 +121,7 @@ fn population_fanout_is_worker_count_invariant_bitwise() {
             devices = advance_population(devices, cond, dt);
         }
         for (d, (device, traps)) in devices.iter().zip(&reference).enumerate() {
-            for (i, (got, want)) in device.iter().zip(traps.iter()).enumerate() {
-                assert_eq!(
-                    got.occupancy().to_bits(),
-                    want.occupancy().to_bits(),
-                    "workers={workers} device={d} trap={i}"
-                );
-            }
+            assert_bank_bit_identical(traps, device, &format!("workers={workers} device={d}"));
         }
     }
 }
@@ -157,26 +157,13 @@ fn chunk_boundary_sizes_are_bit_exact() {
     for n in [LANES - 1, LANES, LANES + 1, 10_003] {
         let traps = traps_of_len(n);
         let mut scalar = traps.clone();
-        let mut bank = TrapBank::from_traps(&traps);
+        let mut bank: TrapBank = traps.iter().copied().collect();
         for (step, (cond, dt)) in phase_sequence().into_iter().enumerate() {
             for trap in &mut scalar {
                 trap.advance(cond, dt);
             }
-            let stats = bank.advance_all(&PhaseRates::for_condition(cond), dt);
-            for (i, (want, got)) in scalar.iter().zip(bank.iter()).enumerate() {
-                assert_eq!(
-                    want.occupancy().to_bits(),
-                    got.occupancy().to_bits(),
-                    "size={n} phase={step} trap={i}"
-                );
-            }
-            // The fused stats must still be the ordered iterator sum.
-            let occupied: f64 = scalar.iter().map(Trap::occupancy).sum();
-            assert_eq!(
-                stats.occupied_after.to_bits(),
-                occupied.to_bits(),
-                "size={n} phase={step}: occupied_after"
-            );
+            bank.advance_all(&PhaseRates::for_condition(cond), dt);
+            assert_bank_bit_identical(&scalar, &bank, &format!("size={n} phase={step}"));
         }
     }
 }
@@ -212,9 +199,10 @@ proptest! {
         let dt: Seconds = Hours::new(dt_hours).into();
         let rates = PhaseRates::for_condition(cond);
 
-        let traps: Vec<Trap> = tau_grid()
-            .into_iter()
-            .map(|(tau_c0, tau_e0, permanent)| {
+        let grid = tau_grid();
+        let traps: Vec<Trap> = grid
+            .iter()
+            .map(|&(tau_c0, tau_e0, permanent)| {
                 Trap::restore(
                     Seconds::new(tau_c0),
                     Seconds::new(tau_e0),
@@ -230,23 +218,24 @@ proptest! {
             trap.advance(cond, dt);
         }
 
-        let mut bank = TrapBank::from_traps(&traps);
+        let mut bank: TrapBank = traps.iter().copied().collect();
         bank.advance_all(&rates, dt);
 
-        for (i, (want, got)) in scalar.iter().zip(bank.iter()).enumerate() {
+        for (i, (want, got)) in scalar.iter().zip(bank.occupancies()).enumerate() {
+            let (tau_c0, tau_e0, permanent) = grid[i];
             prop_assert_eq!(
                 want.occupancy().to_bits(),
-                got.occupancy().to_bits(),
+                got.to_bits(),
                 "phase={} dt={} trap={} (tau_c0={}, tau_e0={}, permanent={})",
                 phase,
                 dt_hours,
                 i,
-                want.tau_c0().get(),
-                want.tau_e0_raw().get(),
-                want.is_permanent()
+                tau_c0,
+                tau_e0,
+                permanent
             );
             // Occupancy stays a probability even at the extremes.
-            prop_assert!((0.0..=1.0).contains(&got.occupancy()));
+            prop_assert!((0.0..=1.0).contains(got));
         }
     }
 
@@ -256,7 +245,7 @@ proptest! {
     /// random points (plus one at `LANES - 1`, `LANES` or `LANES + 1`)
     /// and advancing range by range through the phase sequence must
     /// match the scalar oracle trap for trap, to the bit, with each
-    /// range's stats the ordered sums over that range.
+    /// range's `summary_range` the ordered sums over that range.
     #[test]
     fn ranged_advance_matches_scalar_oracle_bitwise(
         size in 0usize..200,
@@ -271,39 +260,25 @@ proptest! {
 
         let traps = traps_of_len(size);
         let mut scalar = traps.clone();
-        let mut bank = TrapBank::from_traps(&traps);
+        let mut bank: TrapBank = traps.iter().copied().collect();
         for (step, (cond, dt)) in phase_sequence().into_iter().enumerate() {
-            let before: Vec<f64> = scalar.iter().map(Trap::occupancy).collect();
             for trap in &mut scalar {
                 trap.advance(cond, dt);
             }
             let rates = PhaseRates::for_condition(cond);
             for span in bounds.windows(2) {
+                bank.advance_range(span[0]..span[1], &rates, dt);
+            }
+            for span in bounds.windows(2) {
                 let range = span[0]..span[1];
-                let stats = bank.advance_range(range.clone(), &rates, dt);
-                let want_before: f64 = before[range.clone()].iter().sum();
-                let want_after: f64 = scalar[range.clone()].iter().map(Trap::occupancy).sum();
-                prop_assert_eq!(
-                    stats.occupied_before.to_bits(),
-                    want_before.to_bits(),
-                    "phase={} range={:?}: occupied_before",
-                    step, range
-                );
-                prop_assert_eq!(
-                    stats.occupied_after.to_bits(),
-                    want_after.to_bits(),
-                    "phase={} range={:?}: occupied_after",
-                    step, range
+                assert_bit_identical(
+                    &scalar[range.clone()],
+                    &bank,
+                    range.clone(),
+                    &format!("size={size} bounds={bounds:?} phase={step} range={range:?}"),
                 );
             }
-            for (i, (want, got)) in scalar.iter().zip(bank.iter()).enumerate() {
-                prop_assert_eq!(
-                    want.occupancy().to_bits(),
-                    got.occupancy().to_bits(),
-                    "size={} bounds={:?} phase={} trap={}",
-                    size, bounds, step, i
-                );
-            }
+            assert_bank_bit_identical(&scalar, &bank, &format!("size={size} phase={step}"));
         }
     }
 }

@@ -1,9 +1,7 @@
 //! Metrics recorded inside pool jobs must not depend on how the jobs
 //! were scheduled: a batch run on one worker and on eight leaves the
-//! same `fpga.*` and `bti.*` registry entries. Histograms and gauges
-//! must match bit for bit. Counters are f64 running sums, and a
-//! fractional counter (`bti.td.trap_captures`) rounds differently when
-//! its jobs add in another order, so counters match to 1e-12 relative.
+//! same `fpga.*` and `bti.*` registry entries, bit for bit. Every
+//! counter adds whole counts, so its f64 total is exact in any order.
 //!
 //! The registry is process-global, so this file holds a single test and
 //! runs in its own process.
@@ -51,7 +49,6 @@ fn pooled_metrics_do_not_depend_on_the_worker_count() {
     for name in [
         "fpga.chip.ro_frequency_mhz",
         "fpga.chip.cut_delay_ns",
-        "bti.td.expected_occupied",
         "bti.analytic.delta_vth_mv",
     ] {
         assert!(
@@ -61,18 +58,17 @@ fn pooled_metrics_do_not_depend_on_the_worker_count() {
             "{name} is recorded as a histogram"
         );
     }
+    assert!(
+        serial.iter().any(|(n, m)| n == "bti.td.kernel.traps_advanced"
+            && matches!(m, Metric::Counter(total) if *total > 0.0)),
+        "the kernel counters are part of the comparison"
+    );
     for _ in 0..4 {
         let pooled = pooled_metrics(8);
         assert_eq!(pooled.len(), serial.len());
         for ((name, got), (want_name, want)) in pooled.iter().zip(&serial) {
             assert_eq!(name, want_name);
-            match (got, want) {
-                (Metric::Counter(got), Metric::Counter(want)) => assert!(
-                    (got - want).abs() <= 1e-12 * want.abs(),
-                    "{name}: {got} vs {want}"
-                ),
-                _ => assert_eq!(got, want, "{name}"),
-            }
+            assert_eq!(got, want, "{name}");
         }
     }
 }

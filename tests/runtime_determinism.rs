@@ -14,7 +14,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use selfheal_bti::td::{sample_population, TrapEnsemble, TrapEnsembleParams};
+use selfheal_bti::td::{sample_population, PhaseRates, TrapBank, TrapEnsembleParams};
 use selfheal_bti::{DeviceCondition, Environment};
 use selfheal_runtime::{Pool, SeedSequence};
 use selfheal_units::{Celsius, Hours, Seconds, Volts};
@@ -22,17 +22,17 @@ use selfheal_units::{Celsius, Hours, Seconds, Volts};
 /// The Fig. 5 unit of work: sample device `i` from `(seed, i)` and run a
 /// 24 h DC stress at 110 °C. Returns the full ensemble state, so the
 /// equality checks below compare every trap, not a summary statistic.
-fn stressed_device(seeds: &SeedSequence, i: u64) -> TrapEnsemble {
+fn stressed_device(seeds: &SeedSequence, i: u64) -> TrapBank {
     let params = TrapEnsembleParams::default();
-    let mut device = TrapEnsemble::sample(&params, &mut seeds.rng(i));
+    let mut device = TrapBank::sample(&params, &mut seeds.rng(i));
     let stress =
         DeviceCondition::dc_stress(Environment::new(Volts::new(1.2), Celsius::new(110.0)));
     let dt: Seconds = Hours::new(24.0).into();
-    device.advance(stress, dt);
+    device.advance_all(&PhaseRates::for_condition(stress), dt);
     device
 }
 
-fn serial_reference(seed: u64, count: usize) -> Vec<TrapEnsemble> {
+fn serial_reference(seed: u64, count: usize) -> Vec<TrapBank> {
     let seeds = SeedSequence::new(seed);
     (0..count as u64).map(|i| stressed_device(&seeds, i)).collect()
 }
