@@ -396,8 +396,9 @@ fn receiver_is_partial_cmp(tokens: &[Token], dot: usize) -> bool {
 
 /// Lint: `std::thread::spawn` (or `thread::spawn`) outside the crates
 /// that own threading. Raw threads bypass the deterministic pool's
-/// seed-splitting and job ordering and silently drop their phase-ledger
-/// spans, so parallel work must go through `selfheal-runtime`.
+/// seed-splitting and job ordering, and their root spans never reach a
+/// manifest's phase list, so parallel work must go through
+/// `selfheal-runtime`.
 fn raw_thread_spawn(path: &Path, tokens: &[Token], mask: &[bool]) -> Vec<Finding> {
     let mut out = Vec::new();
     for (i, t) in tokens.iter().enumerate() {

@@ -85,7 +85,7 @@ fn main() {
     let mut headline_speedup = 0.0;
 
     for (i, &size) in SIZES.iter().enumerate() {
-        // One top-level span per size, so the manifest's phase ledger
+        // One top-level span per size, so the manifest's phase list
         // gets a `kernel_<size>` entry.
         let phase = run.phase_named(format!("kernel_{size}"));
         let traps = traps_of(size, 2014 + i as u64);

@@ -126,7 +126,7 @@ impl BenchRun {
         let sink = telemetry::init_from_env();
         telemetry::metrics::reset();
         telemetry::metrics::set_enabled(true);
-        telemetry::reset_self_time();
+        telemetry::begin_run();
         telemetry::register_thread_name("main");
         if let Some(threads) = threads {
             runtime::set_global_threads(threads);

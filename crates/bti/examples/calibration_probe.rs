@@ -24,7 +24,7 @@ fn main() {
     let devices: Vec<TrapBank> = (0..n)
         .map(|_| TrapBank::sample(&params, &mut rng))
         .collect();
-    let shift = |device: &TrapBank| device.summary().delta_vth.get();
+    let shift = |device: &TrapBank| device.delta_vth().get();
 
     let stress = PhaseRates::for_condition(DeviceCondition::dc_stress(Environment::new(
         Volts::new(1.2),

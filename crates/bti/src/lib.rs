@@ -45,12 +45,12 @@
 //! // are evaluated once, then every trap steps under them.
 //! let stress = DeviceCondition::dc_stress(Environment::new(Volts::new(1.2), Celsius::new(110.0)));
 //! device.advance_all(&PhaseRates::for_condition(stress), Hours::new(24.0).into());
-//! let aged = device.summary().delta_vth;
+//! let aged = device.delta_vth();
 //!
 //! // 6 h of accelerated self-healing at 110 °C / −0.3 V.
 //! let heal = DeviceCondition::recovery(Environment::new(Volts::new(-0.3), Celsius::new(110.0)));
 //! device.advance_all(&PhaseRates::for_condition(heal), Hours::new(6.0).into());
-//! assert!(device.summary().delta_vth < aged, "rejuvenation reduces the threshold shift");
+//! assert!(device.delta_vth() < aged, "rejuvenation reduces the threshold shift");
 //! ```
 
 #![forbid(unsafe_code)]

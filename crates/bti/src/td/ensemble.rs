@@ -235,7 +235,7 @@ mod tests {
     }
 
     fn delta_vth(bank: &TrapBank) -> f64 {
-        bank.summary().delta_vth.get()
+        bank.delta_vth().get()
     }
 
     #[test]
@@ -274,7 +274,7 @@ mod tests {
     fn fresh_device_has_no_shift() {
         let e = TrapBank::sample(&TrapEnsembleParams::default(), &mut rng());
         assert_eq!(delta_vth(&e), 0.0);
-        assert_eq!(e.summary().expected_occupied, 0.0);
+        assert!(e.occupancies().iter().all(|&p| p == 0.0));
     }
 
     #[test]
@@ -347,18 +347,38 @@ mod tests {
             permanent_fraction: 0.3,
             ..TrapEnsembleParams::default()
         };
-        let mut r = rng();
-        let mut e = TrapBank::sample(&p, &mut r);
+        let mut e = TrapBank::sample(&p, &mut rng());
+        // The scalar traps from the same stream carry the permanence
+        // flag the bank folds into `tau_e`; they give the floor.
+        let mut traps: Vec<Trap> = p.sample_traps(&mut rng()).collect();
+        let mut step = |rates: PhaseRates, dt: Seconds| {
+            e.advance_all(&rates, dt);
+            for trap in &mut traps {
+                trap.advance(rates.condition(), dt);
+            }
+            delta_vth(&e)
+        };
+        let aged = step(stress_110(), Hours::new(24.0).into());
+        let healed = step(heal(-0.3, 110.0), Hours::new(240.0).into());
+        let floor: f64 =
+            traps.iter().filter(|t| t.is_permanent()).map(|t| t.contribution().get()).sum();
+        assert!(healed < aged);
+        assert!(healed >= floor - 1e-9, "cannot heal below the permanent floor");
+        assert!(floor > 0.0, "some damage is forever");
+    }
+
+    #[test]
+    fn all_permanent_bank_keeps_its_shift_through_recovery() {
+        let p = TrapEnsembleParams {
+            permanent_fraction: 1.0,
+            ..TrapEnsembleParams::default()
+        };
+        let mut e = TrapBank::sample(&p, &mut rng());
         e.advance_all(&stress_110(), Hours::new(24.0).into());
         let aged = delta_vth(&e);
+        assert!(aged > 0.0);
         e.advance_all(&heal(-0.3, 110.0), Hours::new(240.0).into());
-        let healed = e.summary();
-        assert!(healed.delta_vth.get() < aged);
-        assert!(
-            healed.delta_vth.get() >= healed.permanent_delta_vth.get() - 1e-9,
-            "cannot heal below the permanent floor"
-        );
-        assert!(healed.permanent_delta_vth.get() > 0.0, "some damage is forever");
+        assert_eq!(delta_vth(&e).to_bits(), aged.to_bits(), "permanent damage never heals");
     }
 
     #[test]

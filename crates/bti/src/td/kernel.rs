@@ -19,9 +19,10 @@
 //!    flat arrays (structure-of-arrays) with **one** advance loop,
 //!    [`advance_range`](TrapBank::advance_range): one phase per call,
 //!    over a [`LANES`]-chunked span of the bank.
-//!    [`advance_all`](TrapBank::advance_all) is its whole-bank range,
-//!    and a fused single-pass [`summary`](TrapBank::summary) reduction
-//!    replaces three separate iterator passes.
+//!    [`advance_all`](TrapBank::advance_all) is its whole-bank range.
+//!    The bank's one reduction, [`delta_vth`](TrapBank::delta_vth) (or
+//!    [`delta_vth_range`](TrapBank::delta_vth_range) over a chip's
+//!    slice), is the ΔVth sum every caller reads.
 //!
 //! The bank is the workspace's only trap state: devices, populations
 //! and fleet shards all hold one, and [`Trap`] values only go *into* a
@@ -48,9 +49,9 @@
 //!   [`Trap::advance`]: zero total rate and infinite `tau` freeze the
 //!   trap, the relaxation uses `exp(-dt / tau)` (not `exp(-dt * rate)`),
 //!   and the result is clamped to `[0, 1]` exactly as before.
-//! * The [`summary`](TrapBank::summary) reductions accumulate in trap
-//!   index order, so sums match the old sequential iterator passes to
-//!   the last ulp.
+//! * The [`delta_vth`](TrapBank::delta_vth) sum accumulates in trap
+//!   index order from `-0.0`, so it matches `Iterator::sum` over the
+//!   scalar traps' contributions to the last ulp.
 
 use selfheal_telemetry as telemetry;
 use selfheal_units::{Millivolts, Seconds};
@@ -196,26 +197,16 @@ impl PhaseRateCache {
     }
 }
 
-/// The fused single-pass reduction over a bank's state.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BankSummary {
-    /// Total threshold-voltage shift: Σ occupancy · step.
-    pub delta_vth: Millivolts,
-    /// The permanent-trap share of [`Self::delta_vth`].
-    pub permanent_delta_vth: Millivolts,
-    /// Expected number of occupied traps: Σ occupancy.
-    pub expected_occupied: f64,
-}
-
 /// A device's traps in structure-of-arrays layout — the workspace's
 /// only trap state.
 ///
-/// Parallel flat arrays keep the advance kernel's loads contiguous and
-/// auto-vectorizable. A transistor holds one bank; a fleet shard holds
+/// Four parallel flat arrays (`tau_c0`, `tau_e`, `step_mv`, `occupancy`)
+/// keep the advance kernel's loads contiguous and auto-vectorizable. A
+/// transistor holds one bank; a fleet shard holds
 /// the concatenated banks of its chips and addresses each chip by
 /// index range. Banks are built from [`Trap`] values (by
 /// [`sample`](TrapBank::sample), [`Extend`] or [`FromIterator`]); there
-/// is no way back out, because the kernel and the reductions read the
+/// is no way back out, because the kernel and the ΔVth sum read the
 /// columns directly. See the module docs for the layout decisions the
 /// bit-exactness contract forces.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -227,8 +218,6 @@ pub struct TrapBank {
     tau_e: Vec<f64>,
     /// Per-trap ΔVth contribution when occupied (mV).
     step_mv: Vec<f64>,
-    /// Whether each trap's capture is permanent (never emits).
-    permanent: Vec<bool>,
     /// Current capture probability of each trap, in `[0, 1]`.
     occupancy: Vec<f64>,
 }
@@ -247,7 +236,6 @@ impl TrapBank {
         // which is what makes the advance kernel branch-free on that axis.
         self.tau_e.push(trap.tau_e0().get());
         self.step_mv.push(trap.delta_vth_step().get());
-        self.permanent.push(trap.is_permanent());
         self.occupancy.push(trap.occupancy());
     }
 
@@ -276,7 +264,6 @@ impl TrapBank {
             tau_c0: self.tau_c0[range.clone()].to_vec(),
             tau_e: self.tau_e[range.clone()].to_vec(),
             step_mv: self.step_mv[range.clone()].to_vec(),
-            permanent: self.permanent[range.clone()].to_vec(),
             occupancy: self.occupancy[range].to_vec(),
         }
     }
@@ -352,45 +339,27 @@ impl TrapBank {
         }
     }
 
-    /// All three ensemble reductions in one ordered pass.
-    ///
-    /// Replaces the three separate iterator scans (`delta_vth`,
-    /// `permanent_delta_vth`, `expected_occupied`) the AoS layout
-    /// required; each sum accumulates in trap index order, so the
-    /// results are bit-identical to the old sequential passes.
+    /// Total threshold-voltage shift of the bank: Σ occupancy · step.
     #[must_use]
-    pub fn summary(&self) -> BankSummary {
-        self.summary_range(0..self.len())
+    pub fn delta_vth(&self) -> Millivolts {
+        self.delta_vth_range(0..self.len())
     }
 
-    /// The [`summary`](TrapBank::summary) reductions restricted to the
-    /// traps in `range` — per-chip aggregates out of a shard bank.
+    /// The [`delta_vth`](TrapBank::delta_vth) sum restricted to the
+    /// traps in `range` — one chip's shift out of a shard bank.
     ///
     /// # Panics
     ///
-    /// Panics if `range` ends past the bank.
+    /// Panics if `range` ends past the bank or starts after its end.
     #[must_use]
-    pub fn summary_range(&self, range: std::ops::Range<usize>) -> BankSummary {
-        assert!(range.end <= self.occupancy.len(), "range out of bounds");
-        // Accumulators start at -0.0 to match `Iterator::sum::<f64>()`,
-        // which the scalar passes these replaced folded from; the two
-        // starts differ only in the sign bit of an empty bank's sum.
+    pub fn delta_vth_range(&self, range: std::ops::Range<usize>) -> Millivolts {
+        // Starts at -0.0 and adds in trap order, like
+        // `Iterator::sum::<f64>()` over the scalar traps' contributions.
         let mut delta_vth_mv = -0.0;
-        let mut permanent_delta_vth_mv = -0.0;
-        let mut expected_occupied = -0.0;
-        for i in range {
-            let contribution = self.occupancy[i] * self.step_mv[i];
-            delta_vth_mv += contribution;
-            if self.permanent[i] {
-                permanent_delta_vth_mv += contribution;
-            }
-            expected_occupied += self.occupancy[i];
+        for (p, step) in self.occupancy[range.clone()].iter().zip(&self.step_mv[range]) {
+            delta_vth_mv += p * step;
         }
-        BankSummary {
-            delta_vth: Millivolts::new(delta_vth_mv),
-            permanent_delta_vth: Millivolts::new(permanent_delta_vth_mv),
-            expected_occupied,
-        }
+        Millivolts::new(delta_vth_mv)
     }
 
     /// Raw occupancy slice, in trap order — the checkpointable mutable
@@ -532,7 +501,7 @@ mod tests {
     }
 
     #[test]
-    fn summary_matches_separate_passes() {
+    fn delta_vth_matches_the_scalar_sum() {
         let mut traps = sample_traps();
         let mut bank = bank();
         let cond = stress();
@@ -540,17 +509,9 @@ mod tests {
         for trap in &mut traps {
             trap.advance(cond, Seconds::new(3600.0));
         }
-        let summary = bank.summary();
         let delta: f64 = traps.iter().map(|t| t.contribution().get()).sum();
-        let permanent: f64 = traps
-            .iter()
-            .filter(|t| t.is_permanent())
-            .map(|t| t.contribution().get())
-            .sum();
-        let occupied: f64 = traps.iter().map(Trap::occupancy).sum();
-        assert_eq!(summary.delta_vth.get().to_bits(), delta.to_bits());
-        assert_eq!(summary.permanent_delta_vth.get().to_bits(), permanent.to_bits());
-        assert_eq!(summary.expected_occupied.to_bits(), occupied.to_bits());
+        assert_eq!(bank.delta_vth().get().to_bits(), delta.to_bits());
+        assert_eq!(TrapBank::new().delta_vth().get().to_bits(), (-0.0f64).to_bits());
     }
 
     #[test]
@@ -587,14 +548,9 @@ mod tests {
         bank.advance_all(&PhaseRates::for_condition(stress()), Seconds::new(3600.0));
         let sub = bank.copy_range(1..bank.len());
         assert_eq!(sub.occupancies(), &bank.occupancies()[1..]);
-        let want = sub.summary();
-        let got = bank.summary_range(1..bank.len());
-        assert_eq!(got.delta_vth.get().to_bits(), want.delta_vth.get().to_bits());
-        assert_eq!(
-            got.permanent_delta_vth.get().to_bits(),
-            want.permanent_delta_vth.get().to_bits()
-        );
-        assert_eq!(got.expected_occupied.to_bits(), want.expected_occupied.to_bits());
+        let want = sub.delta_vth();
+        let got = bank.delta_vth_range(1..bank.len());
+        assert_eq!(got.get().to_bits(), want.get().to_bits());
     }
 
     #[test]
@@ -630,6 +586,7 @@ mod tests {
         let mut bank = bank();
         bank.advance_all(&PhaseRates::for_condition(stress()), Seconds::new(3600.0));
         bank.reset();
-        assert_eq!(bank.summary().expected_occupied, 0.0);
+        assert!(bank.occupancies().iter().all(|&p| p == 0.0));
+        assert_eq!(bank.delta_vth().get(), 0.0);
     }
 }

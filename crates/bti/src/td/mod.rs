@@ -20,7 +20,7 @@ pub mod tiered;
 mod trap;
 
 pub use ensemble::TrapEnsembleParams;
-pub use kernel::{BankSummary, PhaseRateCache, PhaseRates, TrapBank, KERNEL_VERSION, LANES};
+pub use kernel::{PhaseRateCache, PhaseRates, TrapBank, KERNEL_VERSION, LANES};
 pub use tiered::{ChipTier, ColdChip, TierCounts, TierPolicy};
 pub use population::{advance_population, sample_population};
 pub use kinetics::{capture_rate_multiplier, emission_rate_multiplier, emission_thermal_speedup};

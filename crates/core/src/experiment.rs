@@ -173,7 +173,7 @@ impl PaperExperiment {
     /// bit-exact (the codec stores shortest-round-trip doubles), so a hit
     /// returns the same outputs the chip simulation would recompute — but
     /// skips the simulation, and with it the chip's telemetry (spans,
-    /// counters, phase ledger entries). Use [`Self::run`] when the
+    /// counters, phase-list entries). Use [`Self::run`] when the
     /// manifest must reflect a full simulation.
     ///
     /// Returns the assembled outputs plus one [`CacheOutcome`] per chip,

@@ -214,7 +214,7 @@ impl SchedulePlanner {
     ) -> Millivolts {
         let mut projection = bank.copy_range(range);
         projection.advance_all(&PhaseRates::for_condition(cond), dt);
-        projection.summary().delta_vth
+        projection.delta_vth()
     }
 
     fn plan_for(
@@ -399,7 +399,7 @@ mod tests {
         assert_eq!(bank, before, "projection must not mutate the live bank");
         let mut direct = bank.clone();
         direct.advance_all(&PhaseRates::for_condition(cond), dt);
-        assert_eq!(projected.get().to_bits(), direct.summary().delta_vth.get().to_bits());
+        assert_eq!(projected.get().to_bits(), direct.delta_vth().get().to_bits());
         // A chip's slice of a larger bank projects like the chip alone.
         let mut shard = bank.clone();
         shard.extend(TrapEnsembleParams::default().sample_traps(&mut rng));

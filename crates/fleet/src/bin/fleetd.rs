@@ -31,7 +31,6 @@ struct Options {
     threads: Option<usize>,
     cache: bool,
     cache_dir: Option<PathBuf>,
-    resume: bool,
 }
 
 impl Default for Options {
@@ -46,7 +45,6 @@ impl Default for Options {
             threads: None,
             cache: true,
             cache_dir: None,
-            resume: true,
         }
     }
 }
@@ -73,9 +71,9 @@ fleetd — sharded rejuvenation-scheduling daemon
                          JSONL on panic, shutdown, or a debug-dump request
   --status PATH          write a Prometheus status file (selfheal-top watches it)
   --addr-file PATH       write the bound address to PATH once listening
-  --cache-dir PATH       checkpoint store root (default target/cache)
-  --no-cache             disable the checkpoint store
-  --fresh                ignore existing checkpoints (no resume)
+  --cache-dir PATH       checkpoint store root (default target/cache); resumes its
+                         newest checkpoint, so a new directory starts a fresh fleet
+  --no-cache             disable the checkpoint store (a fresh fleet)
   --help                 this text";
 
 fn parse_args() -> Result<Options, String> {
@@ -119,7 +117,6 @@ fn parse_args() -> Result<Options, String> {
             "--addr-file" => options.addr_file = Some(PathBuf::from(value("--addr-file")?)),
             "--cache-dir" => options.cache_dir = Some(PathBuf::from(value("--cache-dir")?)),
             "--no-cache" => options.cache = false,
-            "--fresh" => options.resume = false,
             "--help" | "-h" => {
                 println!("{USAGE}");
                 std::process::exit(0);
@@ -187,14 +184,8 @@ fn main() {
         (Some(root), true) => ResultCache::at(root.clone()),
         (None, true) => ResultCache::standard(),
     };
-    let (daemon, resumed) = if options.resume {
-        FleetDaemon::resume_or_new(options.config.clone(), cache, options.checkpoint_every)
-    } else {
-        (
-            FleetDaemon::new(options.config.clone(), cache, options.checkpoint_every),
-            false,
-        )
-    };
+    let (daemon, resumed) =
+        FleetDaemon::resume_or_new(options.config.clone(), cache, options.checkpoint_every);
     let tiering = if options.config.tiered {
         format!(" [tiered, guard band {}]", options.config.guard_band)
     } else {

@@ -119,7 +119,7 @@ impl Shard {
                     let cond = DeviceCondition::new(config.active_env, chip.duty);
                     let phase = rates.rates(cond);
                     bank.advance_range(chip.traps.clone(), &phase, elapsed);
-                    let current = bank.summary_range(chip.traps.clone()).delta_vth;
+                    let current = bank.delta_vth_range(chip.traps.clone());
                     chip.tier = match policy.try_demote(anchor, current, window, cond, epoch_end) {
                         Some(cold) => ChipTier::Cold(cold),
                         None => ChipTier::Hot,
@@ -127,13 +127,13 @@ impl Shard {
                 }
                 (ChipTier::Hot, Some(policy)) => {
                     // Demotion needs the chip's observed per-epoch
-                    // rate, so bracket the advance with two summary
+                    // rate, so bracket the advance with two ΔVth
                     // scans.
                     let cond = DeviceCondition::new(config.active_env, chip.duty);
-                    let previous = bank.summary_range(chip.traps.clone()).delta_vth;
+                    let previous = bank.delta_vth_range(chip.traps.clone());
                     let phase = rates.rates(cond);
                     bank.advance_range(chip.traps.clone(), &phase, dt);
-                    let current = bank.summary_range(chip.traps.clone()).delta_vth;
+                    let current = bank.delta_vth_range(chip.traps.clone());
                     if let Some(cold) = policy.try_demote(previous, current, 1, cond, epoch_end) {
                         chip.tier = ChipTier::Cold(cold);
                     }
@@ -325,7 +325,7 @@ impl FleetState {
     ) -> Millivolts {
         match (policy, &slot.tier) {
             (Some(policy), ChipTier::Cold(cold)) => policy.analytic_delta_vth(cold, self.epoch),
-            _ => shard.bank.summary_range(slot.traps.clone()).delta_vth,
+            _ => shard.bank.delta_vth_range(slot.traps.clone()),
         }
     }
 
@@ -515,8 +515,8 @@ mod tests {
         assert!(!reported.fold_report(10, DutyCycle::new(0.5)));
         reported.advance_epoch();
         untouched.advance_epoch();
-        let low_duty = reported.chip_view(4).map(|(s, r)| s.bank.summary_range(r).delta_vth);
-        let dc = untouched.chip_view(4).map(|(s, r)| s.bank.summary_range(r).delta_vth);
+        let low_duty = reported.chip_view(4).map(|(s, r)| s.bank.delta_vth_range(r));
+        let dc = untouched.chip_view(4).map(|(s, r)| s.bank.delta_vth_range(r));
         assert!(low_duty < dc, "a 10 % duty chip must age slower than DC");
     }
 

@@ -98,7 +98,7 @@ impl Transistor {
     /// Current BTI threshold shift.
     #[must_use]
     pub fn delta_vth(&self) -> Millivolts {
-        self.aging.summary().delta_vth
+        self.aging.delta_vth()
     }
 
     /// Whether this device has (measurably) aged.

@@ -223,9 +223,11 @@ impl ResultCache {
         }
         // Atomic publish: write a sibling temp file, then rename. A
         // concurrent writer computing the same key writes identical
-        // bytes, so last-rename-wins is harmless.
+        // bytes, so last-rename-wins is harmless. Records are one compact
+        // line: a checkpoint is mostly numbers and resume parses every
+        // byte. Indented entries from older writers still parse.
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
-        if std::fs::write(&tmp, doc.render_pretty()).is_ok() {
+        if std::fs::write(&tmp, doc.render()).is_ok() {
             let _ = std::fs::rename(&tmp, path);
         }
     }
@@ -285,6 +287,34 @@ mod tests {
         let (v, o) = cache.get_or_compute("t", 1, "b", || vec![2.0]);
         assert_eq!(o, CacheOutcome::Miss);
         assert_eq!(v, vec![2.0]);
+    }
+
+    #[test]
+    fn records_are_stored_on_one_line() {
+        let cache = ResultCache::at(temp_root("compact"));
+        cache.store_record("t", 1, "k", &vec![1.0, 2.5, -3.0]);
+        let text = std::fs::read_to_string(cache.entry_path("t", 1, "k")).expect("entry written");
+        assert!(!text.contains('\n'), "one line: {text}");
+        assert_eq!(cache.load_record::<Vec<f64>>("t", 1, "k"), Some(vec![1.0, 2.5, -3.0]));
+    }
+
+    #[test]
+    fn indented_entries_still_load() {
+        let cache = ResultCache::at(temp_root("indented"));
+        let path = cache.entry_path("t", 1, "k");
+        std::fs::create_dir_all(path.parent().expect("has parent")).expect("mkdir");
+        let doc = Json::object(vec![
+            ("namespace".to_string(), Json::String("t".to_string())),
+            ("version".to_string(), Json::Number(1.0)),
+            ("key".to_string(), Json::String("k".to_string())),
+            ("payload".to_string(), vec![0.25, -7.0].to_cache_json()),
+        ]);
+        std::fs::write(&path, doc.render_pretty()).expect("write");
+        let (v, o) = cache.get_or_compute("t", 1, "k", || -> Vec<f64> {
+            panic!("an indented entry is a hit")
+        });
+        assert_eq!(o, CacheOutcome::Hit);
+        assert_eq!(v, vec![0.25, -7.0]);
     }
 
     #[test]

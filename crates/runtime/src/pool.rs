@@ -130,10 +130,6 @@ impl Shared {
         loop {
             if let Some(job) = self.find_job(home) {
                 self.run_job(job);
-                // Root spans closed on this worker thread would otherwise
-                // strand entries in the global phase ledger (manifests
-                // drain per submitting thread); drop them eagerly.
-                let _ = telemetry::take_phase_timings();
                 continue;
             }
             if self.shutdown.load(Ordering::Acquire) {

@@ -7,7 +7,7 @@
 //! * **Spans** ([`span!`]) — hierarchical wall-clock timed regions with
 //!   key=value fields, broadcast to pluggable [`Sink`]s (stderr
 //!   pretty-printer, JSONL file, in-memory collector for tests).
-//!   Completed root spans feed the phase ledger that manifests report.
+//!   A run thread's ([`begin_run`]) root spans are its manifest's phases.
 //! * **Metrics** ([`counter!`], [`gauge!`], [`histogram!`]) — named
 //!   aggregates (trap occupancy, RO frequency, per-core `ΔVth`, scheduler
 //!   decisions) in a process-global registry.
@@ -37,6 +37,7 @@
 //! let sink = telemetry::MemorySink::new();
 //! let _guard = telemetry::install_sink(sink.clone());
 //! telemetry::metrics::set_enabled(true);
+//! telemetry::begin_run(); // this thread's root spans become the manifest's phases
 //!
 //! {
 //!     let _phase = telemetry::span!("recovery_phase", vddr_mv = -300.0);
@@ -74,8 +75,8 @@ pub use sink::{
     MemorySink, Sink, SinkGuard, StderrSink, ENV_VAR,
 };
 pub use span::{
-    render_folded, reset_self_time, self_time_snapshot, take_phase_timings, take_self_time,
-    PhaseTiming, SelfTimeEntry, Span,
+    begin_run, render_folded, self_time_snapshot, take_phase_timings, PhaseTiming,
+    SelfTimeEntry, Span,
 };
 pub use timeseries::{
     interval_from_env, parse_exposition, parse_interval, render_exposition, Exposition, Sampler,
@@ -84,7 +85,7 @@ pub use timeseries::{
 
 /// True when any telemetry consumer is active: a sink is installed or the
 /// metrics registry is recording. Span guards arm themselves on this (the
-/// phase ledger must fill whenever a manifest will be captured), so bench
+/// phase list must fill whenever a manifest will be captured), so bench
 /// binaries call [`metrics::set_enabled`] even when no sink is attached.
 #[must_use]
 pub fn telemetry_enabled() -> bool {

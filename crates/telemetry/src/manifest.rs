@@ -3,7 +3,7 @@
 //!
 //! A manifest captures *what ran and what came out*: a hash of the
 //! configuration, the source revision, per-phase wall-clock durations
-//! (drained from the span phase ledger) and a snapshot of the metrics
+//! (drained from the run thread's phase list) and a snapshot of the metrics
 //! registry, plus arbitrary named result values the caller attaches.
 
 use std::collections::BTreeMap;
@@ -69,7 +69,7 @@ pub struct RunManifest {
     /// Self-time profile at capture: per folded call stack, call counts
     /// and total vs. self wall-clock (largest self time first). Unlike
     /// `phases` this is *not* drained — it is a snapshot of the ledger
-    /// accumulated since the last [`crate::reset_self_time`].
+    /// accumulated since the last [`crate::begin_run`].
     pub self_time: Vec<SelfTimeEntry>,
     /// Snapshot of the metrics registry at capture.
     pub metrics: MetricsSnapshot,
@@ -79,9 +79,10 @@ pub struct RunManifest {
 
 impl RunManifest {
     /// Captures a manifest for the named run: drains the calling thread's
-    /// phase ledger, snapshots the metrics registry, stamps time and
-    /// revision, and hashes `config_repr` (conventionally the `{config:?}`
-    /// debug rendering — any stable string representation works).
+    /// phase list ([`crate::begin_run`]), snapshots the metrics registry,
+    /// stamps time and revision, and hashes `config_repr` (conventionally
+    /// the `{config:?}` debug rendering — any stable string representation
+    /// works).
     #[must_use]
     pub fn capture(name: &str, config_repr: &str) -> RunManifest {
         RunManifest {
@@ -203,7 +204,7 @@ mod tests {
 
     #[test]
     fn capture_drains_phases_and_hashes_config() {
-        let _ = span::take_phase_timings(); // isolate from earlier tests
+        span::record_phases_here(); // isolate from earlier tests
         {
             let _phase = Span::enter("warmup", Vec::new());
         }
@@ -230,7 +231,7 @@ mod tests {
 
     #[test]
     fn manifest_json_round_trips_through_the_parser() {
-        let _ = span::take_phase_timings();
+        span::record_phases_here();
         {
             let _phase = Span::enter("measure", Vec::new());
         }

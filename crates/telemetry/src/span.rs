@@ -1,10 +1,11 @@
-//! Hierarchical spans with wall-clock timing, the phase ledger that feeds
+//! Hierarchical spans with wall-clock timing, the phase list that feeds
 //! run manifests, and the self-time ledger behind profiling exports.
 //!
 //! Every armed span contributes to two ledgers on drop:
 //!
-//! * the **phase ledger** — completed *root* spans only, drained per
-//!   thread by [`take_phase_timings`] into manifest phase entries;
+//! * the **phase list** — completed *root* spans only, kept per thread
+//!   and only on a thread that has begun a run ([`begin_run`]); drained
+//!   by [`take_phase_timings`] into manifest phase entries;
 //! * the **self-time ledger** — every span, keyed by its folded call
 //!   stack (`parent;child;leaf`), accumulating call counts, total
 //!   wall-clock and *self* wall-clock (total minus time spent in child
@@ -36,6 +37,9 @@ struct Frame {
 thread_local! {
     /// The calling thread's open-span stack, innermost last.
     static STACK: RefCell<Vec<Frame>> = const { RefCell::new(Vec::new()) };
+    /// The calling thread's completed root spans, in completion order;
+    /// `None`, so nothing is kept, until the thread begins a run.
+    static PHASES: RefCell<Option<Vec<PhaseTiming>>> = const { RefCell::new(None) };
 }
 
 /// One completed root span, as the manifest reports it.
@@ -50,24 +54,24 @@ pub struct PhaseTiming {
     pub self_s: f64,
 }
 
-/// Completed *root* spans (depth 0), in completion order, tagged with the
-/// emitting thread so manifests can be captured per thread.
-static PHASE_LEDGER: Mutex<Vec<(u64, PhaseTiming)>> = Mutex::new(Vec::new());
-
-fn ledger() -> MutexGuard<'static, Vec<(u64, PhaseTiming)>> {
-    PHASE_LEDGER.lock().unwrap_or_else(PoisonError::into_inner)
+/// Begins a run on the calling thread: clears the self-time ledger and
+/// starts an empty phase list here, so the manifest this thread captures
+/// covers exactly this run.
+pub fn begin_run() {
+    self_time().clear();
+    record_phases_here();
 }
 
-/// Drains the calling thread's completed root-span timings — called by
-/// manifest capture so consecutive runs do not bleed into each other.
+/// Starts an empty phase list on the calling thread.
+pub(crate) fn record_phases_here() {
+    PHASES.with(|phases| *phases.borrow_mut() = Some(Vec::new()));
+}
+
+/// Drains the calling thread's completed root-span timings (none unless
+/// it began a run) so consecutive manifests do not bleed into each other.
 #[must_use]
 pub fn take_phase_timings() -> Vec<PhaseTiming> {
-    let me = current_thread_hash();
-    let mut entries = ledger();
-    let (mine, others): (Vec<_>, Vec<_>) =
-        std::mem::take(&mut *entries).into_iter().partition(|(t, _)| *t == me);
-    *entries = others;
-    mine.into_iter().map(|(_, timing)| timing).collect()
+    PHASES.with(|phases| phases.borrow_mut().as_mut().map(std::mem::take).unwrap_or_default())
 }
 
 /// Accumulated timing for one folded call stack.
@@ -87,7 +91,7 @@ pub struct SelfTimeEntry {
 
 /// The self-time ledger: folded stack → accumulated timing. Global (all
 /// threads fold into one profile — a pooled run's worker spans belong to
-/// the same picture); [`reset_self_time`] starts a fresh accumulation.
+/// the same picture); [`begin_run`] starts a fresh accumulation.
 static SELF_TIME: Mutex<BTreeMap<String, (u64, u128, u128)>> = Mutex::new(BTreeMap::new());
 
 fn self_time() -> MutexGuard<'static, BTreeMap<String, (u64, u128, u128)>> {
@@ -100,12 +104,6 @@ fn record_self_time(path: &str, total_ns: u128, self_ns: u128) {
     entry.0 += 1;
     entry.1 += total_ns;
     entry.2 += self_ns;
-}
-
-/// Clears the self-time ledger (run harnesses call this at start so the
-/// end-of-run profile covers exactly one run).
-pub fn reset_self_time() {
-    self_time().clear();
 }
 
 /// A copy of the self-time ledger, sorted by self time, largest first.
@@ -124,14 +122,6 @@ pub fn self_time_snapshot() -> Vec<SelfTimeEntry> {
         .collect();
     entries.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then_with(|| a.stack.cmp(&b.stack)));
     entries
-}
-
-/// Drains the self-time ledger ([`self_time_snapshot`] then clear).
-#[must_use]
-pub fn take_self_time() -> Vec<SelfTimeEntry> {
-    let snapshot = self_time_snapshot();
-    reset_self_time();
-    snapshot
 }
 
 /// Renders entries in the folded-stacks format `flamegraph.pl` consumes:
@@ -271,18 +261,19 @@ impl Drop for Span {
             sink::dispatch(&inner.event(EventKind::SpanEnd, Some(elapsed_ns)));
         }
         if inner.depth == 0 {
-            ledger().push((
-                current_thread_hash(),
-                PhaseTiming {
-                    name: inner.name,
-                    wall_s: elapsed.as_secs_f64(),
-                    self_s: Duration::new(
-                        u64::try_from(self_ns / 1_000_000_000).unwrap_or(u64::MAX),
-                        u32::try_from(self_ns % 1_000_000_000).unwrap_or(0),
-                    )
-                    .as_secs_f64(),
-                },
-            ));
+            PHASES.with(|phases| {
+                if let Some(phases) = phases.borrow_mut().as_mut() {
+                    phases.push(PhaseTiming {
+                        name: inner.name,
+                        wall_s: elapsed.as_secs_f64(),
+                        self_s: Duration::new(
+                            u64::try_from(self_ns / 1_000_000_000).unwrap_or(u64::MAX),
+                            u32::try_from(self_ns % 1_000_000_000).unwrap_or(0),
+                        )
+                        .as_secs_f64(),
+                    });
+                }
+            });
         }
     }
 }
@@ -365,8 +356,8 @@ mod tests {
     }
 
     #[test]
-    fn root_spans_feed_the_phase_ledger() {
-        let _ = take_phase_timings(); // isolate from earlier tests on this thread
+    fn root_spans_feed_the_phase_list_of_a_run_thread() {
+        record_phases_here();
         {
             let _a = Span::enter("phase_a", Vec::new());
         }
@@ -383,8 +374,22 @@ mod tests {
             phases.iter().all(|p| p.self_s <= p.wall_s + 1e-12),
             "self time never exceeds the phase total: {phases:?}"
         );
-        // Draining leaves the ledger empty for the next capture.
+        // Draining leaves the list empty for the next capture.
         assert!(take_phase_timings().is_empty());
+    }
+
+    #[test]
+    fn threads_that_have_not_begun_a_run_keep_no_phases() {
+        // Armed spans, as `span!` opens them whenever telemetry is on.
+        let phases = std::thread::spawn(|| {
+            for _ in 0..10_000 {
+                let _request = Span::enter("not_a_run", Vec::new());
+            }
+            take_phase_timings()
+        })
+        .join()
+        .expect("span thread");
+        assert!(phases.is_empty(), "{} phases kept", phases.len());
     }
 
     #[test]

@@ -18,6 +18,7 @@ static CASE: AtomicU64 = AtomicU64::new(0);
 fn run_tape(ops: &[u8]) -> (String, Vec<SelfTimeEntry>) {
     let case = CASE.fetch_add(1, Ordering::Relaxed);
     let root = format!("case{case}");
+    telemetry::begin_run();
     {
         let mut stack: Vec<Span> = vec![Span::enter(&root, Vec::new())];
         for &op in ops {
@@ -92,11 +93,11 @@ proptest! {
             );
         }
 
-        // The root's phase-ledger record agrees: self wall-clock never
+        // The root's phase-list record agrees: self wall-clock never
         // exceeds total wall-clock.
         let phases = telemetry::take_phase_timings();
         let phase = phases.iter().find(|p| p.name == root);
-        prop_assert!(phase.is_some(), "depth-0 span lands in the phase ledger");
+        prop_assert!(phase.is_some(), "depth-0 span lands in the phase list");
         let phase = phase.unwrap();
         prop_assert!(
             phase.self_s <= phase.wall_s + 1e-12,

@@ -33,14 +33,12 @@
 mod energy;
 pub mod float;
 mod frequency;
-mod quantity;
 mod ratio;
 mod temperature;
 mod time;
 mod voltage;
 
 pub use energy::ElectronVolts;
-pub use quantity::Quantity;
 pub use frequency::{Hertz, Megahertz};
 pub use ratio::{DutyCycle, Fraction, Percent, Ratio};
 pub use temperature::{Celsius, Kelvin};

@@ -4,7 +4,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfheal_bti::analytic::{AnalyticBti, RecoveryModel, StressModel};
-use selfheal_bti::td::{PhaseRates, TrapBank, TrapEnsembleParams};
+use selfheal_bti::td::{PhaseRates, Trap, TrapBank, TrapEnsembleParams};
 use selfheal_bti::{DeviceCondition, Environment};
 use selfheal_units::{Celsius, Millivolts, Seconds, Volts};
 
@@ -25,7 +25,26 @@ fn age(device: &mut TrapBank, cond: DeviceCondition, hours: f64) {
 
 /// A stochastic device's current threshold shift in mV.
 fn shift(device: &TrapBank) -> f64 {
-    device.summary().delta_vth.get()
+    device.delta_vth().get()
+}
+
+/// The scalar oracle's traps for `seed`: the same sampler and stream as
+/// `TrapBank::sample`, but each trap keeps its permanence flag.
+fn oracle_traps(seed: u64) -> Vec<Trap> {
+    TrapEnsembleParams::default().sample_traps(&mut StdRng::seed_from_u64(seed)).collect()
+}
+
+/// Ages the scalar oracle's traps by `hours` under `cond`.
+fn age_oracle(traps: &mut [Trap], cond: DeviceCondition, hours: f64) {
+    for trap in traps {
+        trap.advance(cond, Seconds::new(hours * 3600.0));
+    }
+}
+
+/// The permanent traps' share of the shift in mV: the floor no
+/// recovery can go below.
+fn permanent_floor(traps: &[Trap]) -> f64 {
+    traps.iter().filter(|t| t.is_permanent()).map(|t| t.contribution().get()).sum()
 }
 
 proptest! {
@@ -35,12 +54,14 @@ proptest! {
     fn stochastic_occupancy_stays_bounded(seed in 0u64..1000, hours in 0.1f64..200.0, env in arb_stress_env()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut device = TrapBank::sample(&TrapEnsembleParams::default(), &mut rng);
+        let mut traps = oracle_traps(seed);
         age(&mut device, DeviceCondition::dc_stress(env), hours);
+        age_oracle(&mut traps, DeviceCondition::dc_stress(env), hours);
         for p in device.occupancies() {
             prop_assert!((0.0..=1.0).contains(p));
         }
         prop_assert!(shift(&device) >= 0.0);
-        prop_assert!(device.summary().permanent_delta_vth.get() <= shift(&device) + 1e-9);
+        prop_assert!(permanent_floor(&traps) <= shift(&device) + 1e-9);
     }
 
     #[test]
@@ -58,10 +79,12 @@ proptest! {
     fn stochastic_recovery_never_increases_shift(seed in 0u64..1000, stress_h in 1.0f64..50.0, sleep_h in 0.1f64..100.0, env in arb_recovery_env()) {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut device = TrapBank::sample(&TrapEnsembleParams::default(), &mut rng);
+        let mut traps = oracle_traps(seed);
         let hot = Environment::new(Volts::new(1.2), Celsius::new(110.0));
         age(&mut device, DeviceCondition::dc_stress(hot), stress_h);
+        age_oracle(&mut traps, DeviceCondition::dc_stress(hot), stress_h);
         let aged = shift(&device);
-        let permanent = device.summary().permanent_delta_vth.get();
+        let permanent = permanent_floor(&traps);
         age(&mut device, DeviceCondition::recovery(env), sleep_h);
         prop_assert!(shift(&device) <= aged + 1e-9);
         prop_assert!(shift(&device) >= permanent - 1e-9, "permanent floor holds");

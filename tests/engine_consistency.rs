@@ -24,7 +24,7 @@ fn stochastic_mean(schedule: &[(DeviceCondition, Seconds)], n: u64) -> f64 {
         for (cond, dt) in schedule {
             device.advance_all(&PhaseRates::for_condition(*cond), *dt);
         }
-        total += device.summary().delta_vth.get();
+        total += device.delta_vth().get();
     }
     total / n as f64
 }

@@ -1,7 +1,7 @@
 //! The kernel-equivalence gate for `selfheal_bti::td::kernel`: the SoA
 //! [`TrapBank`] fast path must be *bit-for-bit* identical to the per-trap
 //! [`Trap::advance`] scalar path — same occupancies to the last ulp, same
-//! ordered reductions — under every phase kind, every worker count, and
+//! ordered ΔVth sum — under every phase kind, every worker count, and
 //! the full dynamic range of trap time constants (including the
 //! frozen-trap `tau = INFINITY` branch).
 //!
@@ -34,7 +34,7 @@ fn phase_sequence() -> Vec<(DeviceCondition, Seconds)> {
 }
 
 /// Asserts that a bank range and a scalar trap slice carry identical
-/// state and identical ordered reductions, to the bit.
+/// state and an identical ordered ΔVth sum, to the bit.
 fn assert_bit_identical(
     scalar: &[Trap],
     bank: &TrapBank,
@@ -45,34 +45,19 @@ fn assert_bit_identical(
     for (i, (s, b)) in scalar.iter().zip(&bank.occupancies()[range.clone()]).enumerate() {
         assert_eq!(s.occupancy().to_bits(), b.to_bits(), "{context}: trap {i} occupancy");
     }
-    // The fused single-pass reductions must reproduce the scalar
-    // iterator sums exactly — both accumulate in trap index order.
-    let summary = bank.summary_range(range);
+    // The ΔVth reduction must reproduce the scalar iterator sum
+    // exactly — both accumulate in trap index order.
     let delta: f64 = scalar.iter().map(|t| t.contribution().get()).sum();
-    let permanent: f64 = scalar
-        .iter()
-        .filter(|t| t.is_permanent())
-        .map(|t| t.contribution().get())
-        .sum();
-    let occupied: f64 = scalar.iter().map(Trap::occupancy).sum();
-    assert_eq!(delta.to_bits(), summary.delta_vth.get().to_bits(), "{context}: delta_vth");
-    assert_eq!(
-        permanent.to_bits(),
-        summary.permanent_delta_vth.get().to_bits(),
-        "{context}: permanent_delta_vth"
-    );
-    assert_eq!(
-        occupied.to_bits(),
-        summary.expected_occupied.to_bits(),
-        "{context}: expected_occupied"
-    );
+    let got = bank.delta_vth_range(range);
+    assert_eq!(delta.to_bits(), got.get().to_bits(), "{context}: delta_vth");
 }
 
 /// [`assert_bit_identical`] over the whole bank, which must also be
-/// what [`TrapBank::summary`] reports.
+/// what [`TrapBank::delta_vth`] reports.
 fn assert_bank_bit_identical(scalar: &[Trap], bank: &TrapBank, context: &str) {
     assert_bit_identical(scalar, bank, 0..bank.len(), context);
-    assert_eq!(bank.summary(), bank.summary_range(0..bank.len()), "{context}: summary");
+    let whole = bank.delta_vth_range(0..bank.len());
+    assert_eq!(bank.delta_vth().get().to_bits(), whole.get().to_bits(), "{context}: delta_vth");
 }
 
 #[test]
@@ -245,7 +230,7 @@ proptest! {
     /// random points (plus one at `LANES - 1`, `LANES` or `LANES + 1`)
     /// and advancing range by range through the phase sequence must
     /// match the scalar oracle trap for trap, to the bit, with each
-    /// range's `summary_range` the ordered sums over that range.
+    /// range's `delta_vth_range` the ordered sum over that range.
     #[test]
     fn ranged_advance_matches_scalar_oracle_bitwise(
         size in 0usize..200,
