@@ -28,8 +28,10 @@ pub const CHECKPOINT_NAMESPACE: &str = "fleet-checkpoint";
 /// Checkpoint format version (bumped on layout changes; the kernel
 /// version rides in the key so kernel changes also invalidate).
 /// Version 2 added per-chip integration tiers + cold-chip analytic
-/// state for tiered fleets.
-pub const CHECKPOINT_VERSION: u32 = 2;
+/// state for tiered fleets. Version 3 records the state digest built
+/// from per-shard digests (see [`FleetState::state_digest`]), which a
+/// version-2 snapshot's recorded digest can never match.
+pub const CHECKPOINT_VERSION: u32 = 3;
 
 /// A full mutable-state snapshot of a fleet.
 #[derive(Debug, Clone, PartialEq)]
@@ -77,9 +79,10 @@ impl FleetCheckpoint {
     }
 
     /// Rebuilds a live fleet: seed-rebuild from `config`, overlay the
-    /// snapshot, then verify the recorded state digest. `None` on any
-    /// shape or digest mismatch (the snapshot belongs to a different
-    /// configuration or a different history).
+    /// snapshot (which drops every cache), then verify the recorded
+    /// state digest against one computed from the overlaid state.
+    /// `None` on any shape or digest mismatch (the snapshot belongs to a
+    /// different configuration or a different history).
     #[must_use]
     pub fn restore(&self, config: FleetConfig) -> Option<FleetState> {
         let mut fleet = FleetState::build(config);
@@ -303,6 +306,32 @@ mod tests {
         };
         assert_eq!(restored.state_digest(), fleet.state_digest());
         assert_eq!(restored.epoch(), fleet.epoch());
+    }
+
+    /// `restore` overlays a fresh build; a fleet whose caches were filled
+    /// before an overlay must answer from the overlaid state.
+    #[test]
+    fn overlay_drops_caches_filled_before_it() {
+        let mut config = tiny_config(3);
+        config.tiered = true;
+        let mut aged = FleetState::build(config.clone());
+        aged.advance_epoch();
+        assert!(aged.fold_report(1, DutyCycle::new(0.3)));
+        aged.advance_epoch();
+        let snapshot = FleetCheckpoint::capture(&aged);
+        let mut fleet = FleetState::build(config);
+        let fresh_digest = fleet.state_digest();
+        let _ = fleet.aggregates();
+        fleet.overlay(
+            snapshot.epoch,
+            snapshot.mutation_digest,
+            &snapshot.occupancies,
+            &snapshot.duties,
+            &snapshot.tiers,
+        );
+        assert_ne!(fresh_digest, aged.state_digest());
+        assert_eq!(fleet.state_digest(), aged.state_digest());
+        assert_eq!(fleet.aggregates(), aged.aggregates());
     }
 
     #[test]

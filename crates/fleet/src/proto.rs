@@ -104,7 +104,8 @@ pub fn read_frame<S: Read + Write>(stream: &mut S) -> Result<Vec<u8>, FrameError
     Ok(payload)
 }
 
-/// Writes one frame.
+/// Writes one frame: header and payload leave in one buffer through one
+/// transfer, so a `TCP_NODELAY` socket sends one segment, not two.
 ///
 /// # Errors
 ///
@@ -117,9 +118,10 @@ pub fn write_frame<S: Read + Write>(stream: &mut S, payload: &[u8]) -> Result<()
     if payload.len() > MAX_FRAME {
         return Err(FrameError::Oversize(len));
     }
-    pump(WireOp::Send(stream, &len.to_be_bytes())).map_err(|e| classify(&e, true))?;
-    pump(WireOp::Send(stream, payload)).map_err(|e| classify(&e, true))?;
-    Ok(())
+    let mut frame = Vec::with_capacity(4 + payload.len());
+    frame.extend_from_slice(&len.to_be_bytes());
+    frame.extend_from_slice(payload);
+    pump(WireOp::Send(stream, &frame)).map_err(|e| classify(&e, true))
 }
 
 /// Trace and flow ids are masked to 48 bits so they survive the f64
@@ -456,7 +458,10 @@ pub struct StatsReply {
     /// Chips already out of budget.
     pub over_budget_chips: u64,
     /// The state digest (hex on the wire) — lets a client pin
-    /// bit-exactness across a daemon restart.
+    /// bit-exactness across a daemon restart. It is
+    /// [`FleetState::state_digest`](crate::state::FleetState::state_digest):
+    /// FNV-1a over the epoch, the mutation digest and each shard's
+    /// cached occupancy and slot digests.
     pub state_digest: u64,
 }
 
@@ -757,6 +762,35 @@ mod tests {
         assert_eq!(read_frame(&mut wire), Ok(b"{\"type\":\"stats\"}".to_vec()));
         assert_eq!(read_frame(&mut wire), Ok(Vec::new()));
         assert_eq!(read_frame(&mut wire), Err(FrameError::Closed));
+    }
+
+    /// Records the size of every `write` call it receives.
+    #[derive(Debug, Default)]
+    struct WriteLog(Vec<usize>);
+
+    impl Read for WriteLog {
+        fn read(&mut self, _: &mut [u8]) -> std::io::Result<usize> {
+            Ok(0)
+        }
+    }
+
+    impl Write for WriteLog {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.push(buf.len());
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_leaves_in_one_write() {
+        let mut log = WriteLog::default();
+        assert_eq!(write_frame(&mut log, b"{\"type\":\"stats\"}"), Ok(()));
+        assert_eq!(write_frame(&mut log, b""), Ok(()));
+        assert_eq!(log.0, vec![4 + 16, 4]);
     }
 
     #[test]

@@ -12,8 +12,14 @@
 //! are folded into a running FNV chain, [`FleetState::mutation_digest`],
 //! so a checkpoint can prove it captured the same request history that
 //! produced it.
+//!
+//! `stats` reads ([`FleetState::aggregates`], [`FleetState::state_digest`])
+//! are served from per-shard caches that fill on first read; a mutation
+//! only drops the caches it stales, so a read after a report rescans
+//! one shard, not the fleet.
 
 use std::ops::Range;
+use std::sync::OnceLock;
 
 use selfheal_bti::td::{ChipTier, PhaseRateCache, PhaseRates, TierCounts, TierPolicy, TrapBank};
 use selfheal_bti::DeviceCondition;
@@ -152,7 +158,8 @@ impl Shard {
     }
 }
 
-/// Fleet-wide aggregates computed by one full scan.
+/// Fleet-wide aggregates, folded in chip order from each shard's cached
+/// consumed-margin column.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetAggregates {
     /// Sum of per-chip ΔVth over the fleet.
@@ -163,11 +170,43 @@ pub struct FleetAggregates {
     pub over_budget_chips: usize,
 }
 
+/// What `stats` reads of one shard. Each value fills on its first read
+/// (under `&self`) and is dropped, never recomputed, by the mutations
+/// that stale it: epochs and overlays drop all three, a report drops
+/// its shard's slot digest, and the other two as well when it
+/// rehydrates a cold chip.
+#[derive(Debug, Clone, Default)]
+struct ShardCache {
+    /// FNV-1a over the bank's occupancy bit patterns, in trap order.
+    occupancy_digest: OnceLock<u64>,
+    /// Each chip's consumed margin in mV, in chip order. Apart from the
+    /// digest, so a checkpoint restore, which verifies only the digest,
+    /// never fills it.
+    consumed: OnceLock<Vec<f64>>,
+    /// FNV-1a over every chip's duty and tier.
+    slot_digest: OnceLock<u64>,
+}
+
+impl ShardCache {
+    /// Drops what the shard's occupancies and tiers decide.
+    fn drop_bank(&mut self) {
+        self.occupancy_digest.take();
+        self.consumed.take();
+    }
+
+    fn clear(&mut self) {
+        self.drop_bank();
+        self.slot_digest.take();
+    }
+}
+
 /// The daemon's entire mutable world: shards plus epoch bookkeeping.
 #[derive(Debug, Clone)]
 pub struct FleetState {
     config: FleetConfig,
     shards: Vec<Shard>,
+    /// One entry per shard, in shard order.
+    caches: Vec<ShardCache>,
     epoch: u64,
     mutation_digest: u64,
 }
@@ -192,6 +231,7 @@ impl FleetState {
         });
         let mutation_digest = fnv1a(config.cache_key().as_bytes());
         FleetState {
+            caches: vec![ShardCache::default(); shards.len()],
             config,
             shards,
             epoch: 0,
@@ -268,6 +308,7 @@ impl FleetState {
             }
             shard
         });
+        self.caches.iter_mut().for_each(ShardCache::clear);
         self.epoch = epoch_end;
     }
 
@@ -367,10 +408,14 @@ impl FleetState {
                     &PhaseRates::for_condition(old_cond),
                     elapsed,
                 );
+                // Occupancies moved and the chip leaves its analytic
+                // line; a hot chip's pin changes neither.
+                self.caches[shard].drop_bank();
             }
             self.shards[shard].chips[local].tier = ChipTier::Pinned;
         }
         self.shards[shard].chips[local].duty = duty;
+        self.caches[shard].slot_digest.take();
         let mut hash = fnv1a(&self.mutation_digest.to_be_bytes());
         hash = fnv1a_extend(hash, &self.epoch.to_be_bytes());
         hash = fnv1a_extend(hash, &(chip as u64).to_be_bytes());
@@ -378,18 +423,18 @@ impl FleetState {
         true
     }
 
-    /// One full scan: fleet totals, the worst chip and the count already
-    /// out of budget. Cold chips contribute their analytic shift.
+    /// Fleet totals, the worst chip and the count already out of budget,
+    /// folded in chip order over each shard's cached consumed column
+    /// (cold chips contribute their analytic shift). Only shards whose
+    /// cache a mutation dropped are rescanned.
     #[must_use]
     pub fn aggregates(&self) -> FleetAggregates {
         let margin = self.config.margin.get();
-        let policy = self.config.tier_policy();
         let mut total = 0.0f64;
         let mut worst = 0.0f64;
         let mut over = 0usize;
-        for shard in &self.shards {
-            for chip in &shard.chips {
-                let mv = self.slot_consumed(policy.as_ref(), shard, chip).get();
+        for index in 0..self.shards.len() {
+            for &mv in self.consumed(index) {
                 total += mv;
                 if mv > worst {
                     worst = mv;
@@ -406,18 +451,55 @@ impl FleetState {
         }
     }
 
-    /// A digest of the complete observable state: every occupancy bit
-    /// pattern, every reported duty, the epoch and the mutation chain.
-    /// Two states with equal digests answer every request identically.
+    /// A digest of the complete observable state: FNV-1a over the epoch,
+    /// the mutation chain and then, per shard in order, the shard's
+    /// occupancy digest and its slot digest (each an FNV-1a of its own:
+    /// every occupancy bit pattern; every reported duty and tier). Two
+    /// states with equal digests answer every request identically.
+    /// Served from the per-shard caches, so only shards a mutation
+    /// dirtied are rehashed.
     #[must_use]
     pub fn state_digest(&self) -> u64 {
         let mut hash = fnv1a(&self.epoch.to_be_bytes());
         hash = fnv1a_extend(hash, &self.mutation_digest.to_be_bytes());
-        for shard in &self.shards {
-            for occ in shard.bank.occupancies() {
-                hash = fnv1a_extend(hash, &occ.to_bits().to_be_bytes());
-            }
-            for chip in &shard.chips {
+        for index in 0..self.shards.len() {
+            hash = fnv1a_extend(hash, &self.occupancy_digest(index).to_be_bytes());
+            hash = fnv1a_extend(hash, &self.slot_digest(index).to_be_bytes());
+        }
+        hash
+    }
+
+    /// Shard `index`'s occupancy digest, filled on first read.
+    fn occupancy_digest(&self, index: usize) -> u64 {
+        *self.caches[index].occupancy_digest.get_or_init(|| {
+            self.shards[index]
+                .bank
+                .occupancies()
+                .iter()
+                .fold(fnv1a(&[]), |hash, occ| {
+                    fnv1a_extend(hash, &occ.to_bits().to_be_bytes())
+                })
+        })
+    }
+
+    /// Shard `index`'s consumed column, filled on first read.
+    fn consumed(&self, index: usize) -> &[f64] {
+        self.caches[index].consumed.get_or_init(|| {
+            let shard = &self.shards[index];
+            let policy = self.config.tier_policy();
+            shard
+                .chips
+                .iter()
+                .map(|slot| self.slot_consumed(policy.as_ref(), shard, slot).get())
+                .collect()
+        })
+    }
+
+    /// Shard `index`'s digest of duties and tiers, filled on first read.
+    fn slot_digest(&self, index: usize) -> u64 {
+        *self.caches[index].slot_digest.get_or_init(|| {
+            let mut hash = fnv1a(&[]);
+            for chip in &self.shards[index].chips {
                 hash = fnv1a_extend(hash, &chip.duty.get().to_bits().to_be_bytes());
                 match &chip.tier {
                     ChipTier::Hot => hash = fnv1a_extend(hash, &[0]),
@@ -431,8 +513,8 @@ impl FleetState {
                     }
                 }
             }
-        }
-        hash
+            hash
+        })
     }
 
     /// Total traps across all shards.
@@ -443,8 +525,9 @@ impl FleetState {
 
     /// Overwrites the mutable state from a checkpoint: per-shard
     /// occupancies, per-chip duties and tiers, epoch and mutation
-    /// digest. The caller (the checkpoint module) has already verified
-    /// shapes.
+    /// digest. Drops every shard cache, so the next read is computed
+    /// from the overlaid state. The caller (the checkpoint module) has
+    /// already verified shapes.
     pub(crate) fn overlay(
         &mut self,
         epoch: u64,
@@ -466,6 +549,7 @@ impl FleetState {
                 chip.tier = *t;
             }
         }
+        self.caches.iter_mut().for_each(ShardCache::clear);
         self.epoch = epoch;
         self.mutation_digest = mutation_digest;
     }
@@ -597,6 +681,36 @@ mod tests {
         fleet.advance_epoch();
         assert_eq!(fleet.tier_counts().cold, 8, "cold-tier bytes are hashed");
         assert_eq!(fleet.mutation_digest(), 0x499e_2534_14bb_b5a8);
-        assert_eq!(fleet.state_digest(), 0x9d30_a254_2483_26cd);
+        assert_eq!(fleet.state_digest(), 0x0ae5_3110_0e32_a0cb);
+    }
+
+    /// The `stats` totals are bit-identical to the full per-chip scan
+    /// they replace: these values were read from that scan, for the
+    /// fleet of `digests_are_pinned` at the default margin and at one
+    /// narrow enough that a chip is over budget.
+    #[test]
+    fn aggregates_are_pinned() {
+        let narrow = || {
+            let mut config = tiered_config();
+            config.margin = Millivolts::new(9.0);
+            config.guard_band = Millivolts::new(4.0);
+            config
+        };
+        for (config, total, over) in [
+            (tiered_config(), 0x4041_a619_849c_2da1_u64, 0),
+            (narrow(), 0x4040_65a3_c179_0402, 1),
+        ] {
+            let mut fleet = FleetState::build(config);
+            fleet.advance_epoch();
+            assert!(fleet.fold_report(1, DutyCycle::new(0.3)));
+            fleet.advance_epoch();
+            let aggregates = fleet.aggregates();
+            assert_eq!(aggregates.total_delta_vth.get().to_bits(), total);
+            assert_eq!(
+                aggregates.worst_delta_vth.get().to_bits(),
+                0x4025_9777_e6ba_4d41
+            );
+            assert_eq!(aggregates.over_budget_chips, over);
+        }
     }
 }
