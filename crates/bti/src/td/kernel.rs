@@ -369,19 +369,11 @@ impl TrapBank {
         &self.occupancy
     }
 
-    /// Overwrites the bank's occupancies wholesale (checkpoint restore).
-    ///
-    /// # Panics
-    ///
-    /// Panics when the lengths disagree — a checkpoint for a different
-    /// bank must never be spliced in silently.
-    pub fn restore_occupancies(&mut self, occupancies: &[f64]) {
-        assert_eq!(
-            occupancies.len(),
-            self.occupancy.len(),
-            "occupancy snapshot length must match the bank"
-        );
-        self.occupancy.copy_from_slice(occupancies);
+    /// Mutable occupancy slice, in trap order: a checkpoint resume
+    /// overwrites it in place. It always spans the whole bank, so a
+    /// snapshot of another shape cannot be spliced in.
+    pub fn occupancies_mut(&mut self) -> &mut [f64] {
+        &mut self.occupancy
     }
 
     /// Empties every trap (fresh-device state).
@@ -570,15 +562,8 @@ mod tests {
         let aged = bank.clone();
         bank.reset();
         assert_ne!(bank, aged);
-        bank.restore_occupancies(&snapshot);
+        bank.occupancies_mut().copy_from_slice(&snapshot);
         assert_eq!(bank, aged);
-    }
-
-    #[test]
-    #[should_panic(expected = "occupancy snapshot length")]
-    fn mismatched_snapshot_is_rejected() {
-        let mut bank = bank();
-        bank.restore_occupancies(&[0.5]);
     }
 
     #[test]

@@ -1,12 +1,12 @@
 //! The daemon core: request handling against live fleet state.
 //!
 //! [`FleetDaemon`] is transport-free — it maps typed [`Request`]s to
-//! typed [`Response`]s against a [`FleetState`] and checkpoints through
-//! a [`ResultCache`] on a fixed epoch cadence. The socket front end
-//! ([`crate::server`]) and the determinism tests drive the exact same
-//! entry points, which is what makes "kill, resume, replay" provable:
-//! the daemon's behaviour is a pure function of (config, seed, request
-//! history, epoch schedule).
+//! typed [`Response`]s against a [`FleetState`] and writes a checkpoint
+//! under a [`ResultCache`]'s root on a fixed epoch cadence. The socket
+//! front end ([`crate::server`]) and the determinism tests drive the
+//! exact same entry points, which is what makes "kill, resume, replay"
+//! provable: the daemon's behaviour is a pure function of (config, seed,
+//! request history, epoch schedule).
 
 use selfheal::SchedulePlanner;
 use selfheal_bti::td::ChipTier;
@@ -15,7 +15,7 @@ use selfheal_runtime::ResultCache;
 use selfheal_telemetry::{counter, flight, gauge};
 use selfheal_units::Millivolts;
 
-use crate::checkpoint;
+use crate::checkpoint::{self, CheckpointError};
 use crate::config::FleetConfig;
 use crate::proto::{ErrorCode, Request, Response, StatsReply};
 use crate::state::FleetState;
@@ -46,37 +46,43 @@ impl FleetDaemon {
     /// Builds a fresh fleet (no resume attempt).
     #[must_use]
     pub fn new(config: FleetConfig, cache: ResultCache, checkpoint_every: u64) -> FleetDaemon {
-        let planner = SchedulePlanner::with_default_models(config.active_env, config.margin);
-        FleetDaemon {
-            state: FleetState::build(config),
-            planner,
-            cache,
-            checkpoint_every,
-            requests_served: 0,
-        }
+        FleetDaemon::serving(FleetState::build(config), cache, checkpoint_every)
     }
 
     /// Resumes from the newest checkpoint when one exists, otherwise
-    /// builds fresh. The `bool` reports whether a resume happened.
+    /// builds fresh. The `bool` reports whether a resume happened. A
+    /// checkpoint that exists but is refused (unreadable, or not this
+    /// fleet's) leaves a `checkpoint`/`refused` flight record naming the
+    /// reason before the fresh build.
     #[must_use]
     pub fn resume_or_new(
         config: FleetConfig,
         cache: ResultCache,
         checkpoint_every: u64,
     ) -> (FleetDaemon, bool) {
-        let planner = SchedulePlanner::with_default_models(config.active_env, config.margin);
-        match checkpoint::resume(&cache, &config) {
-            Some(state) => (
-                FleetDaemon {
-                    state,
-                    planner,
-                    cache,
-                    checkpoint_every,
-                    requests_served: 0,
-                },
-                true,
-            ),
-            None => (FleetDaemon::new(config, cache, checkpoint_every), false),
+        let (state, resumed) = match checkpoint::resume(&cache, &config) {
+            Ok(state) => (state, true),
+            Err(err) => {
+                if !matches!(err, CheckpointError::Missing) {
+                    flight::record("checkpoint", "refused", || err.to_string());
+                }
+                (FleetState::build(config), false)
+            }
+        };
+        (
+            FleetDaemon::serving(state, cache, checkpoint_every),
+            resumed,
+        )
+    }
+
+    fn serving(state: FleetState, cache: ResultCache, checkpoint_every: u64) -> FleetDaemon {
+        let config = state.config();
+        FleetDaemon {
+            planner: SchedulePlanner::with_default_models(config.active_env, config.margin),
+            state,
+            cache,
+            checkpoint_every,
+            requests_served: 0,
         }
     }
 
@@ -99,8 +105,10 @@ impl FleetDaemon {
         flight::record("epoch", "advance", || {
             format!("epoch={epoch} sim_s={}", self.state.sim_time().get())
         });
-        if self.checkpoint_every > 0 && epoch % self.checkpoint_every == 0 {
-            checkpoint::save(&self.cache, &self.state);
+        if self.checkpoint_every > 0
+            && epoch % self.checkpoint_every == 0
+            && checkpoint::save(&self.cache, &self.state)
+        {
             counter!("fleet.checkpoints", 1);
             flight::record("checkpoint", "save", || {
                 format!("epoch={epoch} digest={:016x}", self.state.state_digest())
@@ -122,7 +130,7 @@ impl FleetDaemon {
     }
 
     /// Writes a final checkpoint (shutdown path). Returns `false` when
-    /// the cache is disabled.
+    /// the cache is disabled or the write failed.
     pub fn final_checkpoint(&self) -> bool {
         checkpoint::save(&self.cache, &self.state)
     }
@@ -464,5 +472,38 @@ mod tests {
             }
             other => panic!("expected stats, got {other:?}"),
         }
+    }
+
+    /// A checkpoint that exists but is damaged is refused, and the
+    /// daemon starts from a fresh fleet.
+    #[test]
+    fn a_truncated_checkpoint_starts_a_fresh_fleet() {
+        let root =
+            std::env::temp_dir().join(format!("selfheal-daemon-truncated-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&root);
+        let cache = ResultCache::at(root.clone());
+        let config = tiny_daemon().state().config().clone();
+        let mut aged = FleetDaemon::new(config.clone(), cache.clone(), 0);
+        aged.advance_epoch();
+        assert!(aged.final_checkpoint());
+        let (resumed, was_resumed) = FleetDaemon::resume_or_new(config.clone(), cache.clone(), 0);
+        assert!(was_resumed);
+        assert_eq!(resumed.state().epoch(), 1);
+        let dir = root.join(checkpoint::CHECKPOINT_NAMESPACE);
+        for entry in std::fs::read_dir(dir)
+            .expect("checkpoint directory")
+            .flatten()
+        {
+            let bytes = std::fs::read(entry.path()).expect("checkpoint readable");
+            std::fs::write(entry.path(), &bytes[..bytes.len() / 2]).expect("checkpoint writable");
+        }
+        let (fresh, was_resumed) = FleetDaemon::resume_or_new(config.clone(), cache, 0);
+        assert!(!was_resumed);
+        assert_eq!(fresh.state().epoch(), 0);
+        assert_eq!(
+            fresh.state().state_digest(),
+            FleetState::build(config).state_digest()
+        );
+        let _ = std::fs::remove_dir_all(&root);
     }
 }

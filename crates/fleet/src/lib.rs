@@ -12,8 +12,9 @@
 //!   bit-identical at any worker count.
 //! * [`FleetDaemon`] answers `PLAN` / `PREDICT` / `REPORT` / `STATS`
 //!   requests against the live banks through the planner's bank-view
-//!   entry points, and checkpoints through the content-addressed cache
-//!   so a killed daemon resumes bit-exactly ([`checkpoint`]).
+//!   entry points, and streams the banks' columns to a binary checkpoint
+//!   under the cache directory so a killed daemon resumes bit-exactly
+//!   ([`checkpoint`]).
 //! * [`FleetServer`] is the zero-dependency socket front end:
 //!   length-prefixed JSON frames over `std::net::TcpListener`, a
 //!   blocking worker-accept loop, per-request latency histograms in the

@@ -72,7 +72,8 @@ pub struct ServeSummary {
     pub epochs: u64,
     /// The final [`state_digest`](crate::state::FleetState::state_digest).
     pub final_state_digest: u64,
-    /// Whether the final checkpoint was written (false = cache disabled).
+    /// Whether the final checkpoint was written (false = cache disabled
+    /// or the write failed).
     pub checkpointed: bool,
 }
 

@@ -523,35 +523,21 @@ impl FleetState {
         self.shards.iter().map(|s| s.bank.len()).sum()
     }
 
-    /// Overwrites the mutable state from a checkpoint: per-shard
-    /// occupancies, per-chip duties and tiers, epoch and mutation
-    /// digest. Drops every shard cache, so the next read is computed
-    /// from the overlaid state. The caller (the checkpoint module) has
-    /// already verified shapes.
-    pub(crate) fn overlay(
+    /// Overwrites the mutable state in place (checkpoint resume): sets
+    /// the epoch and mutation digest, then hands each shard in order to
+    /// `fill`, which overwrites its occupancies, duties and tiers. Stops
+    /// at the first error `fill` returns. Drops every shard cache first,
+    /// so the next read is computed from the overlaid state.
+    pub(crate) fn overlay<E>(
         &mut self,
         epoch: u64,
         mutation_digest: u64,
-        occupancies: &[Vec<f64>],
-        duties: &[Vec<f64>],
-        tiers: &[Vec<ChipTier>],
-    ) {
-        for (((shard, occ), duty), tier) in self
-            .shards
-            .iter_mut()
-            .zip(occupancies)
-            .zip(duties)
-            .zip(tiers)
-        {
-            shard.bank.restore_occupancies(occ);
-            for ((chip, d), t) in shard.chips.iter_mut().zip(duty).zip(tier) {
-                chip.duty = DutyCycle::new(*d);
-                chip.tier = *t;
-            }
-        }
+        fill: impl FnMut(&mut Shard) -> Result<(), E>,
+    ) -> Result<(), E> {
         self.caches.iter_mut().for_each(ShardCache::clear);
         self.epoch = epoch;
         self.mutation_digest = mutation_digest;
+        self.shards.iter_mut().try_for_each(fill)
     }
 }
 

@@ -22,6 +22,11 @@
 //!
 //! Entries verify their stored namespace/version/key on read; a hash
 //! collision or truncated file degrades to a miss, never a wrong hit.
+//!
+//! The cache has one job: memoizing pure, recomputable results. State
+//! that depends on a request history (the fleet daemon's checkpoint)
+//! keeps its own file format and borrows only
+//! [`ResultCache::entry_path`] to place its file under the same root.
 
 use std::path::{Path, PathBuf};
 
@@ -139,37 +144,9 @@ impl ResultCache {
         (value, CacheOutcome::Miss)
     }
 
-    /// Stores `value` under `(namespace, version, key)` unconditionally,
-    /// overwriting any previous entry at that key.
-    ///
-    /// Unlike [`ResultCache::get_or_compute`] — a memo table for *pure*
-    /// recomputable results — `store_record`/[`load_record`](ResultCache::load_record) make the
-    /// cache usable as an explicit checkpoint store: the fleet daemon
-    /// persists epoch snapshots whose content depends on the request
-    /// history, not on the key alone, so the caller owns the
-    /// write-then-read protocol. The write is atomic (sibling temp file
-    /// + rename) and best-effort, exactly like memoized writes.
-    pub fn store_record<T: CacheRecord>(&self, namespace: &str, version: u32, key: &str, value: &T) {
-        if !self.is_active() {
-            return;
-        }
-        let path = self.entry_path(namespace, version, key);
-        self.write_entry(&path, namespace, version, key, value);
-    }
-
-    /// Reads the entry stored under `(namespace, version, key)`, or
-    /// `None` when it is absent, corrupt, or fails read-time key
-    /// verification. Never computes anything.
-    #[must_use]
-    pub fn load_record<T: CacheRecord>(&self, namespace: &str, version: u32, key: &str) -> Option<T> {
-        if !self.is_active() {
-            return None;
-        }
-        let path = self.entry_path(namespace, version, key);
-        self.read_entry(&path, namespace, version, key)
-    }
-
-    /// The on-disk location for an entry (exposed for tests/tools).
+    /// The on-disk location for an entry. Tests read entries through
+    /// it, and the fleet checkpoint names its own file after it (with
+    /// its own extension).
     #[must_use]
     pub fn entry_path(&self, namespace: &str, version: u32, key: &str) -> PathBuf {
         let root = self.root.clone().unwrap_or_else(|| PathBuf::from("target/cache"));
@@ -223,9 +200,8 @@ impl ResultCache {
         }
         // Atomic publish: write a sibling temp file, then rename. A
         // concurrent writer computing the same key writes identical
-        // bytes, so last-rename-wins is harmless. Records are one compact
-        // line: a checkpoint is mostly numbers and resume parses every
-        // byte. Indented entries from older writers still parse.
+        // bytes, so last-rename-wins is harmless. Entries are one compact
+        // line; indented entries from older writers still parse.
         let tmp = path.with_extension(format!("tmp.{}", std::process::id()));
         if std::fs::write(&tmp, doc.render()).is_ok() {
             let _ = std::fs::rename(&tmp, path);
@@ -292,10 +268,15 @@ mod tests {
     #[test]
     fn records_are_stored_on_one_line() {
         let cache = ResultCache::at(temp_root("compact"));
-        cache.store_record("t", 1, "k", &vec![1.0, 2.5, -3.0]);
+        let (_, o) = cache.get_or_compute("t", 1, "k", || vec![1.0, 2.5, -3.0]);
+        assert_eq!(o, CacheOutcome::Miss);
         let text = std::fs::read_to_string(cache.entry_path("t", 1, "k")).expect("entry written");
         assert!(!text.contains('\n'), "one line: {text}");
-        assert_eq!(cache.load_record::<Vec<f64>>("t", 1, "k"), Some(vec![1.0, 2.5, -3.0]));
+        let (v, o) = cache.get_or_compute("t", 1, "k", || -> Vec<f64> {
+            panic!("a one-line entry is a hit")
+        });
+        assert_eq!(o, CacheOutcome::Hit);
+        assert_eq!(v, vec![1.0, 2.5, -3.0]);
     }
 
     #[test]
@@ -326,27 +307,6 @@ mod tests {
         let (v, o) = cache.get_or_compute("t", 1, "k", || vec![4.0]);
         assert_eq!(o, CacheOutcome::Miss);
         assert_eq!(v, vec![4.0]);
-    }
-
-    #[test]
-    fn record_store_round_trips_and_overwrites() {
-        let cache = ResultCache::at(temp_root("putget"));
-        assert_eq!(cache.load_record::<Vec<f64>>("ckpt", 1, "epoch=3"), None);
-        cache.store_record("ckpt", 1, "epoch=3", &vec![1.0, 2.0]);
-        assert_eq!(
-            cache.load_record::<Vec<f64>>("ckpt", 1, "epoch=3"),
-            Some(vec![1.0, 2.0])
-        );
-        // A checkpoint store must overwrite, not memoize.
-        cache.store_record("ckpt", 1, "epoch=3", &vec![7.0]);
-        assert_eq!(
-            cache.load_record::<Vec<f64>>("ckpt", 1, "epoch=3"),
-            Some(vec![7.0])
-        );
-        // Disabled caches neither store nor read.
-        let off = ResultCache::disabled();
-        off.store_record("ckpt", 1, "k", &vec![1.0]);
-        assert_eq!(off.load_record::<Vec<f64>>("ckpt", 1, "k"), None);
     }
 
     #[test]

@@ -151,7 +151,7 @@ for half in sys.argv[2:]:
 print(f"trace merge: {sum(len(p) > 1 for p in flows.values())} cross-process flow(s) of {len(flows)}")
 PY
 # A fleet keeps exactly one checkpoint file, overwritten at every save.
-CKPTS=$(find "$SMOKE_DIR/fleet-cache" -name '*.json' | wc -l)
+CKPTS=$(find "$SMOKE_DIR/fleet-cache" -name '*.ckpt' | wc -l)
 [ "$CKPTS" -eq 1 ] || { echo "expected exactly one checkpoint file, found $CKPTS" >&2; exit 1; }
 echo "fleet smoke: clean shutdown, one checkpoint file" >&2
 
@@ -206,9 +206,38 @@ target/release/fleet_smoke --connect "$(cat "$SMOKE_DIR/tiered.addr")" --shutdow
 wait "$TIERED_PID"
 # Cadence saves, the kill -9, the resume and the final save all share
 # one checkpoint file.
-CKPTS=$(find "$SMOKE_DIR/tiered-cache" -name '*.json' | wc -l)
+CKPTS=$(find "$SMOKE_DIR/tiered-cache" -name '*.ckpt' | wc -l)
 [ "$CKPTS" -eq 1 ] || { echo "tiered: expected exactly one checkpoint file, found $CKPTS" >&2; exit 1; }
-echo "tiered fleet smoke: served all request types, kill -9 resumed from tiered checkpoint" >&2
+# A damaged checkpoint is refused, never resumed: cut the file in half,
+# and the restarted daemon must start a fresh fleet, serve, and leave a
+# checkpoint/refused record in its flight dump.
+CKPT=$(find "$SMOKE_DIR/tiered-cache" -name '*.ckpt')
+truncate -s $(( $(stat -c %s "$CKPT") / 2 )) "$CKPT"
+rm -f "$SMOKE_DIR/tiered.addr"
+target/release/fleetd --tiered --guard-band-mv 10 \
+    --chips 256 --shards 4 --workers 2 \
+    --epoch-ms 50 --checkpoint-every 2 --cache-dir "$SMOKE_DIR/tiered-cache" \
+    --flight-dump "$SMOKE_DIR/tiered.refused.flight.jsonl" \
+    --addr-file "$SMOKE_DIR/tiered.addr" 2> "$SMOKE_DIR/tiered.third.log" &
+TIERED_PID=$!
+for _ in $(seq 1 100); do
+    [ -s "$SMOKE_DIR/tiered.addr" ] && break
+    sleep 0.1
+done
+[ -s "$SMOKE_DIR/tiered.addr" ] || { echo "tiered fleetd never restarted after truncation" >&2; exit 1; }
+grep -q '(resumed: false)' "$SMOKE_DIR/tiered.third.log" \
+    || { echo "tiered fleetd resumed from a truncated checkpoint" >&2; \
+         cat "$SMOKE_DIR/tiered.third.log" >&2; exit 1; }
+target/release/fleet_smoke --connect "$(cat "$SMOKE_DIR/tiered.addr")" --shutdown
+wait "$TIERED_PID"
+python3 - "$SMOKE_DIR/tiered.refused.flight.jsonl" <<'PY'
+import json, sys
+events = [json.loads(line) for line in open(sys.argv[1])]
+refused = [e for e in events if e["kind"] == "checkpoint" and e["name"] == "refused"]
+assert refused, f"no checkpoint/refused record among {len(events)} event(s)"
+print(f"truncated checkpoint refused: {refused[0]['detail']}")
+PY
+echo "tiered fleet smoke: served all request types, kill -9 resumed from tiered checkpoint, truncated checkpoint refused" >&2
 
 echo "== repository benchmark (smoke)" >&2
 # The benchmark is its own package (fleetbench/, outside the workspace):

@@ -3,12 +3,13 @@
 //! mutations drop, so after any interleaving of epochs, reports (cold-chip
 //! rehydration included) and reads they must equal the same values
 //! computed from scratch. The from-scratch reference is the fleet's own
-//! checkpoint restored into a fresh build: the overlay leaves every cache
-//! empty, and the restore itself re-verifies the state digest.
+//! checkpoint, written and read back through the real codec: the read
+//! overlays a fresh build, which leaves every cache empty, and verifies
+//! the recorded state digest.
 
 use proptest::prelude::*;
 use selfheal_bti::td::ChipTier;
-use selfheal_fleet::checkpoint::FleetCheckpoint;
+use selfheal_fleet::checkpoint;
 use selfheal_fleet::{FleetConfig, FleetState};
 use selfheal_units::{DutyCycle, Millivolts};
 
@@ -52,9 +53,13 @@ fn step() -> impl Strategy<Value = Step> {
 fn assert_matches_from_scratch(fleet: &FleetState, config: &FleetConfig, after: &str) {
     let probe = fleet.clone();
     let cached = probe.aggregates();
-    let snapshot = FleetCheckpoint::capture(&probe);
-    let Some(scratch) = snapshot.restore(config.clone()) else {
-        panic!("after {after}: the cached state digest does not match the restored state");
+    let mut bytes = Vec::new();
+    if let Err(err) = checkpoint::write(&probe, &mut bytes) {
+        panic!("after {after}: writing into a Vec failed: {err}");
+    }
+    let scratch = match checkpoint::read(config.clone(), &mut bytes.as_slice()) {
+        Ok(scratch) => scratch,
+        Err(err) => panic!("after {after}: the checkpoint of the cached state is refused: {err}"),
     };
     assert_eq!(
         probe.state_digest(),
