@@ -1,5 +1,6 @@
 //! Kernel microbenchmark: the per-trap scalar oracle vs the chunked
-//! structure-of-arrays kernel, at 1k / 10k / 100k / 1M traps.
+//! structure-of-arrays kernel, uncached and with cached decays, at 1k /
+//! 10k / 100k / 1M traps.
 //!
 //! Run with `cargo run -p selfheal-bench --release --bin trap_kernel`.
 //! The kernel's speed history is `bench_history/trap_kernel.jsonl`,
@@ -12,7 +13,11 @@
 //! * **scalar** — [`Trap::advance`] per trap per phase on an AoS
 //!   `Vec<Trap>`: every trap re-derives the phase's rate multipliers;
 //! * **kernel** — one [`TrapBank::advance_all`] call per phase: rates
-//!   evaluated once per phase and the bank's `LANES`-chunked loop.
+//!   evaluated once per phase and the bank's `LANES`-chunked loop;
+//! * **cached** — one [`TrapBank::advance_range_cached`] call per phase
+//!   over decay columns [`TrapBank::fill_decay`] filled before the clock
+//!   starts: the step a fleet epoch takes at steady state, with no `exp`
+//!   per trap.
 //!
 //! The headline `speedup_<size>` is scalar vs kernel; the ledger keeps
 //! only the `*_ns_per_trap_step_<size>` durations. The kernel's per-trap
@@ -80,6 +85,7 @@ fn main() {
         "traps",
         "scalar (ns/trap-step)",
         "kernel (ns/trap-step)",
+        "cached (ns/trap-step)",
         "speedup",
     ]);
     let mut headline_speedup = 0.0;
@@ -107,6 +113,22 @@ fn main() {
                 kernel.advance_all(&PhaseRates::for_condition(cond), dt);
             }
         });
+
+        let mut cached: TrapBank = traps.iter().copied().collect();
+        let columns: Vec<(PhaseRates, Vec<f64>)> = batch
+            .iter()
+            .map(|&(cond, dt)| {
+                let rates = PhaseRates::for_condition(cond);
+                let mut decay = vec![0.0; count];
+                cached.fill_decay(0..count, &rates, dt, &mut decay);
+                (rates, decay)
+            })
+            .collect();
+        let cached_ns = time_per_batch(budget, trap_steps, || {
+            for (rates, decay) in &columns {
+                cached.advance_range_cached(0..count, rates, decay);
+            }
+        });
         drop(phase);
 
         #[allow(clippy::cast_precision_loss)]
@@ -119,6 +141,7 @@ fn main() {
             &count.to_string(),
             &fmt(per_step(scalar_ns), 2),
             &fmt(per_step(kernel_ns), 2),
+            &fmt(per_step(cached_ns), 2),
             &format!("{speedup:.2}x"),
         ]);
         run.value(
@@ -128,6 +151,10 @@ fn main() {
         run.value(
             &format!("kernel_ns_per_trap_step_{size}"),
             per_step(kernel_ns),
+        );
+        run.value(
+            &format!("cached_ns_per_trap_step_{size}"),
+            per_step(cached_ns),
         );
         run.value(&format!("speedup_{size}"), speedup);
     }
@@ -140,6 +167,6 @@ fn main() {
     ));
     run.finish(
         "sizes=1k,10k,100k,1M schedule=DC/rec/AC/rec dt=20min budget=8e6 trap-steps/variant \
-         columns=scalar,kernel",
+         columns=scalar,kernel,cached",
     );
 }

@@ -16,11 +16,17 @@
 //!    toggling devices under one environment), so higher layers can
 //!    share one evaluation across thousands of devices.
 //! 3. [`TrapBank`] stores a device's (or a fleet shard's) traps as
-//!    flat arrays (structure-of-arrays) with **one** advance loop,
-//!    [`advance_range`](TrapBank::advance_range): one phase per call,
-//!    over a [`LANES`]-chunked span of the bank.
+//!    flat arrays (structure-of-arrays) with **one** chunk loop over a
+//!    [`LANES`]-chunked span of the bank, one phase per call.
+//!    [`advance_range`](TrapBank::advance_range) computes each trap's
+//!    decay `exp(-dt / tau)` and steps it;
 //!    [`advance_all`](TrapBank::advance_all) is its whole-bank range.
-//!    The bank's one reduction, [`delta_vth`](TrapBank::delta_vth) (or
+//!    A caller that repeats one `(rates, dt)` step — a fleet chip
+//!    between reports — stores the decays once with
+//!    [`fill_decay`](TrapBank::fill_decay) and steps from them with
+//!    [`advance_range_cached`](TrapBank::advance_range_cached): no `exp`
+//!    per trap. The bank's one reduction,
+//!    [`delta_vth`](TrapBank::delta_vth) (or
 //!    [`delta_vth_range`](TrapBank::delta_vth_range) over a chip's
 //!    slice), is the ΔVth sum every caller reads.
 //!
@@ -49,6 +55,16 @@
 //!   [`Trap::advance`]: zero total rate and infinite `tau` freeze the
 //!   trap, the relaxation uses `exp(-dt / tau)` (not `exp(-dt * rate)`),
 //!   and the result is clamped to `[0, 1]` exactly as before.
+//! * The step is split in two private functions, a decay part and a
+//!   step part (`p∞ + (p − p∞)·decay`, clamped), which both entry points
+//!   share, so the cached step is bit-identical to `advance_range`. A
+//!   frozen trap (τ = ∞: a zero total rate, a permanent trap with no
+//!   capture, a subnormal total rate, or `dt ≤ 0`) stores a negative
+//!   marker in place of its decay — no `exp` of a non-positive argument
+//!   is negative — and the step part returns its occupancy bit for bit
+//!   (a decay of exactly `1.0` would not: `p∞ + (p − p∞)` can round).
+//!   Only p∞ is recomputed per step; its division by the total rate is
+//!   the scalar path's.
 //! * The [`delta_vth`](TrapBank::delta_vth) sum accumulates in trap
 //!   index order from `-0.0`, so it matches `Iterator::sum` over the
 //!   scalar traps' contributions to the last ulp.
@@ -289,9 +305,10 @@ impl TrapBank {
     ///
     /// This is the hot kernel: one division pair, one `exp`, and a
     /// clamp per trap — the transcendentals in the rate multipliers are
-    /// already paid for in `rates`. The loop runs in [`LANES`]-wide
-    /// chunks (plus a scalar tail) so the divisions and multiplies
-    /// autovectorize; both run the same per-trap `relax` step.
+    /// already paid for in `rates`. Each trap's step is its `decay` part
+    /// then its `step` part, the same two functions
+    /// [`advance_range_cached`](TrapBank::advance_range_cached) splits
+    /// across epochs.
     ///
     /// A fleet shard stores many chips' traps contiguously in one bank
     /// and advances each chip's slice under that chip's own condition.
@@ -308,35 +325,87 @@ impl TrapBank {
         rates: &PhaseRates,
         dt: Seconds,
     ) {
-        assert!(range.end <= self.occupancy.len(), "range out of bounds");
+        let (tau_c0, tau_e, occupancy) = self.columns(range);
         if dt.is_zero_or_negative() {
             // Frozen step: nothing moves.
             return;
         }
-        // A reversed range advances nothing, like the loop it replaced.
-        let start = range.start.min(range.end);
-        let end = range.end;
-        let occupancy = &mut self.occupancy[start..end];
-        let tau_c0 = &self.tau_c0[start..end];
-        let tau_e = &self.tau_e[start..end];
         let neg_dt = -dt.get();
-        let n = occupancy.len();
-        let whole = n - n % LANES;
-        let mut i = 0;
-        while i < whole {
-            // Every lane's next occupancy first (the lanes are
-            // independent, so this block autovectorizes), then the
-            // stores.
-            let mut next = [0.0f64; LANES];
-            for j in 0..LANES {
-                next[j] = relax(rates, tau_c0[i + j], tau_e[i + j], occupancy[i + j], neg_dt);
-            }
-            occupancy[i..i + LANES].copy_from_slice(&next);
-            i += LANES;
+        step_chunked(occupancy, |k, p| {
+            let (p_inf, tau) = rates.relaxation(tau_c0[k], tau_e[k]);
+            step(p, p_inf, decay(tau, neg_dt))
+        });
+    }
+
+    /// Writes the decay part of an `advance_range(range, rates, dt)`
+    /// step into `decay_column`, bank-aligned: `exp(-dt / tau)` per
+    /// trap, or a frozen marker for a trap that step leaves as it is
+    /// (τ = ∞, or `dt ≤ 0`). Entries outside `range` are untouched.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` ends past the bank or `decay_column` is not as
+    /// long as the bank.
+    pub fn fill_decay(
+        &self,
+        range: std::ops::Range<usize>,
+        rates: &PhaseRates,
+        dt: Seconds,
+        decay_column: &mut [f64],
+    ) {
+        assert_eq!(decay_column.len(), self.len(), "decay column is not bank-aligned");
+        let start = range.start.min(range.end);
+        let decay_column = &mut decay_column[start..range.end];
+        if dt.is_zero_or_negative() {
+            decay_column.fill(FROZEN);
+            return;
         }
-        for k in whole..n {
-            occupancy[k] = relax(rates, tau_c0[k], tau_e[k], occupancy[k], neg_dt);
+        let neg_dt = -dt.get();
+        for ((out, &tau_c0), &tau_e) in decay_column
+            .iter_mut()
+            .zip(&self.tau_c0[start..range.end])
+            .zip(&self.tau_e[start..range.end])
+        {
+            *out = decay(rates.relaxation(tau_c0, tau_e).1, neg_dt);
         }
+    }
+
+    /// [`advance_range`](TrapBank::advance_range) with its decay part
+    /// read from `decay_column`, bank-aligned, which
+    /// [`fill_decay`](TrapBank::fill_decay) filled for the same `range`,
+    /// `rates` and `dt`. Only the step part and the division for p∞
+    /// remain per trap — no `exp` — and the result is bit-identical to
+    /// `advance_range(range, rates, dt)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` ends past the bank or `decay_column` is not as
+    /// long as the bank.
+    pub fn advance_range_cached(
+        &mut self,
+        range: std::ops::Range<usize>,
+        rates: &PhaseRates,
+        decay_column: &[f64],
+    ) {
+        assert_eq!(decay_column.len(), self.len(), "decay column is not bank-aligned");
+        let decay_column = &decay_column[range.start.min(range.end)..range.end];
+        let (tau_c0, tau_e, occupancy) = self.columns(range);
+        step_chunked(occupancy, |k, p| {
+            let (p_inf, _) = rates.relaxation(tau_c0[k], tau_e[k]);
+            step(p, p_inf, decay_column[k])
+        });
+    }
+
+    /// The `tau_c0`, `tau_e` and mutable occupancy slices of `range`. A
+    /// reversed range is empty, so it advances nothing.
+    fn columns(&mut self, range: std::ops::Range<usize>) -> (&[f64], &[f64], &mut [f64]) {
+        assert!(range.end <= self.occupancy.len(), "range out of bounds");
+        let start = range.start.min(range.end);
+        (
+            &self.tau_c0[start..range.end],
+            &self.tau_e[start..range.end],
+            &mut self.occupancy[start..range.end],
+        )
     }
 
     /// Total threshold-voltage shift of the bank: Σ occupancy · step.
@@ -402,21 +471,57 @@ impl FromIterator<Trap> for TrapBank {
     }
 }
 
-/// One trap's step: occupancy `p` relaxed for `-neg_dt` seconds
-/// towards its equilibrium under `rates`.
-///
-/// The same guards in the same order as [`Trap::advance`]: an infinite
-/// relaxation time (a frozen trap) leaves `p` as it is, the decay is
-/// `exp(-dt / tau)` (not `exp(-dt * rate)`), and the result is clamped to
-/// `[0, 1]`.
+/// The decay a frozen trap (τ = ∞) stores in place of `exp(-dt / tau)`.
+/// No `exp` of a non-positive argument is negative, so the marker never
+/// collides with a real decay (nor with the NaN a NaN τ gives, which
+/// [`step`] propagates like the scalar path).
+const FROZEN: f64 = -1.0;
+
+/// The decay part of one trap's step: `exp(-dt / tau)` (not
+/// `exp(-dt * rate)`), or [`FROZEN`] for an infinite relaxation time —
+/// a zero total rate, a permanent trap with no capture, or a total rate
+/// so small that `1 / rate` overflows.
 #[inline(always)]
-fn relax(rates: &PhaseRates, tau_c0: f64, tau_e: f64, p: f64, neg_dt: f64) -> f64 {
-    let (p_inf, tau) = rates.relaxation(tau_c0, tau_e);
+fn decay(tau: f64, neg_dt: f64) -> f64 {
     if tau.is_infinite() {
+        FROZEN
+    } else {
+        (neg_dt / tau).exp()
+    }
+}
+
+/// The step part of one trap's step: occupancy `p` relaxed towards `p_inf`
+/// by `decay`, clamped to `[0, 1]`; a [`FROZEN`] trap keeps `p` bit for
+/// bit. With [`decay`], the same guards in the same order as
+/// [`Trap::advance`].
+#[inline(always)]
+fn step(p: f64, p_inf: f64, decay: f64) -> f64 {
+    if decay < 0.0 {
         return p;
     }
-    let decay = (neg_dt / tau).exp();
     (p_inf + (p - p_inf) * decay).clamp(0.0, 1.0)
+}
+
+/// The one chunk loop: `next(k, p)` for every trap `k` of `occupancy`,
+/// in [`LANES`]-wide blocks — every lane's next occupancy first (the
+/// lanes are independent, so the block autovectorizes), then the stores
+/// — plus a scalar tail.
+#[inline(always)]
+fn step_chunked(occupancy: &mut [f64], next: impl Fn(usize, f64) -> f64) {
+    let n = occupancy.len();
+    let whole = n - n % LANES;
+    let mut i = 0;
+    while i < whole {
+        let mut block = [0.0f64; LANES];
+        for (j, slot) in block.iter_mut().enumerate() {
+            *slot = next(i + j, occupancy[i + j]);
+        }
+        occupancy[i..i + LANES].copy_from_slice(&block);
+        i += LANES;
+    }
+    for (k, p) in occupancy.iter_mut().enumerate().skip(whole) {
+        *p = next(k, *p);
+    }
 }
 
 #[cfg(test)]
@@ -490,6 +595,38 @@ mod tests {
         bank.advance_all(&rates, Seconds::new(0.0));
         bank.advance_all(&rates, Seconds::new(-5.0));
         assert_eq!(bank, snapshot);
+    }
+
+    /// Traps whose step leaves them as they are — permanent traps under
+    /// recovery (zero total rate), any trap over `dt = 0` — store the
+    /// frozen marker, and the cached step keeps them bit for bit.
+    #[test]
+    fn frozen_traps_store_the_marker_and_keep_their_occupancy() {
+        let step_mv = Millivolts::new(0.2);
+        let mut bank: TrapBank = [
+            Trap::restore(Seconds::new(10.0), Seconds::new(1e4), step_mv, true, 0.3),
+            Trap::restore(Seconds::new(f64::MAX), Seconds::new(1.0), step_mv, true, 0.7),
+            Trap::restore(Seconds::new(10.0), Seconds::new(1e4), step_mv, false, 0.4),
+        ]
+        .into_iter()
+        .collect();
+        let heal = PhaseRates::for_condition(recovery());
+        let mut decay = vec![0.0; bank.len()];
+        bank.fill_decay(0..3, &heal, Seconds::new(3600.0), &mut decay);
+        assert_eq!(decay[..2], [FROZEN, FROZEN]);
+        assert!((0.0..1.0).contains(&decay[2]));
+        let mut uncached = bank.clone();
+        bank.advance_range_cached(0..3, &heal, &decay);
+        uncached.advance_range(0..3, &heal, Seconds::new(3600.0));
+        assert_eq!(bank, uncached);
+        assert_eq!(bank.occupancies()[..2], [0.3, 0.7]);
+
+        let before = bank.clone();
+        let hot = PhaseRates::for_condition(stress());
+        bank.fill_decay(0..3, &hot, Seconds::new(0.0), &mut decay);
+        assert!(decay.iter().all(|&d| d == FROZEN));
+        bank.advance_range_cached(0..3, &hot, &decay);
+        assert_eq!(bank, before);
     }
 
     #[test]

@@ -186,6 +186,9 @@ fn main() {
     };
     let (daemon, resumed) =
         FleetDaemon::resume_or_new(options.config.clone(), cache, options.checkpoint_every);
+    if let Some(reason) = daemon.refused_checkpoint() {
+        eprintln!("fleetd: checkpoint refused, starting a fresh fleet: {reason}");
+    }
     let tiering = if options.config.tiered {
         format!(" [tiered, guard band {}]", options.config.guard_band)
     } else {

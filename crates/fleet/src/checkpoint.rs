@@ -325,12 +325,15 @@ mod tests {
     }
 
     /// `read` overlays a fresh build; a fleet whose caches were filled
-    /// before an overlay must answer from the overlaid state.
+    /// before an overlay must answer from the overlaid state, and its
+    /// next epoch must step from the overlaid duties, not from decays
+    /// cached under its own.
     #[test]
     fn overlay_drops_caches_filled_before_it() {
         let aged = tiered_fleet();
         let mut fleet = FleetState::build(aged.config().clone());
         let fresh_digest = fleet.state_digest();
+        fleet.advance_epoch();
         let _ = fleet.aggregates();
         let mut sources = aged.shards().iter();
         let overlaid = fleet.overlay(aged.epoch(), aged.mutation_digest(), |shard| {
@@ -346,6 +349,13 @@ mod tests {
         assert_ne!(fresh_digest, aged.state_digest());
         assert_eq!(fleet.state_digest(), aged.state_digest());
         assert_eq!(fleet.aggregates(), aged.aggregates());
+        let mut restored = match read(aged.config().clone(), &mut encode(&aged).as_slice()) {
+            Ok(restored) => restored,
+            Err(err) => panic!("restore must succeed for the same config: {err}"),
+        };
+        restored.advance_epoch();
+        fleet.advance_epoch();
+        assert_eq!(fleet.state_digest(), restored.state_digest());
     }
 
     #[test]

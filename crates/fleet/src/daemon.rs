@@ -40,6 +40,8 @@ pub struct FleetDaemon {
     /// Checkpoint every N epochs (0 = only on shutdown).
     checkpoint_every: u64,
     requests_served: u64,
+    /// Why the checkpoint found at start-up was refused, if one was.
+    refused_checkpoint: Option<String>,
 }
 
 impl FleetDaemon {
@@ -53,26 +55,27 @@ impl FleetDaemon {
     /// builds fresh. The `bool` reports whether a resume happened. A
     /// checkpoint that exists but is refused (unreadable, or not this
     /// fleet's) leaves a `checkpoint`/`refused` flight record naming the
-    /// reason before the fresh build.
+    /// reason before the fresh build, and the reason stays readable from
+    /// [`refused_checkpoint`](Self::refused_checkpoint).
     #[must_use]
     pub fn resume_or_new(
         config: FleetConfig,
         cache: ResultCache,
         checkpoint_every: u64,
     ) -> (FleetDaemon, bool) {
-        let (state, resumed) = match checkpoint::resume(&cache, &config) {
-            Ok(state) => (state, true),
+        match checkpoint::resume(&cache, &config) {
+            Ok(state) => (FleetDaemon::serving(state, cache, checkpoint_every), true),
             Err(err) => {
+                let mut daemon =
+                    FleetDaemon::serving(FleetState::build(config), cache, checkpoint_every);
                 if !matches!(err, CheckpointError::Missing) {
-                    flight::record("checkpoint", "refused", || err.to_string());
+                    let reason = err.to_string();
+                    flight::record("checkpoint", "refused", || reason.clone());
+                    daemon.refused_checkpoint = Some(reason);
                 }
-                (FleetState::build(config), false)
+                (daemon, false)
             }
-        };
-        (
-            FleetDaemon::serving(state, cache, checkpoint_every),
-            resumed,
-        )
+        }
     }
 
     fn serving(state: FleetState, cache: ResultCache, checkpoint_every: u64) -> FleetDaemon {
@@ -83,7 +86,17 @@ impl FleetDaemon {
             cache,
             checkpoint_every,
             requests_served: 0,
+            refused_checkpoint: None,
         }
+    }
+
+    /// Why [`resume_or_new`](Self::resume_or_new) refused the checkpoint
+    /// it found, or `None` when it resumed, found none, or was not used.
+    /// The next save overwrites the refused file, so this is the last
+    /// place the reason survives outside the flight recorder.
+    #[must_use]
+    pub fn refused_checkpoint(&self) -> Option<&str> {
+        self.refused_checkpoint.as_deref()
     }
 
     /// The live state (read-only; mutations go through requests/epochs).
@@ -100,7 +113,7 @@ impl FleetDaemon {
 
     /// Advances one epoch, checkpoints on cadence, refreshes gauges.
     pub fn advance_epoch(&mut self) {
-        self.state.advance_epoch();
+        let tiers = self.state.advance_epoch();
         let epoch = self.state.epoch();
         flight::record("epoch", "advance", || {
             format!("epoch={epoch} sim_s={}", self.state.sim_time().get())
@@ -118,9 +131,9 @@ impl FleetDaemon {
         let epoch_f = epoch as f64;
         gauge!("fleet.epoch", epoch_f);
         gauge!("fleet.sim_hours", self.state.sim_time().get() / 3_600.0);
-        // Per-tier chip counts so `selfheal-top` can watch the hot/cold
-        // split move (all-hot when untiered).
-        let tiers = self.state.tier_counts();
+        // Per-tier chip counts, tallied by the epoch's own pass, so
+        // `selfheal-top` can watch the hot/cold split move (all-hot when
+        // untiered).
         #[allow(clippy::cast_precision_loss)]
         {
             gauge!("fleet.chips_hot", tiers.hot as f64);
@@ -497,8 +510,11 @@ mod tests {
             let bytes = std::fs::read(entry.path()).expect("checkpoint readable");
             std::fs::write(entry.path(), &bytes[..bytes.len() / 2]).expect("checkpoint writable");
         }
+        assert_eq!(resumed.refused_checkpoint(), None);
         let (fresh, was_resumed) = FleetDaemon::resume_or_new(config.clone(), cache, 0);
         assert!(!was_resumed);
+        let reason = fresh.refused_checkpoint().expect("the refusal is kept");
+        assert!(reason.contains("unreadable"), "{reason}");
         assert_eq!(fresh.state().epoch(), 0);
         assert_eq!(
             fresh.state().state_digest(),

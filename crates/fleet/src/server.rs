@@ -7,7 +7,8 @@
 //! writes the reply, so requests execute strictly one at a time and in
 //! order per connection. The caller of [`FleetServer::run`] keeps only
 //! the epoch clock: at each wall-clock deadline it advances the fleet
-//! under the same lock and re-judges the latency objectives.
+//! under the same lock, records how long that held the lock in the
+//! `fleet.epoch.us` histogram, and re-judges the latency objectives.
 //!
 //! Shutdown is cooperative: a `shutdown` request (the SIGTERM
 //! equivalent — the CLI sends one over loopback) raises a shared flag
@@ -205,7 +206,10 @@ fn epoch_clock(shared: &Shared, config: &ServerConfig, woken: &Receiver<()>) -> 
         if shared.shutting_down() {
             return epochs;
         }
+        // How long the epoch holds the lock every request waits on.
+        let held = Instant::now();
         daemon.advance_epoch();
+        histogram!("fleet.epoch.us", held.elapsed().as_secs_f64() * 1e6);
         epochs += 1;
         // Re-judge the latency objectives once per epoch from the
         // histograms the workers have been feeding; pure reads,

@@ -8,6 +8,11 @@
 //! state is bit-for-bit identical at any worker count — the same
 //! contract the rest of the workspace pins.
 //!
+//! A chip steps under the same condition every epoch until it reports,
+//! so each shard caches its traps' decays `exp(-epoch_dt / tau)` in one
+//! bank-aligned column (derived state, never checkpointed): a
+//! steady-state epoch does no `exp` and no condition lookup per chip.
+//!
 //! Mutations arriving over the wire (`REPORT` duty-cycle observations)
 //! are folded into a running FNV chain, [`FleetState::mutation_digest`],
 //! so a checkpoint can prove it captured the same request history that
@@ -21,7 +26,7 @@
 use std::ops::Range;
 use std::sync::OnceLock;
 
-use selfheal_bti::td::{ChipTier, PhaseRateCache, PhaseRates, TierCounts, TierPolicy, TrapBank};
+use selfheal_bti::td::{ChipTier, PhaseRates, TierCounts, TierPolicy, TrapBank};
 use selfheal_bti::DeviceCondition;
 use selfheal_runtime::{par_map_indexed, SeedSequence};
 use selfheal_telemetry::{fnv1a, fnv1a_extend};
@@ -52,6 +57,8 @@ pub struct Shard {
     pub chips: Vec<ChipSlot>,
     /// The concatenated trap state of every chip in the shard.
     pub bank: TrapBank,
+    /// Derived per-trap decays, so a steady-state epoch skips the `exp`.
+    decay: DecayCache,
 }
 
 impl Shard {
@@ -77,14 +84,15 @@ impl Shard {
             first_chip: chip_range.start,
             chips,
             bank,
+            decay: DecayCache::default(),
         }
     }
 
-    /// Advances every chip in the shard by `dt` under its own observed
-    /// duty cycle at the fleet's active environment, into epoch
-    /// `epoch_end`. A per-shard [`PhaseRateCache`] keeps the common case
-    /// (most chips still at the default duty) at one rate computation
-    /// per distinct condition.
+    /// Advances every chip in the shard by one `config.epoch_dt` under
+    /// its own observed duty cycle at the fleet's active environment,
+    /// into epoch `epoch_end`. Full-resolution chips step from the
+    /// shard's [`DecayCache`]: at steady state that is one table read
+    /// per chip and no `exp` per trap.
     ///
     /// Without a [`TierPolicy`] every chip advances at full resolution.
     /// With one in force, cold chips cost one integer
@@ -94,36 +102,41 @@ impl Shard {
     /// [`advance_range`](TrapBank::advance_range) under the chip's
     /// (constant) condition. Hot chips that end the epoch outside the
     /// guard band demote; pinned chips never do. Returns the number of
-    /// traps stepped (a cold chip that stays asleep steps none).
-    pub fn advance(
+    /// traps stepped (a cold chip that stays asleep steps none) and the
+    /// shard's tier counts at the end of the epoch.
+    fn advance(
         &mut self,
         config: &FleetConfig,
-        dt: Seconds,
         epoch_end: u64,
         policy: Option<&TierPolicy>,
-    ) -> usize {
-        let mut rates = PhaseRateCache::new();
+    ) -> (usize, TierCounts) {
         let mut stepped = 0;
-        let Shard { chips, bank, .. } = self;
-        for chip in chips.iter_mut() {
+        let mut counts = TierCounts::default();
+        let Shard {
+            chips, bank, decay, ..
+        } = self;
+        decay.allocate(bank.len(), chips.len());
+        for (local, chip) in chips.iter_mut().enumerate() {
             // The tier check comes first: at steady state almost every
             // chip is cold, and a cold epoch must stay at one integer
             // compare per chip — no condition or rate lookups.
             match (&chip.tier, policy) {
                 (ChipTier::Cold(cold), Some(policy)) => {
                     if !policy.should_wake(cold, epoch_end) {
+                        counts.cold += 1;
                         continue;
                     }
                     // Rehydrate: replay the whole cold window in one
-                    // fused step. The window's mean rate is already the
-                    // upper bound demotion needs, so the chip can go
-                    // straight back to sleep instead of burning a hot
-                    // epoch.
+                    // fused step, past the decay column (its `dt` is the
+                    // window, not an epoch). The window's mean rate is
+                    // already the upper bound demotion needs, so the
+                    // chip can go straight back to sleep instead of
+                    // burning a hot epoch.
                     let anchor = cold.anchor;
                     let window = epoch_end.saturating_sub(cold.since_epoch).max(1);
                     let elapsed = policy.cold_elapsed(cold, epoch_end);
                     let cond = DeviceCondition::new(config.active_env, chip.duty);
-                    let phase = rates.rates(cond);
+                    let phase = decay.rates(cond).1;
                     bank.advance_range(chip.traps.clone(), &phase, elapsed);
                     let current = bank.delta_vth_range(chip.traps.clone());
                     chip.tier = match policy.try_demote(anchor, current, window, cond, epoch_end) {
@@ -135,10 +148,8 @@ impl Shard {
                     // Demotion needs the chip's observed per-epoch
                     // rate, so bracket the advance with two ΔVth
                     // scans.
-                    let cond = DeviceCondition::new(config.active_env, chip.duty);
                     let previous = bank.delta_vth_range(chip.traps.clone());
-                    let phase = rates.rates(cond);
-                    bank.advance_range(chip.traps.clone(), &phase, dt);
+                    let cond = decay.advance_chip(bank, local, chip, config);
                     let current = bank.delta_vth_range(chip.traps.clone());
                     if let Some(cold) = policy.try_demote(previous, current, 1, cond, epoch_end) {
                         chip.tier = ChipTier::Cold(cold);
@@ -147,14 +158,103 @@ impl Shard {
                 // No policy means "never demote": untiered chips, like
                 // pinned ones, advance at full resolution.
                 _ => {
-                    let cond = DeviceCondition::new(config.active_env, chip.duty);
-                    let phase = rates.rates(cond);
-                    bank.advance_range(chip.traps.clone(), &phase, dt);
+                    decay.advance_chip(bank, local, chip, config);
                 }
             }
             stepped += chip.traps.len();
+            counts.record(&chip.tier);
         }
-        stepped
+        (stepped, counts)
+    }
+}
+
+/// Past this many distinct conditions a shard's rate table is cleared
+/// and refilled, so a stream of novel duties cannot grow it unbounded.
+const MAX_SHARD_RATES: usize = 256;
+
+/// The index a chip whose decay must be refilled holds.
+const STALE: u16 = u16::MAX;
+
+/// A shard's derived epoch state: per trap, the decay `exp(-dt / tau)`
+/// of one `epoch_dt` step under the chip's condition, and per chip, the
+/// index of that condition's [`PhaseRates`] in a small table. A chip's
+/// `(condition, epoch_dt)` only changes when it reports, so a
+/// steady-state epoch reads both instead of re-deriving them.
+///
+/// Derived state, never checkpointed: the columns are allocated on the
+/// shard's first epoch, and a chip is refilled on its first epoch after
+/// a report, an overlay or a table reset. The fleet's environment and
+/// `epoch_dt` never change, so the chip's duty is the whole cache key.
+#[derive(Debug, Clone, Default)]
+struct DecayCache {
+    /// Distinct rates the shard's chips step under, at most
+    /// [`MAX_SHARD_RATES`].
+    rates: Vec<PhaseRates>,
+    /// Per chip: the index into `rates` its decays were filled under,
+    /// or [`STALE`].
+    chip_rates: Vec<u16>,
+    /// Per trap, bank-aligned: the chip's filled decay column.
+    decay: Vec<f64>,
+}
+
+impl DecayCache {
+    /// Allocates the columns (every chip stale) unless already there.
+    fn allocate(&mut self, traps: usize, chips: usize) {
+        if self.chip_rates.len() != chips {
+            self.decay = vec![0.0; traps];
+            self.chip_rates = vec![STALE; chips];
+        }
+    }
+
+    /// Marks chip `local` for refilling at its next epoch.
+    fn invalidate(&mut self, local: usize) {
+        if let Some(index) = self.chip_rates.get_mut(local) {
+            *index = STALE;
+        }
+    }
+
+    /// Marks every chip for refilling and empties the rate table.
+    fn clear(&mut self) {
+        self.rates.clear();
+        self.chip_rates.fill(STALE);
+    }
+
+    /// The table index and rates of `cond`, evaluating them on first
+    /// sight. A full table is cleared first, which stales every chip.
+    fn rates(&mut self, cond: DeviceCondition) -> (u16, PhaseRates) {
+        let found = self.rates.iter().position(|r| r.condition() == cond);
+        let index = found.unwrap_or_else(|| {
+            if self.rates.len() == MAX_SHARD_RATES {
+                self.clear();
+            }
+            self.rates.push(PhaseRates::for_condition(cond));
+            self.rates.len() - 1
+        });
+        // `MAX_SHARD_RATES` < `STALE`, so the index always fits.
+        (index as u16, self.rates[index])
+    }
+
+    /// Steps `chip` (shard-local index `local`) one `epoch_dt` at full
+    /// resolution from its cached decays, refilling them first when
+    /// stale. Returns the chip's condition.
+    fn advance_chip(
+        &mut self,
+        bank: &mut TrapBank,
+        local: usize,
+        chip: &ChipSlot,
+        config: &FleetConfig,
+    ) -> DeviceCondition {
+        let rates = match self.chip_rates[local] {
+            STALE => {
+                let (index, rates) = self.rates(DeviceCondition::new(config.active_env, chip.duty));
+                bank.fill_decay(chip.traps.clone(), &rates, config.epoch_dt, &mut self.decay);
+                self.chip_rates[local] = index;
+                rates
+            }
+            index => self.rates[usize::from(index)],
+        };
+        bank.advance_range_cached(chip.traps.clone(), &rates, &self.decay);
+        rates.condition()
     }
 }
 
@@ -275,23 +375,24 @@ impl FleetState {
     }
 
     /// Advances the whole fleet by one epoch (`config.epoch_dt` of
-    /// simulated time) in parallel over shards. With metrics on, each
-    /// shard feeds the `bti.td.kernel.*` counters once, never per chip.
-    pub fn advance_epoch(&mut self) {
+    /// simulated time) in parallel over shards, and returns the fleet's
+    /// tier counts after it, tallied in the same pass. With metrics on,
+    /// each shard feeds the `bti.td.kernel.*` counters once, never per
+    /// chip.
+    pub fn advance_epoch(&mut self) -> TierCounts {
         let config = self.config.clone();
-        let dt = config.epoch_dt;
         let policy = config.tier_policy();
         let epoch_end = self.epoch + 1;
         let shards = std::mem::take(&mut self.shards);
         let timing = selfheal_telemetry::metrics::enabled();
-        self.shards = par_map_indexed(shards, move |index, mut shard| {
+        let advanced = par_map_indexed(shards, move |index, mut shard| {
             // Per-shard wall time as heat gauges: under the tiered
             // integrator shard costs diverge (hot-chip-heavy shards pay
             // per-trap resolution), and straggler shards bound epoch
             // latency. The clock is telemetry-only — the advance itself
             // is identical with timing off.
             let started = timing.then(selfheal_telemetry::trace_epoch_ns);
-            let stepped = shard.advance(&config, dt, epoch_end, policy.as_ref());
+            let (stepped, counts) = shard.advance(&config, epoch_end, policy.as_ref());
             if let Some(started) = started {
                 let elapsed_ns = selfheal_telemetry::trace_epoch_ns().saturating_sub(started);
                 #[allow(clippy::cast_precision_loss)]
@@ -306,10 +407,21 @@ impl FleetState {
                 );
                 selfheal_telemetry::metrics::counter_add("bti.td.kernel.advance_calls", 1.0);
             }
-            shard
+            (shard, counts)
         });
+        let mut tiers = TierCounts::default();
+        self.shards = advanced
+            .into_iter()
+            .map(|(shard, counts)| {
+                tiers.hot += counts.hot;
+                tiers.pinned += counts.pinned;
+                tiers.cold += counts.cold;
+                shard
+            })
+            .collect();
         self.caches.iter_mut().for_each(ShardCache::clear);
         self.epoch = epoch_end;
+        tiers
     }
 
     /// Locates a chip: `(shard index, local index)`.
@@ -370,7 +482,9 @@ impl FleetState {
         }
     }
 
-    /// Per-tier chip counts across the fleet (all-hot when untiered).
+    /// Per-tier chip counts across the fleet (all-hot when untiered):
+    /// a scan of every slot. An epoch returns the same counts from its
+    /// own pass.
     #[must_use]
     pub fn tier_counts(&self) -> TierCounts {
         let mut counts = TierCounts::default();
@@ -415,6 +529,7 @@ impl FleetState {
             self.shards[shard].chips[local].tier = ChipTier::Pinned;
         }
         self.shards[shard].chips[local].duty = duty;
+        self.shards[shard].decay.invalidate(local);
         self.caches[shard].slot_digest.take();
         let mut hash = fnv1a(&self.mutation_digest.to_be_bytes());
         hash = fnv1a_extend(hash, &self.epoch.to_be_bytes());
@@ -526,18 +641,22 @@ impl FleetState {
     /// Overwrites the mutable state in place (checkpoint resume): sets
     /// the epoch and mutation digest, then hands each shard in order to
     /// `fill`, which overwrites its occupancies, duties and tiers. Stops
-    /// at the first error `fill` returns. Drops every shard cache first,
-    /// so the next read is computed from the overlaid state.
+    /// at the first error `fill` returns. Drops every shard cache and
+    /// decay column entry first, so the next read and the next epoch are
+    /// computed from the overlaid state.
     pub(crate) fn overlay<E>(
         &mut self,
         epoch: u64,
         mutation_digest: u64,
-        fill: impl FnMut(&mut Shard) -> Result<(), E>,
+        mut fill: impl FnMut(&mut Shard) -> Result<(), E>,
     ) -> Result<(), E> {
         self.caches.iter_mut().for_each(ShardCache::clear);
         self.epoch = epoch;
         self.mutation_digest = mutation_digest;
-        self.shards.iter_mut().try_for_each(fill)
+        self.shards.iter_mut().try_for_each(|shard| {
+            shard.decay.clear();
+            fill(shard)
+        })
     }
 }
 
@@ -653,6 +772,31 @@ mod tests {
             assert!(range.end <= shard.bank.len());
         }
         assert!(fleet.chip_view(10).is_none());
+    }
+
+    /// A shard whose chips step under more distinct duties than its
+    /// rate table holds clears and refills the table, and still steps
+    /// every chip as a copy with no cached decays does.
+    #[test]
+    fn a_full_rate_table_refills_and_stays_exact() {
+        let mut config = tiny_config();
+        config.chips = 300;
+        config.shards = 1;
+        config.trap_params.mean_trap_count = 2.0;
+        let mut fleet = FleetState::build(config);
+        for chip in 0..300 {
+            #[allow(clippy::cast_precision_loss)]
+            let duty = DutyCycle::new(chip as f64 / 400.0);
+            assert!(fleet.fold_report(chip, duty));
+        }
+        for epoch in 0..3 {
+            let mut reference = fleet.clone();
+            reference.shards[0].decay = DecayCache::default();
+            fleet.advance_epoch();
+            reference.advance_epoch();
+            assert_eq!(fleet.state_digest(), reference.state_digest(), "epoch {epoch}");
+            assert!(fleet.shards[0].decay.rates.len() <= MAX_SHARD_RATES);
+        }
     }
 
     /// Both digests are part of the checkpoint and the `stats` reply, so

@@ -106,6 +106,9 @@ grep -q '^selfheal_slo_plan_p99_ok' "$SMOKE_DIR/fleet.prom" \
     || { echo "status file carries no slo gauges" >&2; exit 1; }
 grep -q '^selfheal_fleet_epoch ' "$SMOKE_DIR/fleet.prom" \
     || { echo "status file carries no fleet epoch gauge" >&2; exit 1; }
+# How long each epoch held the daemon lock.
+grep -Eq '^selfheal_fleet_epoch_us_count [1-9]' "$SMOKE_DIR/fleet.prom" \
+    || { echo "status file carries no epoch lock-hold histogram" >&2; exit 1; }
 # Fleet epochs step chip ranges, not whole banks: each shard counts the
 # traps it stepped, so the live daemon has a kernel line too.
 grep -Eq '^selfheal_bti_td_kernel_traps_advanced [1-9]' "$SMOKE_DIR/fleet.prom" \
@@ -209,8 +212,8 @@ wait "$TIERED_PID"
 CKPTS=$(find "$SMOKE_DIR/tiered-cache" -name '*.ckpt' | wc -l)
 [ "$CKPTS" -eq 1 ] || { echo "tiered: expected exactly one checkpoint file, found $CKPTS" >&2; exit 1; }
 # A damaged checkpoint is refused, never resumed: cut the file in half,
-# and the restarted daemon must start a fresh fleet, serve, and leave a
-# checkpoint/refused record in its flight dump.
+# and the restarted daemon must start a fresh fleet, say why on stderr,
+# serve, and leave a checkpoint/refused record in its flight dump.
 CKPT=$(find "$SMOKE_DIR/tiered-cache" -name '*.ckpt')
 truncate -s $(( $(stat -c %s "$CKPT") / 2 )) "$CKPT"
 rm -f "$SMOKE_DIR/tiered.addr"
@@ -227,6 +230,11 @@ done
 [ -s "$SMOKE_DIR/tiered.addr" ] || { echo "tiered fleetd never restarted after truncation" >&2; exit 1; }
 grep -q '(resumed: false)' "$SMOKE_DIR/tiered.third.log" \
     || { echo "tiered fleetd resumed from a truncated checkpoint" >&2; \
+         cat "$SMOKE_DIR/tiered.third.log" >&2; exit 1; }
+# The reason reaches stderr too, not only the flight dump.
+grep -q 'fleetd: checkpoint refused, starting a fresh fleet: checkpoint unreadable: ' \
+    "$SMOKE_DIR/tiered.third.log" \
+    || { echo "tiered fleetd did not say why it refused the truncated checkpoint" >&2; \
          cat "$SMOKE_DIR/tiered.third.log" >&2; exit 1; }
 target/release/fleet_smoke --connect "$(cat "$SMOKE_DIR/tiered.addr")" --shutdown
 wait "$TIERED_PID"

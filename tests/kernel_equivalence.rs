@@ -5,6 +5,9 @@
 //! the full dynamic range of trap time constants (including the
 //! frozen-trap `tau = INFINITY` branch).
 //!
+//! The cached step (`fill_decay` once, then `advance_range_cached` every
+//! epoch) is held to the same bits as `advance_range` and the oracle.
+//!
 //! If any assertion here moves, the kernel has drifted from the physics
 //! it was hoisted out of; bump [`selfheal_bti::td::KERNEL_VERSION`] only
 //! for *representation* changes that keep these bits pinned.
@@ -153,6 +156,20 @@ fn chunk_boundary_sizes_are_bit_exact() {
     }
 }
 
+/// Chip trap ranges of every chunk-boundary size — empty, one short of
+/// a chunk (a pure scalar tail), exactly one chunk and one past it —
+/// packed back to back into one bank, as a fleet shard packs its chips.
+fn boundary_chips() -> Vec<std::ops::Range<usize>> {
+    let mut start = 0;
+    [0, LANES - 1, LANES, LANES + 1]
+        .into_iter()
+        .map(|len| {
+            start += len;
+            start - len..start
+        })
+        .collect()
+}
+
 /// The τ grid deliberately spans denormal-adjacent to `f64::MAX` capture
 /// constants and includes `tau_e0 = INFINITY` (a pre-frozen emitter), so
 /// the sweep exercises overflow-free rate math, the `total_rate <= 0`
@@ -221,6 +238,67 @@ proptest! {
             );
             // Occupancy stays a probability even at the extremes.
             prop_assert!((0.0..=1.0).contains(got));
+        }
+    }
+
+    /// A steady-state fleet epoch fills a chip's decays once and then
+    /// steps from them epoch after epoch. Over the extreme τ grid
+    /// (permanent, zero-rate and subnormal-rate traps included), in
+    /// chips of 0, `LANES − 1`, `LANES` and `LANES + 1` traps, and across
+    /// the phase sequence with each phase stepped twice from one fill,
+    /// that must match `advance_range` and the scalar oracle to the bit.
+    #[test]
+    fn cached_decay_step_matches_ranged_advance_and_scalar_oracle_bitwise(
+        occupancy in 0.0f64..=1.0,
+        scale in 1e-9f64..1e3,
+        rotate in 0usize..48,
+    ) {
+        let grid = tau_grid();
+        let chips = boundary_chips();
+        let len = chips.last().map_or(0, |chip| chip.end);
+        // Every odd trap's occupancy is a third of a lattice point, so
+        // below 0.5 with bits under 2^-53: a frozen trap relaxed towards
+        // p∞ = 1 by a decay of exactly 1 (1 + (p − 1)) loses those bits,
+        // which the generator's 2^-52 grid alone would never show.
+        #[allow(clippy::cast_precision_loss)]
+        let traps: Vec<Trap> = (0..len)
+            .map(|i| {
+                let (tau_c0, tau_e0, permanent) = grid[(i + rotate) % grid.len()];
+                let lattice = (occupancy + i as f64 * 0.618_033_988_749_895).fract();
+                Trap::restore(
+                    Seconds::new(tau_c0),
+                    Seconds::new(tau_e0),
+                    Millivolts::new(0.35),
+                    permanent,
+                    if i % 2 == 1 { lattice / 3.0 } else { lattice },
+                )
+            })
+            .collect();
+        let mut scalar = traps.clone();
+        let mut ranged: TrapBank = traps.iter().copied().collect();
+        let mut cached = ranged.clone();
+        let mut decay = vec![0.0; len];
+        for (step, (cond, dt)) in phase_sequence().into_iter().enumerate() {
+            let dt = Seconds::new(dt.get() * scale);
+            let rates = PhaseRates::for_condition(cond);
+            for chip in &chips {
+                cached.fill_decay(chip.clone(), &rates, dt, &mut decay);
+            }
+            for epoch in 0..2 {
+                for trap in &mut scalar {
+                    trap.advance(cond, dt);
+                }
+                for chip in &chips {
+                    ranged.advance_range(chip.clone(), &rates, dt);
+                    cached.advance_range_cached(chip.clone(), &rates, &decay);
+                }
+                for chip in &chips {
+                    let context =
+                        format!("scale={scale} rotate={rotate} phase={step} epoch={epoch} chip={chip:?}");
+                    assert_bit_identical(&scalar[chip.clone()], &ranged, chip.clone(), &context);
+                    assert_bit_identical(&scalar[chip.clone()], &cached, chip.clone(), &context);
+                }
+            }
         }
     }
 

@@ -96,7 +96,9 @@ proptest! {
         assert_matches_from_scratch(&fleet, &config, "build");
         for (index, step) in steps.iter().enumerate() {
             match *step {
-                Step::Epoch => fleet.advance_epoch(),
+                Step::Epoch => {
+                    fleet.advance_epoch();
+                }
                 Step::Report(chip, duty) => {
                     prop_assert_eq!(fleet.fold_report(chip, DutyCycle::new(duty)), chip < 10);
                 }
