@@ -3,12 +3,12 @@
 //! arbitrary stress/recovery schedule.
 
 use selfheal_telemetry as telemetry;
-use selfheal_units::{Millivolts, Ratio, Seconds};
+use selfheal_units::{float, Millivolts, Ratio, Seconds};
 
-use crate::condition::{DeviceCondition, Environment, Phase};
+use crate::condition::{DeviceCondition, Phase};
 
 use super::recovery::RecoveryModel;
-use super::stress::StressModel;
+use super::stress::{StressFactors, StressModel};
 
 /// Stateful first-order BTI model.
 ///
@@ -109,57 +109,87 @@ impl AnalyticBti {
         if dt.is_zero_or_negative() {
             return;
         }
-        match cond.phase() {
-            Phase::Stress => self.advance_stress(cond, dt),
-            Phase::Recovery => self.advance_recovery(cond.env(), dt),
-        }
+        let recovery = self.recovery;
+        self.step(self.factors(cond), dt.get(), |t2| {
+            recovery.eta_numerator(Seconds::new(t2))
+        });
         telemetry::counter!("bti.analytic.advance_calls", 1.0);
         telemetry::histogram!("bti.analytic.delta_vth_mv", self.total_mv);
     }
 
-    fn advance_stress(&mut self, cond: DeviceCondition, dt: Seconds) {
+    /// What `cond` contributes to every step under it.
+    fn factors(&self, cond: DeviceCondition) -> PhaseFactors {
+        match cond.phase() {
+            Phase::Stress => PhaseFactors::Stress(self.stress.factors(cond)),
+            Phase::Recovery => PhaseFactors::Recovery {
+                phi: self.recovery.phi(cond.env()),
+            },
+        }
+    }
+
+    /// One step of `dt > 0` seconds under a condition's factors.
+    /// `eta_numerator` maps the sleep time reached to `η`'s numerator
+    /// ([`RecoveryModel::eta_numerator`]); only recovery steps call it.
+    fn step(&mut self, factors: PhaseFactors, dt: f64, eta_numerator: impl FnOnce(f64) -> f64) {
+        match factors {
+            PhaseFactors::Stress(f) => self.stress_step(&f, dt),
+            PhaseFactors::Recovery { phi } => self.recovery_step(phi, dt, eta_numerator),
+        }
+    }
+
+    fn stress_step(&mut self, f: &StressFactors, dt: f64) {
         // Re-entering stress: freeze the recovery bookkeeping.
         self.recovery_elapsed = 0.0;
         self.recovery_start_mv = self.total_mv;
 
-        let duty = cond.stress_duty().get();
         // Resume the stress curve (for this mode's duty cycle) from the
         // point that matches the current shift, then move along it by dt.
-        let t_eq = self.stress.equivalent_time_with_duty(self.delta_vth(), cond);
+        let t_eq = self.stress.factored_equivalent_time(self.delta_vth(), f);
         let new_total = self
             .stress
-            .delta_vth_with_duty(Seconds::new(t_eq.get() + dt.get()), cond)
+            .factored_delta_vth(Seconds::new(t_eq.get() + dt), f)
             .get();
         self.total_mv = new_total.max(self.total_mv);
         // The never-healed twin advances along the same curve from its
         // own (higher) level; it feeds the permanent component.
         let t_eq_virtual = self
             .stress
-            .equivalent_time_with_duty(Millivolts::new(self.virtual_unhealed_mv), cond);
+            .factored_equivalent_time(Millivolts::new(self.virtual_unhealed_mv), f);
         self.virtual_unhealed_mv = self
             .stress
-            .delta_vth_with_duty(Seconds::new(t_eq_virtual.get() + dt.get()), cond)
+            .factored_delta_vth(Seconds::new(t_eq_virtual.get() + dt), f)
             .get()
             .max(self.virtual_unhealed_mv);
-        self.cumulative_stress += dt.get() * duty;
+        self.cumulative_stress += dt * f.duty;
     }
 
-    fn advance_recovery(&mut self, env: Environment, dt: Seconds) {
+    fn recovery_step(&mut self, phi: f64, dt: f64, eta_numerator: impl FnOnce(f64) -> f64) {
         if self.recovery_elapsed == 0.0 {
             self.recovery_start_mv = self.total_mv;
         }
-        self.recovery_elapsed += dt.get();
-        let after = self.recovery.delta_vth_after(
+        self.recovery_elapsed += dt;
+        let after = self.recovery.factored_delta_vth_after(
             Millivolts::new(self.recovery_start_mv),
             self.permanent_delta_vth(),
             Seconds::new(self.cumulative_stress),
             Seconds::new(self.recovery_elapsed),
-            env,
+            phi,
+            eta_numerator(self.recovery_elapsed),
         );
         // Recovery must never *increase* the shift (environment changes
         // mid-recovery could otherwise step backwards through φr).
         self.total_mv = after.get().min(self.total_mv);
     }
+}
+
+/// What a condition contributes to every step under it, computed once
+/// per condition instead of once per step.
+#[derive(Debug, Clone, Copy)]
+enum PhaseFactors {
+    /// A stress condition's duty, AC relief and `φs`.
+    Stress(StressFactors),
+    /// `φr` of a recovery environment.
+    Recovery { phi: f64 },
 }
 
 /// One sample of a duty-cycled simulation.
@@ -234,6 +264,62 @@ impl CycleModel {
         samples
     }
 
+    /// The largest shift of [`Self::run_from`]'s samples, without
+    /// building them: `float::max_of` of the samples' shifts, bit for
+    /// bit, NaN included.
+    ///
+    /// Once that running maximum exceeds `ceiling` the rest of the
+    /// schedule cannot bring it back under, so the walk stops and returns
+    /// the maximum so far. The result therefore exceeds `ceiling` exactly
+    /// when the full peak does, and equals the full peak when it does
+    /// not; pass `Millivolts::new(f64::INFINITY)` for the full peak.
+    ///
+    /// Each condition's factors are computed once, the sleep phase's `η`
+    /// numerators once per call (every stress phase restarts the sleep
+    /// clock at zero, so the `k`-th sleep step of every cycle sees the
+    /// same sleep time), and no step feeds the metrics registry.
+    #[must_use]
+    pub fn peak(&self, mut model: AnalyticBti, cycles: usize, ceiling: Millivolts) -> Millivolts {
+        const STEPS: usize = CycleModel::SAMPLES_PER_PHASE;
+        let (active_len, sleep_len) = self.alpha.split_cycle(self.period);
+        let phases = [
+            (model.factors(self.active), active_len / STEPS as f64),
+            (model.factors(self.sleep), sleep_len / STEPS as f64),
+        ];
+        let recovery = model.recovery;
+        // (sleep time, η numerator) after each sleep step from zero; a
+        // step whose sleep time differs (no stress phase restarted the
+        // clock) computes its own numerator.
+        let mut sleep_clock = [(0.0, 0.0); STEPS];
+        let mut t2 = 0.0;
+        for entry in &mut sleep_clock {
+            t2 += phases[1].1.get();
+            *entry = (t2, recovery.eta_numerator(Seconds::new(t2)));
+        }
+        let mut peak = model.total_mv;
+        for _ in 0..cycles {
+            for (factors, step) in phases {
+                // The k-th step of either phase carries the k-th entry.
+                for &(clock, numerator) in &sleep_clock {
+                    if !step.is_zero_or_negative() {
+                        model.step(factors, step.get(), |t2| {
+                            if t2.to_bits() == clock.to_bits() {
+                                numerator
+                            } else {
+                                recovery.eta_numerator(Seconds::new(t2))
+                            }
+                        });
+                    }
+                    peak = float::max_total(peak, model.total_mv);
+                }
+                if peak > ceiling.get() {
+                    return Millivolts::new(peak);
+                }
+            }
+        }
+        Millivolts::new(peak)
+    }
+
     /// The shift at the end of the schedule (last sample of [`Self::run`]).
     #[must_use]
     pub fn final_delta_vth(&self, cycles: usize) -> Millivolts {
@@ -247,6 +333,7 @@ impl CycleModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::condition::Environment;
     use selfheal_units::{Celsius, Hours, Volts};
 
     fn stress_cond() -> DeviceCondition {

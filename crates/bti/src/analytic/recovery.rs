@@ -95,11 +95,24 @@ impl RecoveryModel {
     /// longer stress history makes full recovery harder.
     #[must_use]
     pub fn eta(&self, t2: Seconds, t1: Seconds) -> f64 {
+        self.eta_with_numerator(self.eta_numerator(t2), t2, t1)
+    }
+
+    /// `η`'s numerator `k2·log(1 + Cr·t2)`, which depends on the sleep
+    /// time alone.
+    #[must_use]
+    pub(super) fn eta_numerator(&self, t2: Seconds) -> f64 {
+        let t2 = t2.get().max(0.0);
+        self.k2 * (1.0 + self.log_rate_per_s * Seconds::new(t2)).ln()
+    }
+
+    /// [`Self::eta`] with its numerator ([`Self::eta_numerator`] of `t2`)
+    /// given.
+    fn eta_with_numerator(&self, numerator: f64, t2: Seconds, t1: Seconds) -> f64 {
         let t2 = t2.get().max(0.0);
         let t1 = t1.get().max(0.0);
-        let num = self.k2 * (1.0 + self.log_rate_per_s * Seconds::new(t2)).ln();
         let den = 1.0 + self.k2 * (1.0 + self.log_rate_per_s * Seconds::new(t1 + t2)).ln();
-        num / den
+        numerator / den
     }
 
     /// Fraction of the *recoverable* shift healed after `t2` of sleep under
@@ -123,8 +136,30 @@ impl RecoveryModel {
         t2: Seconds,
         env: Environment,
     ) -> Millivolts {
+        self.factored_delta_vth_after(
+            delta_1,
+            permanent,
+            t1,
+            t2,
+            self.phi(env),
+            self.eta_numerator(t2),
+        )
+    }
+
+    /// [`Self::delta_vth_after`] with `φr` of the environment and `η`'s
+    /// numerator for `t2` given.
+    #[must_use]
+    pub(super) fn factored_delta_vth_after(
+        &self,
+        delta_1: Millivolts,
+        permanent: Millivolts,
+        t1: Seconds,
+        t2: Seconds,
+        phi: f64,
+        eta_numerator: f64,
+    ) -> Millivolts {
         let recoverable = (delta_1.get() - permanent.get()).max(0.0);
-        let f = self.recovered_fraction(t2, t1, env).get();
+        let f = Fraction::new(phi * self.eta_with_numerator(eta_numerator, t2, t1)).get();
         Millivolts::new(permanent.get() + recoverable * (1.0 - f))
     }
 }

@@ -84,8 +84,25 @@ impl StressModel {
     /// (Eq. 1). Negative times are treated as zero.
     #[must_use]
     pub fn delta_vth(&self, t: Seconds, env: Environment) -> Millivolts {
+        self.curve(t, self.phi(env))
+    }
+
+    /// Eq. (1) with `φs` already evaluated.
+    fn curve(&self, t: Seconds, phi: f64) -> Millivolts {
         let t = Seconds::new(t.get().max(0.0));
-        Millivolts::new(self.amplitude.get() * self.phi(env) * (1.0 + self.log_rate_per_s * t).ln())
+        Millivolts::new(self.amplitude.get() * phi * (1.0 + self.log_rate_per_s * t).ln())
+    }
+
+    /// The factors a stress condition contributes to every step under it:
+    /// its duty, the AC relief `duty^1.7` and `φs`.
+    #[must_use]
+    pub(super) fn factors(&self, cond: DeviceCondition) -> StressFactors {
+        let duty = cond.stress_duty().get();
+        StressFactors {
+            duty,
+            relief: duty.powf(Self::AC_RELIEF_EXPONENT),
+            phi: self.phi(cond.env()),
+        }
     }
 
     /// Threshold shift under an arbitrary duty cycle: the paper's AC mode
@@ -93,8 +110,13 @@ impl StressModel {
     /// degradation ≈ half of DC).
     #[must_use]
     pub fn delta_vth_with_duty(&self, t: Seconds, cond: DeviceCondition) -> Millivolts {
-        let duty = cond.stress_duty().get();
-        if duty <= 0.0 {
+        self.factored_delta_vth(t, &self.factors(cond))
+    }
+
+    /// [`Self::delta_vth_with_duty`] with the condition's factors given.
+    #[must_use]
+    pub(super) fn factored_delta_vth(&self, t: Seconds, f: &StressFactors) -> Millivolts {
+        if f.duty <= 0.0 {
             return Millivolts::new(0.0);
         }
         // Effective stress time scales with duty; the sub-linear amplitude
@@ -102,10 +124,8 @@ impl StressModel {
         // traps from ever reaching their DC equilibrium under AC stress.
         // The exponent is calibrated to §5.1.1's "AC degradation is about
         // half of DC".
-        let effective = Seconds::new(t.get() * duty);
-        let base = self.delta_vth(effective, cond.env());
-        let intra_cycle_relief = duty.powf(Self::AC_RELIEF_EXPONENT);
-        Millivolts::new(base.get() * intra_cycle_relief)
+        let base = self.curve(Seconds::new(t.get() * f.duty), f.phi);
+        Millivolts::new(base.get() * f.relief)
     }
 
     /// Inverts Eq. (1): the DC-equivalent stress time that would produce
@@ -129,15 +149,32 @@ impl StressModel {
     /// Returns zero for non-positive shifts or a zero duty cycle.
     #[must_use]
     pub fn equivalent_time_with_duty(&self, delta: Millivolts, cond: DeviceCondition) -> Seconds {
+        self.factored_equivalent_time(delta, &self.factors(cond))
+    }
+
+    /// [`Self::equivalent_time_with_duty`] with the condition's factors
+    /// given.
+    #[must_use]
+    pub(super) fn factored_equivalent_time(&self, delta: Millivolts, f: &StressFactors) -> Seconds {
         let d = delta.get();
-        let duty = cond.stress_duty().get();
-        if d <= 0.0 || duty <= 0.0 {
+        if d <= 0.0 || f.duty <= 0.0 {
             return Seconds::ZERO;
         }
-        let relief = duty.powf(Self::AC_RELIEF_EXPONENT);
-        let x = d / (relief * self.amplitude.get() * self.phi(cond.env()));
-        (x.exp() - 1.0) / (self.log_rate_per_s * duty)
+        let x = d / (f.relief * self.amplitude.get() * f.phi);
+        (x.exp() - 1.0) / (self.log_rate_per_s * f.duty)
     }
+}
+
+/// What a stress condition contributes to every step under it, computed
+/// once per condition: [`StressModel::factors`].
+#[derive(Debug, Clone, Copy)]
+pub(super) struct StressFactors {
+    /// The condition's stress duty.
+    pub(super) duty: f64,
+    /// `duty^1.7`, the intra-cycle relief of AC stress.
+    relief: f64,
+    /// `φs` of the condition's environment.
+    phi: f64,
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@
 use selfheal_bti::analytic::{AnalyticBti, CycleModel, RecoveryModel, StressModel};
 use selfheal_bti::td::{PhaseRates, TrapBank};
 use selfheal_bti::{DeviceCondition, Environment};
-use selfheal_units::{float, Fraction, Millivolts, Ratio, Seconds};
+use selfheal_units::{Fraction, Millivolts, Ratio, Seconds};
 
 use crate::technique::RejuvenationTechnique;
 
@@ -95,21 +95,36 @@ impl SchedulePlanner {
         period: Seconds,
         horizon: Seconds,
     ) -> Millivolts {
-        let cycles = (horizon.get() / period.get()).ceil().max(1.0) as usize;
+        self.probe(
+            alpha,
+            technique,
+            period,
+            cycles(period, horizon),
+            Millivolts::new(f64::INFINITY),
+        )
+    }
+
+    /// The peak of the rhythm `alpha` over `cycles` periods, exact up to
+    /// `ceiling` ([`CycleModel::peak`]).
+    fn probe(
+        &self,
+        alpha: Ratio,
+        technique: RejuvenationTechnique,
+        period: Seconds,
+        cycles: usize,
+        ceiling: Millivolts,
+    ) -> Millivolts {
         let model = CycleModel {
             alpha,
             period,
             active: DeviceCondition::dc_stress(self.active_env),
             sleep: DeviceCondition::recovery(technique.environment()),
         };
-        let peak = float::max_of(
-            model
-                .run_from(AnalyticBti::new(self.stress, self.recovery), cycles)
-                .into_iter()
-                .map(|s| s.delta_vth.get()),
+        model.peak(
+            AnalyticBti::new(self.stress, self.recovery),
+            cycles,
+            ceiling,
         )
-        .unwrap_or(0.0);
-        Millivolts::new(peak)
     }
 
     /// Whether running with **no** rejuvenation at all stays within the
@@ -135,17 +150,43 @@ impl SchedulePlanner {
         period: Seconds,
         horizon: Seconds,
     ) -> Option<RejuvenationPlan> {
-        let fits = |alpha: Ratio| {
-            self.predicted_peak(alpha, technique, period, horizon).get() <= self.margin.get()
+        self.plan_within(self.margin, technique, period, horizon)
+    }
+
+    /// The bisection behind [`plan`](Self::plan) and
+    /// [`plan_with_consumed`](Self::plan_with_consumed), against `budget`.
+    ///
+    /// Every probe runs with `budget` as its ceiling, so a rhythm that
+    /// breaks the budget stops simulating as soon as it does; a rhythm
+    /// that holds it runs in full, and the last one to hold it is the
+    /// plan, peak included.
+    fn plan_within(
+        &self,
+        budget: Millivolts,
+        technique: RejuvenationTechnique,
+        period: Seconds,
+        horizon: Seconds,
+    ) -> Option<RejuvenationPlan> {
+        let cycles = cycles(period, horizon);
+        let fitting_peak = |alpha: Ratio| {
+            let peak = self.probe(alpha, technique, period, cycles, budget);
+            (peak.get() <= budget.get()).then_some(peak)
+        };
+        let plan = |alpha: Ratio, predicted_peak: Millivolts| RejuvenationPlan {
+            alpha,
+            technique,
+            period,
+            predicted_peak,
         };
 
         let alpha_min = planner_alpha(0.5);
         let alpha_max = planner_alpha(64.0);
-        if !fits(alpha_min) {
-            return None;
-        }
-        if fits(alpha_max) {
-            return Some(self.plan_for(alpha_max, technique, period, horizon));
+        // α = 0.5 survives the round trip through its sleep fraction
+        // (1 / (2/3) − 1 is exactly 0.5), so when no bisection probe
+        // fits, the plan is this probe's.
+        let mut fit = (alpha_min, fitting_peak(alpha_min)?);
+        if let Some(peak) = fitting_peak(alpha_max) {
+            return Some(plan(alpha_max, peak));
         }
 
         // Bisect on the sleep fraction s = 1/(1+α): monotone in wear.
@@ -154,14 +195,14 @@ impl SchedulePlanner {
         for _ in 0..40 {
             let s_mid = 0.5 * (s_lo + s_hi);
             let alpha = planner_alpha(1.0 / s_mid - 1.0);
-            if fits(alpha) {
+            if let Some(peak) = fitting_peak(alpha) {
                 s_hi = s_mid;
+                fit = (alpha, peak);
             } else {
                 s_lo = s_mid;
             }
         }
-        let alpha = planner_alpha(1.0 / s_hi - 1.0);
-        Some(self.plan_for(alpha, technique, period, horizon))
+        Some(plan(fit.0, fit.1))
     }
 
     /// The margin still unspent after `consumed` mV of shift, or `None`
@@ -190,11 +231,7 @@ impl SchedulePlanner {
         horizon: Seconds,
     ) -> Option<RejuvenationPlan> {
         let remaining = self.remaining_margin(consumed)?;
-        SchedulePlanner {
-            margin: remaining,
-            ..self.clone()
-        }
-        .plan(technique, period, horizon)
+        self.plan_within(remaining, technique, period, horizon)
     }
 
     /// The shift a chip's trap slice would reach after running `dt`
@@ -216,21 +253,11 @@ impl SchedulePlanner {
         projection.advance_all(&PhaseRates::for_condition(cond), dt);
         projection.delta_vth()
     }
+}
 
-    fn plan_for(
-        &self,
-        alpha: Ratio,
-        technique: RejuvenationTechnique,
-        period: Seconds,
-        horizon: Seconds,
-    ) -> RejuvenationPlan {
-        RejuvenationPlan {
-            alpha,
-            technique,
-            period,
-            predicted_peak: self.predicted_peak(alpha, technique, period, horizon),
-        }
-    }
+/// How many whole periods cover `horizon` (at least one).
+fn cycles(period: Seconds, horizon: Seconds) -> usize {
+    (horizon.get() / period.get()).ceil().max(1.0) as usize
 }
 
 /// Builds a [`Ratio`] from an α value the planner derived itself.

@@ -24,11 +24,11 @@ use crate::state::FleetState;
 /// (`horizon / period`, rounded up); longer plans are refused as
 /// `bad-request`.
 ///
-/// The planner simulates every cycle of the horizon some forty times
+/// The planner simulates every cycle of the horizon up to 42 times
 /// while it bisects, so an unbounded count lets one request hold the
-/// daemon lock indefinitely or abort the daemon on allocation. A year of
-/// daily cycles is 365; at the cap a plan holds the lock for about
-/// 0.15 s (roughly 1.8 µs per simulated cycle on a 2-vCPU x86-64 host).
+/// daemon lock indefinitely. A year of daily cycles is 365; at the cap
+/// the slowest plan holds the lock for about 65 ms (roughly 0.8 µs per
+/// simulated cycle on a 2-vCPU x86-64 host).
 pub const MAX_PLAN_CYCLES: u32 = 2_000;
 
 /// The fleet daemon: state, planner, checkpoint policy.

@@ -74,6 +74,11 @@ target/release/selfheal-top --check "$SMOKE_DIR/status.prom"
 grep -Eq '^selfheal_bti_td_kernel_traps_advanced [1-9]' "$SMOKE_DIR/status.prom" \
     || { echo "sampler status file carries no kernel traps_advanced count" >&2; exit 1; }
 
+echo "== planner probe smoke" >&2
+# One run of the planner microbenchmark, so the bin cannot rot; its
+# timings are recorded with perf_ledger, not read here.
+target/release/planner_probe --json --out "$SMOKE_DIR/planner_probe.json" > /dev/null
+
 echo "== fleet daemon smoke" >&2
 # End-to-end service path: fleetd on an ephemeral loopback port with a
 # small fleet, an isolated checkpoint store, latency objectives, a flight

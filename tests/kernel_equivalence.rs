@@ -114,22 +114,37 @@ fn population_fanout_is_worker_count_invariant_bitwise() {
     }
 }
 
+/// Trap `i`'s occupancy from a value on the generators' 2^-52 grid: odd
+/// traps take a third of it, which lies below 0.5 with bits under
+/// 2^-53. On the grid alone `p∞ + (p − p∞)` is exact, so a frozen trap
+/// relaxed towards p∞ = 1 by a decay of exactly 1 would keep its bits;
+/// with the low bits it loses them.
+fn with_low_bits(i: usize, occupancy: f64) -> f64 {
+    if i % 2 == 1 {
+        occupancy / 3.0
+    } else {
+        occupancy
+    }
+}
+
 /// A deterministic trap vector of exactly `n` traps: τ values cycle the
 /// extreme grid and occupancies walk a golden-ratio lattice, so every
-/// chunk of the bank mixes frozen, permanent and live traps.
+/// chunk of the bank mixes frozen, permanent and live traps. The grid has
+/// an even length, so the parity that [`with_low_bits`] reads flips every
+/// lap: each grid point carries low bits on every other lap.
 fn traps_of_len(n: usize) -> Vec<Trap> {
     let grid = tau_grid();
     (0..n)
         .map(|i| {
             let (tau_c0, tau_e0, permanent) = grid[i % grid.len()];
             #[allow(clippy::cast_precision_loss)]
-            let occupancy = (i as f64 * 0.618_033_988_749_895).fract();
+            let lattice = (i as f64 * 0.618_033_988_749_895).fract();
             Trap::restore(
                 Seconds::new(tau_c0),
                 Seconds::new(tau_e0),
                 Millivolts::new(0.35),
                 permanent,
-                occupancy,
+                with_low_bits(i + i / grid.len(), lattice),
             )
         })
         .collect()
@@ -202,15 +217,19 @@ proptest! {
         let rates = PhaseRates::for_condition(cond);
 
         let grid = tau_grid();
+        // Each grid point twice: once at the drawn occupancy, once at a
+        // third of it (`with_low_bits`).
         let traps: Vec<Trap> = grid
             .iter()
-            .map(|&(tau_c0, tau_e0, permanent)| {
+            .flat_map(|&point| [point, point])
+            .enumerate()
+            .map(|(i, (tau_c0, tau_e0, permanent))| {
                 Trap::restore(
                     Seconds::new(tau_c0),
                     Seconds::new(tau_e0),
                     Millivolts::new(0.35),
                     permanent,
-                    occupancy,
+                    with_low_bits(i, occupancy),
                 )
             })
             .collect();
@@ -224,7 +243,7 @@ proptest! {
         bank.advance_all(&rates, dt);
 
         for (i, (want, got)) in scalar.iter().zip(bank.occupancies()).enumerate() {
-            let (tau_c0, tau_e0, permanent) = grid[i];
+            let (tau_c0, tau_e0, permanent) = grid[i / 2];
             prop_assert_eq!(
                 want.occupancy().to_bits(),
                 got.to_bits(),
@@ -256,10 +275,7 @@ proptest! {
         let grid = tau_grid();
         let chips = boundary_chips();
         let len = chips.last().map_or(0, |chip| chip.end);
-        // Every odd trap's occupancy is a third of a lattice point, so
-        // below 0.5 with bits under 2^-53: a frozen trap relaxed towards
-        // p∞ = 1 by a decay of exactly 1 (1 + (p − 1)) loses those bits,
-        // which the generator's 2^-52 grid alone would never show.
+        // Odd traps carry bits under 2^-53 (`with_low_bits`).
         #[allow(clippy::cast_precision_loss)]
         let traps: Vec<Trap> = (0..len)
             .map(|i| {
@@ -270,7 +286,7 @@ proptest! {
                     Seconds::new(tau_e0),
                     Millivolts::new(0.35),
                     permanent,
-                    if i % 2 == 1 { lattice / 3.0 } else { lattice },
+                    with_low_bits(i, lattice),
                 )
             })
             .collect();
