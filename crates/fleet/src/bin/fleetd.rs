@@ -97,14 +97,17 @@ fn parse_args() -> Result<Options, String> {
                 options.server.epoch_interval = (ms > 0).then(|| Duration::from_millis(ms));
             }
             "--epoch-dt-s" => {
-                options.config.epoch_dt = selfheal_units::Seconds::new(parse(&value("--epoch-dt-s")?)?);
+                options.config.epoch_dt =
+                    selfheal_units::Seconds::new(parse(&value("--epoch-dt-s")?)?);
             }
             "--tiered" => options.config.tiered = true,
             "--guard-band-mv" => {
                 options.config.guard_band =
                     selfheal_units::Millivolts::new(parse(&value("--guard-band-mv")?)?);
             }
-            "--checkpoint-every" => options.checkpoint_every = parse(&value("--checkpoint-every")?)?,
+            "--checkpoint-every" => {
+                options.checkpoint_every = parse(&value("--checkpoint-every")?)?
+            }
             "--max-epochs" => options.server.max_epochs = Some(parse(&value("--max-epochs")?)?),
             "--workers" => options.server.workers = parse(&value("--workers")?)?,
             "--threads" => options.threads = Some(parse(&value("--threads")?)?),

@@ -300,10 +300,8 @@ mod tests {
     }
 
     fn scratch_cache(tag: &str) -> ResultCache {
-        let root = std::env::temp_dir().join(format!(
-            "selfheal-fleet-ckpt-{tag}-{}",
-            std::process::id()
-        ));
+        let root =
+            std::env::temp_dir().join(format!("selfheal-fleet-ckpt-{tag}-{}", std::process::id()));
         let _ = fs::remove_dir_all(&root);
         ResultCache::at(root)
     }

@@ -108,7 +108,10 @@ impl FleetConfig {
         if !finite_positive(self.margin.get()) {
             return Err("margin must be finite and positive".into());
         }
-        if ![self.epoch_dt, self.period, self.horizon].iter().all(|t| finite_positive(t.get())) {
+        if ![self.epoch_dt, self.period, self.horizon]
+            .iter()
+            .all(|t| finite_positive(t.get()))
+        {
             return Err("epoch_dt, period and horizon must be finite and positive".into());
         }
         if self.tiered
@@ -142,9 +145,8 @@ impl FleetConfig {
     /// The tier policy this config implies, or `None` when untiered.
     #[must_use]
     pub fn tier_policy(&self) -> Option<selfheal_bti::td::TierPolicy> {
-        self.tiered.then(|| {
-            selfheal_bti::td::TierPolicy::new(self.margin, self.guard_band, self.epoch_dt)
-        })
+        self.tiered
+            .then(|| selfheal_bti::td::TierPolicy::new(self.margin, self.guard_band, self.epoch_dt))
     }
 
     /// A canonical string of every field that determines fleet state —
@@ -260,8 +262,7 @@ mod tests {
 
         // SLOs are observability-only: they must NOT key checkpoints.
         let mut with_slo = base.clone();
-        with_slo.slos =
-            vec![SloObjective::parse("plan:p99<500us").expect("parses")];
+        with_slo.slos = vec![SloObjective::parse("plan:p99<500us").expect("parses")];
         assert_eq!(base.cache_key(), with_slo.cache_key());
         assert_eq!(with_slo.validate(), Ok(()));
     }
@@ -333,7 +334,10 @@ mod tests {
                     ..FleetConfig::default()
                 };
                 set(&mut config, bad);
-                assert!(config.validate().is_err(), "{name} = {bad} must be rejected");
+                assert!(
+                    config.validate().is_err(),
+                    "{name} = {bad} must be rejected"
+                );
             }
         }
     }

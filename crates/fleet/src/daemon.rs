@@ -218,16 +218,15 @@ impl FleetDaemon {
         let Some(current) = self.state.chip_consumed(chip_index) else {
             return unknown_chip(chip);
         };
-        let duty = self
-            .state
-            .chip_duty(chip_index)
-            .unwrap_or_default();
+        let duty = self.state.chip_duty(chip_index).unwrap_or_default();
         let cond = DeviceCondition::new(self.state.config().active_env, duty);
         // Cold chips project along their rate-anchored line in closed
         // form; hot and pinned chips project a copy of their live trap
         // slice. Either way the state itself is untouched.
-        let projected = match (self.state.config().tier_policy(), self.state.chip_tier(chip_index))
-        {
+        let projected = match (
+            self.state.config().tier_policy(),
+            self.state.chip_tier(chip_index),
+        ) {
             (Some(policy), Some(ChipTier::Cold(cold))) => {
                 policy.project(&cold, self.state.epoch(), dt)
             }
@@ -418,7 +417,11 @@ mod tests {
             } => assert!(projected >= current),
             other => panic!("expected a predict reply, got {other:?}"),
         }
-        assert_eq!(daemon.state().state_digest(), before, "plan/predict are reads");
+        assert_eq!(
+            daemon.state().state_digest(),
+            before,
+            "plan/predict are reads"
+        );
 
         // A report pins the chip hot and is visible in stats.
         match daemon.handle(&Request::Report {

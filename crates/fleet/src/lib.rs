@@ -38,6 +38,6 @@ pub use client::FleetClient;
 pub use config::FleetConfig;
 pub use daemon::FleetDaemon;
 pub use proto::{Request, Response, TraceContext};
-pub use slo::{SloObjective, SloStatus};
 pub use server::{FleetServer, ServeSummary, ServerConfig};
+pub use slo::{SloObjective, SloStatus};
 pub use state::FleetState;

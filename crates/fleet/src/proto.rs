@@ -15,8 +15,8 @@ use std::io::{Read, Write};
 
 use selfheal::{RejuvenationPlan, RejuvenationTechnique};
 use selfheal_runtime::SeedSequence;
-use selfheal_units::{DutyCycle, Millivolts, Ratio, Seconds};
 use selfheal_telemetry::{json, span, Json, Span};
+use selfheal_units::{DutyCycle, Millivolts, Ratio, Seconds};
 
 /// Hard ceiling on frame payloads (1 MiB). A peer announcing more is
 /// answered with an `oversize` error and disconnected — the bytes are
@@ -585,7 +585,10 @@ impl Response {
                     "worst_delta_vth_mv".into(),
                     Json::Number(stats.worst_delta_vth.get()),
                 ),
-                ("over_budget_chips".into(), number_u64(stats.over_budget_chips)),
+                (
+                    "over_budget_chips".into(),
+                    number_u64(stats.over_budget_chips),
+                ),
                 (
                     "state_digest".into(),
                     Json::String(format!("{:016x}", stats.state_digest)),
@@ -888,7 +891,10 @@ mod tests {
                 b"{\"type\":\"plan\",\"chip\":0,\"period_s\":1e999}",
                 ErrorCode::BadRequest,
             ),
-            (b"{\"type\":\"report\",\"chip\":1,\"duty\":1.5}", ErrorCode::BadRequest),
+            (
+                b"{\"type\":\"report\",\"chip\":1,\"duty\":1.5}",
+                ErrorCode::BadRequest,
+            ),
         ];
         for (payload, expected) in cases {
             match Request::from_payload(payload) {

@@ -53,9 +53,7 @@ impl SloObjective {
             .split_once(':')
             .ok_or_else(|| format!("SLO {text:?} is missing the kind: prefix"))?;
         if !SLO_KINDS.contains(&kind) {
-            return Err(format!(
-                "SLO kind {kind:?} is not one of {SLO_KINDS:?}"
-            ));
+            return Err(format!("SLO kind {kind:?} is not one of {SLO_KINDS:?}"));
         }
         let (quantile_text, target_text) = rest
             .split_once('<')
@@ -233,19 +231,16 @@ mod tests {
     #[test]
     fn malformed_objectives_are_rejected_with_reasons() {
         for bad in [
-            "p99<500us",              // no kind
-            "frobnicate:p99<500us",   // unknown kind
-            "plan:99<500us",          // missing the p
-            "plan:p<500us",           // no digits
-            "plan:p99",               // no target
-            "plan:p99<500",           // no unit
-            "plan:p99<-3us",          // negative target
-            "plan:p99<0us",           // zero target
+            "p99<500us",            // no kind
+            "frobnicate:p99<500us", // unknown kind
+            "plan:99<500us",        // missing the p
+            "plan:p<500us",         // no digits
+            "plan:p99",             // no target
+            "plan:p99<500",         // no unit
+            "plan:p99<-3us",        // negative target
+            "plan:p99<0us",         // zero target
         ] {
-            assert!(
-                SloObjective::parse(bad).is_err(),
-                "{bad:?} must not parse"
-            );
+            assert!(SloObjective::parse(bad).is_err(), "{bad:?} must not parse");
         }
     }
 

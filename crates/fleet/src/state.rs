@@ -73,7 +73,11 @@ impl Shard {
         let mut chips = Vec::with_capacity(chip_range.len());
         for local in 0..chip_range.len() {
             let start = bank.len();
-            bank.extend(config.trap_params.sample_traps(&mut seeds.rng(local as u64)));
+            bank.extend(
+                config
+                    .trap_params
+                    .sample_traps(&mut seeds.rng(local as u64)),
+            );
             chips.push(ChipSlot {
                 traps: start..bank.len(),
                 duty: DutyCycle::default(),
@@ -704,8 +708,12 @@ mod tests {
         assert!(!reported.fold_report(10, DutyCycle::new(0.5)));
         reported.advance_epoch();
         untouched.advance_epoch();
-        let low_duty = reported.chip_view(4).map(|(s, r)| s.bank.delta_vth_range(r));
-        let dc = untouched.chip_view(4).map(|(s, r)| s.bank.delta_vth_range(r));
+        let low_duty = reported
+            .chip_view(4)
+            .map(|(s, r)| s.bank.delta_vth_range(r));
+        let dc = untouched
+            .chip_view(4)
+            .map(|(s, r)| s.bank.delta_vth_range(r));
         assert!(low_duty < dc, "a 10 % duty chip must age slower than DC");
     }
 
@@ -794,7 +802,11 @@ mod tests {
             reference.shards[0].decay = DecayCache::default();
             fleet.advance_epoch();
             reference.advance_epoch();
-            assert_eq!(fleet.state_digest(), reference.state_digest(), "epoch {epoch}");
+            assert_eq!(
+                fleet.state_digest(),
+                reference.state_digest(),
+                "epoch {epoch}"
+            );
             assert!(fleet.shards[0].decay.rates.len() <= MAX_SHARD_RATES);
         }
     }

@@ -13,7 +13,10 @@ fn fleetd(args: &[&str]) -> (Option<i32>, String) {
         .args(args)
         .output()
         .expect("fleetd runs");
-    (output.status.code(), String::from_utf8_lossy(&output.stderr).into_owned())
+    (
+        output.status.code(),
+        String::from_utf8_lossy(&output.stderr).into_owned(),
+    )
 }
 
 #[test]
@@ -23,6 +26,9 @@ fn trap_counts_past_the_sampler_range_exit_2() {
     for traps in ["1000", "inf", "NaN", "0"] {
         let (code, stderr) = fleetd(&["--traps", traps]);
         assert_eq!(code, Some(2), "--traps {traps}: {stderr}");
-        assert!(stderr.contains("invalid fleet config"), "--traps {traps}: {stderr}");
+        assert!(
+            stderr.contains("invalid fleet config"),
+            "--traps {traps}: {stderr}"
+        );
     }
 }

@@ -11,15 +11,15 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use selfheal_fleet::proto::{
-    read_frame, ErrorCode, Request, Response, MAX_FRAME,
-};
+use selfheal_fleet::proto::{read_frame, ErrorCode, Request, Response, MAX_FRAME};
 use selfheal_fleet::{FleetClient, FleetConfig, FleetDaemon, FleetServer, ServerConfig};
 use selfheal_runtime::ResultCache;
 use selfheal_units::{DutyCycle, Seconds};
 
-fn start_server() -> (std::net::SocketAddr, std::thread::JoinHandle<selfheal_fleet::ServeSummary>)
-{
+fn start_server() -> (
+    std::net::SocketAddr,
+    std::thread::JoinHandle<selfheal_fleet::ServeSummary>,
+) {
     let mut config = FleetConfig::default();
     config.chips = 16;
     config.shards = 2;

@@ -90,8 +90,7 @@ fn assert_kill_resume_is_bit_exact(config: &FleetConfig, tag: &str) {
         set_global_threads(workers);
 
         // Uninterrupted run.
-        let mut uninterrupted =
-            FleetDaemon::new(config.clone(), ResultCache::disabled(), 0);
+        let mut uninterrupted = FleetDaemon::new(config.clone(), ResultCache::disabled(), 0);
         let full_log = drive(&mut uninterrupted, 0, EPOCHS);
         let full_digest = uninterrupted.state().state_digest();
 
