@@ -86,11 +86,13 @@ impl From<io::Error> for CheckpointError {
 }
 
 /// Streams `fleet`'s checkpoint into `out` (layout in the module docs).
+/// Every shard must have caught up to the fleet's epoch.
 ///
 /// # Errors
 ///
 /// Whatever `out` returns.
 pub fn write(fleet: &FleetState, out: &mut impl Write) -> io::Result<()> {
+    fleet.debug_assert_all_caught_up();
     let key = checkpoint_key(fleet.config());
     out.write_all(MAGIC)?;
     for word in [u64::from(CHECKPOINT_VERSION), key.len() as u64] {

@@ -111,35 +111,55 @@ impl FleetDaemon {
         self.requests_served
     }
 
-    /// Advances one epoch, checkpoints on cadence, refreshes gauges.
-    pub fn advance_epoch(&mut self) {
-        let tiers = self.state.advance_epoch();
+    /// Moves the fleet clock one epoch in O(1) and refreshes the epoch
+    /// gauges; the shards catch up later, through [`sweep`](Self::sweep)
+    /// or the requests that touch them. On a checkpoint-cadence epoch
+    /// every shard catches up and the checkpoint is saved in the same
+    /// call, so a cadence save holds exactly the epoch it names.
+    pub fn tick(&mut self) {
+        self.state.tick();
         let epoch = self.state.epoch();
         flight::record("epoch", "advance", || {
             format!("epoch={epoch} sim_s={}", self.state.sim_time().get())
         });
-        if self.checkpoint_every > 0
-            && epoch % self.checkpoint_every == 0
-            && checkpoint::save(&self.cache, &self.state)
-        {
-            counter!("fleet.checkpoints", 1);
-            flight::record("checkpoint", "save", || {
-                format!("epoch={epoch} digest={:016x}", self.state.state_digest())
-            });
+        if self.checkpoint_every > 0 && epoch.is_multiple_of(self.checkpoint_every) {
+            self.sweep(usize::MAX);
+            if checkpoint::save(&self.cache, &self.state) {
+                counter!("fleet.checkpoints", 1);
+                flight::record("checkpoint", "save", || {
+                    format!("epoch={epoch} digest={:016x}", self.state.state_digest())
+                });
+            }
         }
         #[allow(clippy::cast_precision_loss)]
         let epoch_f = epoch as f64;
         gauge!("fleet.epoch", epoch_f);
         gauge!("fleet.sim_hours", self.state.sim_time().get() / 3_600.0);
-        // Per-tier chip counts, tallied by the epoch's own pass, so
-        // `selfheal-top` can watch the hot/cold split move (all-hot when
-        // untiered).
-        #[allow(clippy::cast_precision_loss)]
-        {
-            gauge!("fleet.chips_hot", tiers.hot as f64);
-            gauge!("fleet.chips_pinned", tiers.pinned as f64);
-            gauge!("fleet.chips_cold", tiers.cold as f64);
+    }
+
+    /// Catches up at most `limit` lagging shards and returns how many
+    /// still lag. Once none does, publishes the epoch's per-tier chip
+    /// counts, so `selfheal-top` can watch the hot/cold split move
+    /// (all-hot when untiered).
+    pub fn sweep(&mut self, limit: usize) -> usize {
+        let left = self.state.catch_up(limit);
+        if left == 0 {
+            let tiers = self.state.epoch_tiers();
+            #[allow(clippy::cast_precision_loss)]
+            {
+                gauge!("fleet.chips_hot", tiers.hot as f64);
+                gauge!("fleet.chips_pinned", tiers.pinned as f64);
+                gauge!("fleet.chips_cold", tiers.cold as f64);
+            }
         }
+        left
+    }
+
+    /// Advances one whole epoch: a [`tick`](Self::tick), then a sweep of
+    /// every shard.
+    pub fn advance_epoch(&mut self) {
+        self.tick();
+        self.sweep(usize::MAX);
     }
 
     /// Writes a final checkpoint (shutdown path). Returns `false` when
@@ -148,9 +168,26 @@ impl FleetDaemon {
         checkpoint::save(&self.cache, &self.state)
     }
 
-    /// Answers one request against the live state.
+    /// Answers one request against the live state. The shard of the
+    /// chip a `plan`, `predict` or `report` names catches up first, and
+    /// `stats` catches up every shard, so each reply is the one an eager
+    /// epoch would have given.
     pub fn handle(&mut self, request: &Request) -> Response {
         self.requests_served += 1;
+        match request {
+            Request::Plan { chip, .. }
+            | Request::Predict { chip, .. }
+            | Request::Report { chip, .. } => {
+                let chip_index = usize::try_from(*chip).unwrap_or(usize::MAX);
+                if self.state.catch_up_chip(chip_index) {
+                    counter!("fleet.request.catch_ups", 1);
+                }
+            }
+            Request::Stats => {
+                self.state.catch_up(usize::MAX);
+            }
+            Request::DebugDump | Request::Shutdown => {}
+        }
         match request {
             Request::Plan {
                 chip,

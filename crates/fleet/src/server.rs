@@ -6,9 +6,14 @@
 //! one daemon lock, runs [`FleetDaemon::handle`], releases the lock and
 //! writes the reply, so requests execute strictly one at a time and in
 //! order per connection. The caller of [`FleetServer::run`] keeps only
-//! the epoch clock: at each wall-clock deadline it advances the fleet
-//! under the same lock, records how long that held the lock in the
-//! `fleet.epoch.us` histogram, and re-judges the latency objectives.
+//! the epoch clock: at each wall-clock deadline it ticks the fleet under
+//! the same lock, which moves only the fleet's epoch, and re-judges the
+//! latency objectives. It then sweeps the lagging shards one short lock
+//! hold at a time, yielding between holds; a request that reaches a
+//! lagging shard first catches that shard up itself. The tick is the
+//! epoch's linearization point, so every reply is the one an eager
+//! epoch would have given. `fleet.epoch.us` records each clock hold,
+//! `fleet.epoch.sweep.us` each tick-to-caught-up span.
 //!
 //! Shutdown is cooperative: a `shutdown` request (the SIGTERM
 //! equivalent — the CLI sends one over loopback) raises a shared flag
@@ -136,6 +141,9 @@ impl FleetServer {
     /// final checkpoint and joins every worker. Blocking — spawn a
     /// thread to run it alongside test clients.
     pub fn run(self) -> ServeSummary {
+        // Exported from the start, so an operator reads 0, not nothing,
+        // while no request has yet found its shard lagging.
+        counter!("fleet.request.catch_ups", 0);
         let (wake, woken) = mpsc::channel();
         let shared = Arc::new(Shared {
             daemon: Mutex::new(self.daemon),
@@ -159,8 +167,9 @@ impl FleetServer {
         let epochs = epoch_clock(&shared, &self.config, &woken);
 
         let summary = {
-            let daemon = shared.lock();
+            let mut daemon = shared.lock();
             shared.shutdown.store(true, Ordering::SeqCst);
+            daemon.sweep(usize::MAX);
             ServeSummary {
                 requests: daemon.requests_served(),
                 epochs,
@@ -180,13 +189,23 @@ impl FleetServer {
     }
 }
 
-/// The epoch clock, run by the caller of [`FleetServer::run`]: advances
-/// the fleet under the daemon lock at each deadline until `max_epochs`
-/// or until a worker has executed `shutdown`. Returns the epochs
-/// advanced.
+/// The epoch clock, run by the caller of [`FleetServer::run`]. At each
+/// deadline it ticks the fleet under the daemon lock, which is O(1).
+/// Until the next deadline it then sweeps the lagging shards, one per
+/// pool worker per lock hold, and yields the CPU between holds so that
+/// a request waiting for the lock runs between them. Each hold lands in
+/// the `fleet.epoch.us` histogram, and the time from a tick until every
+/// shard has caught up in `fleet.epoch.sweep.us`.
+///
+/// Returns the epochs ticked once `max_epochs` is reached or a worker
+/// has executed `shutdown`, possibly mid-sweep; [`FleetServer::run`]
+/// catches up the rest before the final digest and checkpoint.
 fn epoch_clock(shared: &Shared, config: &ServerConfig, woken: &Receiver<()>) -> u64 {
+    let per_hold = selfheal_runtime::global_pool().workers().max(1);
     let mut epochs = 0u64;
     let mut next_epoch = config.epoch_interval.map(|d| Instant::now() + d);
+    // The oldest tick some shard has not caught up to.
+    let mut sweeping: Option<Instant> = None;
     loop {
         if config.max_epochs.is_some_and(|max| epochs >= max) {
             return epochs;
@@ -197,19 +216,37 @@ fn epoch_clock(shared: &Shared, config: &ServerConfig, woken: &Receiver<()>) -> 
         };
         let now = Instant::now();
         if now < deadline {
-            match woken.recv_timeout(deadline - now) {
-                Err(RecvTimeoutError::Timeout) => continue,
-                Ok(()) | Err(RecvTimeoutError::Disconnected) => return epochs,
+            let Some(ticked) = sweeping else {
+                match woken.recv_timeout(deadline - now) {
+                    Err(RecvTimeoutError::Timeout) => continue,
+                    Ok(()) | Err(RecvTimeoutError::Disconnected) => return epochs,
+                }
+            };
+            // On one CPU the clock would otherwise take the lock straight
+            // back before a woken worker runs.
+            std::thread::yield_now();
+            let mut daemon = shared.lock();
+            if shared.shutting_down() {
+                return epochs;
             }
+            let held = Instant::now();
+            let left = daemon.sweep(per_hold);
+            histogram!("fleet.epoch.us", held.elapsed().as_secs_f64() * 1e6);
+            if left == 0 {
+                histogram!("fleet.epoch.sweep.us", ticked.elapsed().as_secs_f64() * 1e6);
+                sweeping = None;
+            }
+            continue;
         }
         let mut daemon = shared.lock();
         if shared.shutting_down() {
             return epochs;
         }
-        // How long the epoch holds the lock every request waits on.
+        // How long the tick holds the lock every request waits on.
         let held = Instant::now();
-        daemon.advance_epoch();
+        daemon.tick();
         histogram!("fleet.epoch.us", held.elapsed().as_secs_f64() * 1e6);
+        sweeping.get_or_insert(held);
         epochs += 1;
         // Re-judge the latency objectives once per epoch from the
         // histograms the workers have been feeding; pure reads,
@@ -225,9 +262,16 @@ fn epoch_clock(shared: &Shared, config: &ServerConfig, woken: &Receiver<()>) -> 
 /// Executes one request under the daemon lock inside its
 /// `fleet.execute` span, or returns `None` when shutdown took the lock
 /// first: such a request is dropped unanswered and never runs, so the
-/// final checkpoint holds every answered mutation.
+/// final checkpoint holds every answered mutation. With metrics on, the
+/// wait for the lock lands in `fleet.request.queue.us` and the time
+/// under it in `fleet.request.exec.us`.
 fn execute(shared: &Shared, request: &Request, trace: Option<TraceContext>) -> Option<Response> {
+    let queued = metrics::enabled().then(Instant::now);
     let mut daemon = shared.lock();
+    let locked = queued.map(|queued| {
+        let locked = Instant::now();
+        (locked - queued, locked)
+    });
     if shared.shutting_down() {
         return None;
     }
@@ -238,6 +282,12 @@ fn execute(shared: &Shared, request: &Request, trace: Option<TraceContext>) -> O
     if matches!(request, Request::Shutdown) {
         shared.shutdown.store(true, Ordering::SeqCst);
         let _ = shared.wake.send(());
+    }
+    let executed = locked.map(|(queue, locked)| (queue, locked.elapsed()));
+    drop(daemon);
+    if let Some((queue, exec)) = executed {
+        histogram!("fleet.request.queue.us", queue.as_secs_f64() * 1e6);
+        histogram!("fleet.request.exec.us", exec.as_secs_f64() * 1e6);
     }
     Some(response)
 }

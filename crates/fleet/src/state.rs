@@ -13,6 +13,15 @@
 //! bank-aligned column (derived state, never checkpointed): a
 //! steady-state epoch does no `exp` and no condition lookup per chip.
 //!
+//! Epochs are lazy: [`FleetState::tick`] only moves the fleet's epoch,
+//! and each shard records the epoch its bank has reached. A catch-up
+//! ([`FleetState::catch_up_chip`], [`FleetState::catch_up`]) steps a
+//! lagging shard through every epoch it missed, in order, exactly as
+//! an eager epoch would have, so a shard that catches up late holds the
+//! same bits. Every reader of a bank requires its shard caught up;
+//! [`FleetState::advance_epoch`] is a tick plus a catch-up of every
+//! shard.
+//!
 //! Mutations arriving over the wire (`REPORT` duty-cycle observations)
 //! are folded into a running FNV chain, [`FleetState::mutation_digest`],
 //! so a checkpoint can prove it captured the same request history that
@@ -49,7 +58,7 @@ pub struct ChipSlot {
 }
 
 /// A contiguous block of chips sharing one trap bank.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct Shard {
     /// Global id of the first chip in this shard.
     pub first_chip: usize,
@@ -57,6 +66,11 @@ pub struct Shard {
     pub chips: Vec<ChipSlot>,
     /// The concatenated trap state of every chip in the shard.
     pub bank: TrapBank,
+    /// The epoch the bank has reached; behind the fleet's epoch until
+    /// the shard catches up.
+    epoch: u64,
+    /// The tier counts at the end of the shard's last epoch.
+    tiers: TierCounts,
     /// Derived per-trap decays, so a steady-state epoch skips the `exp`.
     decay: DecayCache,
 }
@@ -88,7 +102,52 @@ impl Shard {
             first_chip: chip_range.start,
             chips,
             bank,
-            decay: DecayCache::default(),
+            ..Shard::default()
+        }
+    }
+
+    /// The epoch the shard's bank has reached.
+    #[must_use]
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Steps the shard through every epoch from its own up to `epoch`,
+    /// one [`advance`](Self::advance) each, in order, so a wake epoch
+    /// lands in the epoch it names however late the shard catches up.
+    /// With metrics on, each step feeds the `bti.td.kernel.*` counters
+    /// once and the shard's `fleet.shard.<index>.epoch_us` heat gauge.
+    fn catch_up(
+        &mut self,
+        index: usize,
+        config: &FleetConfig,
+        policy: Option<&TierPolicy>,
+        epoch: u64,
+    ) {
+        let timing = selfheal_telemetry::metrics::enabled();
+        while self.epoch < epoch {
+            // Under the tiered integrator shard costs diverge (hot-chip-
+            // heavy shards pay per-trap resolution), and straggler shards
+            // bound how long a sweep takes. The clock is telemetry-only:
+            // the step itself is identical with timing off.
+            let started = timing.then(selfheal_telemetry::trace_epoch_ns);
+            let (stepped, tiers) = self.advance(config, self.epoch + 1, policy);
+            self.epoch += 1;
+            self.tiers = tiers;
+            if let Some(started) = started {
+                let elapsed_ns = selfheal_telemetry::trace_epoch_ns().saturating_sub(started);
+                #[allow(clippy::cast_precision_loss)]
+                selfheal_telemetry::metrics::gauge_set(
+                    &format!("fleet.shard.{index}.epoch_us"),
+                    elapsed_ns as f64 / 1e3,
+                );
+                #[allow(clippy::cast_precision_loss)]
+                selfheal_telemetry::metrics::counter_add(
+                    "bti.td.kernel.traps_advanced",
+                    stepped as f64,
+                );
+                selfheal_telemetry::metrics::counter_add("bti.td.kernel.advance_calls", 1.0);
+            }
         }
     }
 
@@ -378,54 +437,108 @@ impl FleetState {
         self.mutation_digest
     }
 
-    /// Advances the whole fleet by one epoch (`config.epoch_dt` of
-    /// simulated time) in parallel over shards, and returns the fleet's
-    /// tier counts after it, tallied in the same pass. With metrics on,
-    /// each shard feeds the `bti.td.kernel.*` counters once, never per
-    /// chip.
-    pub fn advance_epoch(&mut self) -> TierCounts {
-        let config = self.config.clone();
-        let policy = config.tier_policy();
-        let epoch_end = self.epoch + 1;
-        let shards = std::mem::take(&mut self.shards);
-        let timing = selfheal_telemetry::metrics::enabled();
-        let advanced = par_map_indexed(shards, move |index, mut shard| {
-            // Per-shard wall time as heat gauges: under the tiered
-            // integrator shard costs diverge (hot-chip-heavy shards pay
-            // per-trap resolution), and straggler shards bound epoch
-            // latency. The clock is telemetry-only — the advance itself
-            // is identical with timing off.
-            let started = timing.then(selfheal_telemetry::trace_epoch_ns);
-            let (stepped, counts) = shard.advance(&config, epoch_end, policy.as_ref());
-            if let Some(started) = started {
-                let elapsed_ns = selfheal_telemetry::trace_epoch_ns().saturating_sub(started);
-                #[allow(clippy::cast_precision_loss)]
-                selfheal_telemetry::metrics::gauge_set(
-                    &format!("fleet.shard.{index}.epoch_us"),
-                    elapsed_ns as f64 / 1e3,
-                );
-                #[allow(clippy::cast_precision_loss)]
-                selfheal_telemetry::metrics::counter_add(
-                    "bti.td.kernel.traps_advanced",
-                    stepped as f64,
-                );
-                selfheal_telemetry::metrics::counter_add("bti.td.kernel.advance_calls", 1.0);
-            }
-            (shard, counts)
-        });
-        let mut tiers = TierCounts::default();
-        self.shards = advanced
-            .into_iter()
-            .map(|(shard, counts)| {
-                tiers.hot += counts.hot;
-                tiers.pinned += counts.pinned;
-                tiers.cold += counts.cold;
-                shard
-            })
+    /// Moves the fleet one epoch (`config.epoch_dt` of simulated time)
+    /// on in O(1): no shard steps, every shard lags until it catches up.
+    /// The tick is the epoch's linearization point: a request that runs
+    /// after it catches its shard up first, so it sees the same state an
+    /// eager epoch would have left.
+    pub fn tick(&mut self) {
+        self.epoch += 1;
+    }
+
+    /// Catches shard `index` up to the fleet's epoch on the calling
+    /// thread and drops its `stats` caches. Returns whether it lagged.
+    fn catch_up_shard(&mut self, index: usize) -> bool {
+        let Some(shard) = self.shards.get_mut(index) else {
+            return false;
+        };
+        if shard.epoch == self.epoch {
+            return false;
+        }
+        let policy = self.config.tier_policy();
+        shard.catch_up(index, &self.config, policy.as_ref(), self.epoch);
+        self.caches[index].clear();
+        true
+    }
+
+    /// Catches up the shard holding `chip`; returns whether it lagged.
+    /// A chip outside the fleet catches up nothing.
+    pub fn catch_up_chip(&mut self, chip: usize) -> bool {
+        self.config
+            .shard_of_chip(chip)
+            .is_some_and(|index| self.catch_up_shard(index))
+    }
+
+    /// Catches up at most `limit` lagging shards, lowest index first, in
+    /// parallel on the pool (one alone on the calling thread), and
+    /// returns how many still lag. Each shard's result depends only on
+    /// its own state, so the fleet is identical at any worker count and
+    /// in any catch-up order.
+    pub fn catch_up(&mut self, limit: usize) -> usize {
+        let epoch = self.epoch;
+        let lagging: Vec<usize> = (0..self.shards.len())
+            .filter(|&index| self.shards[index].epoch < epoch)
             .collect();
-        self.caches.iter_mut().for_each(ShardCache::clear);
-        self.epoch = epoch_end;
+        let now = &lagging[..limit.min(lagging.len())];
+        if let [index] = now {
+            self.catch_up_shard(*index);
+        } else if !now.is_empty() {
+            let config = self.config.clone();
+            let policy = config.tier_policy();
+            let taken: Vec<(usize, Shard)> = now
+                .iter()
+                .map(|&index| (index, std::mem::take(&mut self.shards[index])))
+                .collect();
+            let stepped = par_map_indexed(taken, move |_, (index, mut shard)| {
+                shard.catch_up(index, &config, policy.as_ref(), epoch);
+                (index, shard)
+            });
+            for (index, shard) in stepped {
+                self.shards[index] = shard;
+                self.caches[index].clear();
+            }
+        }
+        lagging.len() - now.len()
+    }
+
+    /// Advances the whole fleet by one epoch: a [`tick`](Self::tick) and
+    /// a catch-up of every shard in parallel. Returns the fleet's tier
+    /// counts after it, tallied in the same pass.
+    pub fn advance_epoch(&mut self) -> TierCounts {
+        self.tick();
+        self.catch_up(usize::MAX);
+        self.epoch_tiers()
+    }
+
+    /// The fleet's tier counts as the shards' last epochs tallied them:
+    /// once every shard has caught up, the counts at the end of the
+    /// current epoch (reports since then are not in them).
+    #[must_use]
+    pub(crate) fn epoch_tiers(&self) -> TierCounts {
+        let mut tiers = TierCounts::default();
+        for shard in &self.shards {
+            tiers.hot += shard.tiers.hot;
+            tiers.pinned += shard.tiers.pinned;
+            tiers.cold += shard.tiers.cold;
+        }
         tiers
+    }
+
+    /// Panics in debug builds when shard `index` has not caught up: a
+    /// bank read before it would see an epoch the fleet has left.
+    fn debug_assert_caught_up(&self, index: usize) {
+        debug_assert_eq!(
+            self.shards[index].epoch, self.epoch,
+            "shard {index} read before it caught up"
+        );
+    }
+
+    /// [`debug_assert_caught_up`](Self::debug_assert_caught_up) for every
+    /// shard.
+    pub(crate) fn debug_assert_all_caught_up(&self) {
+        for index in 0..self.shards.len() {
+            self.debug_assert_caught_up(index);
+        }
     }
 
     /// Locates a chip: `(shard index, local index)`.
@@ -440,6 +553,7 @@ impl FleetState {
     #[must_use]
     pub fn chip_view(&self, chip: usize) -> Option<(&Shard, Range<usize>)> {
         let (shard, local) = self.locate(chip)?;
+        self.debug_assert_caught_up(shard);
         let shard = &self.shards[shard];
         Some((shard, shard.chips[local].traps.clone()))
     }
@@ -455,6 +569,7 @@ impl FleetState {
     #[must_use]
     pub fn chip_tier(&self, chip: usize) -> Option<ChipTier> {
         let (shard, local) = self.locate(chip)?;
+        self.debug_assert_caught_up(shard);
         Some(self.shards[shard].chips[local].tier)
     }
 
@@ -464,6 +579,7 @@ impl FleetState {
     #[must_use]
     pub fn chip_consumed(&self, chip: usize) -> Option<Millivolts> {
         let (shard, local) = self.locate(chip)?;
+        self.debug_assert_caught_up(shard);
         let shard = &self.shards[shard];
         Some(self.slot_consumed(
             self.config.tier_policy().as_ref(),
@@ -491,6 +607,7 @@ impl FleetState {
     /// own pass.
     #[must_use]
     pub fn tier_counts(&self) -> TierCounts {
+        self.debug_assert_all_caught_up();
         let mut counts = TierCounts::default();
         for shard in &self.shards {
             for chip in &shard.chips {
@@ -503,7 +620,8 @@ impl FleetState {
     /// Folds a `REPORT` observation into the fleet: the chip's duty
     /// cycle is replaced (shaping its stress from the next epoch on) and
     /// the mutation digest is advanced over `(epoch, chip, duty)`.
-    /// Returns `false` for a chip outside the fleet.
+    /// Returns `false` for a chip outside the fleet. The chip's shard
+    /// must have caught up (see [`catch_up_chip`](Self::catch_up_chip)).
     ///
     /// In a tiered fleet a mutated duty is exactly the "near a decision"
     /// signal the tiers respect: a cold chip first replays its cold
@@ -515,6 +633,7 @@ impl FleetState {
         let Some((shard, local)) = self.locate(chip) else {
             return false;
         };
+        self.debug_assert_caught_up(shard);
         if let Some(policy) = self.config.tier_policy() {
             let slot = &self.shards[shard].chips[local];
             if let ChipTier::Cold(cold) = slot.tier {
@@ -548,6 +667,7 @@ impl FleetState {
     /// cache a mutation dropped are rescanned.
     #[must_use]
     pub fn aggregates(&self) -> FleetAggregates {
+        self.debug_assert_all_caught_up();
         let margin = self.config.margin.get();
         let mut total = 0.0f64;
         let mut worst = 0.0f64;
@@ -579,6 +699,7 @@ impl FleetState {
     /// dirtied are rehashed.
     #[must_use]
     pub fn state_digest(&self) -> u64 {
+        self.debug_assert_all_caught_up();
         let mut hash = fnv1a(&self.epoch.to_be_bytes());
         hash = fnv1a_extend(hash, &self.mutation_digest.to_be_bytes());
         for index in 0..self.shards.len() {
@@ -643,7 +764,8 @@ impl FleetState {
     }
 
     /// Overwrites the mutable state in place (checkpoint resume): sets
-    /// the epoch and mutation digest, then hands each shard in order to
+    /// the epoch (the fleet's and every shard's) and mutation digest,
+    /// then hands each shard in order to
     /// `fill`, which overwrites its occupancies, duties and tiers. Stops
     /// at the first error `fill` returns. Drops every shard cache and
     /// decay column entry first, so the next read and the next epoch are
@@ -658,6 +780,7 @@ impl FleetState {
         self.epoch = epoch;
         self.mutation_digest = mutation_digest;
         self.shards.iter_mut().try_for_each(|shard| {
+            shard.epoch = epoch;
             shard.decay.clear();
             fill(shard)
         })

@@ -1,13 +1,15 @@
 //! The daemon lock under concurrency: two connections on two workers,
 //! with wall-clock epochs advancing between their requests.
 //!
-//! Every request and every epoch runs under one lock, so per-connection
-//! order holds (a connection never sees the epoch go backwards), the
-//! summary counts exactly the replies the clients received, and the
-//! final checkpoint resumes to the state the server last served.
+//! Every request, every epoch tick and every sweep step runs under one
+//! lock, so per-connection order holds (a connection never sees the
+//! epoch go backwards), the summary counts exactly the replies the
+//! clients received, and the final checkpoint resumes to the state the
+//! server last served. A stop that lands while shards still lag their
+//! tick catches them up first: the final state is the eager one.
 
 use std::net::{SocketAddr, TcpStream};
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -15,7 +17,7 @@ use std::time::Duration;
 
 use selfheal_fleet::proto::{read_frame, write_frame, Request, Response};
 use selfheal_fleet::{
-    FleetClient, FleetConfig, FleetDaemon, FleetServer, ServeSummary, ServerConfig,
+    FleetClient, FleetConfig, FleetDaemon, FleetServer, FleetState, ServeSummary, ServerConfig,
 };
 use selfheal_runtime::ResultCache;
 use selfheal_units::DutyCycle;
@@ -43,13 +45,22 @@ fn scratch_root(tag: &str) -> PathBuf {
 /// Starts a two-worker server with 2 ms epochs over a checkpointing
 /// daemon.
 fn start(root: &PathBuf, max_epochs: Option<u64>) -> (SocketAddr, JoinHandle<ServeSummary>) {
-    let daemon = FleetDaemon::new(fleet_config(), ResultCache::at(root.clone()), 0);
+    start_with(fleet_config(), root, Duration::from_millis(2), max_epochs)
+}
+
+fn start_with(
+    config: FleetConfig,
+    root: &Path,
+    epoch: Duration,
+    max_epochs: Option<u64>,
+) -> (SocketAddr, JoinHandle<ServeSummary>) {
+    let daemon = FleetDaemon::new(config, ResultCache::at(root.to_path_buf()), 0);
     let server = FleetServer::bind(
         daemon,
         ServerConfig {
             addr: "127.0.0.1:0".to_string(),
             workers: 2,
-            epoch_interval: Some(Duration::from_millis(2)),
+            epoch_interval: Some(epoch),
             max_epochs,
         },
     )
@@ -87,10 +98,53 @@ fn assert_monotone(epochs: &[u64]) {
 
 /// Resumes a daemon from the checkpoint the server left behind.
 fn resumed_digest(root: &PathBuf) -> u64 {
+    resumed_digest_of(fleet_config(), root)
+}
+
+fn resumed_digest_of(config: FleetConfig, root: &Path) -> u64 {
     let (daemon, resumed) =
-        FleetDaemon::resume_or_new(fleet_config(), ResultCache::at(root.clone()), 0);
+        FleetDaemon::resume_or_new(config, ResultCache::at(root.to_path_buf()), 0);
     assert!(resumed, "the server left a final checkpoint");
     daemon.state().state_digest()
+}
+
+/// 64 shards of 32 chips: a sweep takes 64 shard steps, at most a few
+/// per lock hold, so with 1 ms epochs a stop almost always finds shards
+/// still lagging.
+fn many_shards_config() -> FleetConfig {
+    let mut config = fleet_config();
+    config.chips = 2_048;
+    config.shards = 64;
+    config
+}
+
+/// The digest of `config`'s fleet after `epochs` eager epochs.
+fn eager_digest(config: FleetConfig, epochs: u64) -> u64 {
+    let mut fleet = FleetState::build(config);
+    for _ in 0..epochs {
+        fleet.advance_epoch();
+    }
+    fleet.state_digest()
+}
+
+/// Reads that catch up the shards they touch while the clock sweeps:
+/// predicts spread over the fleet. No `stats`, which would catch up
+/// every shard at once.
+fn read(n: u64) -> Request {
+    Request::Predict {
+        chip: (n * 37) % 2_048,
+        dt: selfheal_units::Seconds::new(3_600.0),
+    }
+}
+
+/// Serves reads until the server stops; returns the replies received.
+fn read_until_closed(addr: SocketAddr) -> u64 {
+    let mut conn = FleetClient::connect(addr).expect("connect");
+    let mut n = 0;
+    while conn.call(&read(n)).is_ok() {
+        n += 1;
+    }
+    n
 }
 
 #[test]
@@ -182,5 +236,50 @@ fn shutdown_drops_only_unanswered_requests() {
     assert_eq!(summary.requests, replies, "no request ran unanswered");
     assert!(summary.checkpointed);
     assert_eq!(resumed_digest(&root), summary.final_state_digest);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn max_epochs_landing_mid_sweep_leaves_the_eager_state() {
+    let root = scratch_root("max-epochs-mid-sweep");
+    let (addr, server) = start_with(
+        many_shards_config(),
+        &root,
+        Duration::from_millis(1),
+        Some(30),
+    );
+    let reader = std::thread::spawn(move || read_until_closed(addr));
+    let summary = server.join().expect("server joins");
+    let replies = reader.join().expect("reader joins");
+    assert_eq!(summary.epochs, 30);
+    assert_eq!(summary.requests, replies);
+    let eager = eager_digest(many_shards_config(), summary.epochs);
+    assert_eq!(summary.final_state_digest, eager);
+    assert!(summary.checkpointed);
+    assert_eq!(resumed_digest_of(many_shards_config(), &root), eager);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn shutdown_landing_mid_sweep_leaves_the_eager_state() {
+    let root = scratch_root("shutdown-mid-sweep");
+    let (addr, server) = start_with(many_shards_config(), &root, Duration::from_millis(1), None);
+    let reader = std::thread::spawn(move || read_until_closed(addr));
+    let mut conn = FleetClient::connect(addr).expect("connect");
+    for n in 0..200 {
+        conn.call(&read(n)).expect("read before shutdown");
+    }
+    match conn.call(&Request::Shutdown) {
+        Ok(Response::Bye) => {}
+        other => panic!("expected bye, got {other:?}"),
+    }
+    let summary = server.join().expect("server joins");
+    let replies = reader.join().expect("reader joins") + 201;
+    assert!(summary.epochs > 0, "epochs ticked while serving");
+    assert_eq!(summary.requests, replies);
+    let eager = eager_digest(many_shards_config(), summary.epochs);
+    assert_eq!(summary.final_state_digest, eager);
+    assert!(summary.checkpointed);
+    assert_eq!(resumed_digest_of(many_shards_config(), &root), eager);
     let _ = std::fs::remove_dir_all(&root);
 }

@@ -21,6 +21,11 @@ echo "== cargo build --release" >&2
 # the sampled bench) would silently stay stale.
 cargo build --release --workspace
 
+echo "== cargo fmt --check (fleet)" >&2
+# rustfmt is gated crate by crate, starting with the fleet crate; the
+# rest of the workspace still carries unformatted code.
+cargo fmt --check -p selfheal-fleet
+
 echo "== cargo test" >&2
 # --workspace: the root package holds the cross-crate tier-1 suites, but
 # per-crate tests (fleet resume/protocol, analyzer fixtures, ...) live
@@ -111,9 +116,20 @@ grep -q '^selfheal_slo_plan_p99_ok' "$SMOKE_DIR/fleet.prom" \
     || { echo "status file carries no slo gauges" >&2; exit 1; }
 grep -q '^selfheal_fleet_epoch ' "$SMOKE_DIR/fleet.prom" \
     || { echo "status file carries no fleet epoch gauge" >&2; exit 1; }
-# How long each epoch held the daemon lock.
+# How long each epoch clock hold (a tick or a sweep step) held the
+# daemon lock, and how long each tick took to catch every shard up.
 grep -Eq '^selfheal_fleet_epoch_us_count [1-9]' "$SMOKE_DIR/fleet.prom" \
     || { echo "status file carries no epoch lock-hold histogram" >&2; exit 1; }
+grep -Eq '^selfheal_fleet_epoch_sweep_us_count [1-9]' "$SMOKE_DIR/fleet.prom" \
+    || { echo "status file carries no epoch sweep histogram" >&2; exit 1; }
+# Where each request's time went: waiting for the lock, then under it.
+grep -Eq '^selfheal_fleet_request_queue_us_count [1-9]' "$SMOKE_DIR/fleet.prom" \
+    || { echo "status file carries no request queue-wait histogram" >&2; exit 1; }
+grep -Eq '^selfheal_fleet_request_exec_us_count [1-9]' "$SMOKE_DIR/fleet.prom" \
+    || { echo "status file carries no request execution histogram" >&2; exit 1; }
+# Requests that caught up their own lagging shard (exported from 0).
+grep -Eq '^selfheal_fleet_request_catch_ups [0-9]' "$SMOKE_DIR/fleet.prom" \
+    || { echo "status file carries no request catch-up counter" >&2; exit 1; }
 # Fleet epochs step chip ranges, not whole banks: each shard counts the
 # traps it stepped, so the live daemon has a kernel line too.
 grep -Eq '^selfheal_bti_td_kernel_traps_advanced [1-9]' "$SMOKE_DIR/fleet.prom" \
