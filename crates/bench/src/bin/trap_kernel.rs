@@ -15,9 +15,9 @@
 //! * **kernel** — one [`TrapBank::advance_all`] call per phase: rates
 //!   evaluated once per phase and the bank's `LANES`-chunked loop;
 //! * **cached** — one [`TrapBank::advance_range_cached`] call per phase
-//!   over decay columns [`TrapBank::fill_decay`] filled before the clock
-//!   starts: the step a fleet epoch takes at steady state, with no `exp`
-//!   per trap.
+//!   over the decay and p∞ columns [`TrapBank::fill_decay`] filled
+//!   before the clock starts: the step a fleet epoch takes at steady
+//!   state, with no `exp` and no division per trap.
 //!
 //! The headline `speedup_<size>` is scalar vs kernel; the ledger keeps
 //! only the `*_ns_per_trap_step_<size>` durations. The kernel's per-trap
@@ -115,18 +115,18 @@ fn main() {
         });
 
         let mut cached: TrapBank = traps.iter().copied().collect();
-        let columns: Vec<(PhaseRates, Vec<f64>)> = batch
+        let columns: Vec<(Vec<f64>, Vec<f64>)> = batch
             .iter()
             .map(|&(cond, dt)| {
                 let rates = PhaseRates::for_condition(cond);
-                let mut decay = vec![0.0; count];
-                cached.fill_decay(0..count, &rates, dt, &mut decay);
-                (rates, decay)
+                let (mut decay, mut p_inf) = (vec![0.0; count], vec![0.0; count]);
+                cached.fill_decay(0..count, &rates, dt, &mut decay, &mut p_inf);
+                (decay, p_inf)
             })
             .collect();
         let cached_ns = time_per_batch(budget, trap_steps, || {
-            for (rates, decay) in &columns {
-                cached.advance_range_cached(0..count, rates, decay);
+            for (decay, p_inf) in &columns {
+                cached.advance_range_cached(0..count, decay, p_inf);
             }
         });
         drop(phase);

@@ -22,10 +22,10 @@
 //!    decay `exp(-dt / tau)` and steps it;
 //!    [`advance_all`](TrapBank::advance_all) is its whole-bank range.
 //!    A caller that repeats one `(rates, dt)` step — a fleet chip
-//!    between reports — stores the decays once with
-//!    [`fill_decay`](TrapBank::fill_decay) and steps from them with
-//!    [`advance_range_cached`](TrapBank::advance_range_cached): no `exp`
-//!    per trap. The bank's one reduction,
+//!    between reports — stores the decays and equilibrium occupancies
+//!    once with [`fill_decay`](TrapBank::fill_decay) and steps from them
+//!    with [`advance_range_cached`](TrapBank::advance_range_cached): no
+//!    `exp` and no division per trap. The bank's one reduction,
 //!    [`delta_vth`](TrapBank::delta_vth) (or
 //!    [`delta_vth_range`](TrapBank::delta_vth_range) over a chip's
 //!    slice), is the ΔVth sum every caller reads.
@@ -63,8 +63,8 @@
 //!   marker in place of its decay — no `exp` of a non-positive argument
 //!   is negative — and the step part returns its occupancy bit for bit
 //!   (a decay of exactly `1.0` would not: `p∞ + (p − p∞)` can round).
-//!   Only p∞ is recomputed per step; its division by the total rate is
-//!   the scalar path's.
+//!   The cached step stores p∞ next to the decay, both from the one
+//!   `relaxation` call the uncached step makes, so it divides nothing.
 //! * The [`delta_vth`](TrapBank::delta_vth) sum accumulates in trap
 //!   index order from `-0.0`, so it matches `Iterator::sum` over the
 //!   scalar traps' contributions to the last ulp.
@@ -337,14 +337,17 @@ impl TrapBank {
         });
     }
 
-    /// Writes the decay part of an `advance_range(range, rates, dt)`
-    /// step into `decay_column`, bank-aligned: `exp(-dt / tau)` per
-    /// trap, or a frozen marker for a trap that step leaves as it is
-    /// (τ = ∞, or `dt ≤ 0`). Entries outside `range` are untouched.
+    /// Writes what an `advance_range(range, rates, dt)` step computes
+    /// before it touches an occupancy into two bank-aligned columns,
+    /// both from one `relaxation` call per trap: the decay
+    /// `exp(-dt / tau)` into `decay_column` (or a frozen marker for a
+    /// trap that step leaves as it is: τ = ∞, or `dt ≤ 0`) and the
+    /// equilibrium occupancy p∞ into `p_inf_column`. Entries outside
+    /// `range` are untouched.
     ///
     /// # Panics
     ///
-    /// Panics if `range` ends past the bank or `decay_column` is not as
+    /// Panics if `range` ends past the bank or either column is not as
     /// long as the bank.
     pub fn fill_decay(
         &self,
@@ -352,48 +355,47 @@ impl TrapBank {
         rates: &PhaseRates,
         dt: Seconds,
         decay_column: &mut [f64],
+        p_inf_column: &mut [f64],
     ) {
         assert_eq!(decay_column.len(), self.len(), "decay column is not bank-aligned");
+        assert_eq!(p_inf_column.len(), self.len(), "p∞ column is not bank-aligned");
         let start = range.start.min(range.end);
-        let decay_column = &mut decay_column[start..range.end];
-        if dt.is_zero_or_negative() {
-            decay_column.fill(FROZEN);
-            return;
-        }
+        let frozen = dt.is_zero_or_negative();
         let neg_dt = -dt.get();
-        for ((out, &tau_c0), &tau_e) in decay_column
+        for (k, (decay_out, p_inf_out)) in decay_column[start..range.end]
             .iter_mut()
-            .zip(&self.tau_c0[start..range.end])
-            .zip(&self.tau_e[start..range.end])
+            .zip(&mut p_inf_column[start..range.end])
+            .enumerate()
         {
-            *out = decay(rates.relaxation(tau_c0, tau_e).1, neg_dt);
+            let (p_inf, tau) = rates.relaxation(self.tau_c0[start + k], self.tau_e[start + k]);
+            *decay_out = if frozen { FROZEN } else { decay(tau, neg_dt) };
+            *p_inf_out = p_inf;
         }
     }
 
-    /// [`advance_range`](TrapBank::advance_range) with its decay part
-    /// read from `decay_column`, bank-aligned, which
-    /// [`fill_decay`](TrapBank::fill_decay) filled for the same `range`,
-    /// `rates` and `dt`. Only the step part and the division for p∞
-    /// remain per trap — no `exp` — and the result is bit-identical to
-    /// `advance_range(range, rates, dt)`.
+    /// [`advance_range`](TrapBank::advance_range) from the two columns,
+    /// bank-aligned, that [`fill_decay`](TrapBank::fill_decay) filled
+    /// for the same `range`, `rates` and `dt`. Only the step part
+    /// remains per trap — no `exp`, no division — and the result is
+    /// bit-identical to `advance_range(range, rates, dt)`.
     ///
     /// # Panics
     ///
-    /// Panics if `range` ends past the bank or `decay_column` is not as
+    /// Panics if `range` ends past the bank or either column is not as
     /// long as the bank.
     pub fn advance_range_cached(
         &mut self,
         range: std::ops::Range<usize>,
-        rates: &PhaseRates,
         decay_column: &[f64],
+        p_inf_column: &[f64],
     ) {
         assert_eq!(decay_column.len(), self.len(), "decay column is not bank-aligned");
-        let decay_column = &decay_column[range.start.min(range.end)..range.end];
-        let (tau_c0, tau_e, occupancy) = self.columns(range);
-        step_chunked(occupancy, |k, p| {
-            let (p_inf, _) = rates.relaxation(tau_c0[k], tau_e[k]);
-            step(p, p_inf, decay_column[k])
-        });
+        assert_eq!(p_inf_column.len(), self.len(), "p∞ column is not bank-aligned");
+        let start = range.start.min(range.end);
+        let decay_column = &decay_column[start..range.end];
+        let p_inf_column = &p_inf_column[start..range.end];
+        let (_, _, occupancy) = self.columns(range);
+        step_chunked(occupancy, |k, p| step(p, p_inf_column[k], decay_column[k]));
     }
 
     /// The `tau_c0`, `tau_e` and mutable occupancy slices of `range`. A
@@ -599,7 +601,8 @@ mod tests {
 
     /// Traps whose step leaves them as they are — permanent traps under
     /// recovery (zero total rate), any trap over `dt = 0` — store the
-    /// frozen marker, and the cached step keeps them bit for bit.
+    /// frozen marker, and the cached step keeps them bit for bit. The p∞
+    /// column holds `relaxation`'s p∞ for every trap, frozen or not.
     #[test]
     fn frozen_traps_store_the_marker_and_keep_their_occupancy() {
         let step_mv = Millivolts::new(0.2);
@@ -610,23 +613,38 @@ mod tests {
         ]
         .into_iter()
         .collect();
+        let p_inf_of = |bank: &TrapBank, rates: &PhaseRates| -> Vec<u64> {
+            (0..bank.len())
+                .map(|k| rates.relaxation(bank.tau_c0[k], bank.tau_e[k]).0.to_bits())
+                .collect()
+        };
+        let bits = |column: &[f64]| -> Vec<u64> { column.iter().map(|x| x.to_bits()).collect() };
         let heal = PhaseRates::for_condition(recovery());
         let mut decay = vec![0.0; bank.len()];
-        bank.fill_decay(0..3, &heal, Seconds::new(3600.0), &mut decay);
+        let mut p_inf = vec![0.5; bank.len()];
+        bank.fill_decay(0..3, &heal, Seconds::new(3600.0), &mut decay, &mut p_inf);
         assert_eq!(decay[..2], [FROZEN, FROZEN]);
         assert!((0.0..1.0).contains(&decay[2]));
+        assert_eq!(bits(&p_inf), p_inf_of(&bank, &heal));
         let mut uncached = bank.clone();
-        bank.advance_range_cached(0..3, &heal, &decay);
+        bank.advance_range_cached(0..3, &decay, &p_inf);
         uncached.advance_range(0..3, &heal, Seconds::new(3600.0));
         assert_eq!(bank, uncached);
         assert_eq!(bank.occupancies()[..2], [0.3, 0.7]);
 
         let before = bank.clone();
         let hot = PhaseRates::for_condition(stress());
-        bank.fill_decay(0..3, &hot, Seconds::new(0.0), &mut decay);
+        bank.fill_decay(0..3, &hot, Seconds::new(0.0), &mut decay, &mut p_inf);
         assert!(decay.iter().all(|&d| d == FROZEN));
-        bank.advance_range_cached(0..3, &hot, &decay);
+        assert_eq!(bits(&p_inf), p_inf_of(&bank, &hot));
+        bank.advance_range_cached(0..3, &decay, &p_inf);
         assert_eq!(bank, before);
+
+        // A fill of one range leaves the other entries of both columns.
+        let (old_decay, old_p_inf) = (bits(&decay), bits(&p_inf));
+        bank.fill_decay(1..2, &heal, Seconds::new(60.0), &mut decay, &mut p_inf);
+        assert_eq!([bits(&decay)[0], bits(&decay)[2]], [old_decay[0], old_decay[2]]);
+        assert_eq!([bits(&p_inf)[0], bits(&p_inf)[2]], [old_p_inf[0], old_p_inf[2]]);
     }
 
     #[test]

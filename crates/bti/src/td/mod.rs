@@ -16,12 +16,10 @@ mod ensemble;
 pub mod kernel;
 mod kinetics;
 mod population;
-pub mod tiered;
 mod trap;
 
 pub use ensemble::TrapEnsembleParams;
 pub use kernel::{PhaseRateCache, PhaseRates, TrapBank, KERNEL_VERSION, LANES};
-pub use tiered::{ChipTier, ColdChip, TierCounts, TierPolicy};
 pub use population::{advance_population, sample_population};
 pub use kinetics::{capture_rate_multiplier, emission_rate_multiplier, emission_thermal_speedup};
 pub use trap::Trap;

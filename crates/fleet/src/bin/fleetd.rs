@@ -59,8 +59,6 @@ fleetd — sharded rejuvenation-scheduling daemon
   --traps N              mean traps per chip, at most 700 (default 16)
   --epoch-ms N           wall-clock epoch cadence; 0 disables (default 1000)
   --epoch-dt-s N         simulated seconds per epoch (default 3600)
-  --tiered               advance far-from-threshold chips analytically (O(1)/epoch)
-  --guard-band-mv N      tiered mode: full resolution within N mV of the margin (default 10)
   --checkpoint-every N   checkpoint cadence in epochs; 0 = only on shutdown (default 8)
   --max-epochs N         shut down after N epochs
   --workers N            accept/worker threads (default 4)
@@ -99,11 +97,6 @@ fn parse_args() -> Result<Options, String> {
             "--epoch-dt-s" => {
                 options.config.epoch_dt =
                     selfheal_units::Seconds::new(parse(&value("--epoch-dt-s")?)?);
-            }
-            "--tiered" => options.config.tiered = true,
-            "--guard-band-mv" => {
-                options.config.guard_band =
-                    selfheal_units::Millivolts::new(parse(&value("--guard-band-mv")?)?);
             }
             "--checkpoint-every" => {
                 options.checkpoint_every = parse(&value("--checkpoint-every")?)?
@@ -192,13 +185,8 @@ fn main() {
     if let Some(reason) = daemon.refused_checkpoint() {
         eprintln!("fleetd: checkpoint refused, starting a fresh fleet: {reason}");
     }
-    let tiering = if options.config.tiered {
-        format!(" [tiered, guard band {}]", options.config.guard_band)
-    } else {
-        String::new()
-    };
     eprintln!(
-        "fleetd: {} chips / {} shards / {} traps{tiering}, epoch {} (resumed: {resumed})",
+        "fleetd: {} chips / {} shards / {} traps, epoch {} (resumed: {resumed})",
         options.config.chips,
         options.config.shards,
         daemon.state().trap_count(),

@@ -1,8 +1,8 @@
 //! Bit-exact checkpoint/resume of a fleet's mutable state.
 //!
 //! A checkpoint stores only what a seed rebuild cannot regenerate: the
-//! occupancy column of every shard bank, every reported duty cycle and
-//! tier, the epoch counter and the mutation-digest chain. Trap constants
+//! occupancy column of every shard bank, every reported duty cycle, the
+//! epoch counter and the mutation-digest chain. Trap constants
 //! (τ values, step sizes) are *not* stored — they come back
 //! bit-identically from [`FleetConfig::seed`], which keeps a snapshot at
 //! one `f64` per trap.
@@ -17,8 +17,7 @@
 //! epoch | mutation digest | state digest
 //! per shard, in order:
 //!   occupancy bits, one per trap
-//!   per chip: duty bits | tier tag byte (0 hot, 1 pinned, 2 cold)
-//!             [cold: anchor bits | rate bits | since epoch | wake epoch]
+//!   duty bits, one per chip
 //! ```
 //!
 //! The file stores no lengths: the fleet rebuilt from the key's
@@ -37,9 +36,9 @@ use std::fs::{self, File};
 use std::io::{self, BufReader, BufWriter, Read, Write};
 use std::path::{Path, PathBuf};
 
-use selfheal_bti::td::{ChipTier, ColdChip, KERNEL_VERSION};
+use selfheal_bti::td::KERNEL_VERSION;
 use selfheal_runtime::ResultCache;
-use selfheal_units::{DutyCycle, Millivolts};
+use selfheal_units::DutyCycle;
 
 use crate::config::FleetConfig;
 use crate::state::{FleetState, Shard};
@@ -48,9 +47,10 @@ use crate::state::{FleetState, Shard};
 pub const CHECKPOINT_NAMESPACE: &str = "fleet-checkpoint";
 /// Checkpoint format version (bumped on layout changes; the kernel
 /// version rides in the key so kernel changes also invalidate).
-/// Version 4 is the binary column stream described in the module docs;
-/// versions 1–3 were JSON records and are never read.
-pub const CHECKPOINT_VERSION: u32 = 4;
+/// Version 5 is the binary column stream described in the module docs;
+/// version 4 also stored a tier tag per chip, and versions 1–3 were JSON
+/// records. Neither is ever read.
+pub const CHECKPOINT_VERSION: u32 = 5;
 
 /// The first bytes of every checkpoint file.
 const MAGIC: &[u8; 8] = b"SHFLCKPT";
@@ -108,21 +108,6 @@ pub fn write(fleet: &FleetState, out: &mut impl Write) -> io::Result<()> {
         }
         for chip in &shard.chips {
             out.write_all(&chip.duty.get().to_bits().to_le_bytes())?;
-            match &chip.tier {
-                ChipTier::Hot => out.write_all(&[0])?,
-                ChipTier::Pinned => out.write_all(&[1])?,
-                ChipTier::Cold(cold) => {
-                    out.write_all(&[2])?;
-                    for word in [
-                        cold.anchor.get().to_bits(),
-                        cold.rate_mv_per_s.to_bits(),
-                        cold.since_epoch,
-                        cold.wake_epoch,
-                    ] {
-                        out.write_all(&word.to_le_bytes())?;
-                    }
-                }
-            }
         }
     }
     Ok(())
@@ -171,26 +156,13 @@ pub fn read(config: FleetConfig, input: &mut impl Read) -> Result<FleetState, Ch
     Ok(fleet)
 }
 
-/// Overwrites one shard's occupancies, duties and tiers from `input`.
+/// Overwrites one shard's occupancies and duties from `input`.
 fn read_shard(shard: &mut Shard, input: &mut impl Read) -> Result<(), CheckpointError> {
     for occupancy in shard.bank.occupancies_mut() {
         *occupancy = f64::from_bits(read_u64(input)?);
     }
     for chip in &mut shard.chips {
         chip.duty = DutyCycle::new(f64::from_bits(read_u64(input)?));
-        let mut tag = [0];
-        input.read_exact(&mut tag)?;
-        chip.tier = match tag[0] {
-            0 => ChipTier::Hot,
-            1 => ChipTier::Pinned,
-            2 => ChipTier::Cold(ColdChip {
-                anchor: Millivolts::new(f64::from_bits(read_u64(input)?)),
-                rate_mv_per_s: f64::from_bits(read_u64(input)?),
-                since_epoch: read_u64(input)?,
-                wake_epoch: read_u64(input)?,
-            }),
-            _ => return Err(CheckpointError::Invalid("tier tag")),
-        };
     }
     Ok(())
 }
@@ -279,17 +251,14 @@ mod tests {
         config
     }
 
-    /// A tiered fleet with cold chips and one pinned chip.
-    fn tiered_fleet() -> FleetState {
-        let mut config = tiny_config(3);
-        config.tiered = true;
-        config.guard_band = Millivolts::new(10.0);
-        let mut fleet = FleetState::build(config);
+    /// A fleet two epochs old in which chip 1 reported a 0.3 duty
+    /// between them; the other eight chips keep the DC duty of 1.0.
+    fn reported_fleet() -> FleetState {
+        let mut fleet = FleetState::build(tiny_config(3));
         fleet.advance_epoch();
         assert!(fleet.fold_report(1, DutyCycle::new(0.3)));
         fleet.advance_epoch();
-        let counts = fleet.tier_counts();
-        assert!(counts.cold > 0 && counts.pinned > 0, "{counts:?}");
+        assert_eq!(fleet.chip_duty(1), Some(DutyCycle::new(0.3)));
         fleet
     }
 
@@ -330,7 +299,7 @@ mod tests {
     /// cached under its own.
     #[test]
     fn overlay_drops_caches_filled_before_it() {
-        let aged = tiered_fleet();
+        let aged = reported_fleet();
         let mut fleet = FleetState::build(aged.config().clone());
         let fresh_digest = fleet.state_digest();
         fleet.advance_epoch();
@@ -375,7 +344,7 @@ mod tests {
     /// fleet must be the saved one, byte for byte.
     #[test]
     fn damaged_checkpoints_are_refused() {
-        let fleet = tiered_fleet();
+        let fleet = reported_fleet();
         let config = fleet.config().clone();
         let bytes = encode(&fleet);
         for len in 0..bytes.len() {
@@ -403,7 +372,10 @@ mod tests {
         }
         // A flip that raises a 1.0 duty (any of its 52 mantissa bits, or
         // the top exponent bit, which makes it infinite) clamps back to
-        // 1.0; eight of the nine chips never reported.
+        // 1.0; eight of the nine chips never reported. Every other flip
+        // moves an occupancy, a duty, the header or a digest, and the
+        // recorded state digest refuses it. The per-chip words are the
+        // duties alone, so the count is the duty words' and nothing else.
         assert_eq!(absorbed, 53 * 8);
     }
 

@@ -39,13 +39,6 @@ pub struct FleetConfig {
     pub period: Seconds,
     /// Default planning horizon for `PLAN` requests that omit one.
     pub horizon: Seconds,
-    /// Whether chips far from a margin crossing advance on the analytic
-    /// fast path instead of at per-trap resolution every epoch.
-    pub tiered: bool,
-    /// How far below `margin` a chip must stay to remain cold (only
-    /// meaningful with `tiered`; must leave usable margin below the
-    /// threshold).
-    pub guard_band: Millivolts,
     /// Latency objectives evaluated each epoch (e.g. `plan:p99<500us`).
     /// Pure observability: deliberately absent from
     /// [`cache_key`](Self::cache_key), so SLOs never invalidate
@@ -75,8 +68,6 @@ impl Default for FleetConfig {
             epoch_dt: Seconds::new(3_600.0),
             period: Seconds::new(86_400.0),
             horizon: Seconds::new(30.0 * 86_400.0),
-            tiered: false,
-            guard_band: Millivolts::new(10.0),
             slos: Vec::new(),
         }
     }
@@ -88,8 +79,8 @@ impl FleetConfig {
     /// # Errors
     ///
     /// Returns `Err` for an empty fleet, a shard count of zero or larger
-    /// than the chip count, a margin, time step or (when tiered) guard
-    /// band that is not finite and positive, two SLOs on the same kind
+    /// than the chip count, a margin or time step that is not finite
+    /// and positive, two SLOs on the same kind
     /// and quantile label (they would publish the same gauges), or
     /// invalid trap-ensemble parameters.
     pub fn validate(&self) -> Result<(), String> {
@@ -114,15 +105,6 @@ impl FleetConfig {
         {
             return Err("epoch_dt, period and horizon must be finite and positive".into());
         }
-        if self.tiered
-            && !(finite_positive(self.guard_band.get())
-                && self.guard_band.get() < self.margin.get())
-        {
-            return Err(format!(
-                "guard band must be finite, positive and below the margin (got {} of {})",
-                self.guard_band, self.margin
-            ));
-        }
         for (at, slo) in self.slos.iter().enumerate() {
             // Re-parsing the canonical spelling catches objectives built
             // by hand with out-of-range quantiles or targets.
@@ -142,13 +124,6 @@ impl FleetConfig {
         self.trap_params.validate()
     }
 
-    /// The tier policy this config implies, or `None` when untiered.
-    #[must_use]
-    pub fn tier_policy(&self) -> Option<selfheal_bti::td::TierPolicy> {
-        self.tiered
-            .then(|| selfheal_bti::td::TierPolicy::new(self.margin, self.guard_band, self.epoch_dt))
-    }
-
     /// A canonical string of every field that determines fleet state —
     /// the cache key prefix for checkpoints. Two configs with equal keys
     /// rebuild bit-identical fleets.
@@ -157,7 +132,7 @@ impl FleetConfig {
         let p = &self.trap_params;
         format!(
             "chips={};shards={};seed={};traps={:?}x{:?}mv;tauc={:?}..{:?};ratio={:?}..{:?};perm={:?};\
-             env={:?}V@{:?}K;margin={:?};dt={:?};period={:?};horizon={:?};tiered={};guard={:?}",
+             env={:?}V@{:?}K;margin={:?};dt={:?};period={:?};horizon={:?}",
             self.chips,
             self.shards,
             self.seed,
@@ -174,8 +149,6 @@ impl FleetConfig {
             self.epoch_dt.get(),
             self.period.get(),
             self.horizon.get(),
-            self.tiered,
-            self.guard_band.get(),
         )
     }
 
@@ -252,14 +225,6 @@ mod tests {
         assert_ne!(base.cache_key(), reseeded.cache_key());
         assert_eq!(base.cache_key(), base.clone().cache_key());
 
-        // Tiering changes the state trajectory, so it must key caches.
-        let mut tiered = base.clone();
-        tiered.tiered = true;
-        assert_ne!(base.cache_key(), tiered.cache_key());
-        let mut narrower = tiered.clone();
-        narrower.guard_band = Millivolts::new(5.0);
-        assert_ne!(tiered.cache_key(), narrower.cache_key());
-
         // SLOs are observability-only: they must NOT key checkpoints.
         let mut with_slo = base.clone();
         with_slo.slos = vec![SloObjective::parse("plan:p99<500us").expect("parses")];
@@ -301,38 +266,17 @@ mod tests {
     }
 
     #[test]
-    fn tiered_guard_band_is_validated() {
-        let mut config = FleetConfig {
-            tiered: true,
-            ..FleetConfig::default()
-        };
-        assert_eq!(config.validate(), Ok(()));
-        assert!(config.tier_policy().is_some());
-        config.guard_band = Millivolts::new(0.0);
-        assert!(config.validate().is_err());
-        config.guard_band = config.margin;
-        assert!(config.validate().is_err());
-        config.tiered = false;
-        assert_eq!(config.validate(), Ok(()), "untiered ignores the band");
-        assert!(config.tier_policy().is_none());
-    }
-
-    #[test]
     fn non_finite_fields_are_rejected() {
         type Setter = fn(&mut FleetConfig, f64);
-        let fields: [(&str, Setter); 5] = [
+        let fields: [(&str, Setter); 4] = [
             ("margin", |c, x| c.margin = Millivolts::new(x)),
             ("epoch_dt", |c, x| c.epoch_dt = Seconds::new(x)),
             ("period", |c, x| c.period = Seconds::new(x)),
             ("horizon", |c, x| c.horizon = Seconds::new(x)),
-            ("guard_band", |c, x| c.guard_band = Millivolts::new(x)),
         ];
         for (name, set) in fields {
             for bad in [f64::NAN, f64::INFINITY] {
-                let mut config = FleetConfig {
-                    tiered: true,
-                    ..FleetConfig::default()
-                };
+                let mut config = FleetConfig::default();
                 set(&mut config, bad);
                 assert!(
                     config.validate().is_err(),

@@ -9,7 +9,6 @@
 //! request history, epoch schedule).
 
 use selfheal::SchedulePlanner;
-use selfheal_bti::td::ChipTier;
 use selfheal_bti::DeviceCondition;
 use selfheal_runtime::ResultCache;
 use selfheal_telemetry::{counter, flight, gauge};
@@ -138,21 +137,9 @@ impl FleetDaemon {
     }
 
     /// Catches up at most `limit` lagging shards and returns how many
-    /// still lag. Once none does, publishes the epoch's per-tier chip
-    /// counts, so `selfheal-top` can watch the hot/cold split move
-    /// (all-hot when untiered).
+    /// still lag.
     pub fn sweep(&mut self, limit: usize) -> usize {
-        let left = self.state.catch_up(limit);
-        if left == 0 {
-            let tiers = self.state.epoch_tiers();
-            #[allow(clippy::cast_precision_loss)]
-            {
-                gauge!("fleet.chips_hot", tiers.hot as f64);
-                gauge!("fleet.chips_pinned", tiers.pinned as f64);
-                gauge!("fleet.chips_cold", tiers.cold as f64);
-            }
-        }
-        left
+        self.state.catch_up(limit)
     }
 
     /// Advances one whole epoch: a [`tick`](Self::tick), then a sweep of
@@ -237,9 +224,6 @@ impl FleetDaemon {
                 ),
             };
         }
-        // `chip_consumed` is tier-aware (analytic for cold chips, the
-        // exact bank slice otherwise), so both tiers flow through the
-        // same planner entry point, read-only.
         let plan = self
             .planner
             .plan_with_consumed(consumed, technique, period, horizon);
@@ -257,24 +241,14 @@ impl FleetDaemon {
         };
         let duty = self.state.chip_duty(chip_index).unwrap_or_default();
         let cond = DeviceCondition::new(self.state.config().active_env, duty);
-        // Cold chips project along their rate-anchored line in closed
-        // form; hot and pinned chips project a copy of their live trap
-        // slice. Either way the state itself is untouched.
-        let projected = match (
-            self.state.config().tier_policy(),
-            self.state.chip_tier(chip_index),
-        ) {
-            (Some(policy), Some(ChipTier::Cold(cold))) => {
-                policy.project(&cold, self.state.epoch(), dt)
-            }
-            _ => {
-                let Some((shard, traps)) = self.state.chip_view(chip_index) else {
-                    return unknown_chip(chip);
-                };
-                self.planner
-                    .predicted_shift_from_bank(&shard.bank, traps, cond, dt)
-            }
+        // The projection steps a copy of the chip's live trap slice; the
+        // state itself is untouched.
+        let Some((shard, traps)) = self.state.chip_view(chip_index) else {
+            return unknown_chip(chip);
         };
+        let projected = self
+            .planner
+            .predicted_shift_from_bank(&shard.bank, traps, cond, dt);
         Response::Predict {
             chip,
             current,
@@ -406,76 +380,6 @@ mod tests {
             }
         }
         assert_eq!(daemon.requests_served(), 3);
-    }
-
-    #[test]
-    fn tiered_daemon_serves_every_request_type_read_only() {
-        let mut config = FleetConfig::default();
-        config.chips = 12;
-        config.shards = 3;
-        config.seed = 11;
-        config.trap_params.mean_trap_count = 8.0;
-        config.tiered = true;
-        let mut daemon = FleetDaemon::new(config, ResultCache::disabled(), 0);
-        daemon.advance_epoch();
-        assert!(
-            daemon.state().tier_counts().cold > 0,
-            "an hour-old tiered fleet must have cold chips"
-        );
-        let cold_chip = (0..12u64)
-            .find(|&c| {
-                daemon
-                    .state()
-                    .chip_tier(c as usize)
-                    .is_some_and(|t| t.is_cold())
-            })
-            .expect("some chip is cold");
-
-        // Plan and predict against a cold chip leave the state untouched.
-        let before = daemon.state().state_digest();
-        match daemon.handle(&Request::Plan {
-            chip: cold_chip,
-            technique: RejuvenationTechnique::Combined,
-            period: None,
-            horizon: None,
-        }) {
-            Response::Plan { consumed, plan, .. } => {
-                assert!(consumed.get() > 0.0);
-                assert!(plan.is_some(), "a barely-aged cold chip is plannable");
-            }
-            other => panic!("expected a plan reply, got {other:?}"),
-        }
-        match daemon.handle(&Request::Predict {
-            chip: cold_chip,
-            dt: Seconds::new(86_400.0),
-        }) {
-            Response::Predict {
-                current, projected, ..
-            } => assert!(projected >= current),
-            other => panic!("expected a predict reply, got {other:?}"),
-        }
-        assert_eq!(
-            daemon.state().state_digest(),
-            before,
-            "plan/predict are reads"
-        );
-
-        // A report pins the chip hot and is visible in stats.
-        match daemon.handle(&Request::Report {
-            chip: cold_chip,
-            duty: DutyCycle::new(0.4),
-        }) {
-            Response::Report { .. } => {}
-            other => panic!("expected a report reply, got {other:?}"),
-        }
-        assert!(daemon
-            .state()
-            .chip_tier(cold_chip as usize)
-            .is_some_and(|t| t == selfheal_bti::td::ChipTier::Pinned));
-        match daemon.handle(&Request::Stats) {
-            Response::Stats(stats) => assert!(stats.mean_delta_vth.get() > 0.0),
-            other => panic!("expected stats, got {other:?}"),
-        }
     }
 
     #[test]

@@ -8,10 +8,12 @@
 //! state is bit-for-bit identical at any worker count — the same
 //! contract the rest of the workspace pins.
 //!
-//! A chip steps under the same condition every epoch until it reports,
-//! so each shard caches its traps' decays `exp(-epoch_dt / tau)` in one
-//! bank-aligned column (derived state, never checkpointed): a
-//! steady-state epoch does no `exp` and no condition lookup per chip.
+//! Every chip steps at full trap resolution every epoch. A chip steps
+//! under the same condition every epoch until it reports, so each shard
+//! caches its traps' decays `exp(-epoch_dt / tau)` and equilibrium
+//! occupancies p∞ in two bank-aligned columns (derived state, never
+//! checkpointed): a steady-state epoch does no `exp`, no division and
+//! no condition lookup per chip.
 //!
 //! Epochs are lazy: [`FleetState::tick`] only moves the fleet's epoch,
 //! and each shard records the epoch its bank has reached. A catch-up
@@ -35,7 +37,7 @@
 use std::ops::Range;
 use std::sync::OnceLock;
 
-use selfheal_bti::td::{ChipTier, PhaseRates, TierCounts, TierPolicy, TrapBank};
+use selfheal_bti::td::{PhaseRates, TrapBank};
 use selfheal_bti::DeviceCondition;
 use selfheal_runtime::{par_map_indexed, SeedSequence};
 use selfheal_telemetry::{fnv1a, fnv1a_extend};
@@ -43,18 +45,14 @@ use selfheal_units::{DutyCycle, Millivolts, Seconds};
 
 use crate::config::FleetConfig;
 
-/// One chip's slot inside a shard: its trap slice, the stress duty
-/// cycle it most recently reported, and its integration tier.
+/// One chip's slot inside a shard: its trap slice and the stress duty
+/// cycle it most recently reported.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ChipSlot {
     /// The chip's trap range inside the shard's bank.
     pub traps: Range<usize>,
     /// The chip's observed stress duty cycle (DC until reported).
     pub duty: DutyCycle,
-    /// The chip's integration tier. Always `Hot` in an untiered fleet;
-    /// in a tiered one, `Cold` chips' bank occupancies are frozen at
-    /// their demotion epoch and their shift is served analytically.
-    pub tier: ChipTier,
 }
 
 /// A contiguous block of chips sharing one trap bank.
@@ -69,9 +67,8 @@ pub struct Shard {
     /// The epoch the bank has reached; behind the fleet's epoch until
     /// the shard catches up.
     epoch: u64,
-    /// The tier counts at the end of the shard's last epoch.
-    tiers: TierCounts,
-    /// Derived per-trap decays, so a steady-state epoch skips the `exp`.
+    /// Derived per-trap decays and p∞, so a steady-state epoch skips
+    /// the `exp` and the division.
     decay: DecayCache,
 }
 
@@ -95,7 +92,6 @@ impl Shard {
             chips.push(ChipSlot {
                 traps: start..bank.len(),
                 duty: DutyCycle::default(),
-                tier: ChipTier::Hot,
             });
         }
         Shard {
@@ -113,27 +109,18 @@ impl Shard {
     }
 
     /// Steps the shard through every epoch from its own up to `epoch`,
-    /// one [`advance`](Self::advance) each, in order, so a wake epoch
-    /// lands in the epoch it names however late the shard catches up.
-    /// With metrics on, each step feeds the `bti.td.kernel.*` counters
-    /// once and the shard's `fleet.shard.<index>.epoch_us` heat gauge.
-    fn catch_up(
-        &mut self,
-        index: usize,
-        config: &FleetConfig,
-        policy: Option<&TierPolicy>,
-        epoch: u64,
-    ) {
+    /// one [`advance`](Self::advance) each, in order. With metrics on,
+    /// each step feeds the `bti.td.kernel.*` counters once and the
+    /// shard's `fleet.shard.<index>.epoch_us` heat gauge.
+    fn catch_up(&mut self, index: usize, config: &FleetConfig, epoch: u64) {
         let timing = selfheal_telemetry::metrics::enabled();
         while self.epoch < epoch {
-            // Under the tiered integrator shard costs diverge (hot-chip-
-            // heavy shards pay per-trap resolution), and straggler shards
-            // bound how long a sweep takes. The clock is telemetry-only:
-            // the step itself is identical with timing off.
+            // Straggler shards bound how long a sweep takes. The clock is
+            // telemetry-only: the step itself is identical with timing
+            // off.
             let started = timing.then(selfheal_telemetry::trace_epoch_ns);
-            let (stepped, tiers) = self.advance(config, self.epoch + 1, policy);
+            self.advance(config);
             self.epoch += 1;
-            self.tiers = tiers;
             if let Some(started) = started {
                 let elapsed_ns = selfheal_telemetry::trace_epoch_ns().saturating_sub(started);
                 #[allow(clippy::cast_precision_loss)]
@@ -144,7 +131,7 @@ impl Shard {
                 #[allow(clippy::cast_precision_loss)]
                 selfheal_telemetry::metrics::counter_add(
                     "bti.td.kernel.traps_advanced",
-                    stepped as f64,
+                    self.bank.len() as f64,
                 );
                 selfheal_telemetry::metrics::counter_add("bti.td.kernel.advance_calls", 1.0);
             }
@@ -153,171 +140,105 @@ impl Shard {
 
     /// Advances every chip in the shard by one `config.epoch_dt` under
     /// its own observed duty cycle at the fleet's active environment,
-    /// into epoch `epoch_end`. Full-resolution chips step from the
-    /// shard's [`DecayCache`]: at steady state that is one table read
-    /// per chip and no `exp` per trap.
-    ///
-    /// Without a [`TierPolicy`] every chip advances at full resolution.
-    /// With one in force, cold chips cost one integer
-    /// comparison: their occupancies stay frozen until `epoch_end`
-    /// reaches their precomputed wake epoch, at which point the whole
-    /// cold window replays as one fused
-    /// [`advance_range`](TrapBank::advance_range) under the chip's
-    /// (constant) condition. Hot chips that end the epoch outside the
-    /// guard band demote; pinned chips never do. Returns the number of
-    /// traps stepped (a cold chip that stays asleep steps none) and the
-    /// shard's tier counts at the end of the epoch.
-    fn advance(
-        &mut self,
-        config: &FleetConfig,
-        epoch_end: u64,
-        policy: Option<&TierPolicy>,
-    ) -> (usize, TierCounts) {
-        let mut stepped = 0;
-        let mut counts = TierCounts::default();
+    /// stepping from the shard's [`DecayCache`]: at steady state that is
+    /// one flag read per chip and no `exp` or division per trap.
+    fn advance(&mut self, config: &FleetConfig) {
         let Shard {
             chips, bank, decay, ..
         } = self;
         decay.allocate(bank.len(), chips.len());
-        for (local, chip) in chips.iter_mut().enumerate() {
-            // The tier check comes first: at steady state almost every
-            // chip is cold, and a cold epoch must stay at one integer
-            // compare per chip — no condition or rate lookups.
-            match (&chip.tier, policy) {
-                (ChipTier::Cold(cold), Some(policy)) => {
-                    if !policy.should_wake(cold, epoch_end) {
-                        counts.cold += 1;
-                        continue;
-                    }
-                    // Rehydrate: replay the whole cold window in one
-                    // fused step, past the decay column (its `dt` is the
-                    // window, not an epoch). The window's mean rate is
-                    // already the upper bound demotion needs, so the
-                    // chip can go straight back to sleep instead of
-                    // burning a hot epoch.
-                    let anchor = cold.anchor;
-                    let window = epoch_end.saturating_sub(cold.since_epoch).max(1);
-                    let elapsed = policy.cold_elapsed(cold, epoch_end);
-                    let cond = DeviceCondition::new(config.active_env, chip.duty);
-                    let phase = decay.rates(cond).1;
-                    bank.advance_range(chip.traps.clone(), &phase, elapsed);
-                    let current = bank.delta_vth_range(chip.traps.clone());
-                    chip.tier = match policy.try_demote(anchor, current, window, cond, epoch_end) {
-                        Some(cold) => ChipTier::Cold(cold),
-                        None => ChipTier::Hot,
-                    };
-                }
-                (ChipTier::Hot, Some(policy)) => {
-                    // Demotion needs the chip's observed per-epoch
-                    // rate, so bracket the advance with two ΔVth
-                    // scans.
-                    let previous = bank.delta_vth_range(chip.traps.clone());
-                    let cond = decay.advance_chip(bank, local, chip, config);
-                    let current = bank.delta_vth_range(chip.traps.clone());
-                    if let Some(cold) = policy.try_demote(previous, current, 1, cond, epoch_end) {
-                        chip.tier = ChipTier::Cold(cold);
-                    }
-                }
-                // No policy means "never demote": untiered chips, like
-                // pinned ones, advance at full resolution.
-                _ => {
-                    decay.advance_chip(bank, local, chip, config);
-                }
-            }
-            stepped += chip.traps.len();
-            counts.record(&chip.tier);
+        for (local, chip) in chips.iter().enumerate() {
+            decay.advance_chip(bank, local, chip, config);
         }
-        (stepped, counts)
     }
 }
 
-/// Past this many distinct conditions a shard's rate table is cleared
-/// and refilled, so a stream of novel duties cannot grow it unbounded.
+/// Past this many distinct conditions a shard's rate table is cleared,
+/// so a stream of novel duties cannot grow it unbounded.
 const MAX_SHARD_RATES: usize = 256;
 
-/// The index a chip whose decay must be refilled holds.
-const STALE: u16 = u16::MAX;
-
 /// A shard's derived epoch state: per trap, the decay `exp(-dt / tau)`
-/// of one `epoch_dt` step under the chip's condition, and per chip, the
-/// index of that condition's [`PhaseRates`] in a small table. A chip's
+/// and the equilibrium occupancy p∞ of one `epoch_dt` step under the
+/// chip's condition, and per chip, whether those are stale. A chip's
 /// `(condition, epoch_dt)` only changes when it reports, so a
-/// steady-state epoch reads both instead of re-deriving them.
+/// steady-state epoch reads both columns instead of re-deriving them.
 ///
 /// Derived state, never checkpointed: the columns are allocated on the
 /// shard's first epoch, and a chip is refilled on its first epoch after
-/// a report, an overlay or a table reset. The fleet's environment and
-/// `epoch_dt` never change, so the chip's duty is the whole cache key.
+/// a report or an overlay. The fleet's environment and `epoch_dt` never
+/// change, so the chip's duty is the whole cache key.
 #[derive(Debug, Clone, Default)]
 struct DecayCache {
-    /// Distinct rates the shard's chips step under, at most
-    /// [`MAX_SHARD_RATES`].
+    /// Distinct rates the shard's chips were filled under, at most
+    /// [`MAX_SHARD_RATES`]: a memo, so a refill skips the rate
+    /// multipliers' transcendentals.
     rates: Vec<PhaseRates>,
-    /// Per chip: the index into `rates` its decays were filled under,
-    /// or [`STALE`].
-    chip_rates: Vec<u16>,
+    /// Per chip: whether its columns must be refilled.
+    stale: Vec<bool>,
     /// Per trap, bank-aligned: the chip's filled decay column.
     decay: Vec<f64>,
+    /// Per trap, bank-aligned: the chip's filled p∞ column.
+    p_inf: Vec<f64>,
 }
 
 impl DecayCache {
     /// Allocates the columns (every chip stale) unless already there.
     fn allocate(&mut self, traps: usize, chips: usize) {
-        if self.chip_rates.len() != chips {
+        if self.stale.len() != chips {
             self.decay = vec![0.0; traps];
-            self.chip_rates = vec![STALE; chips];
+            self.p_inf = vec![0.0; traps];
+            self.stale = vec![true; chips];
         }
     }
 
     /// Marks chip `local` for refilling at its next epoch.
     fn invalidate(&mut self, local: usize) {
-        if let Some(index) = self.chip_rates.get_mut(local) {
-            *index = STALE;
+        if let Some(stale) = self.stale.get_mut(local) {
+            *stale = true;
         }
     }
 
-    /// Marks every chip for refilling and empties the rate table.
+    /// Marks every chip for refilling.
     fn clear(&mut self) {
-        self.rates.clear();
-        self.chip_rates.fill(STALE);
+        self.stale.fill(true);
     }
 
-    /// The table index and rates of `cond`, evaluating them on first
-    /// sight. A full table is cleared first, which stales every chip.
-    fn rates(&mut self, cond: DeviceCondition) -> (u16, PhaseRates) {
-        let found = self.rates.iter().position(|r| r.condition() == cond);
-        let index = found.unwrap_or_else(|| {
-            if self.rates.len() == MAX_SHARD_RATES {
-                self.clear();
-            }
-            self.rates.push(PhaseRates::for_condition(cond));
-            self.rates.len() - 1
-        });
-        // `MAX_SHARD_RATES` < `STALE`, so the index always fits.
-        (index as u16, self.rates[index])
+    /// The rates of `cond`, evaluating them on first sight. A full table
+    /// is emptied first.
+    fn rates(&mut self, cond: DeviceCondition) -> PhaseRates {
+        if let Some(hit) = self.rates.iter().find(|r| r.condition() == cond) {
+            return *hit;
+        }
+        if self.rates.len() == MAX_SHARD_RATES {
+            self.rates.clear();
+        }
+        let rates = PhaseRates::for_condition(cond);
+        self.rates.push(rates);
+        rates
     }
 
     /// Steps `chip` (shard-local index `local`) one `epoch_dt` at full
-    /// resolution from its cached decays, refilling them first when
-    /// stale. Returns the chip's condition.
+    /// resolution from its cached columns, refilling them first when
+    /// stale.
     fn advance_chip(
         &mut self,
         bank: &mut TrapBank,
         local: usize,
         chip: &ChipSlot,
         config: &FleetConfig,
-    ) -> DeviceCondition {
-        let rates = match self.chip_rates[local] {
-            STALE => {
-                let (index, rates) = self.rates(DeviceCondition::new(config.active_env, chip.duty));
-                bank.fill_decay(chip.traps.clone(), &rates, config.epoch_dt, &mut self.decay);
-                self.chip_rates[local] = index;
-                rates
-            }
-            index => self.rates[usize::from(index)],
-        };
-        bank.advance_range_cached(chip.traps.clone(), &rates, &self.decay);
-        rates.condition()
+    ) {
+        if self.stale[local] {
+            let rates = self.rates(DeviceCondition::new(config.active_env, chip.duty));
+            bank.fill_decay(
+                chip.traps.clone(),
+                &rates,
+                config.epoch_dt,
+                &mut self.decay,
+                &mut self.p_inf,
+            );
+            self.stale[local] = false;
+        }
+        bank.advance_range_cached(chip.traps.clone(), &self.decay, &self.p_inf);
     }
 }
 
@@ -336,8 +257,7 @@ pub struct FleetAggregates {
 /// What `stats` reads of one shard. Each value fills on its first read
 /// (under `&self`) and is dropped, never recomputed, by the mutations
 /// that stale it: epochs and overlays drop all three, a report drops
-/// its shard's slot digest, and the other two as well when it
-/// rehydrates a cold chip.
+/// its shard's slot digest.
 #[derive(Debug, Clone, Default)]
 struct ShardCache {
     /// FNV-1a over the bank's occupancy bit patterns, in trap order.
@@ -346,19 +266,14 @@ struct ShardCache {
     /// digest, so a checkpoint restore, which verifies only the digest,
     /// never fills it.
     consumed: OnceLock<Vec<f64>>,
-    /// FNV-1a over every chip's duty and tier.
+    /// FNV-1a over every chip's duty.
     slot_digest: OnceLock<u64>,
 }
 
 impl ShardCache {
-    /// Drops what the shard's occupancies and tiers decide.
-    fn drop_bank(&mut self) {
+    fn clear(&mut self) {
         self.occupancy_digest.take();
         self.consumed.take();
-    }
-
-    fn clear(&mut self) {
-        self.drop_bank();
         self.slot_digest.take();
     }
 }
@@ -455,8 +370,7 @@ impl FleetState {
         if shard.epoch == self.epoch {
             return false;
         }
-        let policy = self.config.tier_policy();
-        shard.catch_up(index, &self.config, policy.as_ref(), self.epoch);
+        shard.catch_up(index, &self.config, self.epoch);
         self.caches[index].clear();
         true
     }
@@ -484,13 +398,12 @@ impl FleetState {
             self.catch_up_shard(*index);
         } else if !now.is_empty() {
             let config = self.config.clone();
-            let policy = config.tier_policy();
             let taken: Vec<(usize, Shard)> = now
                 .iter()
                 .map(|&index| (index, std::mem::take(&mut self.shards[index])))
                 .collect();
             let stepped = par_map_indexed(taken, move |_, (index, mut shard)| {
-                shard.catch_up(index, &config, policy.as_ref(), epoch);
+                shard.catch_up(index, &config, epoch);
                 (index, shard)
             });
             for (index, shard) in stepped {
@@ -502,26 +415,10 @@ impl FleetState {
     }
 
     /// Advances the whole fleet by one epoch: a [`tick`](Self::tick) and
-    /// a catch-up of every shard in parallel. Returns the fleet's tier
-    /// counts after it, tallied in the same pass.
-    pub fn advance_epoch(&mut self) -> TierCounts {
+    /// a catch-up of every shard in parallel.
+    pub fn advance_epoch(&mut self) {
         self.tick();
         self.catch_up(usize::MAX);
-        self.epoch_tiers()
-    }
-
-    /// The fleet's tier counts as the shards' last epochs tallied them:
-    /// once every shard has caught up, the counts at the end of the
-    /// current epoch (reports since then are not in them).
-    #[must_use]
-    pub(crate) fn epoch_tiers(&self) -> TierCounts {
-        let mut tiers = TierCounts::default();
-        for shard in &self.shards {
-            tiers.hot += shard.tiers.hot;
-            tiers.pinned += shard.tiers.pinned;
-            tiers.cold += shard.tiers.cold;
-        }
-        tiers
     }
 
     /// Panics in debug builds when shard `index` has not caught up: a
@@ -565,56 +462,11 @@ impl FleetState {
         Some(self.shards[shard].chips[local].duty)
     }
 
-    /// The chip's current integration tier.
-    #[must_use]
-    pub fn chip_tier(&self, chip: usize) -> Option<ChipTier> {
-        let (shard, local) = self.locate(chip)?;
-        self.debug_assert_caught_up(shard);
-        Some(self.shards[shard].chips[local].tier)
-    }
-
-    /// The chip's consumed margin right now, tier-aware: hot and pinned
-    /// chips read their exact bank slice; cold chips are served from the
-    /// rate-anchored extrapolation fixed at their demotion point.
+    /// The chip's consumed margin right now: the ΔVth of its bank slice.
     #[must_use]
     pub fn chip_consumed(&self, chip: usize) -> Option<Millivolts> {
-        let (shard, local) = self.locate(chip)?;
-        self.debug_assert_caught_up(shard);
-        let shard = &self.shards[shard];
-        Some(self.slot_consumed(
-            self.config.tier_policy().as_ref(),
-            shard,
-            &shard.chips[local],
-        ))
-    }
-
-    /// The one place a chip's consumed margin is decided: the analytic
-    /// line for a cold chip under `policy`, the bank slice otherwise.
-    fn slot_consumed(
-        &self,
-        policy: Option<&TierPolicy>,
-        shard: &Shard,
-        slot: &ChipSlot,
-    ) -> Millivolts {
-        match (policy, &slot.tier) {
-            (Some(policy), ChipTier::Cold(cold)) => policy.analytic_delta_vth(cold, self.epoch),
-            _ => shard.bank.delta_vth_range(slot.traps.clone()),
-        }
-    }
-
-    /// Per-tier chip counts across the fleet (all-hot when untiered):
-    /// a scan of every slot. An epoch returns the same counts from its
-    /// own pass.
-    #[must_use]
-    pub fn tier_counts(&self) -> TierCounts {
-        self.debug_assert_all_caught_up();
-        let mut counts = TierCounts::default();
-        for shard in &self.shards {
-            for chip in &shard.chips {
-                counts.record(&chip.tier);
-            }
-        }
-        counts
+        let (shard, traps) = self.chip_view(chip)?;
+        Some(shard.bank.delta_vth_range(traps))
     }
 
     /// Folds a `REPORT` observation into the fleet: the chip's duty
@@ -622,35 +474,11 @@ impl FleetState {
     /// the mutation digest is advanced over `(epoch, chip, duty)`.
     /// Returns `false` for a chip outside the fleet. The chip's shard
     /// must have caught up (see [`catch_up_chip`](Self::catch_up_chip)).
-    ///
-    /// In a tiered fleet a mutated duty is exactly the "near a decision"
-    /// signal the tiers respect: a cold chip first replays its cold
-    /// window under the *old* condition (the one it was demoted with),
-    /// then the chip — whatever its tier was — is pinned at full
-    /// resolution for the rest of the run, so its post-report trajectory
-    /// is bit-identical to a never-tiered fleet's.
     pub fn fold_report(&mut self, chip: usize, duty: DutyCycle) -> bool {
         let Some((shard, local)) = self.locate(chip) else {
             return false;
         };
         self.debug_assert_caught_up(shard);
-        if let Some(policy) = self.config.tier_policy() {
-            let slot = &self.shards[shard].chips[local];
-            if let ChipTier::Cold(cold) = slot.tier {
-                let old_cond = DeviceCondition::new(self.config.active_env, slot.duty);
-                let elapsed = policy.cold_elapsed(&cold, self.epoch);
-                let traps = slot.traps.clone();
-                self.shards[shard].bank.advance_range(
-                    traps,
-                    &PhaseRates::for_condition(old_cond),
-                    elapsed,
-                );
-                // Occupancies moved and the chip leaves its analytic
-                // line; a hot chip's pin changes neither.
-                self.caches[shard].drop_bank();
-            }
-            self.shards[shard].chips[local].tier = ChipTier::Pinned;
-        }
         self.shards[shard].chips[local].duty = duty;
         self.shards[shard].decay.invalidate(local);
         self.caches[shard].slot_digest.take();
@@ -662,9 +490,8 @@ impl FleetState {
     }
 
     /// Fleet totals, the worst chip and the count already out of budget,
-    /// folded in chip order over each shard's cached consumed column
-    /// (cold chips contribute their analytic shift). Only shards whose
-    /// cache a mutation dropped are rescanned.
+    /// folded in chip order over each shard's cached consumed column.
+    /// Only shards whose cache a mutation dropped are rescanned.
     #[must_use]
     pub fn aggregates(&self) -> FleetAggregates {
         self.debug_assert_all_caught_up();
@@ -693,7 +520,7 @@ impl FleetState {
     /// A digest of the complete observable state: FNV-1a over the epoch,
     /// the mutation chain and then, per shard in order, the shard's
     /// occupancy digest and its slot digest (each an FNV-1a of its own:
-    /// every occupancy bit pattern; every reported duty and tier). Two
+    /// every occupancy bit pattern; every reported duty). Two
     /// states with equal digests answer every request identically.
     /// Served from the per-shard caches, so only shards a mutation
     /// dirtied are rehashed.
@@ -726,34 +553,23 @@ impl FleetState {
     fn consumed(&self, index: usize) -> &[f64] {
         self.caches[index].consumed.get_or_init(|| {
             let shard = &self.shards[index];
-            let policy = self.config.tier_policy();
             shard
                 .chips
                 .iter()
-                .map(|slot| self.slot_consumed(policy.as_ref(), shard, slot).get())
+                .map(|slot| shard.bank.delta_vth_range(slot.traps.clone()).get())
                 .collect()
         })
     }
 
-    /// Shard `index`'s digest of duties and tiers, filled on first read.
+    /// Shard `index`'s digest of duties, filled on first read.
     fn slot_digest(&self, index: usize) -> u64 {
         *self.caches[index].slot_digest.get_or_init(|| {
-            let mut hash = fnv1a(&[]);
-            for chip in &self.shards[index].chips {
-                hash = fnv1a_extend(hash, &chip.duty.get().to_bits().to_be_bytes());
-                match &chip.tier {
-                    ChipTier::Hot => hash = fnv1a_extend(hash, &[0]),
-                    ChipTier::Pinned => hash = fnv1a_extend(hash, &[1]),
-                    ChipTier::Cold(cold) => {
-                        hash = fnv1a_extend(hash, &[2]);
-                        hash = fnv1a_extend(hash, &cold.anchor.get().to_bits().to_be_bytes());
-                        hash = fnv1a_extend(hash, &cold.rate_mv_per_s.to_bits().to_be_bytes());
-                        hash = fnv1a_extend(hash, &cold.since_epoch.to_be_bytes());
-                        hash = fnv1a_extend(hash, &cold.wake_epoch.to_be_bytes());
-                    }
-                }
-            }
-            hash
+            self.shards[index]
+                .chips
+                .iter()
+                .fold(fnv1a(&[]), |hash, chip| {
+                    fnv1a_extend(hash, &chip.duty.get().to_bits().to_be_bytes())
+                })
         })
     }
 
@@ -766,7 +582,7 @@ impl FleetState {
     /// Overwrites the mutable state in place (checkpoint resume): sets
     /// the epoch (the fleet's and every shard's) and mutation digest,
     /// then hands each shard in order to
-    /// `fill`, which overwrites its occupancies, duties and tiers. Stops
+    /// `fill`, which overwrites its occupancies and duties. Stops
     /// at the first error `fill` returns. Drops every shard cache and
     /// decay column entry first, so the next read and the next epoch are
     /// computed from the overlaid state.
@@ -840,58 +656,6 @@ mod tests {
         assert!(low_duty < dc, "a 10 % duty chip must age slower than DC");
     }
 
-    fn tiered_config() -> FleetConfig {
-        let mut config = tiny_config();
-        config.tiered = true;
-        config.guard_band = Millivolts::new(10.0);
-        config
-    }
-
-    #[test]
-    fn tiered_epochs_demote_far_from_threshold_chips() {
-        let mut fleet = FleetState::build(tiered_config());
-        assert_eq!(fleet.tier_counts().hot, 10, "fresh fleets start all-hot");
-        fleet.advance_epoch();
-        let counts = fleet.tier_counts();
-        assert!(
-            counts.cold > 0,
-            "one hour in, low-shift chips must go cold (got {counts:?})"
-        );
-        assert_eq!(counts.total(), 10);
-        // Cold chips still serve a finite, positive consumed margin.
-        for chip in 0..10 {
-            let consumed = fleet.chip_consumed(chip).expect("chip resolves");
-            assert!(consumed.get() >= 0.0 && consumed.get().is_finite());
-        }
-        // Cold epochs are frozen in the bank but the analytic value moves.
-        let cold_chip = (0..10)
-            .find(|&c| fleet.chip_tier(c).is_some_and(|t| t.is_cold()))
-            .expect("some chip is cold");
-        let before = fleet.chip_consumed(cold_chip).unwrap();
-        fleet.advance_epoch();
-        fleet.advance_epoch();
-        let after = fleet.chip_consumed(cold_chip).unwrap();
-        assert!(
-            after > before,
-            "a cold stressed chip keeps aging analytically ({before} -> {after})"
-        );
-    }
-
-    #[test]
-    fn report_rehydrates_and_pins() {
-        let mut fleet = FleetState::build(tiered_config());
-        fleet.advance_epoch();
-        fleet.advance_epoch();
-        let chip = (0..10)
-            .find(|&c| fleet.chip_tier(c).is_some_and(|t| t.is_cold()))
-            .expect("some chip is cold after two epochs");
-        assert!(fleet.fold_report(chip, DutyCycle::new(0.3)));
-        assert_eq!(fleet.chip_tier(chip), Some(ChipTier::Pinned));
-        // Pinned is sticky: further epochs never demote it again.
-        fleet.advance_epoch();
-        assert_eq!(fleet.chip_tier(chip), Some(ChipTier::Pinned));
-    }
-
     #[test]
     fn chip_views_cover_exactly_the_fleet() {
         let fleet = FleetState::build(tiny_config());
@@ -935,18 +699,15 @@ mod tests {
     }
 
     /// Both digests are part of the checkpoint and the `stats` reply, so
-    /// their values are pinned for a tiered fleet with cold and pinned
-    /// chips after a report and two epochs.
+    /// their values are pinned for a fleet after a report and two epochs.
     #[test]
     fn digests_are_pinned() {
-        let mut fleet = FleetState::build(tiered_config());
+        let mut fleet = FleetState::build(tiny_config());
         fleet.advance_epoch();
-        assert_eq!(fleet.chip_tier(1).map(|t| t.is_cold()), Some(true));
         assert!(fleet.fold_report(1, DutyCycle::new(0.3)));
         fleet.advance_epoch();
-        assert_eq!(fleet.tier_counts().cold, 8, "cold-tier bytes are hashed");
-        assert_eq!(fleet.mutation_digest(), 0x499e_2534_14bb_b5a8);
-        assert_eq!(fleet.state_digest(), 0x0ae5_3110_0e32_a0cb);
+        assert_eq!(fleet.mutation_digest(), 0x7561_bd13_9a68_93d7);
+        assert_eq!(fleet.state_digest(), 0x5c58_20bd_d78f_e203);
     }
 
     /// The `stats` totals are bit-identical to the full per-chip scan
@@ -956,21 +717,20 @@ mod tests {
     #[test]
     fn aggregates_are_pinned() {
         let narrow = || {
-            let mut config = tiered_config();
+            let mut config = tiny_config();
             config.margin = Millivolts::new(9.0);
-            config.guard_band = Millivolts::new(4.0);
             config
         };
-        for (config, total, over) in [
-            (tiered_config(), 0x4041_a619_849c_2da1_u64, 0),
-            (narrow(), 0x4040_65a3_c179_0402, 1),
-        ] {
+        for (config, over) in [(tiny_config(), 0), (narrow(), 1)] {
             let mut fleet = FleetState::build(config);
             fleet.advance_epoch();
             assert!(fleet.fold_report(1, DutyCycle::new(0.3)));
             fleet.advance_epoch();
             let aggregates = fleet.aggregates();
-            assert_eq!(aggregates.total_delta_vth.get().to_bits(), total);
+            assert_eq!(
+                aggregates.total_delta_vth.get().to_bits(),
+                0x4040_4b24_3bde_4bb6
+            );
             assert_eq!(
                 aggregates.worst_delta_vth.get().to_bits(),
                 0x4025_9777_e6ba_4d41

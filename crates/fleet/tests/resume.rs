@@ -155,33 +155,6 @@ fn killed_daemon_resumes_bit_exactly_at_any_worker_count() {
 }
 
 #[test]
-fn killed_tiered_daemon_resumes_bit_exactly_at_any_worker_count() {
-    // Same campaign with the tiered integrator in play: checkpoints now
-    // carry per-chip tiers + cold-chip analytic state, reports pin chips
-    // hot mid-campaign, and cold chips are planned/predicted
-    // analytically — all of which must survive kill → resume → replay
-    // bit-exactly.
-    let mut config = campaign_config();
-    config.tiered = true;
-    assert_kill_resume_is_bit_exact(&config, "tiered");
-
-    // The campaign actually exercises the tiers: rebuild the end state
-    // once more and confirm chips went cold.
-    set_global_threads(2);
-    let mut fleet = FleetDaemon::new(config, ResultCache::disabled(), 0);
-    drive(&mut fleet, 0, EPOCHS);
-    let counts = fleet.state().tier_counts();
-    assert!(
-        counts.cold > 0,
-        "the tiered campaign must leave cold chips (got {counts:?})"
-    );
-    assert!(
-        counts.pinned > 0,
-        "reported chips must be pinned hot (got {counts:?})"
-    );
-}
-
-#[test]
 fn resume_with_a_cold_cache_builds_fresh() {
     set_global_threads(2);
     let cache = scratch_cache("cold");

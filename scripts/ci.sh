@@ -2,8 +2,8 @@
 # The local CI gauntlet, in dependency order: build everything in release
 # mode, run the full test suite (no test may be ignored), run the
 # domain-aware static-analysis gate, build warning-free rustdoc,
-# smoke-check the telemetry sampler and the fleet daemon, and smoke-run
-# the repository benchmark.
+# smoke-check the telemetry sampler, the fleet daemon and a 1M-chip
+# fleet epoch, and smoke-run the repository benchmark.
 #
 # No benchmark is timed here, so this script stays deterministic on
 # noisy shared machines: `cargo test` checks that every committed
@@ -179,94 +179,97 @@ CKPTS=$(find "$SMOKE_DIR/fleet-cache" -name '*.ckpt' | wc -l)
 [ "$CKPTS" -eq 1 ] || { echo "expected exactly one checkpoint file, found $CKPTS" >&2; exit 1; }
 echo "fleet smoke: clean shutdown, one checkpoint file" >&2
 
-echo "== tiered fleet smoke" >&2
-# The tiered integrator end to end: a --tiered daemon serves every
-# request type, checkpoints carry per-chip tier state, and a kill -9
-# mid-flight resumes from the checkpointed tiers (not a fresh fleet).
-# The smoke's debug-dump request persists the flight ring before the
-# kill, so even a SIGKILLed daemon leaves a parseable dump behind.
-target/release/fleetd --tiered --guard-band-mv 10 \
-    --chips 256 --shards 4 --workers 2 \
-    --epoch-ms 50 --checkpoint-every 2 --cache-dir "$SMOKE_DIR/tiered-cache" \
-    --flight-dump "$SMOKE_DIR/tiered.flight.jsonl" \
-    --addr-file "$SMOKE_DIR/tiered.addr" 2> "$SMOKE_DIR/tiered.first.log" &
-TIERED_PID=$!
+echo "== fleet resume smoke" >&2
+# Checkpoints end to end: a daemon serves every request type, a kill -9
+# mid-flight resumes from its cadence checkpoint (not a fresh fleet),
+# and a damaged checkpoint is refused. The smoke's debug-dump request
+# persists the flight ring before the kill, so even a SIGKILLed daemon
+# leaves a parseable dump behind.
+target/release/fleetd --chips 256 --shards 4 --workers 2 \
+    --epoch-ms 50 --checkpoint-every 2 --cache-dir "$SMOKE_DIR/resume-cache" \
+    --flight-dump "$SMOKE_DIR/resume.flight.jsonl" \
+    --addr-file "$SMOKE_DIR/resume.addr" 2> "$SMOKE_DIR/resume.first.log" &
+RESUME_PID=$!
 for _ in $(seq 1 100); do
-    [ -s "$SMOKE_DIR/tiered.addr" ] && break
+    [ -s "$SMOKE_DIR/resume.addr" ] && break
     sleep 0.1
 done
-[ -s "$SMOKE_DIR/tiered.addr" ] || { echo "tiered fleetd never published its address" >&2; exit 1; }
+[ -s "$SMOKE_DIR/resume.addr" ] || { echo "fleetd never published its address" >&2; exit 1; }
 # Enough wall-clock epochs for the checkpoint cadence to fire at least once.
 sleep 0.5
-target/release/fleet_smoke --connect "$(cat "$SMOKE_DIR/tiered.addr")"
-kill -9 "$TIERED_PID"
-wait "$TIERED_PID" 2>/dev/null || true
-grep -q '\[tiered, guard band' "$SMOKE_DIR/tiered.first.log" \
-    || { echo "tiered fleetd did not announce tiering" >&2; exit 1; }
+target/release/fleet_smoke --connect "$(cat "$SMOKE_DIR/resume.addr")"
+kill -9 "$RESUME_PID"
+wait "$RESUME_PID" 2>/dev/null || true
+grep -q '(resumed: false)' "$SMOKE_DIR/resume.first.log" \
+    || { echo "fleetd resumed in a fresh cache directory" >&2; exit 1; }
 # SIGKILL runs no hooks; the dump on disk is the one the debug-dump
 # request wrote moments before the kill, and it must still parse.
-python3 - "$SMOKE_DIR/tiered.flight.jsonl" <<'PY'
+python3 - "$SMOKE_DIR/resume.flight.jsonl" <<'PY'
 import json, sys
 events = [json.loads(line) for line in open(sys.argv[1])]
 assert events, "flight dump is empty after kill -9"
 assert all(e["seq"] >= 0 and e["kind"] for e in events)
 print(f"flight dump survives kill -9: {len(events)} event(s)")
 PY
-rm -f "$SMOKE_DIR/tiered.addr"
-target/release/fleetd --tiered --guard-band-mv 10 \
-    --chips 256 --shards 4 --workers 2 \
-    --epoch-ms 50 --checkpoint-every 2 --cache-dir "$SMOKE_DIR/tiered-cache" \
-    --addr-file "$SMOKE_DIR/tiered.addr" 2> "$SMOKE_DIR/tiered.second.log" &
-TIERED_PID=$!
+rm -f "$SMOKE_DIR/resume.addr"
+target/release/fleetd --chips 256 --shards 4 --workers 2 \
+    --epoch-ms 50 --checkpoint-every 2 --cache-dir "$SMOKE_DIR/resume-cache" \
+    --addr-file "$SMOKE_DIR/resume.addr" 2> "$SMOKE_DIR/resume.second.log" &
+RESUME_PID=$!
 for _ in $(seq 1 100); do
-    [ -s "$SMOKE_DIR/tiered.addr" ] && break
+    [ -s "$SMOKE_DIR/resume.addr" ] && break
     sleep 0.1
 done
-[ -s "$SMOKE_DIR/tiered.addr" ] || { echo "tiered fleetd never restarted" >&2; exit 1; }
-grep -q '(resumed: true)' "$SMOKE_DIR/tiered.second.log" \
-    || { echo "restarted tiered fleetd did not resume from its checkpoint" >&2; \
-         cat "$SMOKE_DIR/tiered.second.log" >&2; exit 1; }
-target/release/fleet_smoke --connect "$(cat "$SMOKE_DIR/tiered.addr")" --shutdown
-wait "$TIERED_PID"
+[ -s "$SMOKE_DIR/resume.addr" ] || { echo "fleetd never restarted" >&2; exit 1; }
+grep -q '(resumed: true)' "$SMOKE_DIR/resume.second.log" \
+    || { echo "restarted fleetd did not resume from its checkpoint" >&2; \
+         cat "$SMOKE_DIR/resume.second.log" >&2; exit 1; }
+target/release/fleet_smoke --connect "$(cat "$SMOKE_DIR/resume.addr")" --shutdown
+wait "$RESUME_PID"
 # Cadence saves, the kill -9, the resume and the final save all share
 # one checkpoint file.
-CKPTS=$(find "$SMOKE_DIR/tiered-cache" -name '*.ckpt' | wc -l)
-[ "$CKPTS" -eq 1 ] || { echo "tiered: expected exactly one checkpoint file, found $CKPTS" >&2; exit 1; }
+CKPTS=$(find "$SMOKE_DIR/resume-cache" -name '*.ckpt' | wc -l)
+[ "$CKPTS" -eq 1 ] || { echo "resume: expected exactly one checkpoint file, found $CKPTS" >&2; exit 1; }
 # A damaged checkpoint is refused, never resumed: cut the file in half,
 # and the restarted daemon must start a fresh fleet, say why on stderr,
 # serve, and leave a checkpoint/refused record in its flight dump.
-CKPT=$(find "$SMOKE_DIR/tiered-cache" -name '*.ckpt')
+CKPT=$(find "$SMOKE_DIR/resume-cache" -name '*.ckpt')
 truncate -s $(( $(stat -c %s "$CKPT") / 2 )) "$CKPT"
-rm -f "$SMOKE_DIR/tiered.addr"
-target/release/fleetd --tiered --guard-band-mv 10 \
-    --chips 256 --shards 4 --workers 2 \
-    --epoch-ms 50 --checkpoint-every 2 --cache-dir "$SMOKE_DIR/tiered-cache" \
-    --flight-dump "$SMOKE_DIR/tiered.refused.flight.jsonl" \
-    --addr-file "$SMOKE_DIR/tiered.addr" 2> "$SMOKE_DIR/tiered.third.log" &
-TIERED_PID=$!
+rm -f "$SMOKE_DIR/resume.addr"
+target/release/fleetd --chips 256 --shards 4 --workers 2 \
+    --epoch-ms 50 --checkpoint-every 2 --cache-dir "$SMOKE_DIR/resume-cache" \
+    --flight-dump "$SMOKE_DIR/resume.refused.flight.jsonl" \
+    --addr-file "$SMOKE_DIR/resume.addr" 2> "$SMOKE_DIR/resume.third.log" &
+RESUME_PID=$!
 for _ in $(seq 1 100); do
-    [ -s "$SMOKE_DIR/tiered.addr" ] && break
+    [ -s "$SMOKE_DIR/resume.addr" ] && break
     sleep 0.1
 done
-[ -s "$SMOKE_DIR/tiered.addr" ] || { echo "tiered fleetd never restarted after truncation" >&2; exit 1; }
-grep -q '(resumed: false)' "$SMOKE_DIR/tiered.third.log" \
-    || { echo "tiered fleetd resumed from a truncated checkpoint" >&2; \
-         cat "$SMOKE_DIR/tiered.third.log" >&2; exit 1; }
+[ -s "$SMOKE_DIR/resume.addr" ] || { echo "fleetd never restarted after truncation" >&2; exit 1; }
+grep -q '(resumed: false)' "$SMOKE_DIR/resume.third.log" \
+    || { echo "fleetd resumed from a truncated checkpoint" >&2; \
+         cat "$SMOKE_DIR/resume.third.log" >&2; exit 1; }
 # The reason reaches stderr too, not only the flight dump.
 grep -q 'fleetd: checkpoint refused, starting a fresh fleet: checkpoint unreadable: ' \
-    "$SMOKE_DIR/tiered.third.log" \
-    || { echo "tiered fleetd did not say why it refused the truncated checkpoint" >&2; \
-         cat "$SMOKE_DIR/tiered.third.log" >&2; exit 1; }
-target/release/fleet_smoke --connect "$(cat "$SMOKE_DIR/tiered.addr")" --shutdown
-wait "$TIERED_PID"
-python3 - "$SMOKE_DIR/tiered.refused.flight.jsonl" <<'PY'
+    "$SMOKE_DIR/resume.third.log" \
+    || { echo "fleetd did not say why it refused the truncated checkpoint" >&2; \
+         cat "$SMOKE_DIR/resume.third.log" >&2; exit 1; }
+target/release/fleet_smoke --connect "$(cat "$SMOKE_DIR/resume.addr")" --shutdown
+wait "$RESUME_PID"
+python3 - "$SMOKE_DIR/resume.refused.flight.jsonl" <<'PY'
 import json, sys
 events = [json.loads(line) for line in open(sys.argv[1])]
 refused = [e for e in events if e["kind"] == "checkpoint" and e["name"] == "refused"]
 assert refused, f"no checkpoint/refused record among {len(events)} event(s)"
 print(f"truncated checkpoint refused: {refused[0]['detail']}")
 PY
-echo "tiered fleet smoke: served all request types, kill -9 resumed from tiered checkpoint, truncated checkpoint refused" >&2
+echo "fleet resume smoke: served all request types, kill -9 resumed from its checkpoint, truncated checkpoint refused" >&2
+
+echo "== fleet epoch smoke" >&2
+# One run of the full-resolution fleet epoch bench at 100k and 1M chips,
+# so the bin cannot rot; its timings are recorded with perf_ledger, not
+# read here.
+target/release/fleet_epoch --json --out "$SMOKE_DIR/fleet_epoch.json" > /dev/null
 
 echo "== repository benchmark (smoke)" >&2
 # The benchmark is its own package (fleetbench/, outside the workspace):

@@ -5,8 +5,9 @@
 //! the full dynamic range of trap time constants (including the
 //! frozen-trap `tau = INFINITY` branch).
 //!
-//! The cached step (`fill_decay` once, then `advance_range_cached` every
-//! epoch) is held to the same bits as `advance_range` and the oracle.
+//! The cached step (`fill_decay` once into the decay and p∞ columns,
+//! then `advance_range_cached` every epoch) is held to the same bits as
+//! `advance_range` and the oracle.
 //!
 //! If any assertion here moves, the kernel has drifted from the physics
 //! it was hoisted out of; bump [`selfheal_bti::td::KERNEL_VERSION`] only
@@ -260,12 +261,14 @@ proptest! {
         }
     }
 
-    /// A steady-state fleet epoch fills a chip's decays once and then
-    /// steps from them epoch after epoch. Over the extreme τ grid
-    /// (permanent, zero-rate and subnormal-rate traps included), in
-    /// chips of 0, `LANES − 1`, `LANES` and `LANES + 1` traps, and across
-    /// the phase sequence with each phase stepped twice from one fill,
-    /// that must match `advance_range` and the scalar oracle to the bit.
+    /// A steady-state fleet epoch fills a chip's decay and p∞ columns
+    /// once and then steps from them epoch after epoch. Over the extreme
+    /// τ grid (permanent, zero-rate and subnormal-rate traps included),
+    /// in chips of 0, `LANES − 1`, `LANES` and `LANES + 1` traps, and
+    /// across the phase sequence (its last phase a `dt = 0` fill) with
+    /// each phase stepped twice from one fill, that must match
+    /// `advance_range` and the scalar oracle to the bit. The p∞ column
+    /// must hold `relaxation`'s p∞ for every trap, frozen or not.
     #[test]
     fn cached_decay_step_matches_ranged_advance_and_scalar_oracle_bitwise(
         occupancy in 0.0f64..=1.0,
@@ -293,12 +296,16 @@ proptest! {
         let mut scalar = traps.clone();
         let mut ranged: TrapBank = traps.iter().copied().collect();
         let mut cached = ranged.clone();
-        let mut decay = vec![0.0; len];
+        let (mut decay, mut p_inf) = (vec![0.0; len], vec![0.0; len]);
         for (step, (cond, dt)) in phase_sequence().into_iter().enumerate() {
             let dt = Seconds::new(dt.get() * scale);
             let rates = PhaseRates::for_condition(cond);
             for chip in &chips {
-                cached.fill_decay(chip.clone(), &rates, dt, &mut decay);
+                cached.fill_decay(chip.clone(), &rates, dt, &mut decay, &mut p_inf);
+            }
+            for (i, trap) in traps.iter().enumerate() {
+                let (want, _) = rates.relaxation(trap.tau_c0().get(), trap.tau_e0().get());
+                prop_assert_eq!(p_inf[i].to_bits(), want.to_bits(), "phase={} trap={}", step, i);
             }
             for epoch in 0..2 {
                 for trap in &mut scalar {
@@ -306,7 +313,7 @@ proptest! {
                 }
                 for chip in &chips {
                     ranged.advance_range(chip.clone(), &rates, dt);
-                    cached.advance_range_cached(chip.clone(), &rates, &decay);
+                    cached.advance_range_cached(chip.clone(), &decay, &p_inf);
                 }
                 for chip in &chips {
                     let context =

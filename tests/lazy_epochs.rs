@@ -5,31 +5,24 @@
 //! same request history; every reply's wire bytes, every cadence
 //! checkpoint's bytes and, after every step, the state digest must be
 //! equal.
-//!
-//! The tiered fleet uses a 2 mV guard band, so cold chips wake within a
-//! few epochs: a shard that lags several ticks has chips whose wake
-//! epoch is one of the epochs it has yet to step.
 
 use std::path::{Path, PathBuf};
 
 use proptest::prelude::*;
 use selfheal::RejuvenationTechnique;
-use selfheal_bti::td::ChipTier;
 use selfheal_fleet::{FleetConfig, FleetDaemon, FleetState, Request};
 use selfheal_runtime::ResultCache;
-use selfheal_units::{DutyCycle, Millivolts, Seconds};
+use selfheal_units::{DutyCycle, Seconds};
 
 const CHIPS: u64 = 16;
 
 /// Sixteen chips in four shards.
-fn config(tiered: bool) -> FleetConfig {
+fn config() -> FleetConfig {
     let mut config = FleetConfig::default();
     config.chips = CHIPS as usize;
     config.shards = 4;
     config.seed = 7;
     config.trap_params.mean_trap_count = 6.0;
-    config.tiered = tiered;
-    config.guard_band = Millivolts::new(2.0);
     config
 }
 
@@ -50,17 +43,13 @@ struct Pair {
 }
 
 impl Pair {
-    fn new(tiered: bool, tag: &str, checkpoint_every: u64) -> Pair {
+    fn new(tag: &str, checkpoint_every: u64) -> Pair {
         let roots = [
             scratch_root(&format!("{tag}-lazy")),
             scratch_root(&format!("{tag}-eager")),
         ];
         let daemon = |root: &PathBuf| {
-            FleetDaemon::new(
-                config(tiered),
-                ResultCache::at(root.clone()),
-                checkpoint_every,
-            )
+            FleetDaemon::new(config(), ResultCache::at(root.clone()), checkpoint_every)
         };
         Pair {
             lazy: daemon(&roots[0]),
@@ -186,8 +175,8 @@ fn step() -> impl Strategy<Value = Step> {
     ]
 }
 
-fn run(tiered: bool, tag: &str, steps: &[Step]) {
-    let mut pair = Pair::new(tiered, tag, 3);
+fn run(tag: &str, steps: &[Step]) {
+    let mut pair = Pair::new(tag, 3);
     for (index, step) in steps.iter().enumerate() {
         match step {
             Step::Tick => pair.tick(),
@@ -208,77 +197,47 @@ proptest! {
     fn lazy_untiered_epochs_answer_as_eager_ones(
         steps in proptest::collection::vec(step(), 1..40),
     ) {
-        run(false, "untiered", &steps);
-    }
-
-    #[test]
-    fn lazy_tiered_epochs_answer_as_eager_ones(
-        steps in proptest::collection::vec(step(), 1..40),
-    ) {
-        run(true, "tiered", &steps);
+        run("untiered", &steps);
     }
 }
 
-/// The tiered interleavings the proptest may or may not draw, pinned:
-/// a shard lags several ticks while cold chips on it have their wake
-/// epoch among the epochs it has yet to step, and a cold chip on a
-/// lagging shard reports.
+/// The interleavings the proptest may or may not draw, pinned: shards
+/// lag several ticks, a report lands on a chip of a lagging shard, a
+/// predict catches up another one and a single sweep step a third.
 #[test]
-fn a_lagging_tiered_shard_wakes_and_rehydrates_as_eager() {
-    let mut pair = Pair::new(true, "pinned", 0);
+fn a_lagging_shard_catches_up_as_eager() {
+    let mut pair = Pair::new("pinned", 0);
     pair.tick();
     pair.lazy.sweep(usize::MAX);
+    pair.handle(&report(2, 0.6));
     pair.tick();
     pair.lazy.sweep(usize::MAX);
-    let from = pair.lazy.state().epoch();
     let pending = 5;
-    let cold: Vec<(u64, u64)> = (0..CHIPS)
-        .filter_map(|chip| match pair.lazy.state().chip_tier(chip as usize) {
-            Some(ChipTier::Cold(cold)) => Some((chip, cold.wake_epoch)),
-            _ => None,
-        })
-        .collect();
-    let wakes_pending = |chip: &&(u64, u64)| (from + 1..=from + pending).contains(&chip.1);
-    assert!(
-        cold.iter().filter(wakes_pending).count() >= 2,
-        "cold chips waking within the pending epochs: {cold:?}"
-    );
-    let sleeper = cold
-        .iter()
-        .find(|(_, wake)| *wake > from + pending)
-        .map(|&(chip, _)| chip)
-        .expect("a chip stays cold through the pending epochs");
-
     for _ in 0..pending {
         pair.tick();
     }
-    let shard = |pair: &Pair, chip: u64| {
-        pair.lazy
-            .state()
+    let lag = |pair: &Pair, chip: u64| {
+        let state = pair.lazy.state();
+        let shard = state
             .config()
             .shard_of_chip(chip as usize)
-            .expect("chip in fleet")
+            .expect("chip in fleet");
+        state.epoch() - state.shards()[shard].epoch()
     };
-    let lag = |pair: &Pair, chip: u64| {
-        pair.lazy.state().epoch() - pair.lazy.state().shards()[shard(pair, chip)].epoch()
-    };
-    assert_eq!(lag(&pair, sleeper), pending, "the sleeper's shard lags");
-    pair.handle(&report(sleeper, 0.3));
-    assert_eq!(lag(&pair, sleeper), 0, "the report caught its shard up");
-    pair.assert_same_state("a report to a cold chip on a lagging shard");
+    assert_eq!(lagging(pair.lazy.state()), 4, "every shard lags");
+    assert_eq!(lag(&pair, 2), pending, "the reported chip's shard lags");
+    pair.handle(&report(2, 0.3));
+    assert_eq!(lag(&pair, 2), 0, "the report caught its shard up");
+    pair.assert_same_state("a report on a lagging shard");
 
-    // Chips that woke in a pending epoch: predict one, sweep the others.
-    let woken = cold
-        .iter()
-        .filter(wakes_pending)
-        .map(|&(chip, _)| chip)
-        .find(|&chip| lag(&pair, chip) == pending)
-        .expect("a waking chip on a shard that still lags");
-    pair.handle(&predict(woken));
-    pair.assert_same_state("a predict on a shard whose chips woke while it lagged");
+    assert_eq!(lag(&pair, 9), pending);
+    pair.handle(&predict(9));
+    assert_eq!(lag(&pair, 9), 0, "the predict caught its shard up");
+    pair.assert_same_state("a predict on a lagging shard");
     pair.lazy.sweep(1);
+    assert_eq!(lagging(pair.lazy.state()), 1);
     pair.assert_same_state("one sweep step");
-    pair.handle(&plan(sleeper));
+    pair.handle(&plan(15));
     pair.handle(&Request::Stats);
     pair.assert_same_state("stats");
     assert_eq!(lagging(pair.lazy.state()), 0);
@@ -288,7 +247,7 @@ fn a_lagging_tiered_shard_wakes_and_rehydrates_as_eager() {
 /// catches up.
 #[test]
 fn a_tick_steps_no_shard() {
-    let mut fleet = FleetState::build(config(false));
+    let mut fleet = FleetState::build(config());
     let built = fleet.clone();
     fleet.tick();
     fleet.tick();
