@@ -51,7 +51,10 @@ fn main() {
             device.advance_all(&sleep, Hours::new(6.0).into());
             recovered += (aged - shift(&device)) / aged;
         }
-        println!("{name}: recovered fraction = {:.3}", recovered / f64::from(n));
+        println!(
+            "{name}: recovered fraction = {:.3}",
+            recovered / f64::from(n)
+        );
     }
 
     println!("== stress shape ==");
@@ -78,7 +81,10 @@ fn main() {
         w.advance_all(&stress, Hours::new(3.0).into());
         h3_sum += shift(&w);
     }
-    println!("mean dVth after 24 h DC @110 C = {:.1} mV", dc_sum / f64::from(n));
+    println!(
+        "mean dVth after 24 h DC @110 C = {:.1} mV",
+        dc_sum / f64::from(n)
+    );
     println!("per-device AC/DC ratio         = {:.3}", ac_sum / dc_sum);
     println!("100 C / 110 C ratio            = {:.3}", c100_sum / dc_sum);
     println!("3 h / 24 h shape ratio         = {:.3}", h3_sum / dc_sum);

@@ -439,7 +439,10 @@ mod tests {
         assert!(p1 > 0.0);
         m.advance(heal_cond(), Hours::new(24.0).into());
         let p2 = m.permanent_delta_vth().get();
-        assert!((p1 - p2).abs() < 1e-12, "healing must not touch permanent damage");
+        assert!(
+            (p1 - p2).abs() < 1e-12,
+            "healing must not touch permanent damage"
+        );
     }
 
     #[test]

@@ -188,9 +188,15 @@ mod tests {
         let neg_only = m.phi(env(-0.3, 20.0));
         let hot_only = m.phi(env(0.0, 110.0));
         let both = m.phi(env(-0.3, 110.0));
-        assert!(passive < neg_only, "negative voltage helps at room temp (Fig. 6a)");
+        assert!(
+            passive < neg_only,
+            "negative voltage helps at room temp (Fig. 6a)"
+        );
         assert!(passive < hot_only, "heat helps at 0 V (Fig. 7a)");
-        assert!(both > neg_only && both > hot_only, "combined is best (Fig. 8)");
+        assert!(
+            both > neg_only && both > hot_only,
+            "combined is best (Fig. 8)"
+        );
         assert!(both < 1.0, "recovery never reaches 100 %");
     }
 
@@ -233,8 +239,12 @@ mod tests {
     #[test]
     fn single_knob_cases_above_60_percent() {
         let m = RecoveryModel::default();
-        let hot = m.recovered_fraction(six_hours(), day(), env(0.0, 110.0)).get();
-        let neg = m.recovered_fraction(six_hours(), day(), env(-0.3, 20.0)).get();
+        let hot = m
+            .recovered_fraction(six_hours(), day(), env(0.0, 110.0))
+            .get();
+        let neg = m
+            .recovered_fraction(six_hours(), day(), env(-0.3, 20.0))
+            .get();
         assert!(hot > 0.55 && hot < 0.72, "AR110Z6 = {hot}");
         assert!(neg > 0.55 && neg < 0.72, "AR20N6 = {neg}");
     }
@@ -242,7 +252,9 @@ mod tests {
     #[test]
     fn passive_case_much_weaker() {
         let m = RecoveryModel::default();
-        let passive = m.recovered_fraction(six_hours(), day(), env(0.0, 20.0)).get();
+        let passive = m
+            .recovered_fraction(six_hours(), day(), env(0.0, 20.0))
+            .get();
         assert!(passive > 0.2 && passive < 0.45, "R20Z6 = {passive}");
     }
 

@@ -75,7 +75,9 @@ impl StressModel {
         // exp(E0/k·(1/Tref − 1/T)) expressed as a ratio of Boltzmann
         // factors, so the activation energy carries its eV dimension.
         let thermal = self.thermal_activation.boltzmann_factor(env.temperature())
-            / self.thermal_activation.boltzmann_factor(reference_temperature());
+            / self
+                .thermal_activation
+                .boltzmann_factor(reference_temperature());
         let dv = env.supply() - reference_stress_voltage();
         thermal * (self.voltage_gain_per_volt * dv).exp()
     }

@@ -217,10 +217,8 @@ mod tests {
 
     #[test]
     fn display_is_informative() {
-        let cond = DeviceCondition::dc_stress(Environment::new(
-            Volts::new(1.2),
-            Celsius::new(110.0),
-        ));
+        let cond =
+            DeviceCondition::dc_stress(Environment::new(Volts::new(1.2), Celsius::new(110.0)));
         let s = cond.to_string();
         assert!(s.contains("1.200 V"), "{s}");
         assert!(s.contains("110.0 °C"), "{s}");

@@ -150,10 +150,8 @@ mod tests {
     #[test]
     fn gated_wire_never_migrates() {
         let mut wire = Electromigration::new();
-        let sleep = DeviceCondition::recovery(Environment::new(
-            Volts::new(-0.3),
-            Celsius::new(110.0),
-        ));
+        let sleep =
+            DeviceCondition::recovery(Environment::new(Volts::new(-0.3), Celsius::new(110.0)));
         wire.advance(sleep, year());
         assert_eq!(wire.resistance_drift().get(), 0.0);
         assert_eq!(wire.delay_factor(), 1.0);
@@ -191,10 +189,7 @@ mod tests {
         let damaged = wire.resistance_drift();
         for _ in 0..10 {
             wire.advance(
-                DeviceCondition::recovery(Environment::new(
-                    Volts::new(-0.3),
-                    Celsius::new(110.0),
-                )),
+                DeviceCondition::recovery(Environment::new(Volts::new(-0.3), Celsius::new(110.0))),
                 year(),
             );
         }
@@ -209,7 +204,10 @@ mod tests {
             year(),
         );
         let drift = wire.resistance_drift().get();
-        assert!(drift > 0.01 && drift < 0.03, "≈1.5 %/yr at reference: {drift}");
+        assert!(
+            drift > 0.01 && drift < 0.03,
+            "≈1.5 %/yr at reference: {drift}"
+        );
         // And negligible over the paper's 24 h experiments:
         let mut day = Electromigration::new();
         day.advance(

@@ -150,10 +150,8 @@ mod tests {
     #[test]
     fn only_switching_accumulates() {
         let mut hci = HotCarrier::new();
-        let parked = DeviceCondition::dc_stress(Environment::new(
-            Volts::new(1.2),
-            Celsius::new(110.0),
-        ));
+        let parked =
+            DeviceCondition::dc_stress(Environment::new(Volts::new(1.2), Celsius::new(110.0)));
         hci.advance(parked, year());
         assert_eq!(hci.delta_vth().get(), 0.0, "DC-parked gates take no HCI");
 
@@ -194,7 +192,10 @@ mod tests {
         let mut four = HotCarrier::new();
         four.advance(switching(1.2, 110.0), Seconds::new(4.0 * year().get()));
         let ratio = four.delta_vth().get() / one.delta_vth().get();
-        assert!((ratio - 2.0).abs() < 1e-9, "t^0.5: 4x time = 2x drift ({ratio})");
+        assert!(
+            (ratio - 2.0).abs() < 1e-9,
+            "t^0.5: 4x time = 2x drift ({ratio})"
+        );
     }
 
     #[test]
@@ -218,7 +219,10 @@ mod tests {
         let drift = hci.delta_vth().get();
         // Half-duty switching at reference: √0.5 of the 3 mV/yr full-duty
         // calibration.
-        assert!(drift > 1.5 && drift < 3.0, "≈2 mV/yr at 50 % activity: {drift}");
+        assert!(
+            drift > 1.5 && drift < 3.0,
+            "≈2 mV/yr at 50 % activity: {drift}"
+        );
         // And negligible over the paper's 24 h runs.
         let mut day = HotCarrier::new();
         day.advance(switching(1.2, 110.0), Seconds::new(86_400.0));

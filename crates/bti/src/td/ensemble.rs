@@ -92,7 +92,10 @@ impl TrapEnsembleParams {
             ));
         }
         if self.delta_vth_mean_mv.get() <= 0.0 {
-            return Err(format!("ΔVth mean must be positive, got {}", self.delta_vth_mean_mv));
+            return Err(format!(
+                "ΔVth mean must be positive, got {}",
+                self.delta_vth_mean_mv
+            ));
         }
         if c_lo >= c_hi {
             return Err("τc range is empty or inverted".to_string());
@@ -158,7 +161,11 @@ impl TrapEnsembleParams {
         let (lo, hi) = self.log10_tau_c_range;
         let log_tau_c = rng.gen_range(lo..hi);
         let (rlo, rhi) = self.log10_tau_ratio_range;
-        let ratio = if rlo < rhi { rng.gen_range(rlo..rhi) } else { rlo };
+        let ratio = if rlo < rhi {
+            rng.gen_range(rlo..rhi)
+        } else {
+            rlo
+        };
         let tau_c = 10f64.powf(log_tau_c);
         let tau_e = 10f64.powf(log_tau_c + ratio);
         // Exponential per-trap step via inverse CDF.
@@ -298,7 +305,10 @@ mod tests {
         let max = increments.iter().cloned().fold(f64::MIN, f64::max);
         let min = increments.iter().cloned().fold(f64::MAX, f64::min);
         assert!(min > 0.0, "shift must keep growing: {increments:?}");
-        assert!(max / min < 6.0, "per-decade growth should be flat-ish: {increments:?}");
+        assert!(
+            max / min < 6.0,
+            "per-decade growth should be flat-ish: {increments:?}"
+        );
     }
 
     #[test]
@@ -360,10 +370,16 @@ mod tests {
         };
         let aged = step(stress_110(), Hours::new(24.0).into());
         let healed = step(heal(-0.3, 110.0), Hours::new(240.0).into());
-        let floor: f64 =
-            traps.iter().filter(|t| t.is_permanent()).map(|t| t.contribution().get()).sum();
+        let floor: f64 = traps
+            .iter()
+            .filter(|t| t.is_permanent())
+            .map(|t| t.contribution().get())
+            .sum();
         assert!(healed < aged);
-        assert!(healed >= floor - 1e-9, "cannot heal below the permanent floor");
+        assert!(
+            healed >= floor - 1e-9,
+            "cannot heal below the permanent floor"
+        );
         assert!(floor > 0.0, "some damage is forever");
     }
 
@@ -378,7 +394,11 @@ mod tests {
         let aged = delta_vth(&e);
         assert!(aged > 0.0);
         e.advance_all(&heal(-0.3, 110.0), Hours::new(240.0).into());
-        assert_eq!(delta_vth(&e).to_bits(), aged.to_bits(), "permanent damage never heals");
+        assert_eq!(
+            delta_vth(&e).to_bits(),
+            aged.to_bits(),
+            "permanent damage never heals"
+        );
     }
 
     #[test]
@@ -409,7 +429,10 @@ mod tests {
 
         let mut bad = good.clone();
         bad.mean_trap_count = f64::NAN;
-        assert!(bad.validate().is_err(), "NaN must be rejected, not pass silently");
+        assert!(
+            bad.validate().is_err(),
+            "NaN must be rejected, not pass silently"
+        );
 
         let mut bad = good.clone();
         bad.delta_vth_mean_mv = Millivolts::new(f64::NAN);

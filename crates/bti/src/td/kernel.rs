@@ -357,8 +357,16 @@ impl TrapBank {
         decay_column: &mut [f64],
         p_inf_column: &mut [f64],
     ) {
-        assert_eq!(decay_column.len(), self.len(), "decay column is not bank-aligned");
-        assert_eq!(p_inf_column.len(), self.len(), "p∞ column is not bank-aligned");
+        assert_eq!(
+            decay_column.len(),
+            self.len(),
+            "decay column is not bank-aligned"
+        );
+        assert_eq!(
+            p_inf_column.len(),
+            self.len(),
+            "p∞ column is not bank-aligned"
+        );
         let start = range.start.min(range.end);
         let frozen = dt.is_zero_or_negative();
         let neg_dt = -dt.get();
@@ -389,8 +397,16 @@ impl TrapBank {
         decay_column: &[f64],
         p_inf_column: &[f64],
     ) {
-        assert_eq!(decay_column.len(), self.len(), "decay column is not bank-aligned");
-        assert_eq!(p_inf_column.len(), self.len(), "p∞ column is not bank-aligned");
+        assert_eq!(
+            decay_column.len(),
+            self.len(),
+            "decay column is not bank-aligned"
+        );
+        assert_eq!(
+            p_inf_column.len(),
+            self.len(),
+            "p∞ column is not bank-aligned"
+        );
         let start = range.start.min(range.end);
         let decay_column = &decay_column[start..range.end];
         let p_inf_column = &p_inf_column[start..range.end];
@@ -427,7 +443,10 @@ impl TrapBank {
         // Starts at -0.0 and adds in trap order, like
         // `Iterator::sum::<f64>()` over the scalar traps' contributions.
         let mut delta_vth_mv = -0.0;
-        for (p, step) in self.occupancy[range.clone()].iter().zip(&self.step_mv[range]) {
+        for (p, step) in self.occupancy[range.clone()]
+            .iter()
+            .zip(&self.step_mv[range])
+        {
             delta_vth_mv += p * step;
         }
         Millivolts::new(delta_vth_mv)
@@ -542,9 +561,24 @@ mod tests {
 
     fn sample_traps() -> Vec<Trap> {
         vec![
-            Trap::new(Seconds::new(10.0), Seconds::new(1e4), Millivolts::new(0.2), false),
-            Trap::new(Seconds::new(1e3), Seconds::new(50.0), Millivolts::new(0.1), true),
-            Trap::new(Seconds::new(0.5), Seconds::new(f64::INFINITY), Millivolts::new(0.3), false),
+            Trap::new(
+                Seconds::new(10.0),
+                Seconds::new(1e4),
+                Millivolts::new(0.2),
+                false,
+            ),
+            Trap::new(
+                Seconds::new(1e3),
+                Seconds::new(50.0),
+                Millivolts::new(0.1),
+                true,
+            ),
+            Trap::new(
+                Seconds::new(0.5),
+                Seconds::new(f64::INFINITY),
+                Millivolts::new(0.3),
+                false,
+            ),
         ]
     }
 
@@ -608,7 +642,13 @@ mod tests {
         let step_mv = Millivolts::new(0.2);
         let mut bank: TrapBank = [
             Trap::restore(Seconds::new(10.0), Seconds::new(1e4), step_mv, true, 0.3),
-            Trap::restore(Seconds::new(f64::MAX), Seconds::new(1.0), step_mv, true, 0.7),
+            Trap::restore(
+                Seconds::new(f64::MAX),
+                Seconds::new(1.0),
+                step_mv,
+                true,
+                0.7,
+            ),
             Trap::restore(Seconds::new(10.0), Seconds::new(1e4), step_mv, false, 0.4),
         ]
         .into_iter()
@@ -643,8 +683,14 @@ mod tests {
         // A fill of one range leaves the other entries of both columns.
         let (old_decay, old_p_inf) = (bits(&decay), bits(&p_inf));
         bank.fill_decay(1..2, &heal, Seconds::new(60.0), &mut decay, &mut p_inf);
-        assert_eq!([bits(&decay)[0], bits(&decay)[2]], [old_decay[0], old_decay[2]]);
-        assert_eq!([bits(&p_inf)[0], bits(&p_inf)[2]], [old_p_inf[0], old_p_inf[2]]);
+        assert_eq!(
+            [bits(&decay)[0], bits(&decay)[2]],
+            [old_decay[0], old_decay[2]]
+        );
+        assert_eq!(
+            [bits(&p_inf)[0], bits(&p_inf)[2]],
+            [old_p_inf[0], old_p_inf[2]]
+        );
     }
 
     #[test]
@@ -658,7 +704,10 @@ mod tests {
         }
         let delta: f64 = traps.iter().map(|t| t.contribution().get()).sum();
         assert_eq!(bank.delta_vth().get().to_bits(), delta.to_bits());
-        assert_eq!(TrapBank::new().delta_vth().get().to_bits(), (-0.0f64).to_bits());
+        assert_eq!(
+            TrapBank::new().delta_vth().get().to_bits(),
+            (-0.0f64).to_bits()
+        );
     }
 
     #[test]
@@ -686,7 +735,10 @@ mod tests {
             let want = snapshot.occupancies()[i];
             assert_eq!(got.to_bits(), want.to_bits(), "trap {i} moved");
         }
-        assert_ne!(bank.occupancies()[1].to_bits(), snapshot.occupancies()[1].to_bits());
+        assert_ne!(
+            bank.occupancies()[1].to_bits(),
+            snapshot.occupancies()[1].to_bits()
+        );
     }
 
     #[test]

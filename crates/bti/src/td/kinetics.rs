@@ -18,10 +18,9 @@ use selfheal_units::Kelvin;
 
 use crate::condition::DeviceCondition;
 use crate::constants::{
-    arrhenius_factor, reference_stress_voltage, AC_CAPTURE_RELIEF_EXPONENT,
-    ACTIVATION_ENERGY_CAPTURE_EV, ACTIVATION_ENERGY_EMISSION_EV,
-    FIELD_FACTOR_CAPTURE_PER_VOLT, FIELD_FACTOR_EMISSION_PER_VOLT,
-    STRESS_EMISSION_SUPPRESSION_PER_VOLT,
+    arrhenius_factor, reference_stress_voltage, ACTIVATION_ENERGY_CAPTURE_EV,
+    ACTIVATION_ENERGY_EMISSION_EV, AC_CAPTURE_RELIEF_EXPONENT, FIELD_FACTOR_CAPTURE_PER_VOLT,
+    FIELD_FACTOR_EMISSION_PER_VOLT, STRESS_EMISSION_SUPPRESSION_PER_VOLT,
 };
 
 /// Multiplier on a trap's tabulated capture rate `1/τc₀` under `cond`.
@@ -157,7 +156,10 @@ mod tests {
     fn negative_voltage_accelerates_emission() {
         let passive = emission_rate_multiplier(DeviceCondition::recovery(env(0.0, 110.0)));
         let active = emission_rate_multiplier(DeviceCondition::recovery(env(-0.3, 110.0)));
-        assert!(active > 2.0 * passive, "−0.3 V should buy a few ×: {active} vs {passive}");
+        assert!(
+            active > 2.0 * passive,
+            "−0.3 V should buy a few ×: {active} vs {passive}"
+        );
     }
 
     #[test]

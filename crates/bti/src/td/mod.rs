@@ -20,6 +20,6 @@ mod trap;
 
 pub use ensemble::TrapEnsembleParams;
 pub use kernel::{PhaseRateCache, PhaseRates, TrapBank, KERNEL_VERSION, LANES};
-pub use population::{advance_population, sample_population};
 pub use kinetics::{capture_rate_multiplier, emission_rate_multiplier, emission_thermal_speedup};
+pub use population::{advance_population, sample_population};
 pub use trap::Trap;

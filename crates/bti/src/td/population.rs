@@ -27,11 +27,7 @@ use super::kernel::{PhaseRates, TrapBank};
 /// Panics if `params` fails [`TrapEnsembleParams::validate`] (as
 /// [`TrapBank::sample`] does).
 #[must_use]
-pub fn sample_population(
-    params: &TrapEnsembleParams,
-    count: usize,
-    seed: u64,
-) -> Vec<TrapBank> {
+pub fn sample_population(params: &TrapEnsembleParams, count: usize, seed: u64) -> Vec<TrapBank> {
     // Caller-side root span: keeps the pool's internal spans nested, so
     // manifests list the same phases at any worker count.
     let _span = telemetry::span!("bti.population_sample", devices = count);

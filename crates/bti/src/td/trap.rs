@@ -48,8 +48,14 @@ impl Trap {
             tau_c0.get() > 0.0 && tau_c0.get().is_finite(),
             "capture time constant must be positive and finite"
         );
-        assert!(tau_e0.get() > 0.0, "emission time constant must be positive");
-        assert!(delta_vth.get() >= 0.0, "per-trap ΔVth step must be non-negative");
+        assert!(
+            tau_e0.get() > 0.0,
+            "emission time constant must be positive"
+        );
+        assert!(
+            delta_vth.get() >= 0.0,
+            "per-trap ΔVth step must be non-negative"
+        );
         Trap {
             tau_c0: tau_c0.get(),
             tau_e0: tau_e0.get(),
@@ -93,7 +99,11 @@ impl Trap {
     /// The tabulated emission time constant at reference rest.
     #[must_use]
     pub fn tau_e0(&self) -> Seconds {
-        Seconds::new(if self.permanent { f64::INFINITY } else { self.tau_e0 })
+        Seconds::new(if self.permanent {
+            f64::INFINITY
+        } else {
+            self.tau_e0
+        })
     }
 
     /// The threshold-voltage step this trap contributes when occupied.
@@ -134,7 +144,11 @@ impl Trap {
         if dt.is_zero_or_negative() {
             return;
         }
-        let tau_e = if self.permanent { f64::INFINITY } else { self.tau_e0 };
+        let tau_e = if self.permanent {
+            f64::INFINITY
+        } else {
+            self.tau_e0
+        };
         let (p_inf, tau) = PhaseRates::for_condition(cond).relaxation(self.tau_c0, tau_e);
         if tau.is_infinite() {
             return; // frozen: nothing can change
@@ -216,7 +230,10 @@ mod tests {
         t.advance(stress(), Seconds::new(1e5));
         let filled = t.occupancy();
         t.advance(heal(), Hours::new(6.0).into());
-        assert!(t.occupancy() < filled * 0.1, "accelerated healing drains the trap");
+        assert!(
+            t.occupancy() < filled * 0.1,
+            "accelerated healing drains the trap"
+        );
     }
 
     #[test]
