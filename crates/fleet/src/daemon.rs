@@ -338,10 +338,19 @@ mod tests {
     }
 
     #[test]
-    fn predict_projects_forward_without_mutating() {
+    fn plan_and_predict_project_forward_without_mutating() {
         let mut daemon = tiny_daemon();
         daemon.advance_epoch();
         let before = daemon.state().state_digest();
+        match daemon.handle(&Request::Plan {
+            chip: 0,
+            technique: RejuvenationTechnique::Combined,
+            period: None,
+            horizon: None,
+        }) {
+            Response::Plan { consumed, .. } => assert!(consumed.get() > 0.0),
+            other => panic!("expected a plan reply, got {other:?}"),
+        }
         let response = daemon.handle(&Request::Predict {
             chip: 0,
             dt: Seconds::new(86_400.0),

@@ -21,10 +21,10 @@ echo "== cargo build --release" >&2
 # the sampled bench) would silently stay stale.
 cargo build --release --workspace
 
-echo "== cargo fmt --check (fleet)" >&2
-# rustfmt is gated crate by crate, starting with the fleet crate; the
-# rest of the workspace still carries unformatted code.
-cargo fmt --check -p selfheal-fleet
+echo "== cargo fmt --check (fleet, bti)" >&2
+# rustfmt is gated crate by crate, starting with the fleet and bti
+# crates; the rest of the workspace still carries unformatted code.
+cargo fmt --check -p selfheal-fleet -p selfheal-bti
 
 echo "== cargo test" >&2
 # --workspace: the root package holds the cross-crate tier-1 suites, but
