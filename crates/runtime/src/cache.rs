@@ -149,7 +149,10 @@ impl ResultCache {
     /// its own extension).
     #[must_use]
     pub fn entry_path(&self, namespace: &str, version: u32, key: &str) -> PathBuf {
-        let root = self.root.clone().unwrap_or_else(|| PathBuf::from("target/cache"));
+        let root = self
+            .root
+            .clone()
+            .unwrap_or_else(|| PathBuf::from("target/cache"));
         let hash = fnv1a(key.as_bytes());
         root.join(namespace)
             .join(format!("f{CACHE_FORMAT}-v{version}-{hash:016x}.json"))
@@ -226,10 +229,8 @@ mod tests {
     use super::*;
 
     fn temp_root(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!(
-            "selfheal-cache-test-{tag}-{}",
-            std::process::id()
-        ));
+        let dir =
+            std::env::temp_dir().join(format!("selfheal-cache-test-{tag}-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         dir
     }

@@ -494,10 +494,7 @@ impl Pool {
         }
 
         let panics = {
-            let mut panics = batch
-                .panics
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut panics = batch.panics.lock().unwrap_or_else(PoisonError::into_inner);
             std::mem::take(&mut *panics)
         };
         if !panics.is_empty() {
@@ -509,10 +506,7 @@ impl Pool {
         }
 
         let mut per_chunk = {
-            let mut results = batch
-                .results
-                .lock()
-                .unwrap_or_else(PoisonError::into_inner);
+            let mut results = batch.results.lock().unwrap_or_else(PoisonError::into_inner);
             std::mem::take(&mut *results)
         };
         per_chunk.sort_by_key(|(chunk_start, _)| *chunk_start);
