@@ -411,11 +411,13 @@ mod tests {
 
     #[test]
     fn reset_returns_to_fresh() {
-        let mut e = TrapBank::sample(&TrapEnsembleParams::default(), &mut rng());
+        let fresh = TrapBank::sample(&TrapEnsembleParams::default(), &mut rng());
+        let mut e = fresh.clone();
         e.advance_all(&stress_110(), Hours::new(24.0).into());
         assert!(delta_vth(&e) > 0.0);
-        e.reset();
+        e.occupancies_mut().fill(0.0);
         assert_eq!(delta_vth(&e), 0.0);
+        assert_eq!(e, fresh);
     }
 
     #[test]

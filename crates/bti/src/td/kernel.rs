@@ -221,8 +221,10 @@ impl PhaseRateCache {
 /// transistor holds one bank; a fleet shard holds
 /// the concatenated banks of its chips and addresses each chip by
 /// index range. Banks are built from [`Trap`] values (by
-/// [`sample`](TrapBank::sample), [`Extend`] or [`FromIterator`]); there
-/// is no way back out, because the kernel and the ΔVth sum read the
+/// [`sample`](TrapBank::sample), [`Extend`] or [`FromIterator`]), or
+/// fresh from stored constant columns
+/// ([`from_columns`](TrapBank::from_columns)); there is no way back out
+/// to [`Trap`] values, because the kernel and the ΔVth sum read the
 /// columns directly. See the module docs for the layout decisions the
 /// bit-exactness contract forces.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -452,6 +454,48 @@ impl TrapBank {
         Millivolts::new(delta_vth_mv)
     }
 
+    /// A fresh bank (every trap empty) from its three constant columns,
+    /// as [`tau_c0`](TrapBank::tau_c0), [`tau_e`](TrapBank::tau_e) and
+    /// [`step_mv`](TrapBank::step_mv) read them: how a stored fleet
+    /// image comes back without re-sampling.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the columns differ in length.
+    #[must_use]
+    pub fn from_columns(tau_c0: Vec<f64>, tau_e: Vec<f64>, step_mv: Vec<f64>) -> TrapBank {
+        assert!(
+            tau_e.len() == tau_c0.len() && step_mv.len() == tau_c0.len(),
+            "constant columns differ in length"
+        );
+        let occupancy = vec![0.0; tau_c0.len()];
+        TrapBank {
+            tau_c0,
+            tau_e,
+            step_mv,
+            occupancy,
+        }
+    }
+
+    /// Capture time constants at reference stress (s), in trap order.
+    #[must_use]
+    pub fn tau_c0(&self) -> &[f64] {
+        &self.tau_c0
+    }
+
+    /// Effective emission time constants (s), in trap order: `∞` for a
+    /// permanent trap.
+    #[must_use]
+    pub fn tau_e(&self) -> &[f64] {
+        &self.tau_e
+    }
+
+    /// Per-trap ΔVth contributions when occupied (mV), in trap order.
+    #[must_use]
+    pub fn step_mv(&self) -> &[f64] {
+        &self.step_mv
+    }
+
     /// Raw occupancy slice, in trap order — the checkpointable mutable
     /// state of a bank (everything else is fixed at sampling time).
     #[must_use]
@@ -464,13 +508,6 @@ impl TrapBank {
     /// snapshot of another shape cannot be spliced in.
     pub fn occupancies_mut(&mut self) -> &mut [f64] {
         &mut self.occupancy
-    }
-
-    /// Empties every trap (fresh-device state).
-    pub fn reset(&mut self) {
-        for p in &mut self.occupancy {
-            *p = 0.0;
-        }
     }
 }
 
@@ -761,24 +798,29 @@ mod tests {
         assert_eq!(packed.len(), 6);
     }
 
+    /// A fresh bank given an aged bank's occupancies is the aged bank.
     #[test]
     fn occupancy_snapshot_round_trips() {
+        let mut aged = bank();
+        aged.advance_all(&PhaseRates::for_condition(stress()), Seconds::new(3600.0));
         let mut bank = bank();
-        bank.advance_all(&PhaseRates::for_condition(stress()), Seconds::new(3600.0));
-        let snapshot: Vec<f64> = bank.occupancies().to_vec();
-        let aged = bank.clone();
-        bank.reset();
         assert_ne!(bank, aged);
-        bank.occupancies_mut().copy_from_slice(&snapshot);
+        bank.occupancies_mut().copy_from_slice(aged.occupancies());
         assert_eq!(bank, aged);
     }
 
+    /// A bank rebuilt from another's constant columns is that bank
+    /// fresh: same constants, every trap empty.
     #[test]
-    fn reset_empties_every_trap() {
-        let mut bank = bank();
-        bank.advance_all(&PhaseRates::for_condition(stress()), Seconds::new(3600.0));
-        bank.reset();
-        assert!(bank.occupancies().iter().all(|&p| p == 0.0));
-        assert_eq!(bank.delta_vth().get(), 0.0);
+    fn from_columns_rebuilds_the_fresh_bank() {
+        let fresh = bank();
+        let mut aged = bank();
+        aged.advance_all(&PhaseRates::for_condition(stress()), Seconds::new(3600.0));
+        let rebuilt = TrapBank::from_columns(
+            aged.tau_c0().to_vec(),
+            aged.tau_e().to_vec(),
+            aged.step_mv().to_vec(),
+        );
+        assert_eq!(rebuilt, fresh);
     }
 }

@@ -13,6 +13,7 @@
 use std::path::PathBuf;
 use std::time::Duration;
 
+use selfheal_fleet::checkpoint::ImageStatus;
 use selfheal_fleet::slo::SloObjective;
 use selfheal_fleet::{FleetConfig, FleetDaemon, FleetServer, ServerConfig};
 use selfheal_runtime::ResultCache;
@@ -185,8 +186,14 @@ fn main() {
     if let Some(reason) = daemon.refused_checkpoint() {
         eprintln!("fleetd: checkpoint refused, starting a fresh fleet: {reason}");
     }
+    if let Some(ImageStatus::Refused(reason)) = daemon.image_status() {
+        eprintln!("fleetd: fleet image refused, re-sampling the trap constants: {reason}");
+    }
+    let image = daemon
+        .image_status()
+        .map_or(String::new(), |image| format!(", image: {}", image.label()));
     eprintln!(
-        "fleetd: {} chips / {} shards / {} traps, epoch {} (resumed: {resumed})",
+        "fleetd: {} chips / {} shards / {} traps, epoch {} (resumed: {resumed}{image})",
         options.config.chips,
         options.config.shards,
         daemon.state().trap_count(),

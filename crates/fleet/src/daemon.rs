@@ -14,7 +14,7 @@ use selfheal_runtime::ResultCache;
 use selfheal_telemetry::{counter, flight, gauge};
 use selfheal_units::Millivolts;
 
-use crate::checkpoint::{self, CheckpointError};
+use crate::checkpoint::{self, CheckpointError, ImageStatus};
 use crate::config::FleetConfig;
 use crate::proto::{ErrorCode, Request, Response, StatsReply};
 use crate::state::FleetState;
@@ -41,6 +41,9 @@ pub struct FleetDaemon {
     requests_served: u64,
     /// Why the checkpoint found at start-up was refused, if one was.
     refused_checkpoint: Option<String>,
+    /// Where a resumed fleet's trap constants came from; `None` unless
+    /// the daemon resumed.
+    image: Option<ImageStatus>,
 }
 
 impl FleetDaemon {
@@ -55,7 +58,10 @@ impl FleetDaemon {
     /// checkpoint that exists but is refused (unreadable, or not this
     /// fleet's) leaves a `checkpoint`/`refused` flight record naming the
     /// reason before the fresh build, and the reason stays readable from
-    /// [`refused_checkpoint`](Self::refused_checkpoint).
+    /// [`refused_checkpoint`](Self::refused_checkpoint). A resume that
+    /// refused the fleet image leaves an `image`/`refused` record, and
+    /// [`image_status`](Self::image_status) says how it came by the trap
+    /// constants.
     #[must_use]
     pub fn resume_or_new(
         config: FleetConfig,
@@ -63,7 +69,14 @@ impl FleetDaemon {
         checkpoint_every: u64,
     ) -> (FleetDaemon, bool) {
         match checkpoint::resume(&cache, &config) {
-            Ok(state) => (FleetDaemon::serving(state, cache, checkpoint_every), true),
+            Ok((state, image)) => {
+                if let ImageStatus::Refused(err) = &image {
+                    flight::record("image", "refused", || err.to_string());
+                }
+                let mut daemon = FleetDaemon::serving(state, cache, checkpoint_every);
+                daemon.image = Some(image);
+                (daemon, true)
+            }
             Err(err) => {
                 let mut daemon =
                     FleetDaemon::serving(FleetState::build(config), cache, checkpoint_every);
@@ -86,6 +99,7 @@ impl FleetDaemon {
             checkpoint_every,
             requests_served: 0,
             refused_checkpoint: None,
+            image: None,
         }
     }
 
@@ -96,6 +110,14 @@ impl FleetDaemon {
     #[must_use]
     pub fn refused_checkpoint(&self) -> Option<&str> {
         self.refused_checkpoint.as_deref()
+    }
+
+    /// Whether [`resume_or_new`](Self::resume_or_new) read the trap
+    /// constants from the fleet image or re-sampled them (and why);
+    /// `None` when it did not resume.
+    #[must_use]
+    pub fn image_status(&self) -> Option<&ImageStatus> {
+        self.image.as_ref()
     }
 
     /// The live state (read-only; mutations go through requests/epochs).

@@ -102,6 +102,50 @@ impl Shard {
         }
     }
 
+    /// A fresh shard of `config`'s shard `shard_index` over `bank`,
+    /// whose chips hold `trap_counts[local]` traps each, in chip order:
+    /// a shard read back from a fleet image.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless there is one count per chip and the counts add up
+    /// to the bank's length.
+    pub(crate) fn from_bank(
+        config: &FleetConfig,
+        shard_index: usize,
+        trap_counts: &[usize],
+        bank: TrapBank,
+    ) -> Shard {
+        let chip_range = config.shard_chip_range(shard_index);
+        assert_eq!(trap_counts.len(), chip_range.len(), "one count per chip");
+        let mut start = 0;
+        let chips = trap_counts
+            .iter()
+            .map(|&count| {
+                let traps = start..start + count;
+                start = traps.end;
+                ChipSlot {
+                    traps,
+                    duty: DutyCycle::default(),
+                }
+            })
+            .collect();
+        assert_eq!(start, bank.len(), "the counts cover the bank");
+        Shard {
+            first_chip: chip_range.start,
+            chips,
+            bank,
+            ..Shard::default()
+        }
+    }
+
+    /// The traps of chip 0 of shard `shard_index`, sampled from the
+    /// seed exactly as [`FleetState::build`] samples them.
+    pub(crate) fn sample_first_chip(config: &FleetConfig, shard_index: usize) -> TrapBank {
+        let seeds = SeedSequence::new(config.seed).child(shard_index as u64);
+        TrapBank::sample(&config.trap_params, &mut seeds.rng(0))
+    }
+
     /// The epoch the shard's bank has reached.
     #[must_use]
     pub fn epoch(&self) -> u64 {
@@ -139,8 +183,9 @@ impl Shard {
     }
 
     /// Advances every chip in the shard by one `config.epoch_dt` under
-    /// its own observed duty cycle at the fleet's active environment,
-    /// stepping from the shard's [`DecayCache`]: at steady state that is
+    /// its own observed duty cycle at the fleet's active environment:
+    /// refills the stale chips' [`DecayCache`] columns, then steps the
+    /// whole bank from them in one kernel call. At steady state that is
     /// one flag read per chip and no `exp` or division per trap.
     fn advance(&mut self, config: &FleetConfig) {
         let Shard {
@@ -148,8 +193,11 @@ impl Shard {
         } = self;
         decay.allocate(bank.len(), chips.len());
         for (local, chip) in chips.iter().enumerate() {
-            decay.advance_chip(bank, local, chip, config);
+            decay.refill_if_stale(bank, local, chip, config);
         }
+        // Each trap steps on its own, so one call over the bank gives
+        // the bits a call per chip would.
+        bank.advance_range_cached(0..bank.len(), &decay.decay, &decay.p_inf);
     }
 }
 
@@ -217,12 +265,11 @@ impl DecayCache {
         rates
     }
 
-    /// Steps `chip` (shard-local index `local`) one `epoch_dt` at full
-    /// resolution from its cached columns, refilling them first when
-    /// stale.
-    fn advance_chip(
+    /// Refills `chip`'s columns (shard-local index `local`) for one
+    /// `epoch_dt` under its duty when they are stale.
+    fn refill_if_stale(
         &mut self,
-        bank: &mut TrapBank,
+        bank: &TrapBank,
         local: usize,
         chip: &ChipSlot,
         config: &FleetConfig,
@@ -238,7 +285,6 @@ impl DecayCache {
             );
             self.stale[local] = false;
         }
-        bank.advance_range_cached(chip.traps.clone(), &self.decay, &self.p_inf);
     }
 }
 
@@ -307,6 +353,13 @@ impl FleetState {
         let shards = par_map_indexed(shard_configs, move |index, cfg| {
             Shard::sample(&cfg, index, &seeds.child(index as u64))
         });
+        FleetState::fresh(config, shards)
+    }
+
+    /// A fleet at epoch 0 over `shards`, which must hold what
+    /// [`build`](Self::build) samples for `config`: how a fleet image is
+    /// read back without re-sampling.
+    pub(crate) fn fresh(config: FleetConfig, shards: Vec<Shard>) -> FleetState {
         let mutation_digest = fnv1a(config.cache_key().as_bytes());
         FleetState {
             caches: vec![ShardCache::default(); shards.len()],

@@ -21,10 +21,11 @@ echo "== cargo build --release" >&2
 # the sampled bench) would silently stay stale.
 cargo build --release --workspace
 
-echo "== cargo fmt --check (fleet, bti)" >&2
-# rustfmt is gated crate by crate, starting with the fleet and bti
-# crates; the rest of the workspace still carries unformatted code.
-cargo fmt --check -p selfheal-fleet -p selfheal-bti
+echo "== cargo fmt --check (fleet, bti, runtime, units)" >&2
+# rustfmt is gated crate by crate, starting with the fleet, bti, runtime
+# and units crates; the rest of the workspace still carries unformatted
+# code.
+cargo fmt --check -p selfheal-fleet -p selfheal-bti -p selfheal-runtime -p selfheal-units
 
 echo "== cargo test" >&2
 # --workspace: the root package holds the cross-crate tier-1 suites, but
@@ -221,8 +222,13 @@ for _ in $(seq 1 100); do
     sleep 0.1
 done
 [ -s "$SMOKE_DIR/resume.addr" ] || { echo "fleetd never restarted" >&2; exit 1; }
-grep -q '(resumed: true)' "$SMOKE_DIR/resume.second.log" \
+grep -q '(resumed: true' "$SMOKE_DIR/resume.second.log" \
     || { echo "restarted fleetd did not resume from its checkpoint" >&2; \
+         cat "$SMOKE_DIR/resume.second.log" >&2; exit 1; }
+# The first cadence save wrote the fleet image, so the resume read the
+# trap constants from it instead of re-sampling them.
+grep -q '(resumed: true, image: loaded)' "$SMOKE_DIR/resume.second.log" \
+    || { echo "restarted fleetd did not load the fleet image" >&2; \
          cat "$SMOKE_DIR/resume.second.log" >&2; exit 1; }
 target/release/fleet_smoke --connect "$(cat "$SMOKE_DIR/resume.addr")" --shutdown
 wait "$RESUME_PID"
@@ -230,6 +236,41 @@ wait "$RESUME_PID"
 # one checkpoint file.
 CKPTS=$(find "$SMOKE_DIR/resume-cache" -name '*.ckpt' | wc -l)
 [ "$CKPTS" -eq 1 ] || { echo "resume: expected exactly one checkpoint file, found $CKPTS" >&2; exit 1; }
+# A damaged fleet image is refused, never loaded, and costs only speed:
+# flip one byte in its middle, and the restarted daemon must still
+# resume the checkpoint (re-sampling the constants from the seed), say
+# why on stderr, and leave a rewritten image after its final save.
+IMAGE=$(find "$SMOKE_DIR/resume-cache" -name '*.img')
+[ "$(echo "$IMAGE" | wc -l)" -eq 1 ] && [ -s "$IMAGE" ] \
+    || { echo "resume: expected exactly one fleet image, found: $IMAGE" >&2; exit 1; }
+python3 - "$IMAGE" <<'PY'
+import sys
+with open(sys.argv[1], "r+b") as fh:
+    data = bytearray(fh.read())
+    data[len(data) // 2] ^= 0xFF
+    fh.seek(0)
+    fh.write(data)
+PY
+rm -f "$SMOKE_DIR/resume.addr"
+target/release/fleetd --chips 256 --shards 4 --workers 2 \
+    --epoch-ms 50 --checkpoint-every 2 --cache-dir "$SMOKE_DIR/resume-cache" \
+    --addr-file "$SMOKE_DIR/resume.addr" 2> "$SMOKE_DIR/resume.image.log" &
+RESUME_PID=$!
+for _ in $(seq 1 100); do
+    [ -s "$SMOKE_DIR/resume.addr" ] && break
+    sleep 0.1
+done
+[ -s "$SMOKE_DIR/resume.addr" ] || { echo "fleetd never restarted after the image damage" >&2; exit 1; }
+grep -q '(resumed: true, image: refused)' "$SMOKE_DIR/resume.image.log" \
+    || { echo "fleetd did not resume past a damaged fleet image" >&2; \
+         cat "$SMOKE_DIR/resume.image.log" >&2; exit 1; }
+grep -q 'fleetd: fleet image refused, re-sampling the trap constants: fleet image ' \
+    "$SMOKE_DIR/resume.image.log" \
+    || { echo "fleetd did not say why it refused the damaged fleet image" >&2; \
+         cat "$SMOKE_DIR/resume.image.log" >&2; exit 1; }
+target/release/fleet_smoke --connect "$(cat "$SMOKE_DIR/resume.addr")" --shutdown
+wait "$RESUME_PID"
+[ -s "$IMAGE" ] || { echo "the final save did not rewrite the refused fleet image" >&2; exit 1; }
 # A damaged checkpoint is refused, never resumed: cut the file in half,
 # and the restarted daemon must start a fresh fleet, say why on stderr,
 # serve, and leave a checkpoint/refused record in its flight dump.
@@ -263,7 +304,7 @@ refused = [e for e in events if e["kind"] == "checkpoint" and e["name"] == "refu
 assert refused, f"no checkpoint/refused record among {len(events)} event(s)"
 print(f"truncated checkpoint refused: {refused[0]['detail']}")
 PY
-echo "fleet resume smoke: served all request types, kill -9 resumed from its checkpoint, truncated checkpoint refused" >&2
+echo "fleet resume smoke: served all request types, kill -9 resumed from its checkpoint and fleet image, damaged image re-sampled, truncated checkpoint refused" >&2
 
 echo "== fleet epoch smoke" >&2
 # One run of the full-resolution fleet epoch bench at 100k and 1M chips,

@@ -10,7 +10,7 @@
 //! is restored from its checkpoint before every epoch, so it never
 //! steps from a column carried over from an earlier one.
 
-use selfheal_bti::td::{PhaseRates, TrapBank};
+use selfheal_bti::td::{PhaseRates, TrapBank, LANES};
 use selfheal_bti::DeviceCondition;
 use selfheal_fleet::checkpoint;
 use selfheal_fleet::{FleetConfig, FleetState};
@@ -137,5 +137,52 @@ fn cached_epochs_match_ranged_advance_in_an_untiered_fleet() {
                 assert_banks_match(&fleet, &banks, &context);
             }
         }
+    }
+}
+
+/// An epoch refills the stale chips' columns and then steps each
+/// shard's whole bank in one kernel call, so chip boundaries fall inside
+/// `LANES`-wide blocks and a block can hold a refilled chip beside one
+/// stepping from columns cached epochs ago. Chips holding `LANES − 1`,
+/// `LANES` and `LANES + 1` traps, some reporting (stale) and some not
+/// (fresh) in the same epoch, must step as bank copies stepped chip by
+/// chip through `advance_range` do, bit for bit.
+#[test]
+fn one_call_epochs_mix_stale_and_fresh_chips_across_lane_boundaries() {
+    let mut config = config();
+    config.chips = 96;
+    config.shards = 2;
+    config.seed = 31;
+    config.trap_params.mean_trap_count = LANES as f64;
+    let mut fleet = FleetState::build(config.clone());
+    let mut banks: Vec<TrapBank> = fleet.shards().iter().map(|s| s.bank.clone()).collect();
+    // Per size, every chip holding that many traps, in chip order.
+    let by_size: Vec<Vec<usize>> = [LANES - 1, LANES, LANES + 1]
+        .iter()
+        .map(|&size| {
+            (0..config.chips)
+                .filter(|&chip| chip_at(&fleet, chip).2.len() == size)
+                .collect()
+        })
+        .collect();
+    for (size, chips) in [LANES - 1, LANES, LANES + 1].iter().zip(&by_size) {
+        assert!(chips.len() >= 2, "{size}-trap chips: {chips:?}");
+    }
+    // Every chip's first epoch fills its columns; then the first chip
+    // of each size reports while the second steps from its cache, then
+    // the other way round.
+    let reports = [
+        vec![],
+        by_size.iter().map(|chips| (chips[0], 0.35)).collect(),
+        by_size.iter().map(|chips| (chips[1], 0.7)).collect(),
+        vec![],
+    ];
+    for (epoch, reports) in reports.iter().enumerate() {
+        for &(chip, duty) in reports {
+            assert!(fleet.fold_report(chip, DutyCycle::new(duty)));
+        }
+        reference_epoch(&fleet, &mut banks);
+        fleet.advance_epoch();
+        assert_banks_match(&fleet, &banks, &format!("epoch {epoch}"));
     }
 }
