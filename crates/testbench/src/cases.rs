@@ -66,7 +66,8 @@ impl TestCase {
         match self.kind {
             PhaseKind::Stress { activity } => format!("AS{t}{}{h}", activity.code()),
             PhaseKind::Recovery { .. } => {
-                let accelerated = self.supply.is_negative() || self.temperature > Celsius::new(20.0);
+                let accelerated =
+                    self.supply.is_negative() || self.temperature > Celsius::new(20.0);
                 let prefix = if accelerated { "AR" } else { "R" };
                 let v = if self.supply.is_negative() { "N" } else { "Z" };
                 format!("{prefix}{t}{v}{h}")
@@ -236,10 +237,7 @@ mod tests {
 
     #[test]
     fn ar110n12_heals_the_48h_restress() {
-        let case = table1()
-            .into_iter()
-            .find(|c| c.name == "AR110N12")
-            .unwrap();
+        let case = table1().into_iter().find(|c| c.name == "AR110N12").unwrap();
         let stress = stress_case_for(&case).unwrap();
         assert_eq!(stress.name, "AS110DC48");
         assert_eq!(stress.chip.get(), 5);

@@ -147,7 +147,11 @@ mod tests {
         let err = chamber.set_temperature(Celsius::new(500.0)).unwrap_err();
         assert!(matches!(err, ChamberError::SetpointOutOfRange { .. }));
         assert!(err.to_string().contains("500.0"));
-        assert_eq!(chamber.setpoint(), before, "failed set must not change state");
+        assert_eq!(
+            chamber.setpoint(),
+            before,
+            "failed set must not change state"
+        );
         assert!(chamber.set_temperature(Celsius::new(-100.0)).is_err());
     }
 

@@ -3,9 +3,9 @@
 use std::fmt;
 
 use rand::Rng;
-use selfheal_telemetry as telemetry;
 use selfheal_bti::Environment;
 use selfheal_fpga::{Chip, Measurement, RoMode};
+use selfheal_telemetry as telemetry;
 use selfheal_units::{Seconds, Volts};
 
 use crate::chamber::{ChamberError, ThermalChamber};
