@@ -175,20 +175,19 @@ mod tests {
         let mut s = CircadianRotation::paper_default();
         let plan = Floorplan::eight_core();
         let wear = [Millivolts::new(0.0); 8];
-        let mut at = |hours: f64| {
-            s.assign(
-                Seconds::new(hours * 3600.0),
-                6,
-                &plan,
-                &wear,
-            )
-        };
+        let mut at = |hours: f64| s.assign(Seconds::new(hours * 3600.0), 6, &plan, &wear);
         let first = at(0.0);
         let second = at(6.0);
         assert_ne!(first, second, "the window moved");
         // At t=0 cores 0..6 are active; after one period cores 1..7.
-        assert_eq!(first, vec![true, true, true, true, true, true, false, false]);
-        assert_eq!(second, vec![false, true, true, true, true, true, true, false]);
+        assert_eq!(
+            first,
+            vec![true, true, true, true, true, true, false, false]
+        );
+        assert_eq!(
+            second,
+            vec![false, true, true, true, true, true, true, false]
+        );
         // Full lap: 8 periods later we are back.
         assert_eq!(at(48.0), first);
     }
@@ -200,7 +199,12 @@ mod tests {
         let wear = [Millivolts::new(0.0); 8];
         let mut slept = [false; 8];
         for period in 0..8 {
-            let flags = s.assign(Seconds::new(6.0 * 3600.0 * f64::from(period)), 6, &plan, &wear);
+            let flags = s.assign(
+                Seconds::new(6.0 * 3600.0 * f64::from(period)),
+                6,
+                &plan,
+                &wear,
+            );
             for (i, active) in flags.iter().enumerate() {
                 if !active {
                     slept[i] = true;

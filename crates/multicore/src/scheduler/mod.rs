@@ -77,7 +77,11 @@ pub(crate) mod test_util {
                 assert_eq!(flags.len(), 8);
                 let active = flags.iter().filter(|f| **f).count();
                 if over_serves {
-                    assert!(active >= demand, "{}: {active} < {demand}", scheduler.name());
+                    assert!(
+                        active >= demand,
+                        "{}: {active} < {demand}",
+                        scheduler.name()
+                    );
                 } else {
                     assert_eq!(active, demand, "{} at demand {demand}", scheduler.name());
                 }

@@ -159,10 +159,7 @@ impl MulticoreSim {
     /// Advances the system by one scheduling interval.
     pub fn step(&mut self) {
         let n = self.config.floorplan.len();
-        let demand = self
-            .workload
-            .demand(self.now, n)
-            .min(self.tdp_core_cap());
+        let demand = self.workload.demand(self.now, n).min(self.tdp_core_cap());
         let wear = self.wear();
         let active = self
             .scheduler
@@ -206,8 +203,8 @@ impl MulticoreSim {
         );
         telemetry::counter!("multicore.sim.steps", 1.0);
         if telemetry::metrics::enabled() {
-            let worst = float::max_of(self.cores.iter().map(|c| c.delta_vth().get()))
-                .unwrap_or(0.0);
+            let worst =
+                float::max_of(self.cores.iter().map(|c| c.delta_vth().get())).unwrap_or(0.0);
             telemetry::metrics::histogram_observe("multicore.worst_delta_vth_mv", worst);
             let hottest = float::max_of(temps.iter().map(|t| t.get())).unwrap_or(0.0);
             telemetry::metrics::histogram_observe("multicore.hottest_core_celsius", hottest);
@@ -226,13 +223,11 @@ impl MulticoreSim {
     /// Snapshot report of the current state.
     #[must_use]
     pub fn report(&self) -> SystemReport {
-        let per_core: Vec<Millivolts> =
-            self.cores.iter().map(AnalyticBti::delta_vth).collect();
+        let per_core: Vec<Millivolts> = self.cores.iter().map(AnalyticBti::delta_vth).collect();
         let worst = float::max_of(per_core.iter().map(|mv| mv.get()))
             .unwrap_or(0.0)
             .max(0.0);
-        let mean =
-            per_core.iter().map(|mv| mv.get()).sum::<f64>() / per_core.len().max(1) as f64;
+        let mean = per_core.iter().map(|mv| mv.get()).sum::<f64>() / per_core.len().max(1) as f64;
         SystemReport {
             scheduler: self.scheduler.name().to_string(),
             days: self.now.get() / 86_400.0,

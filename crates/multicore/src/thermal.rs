@@ -49,7 +49,10 @@ impl ThermalGrid {
     /// Panics on negative resistances.
     #[must_use]
     pub fn new(floorplan: Floorplan, ambient: Celsius, r_self: f64, r_couple: f64) -> Self {
-        assert!(r_self >= 0.0 && r_couple >= 0.0, "thermal resistances must be non-negative");
+        assert!(
+            r_self >= 0.0 && r_couple >= 0.0,
+            "thermal resistances must be non-negative"
+        );
         ThermalGrid {
             floorplan,
             ambient,
