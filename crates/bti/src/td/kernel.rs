@@ -533,14 +533,14 @@ impl FromIterator<Trap> for TrapBank {
 /// No `exp` of a non-positive argument is negative, so the marker never
 /// collides with a real decay (nor with the NaN a NaN τ gives, which
 /// [`step`] propagates like the scalar path).
-const FROZEN: f64 = -1.0;
+pub(super) const FROZEN: f64 = -1.0;
 
 /// The decay part of one trap's step: `exp(-dt / tau)` (not
 /// `exp(-dt * rate)`), or [`FROZEN`] for an infinite relaxation time —
 /// a zero total rate, a permanent trap with no capture, or a total rate
 /// so small that `1 / rate` overflows.
 #[inline(always)]
-fn decay(tau: f64, neg_dt: f64) -> f64 {
+pub(super) fn decay(tau: f64, neg_dt: f64) -> f64 {
     if tau.is_infinite() {
         FROZEN
     } else {
@@ -553,7 +553,7 @@ fn decay(tau: f64, neg_dt: f64) -> f64 {
 /// bit. With [`decay`], the same guards in the same order as
 /// [`Trap::advance`].
 #[inline(always)]
-fn step(p: f64, p_inf: f64, decay: f64) -> f64 {
+pub(super) fn step(p: f64, p_inf: f64, decay: f64) -> f64 {
     if decay < 0.0 {
         return p;
     }

@@ -8,10 +8,12 @@
 //! throughput must be sacrificed to hold a given margin, or conversely how
 //! much margin a given rhythm buys back.
 
+use std::ops::Range;
+
 use selfheal_bti::analytic::{AnalyticBti, CycleModel, RecoveryModel, StressModel};
-use selfheal_bti::td::{PhaseRates, TrapBank};
+use selfheal_bti::td::{PhaseRates, Rhythm, RhythmPhase, TrapBank};
 use selfheal_bti::{DeviceCondition, Environment};
-use selfheal_units::{Fraction, Millivolts, Ratio, Seconds};
+use selfheal_units::{DutyCycle, Fraction, Millivolts, Ratio, Seconds};
 
 use crate::technique::RejuvenationTechnique;
 
@@ -26,6 +28,10 @@ pub struct RejuvenationPlan {
     pub period: Seconds,
     /// Predicted worst shift over the horizon under this plan.
     pub predicted_peak: Millivolts,
+    /// Whether the schedule opens with one sleep phase before its first
+    /// cycle, and the margin applies from the end of that sleep: how a
+    /// chip already over its budget is planned back under it.
+    pub recover_first: bool,
 }
 
 impl RejuvenationPlan {
@@ -172,42 +178,27 @@ impl SchedulePlanner {
             let peak = self.probe(alpha, technique, period, cycles, budget);
             (peak.get() <= budget.get()).then_some(peak)
         };
-        let plan = |alpha: Ratio, predicted_peak: Millivolts| RejuvenationPlan {
+        let plan = |(alpha, predicted_peak): (Ratio, Millivolts)| RejuvenationPlan {
             alpha,
             technique,
             period,
             predicted_peak,
+            recover_first: false,
         };
 
-        let alpha_min = planner_alpha(0.5);
-        let alpha_max = planner_alpha(64.0);
-        // α = 0.5 survives the round trip through its sleep fraction
-        // (1 / (2/3) − 1 is exactly 0.5), so when no bisection probe
-        // fits, the plan is this probe's.
-        let mut fit = (alpha_min, fitting_peak(alpha_min)?);
-        if let Some(peak) = fitting_peak(alpha_max) {
-            return Some(plan(alpha_max, peak));
+        let fit = (alpha_min(), fitting_peak(alpha_min())?);
+        if let Some(peak) = fitting_peak(alpha_max()) {
+            return Some(plan((alpha_max(), peak)));
         }
-
-        // Bisect on the sleep fraction s = 1/(1+α): monotone in wear.
-        let mut s_lo = alpha_max.sleep_fraction().get(); // too little sleep
-        let mut s_hi = alpha_min.sleep_fraction().get(); // enough sleep
-        for _ in 0..40 {
-            let s_mid = 0.5 * (s_lo + s_hi);
-            let alpha = planner_alpha(1.0 / s_mid - 1.0);
-            if let Some(peak) = fitting_peak(alpha) {
-                s_hi = s_mid;
-                fit = (alpha, peak);
-            } else {
-                s_lo = s_mid;
-            }
-        }
-        Some(plan(fit.0, fit.1))
+        Some(plan(bisect(fit, fitting_peak)))
     }
 
     /// The margin still unspent after `consumed` mV of shift, or `None`
     /// once the budget is exhausted (the chip is already out of spec —
     /// no rhythm can plan its way back below a budget it has crossed).
+    ///
+    /// Only [`plan_with_consumed`](Self::plan_with_consumed) uses it; the
+    /// fleet daemon no longer calls either.
     #[must_use]
     pub fn remaining_margin(&self, consumed: Millivolts) -> Option<Millivolts> {
         let left = self.margin.get() - consumed.get();
@@ -217,11 +208,13 @@ impl SchedulePlanner {
     /// [`plan`](Self::plan) against the budget that remains after the
     /// chip has already consumed `consumed` mV of its margin.
     ///
-    /// This is the service-path entry point: a fleet daemon holds live
-    /// aging state, so the question is never "what rhythm holds a fresh
-    /// chip inside the budget" but "what rhythm holds *this worn chip*
-    /// inside what is left". Returns `None` when the budget is already
-    /// spent or no rhythm in the search window can hold the remainder.
+    /// It plans a *fresh* analytic device at DC against what is left,
+    /// whatever duty the chip runs at and however its traps are filled.
+    /// Returns `None` when the budget is already spent or no rhythm in
+    /// the search window can hold the remainder. The fleet daemon no
+    /// longer calls it: it plans each chip on its own trap slice with
+    /// [`plan_from_bank`](Self::plan_from_bank). Benchmarks still time
+    /// it.
     #[must_use]
     pub fn plan_with_consumed(
         &self,
@@ -234,9 +227,77 @@ impl SchedulePlanner {
         self.plan_within(remaining, technique, period, horizon)
     }
 
+    /// Plans one chip from its own trap slice: the largest α in
+    /// [0.5, 64] whose rhythm, run from the slice's current occupancies
+    /// with the chip's `duty` while active and the technique's
+    /// environment asleep, keeps [`TrapBank::rhythm_bound`] inside the
+    /// whole margin (the slice already holds the chip's wear). The
+    /// search is [`plan`](Self::plan)'s bisection on the sleep fraction,
+    /// except that it probes α = 64 first.
+    ///
+    /// When no α holds the budget from the chip's current state, the
+    /// same search runs on recover-first rhythms: one sleep phase opens
+    /// the schedule and the margin applies from its end. A plan found
+    /// that way has [`recover_first`](RejuvenationPlan::recover_first)
+    /// set. `None` means neither holds the budget even at α = 0.5.
+    ///
+    /// The reply's `predicted_peak` is the bound at the chosen α. Each
+    /// probe costs two `exp` and a few multiply-adds per trap and cycle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `traps` ends past the bank.
+    #[must_use]
+    pub fn plan_from_bank(
+        &self,
+        bank: &TrapBank,
+        traps: Range<usize>,
+        duty: DutyCycle,
+        technique: RejuvenationTechnique,
+        period: Seconds,
+        horizon: Seconds,
+    ) -> Option<RejuvenationPlan> {
+        let active = PhaseRates::for_condition(DeviceCondition::new(self.active_env, duty));
+        let sleep = PhaseRates::for_condition(DeviceCondition::recovery(technique.environment()));
+        let cycles = cycles(period, horizon);
+        let mut sums = vec![0.0; 2 * cycles + 1];
+        let mut search = |opening_sleep: bool| {
+            let fitting_peak = |alpha: Ratio| {
+                let (active_len, sleep_len) = alpha.split_cycle(period);
+                let rhythm = Rhythm {
+                    active: RhythmPhase {
+                        rates: active,
+                        len: active_len,
+                    },
+                    sleep: RhythmPhase {
+                        rates: sleep,
+                        len: sleep_len,
+                    },
+                    cycles,
+                    opening_sleep,
+                };
+                let peak = bank.rhythm_bound(traps.clone(), &rhythm, self.margin, &mut sums);
+                (peak.get() <= self.margin.get()).then_some(peak)
+            };
+            search_alpha(fitting_peak)
+        };
+        let (recover_first, (alpha, predicted_peak)) = match search(false) {
+            Some(fit) => (false, fit),
+            None => (true, search(true)?),
+        };
+        Some(RejuvenationPlan {
+            alpha,
+            technique,
+            period,
+            predicted_peak,
+            recover_first,
+        })
+    }
+
     /// The shift a chip's trap slice would reach after running `dt`
-    /// under `cond`, projected forward from the live bank state (the
-    /// bank itself is untouched — the projection advances a copy).
+    /// under `cond`, projected forward from the live bank state
+    /// ([`TrapBank::projected_delta_vth`]: the bank is read in place,
+    /// never copied or touched).
     ///
     /// # Panics
     ///
@@ -245,14 +306,58 @@ impl SchedulePlanner {
     pub fn predicted_shift_from_bank(
         &self,
         bank: &TrapBank,
-        range: std::ops::Range<usize>,
+        range: Range<usize>,
         cond: DeviceCondition,
         dt: Seconds,
     ) -> Millivolts {
-        let mut projection = bank.copy_range(range);
-        projection.advance_all(&PhaseRates::for_condition(cond), dt);
-        projection.delta_vth()
+        bank.projected_delta_vth(range, &PhaseRates::for_condition(cond), dt)
     }
+}
+
+/// The most sleep a plan asks for: α = 0.5. It survives the round trip
+/// through its sleep fraction (1 / (2/3) − 1 is exactly 0.5), so when no
+/// bisection probe fits, the plan is this probe's.
+fn alpha_min() -> Ratio {
+    planner_alpha(0.5)
+}
+
+/// The least sleep a plan asks for: α = 64.
+fn alpha_max() -> Ratio {
+    planner_alpha(64.0)
+}
+
+/// The search of [`SchedulePlanner::plan_from_bank`]: α = 64 when it
+/// fits, else nothing when α = 0.5 does not, else the bisection.
+fn search_alpha(
+    mut fitting_peak: impl FnMut(Ratio) -> Option<Millivolts>,
+) -> Option<(Ratio, Millivolts)> {
+    if let Some(peak) = fitting_peak(alpha_max()) {
+        return Some((alpha_max(), peak));
+    }
+    let fit = (alpha_min(), fitting_peak(alpha_min())?);
+    Some(bisect(fit, fitting_peak))
+}
+
+/// Bisects on the sleep fraction s = 1/(1+α), monotone in wear, between
+/// α = 64 (too little sleep) and α = 0.5 (enough: `fit` holds its
+/// peak), 40 times; returns the last α that fits and its peak.
+fn bisect(
+    mut fit: (Ratio, Millivolts),
+    mut fitting_peak: impl FnMut(Ratio) -> Option<Millivolts>,
+) -> (Ratio, Millivolts) {
+    let mut s_lo = alpha_max().sleep_fraction().get();
+    let mut s_hi = alpha_min().sleep_fraction().get();
+    for _ in 0..40 {
+        let s_mid = 0.5 * (s_lo + s_hi);
+        let alpha = planner_alpha(1.0 / s_mid - 1.0);
+        if let Some(peak) = fitting_peak(alpha) {
+            s_hi = s_mid;
+            fit = (alpha, peak);
+        } else {
+            s_lo = s_mid;
+        }
+    }
+    fit
 }
 
 /// How many whole periods cover `horizon` (at least one).

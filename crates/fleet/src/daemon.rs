@@ -23,11 +23,14 @@ use crate::state::FleetState;
 /// (`horizon / period`, rounded up); longer plans are refused as
 /// `bad-request`.
 ///
-/// The planner simulates every cycle of the horizon up to 42 times
-/// while it bisects, so an unbounded count lets one request hold the
-/// daemon lock indefinitely. A year of daily cycles is 365; at the cap
-/// the slowest plan holds the lock for about 65 ms (roughly 0.8 µs per
-/// simulated cycle on a 2-vCPU x86-64 host).
+/// Each probe of the planner walks every trap of the chip's slice
+/// through every phase of the horizon, and a plan takes up to 44 probes
+/// (α = 64 and α = 0.5 plain, then the same two and 40 bisection steps
+/// recover-first), so an unbounded count lets one request hold the
+/// daemon lock indefinitely. A year of daily cycles is 365; at the cap,
+/// the slowest plan on a 40-trap slice held the lock for about 20–22 ms
+/// on a 2-vCPU x86-64 host (roughly 0.26 µs per trap and cycle across
+/// all probes).
 pub const MAX_PLAN_CYCLES: u32 = 2_000;
 
 /// The fleet daemon: state, planner, checkpoint policy.
@@ -231,9 +234,13 @@ impl FleetDaemon {
         horizon: Option<selfheal_units::Seconds>,
     ) -> Response {
         let chip_index = usize::try_from(chip).unwrap_or(usize::MAX);
-        let Some(consumed) = self.state.chip_consumed(chip_index) else {
+        let (Some((shard, traps)), Some(duty)) = (
+            self.state.chip_view(chip_index),
+            self.state.chip_duty(chip_index),
+        ) else {
             return unknown_chip(chip);
         };
+        let consumed = shard.bank.delta_vth_range(traps.clone());
         let config = self.state.config();
         let period = period.unwrap_or(config.period);
         let horizon = horizon.unwrap_or(config.horizon);
@@ -246,9 +253,11 @@ impl FleetDaemon {
                 ),
             };
         }
-        let plan = self
-            .planner
-            .plan_with_consumed(consumed, technique, period, horizon);
+        // The plan runs the chip's own trap slice forward under its
+        // reported duty, like `predict`; the state is untouched.
+        let plan =
+            self.planner
+                .plan_from_bank(&shard.bank, traps, duty, technique, period, horizon);
         Response::Plan {
             chip,
             consumed,
@@ -263,7 +272,7 @@ impl FleetDaemon {
         };
         let duty = self.state.chip_duty(chip_index).unwrap_or_default();
         let cond = DeviceCondition::new(self.state.config().active_env, duty);
-        // The projection steps a copy of the chip's live trap slice; the
+        // The projection reads the chip's live trap slice in place; the
         // state itself is untouched.
         let Some((shard, traps)) = self.state.chip_view(chip_index) else {
             return unknown_chip(chip);

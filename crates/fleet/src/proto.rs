@@ -549,6 +549,11 @@ impl Response {
                         "predicted_peak_mv".into(),
                         Json::Number(plan.predicted_peak.get()),
                     ));
+                    // Only a recover-first plan names it, so every other
+                    // plan reply keeps its bytes.
+                    if plan.recover_first {
+                        fields.push(("recover_first".into(), Json::Bool(true)));
+                    }
                 }
                 Json::object(fields)
             }
@@ -625,6 +630,7 @@ impl Response {
                         technique: parse_technique(doc.get("technique")?.as_str()?)?,
                         period: Seconds::new(doc.get("period_s")?.as_f64()?),
                         predicted_peak: Millivolts::new(doc.get("predicted_peak_mv")?.as_f64()?),
+                        recover_first: matches!(doc.get("recover_first"), Some(Json::Bool(true))),
                     })
                 } else {
                     None
@@ -995,9 +1001,24 @@ mod tests {
                         technique: RejuvenationTechnique::Combined,
                         period: Seconds::new(86_400.0),
                         predicted_peak: Millivolts::new(21.5),
+                        recover_first: false,
                     }),
                 },
                 r#"{"alpha":3.5,"chip":1.0,"consumed_mv":4.25,"feasible":true,"period_s":86400.0,"predicted_peak_mv":21.5,"sleep_s_per_period":19200.0,"technique":"combined","type":"plan"}"#,
+            ),
+            (
+                Response::Plan {
+                    chip: 5,
+                    consumed: Millivolts::new(31.0),
+                    plan: Ratio::new(1.0).map(|alpha| RejuvenationPlan {
+                        alpha,
+                        technique: RejuvenationTechnique::Combined,
+                        period: Seconds::new(86_400.0),
+                        predicted_peak: Millivolts::new(29.5),
+                        recover_first: true,
+                    }),
+                },
+                r#"{"alpha":1.0,"chip":5.0,"consumed_mv":31.0,"feasible":true,"period_s":86400.0,"predicted_peak_mv":29.5,"recover_first":true,"sleep_s_per_period":43200.0,"technique":"combined","type":"plan"}"#,
             ),
             (
                 Response::Plan {

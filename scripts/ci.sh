@@ -21,11 +21,12 @@ echo "== cargo build --release" >&2
 # the sampled bench) would silently stay stale.
 cargo build --release --workspace
 
-echo "== cargo fmt --check (fleet, bti, runtime, units)" >&2
-# rustfmt is gated crate by crate, starting with the fleet, bti, runtime
-# and units crates; the rest of the workspace still carries unformatted
-# code.
-cargo fmt --check -p selfheal-fleet -p selfheal-bti -p selfheal-runtime -p selfheal-units
+echo "== cargo fmt --check (fleet, bti, runtime, units, testbench, multicore)" >&2
+# rustfmt is gated crate by crate, starting with the fleet, bti, runtime,
+# units, testbench and multicore crates; the rest of the workspace still
+# carries unformatted code.
+cargo fmt --check -p selfheal-fleet -p selfheal-bti -p selfheal-runtime -p selfheal-units \
+    -p selfheal-testbench -p selfheal-multicore
 
 echo "== cargo test" >&2
 # --workspace: the root package holds the cross-crate tier-1 suites, but

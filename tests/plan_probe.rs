@@ -127,6 +127,7 @@ fn reference_plan(
         technique,
         period,
         predicted_peak: predicted_peak(alpha),
+        recover_first: false,
     };
 
     let alpha_min = alpha_of(0.5);
