@@ -8,9 +8,9 @@
 //! \[7, 8\]) measures, the policy decides, the supply and (locally
 //! controllable) temperature respond.
 
-use selfheal_telemetry as telemetry;
 use selfheal_bti::Environment;
 use selfheal_fpga::{Chip, Odometer, RoMode};
+use selfheal_telemetry as telemetry;
 use selfheal_units::{Fraction, Nanoseconds, Seconds};
 
 use crate::policy::{PolicyDecision, RecoveryPolicy};

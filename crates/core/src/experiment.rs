@@ -16,9 +16,9 @@
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
+use selfheal_fpga::{Chip, ChipId};
 use selfheal_runtime::{self as runtime, CacheOutcome, CacheRecord, ResultCache};
 use selfheal_telemetry::{self as telemetry, json::Json};
-use selfheal_fpga::{Chip, ChipId};
 use selfheal_testbench::cases::{self, PhaseKind, TestCase};
 use selfheal_testbench::{PhaseSpec, TestHarness};
 use selfheal_units::{Hours, Minutes, Nanoseconds, Percent, Seconds};
@@ -303,9 +303,7 @@ impl PaperExperiment {
                     PhaseKind::Recovery { .. } => {
                         let t1 = cumulative_stress;
                         let Some(fresh) = chip_fresh else {
-                            unreachable!(
-                                "every recovery case follows a stress case on its chip"
-                            );
+                            unreachable!("every recovery case follows a stress case on its chip");
                         };
                         let series = recovery_series(&records, fresh);
                         let fit = FittedRecoveryCurve::fit(
@@ -586,7 +584,11 @@ mod tests {
             .collect();
         let c110 = dcs.iter().sum::<f64>() / dcs.len() as f64;
         assert!(c100 < c110, "{c100} vs {c110}");
-        assert!(c100 / c110 > 0.7, "the gap is modest (Fig. 5): {}", c100 / c110);
+        assert!(
+            c100 / c110 > 0.7,
+            "the gap is modest (Fig. 5): {}",
+            c100 / c110
+        );
     }
 
     #[test]
@@ -606,7 +608,10 @@ mod tests {
     fn headline_margin_relaxed_near_724() {
         let o = outputs();
         let both = o.recovery("AR110N6").unwrap().margin_relaxed().get();
-        assert!(both > 60.0 && both < 85.0, "AR110N6 margin relaxed = {both} %");
+        assert!(
+            both > 60.0 && both < 85.0,
+            "AR110N6 margin relaxed = {both} %"
+        );
     }
 
     #[test]
@@ -636,7 +641,10 @@ mod tests {
     fn fits_are_extracted_for_every_case() {
         let o = outputs();
         for s in &o.stresses {
-            let fit = s.fit.as_ref().unwrap_or_else(|| panic!("{} has a fit", s.case.name));
+            let fit = s
+                .fit
+                .as_ref()
+                .unwrap_or_else(|| panic!("{} has a fit", s.case.name));
             assert!(fit.beta_ns > 0.0);
             // The model curve should track the data decently.
             assert!(
@@ -664,10 +672,8 @@ mod tests {
 
     #[test]
     fn cached_campaign_round_trips_bit_for_bit() {
-        let root = std::env::temp_dir().join(format!(
-            "selfheal-core-chipcache-{}",
-            std::process::id()
-        ));
+        let root =
+            std::env::temp_dir().join(format!("selfheal-core-chipcache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let cache = ResultCache::at(root);
         let exp = PaperExperiment::quick(2014);
@@ -676,7 +682,11 @@ mod tests {
         let (second, outcomes) = exp.run_cached(&cache);
         assert_eq!(outcomes, vec![CacheOutcome::Hit; 5]);
         assert_eq!(first, second, "rehydration reproduces the computed run");
-        assert_eq!(&first, outputs(), "cached path matches PaperExperiment::run");
+        assert_eq!(
+            &first,
+            outputs(),
+            "cached path matches PaperExperiment::run"
+        );
         // A different configuration cannot replay these entries.
         let (_, outcomes) = PaperExperiment::quick(2015).run_cached(&cache);
         assert_eq!(outcomes, vec![CacheOutcome::Miss; 5]);

@@ -143,8 +143,8 @@ impl FittedRecoveryCurve {
     pub fn predict(&self, t2: Seconds) -> Nanoseconds {
         let t2 = t2.get().max(0.0);
         let t1 = self.t1.get().max(0.0);
-        let g = (1.0 + self.c_per_s * t2).ln()
-            / (1.0 + self.b * (1.0 + self.c_per_s * (t1 + t2)).ln());
+        let g =
+            (1.0 + self.c_per_s * t2).ln() / (1.0 + self.b * (1.0 + self.c_per_s * (t1 + t2)).ln());
         Nanoseconds::new(self.a_ns * g)
     }
 }
@@ -177,8 +177,8 @@ mod tests {
         // even if (a, b, c) individually trade off along the fit's ridge.
         let t2 = 43_200.0;
         let deep = fit.predict(Seconds::new(t2)).get();
-        let truth = 2.0 * (1.0f64 + 2e-2 * t2).ln()
-            / (1.0 + 0.5 * (1.0f64 + 2e-2 * (86_400.0 + t2)).ln());
+        let truth =
+            2.0 * (1.0f64 + 2e-2 * t2).ln() / (1.0 + 0.5 * (1.0f64 + 2e-2 * (86_400.0 + t2)).ln());
         assert!((deep - truth).abs() / truth < 0.05, "{deep} vs {truth}");
     }
 

@@ -59,6 +59,6 @@ pub mod technique;
 
 pub use experiment::{ExperimentOutputs, PaperExperiment};
 pub use margin::MarginBudget;
-pub use planner::{RejuvenationPlan, SchedulePlanner};
 pub use metrics::{recovered_delay, DegradationPoint, RecoveryPoint};
+pub use planner::{RejuvenationPlan, SchedulePlanner};
 pub use technique::RejuvenationTechnique;

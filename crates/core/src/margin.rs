@@ -161,7 +161,10 @@ mod tests {
     fn improvement_below_fresh_is_not_negative_consumption() {
         let b = MarginBudget::typical();
         let fresh = Nanoseconds::new(90.0);
-        assert_eq!(b.consumed_fraction(fresh, Nanoseconds::new(89.0)).get(), 0.0);
+        assert_eq!(
+            b.consumed_fraction(fresh, Nanoseconds::new(89.0)).get(),
+            0.0
+        );
     }
 
     #[test]
@@ -169,8 +172,7 @@ mod tests {
         let model = StressModel::default();
         let env = Environment::new(Volts::new(1.2), Celsius::new(110.0));
         let beta = 0.06; // ns of path shift per mV of device shift
-        let t_small =
-            time_to_margin_exhaustion(&model, env, beta, Nanoseconds::new(2.0)).unwrap();
+        let t_small = time_to_margin_exhaustion(&model, env, beta, Nanoseconds::new(2.0)).unwrap();
         let t_big = time_to_margin_exhaustion(&model, env, beta, Nanoseconds::new(4.0)).unwrap();
         assert!(t_big > t_small * 2.0, "log-law inversion is super-linear");
     }

@@ -131,8 +131,8 @@ impl RecoveryAssessment {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use selfheal_fpga::{CounterReading, Measurement};
     use selfheal_fpga::RoMode;
+    use selfheal_fpga::{CounterReading, Measurement};
     use selfheal_units::{Celsius, Hertz, Volts};
 
     fn record(elapsed_s: f64, delay_ns: f64) -> MeasurementRecord {
@@ -163,7 +163,11 @@ mod tests {
 
     #[test]
     fn degradation_series_uses_first_sample_as_baseline() {
-        let records = vec![record(0.0, 90.0), record(3600.0, 91.0), record(7200.0, 92.0)];
+        let records = vec![
+            record(0.0, 90.0),
+            record(3600.0, 91.0),
+            record(7200.0, 92.0),
+        ];
         let series = degradation_series(&records);
         assert_eq!(series.len(), 3);
         assert_eq!(series[0].frequency_degradation.get(), 0.0);
@@ -176,7 +180,11 @@ mod tests {
     #[test]
     fn recovery_series_tracks_rd_and_remaining() {
         let fresh = Nanoseconds::new(90.0);
-        let records = vec![record(0.0, 92.3), record(1800.0, 91.5), record(3600.0, 90.9)];
+        let records = vec![
+            record(0.0, 92.3),
+            record(1800.0, 91.5),
+            record(3600.0, 90.9),
+        ];
         let series = recovery_series(&records, fresh);
         assert_eq!(series[0].recovered_delay, Nanoseconds::ZERO);
         assert!((series[2].recovered_delay.get() - 1.4).abs() < 1e-9);

@@ -69,7 +69,10 @@ pub fn compare_strategies(
     period: Seconds,
     periods: usize,
 ) -> Vec<MitigationOutcome> {
-    assert!(work.get() > 0.0 && period.get() > 0.0, "durations must be positive");
+    assert!(
+        work.get() > 0.0 && period.get() > 0.0,
+        "durations must be positive"
+    );
     assert!(work <= period, "work must fit in the period");
 
     // A gated, idle unit cools towards the package ambient — it does not
@@ -202,7 +205,10 @@ mod tests {
         // First-order Eq. 5 speedup for +10 % Vdd is a modest few percent
         // — which is exactly GNOMO's trade: small time savings bought
         // with quadratic energy.
-        assert!(kappa > 1.02 && kappa < 1.3, "plausible +10 % Vdd speedup: {kappa}");
+        assert!(
+            kappa > 1.02 && kappa < 1.3,
+            "plausible +10 % Vdd speedup: {kappa}"
+        );
     }
 
     #[test]

@@ -521,17 +521,18 @@ mod tests {
 
         // The projection advances a copy: the bank itself must not move,
         // and the projected shift matches advancing the slice directly.
-        let cond = DeviceCondition::dc_stress(Environment::new(
-            Volts::new(1.2),
-            Celsius::new(90.0),
-        ));
+        let cond =
+            DeviceCondition::dc_stress(Environment::new(Volts::new(1.2), Celsius::new(90.0)));
         let dt: Seconds = Hours::new(24.0).into();
         let before = bank.clone();
         let projected = p.predicted_shift_from_bank(&bank, 0..bank.len(), cond, dt);
         assert_eq!(bank, before, "projection must not mutate the live bank");
         let mut direct = bank.clone();
         direct.advance_all(&PhaseRates::for_condition(cond), dt);
-        assert_eq!(projected.get().to_bits(), direct.delta_vth().get().to_bits());
+        assert_eq!(
+            projected.get().to_bits(),
+            direct.delta_vth().get().to_bits()
+        );
         // A chip's slice of a larger bank projects like the chip alone.
         let mut shard = bank.clone();
         shard.extend(TrapEnsembleParams::default().sample_traps(&mut rng));

@@ -150,7 +150,9 @@ pub fn simulate_policy(
         horizon,
         time_asleep,
         sleep_events,
-        mean_margin_consumed: Fraction::new(weighted_consumed / horizon.get().max(f64::MIN_POSITIVE)),
+        mean_margin_consumed: Fraction::new(
+            weighted_consumed / horizon.get().max(f64::MIN_POSITIVE),
+        ),
         peak_margin_consumed: Fraction::new(peak.max(final_consumed.get())),
         final_margin_consumed: final_consumed,
         first_sleep_at,
@@ -247,10 +249,17 @@ mod tests {
         );
         let result = run(&mut circadian);
         // 90 days at a 30 h period ⇒ 72 cycles.
-        assert!(result.sleep_events >= 60, "events = {}", result.sleep_events);
+        assert!(
+            result.sleep_events >= 60,
+            "events = {}",
+            result.sleep_events
+        );
         // Sleeps 1/5 of every period.
         let sleep_fraction = result.time_asleep / result.horizon;
-        assert!((sleep_fraction - 0.2).abs() < 0.03, "fraction = {sleep_fraction}");
+        assert!(
+            (sleep_fraction - 0.2).abs() < 0.03,
+            "fraction = {sleep_fraction}"
+        );
     }
 
     #[test]

@@ -242,10 +242,8 @@ mod tests {
 
     #[test]
     fn cached_study_matches_uncached() {
-        let root = std::env::temp_dir().join(format!(
-            "selfheal-study-cache-{}",
-            std::process::id()
-        ));
+        let root =
+            std::env::temp_dir().join(format!("selfheal-study-cache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let study = VariationStudy {
             runs: 2,
