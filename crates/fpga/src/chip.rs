@@ -2,9 +2,9 @@
 //! measurement pipeline.
 
 use rand::Rng;
-use selfheal_telemetry as telemetry;
 use selfheal_bti::td::PhaseRateCache;
 use selfheal_bti::Environment;
+use selfheal_telemetry as telemetry;
 use selfheal_units::{Hertz, Millivolts, Nanoseconds, Seconds};
 
 use crate::counter::{CounterReading, FrequencyCounter};
@@ -150,7 +150,10 @@ impl Chip {
             cut_delay: self.counter.delay_of_count(mean),
         };
         telemetry::counter!("fpga.chip.measurements", 1.0);
-        telemetry::histogram!("fpga.chip.ro_frequency_mhz", measurement.frequency.get() / 1e6);
+        telemetry::histogram!(
+            "fpga.chip.ro_frequency_mhz",
+            measurement.frequency.get() / 1e6
+        );
         telemetry::histogram!("fpga.chip.cut_delay_ns", measurement.cut_delay.get());
         telemetry::event!(
             "fpga.chip.measure",

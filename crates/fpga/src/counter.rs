@@ -39,7 +39,10 @@ impl FrequencyCounter {
     /// is not positive — both are configuration bugs.
     #[must_use]
     pub fn new(bits: u32, fref: Hertz) -> Self {
-        assert!((1..=31).contains(&bits), "counter width must be 1..=31 bits");
+        assert!(
+            (1..=31).contains(&bits),
+            "counter width must be 1..=31 bits"
+        );
         assert!(fref.get() > 0.0, "reference clock must be positive");
         FrequencyCounter {
             bits,

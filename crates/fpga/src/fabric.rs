@@ -10,10 +10,10 @@
 use std::sync::Arc;
 
 use rand::Rng;
-use selfheal_runtime::{self as runtime, CacheOutcome, CacheRecord, ResultCache, SeedSequence};
-use selfheal_telemetry::{self as telemetry, json::Json, manifest::fnv1a};
 use selfheal_bti::td::PhaseRateCache;
 use selfheal_bti::Environment;
+use selfheal_runtime::{self as runtime, CacheOutcome, CacheRecord, ResultCache, SeedSequence};
+use selfheal_telemetry::{self as telemetry, json::Json, manifest::fnv1a};
 use selfheal_units::{float, Millivolts, Nanoseconds, Seconds};
 
 use crate::counter::FrequencyCounter;
@@ -163,7 +163,10 @@ impl CutArray {
             let systematic = gradient.offset_at(location);
             let offset = Millivolts::new(corner_offset.get() + systematic.get());
             let mut rng = seeds.rng(i as u64);
-            (location, RingOscillator::sample(&family_owned, offset, &mut rng))
+            (
+                location,
+                RingOscillator::sample(&family_owned, offset, &mut rng),
+            )
         });
         CutArray {
             cuts,
@@ -215,7 +218,10 @@ impl CutArray {
         cache: &ResultCache,
     ) -> (Vec<(DieLocation, Nanoseconds)>, CacheOutcome) {
         let fingerprint = fnv1a(format!("{self:?}").as_bytes());
-        let key = format!("fabric={fingerprint:016x};sites={};seed={seed}", self.cuts.len());
+        let key = format!(
+            "fabric={fingerprint:016x};sites={};seed={seed}",
+            self.cuts.len()
+        );
         let (record, outcome) = cache.get_or_compute(
             "fpga-survey",
             selfheal_bti::td::KERNEL_VERSION,
@@ -345,7 +351,10 @@ impl CacheRecord for SurveyRecord {
                 };
                 let column = u8::try_from(column.as_f64()? as u64).ok()?;
                 let row = u8::try_from(row.as_f64()? as u64).ok()?;
-                Some((DieLocation { column, row }, Nanoseconds::new(delay.as_f64()?)))
+                Some((
+                    DieLocation { column, row },
+                    Nanoseconds::new(delay.as_f64()?),
+                ))
             })
             .collect::<Option<Vec<_>>>()?;
         Some(SurveyRecord(sites))
@@ -372,10 +381,8 @@ mod tests {
 
     #[test]
     fn cached_survey_round_trips_bit_for_bit() {
-        let root = std::env::temp_dir().join(format!(
-            "selfheal-fpga-surveycache-{}",
-            std::process::id()
-        ));
+        let root =
+            std::env::temp_dir().join(format!("selfheal-fpga-surveycache-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&root);
         let cache = ResultCache::at(root);
         let a = array();
@@ -386,7 +393,11 @@ mod tests {
         assert_eq!(missed.len(), hit.len());
         for ((l1, d1), (l2, d2)) in missed.iter().zip(&hit) {
             assert_eq!(l1, l2);
-            assert_eq!(d1.get().to_bits(), d2.get().to_bits(), "rehydration is bit-exact");
+            assert_eq!(
+                d1.get().to_bits(),
+                d2.get().to_bits(),
+                "rehydration is bit-exact"
+            );
         }
         let (_, o3) = a.survey_cached(8, &cache);
         assert_eq!(o3, CacheOutcome::Miss, "seed is part of the key");
@@ -428,8 +439,12 @@ mod tests {
                     &mut rng,
                 );
                 (
-                    a.true_delay_at(DieLocation { column: 0, row: 0 }).unwrap().get(),
-                    a.true_delay_at(DieLocation { column: 3, row: 2 }).unwrap().get(),
+                    a.true_delay_at(DieLocation { column: 0, row: 0 })
+                        .unwrap()
+                        .get(),
+                    a.true_delay_at(DieLocation { column: 3, row: 2 })
+                        .unwrap()
+                        .get(),
                 )
             })
             .fold((0.0, 0.0), |acc, (o, f)| (acc.0 + o, acc.1 + f));
@@ -480,7 +495,10 @@ mod tests {
             Hours::new(24.0).into(),
         );
         for (location, b) in a.locations().zip(before) {
-            assert!(a.true_delay_at(location).unwrap().get() > b, "{location} aged");
+            assert!(
+                a.true_delay_at(location).unwrap().get() > b,
+                "{location} aged"
+            );
         }
     }
 

@@ -137,7 +137,10 @@ mod tests {
         let fosc_hz = 1e9 / (2.0 * half_period_ns);
         let count = fosc_hz / (2.0 * f.reference_clock.get());
         assert!(count > 1000.0, "enough resolution: {count}");
-        assert!(count < f64::from(u32::pow(2, f.counter_bits) - 1), "no overflow: {count}");
+        assert!(
+            count < f64::from(u32::pow(2, f.counter_bits) - 1),
+            "no overflow: {count}"
+        );
     }
 
     #[test]

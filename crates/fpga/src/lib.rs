@@ -51,8 +51,8 @@
 
 pub mod chip;
 pub mod counter;
-pub mod fabric;
 pub mod delay;
+pub mod fabric;
 pub mod family;
 pub mod lut;
 pub mod netlist;

@@ -296,7 +296,12 @@ mod tests {
     fn fresh_inverter() -> Lut {
         let mut rng = StdRng::seed_from_u64(2);
         let family = Family::commercial_40nm().without_variation();
-        Lut::sample(LutConfig::inverter_in0(), &family, Millivolts::new(0.0), &mut rng)
+        Lut::sample(
+            LutConfig::inverter_in0(),
+            &family,
+            Millivolts::new(0.0),
+            &mut rng,
+        )
     }
 
     fn hot_stress() -> Environment {
@@ -426,9 +431,19 @@ mod tests {
     fn ac_ages_less_than_dc_per_lut() {
         let family = Family::commercial_40nm().without_variation();
         let mut rng = StdRng::seed_from_u64(3);
-        let mut dc = Lut::sample(LutConfig::inverter_in0(), &family, Millivolts::new(0.0), &mut rng);
+        let mut dc = Lut::sample(
+            LutConfig::inverter_in0(),
+            &family,
+            Millivolts::new(0.0),
+            &mut rng,
+        );
         let mut rng = StdRng::seed_from_u64(3);
-        let mut ac = Lut::sample(LutConfig::inverter_in0(), &family, Millivolts::new(0.0), &mut rng);
+        let mut ac = Lut::sample(
+            LutConfig::inverter_in0(),
+            &family,
+            Millivolts::new(0.0),
+            &mut rng,
+        );
 
         dc.advance_static(
             true,

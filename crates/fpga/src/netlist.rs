@@ -180,7 +180,11 @@ mod tests {
     #[test]
     fn fresh_delay_budget_for_75_stages() {
         let c = chain(75);
-        assert!((c.fresh_delay().get() - 90.0).abs() < 1e-9, "{}", c.fresh_delay());
+        assert!(
+            (c.fresh_delay().get() - 90.0).abs() < 1e-9,
+            "{}",
+            c.fresh_delay()
+        );
         assert_eq!(c.len(), 75);
         assert!(!c.is_empty());
     }
@@ -238,7 +242,10 @@ mod tests {
         );
         let healed = c.delay_shift().get();
         let recovered = (aged - healed) / aged;
-        assert!(recovered > 0.6 && recovered < 0.9, "recovered fraction = {recovered}");
+        assert!(
+            recovered > 0.6 && recovered < 0.9,
+            "recovered fraction = {recovered}"
+        );
     }
 
     #[test]

@@ -49,11 +49,7 @@ impl Odometer {
 
     /// Samples a matched sensor pair on the given process corner.
     #[must_use]
-    pub fn sample<R: Rng + ?Sized>(
-        family: &Family,
-        chip_offset: Millivolts,
-        rng: &mut R,
-    ) -> Self {
+    pub fn sample<R: Rng + ?Sized>(family: &Family, chip_offset: Millivolts, rng: &mut R) -> Self {
         let mut small = family.clone();
         small.ro_stages = Self::STAGES;
         Odometer {
@@ -131,7 +127,10 @@ mod tests {
             assert!(now > previous, "odometer only counts up under stress");
             previous = now;
         }
-        assert!(previous > 0.005 && previous < 0.05, "plausible scale: {previous}");
+        assert!(
+            previous > 0.005 && previous < 0.05,
+            "plausible scale: {previous}"
+        );
     }
 
     #[test]
@@ -168,6 +167,10 @@ mod tests {
         let read = o.read().get();
         let consumed = o.margin_consumed(Fraction::new(0.05)).get();
         assert!((consumed - read / 0.05).abs() < 1e-9);
-        assert_eq!(o.margin_consumed(Fraction::ZERO).get(), 1.0, "degenerate margin");
+        assert_eq!(
+            o.margin_consumed(Fraction::ZERO).get(),
+            1.0,
+            "degenerate margin"
+        );
     }
 }

@@ -47,11 +47,7 @@ pub struct RingOscillator {
 impl RingOscillator {
     /// Samples a fresh RO with the family's stage count.
     #[must_use]
-    pub fn sample<R: Rng + ?Sized>(
-        family: &Family,
-        chip_offset: Millivolts,
-        rng: &mut R,
-    ) -> Self {
+    pub fn sample<R: Rng + ?Sized>(family: &Family, chip_offset: Millivolts, rng: &mut R) -> Self {
         RingOscillator {
             chain: InverterChain::sample(family.ro_stages, family, chip_offset, rng),
         }
@@ -165,7 +161,8 @@ mod tests {
         let fresh = dc.frequency(vdd);
         dc.advance(RoMode::Static, hot(), Hours::new(24.0).into());
         ac.advance(RoMode::Oscillating, hot(), Hours::new(24.0).into());
-        let r = ac.frequency(vdd).degradation_from(fresh) / dc.frequency(vdd).degradation_from(fresh);
+        let r =
+            ac.frequency(vdd).degradation_from(fresh) / dc.frequency(vdd).degradation_from(fresh);
         assert!(r > 0.35 && r < 0.7, "AC/DC = {r}");
     }
 

@@ -24,11 +24,7 @@ pub struct RoutingBlock {
 impl RoutingBlock {
     /// Samples a fresh routing block.
     #[must_use]
-    pub fn sample<R: Rng + ?Sized>(
-        family: &Family,
-        chip_offset: Millivolts,
-        rng: &mut R,
-    ) -> Self {
+    pub fn sample<R: Rng + ?Sized>(family: &Family, chip_offset: Millivolts, rng: &mut R) -> Self {
         let mut mk = |name: &str, pol: Polarity| {
             let local = family.variation.sample_device_offset(rng);
             let vth = family.vth_nominal + Volts::from(chip_offset) + Volts::from(local);
@@ -132,8 +128,16 @@ mod tests {
     #[test]
     fn parked_level_picks_the_stressed_device() {
         let block = fresh_block();
-        assert_eq!(block.stressed_index(true), 0, "high net stresses the NMOS R1");
-        assert_eq!(block.stressed_index(false), 1, "low net stresses the PMOS R2");
+        assert_eq!(
+            block.stressed_index(true),
+            0,
+            "high net stresses the NMOS R1"
+        );
+        assert_eq!(
+            block.stressed_index(false),
+            1,
+            "low net stresses the PMOS R2"
+        );
     }
 
     #[test]

@@ -192,7 +192,11 @@ mod tests {
         let mut t = device(0.0);
         t.advance(&stress(), Hours::new(24.0).into());
         assert!(t.is_aged(), "it ages...");
-        assert_eq!(t.delay(Volts::new(1.2)), Nanoseconds::ZERO, "...but adds no delay");
+        assert_eq!(
+            t.delay(Volts::new(1.2)),
+            Nanoseconds::ZERO,
+            "...but adds no delay"
+        );
         assert!(!t.is_on_poi());
     }
 
