@@ -30,8 +30,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             .map(|p| (p.elapsed, p.delay_shift))
             .collect();
     let stress_fit = FittedStressCurve::fit(&stress_points).expect("informative series");
-    println!("Eq. (10) fit:  dTd(t) = {:.4} * ln(1 + {:.2e} * t)   [RMSE {:.4} ns]",
-        stress_fit.beta_ns, stress_fit.c_per_s, stress_fit.rmse_ns);
+    println!(
+        "Eq. (10) fit:  dTd(t) = {:.4} * ln(1 + {:.2e} * t)   [RMSE {:.4} ns]",
+        stress_fit.beta_ns, stress_fit.c_per_s, stress_fit.rmse_ns
+    );
 
     // --- measure a 6 h recovery phase and extract (a, b, c) ---
     let fresh = stress_records[0].measurement.cut_delay;
@@ -67,9 +69,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let restress_records = harness.run_phase(&restress, &mut rng)?;
 
     // Resume the fitted curve from the point matching the residual shift.
-    let resume =
-        ((residual - fresh).get() / stress_fit.beta_ns).exp_m1() / stress_fit.c_per_s;
-    println!("{:>8} {:>14} {:>14} {:>10}", "t (h)", "measured (ns)", "model (ns)", "err (%)");
+    let resume = ((residual - fresh).get() / stress_fit.beta_ns).exp_m1() / stress_fit.c_per_s;
+    println!(
+        "{:>8} {:>14} {:>14} {:>10}",
+        "t (h)", "measured (ns)", "model (ns)", "err (%)"
+    );
     for record in restress_records.iter().step_by(2) {
         let measured = (record.measurement.cut_delay - fresh).get();
         let modelled = stress_fit

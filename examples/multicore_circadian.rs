@@ -40,16 +40,21 @@ fn main() {
 
     println!("\nper-core wear (mV):");
     for r in &reports {
-        let cores: Vec<String> = r.per_core_mv.iter().map(|v| format!("{:5.1}", v.get())).collect();
+        let cores: Vec<String> = r
+            .per_core_mv
+            .iter()
+            .map(|v| format!("{:5.1}", v.get()))
+            .collect();
         println!("  {:<20} [{}]", r.scheduler, cores.join(" "));
     }
 
     let naive = &reports[0];
     // total_cmp keeps the selection total even if a model ever emits NaN.
-    let Some(best) = reports
-        .iter()
-        .min_by(|a, b| a.worst_delta_vth_mv.get().total_cmp(&b.worst_delta_vth_mv.get()))
-    else {
+    let Some(best) = reports.iter().min_by(|a, b| {
+        a.worst_delta_vth_mv
+            .get()
+            .total_cmp(&b.worst_delta_vth_mv.get())
+    }) else {
         unreachable!("reports array is non-empty");
     };
     println!(

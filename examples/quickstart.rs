@@ -27,7 +27,11 @@ fn main() {
 
     // 6 h of accelerated self-healing: −0.3 V at 110 °C (α = 4).
     let technique = RejuvenationTechnique::Combined;
-    chip.advance(RoMode::Sleep, technique.environment(), Hours::new(6.0).into());
+    chip.advance(
+        RoMode::Sleep,
+        technique.environment(),
+        Hours::new(6.0).into(),
+    );
     let healed = chip.measure(&mut rng);
     println!("healed: {} ({})", healed.cut_delay, healed.frequency);
 

@@ -29,8 +29,8 @@ fn workspace_passes_its_own_static_analysis() {
 #[test]
 fn deterministic_roots_are_closed_under_the_purity_analysis() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"));
-    let (_, flow) = selfheal_analyzer::analyze_workspace(root)
-        .expect("workspace sources must be readable");
+    let (_, flow) =
+        selfheal_analyzer::analyze_workspace(root).expect("workspace sources must be readable");
 
     // The dataflow pass must actually see the workspace: at least one
     // node per crate, and a non-trivial root set anchored by the
@@ -42,9 +42,11 @@ fn deterministic_roots_are_closed_under_the_purity_analysis() {
         .map(|n| n.crate_name.as_str())
         .collect();
     assert!(crates.len() >= 10, "only saw crates: {crates:?}");
-    assert!(!flow.graph.roots.is_empty(), "no deterministic roots derived");
-    let kinds: std::collections::BTreeSet<RootKind> =
-        flow.graph.roots.values().copied().collect();
+    assert!(
+        !flow.graph.roots.is_empty(),
+        "no deterministic roots derived"
+    );
+    let kinds: std::collections::BTreeSet<RootKind> = flow.graph.roots.values().copied().collect();
     assert!(
         kinds.contains(&RootKind::Kernel),
         "TrapBank::advance_all must be a root: {kinds:?}"

@@ -20,7 +20,10 @@ fn arb_recovery_env() -> impl Strategy<Value = Environment> {
 
 /// Ages a stochastic device by `hours` under `cond`.
 fn age(device: &mut TrapBank, cond: DeviceCondition, hours: f64) {
-    device.advance_all(&PhaseRates::for_condition(cond), Seconds::new(hours * 3600.0));
+    device.advance_all(
+        &PhaseRates::for_condition(cond),
+        Seconds::new(hours * 3600.0),
+    );
 }
 
 /// A stochastic device's current threshold shift in mV.
@@ -31,7 +34,9 @@ fn shift(device: &TrapBank) -> f64 {
 /// The scalar oracle's traps for `seed`: the same sampler and stream as
 /// `TrapBank::sample`, but each trap keeps its permanence flag.
 fn oracle_traps(seed: u64) -> Vec<Trap> {
-    TrapEnsembleParams::default().sample_traps(&mut StdRng::seed_from_u64(seed)).collect()
+    TrapEnsembleParams::default()
+        .sample_traps(&mut StdRng::seed_from_u64(seed))
+        .collect()
 }
 
 /// Ages the scalar oracle's traps by `hours` under `cond`.
@@ -44,7 +49,11 @@ fn age_oracle(traps: &mut [Trap], cond: DeviceCondition, hours: f64) {
 /// The permanent traps' share of the shift in mV: the floor no
 /// recovery can go below.
 fn permanent_floor(traps: &[Trap]) -> f64 {
-    traps.iter().filter(|t| t.is_permanent()).map(|t| t.contribution().get()).sum()
+    traps
+        .iter()
+        .filter(|t| t.is_permanent())
+        .map(|t| t.contribution().get())
+        .sum()
 }
 
 proptest! {

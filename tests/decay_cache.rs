@@ -105,7 +105,11 @@ fn assert_banks_match(fleet: &FleetState, banks: &[TrapBank], context: &str) {
         let want = reference.occupancies();
         assert_eq!(got.len(), want.len(), "{context}: shard {index}");
         for (trap, (g, w)) in got.iter().zip(want).enumerate() {
-            assert_eq!(g.to_bits(), w.to_bits(), "{context}: shard {index} trap {trap}");
+            assert_eq!(
+                g.to_bits(),
+                w.to_bits(),
+                "{context}: shard {index} trap {trap}"
+            );
         }
     }
 }

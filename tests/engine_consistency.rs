@@ -133,7 +133,10 @@ fn engines_agree_on_ac_relief() {
         (s_ratio - a_ratio).abs() < 0.12,
         "per-device AC/DC: stochastic {s_ratio:.2} vs analytic {a_ratio:.2}"
     );
-    assert!(s_ratio > 0.15 && s_ratio < 0.4, "both in the calibrated band");
+    assert!(
+        s_ratio > 0.15 && s_ratio < 0.4,
+        "both in the calibrated band"
+    );
 }
 
 #[test]

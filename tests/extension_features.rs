@@ -118,11 +118,7 @@ fn reactive_closed_loop_and_tdp_capped_multicore_compose() {
     // A reactive, sensor-driven chip controller...
     let mut rng = StdRng::seed_from_u64(64);
     let mut chip = Chip::commercial_40nm(ChipId::new(3), &mut rng);
-    let mut odometer = Odometer::sample(
-        &Family::commercial_40nm(),
-        Millivolts::new(0.0),
-        &mut rng,
-    );
+    let mut odometer = Odometer::sample(&Family::commercial_40nm(), Millivolts::new(0.0), &mut rng);
     let mut policy = ReactivePolicy::new(
         Fraction::new(0.3),
         RejuvenationTechnique::Combined,
@@ -177,11 +173,8 @@ fn metric_stats_summarise_repeated_closed_loops() {
         .map(|seed| {
             let mut rng = StdRng::seed_from_u64(100 + seed);
             let mut chip = Chip::commercial_40nm(ChipId::new(1), &mut rng);
-            let mut odometer = Odometer::sample(
-                &Family::commercial_40nm(),
-                Millivolts::new(0.0),
-                &mut rng,
-            );
+            let mut odometer =
+                Odometer::sample(&Family::commercial_40nm(), Millivolts::new(0.0), &mut rng);
             let mut policy = ReactivePolicy::new(
                 Fraction::new(0.4),
                 RejuvenationTechnique::Combined,

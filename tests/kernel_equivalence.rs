@@ -46,8 +46,16 @@ fn assert_bit_identical(
     context: &str,
 ) {
     assert_eq!(scalar.len(), range.len(), "{context}");
-    for (i, (s, b)) in scalar.iter().zip(&bank.occupancies()[range.clone()]).enumerate() {
-        assert_eq!(s.occupancy().to_bits(), b.to_bits(), "{context}: trap {i} occupancy");
+    for (i, (s, b)) in scalar
+        .iter()
+        .zip(&bank.occupancies()[range.clone()])
+        .enumerate()
+    {
+        assert_eq!(
+            s.occupancy().to_bits(),
+            b.to_bits(),
+            "{context}: trap {i} occupancy"
+        );
     }
     // The ΔVth reduction must reproduce the scalar iterator sum
     // exactly — both accumulate in trap index order.
@@ -61,7 +69,11 @@ fn assert_bit_identical(
 fn assert_bank_bit_identical(scalar: &[Trap], bank: &TrapBank, context: &str) {
     assert_bit_identical(scalar, bank, 0..bank.len(), context);
     let whole = bank.delta_vth_range(0..bank.len());
-    assert_eq!(bank.delta_vth().get().to_bits(), whole.get().to_bits(), "{context}: delta_vth");
+    assert_eq!(
+        bank.delta_vth().get().to_bits(),
+        whole.get().to_bits(),
+        "{context}: delta_vth"
+    );
 }
 
 #[test]

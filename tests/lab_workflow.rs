@@ -45,7 +45,9 @@ fn a_full_chip5_session_runs_end_to_end() {
     .into_iter()
     .collect();
 
-    let results = harness.run_schedule(&schedule, &mut rng).expect("session runs");
+    let results = harness
+        .run_schedule(&schedule, &mut rng)
+        .expect("session runs");
     assert_eq!(results.len(), 5);
 
     // 2 + 24 + 6 + 48 + 12 = 92 hours of chamber time.

@@ -24,7 +24,11 @@ fn scheduler_ranking_is_stable_under_constant_demand() {
         Workload::constant(6),
         days,
     );
-    let heater = race(Box::new(HeaterAware::paper_default()), Workload::constant(6), days);
+    let heater = race(
+        Box::new(HeaterAware::paper_default()),
+        Workload::constant(6),
+        days,
+    );
 
     // Worst-core wear ordering: always-on is worst; the healing policies
     // beat naive gating.
@@ -70,7 +74,10 @@ fn neighbour_heating_accelerates_sleep_recovery() {
     let neighbours_active = [10.0, 10.0, 0.0, 10.0, 10.0, 10.0, 10.0, 10.0];
     let idle_t = grid.temperature_of(CoreId::new(2), &all_idle);
     let heated_t = grid.temperature_of(CoreId::new(2), &neighbours_active);
-    assert!(heated_t.get() > idle_t.get() + 20.0, "{idle_t} → {heated_t}");
+    assert!(
+        heated_t.get() > idle_t.get() + 20.0,
+        "{idle_t} → {heated_t}"
+    );
 }
 
 #[test]

@@ -53,7 +53,10 @@ fn knob_ordering_matches_figures_6_to_8() {
     let neg = relaxed("AR20N6");
     let heat = relaxed("AR110Z6");
     let both = relaxed("AR110N6");
-    assert!(passive < neg && passive < heat, "both knobs beat passive gating");
+    assert!(
+        passive < neg && passive < heat,
+        "both knobs beat passive gating"
+    );
     assert!(both > neg && both > heat, "combined beats single knobs");
     assert!(passive < 45.0, "passive recovery is weak (§2.2): {passive}");
     assert!(both > 60.0, "deep rejuvenation is strong: {both}");
@@ -69,7 +72,10 @@ fn ac_stress_is_roughly_half_of_dc() {
         .total_degradation()
         .get();
     let ratio = ac / dc;
-    assert!(ratio > 0.3 && ratio < 0.75, "AC/DC = {ratio} (paper: about half)");
+    assert!(
+        ratio > 0.3 && ratio < 0.75,
+        "AC/DC = {ratio} (paper: about half)"
+    );
 }
 
 #[test]

@@ -59,8 +59,10 @@ fn pooled_metrics_do_not_depend_on_the_worker_count() {
         );
     }
     assert!(
-        serial.iter().any(|(n, m)| n == "bti.td.kernel.traps_advanced"
-            && matches!(m, Metric::Counter(total) if *total > 0.0)),
+        serial
+            .iter()
+            .any(|(n, m)| n == "bti.td.kernel.traps_advanced"
+                && matches!(m, Metric::Counter(total) if *total > 0.0)),
         "the kernel counters are part of the comparison"
     );
     for _ in 0..4 {

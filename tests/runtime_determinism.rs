@@ -25,8 +25,7 @@ use selfheal_units::{Celsius, Hours, Seconds, Volts};
 fn stressed_device(seeds: &SeedSequence, i: u64) -> TrapBank {
     let params = TrapEnsembleParams::default();
     let mut device = TrapBank::sample(&params, &mut seeds.rng(i));
-    let stress =
-        DeviceCondition::dc_stress(Environment::new(Volts::new(1.2), Celsius::new(110.0)));
+    let stress = DeviceCondition::dc_stress(Environment::new(Volts::new(1.2), Celsius::new(110.0)));
     let dt: Seconds = Hours::new(24.0).into();
     device.advance_all(&PhaseRates::for_condition(stress), dt);
     device
@@ -34,7 +33,9 @@ fn stressed_device(seeds: &SeedSequence, i: u64) -> TrapBank {
 
 fn serial_reference(seed: u64, count: usize) -> Vec<TrapBank> {
     let seeds = SeedSequence::new(seed);
-    (0..count as u64).map(|i| stressed_device(&seeds, i)).collect()
+    (0..count as u64)
+        .map(|i| stressed_device(&seeds, i))
+        .collect()
 }
 
 proptest! {
@@ -80,10 +81,8 @@ fn par_matches_serial_with_sampling_enabled() {
     use std::time::Duration;
     let expected = serial_reference(2014, 24);
     selfheal_telemetry::metrics::set_enabled(true);
-    let status = std::env::temp_dir().join(format!(
-        "selfheal-determinism-{}.prom",
-        std::process::id()
-    ));
+    let status =
+        std::env::temp_dir().join(format!("selfheal-determinism-{}.prom", std::process::id()));
     let sampler = selfheal_telemetry::Sampler::start(status.clone(), Duration::from_millis(1))
         .expect("sampler starts");
     for workers in [2usize, 8] {
