@@ -106,7 +106,9 @@ impl FlightRecorder {
     #[must_use]
     pub fn len(&self) -> usize {
         let claimed = self.recorded();
-        usize::try_from(claimed).unwrap_or(usize::MAX).min(self.capacity())
+        usize::try_from(claimed)
+            .unwrap_or(usize::MAX)
+            .min(self.capacity())
     }
 
     /// True when nothing has been recorded yet.
@@ -138,11 +140,7 @@ impl FlightRecorder {
         let mut records: Vec<FlightRecord> = self
             .slots
             .iter()
-            .filter_map(|slot| {
-                slot.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .clone()
-            })
+            .filter_map(|slot| slot.lock().unwrap_or_else(PoisonError::into_inner).clone())
             .collect();
         records.sort_by_key(|record| record.seq);
         records
@@ -293,10 +291,8 @@ mod tests {
     fn dump_writes_jsonl_to_disk() {
         let ring = FlightRecorder::with_capacity(4);
         ring.record("lifecycle", "start", "test".to_string());
-        let path = std::env::temp_dir().join(format!(
-            "selfheal-flight-dump-{}.jsonl",
-            std::process::id()
-        ));
+        let path =
+            std::env::temp_dir().join(format!("selfheal-flight-dump-{}.jsonl", std::process::id()));
         let written = ring.dump_to(&path).expect("dump");
         assert_eq!(written, 1);
         let text = std::fs::read_to_string(&path).expect("read back");
@@ -322,7 +318,9 @@ mod tests {
         });
         assert_eq!(global().recorded(), before, "no dump path, no record");
         assert!(!built, "detail must not be built without a dump path");
-        set_dump_path(Some(std::env::temp_dir().join("selfheal-flight-unused.jsonl")));
+        set_dump_path(Some(
+            std::env::temp_dir().join("selfheal-flight-unused.jsonl"),
+        ));
         record("test", "on", String::new);
         assert!(global().recorded() > before);
         set_dump_path(previous);

@@ -103,14 +103,22 @@ impl Json {
             }
             Json::Object(map) => {
                 let entries: Vec<(&String, &Json)> = map.iter().collect();
-                write_seq(out, indent, level, '{', '}', entries.len(), |out, i, lvl| {
-                    write_string(out, entries[i].0);
-                    out.push(':');
-                    if indent.is_some() {
-                        out.push(' ');
-                    }
-                    entries[i].1.write(out, indent, lvl);
-                });
+                write_seq(
+                    out,
+                    indent,
+                    level,
+                    '{',
+                    '}',
+                    entries.len(),
+                    |out, i, lvl| {
+                        write_string(out, entries[i].0);
+                        out.push(':');
+                        if indent.is_some() {
+                            out.push(' ');
+                        }
+                        entries[i].1.write(out, indent, lvl);
+                    },
+                );
             }
         }
     }
@@ -372,7 +380,10 @@ mod tests {
     fn renders_compact_and_sorted() {
         let value = Json::object(vec![
             ("b".to_string(), Json::Number(2.0)),
-            ("a".to_string(), Json::Array(vec![Json::Bool(true), Json::Null])),
+            (
+                "a".to_string(),
+                Json::Array(vec![Json::Bool(true), Json::Null]),
+            ),
         ]);
         assert_eq!(value.render(), r#"{"a":[true,null],"b":2.0}"#);
     }
@@ -399,16 +410,20 @@ mod tests {
     #[test]
     fn round_trips_nested_structures() {
         let value = Json::object(vec![
-            ("metrics".to_string(), Json::object(vec![
-                ("count".to_string(), Json::Number(42.0)),
-                ("ratio".to_string(), Json::Number(0.724)),
-            ])),
-            ("phases".to_string(), Json::Array(vec![
+            (
+                "metrics".to_string(),
                 Json::object(vec![
+                    ("count".to_string(), Json::Number(42.0)),
+                    ("ratio".to_string(), Json::Number(0.724)),
+                ]),
+            ),
+            (
+                "phases".to_string(),
+                Json::Array(vec![Json::object(vec![
                     ("name".to_string(), Json::String("stress".to_string())),
                     ("wall_s".to_string(), Json::Number(1.5e-3)),
-                ]),
-            ])),
+                ])]),
+            ),
             ("git".to_string(), Json::Null),
         ]);
         assert_eq!(parse(&value.render()).expect("test value"), value);
@@ -428,7 +443,14 @@ mod tests {
     fn parses_numbers_in_all_common_shapes() {
         assert_eq!(parse("-1.5e3").expect("test value"), Json::Number(-1500.0));
         assert_eq!(parse("0").expect("test value"), Json::Number(0.0));
-        assert_eq!(parse("[1,2.25]").expect("test value").as_array().expect("test value").len(), 2);
+        assert_eq!(
+            parse("[1,2.25]")
+                .expect("test value")
+                .as_array()
+                .expect("test value")
+                .len(),
+            2
+        );
     }
 
     #[test]
@@ -436,7 +458,10 @@ mod tests {
         let v = parse(r#"{"a": 1.5, "s": "x", "l": [1]}"#).expect("test value");
         assert_eq!(v.get("a").and_then(Json::as_f64), Some(1.5));
         assert_eq!(v.get("s").and_then(Json::as_str), Some("x"));
-        assert_eq!(v.get("l").and_then(Json::as_array).map(<[Json]>::len), Some(1));
+        assert_eq!(
+            v.get("l").and_then(Json::as_array).map(<[Json]>::len),
+            Some(1)
+        );
         assert!(v.get("missing").is_none());
     }
 }

@@ -71,12 +71,12 @@ pub use json::Json;
 pub use manifest::{fnv1a, fnv1a_extend, git_describe, RunManifest};
 pub use metrics::{counter_add, gauge_set, histogram_observe, Histogram, Metric, MetricsSnapshot};
 pub use sink::{
-    events_enabled, flush_all, init_from_env, install_sink, ChromeTraceSink, JsonlSink,
-    MemorySink, Sink, SinkGuard, StderrSink, ENV_VAR,
+    events_enabled, flush_all, init_from_env, install_sink, ChromeTraceSink, JsonlSink, MemorySink,
+    Sink, SinkGuard, StderrSink, ENV_VAR,
 };
 pub use span::{
-    begin_run, render_folded, self_time_snapshot, take_phase_timings, PhaseTiming,
-    SelfTimeEntry, Span,
+    begin_run, render_folded, self_time_snapshot, take_phase_timings, PhaseTiming, SelfTimeEntry,
+    Span,
 };
 pub use timeseries::{
     interval_from_env, parse_exposition, parse_interval, render_exposition, Exposition, Sampler,

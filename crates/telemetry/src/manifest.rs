@@ -238,11 +238,11 @@ mod tests {
         let manifest = RunManifest::capture("roundtrip", "cfg").with_number("metric_x", 1.25);
         let rendered = manifest.render();
         let parsed = crate::json::parse(&rendered).expect("manifest parses");
-        assert_eq!(
-            parsed.get("name").and_then(Json::as_str),
-            Some("roundtrip")
-        );
-        let phases = parsed.get("phases").and_then(Json::as_array).expect("test value");
+        assert_eq!(parsed.get("name").and_then(Json::as_str), Some("roundtrip"));
+        let phases = parsed
+            .get("phases")
+            .and_then(Json::as_array)
+            .expect("test value");
         assert_eq!(phases.len(), 1);
         assert_eq!(
             phases[0].get("name").and_then(Json::as_str),

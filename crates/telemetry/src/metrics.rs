@@ -352,10 +352,7 @@ impl Histogram {
             Json::Array(
                 map.iter()
                     .map(|(idx, n)| {
-                        Json::Array(vec![
-                            Json::Number(f64::from(*idx)),
-                            Json::Number(*n as f64),
-                        ])
+                        Json::Array(vec![Json::Number(f64::from(*idx)), Json::Number(*n as f64)])
                     })
                     .collect(),
             )
@@ -392,10 +389,7 @@ pub fn counter_add(name: &str, delta: f64) {
         return;
     }
     let mut map = registry();
-    match map
-        .entry(name.to_string())
-        .or_insert(Metric::Counter(0.0))
-    {
+    match map.entry(name.to_string()).or_insert(Metric::Counter(0.0)) {
         Metric::Counter(total) => *total += delta.max(0.0),
         _ => debug_assert!(false, "metric {name} is not a counter"),
     }
@@ -422,10 +416,7 @@ pub fn gauge_max(name: &str, value: f64) {
         return;
     }
     let mut map = registry();
-    match map
-        .entry(name.to_string())
-        .or_insert(Metric::Gauge(value))
-    {
+    match map.entry(name.to_string()).or_insert(Metric::Gauge(value)) {
         Metric::Gauge(current) => *current = current.max(value),
         _ => debug_assert!(false, "metric {name} is not a gauge"),
     }
@@ -537,7 +528,10 @@ mod tests {
             gauge_max("test.m.gauge_hwm", 2.0);
             gauge_max("test.m.gauge_hwm", 7.5);
             gauge_max("test.m.gauge_hwm", 3.0);
-            assert_eq!(snapshot().get("test.m.gauge_hwm"), Some(&Metric::Gauge(7.5)));
+            assert_eq!(
+                snapshot().get("test.m.gauge_hwm"),
+                Some(&Metric::Gauge(7.5))
+            );
         });
     }
 

@@ -160,18 +160,14 @@ impl Sink for StderrSink {
             );
         }
         let scalar = |name: &str| match snapshot.get(name) {
-            Some(crate::metrics::Metric::Counter(v) | crate::metrics::Metric::Gauge(v)) => {
-                Some(*v)
-            }
+            Some(crate::metrics::Metric::Counter(v) | crate::metrics::Metric::Gauge(v)) => Some(*v),
             _ => None,
         };
-        if let (Some(batches), Some(jobs)) = (
-            scalar("runtime.pool.batches"),
-            scalar("runtime.pool.jobs"),
-        ) {
-            let mut line = format!(
-                "[telemetry] pool: {batches:.0} parallel region(s), {jobs:.0} job(s)"
-            );
+        if let (Some(batches), Some(jobs)) =
+            (scalar("runtime.pool.batches"), scalar("runtime.pool.jobs"))
+        {
+            let mut line =
+                format!("[telemetry] pool: {batches:.0} parallel region(s), {jobs:.0} job(s)");
             if let Some(depth) = scalar("runtime.pool.max_queue_depth") {
                 line.push_str(&format!(", max queue depth {depth:.0}"));
             }
@@ -312,7 +308,10 @@ impl ChromeTraceSink {
             let ts_us = event.ts_ns as f64 / 1e3;
             let mut pairs = vec![
                 ("name".to_string(), Json::String(event.name.clone())),
-                ("ph".to_string(), Json::String(phase_of(event.kind).to_string())),
+                (
+                    "ph".to_string(),
+                    Json::String(phase_of(event.kind).to_string()),
+                ),
                 ("ts".to_string(), Json::Number(ts_us)),
                 ("pid".to_string(), Json::Number(1.0)),
                 ("tid".to_string(), Json::Number(tid)),
@@ -356,8 +355,7 @@ impl ChromeTraceSink {
         // Name the rows: registered names (pool workers, harness threads)
         // win; anonymous threads keep a stable hash-derived label.
         for (tid, thread) in tids.iter().enumerate() {
-            let label =
-                thread_name(*thread).unwrap_or_else(|| format!("thread-{thread:016x}"));
+            let label = thread_name(*thread).unwrap_or_else(|| format!("thread-{thread:016x}"));
             trace.push(Json::object(vec![
                 ("name".to_string(), Json::String("thread_name".to_string())),
                 ("ph".to_string(), Json::String("M".to_string())),
@@ -443,8 +441,9 @@ impl MemorySink {
     pub fn drain_current_thread(&self) -> Vec<Event> {
         let me = current_thread_hash();
         let mut events = self.events.lock().unwrap_or_else(PoisonError::into_inner);
-        let (mine, others): (Vec<Event>, Vec<Event>) =
-            std::mem::take(&mut *events).into_iter().partition(|e| e.thread == me);
+        let (mine, others): (Vec<Event>, Vec<Event>) = std::mem::take(&mut *events)
+            .into_iter()
+            .partition(|e| e.thread == me);
         *events = others;
         mine
     }
@@ -573,7 +572,10 @@ mod tests {
         assert_eq!(lines.len(), 2);
         for line in lines {
             let json = crate::json::parse(line).expect("test value");
-            assert_eq!(json.get("kind").and_then(crate::json::Json::as_str), Some("event"));
+            assert_eq!(
+                json.get("kind").and_then(crate::json::Json::as_str),
+                Some("event")
+            );
         }
         std::fs::remove_file(&path).ok();
     }

@@ -71,7 +71,13 @@ pub(crate) fn record_phases_here() {
 /// it began a run) so consecutive manifests do not bleed into each other.
 #[must_use]
 pub fn take_phase_timings() -> Vec<PhaseTiming> {
-    PHASES.with(|phases| phases.borrow_mut().as_mut().map(std::mem::take).unwrap_or_default())
+    PHASES.with(|phases| {
+        phases
+            .borrow_mut()
+            .as_mut()
+            .map(std::mem::take)
+            .unwrap_or_default()
+    })
 }
 
 /// Accumulated timing for one folded call stack.
@@ -120,7 +126,11 @@ pub fn self_time_snapshot() -> Vec<SelfTimeEntry> {
             self_ns: *self_ns,
         })
         .collect();
-    entries.sort_by(|a, b| b.self_ns.cmp(&a.self_ns).then_with(|| a.stack.cmp(&b.stack)));
+    entries.sort_by(|a, b| {
+        b.self_ns
+            .cmp(&a.self_ns)
+            .then_with(|| a.stack.cmp(&b.stack))
+    });
     entries
 }
 

@@ -228,7 +228,10 @@ pub fn render_exposition(ts_ns: u64, snapshot: &metrics::MetricsSnapshot) -> Str
     emit(
         "selfheal_sample_ts_ns",
         "gauge",
-        &[format!("selfheal_sample_ts_ns {}", format_value(ts_ns as f64))],
+        &[format!(
+            "selfheal_sample_ts_ns {}",
+            format_value(ts_ns as f64)
+        )],
     );
     for (name, metric) in &snapshot.metrics {
         let prom = prometheus_name(name);
@@ -407,7 +410,10 @@ pub fn parse_exposition(text: &str) -> Result<Exposition, String> {
                 if !valid_metric_name(name) {
                     return Err(format!("line {line_no}: bad metric name {name:?}"));
                 }
-                if !matches!(kind, "counter" | "gauge" | "histogram" | "summary" | "untyped") {
+                if !matches!(
+                    kind,
+                    "counter" | "gauge" | "histogram" | "summary" | "untyped"
+                ) {
                     return Err(format!("line {line_no}: unknown type {kind:?}"));
                 }
                 exposition.types.insert(name.to_string(), kind.to_string());
@@ -492,7 +498,10 @@ mod tests {
         assert_eq!(parsed.value("selfheal_sample_ts_ns"), Some(123.0));
         assert_eq!(parsed.value("selfheal_test_ts_counter"), Some(3.0));
         assert_eq!(
-            parsed.types.get("selfheal_test_ts_hist").map(String::as_str),
+            parsed
+                .types
+                .get("selfheal_test_ts_hist")
+                .map(String::as_str),
             Some("histogram")
         );
         assert_eq!(parsed.value("selfheal_test_ts_hist_count"), Some(4.0));

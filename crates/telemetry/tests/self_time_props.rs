@@ -52,9 +52,7 @@ fn run_tape(ops: &[u8]) -> (String, Vec<SelfTimeEntry>) {
     }
     let entries = telemetry::self_time_snapshot()
         .into_iter()
-        .filter(|entry| {
-            entry.stack == root || entry.stack.starts_with(&format!("{root};"))
-        })
+        .filter(|entry| entry.stack == root || entry.stack.starts_with(&format!("{root};")))
         .collect();
     (root, entries)
 }

@@ -104,7 +104,11 @@ fn trace_file_round_trips_with_balanced_spans() {
                     "{row_name}: single-process trace"
                 );
                 Row {
-                    ph: event.get("ph").and_then(Json::as_str).expect("ph").to_string(),
+                    ph: event
+                        .get("ph")
+                        .and_then(Json::as_str)
+                        .expect("ph")
+                        .to_string(),
                     ts_us: event.get("ts").and_then(Json::as_f64).expect("ts"),
                     scope: event.get("s").and_then(Json::as_str).map(str::to_string),
                 }
