@@ -95,9 +95,9 @@ impl Lint {
             | Lint::UnseededRng
             | Lint::LockOrder
             | Lint::TaintedRoot => Severity::Error,
-            Lint::BarePhysicalF64
-            | Lint::SuspiciousPhysicalLiteral
-            | Lint::MissingMustUse => Severity::Warning,
+            Lint::BarePhysicalF64 | Lint::SuspiciousPhysicalLiteral | Lint::MissingMustUse => {
+                Severity::Warning
+            }
         }
     }
 
@@ -260,12 +260,24 @@ mod tests {
         );
         let doc = parse(&report_json(&[f]).render_pretty()).expect("report parses");
         assert_eq!(doc.get("total").and_then(Json::as_f64), Some(1.0));
-        let entry = &doc.get("findings").and_then(Json::as_array).expect("findings")[0];
-        assert_eq!(entry.get("lint").and_then(Json::as_str), Some("unwrap-in-lib"));
+        let entry = &doc
+            .get("findings")
+            .and_then(Json::as_array)
+            .expect("findings")[0];
+        assert_eq!(
+            entry.get("lint").and_then(Json::as_str),
+            Some("unwrap-in-lib")
+        );
         assert_eq!(entry.get("severity").and_then(Json::as_str), Some("error"));
         assert_eq!(entry.get("line").and_then(Json::as_f64), Some(7.0));
-        assert_eq!(entry.get("message").and_then(Json::as_str), Some("say \"no\" to unwrap"));
-        assert_eq!(entry.get("call_path").and_then(Json::as_array), Some(&[][..]));
+        assert_eq!(
+            entry.get("message").and_then(Json::as_str),
+            Some("say \"no\" to unwrap")
+        );
+        assert_eq!(
+            entry.get("call_path").and_then(Json::as_array),
+            Some(&[][..])
+        );
     }
 
     #[test]
@@ -282,7 +294,10 @@ mod tests {
             "now_ns (crates/telemetry/src/event.rs:170)".into(),
         ];
         let doc = report_json(&[f.clone()]);
-        let entry = &doc.get("findings").and_then(Json::as_array).expect("findings")[0];
+        let entry = &doc
+            .get("findings")
+            .and_then(Json::as_array)
+            .expect("findings")[0];
         let hops: Vec<&str> = entry
             .get("call_path")
             .and_then(Json::as_array)

@@ -158,7 +158,15 @@ const PAR_ENTRY_FNS: [&str; 3] = ["par_map", "par_map_indexed", "par_chunks"];
 
 /// `std::env` accessors that make a function env-tainted.
 const ENV_FNS: [&str; 9] = [
-    "var", "vars", "var_os", "args", "args_os", "current_dir", "temp_dir", "set_var", "remove_var",
+    "var",
+    "vars",
+    "var_os",
+    "args",
+    "args_os",
+    "current_dir",
+    "temp_dir",
+    "set_var",
+    "remove_var",
 ];
 
 /// Socket-surface method calls that make a function io-tainted: the
@@ -306,7 +314,9 @@ fn scan_sinks(
         if t.is_ident("fs")
             && tokens.get(i + 1).is_some_and(|n| n.is_punct(':'))
             && tokens.get(i + 2).is_some_and(|n| n.is_punct(':'))
-            && tokens.get(i + 3).is_some_and(|n| n.kind == TokenKind::Ident)
+            && tokens
+                .get(i + 3)
+                .is_some_and(|n| n.kind == TokenKind::Ident)
         {
             note(
                 IO,
@@ -347,9 +357,7 @@ fn scan_sinks(
         }
         // Hash-order iteration: an order-exposing method on a hash
         // collection constructed in the same body.
-        if (t.is_ident("HashMap") || t.is_ident("HashSet"))
-            && body.contains(&(i + 1))
-        {
+        if (t.is_ident("HashMap") || t.is_ident("HashSet")) && body.contains(&(i + 1)) {
             note(HASH_ITER, t.text.clone(), t.line, &mut taint);
         }
         // Seeded-RNG marker (classification only, never a taint).
@@ -737,8 +745,7 @@ pub fn build(files: &[FileGraph], crate_names: &BTreeSet<String>) -> CallGraph {
                         // The first segment names the crate (or a
                         // module/type alias from it): drop it when more
                         // segments remain.
-                        if segs.len() > 1
-                            && underscore_to_crate.contains_key(segs[0])
+                        if segs.len() > 1 && underscore_to_crate.contains_key(segs[0])
                             || own_roots.contains(&segs[0])
                         {
                             segs.remove(0);

@@ -287,11 +287,8 @@ impl Lexer {
     fn char_or_lifetime(&mut self) {
         let line = self.line;
         self.bump(); // the quote
-        // Lifetime: 'ident not followed by a closing quote.
-        if self
-            .peek(0)
-            .is_some_and(|c| c.is_alphabetic() || c == '_')
-            && self.peek(1) != Some('\'')
+                     // Lifetime: 'ident not followed by a closing quote.
+        if self.peek(0).is_some_and(|c| c.is_alphabetic() || c == '_') && self.peek(1) != Some('\'')
         {
             let mut text = String::new();
             while let Some(c) = self.peek(0) {
@@ -509,7 +506,10 @@ mod tests {
             let c = 'x';
             real_ident();
         "##;
-        assert_eq!(idents(src), vec!["let", "s", "let", "r", "let", "c", "real_ident"]);
+        assert_eq!(
+            idents(src),
+            vec!["let", "s", "let", "r", "let", "c", "real_ident"]
+        );
     }
 
     #[test]

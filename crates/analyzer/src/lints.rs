@@ -146,8 +146,7 @@ pub fn run_all(path: &Path, parsed: &ParsedFile, ctx: &FileContext) -> Vec<Findi
     // silences matching findings on its own line and the next line.
     findings.retain(|f| {
         !lexed.allows.iter().any(|a| {
-            (a.line == f.line || a.line + 1 == f.line)
-                && a.lints.iter().any(|l| l == f.lint.id())
+            (a.line == f.line || a.line + 1 == f.line) && a.lints.iter().any(|l| l == f.lint.id())
         })
     });
     findings.sort_by(|a, b| (a.line, a.lint).cmp(&(b.line, b.lint)));
@@ -324,7 +323,9 @@ fn skip_call(tokens: &[Token], open: usize) -> usize {
 /// If the tokens at `i` are `.method(`, returns the method name.
 fn followup_method<'a>(tokens: &'a [Token], i: usize) -> Option<&'a str> {
     if tokens.get(i).is_some_and(|t| t.is_punct('.'))
-        && tokens.get(i + 1).is_some_and(|t| t.kind == TokenKind::Ident)
+        && tokens
+            .get(i + 1)
+            .is_some_and(|t| t.kind == TokenKind::Ident)
         && tokens.get(i + 2).is_some_and(|t| t.is_punct('('))
     {
         Some(&tokens[i + 1].text)
@@ -424,10 +425,8 @@ fn raw_thread_spawn(path: &Path, tokens: &[Token], mask: &[bool]) -> Vec<Finding
 }
 
 /// Plausible silicon operating ranges for literal constructor args.
-const LITERAL_RANGES: [(&str, f64, f64, &str); 2] = [
-    ("Volts", -0.5, 1.5, "V"),
-    ("Celsius", -55.0, 150.0, "°C"),
-];
+const LITERAL_RANGES: [(&str, f64, f64, &str); 2] =
+    [("Volts", -0.5, 1.5, "V"), ("Celsius", -55.0, 150.0, "°C")];
 
 /// Lint: `Volts::new(<lit>)` / `Celsius::new(<lit>)` outside plausible
 /// physical ranges, in non-test code.
@@ -495,7 +494,10 @@ const UNSEEDED_RNG_CONSTRUCTORS: [&str; 3] = ["thread_rng", "from_entropy", "OsR
 /// the `unseeded-rng` lint and the dataflow pass's rng sink.
 pub(crate) fn unseeded_rng_at(tokens: &[Token], i: usize) -> Option<&'static str> {
     let t = &tokens[i];
-    if let Some(ctor) = UNSEEDED_RNG_CONSTRUCTORS.into_iter().find(|c| t.is_ident(c)) {
+    if let Some(ctor) = UNSEEDED_RNG_CONSTRUCTORS
+        .into_iter()
+        .find(|c| t.is_ident(c))
+    {
         return Some(ctor);
     }
     (t.is_ident("random")
@@ -790,10 +792,7 @@ mod tests {
             "pub fn plan(vdd_volts: f64, count: f64) -> f64 { vdd_volts }\npub fn margin_mv(&self) -> f64 { 0.0 }",
             &FileContext::lib("selfheal"),
         );
-        assert_eq!(
-            lint_ids(&f),
-            vec!["bare-physical-f64", "bare-physical-f64"]
-        );
+        assert_eq!(lint_ids(&f), vec!["bare-physical-f64", "bare-physical-f64"]);
         assert!(f[0].message.contains("vdd_volts"));
         assert!(f[1].message.contains("margin_mv"));
     }
@@ -804,10 +803,7 @@ mod tests {
             "pub struct Report { pub worst_mv: f64, pub per_core_mv: Vec<f64>, pub count: usize }",
             &FileContext::lib("selfheal-multicore"),
         );
-        assert_eq!(
-            lint_ids(&f),
-            vec!["bare-physical-f64", "bare-physical-f64"]
-        );
+        assert_eq!(lint_ids(&f), vec!["bare-physical-f64", "bare-physical-f64"]);
         assert!(f[0].message.contains("worst_mv"));
         assert!(f[1].message.contains("per_core_mv"));
     }

@@ -80,7 +80,12 @@ fn main() -> ExitCode {
         }
         "lints" => {
             for lint in ALL_LINTS {
-                println!("{:<28} {:<8} {}", lint.id(), lint.severity().to_string(), lint.describe());
+                println!(
+                    "{:<28} {:<8} {}",
+                    lint.id(),
+                    lint.severity().to_string(),
+                    lint.describe()
+                );
             }
             ExitCode::SUCCESS
         }
@@ -127,6 +132,8 @@ fn report_text(all: &[selfheal_analyzer::Finding]) {
     if all.is_empty() {
         println!("analyzer: gate clean");
     } else {
-        println!("analyzer: gate FAILED — fix the findings, or allow/trust a site with a justification");
+        println!(
+            "analyzer: gate FAILED — fix the findings, or allow/trust a site with a justification"
+        );
     }
 }

@@ -74,11 +74,7 @@ pub fn taint_names(bits: u8) -> Vec<&'static str> {
 pub fn propagate(own: &[u8], trusted: &[u8], edges: &[Vec<usize>]) -> Vec<u8> {
     assert_eq!(own.len(), trusted.len());
     assert_eq!(own.len(), edges.len());
-    let mut eff: Vec<u8> = own
-        .iter()
-        .zip(trusted)
-        .map(|(o, t)| o & !t)
-        .collect();
+    let mut eff: Vec<u8> = own.iter().zip(trusted).map(|(o, t)| o & !t).collect();
     loop {
         let mut changed = false;
         for f in 0..eff.len() {
@@ -184,8 +180,7 @@ pub fn analyze(graph: CallGraph) -> Dataflow {
 /// taint includes `bit`, rendered one `name (file:line)` hop per entry
 /// with the sink construct appended to the terminal hop.
 fn taint_path(graph: &CallGraph, effective: &[u8], root: usize, bit: u8) -> Vec<String> {
-    let is_terminal =
-        |n: usize| graph.nodes[n].own_taint & !graph.nodes[n].trusted & bit != 0;
+    let is_terminal = |n: usize| graph.nodes[n].own_taint & !graph.nodes[n].trusted & bit != 0;
     let mut prev: BTreeMap<usize, usize> = BTreeMap::new();
     let mut queue = VecDeque::from([root]);
     let mut seen = BTreeSet::from([root]);
@@ -391,10 +386,16 @@ pub fn graph_json(flow: &Dataflow) -> Json {
             ("file".into(), Json::String(node.file.display().to_string())),
             ("fn".into(), text(&node.qualified)),
             ("line".into(), Json::Number(f64::from(node.line))),
-            ("purity".into(), text(purity_label(flow.effective[i], node.seeded))),
+            (
+                "purity".into(),
+                text(purity_label(flow.effective[i], node.seeded)),
+            ),
             (
                 "root".into(),
-                graph.roots.get(&i).map_or(Json::Null, |k| text(k.describe())),
+                graph
+                    .roots
+                    .get(&i)
+                    .map_or(Json::Null, |k| text(k.describe())),
             ),
             ("taints".into(), kinds(flow.effective[i])),
             ("trusted".into(), kinds(node.trusted)),
@@ -410,10 +411,16 @@ pub fn graph_json(flow: &Dataflow) -> Json {
         })
     });
     Json::object(vec![
-        ("crates".into(), Json::Array(crates.into_iter().map(text).collect())),
+        (
+            "crates".into(),
+            Json::Array(crates.into_iter().map(text).collect()),
+        ),
         ("nodes".into(), Json::Array(nodes.collect())),
         ("edges".into(), Json::Array(edges.collect())),
-        ("roots".into(), Json::Array(graph.roots.keys().map(|&r| num(r)).collect())),
+        (
+            "roots".into(),
+            Json::Array(graph.roots.keys().map(|&r| num(r)).collect()),
+        ),
         ("findings".into(), num(flow.findings.len())),
     ])
 }
@@ -572,10 +579,16 @@ mod tests {
         let doc = selfheal_telemetry::json::parse(&graph_json(&flow).render_pretty())
             .expect("graph parses");
         let field = |v: &Json, k: &str| v.get(k).cloned().unwrap_or(Json::Null);
-        assert_eq!(field(&doc, "crates"), Json::Array(vec![Json::String("x".into())]));
+        assert_eq!(
+            field(&doc, "crates"),
+            Json::Array(vec![Json::String("x".into())])
+        );
         let nodes = doc.get("nodes").and_then(Json::as_array).expect("nodes");
         assert_eq!(field(&nodes[0], "fn"), Json::String("a".into()));
-        assert_eq!(field(&nodes[0], "purity"), Json::String("clock-tainted".into()));
+        assert_eq!(
+            field(&nodes[0], "purity"),
+            Json::String("clock-tainted".into())
+        );
         assert_eq!(field(&nodes[0], "root"), Json::Null);
         let edges = doc.get("edges").and_then(Json::as_array).expect("edges");
         assert_eq!(edges.len(), 1);

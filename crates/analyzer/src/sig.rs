@@ -17,10 +17,10 @@ pub fn test_region_mask(tokens: &[Token]) -> Vec<bool> {
     while i < tokens.len() {
         if tokens[i].is_punct('#') && tokens.get(i + 1).is_some_and(|t| t.is_punct('[')) {
             let (attr_idents, after_attr) = read_attr(tokens, i + 1);
-            let is_test_cfg = attr_idents.iter().any(|s| s == "cfg")
-                && attr_idents.iter().any(|s| s == "test");
-            let is_test_attr = attr_idents.first().is_some_and(|s| s == "test")
-                && attr_idents.len() == 1;
+            let is_test_cfg =
+                attr_idents.iter().any(|s| s == "cfg") && attr_idents.iter().any(|s| s == "test");
+            let is_test_attr =
+                attr_idents.first().is_some_and(|s| s == "test") && attr_idents.len() == 1;
             if is_test_cfg || is_test_attr {
                 // Skip any further attributes between this one and the item.
                 let mut j = after_attr;
@@ -166,7 +166,9 @@ pub fn parse_fns(tokens: &[Token], test_mask: &[bool]) -> Vec<FnItem> {
     let mut fns = Vec::new();
     for fn_idx in 0..tokens.len() {
         if !(tokens[fn_idx].is_ident("fn")
-            && tokens.get(fn_idx + 1).is_some_and(|t| t.kind == TokenKind::Ident))
+            && tokens
+                .get(fn_idx + 1)
+                .is_some_and(|t| t.kind == TokenKind::Ident))
         {
             continue;
         }
@@ -318,10 +320,7 @@ fn qualifier_regions(tokens: &[Token]) -> Vec<(usize, usize, String)> {
         for (h, t) in header.iter().enumerate() {
             if t.is_punct('<') {
                 depth += 1;
-            } else if t.is_punct('>')
-                && depth > 0
-                && !(h > 0 && header[h - 1].is_punct('-'))
-            {
+            } else if t.is_punct('>') && depth > 0 && !(h > 0 && header[h - 1].is_punct('-')) {
                 depth -= 1;
             } else if depth == 0 && t.is_ident("where") {
                 break;
@@ -532,7 +531,13 @@ fn parse_params(tokens: &[Token], open: usize) -> (SelfKind, Vec<Param>, usize) 
         };
         let ty = slice[colon + 1..]
             .iter()
-            .map(|t| if t.text.is_empty() { "\"\"".to_string() } else { t.text.clone() })
+            .map(|t| {
+                if t.text.is_empty() {
+                    "\"\"".to_string()
+                } else {
+                    t.text.clone()
+                }
+            })
             .collect::<Vec<_>>()
             .join(" ");
         params.push(Param {
@@ -722,7 +727,10 @@ fn next_field_boundary(tokens: &[Token], from: usize, end: usize) -> usize {
         } else if t.is_punct('<') && depth == 0 {
             angle += 1;
         } else if t.is_punct('>') && depth == 0 && angle > 0 {
-            if !tokens.get(j.wrapping_sub(1)).is_some_and(|p| p.is_punct('-')) {
+            if !tokens
+                .get(j.wrapping_sub(1))
+                .is_some_and(|p| p.is_punct('-'))
+            {
                 angle -= 1;
             }
         } else if t.is_punct(',') && depth == 0 && angle == 0 {
@@ -920,10 +928,7 @@ mod tests {
             }
         ";
         let f = fields(src);
-        let names: Vec<(&str, &str)> = f
-            .iter()
-            .map(|x| (x.name.as_str(), x.ty.as_str()))
-            .collect();
+        let names: Vec<(&str, &str)> = f.iter().map(|x| (x.name.as_str(), x.ty.as_str())).collect();
         assert_eq!(
             names,
             vec![

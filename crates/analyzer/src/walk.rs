@@ -34,7 +34,12 @@ pub fn discover(root: &Path) -> io::Result<Vec<WorkItem>> {
 
     // Root package.
     let root_name = package_name(&root.join("Cargo.toml")).unwrap_or_else(|| "root".to_string());
-    push_tree(&mut items, root, &root.join("src"), &FileContext::lib(&root_name))?;
+    push_tree(
+        &mut items,
+        root,
+        &root.join("src"),
+        &FileContext::lib(&root_name),
+    )?;
     push_tree(
         &mut items,
         root,

@@ -19,8 +19,11 @@ fn mini_workspace(tag: &str, lib_source: &str) -> PathBuf {
     std::fs::remove_dir_all(&root).ok();
     let src_dir = root.join("crates/mini/src");
     std::fs::create_dir_all(&src_dir).expect("test value");
-    std::fs::write(root.join("Cargo.toml"), "[workspace]\nmembers = [\"crates/mini\"]\n")
-        .expect("test value");
+    std::fs::write(
+        root.join("Cargo.toml"),
+        "[workspace]\nmembers = [\"crates/mini\"]\n",
+    )
+    .expect("test value");
     std::fs::write(
         root.join("crates/mini/Cargo.toml"),
         "[package]\nname = \"mini\"\n",
