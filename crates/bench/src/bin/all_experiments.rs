@@ -113,12 +113,10 @@ fn main() {
     // Headline: within 90 % of original margin for accelerated cases.
     let budget = MarginBudget::typical();
     let fresh = Nanoseconds::new(90.0);
-    let within = ["AR20N6", "AR110Z6", "AR110N6"]
-        .iter()
-        .all(|name| {
-            let rec = outputs.recovery(name).unwrap();
-            budget.within_90_percent(fresh, fresh + rec.assessment.remaining())
-        });
+    let within = ["AR20N6", "AR110Z6", "AR110N6"].iter().all(|name| {
+        let rec = outputs.recovery(name).unwrap();
+        budget.within_90_percent(fresh, fresh + rec.assessment.remaining())
+    });
     let within_str = tally(within);
     run.say(format!(
         "| headline | accelerated cases within {}% of original margin | yes | {} | {} |",

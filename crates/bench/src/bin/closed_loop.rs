@@ -40,11 +40,8 @@ fn main() {
         // Identical chip + sensor population per policy.
         let mut rng = rand::rngs::StdRng::seed_from_u64(404);
         let mut chip = Chip::commercial_40nm(ChipId::new(1), &mut rng);
-        let mut odometer = Odometer::sample(
-            &Family::commercial_40nm(),
-            Millivolts::new(0.0),
-            &mut rng,
-        );
+        let mut odometer =
+            Odometer::sample(&Family::commercial_40nm(), Millivolts::new(0.0), &mut rng);
         let result = {
             let _phase = run.phase("policy-race");
             run_closed_loop(

@@ -19,8 +19,7 @@ fn main() {
 
     // A daily circadian rhythm at a hot operating point, for five years.
     let active = DeviceCondition::dc_stress(Environment::new(Volts::new(1.2), Celsius::new(90.0)));
-    let sleep =
-        DeviceCondition::recovery(Environment::new(Volts::new(-0.3), Celsius::new(110.0)));
+    let sleep = DeviceCondition::recovery(Environment::new(Volts::new(-0.3), Celsius::new(110.0)));
     let day_active: Seconds = Hours::new(19.2).into(); // α = 4
     let day_sleep: Seconds = Hours::new(4.8).into();
 
@@ -89,6 +88,9 @@ fn main() {
 
     run.value("year5_total_shift_ns", final_total);
     run.value("year5_healable_share_pct", final_healable_share);
-    run.value("year5_em_shift_ns", em.resistance_drift().get() * wire_delay_ns);
+    run.value(
+        "year5_em_shift_ns",
+        em.resistance_drift().get() * wire_delay_ns,
+    );
     run.finish("years=5 rhythm=19.2h/4.8h active=1.2V/90C sleep=-0.3V/110C");
 }

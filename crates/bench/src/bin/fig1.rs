@@ -16,14 +16,8 @@ fn main() {
     let model = CycleModel {
         alpha: Ratio::PAPER_ALPHA,
         period: Hours::new(30.0).into(),
-        active: DeviceCondition::dc_stress(Environment::new(
-            Volts::new(1.2),
-            Celsius::new(110.0),
-        )),
-        sleep: DeviceCondition::recovery(Environment::new(
-            Volts::new(-0.3),
-            Celsius::new(110.0),
-        )),
+        active: DeviceCondition::dc_stress(Environment::new(Volts::new(1.2), Celsius::new(110.0))),
+        sleep: DeviceCondition::recovery(Environment::new(Volts::new(-0.3), Celsius::new(110.0))),
     };
     let series = {
         let _phase = run.phase("sawtooth");
@@ -54,7 +48,9 @@ fn main() {
             cycle
                 .iter()
                 .map(|s| s.delta_vth.get())
-                .fold(None, |acc: Option<f64>, v| Some(acc.map_or(v, |a| a.max(v))))
+                .fold(None, |acc: Option<f64>, v| {
+                    Some(acc.map_or(v, |a| a.max(v)))
+                })
         })
         .collect();
     let floors: Vec<f64> = series

@@ -5,7 +5,9 @@
 //! Pass `--json` for the run manifest instead of the human report.
 
 use selfheal_bench::{fmt, BenchRun, Table};
-use selfheal_multicore::scheduler::{AlwaysOn, CircadianRotation, HeaterAware, NaiveGating, Scheduler};
+use selfheal_multicore::scheduler::{
+    AlwaysOn, CircadianRotation, HeaterAware, NaiveGating, Scheduler,
+};
 use selfheal_multicore::sim::{MulticoreSim, SimConfig};
 use selfheal_multicore::thermal::ThermalGrid;
 use selfheal_multicore::workload::Workload;
@@ -94,7 +96,10 @@ fn main() {
          relaxing design margin of multi-core systems.\"",
     );
 
-    run.value("sleeper_heating_degc", temps[2].get() - grid.ambient().get());
+    run.value(
+        "sleeper_heating_degc",
+        temps[2].get() - grid.ambient().get(),
+    );
     run.value("naive_worst_dvth_mv", naive.worst_delta_vth_mv.get());
     run.value("heater_worst_dvth_mv", heater.worst_delta_vth_mv.get());
     run.value(

@@ -31,8 +31,16 @@ fn main() {
     }
     run.table(&table);
 
-    let ac_curve: Vec<f64> = ac.series.iter().map(|p| p.frequency_degradation.get()).collect();
-    let dc_curve: Vec<f64> = dc.series.iter().map(|p| p.frequency_degradation.get()).collect();
+    let ac_curve: Vec<f64> = ac
+        .series
+        .iter()
+        .map(|p| p.frequency_degradation.get())
+        .collect();
+    let dc_curve: Vec<f64> = dc
+        .series
+        .iter()
+        .map(|p| p.frequency_degradation.get())
+        .collect();
     run.say(format!("\nAC shape: {}", sparkline(&ac_curve)));
     run.say(format!("DC shape: {}", sparkline(&dc_curve)));
 

@@ -57,12 +57,20 @@ fn main() {
     let mut cmp = Table::new(&["claim", "holds?", "values"]);
     cmp.row(&[
         "-0.3 V beats 0 V at 20 degC",
-        if rd("AR20N6") > rd("R20Z6") { "yes" } else { "NO" },
+        if rd("AR20N6") > rd("R20Z6") {
+            "yes"
+        } else {
+            "NO"
+        },
         &format!("{} vs {}", fmt(rd("AR20N6"), 2), fmt(rd("R20Z6"), 2)),
     ]);
     cmp.row(&[
         "-0.3 V beats 0 V at 110 degC",
-        if rd("AR110N6") > rd("AR110Z6") { "yes" } else { "NO" },
+        if rd("AR110N6") > rd("AR110Z6") {
+            "yes"
+        } else {
+            "NO"
+        },
         &format!("{} vs {}", fmt(rd("AR110N6"), 2), fmt(rd("AR110Z6"), 2)),
     ]);
     run.table(&cmp);

@@ -49,12 +49,20 @@ fn main() {
     let mut cmp = Table::new(&["claim", "holds?", "values"]);
     cmp.row(&[
         "heat accelerates recovery at 0 V",
-        if rd("AR110Z6") > rd("R20Z6") { "yes" } else { "NO" },
+        if rd("AR110Z6") > rd("R20Z6") {
+            "yes"
+        } else {
+            "NO"
+        },
         &format!("{} vs {}", fmt(rd("AR110Z6"), 2), fmt(rd("R20Z6"), 2)),
     ]);
     cmp.row(&[
         "heat accelerates recovery at -0.3 V",
-        if rd("AR110N6") > rd("AR20N6") { "yes" } else { "NO" },
+        if rd("AR110N6") > rd("AR20N6") {
+            "yes"
+        } else {
+            "NO"
+        },
         &format!("{} vs {}", fmt(rd("AR110N6"), 2), fmt(rd("AR20N6"), 2)),
     ]);
     run.table(&cmp);

@@ -34,13 +34,7 @@ fn main() {
             .iter()
             .map(|s| fmt(s[i].remaining_shift.get(), 3))
             .collect();
-        table.row(&[
-            &fmt(t, 1),
-            &cells[0],
-            &cells[1],
-            &cells[2],
-            &cells[3],
-        ]);
+        table.row(&[&fmt(t, 1), &cells[0], &cells[1], &cells[2], &cells[3]]);
     }
     run.table(&table);
 

@@ -162,9 +162,15 @@ fn parse_phase(token: &str) -> Result<PhaseSpec, String> {
         ));
     }
     let kind = parts[0];
-    let temp: f64 = parts[1].parse().map_err(|e| format!("temp in '{token}': {e}"))?;
-    let volts: f64 = parts[2].parse().map_err(|e| format!("volts in '{token}': {e}"))?;
-    let hours: f64 = parts[3].parse().map_err(|e| format!("hours in '{token}': {e}"))?;
+    let temp: f64 = parts[1]
+        .parse()
+        .map_err(|e| format!("temp in '{token}': {e}"))?;
+    let volts: f64 = parts[2]
+        .parse()
+        .map_err(|e| format!("volts in '{token}': {e}"))?;
+    let hours: f64 = parts[3]
+        .parse()
+        .map_err(|e| format!("hours in '{token}': {e}"))?;
     let sampling: Seconds = if parts.len() == 5 {
         let minutes: f64 = parts[4]
             .parse()

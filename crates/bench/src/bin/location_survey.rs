@@ -17,13 +17,8 @@ fn main() {
     let mut run = BenchRun::start("location_survey");
     run.say("Die survey: CUT delay across a 4 x 3 placement grid\n");
 
-    let mut array = CutArray::sample_seeded(
-        &Family::commercial_40nm(),
-        Millivolts::new(0.0),
-        4,
-        3,
-        2014,
-    );
+    let mut array =
+        CutArray::sample_seeded(&Family::commercial_40nm(), Millivolts::new(0.0), 4, 3, 2014);
 
     // Parallel per-site surveys; distinct survey seeds keep the fresh
     // and aged measurement-noise draws independent, as two real bench

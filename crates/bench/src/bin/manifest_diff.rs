@@ -161,8 +161,7 @@ fn parse_args() -> Result<Options, String> {
 }
 
 fn load(path: &str) -> Result<BTreeMap<String, Leaf>, String> {
-    let text =
-        std::fs::read_to_string(path).map_err(|err| format!("cannot read {path}: {err}"))?;
+    let text = std::fs::read_to_string(path).map_err(|err| format!("cannot read {path}: {err}"))?;
     let parsed = json::parse(&text).map_err(|err| format!("cannot parse {path}: {err}"))?;
     let mut leaves = BTreeMap::new();
     flatten(&parsed, "", &mut leaves);

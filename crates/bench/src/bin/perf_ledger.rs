@@ -46,7 +46,10 @@ fn parse_args() -> Result<Option<Args>, String> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--history" => {
-                parsed.history = args.next().map(PathBuf::from).ok_or("--history needs a dir")?;
+                parsed.history = args
+                    .next()
+                    .map(PathBuf::from)
+                    .ok_or("--history needs a dir")?;
             }
             "--repeats" => {
                 parsed.repeats = args
@@ -56,9 +59,11 @@ fn parse_args() -> Result<Option<Args>, String> {
                     .ok_or("--repeats needs a positive count")?;
             }
             "--manifest" => {
-                parsed
-                    .manifests
-                    .push(args.next().map(PathBuf::from).ok_or("--manifest needs a path")?);
+                parsed.manifests.push(
+                    args.next()
+                        .map(PathBuf::from)
+                        .ok_or("--manifest needs a path")?,
+                );
             }
             "--" => {
                 parsed.command = args.collect();

@@ -95,8 +95,7 @@ fn exposition_quantile(exposition: &Exposition, family: &str, q: f64) -> Option<
 /// parsing forever — so staleness comes from the file mtime against the
 /// checker's clock. A future mtime is clock skew, not staleness.
 fn is_stale(modified: SystemTime, now: SystemTime, max_age: Duration) -> bool {
-    now.duration_since(modified)
-        .is_ok_and(|age| age > max_age)
+    now.duration_since(modified).is_ok_and(|age| age > max_age)
 }
 
 /// Renders one dashboard frame.
@@ -164,7 +163,11 @@ fn render_frame(path: &Path, exposition: &Exposition, previous: &Scrape, stale: 
         let Some(objective) = base.strip_prefix("selfheal_slo_") else {
             continue;
         };
-        let verdict = if sample.value >= 1.0 { "ok" } else { "VIOLATED" };
+        let verdict = if sample.value >= 1.0 {
+            "ok"
+        } else {
+            "VIOLATED"
+        };
         slo_rows.push_str(&format!(
             "  {:<16} observed {:>10} target {:>10} burn {:>6} {verdict}\n",
             objective.replace('_', " "),
@@ -475,8 +478,14 @@ selfheal_x_sum 12
 selfheal_x_count 10
 ";
         let exposition = parse_exposition(text).expect("valid");
-        assert_eq!(exposition_quantile(&exposition, "selfheal_x", 0.5), Some(1.0));
-        assert_eq!(exposition_quantile(&exposition, "selfheal_x", 0.9), Some(2.0));
+        assert_eq!(
+            exposition_quantile(&exposition, "selfheal_x", 0.5),
+            Some(1.0)
+        );
+        assert_eq!(
+            exposition_quantile(&exposition, "selfheal_x", 0.9),
+            Some(2.0)
+        );
         // Rank lands past the last finite bucket: no finite bound.
         assert_eq!(exposition_quantile(&exposition, "selfheal_x", 1.0), None);
     }

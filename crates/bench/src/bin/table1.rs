@@ -14,7 +14,14 @@ fn main() {
         cases::table1()
     };
     let mut table = Table::new(&[
-        "Phase", "Case", "Chip", "T (degC)", "V (V)", "Time (h)", "Activity", "Active/Sleep",
+        "Phase",
+        "Case",
+        "Chip",
+        "T (degC)",
+        "V (V)",
+        "Time (h)",
+        "Activity",
+        "Active/Sleep",
     ]);
     let mut stress_count = 0usize;
     let mut recovery_count = 0usize;

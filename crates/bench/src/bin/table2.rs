@@ -14,11 +14,15 @@ fn main() {
     };
 
     let mut table = Table::new(&[
-        "Case", "Chip", "T (degC)", "Activity", "Delay change (%)", "Freq. degradation (%)",
+        "Case",
+        "Chip",
+        "T (degC)",
+        "Activity",
+        "Delay change (%)",
+        "Freq. degradation (%)",
     ]);
     for stress in &outputs.stresses {
-        let delay_change_percent =
-            100.0 * stress.total_shift().get() / stress.start_delay.get();
+        let delay_change_percent = 100.0 * stress.total_shift().get() / stress.start_delay.get();
         let activity = match stress.case.kind {
             selfheal_testbench::PhaseKind::Stress { activity } => activity.code(),
             selfheal_testbench::PhaseKind::Recovery { .. } => "-",

@@ -59,8 +59,18 @@ fn main() {
          is that one parameter set per condition reproduces its whole curve (low RMSE).",
     );
 
-    run.value("stress_fits", outputs.stresses.iter().filter(|s| s.fit.is_some()).count() as f64);
-    run.value("recovery_fits", outputs.recoveries.iter().filter(|r| r.fit.is_some()).count() as f64);
+    run.value(
+        "stress_fits",
+        outputs.stresses.iter().filter(|s| s.fit.is_some()).count() as f64,
+    );
+    run.value(
+        "recovery_fits",
+        outputs
+            .recoveries
+            .iter()
+            .filter(|r| r.fit.is_some())
+            .count() as f64,
+    );
     run.value("worst_stress_rmse_ns", worst_stress_rmse);
     run.value("worst_recovery_rmse_ns", worst_recovery_rmse);
     run.finish("campaign seed=2014 models=eq10,eq11");

@@ -72,7 +72,10 @@ fn main() {
     );
 
     run.value("ar110n6_margin_relaxed_pct", headline);
-    run.value("paper_margin_relaxed_pct", paper::AR110N6_MARGIN_RELAXED_PERCENT);
+    run.value(
+        "paper_margin_relaxed_pct",
+        paper::AR110N6_MARGIN_RELAXED_PERCENT,
+    );
     run.value(
         "accelerated_cases_within_90pct",
         if all_within_90 { 1.0 } else { 0.0 },

@@ -91,8 +91,10 @@ fn fail(problem: &str) -> ExitCode {
 
 /// The pid label for an input: its file stem.
 fn label_of(path: &Path) -> String {
-    path.file_stem()
-        .map_or_else(|| path.display().to_string(), |s| s.to_string_lossy().into_owned())
+    path.file_stem().map_or_else(
+        || path.display().to_string(),
+        |s| s.to_string_lossy().into_owned(),
+    )
 }
 
 /// One flow endpoint: `(name, id, ts_us)`.

@@ -324,9 +324,9 @@ pub fn is_duration_key(key: &str) -> bool {
 /// Fails on spawn errors, non-zero exit status, or unparseable stdout —
 /// a broken benchmark must not append garbage to the ledger.
 pub fn run_repeats(command: &[String], repeats: usize) -> io::Result<Vec<Json>> {
-    let (program, args) = command.split_first().ok_or_else(|| {
-        io::Error::new(io::ErrorKind::InvalidInput, "empty benchmark command")
-    })?;
+    let (program, args) = command
+        .split_first()
+        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "empty benchmark command"))?;
     let mut manifests = Vec::with_capacity(repeats);
     for repeat in 0..repeats {
         let output = std::process::Command::new(program).args(args).output()?;

@@ -37,7 +37,9 @@ pub const CAMPAIGN_SEED: u64 = 2014;
 /// itself should bypass it.
 #[must_use]
 pub fn campaign(cache: &runtime::ResultCache) -> ExperimentOutputs {
-    PaperExperiment::paper_cadence(CAMPAIGN_SEED).run_cached(cache).0
+    PaperExperiment::paper_cadence(CAMPAIGN_SEED)
+        .run_cached(cache)
+        .0
 }
 
 /// One telemetry-backed run of a figure/table binary.
@@ -222,7 +224,11 @@ impl BenchRun {
             .clone()
             .unwrap_or_else(|| PathBuf::from(format!("target/manifests/{}.json", self.name)));
         if let Err(err) = manifest.write_to(&path) {
-            eprintln!("{}: could not write manifest to {}: {err}", self.name, path.display());
+            eprintln!(
+                "{}: could not write manifest to {}: {err}",
+                self.name,
+                path.display()
+            );
         } else if !self.json {
             println!("\nmanifest: {}", path.display());
         }
@@ -350,7 +356,10 @@ pub fn fmt(value: f64, decimals: usize) -> String {
 /// shapes in the terminal without a plotting stack).
 #[must_use]
 pub fn sparkline(values: &[f64]) -> String {
-    const BARS: [char; 8] = ['\u{2581}', '\u{2582}', '\u{2583}', '\u{2584}', '\u{2585}', '\u{2586}', '\u{2587}', '\u{2588}'];
+    const BARS: [char; 8] = [
+        '\u{2581}', '\u{2582}', '\u{2583}', '\u{2584}', '\u{2585}', '\u{2586}', '\u{2587}',
+        '\u{2588}',
+    ];
     if values.is_empty() {
         return String::new();
     }
