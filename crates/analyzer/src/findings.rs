@@ -31,10 +31,12 @@ pub enum Lint {
     /// A deterministic root whose transitive callees reach a tainted
     /// sink (clock, env, IO, unseeded RNG, hash-order iteration).
     TaintedRoot,
+    /// A library `pub fn` that no non-test code names.
+    TestOnlyPub,
 }
 
 /// All lints, in reporting order.
-pub const ALL_LINTS: [Lint; 10] = [
+pub const ALL_LINTS: [Lint; 11] = [
     Lint::BarePhysicalF64,
     Lint::NanUnsafeOrdering,
     Lint::UnwrapInLib,
@@ -45,6 +47,7 @@ pub const ALL_LINTS: [Lint; 10] = [
     Lint::UnseededRng,
     Lint::LockOrder,
     Lint::TaintedRoot,
+    Lint::TestOnlyPub,
 ];
 
 /// How serious a finding is. Every finding gates the build regardless
@@ -81,6 +84,7 @@ impl Lint {
             Lint::UnseededRng => "unseeded-rng",
             Lint::LockOrder => "lock-order",
             Lint::TaintedRoot => "tainted-root",
+            Lint::TestOnlyPub => "test-only-pub",
         }
     }
 
@@ -95,9 +99,10 @@ impl Lint {
             | Lint::UnseededRng
             | Lint::LockOrder
             | Lint::TaintedRoot => Severity::Error,
-            Lint::BarePhysicalF64 | Lint::SuspiciousPhysicalLiteral | Lint::MissingMustUse => {
-                Severity::Warning
-            }
+            Lint::BarePhysicalF64
+            | Lint::SuspiciousPhysicalLiteral
+            | Lint::MissingMustUse
+            | Lint::TestOnlyPub => Severity::Warning,
         }
     }
 
@@ -135,11 +140,15 @@ impl Lint {
             Lint::TaintedRoot => {
                 "deterministic roots (kernel, par_map closures, cache-feeding fns) must not transitively reach clock/env/IO/unseeded-RNG sinks"
             }
+            Lint::TestOnlyPub => {
+                "a library pub fn must be named by non-test code (sources, bins, examples, fleetbench), not only by tests"
+            }
         }
     }
 
     /// Parses a kebab-case id back to a lint.
     #[must_use]
+    // analyzer: allow(test-only-pub) -- the lint fixtures read expected findings by id
     pub fn from_id(id: &str) -> Option<Lint> {
         ALL_LINTS.into_iter().find(|l| l.id() == id)
     }

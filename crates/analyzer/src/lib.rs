@@ -5,8 +5,9 @@
 //! (`selfheal-units`), but nothing stops a new API from taking a bare
 //! `f64` volt count, sorting floats through `partial_cmp().unwrap()`,
 //! or hard-coding a 12 V supply. This crate is the gate that does: a
-//! token-level static-analysis pass with ten lints — eight per-file
-//! token lints plus two over the workspace call graph:
+//! token-level static-analysis pass with eleven lints — eight per-file
+//! token lints, two over the workspace call graph and one over the
+//! workspace's names:
 //!
 //! | id | severity | rule |
 //! |----|----------|------|
@@ -20,6 +21,7 @@
 //! | `unseeded-rng` | error | randomness comes from a `SeedSequence` stream |
 //! | `lock-order` | error | lock acquisition order is acyclic across the call graph |
 //! | `tainted-root` | error | deterministic roots never reach clock/env/IO/unseeded-RNG sinks |
+//! | `test-only-pub` | warning | a library `pub fn` is named by some non-test code |
 //!
 //! Run it as `cargo analyzer check` (alias in `.cargo/config.toml`) or
 //! `cargo run -p selfheal-analyzer -- check [--json] [--root <dir>]`.
@@ -35,6 +37,7 @@ pub mod graph;
 pub mod lexer;
 pub mod lints;
 pub mod purity;
+mod reach;
 pub mod sig;
 pub mod walk;
 
@@ -49,14 +52,16 @@ use sig::ParsedFile;
 
 /// Analyzes one source file under the given context.
 #[must_use]
+// analyzer: allow(test-only-pub) -- the lint fixtures analyze one source string
 pub fn analyze_source(rel_path: &Path, source: &str, ctx: &FileContext) -> Vec<Finding> {
     lints::run_all(rel_path, &ParsedFile::new(source), ctx)
 }
 
 /// Analyzes every discoverable file in the workspace at `root` in one
-/// walk: each file is parsed once and feeds both the per-file token
-/// lints and the workspace-wide dataflow pass (`tainted-root`,
-/// `lock-order`).
+/// walk: each file is parsed once and feeds the per-file token lints,
+/// the workspace-wide dataflow pass (`tainted-root`, `lock-order`) and
+/// the name pass (`test-only-pub`, which also reads the consumers
+/// [`walk::consumers`] lists).
 ///
 /// Returns every finding, the dataflow ones included, sorted by (file,
 /// line, lint), together with the completed [`Dataflow`]. Unreadable
@@ -65,13 +70,20 @@ pub fn analyze_source(rel_path: &Path, source: &str, ctx: &FileContext) -> Vec<F
 pub fn analyze_workspace(root: &Path) -> io::Result<(Vec<Finding>, Dataflow)> {
     let mut findings = Vec::new();
     let mut files = Vec::new();
+    let mut names = Vec::new();
     let mut crates = BTreeSet::new();
     for item in walk::discover(root)? {
         let parsed = ParsedFile::new(&std::fs::read_to_string(&item.abs)?);
         findings.extend(lints::run_all(&item.rel, &parsed, &item.ctx));
         crates.insert(item.ctx.crate_name.clone());
         files.push(graph::extract_file(&item.rel, &parsed, &item.ctx));
+        names.push(reach::scan(&item.rel, &parsed, &item.ctx));
     }
+    for item in walk::consumers(root)? {
+        let parsed = ParsedFile::new(&std::fs::read_to_string(&item.abs)?);
+        names.push(reach::scan(&item.rel, &parsed, &item.ctx));
+    }
+    findings.extend(reach::test_only_pub(&names));
     let flow = purity::analyze(graph::build(&files, &crates));
     findings.extend(flow.findings.iter().cloned());
     findings.sort_by(|a, b| (&a.file, a.line, a.lint).cmp(&(&b.file, b.line, b.lint)));

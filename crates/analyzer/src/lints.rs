@@ -42,6 +42,7 @@ impl FileContext {
 
     /// Context for an integration-test or bench target.
     #[must_use]
+    // analyzer: allow(test-only-pub) -- the lint fixtures check that test targets are exempt
     pub fn test_target(crate_name: &str) -> Self {
         FileContext {
             crate_name: crate_name.to_string(),

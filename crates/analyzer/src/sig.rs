@@ -133,6 +133,8 @@ pub struct FnItem {
     /// True for `pub` and `pub(crate)`/`pub(super)`/...: the unit-safety
     /// lints care about any API callable from outside its module.
     pub is_pub: bool,
+    /// True for a `pub(crate)`/`pub(super)`/`pub(in ..)` restriction.
+    pub pub_restricted: bool,
     /// The bare function name.
     pub name: String,
     /// `Type::name` inside `impl`/`trait` blocks (the `for` type of a
@@ -184,10 +186,11 @@ pub fn parse_fns(tokens: &[Token], test_mask: &[bool]) -> Vec<FnItem> {
             .filter(|(start, qend, _)| *start <= fn_idx && fn_idx < *qend)
             .max_by_key(|(start, ..)| *start)
             .map_or_else(|| name.clone(), |(_, _, ty)| format!("{ty}::{name}"));
-        let (is_pub, start) = item_start(tokens, fn_idx);
+        let (is_pub, pub_restricted, start) = item_start(tokens, fn_idx);
         let (self_kind, params, ret) = parse_signature(tokens, fn_idx + 2);
         fns.push(FnItem {
             is_pub,
+            pub_restricted,
             name,
             qualified,
             line: tokens[fn_idx].line,
@@ -206,9 +209,10 @@ pub fn parse_fns(tokens: &[Token], test_mask: &[bool]) -> Vec<FnItem> {
 
 /// Walks back from the `fn` keyword at `fn_idx` over its qualifiers
 /// (`const`, `async`, `unsafe`, `extern "C"`) and its visibility.
-/// Returns whether the item is `pub` and the index of its first token,
-/// where its attributes end.
-fn item_start(tokens: &[Token], fn_idx: usize) -> (bool, usize) {
+/// Returns whether the item is `pub`, whether that `pub` is restricted
+/// (`pub(crate)`, ...), and the index of its first token, where its
+/// attributes end.
+fn item_start(tokens: &[Token], fn_idx: usize) -> (bool, bool, usize) {
     let mut k = fn_idx;
     while k > 0
         && (tokens[k - 1].kind == TokenKind::Literal
@@ -226,9 +230,9 @@ fn item_start(tokens: &[Token], fn_idx: usize) -> (bool, usize) {
         }
     }
     if vis > 0 && tokens[vis - 1].is_ident("pub") {
-        (true, vis - 1)
+        (true, vis < k, vis - 1)
     } else {
-        (false, k)
+        (false, false, k)
     }
 }
 

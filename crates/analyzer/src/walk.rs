@@ -9,6 +9,10 @@
 //! * `tests/` and `benches/` targets are **skipped** — every lint either
 //!   exempts test code or applies only to library code;
 //! * `vendor/` (in-tree `rand`/`proptest` replacements) and `target/` are skipped.
+//!
+//! [`consumers`] lists the sources of the packages outside the
+//! workspace that build against its crates by path; they are read
+//! only for the names they use, never linted.
 
 use std::fs;
 use std::io;
@@ -70,6 +74,22 @@ pub fn discover(root: &Path) -> io::Result<Vec<WorkItem>> {
         }
     }
 
+    items.sort_by(|a, b| a.rel.cmp(&b.rel));
+    Ok(items)
+}
+
+/// Packages outside the workspace that build against its crates by
+/// path: `fleetbench`, the repository benchmark.
+const CONSUMERS: [&str; 1] = ["fleetbench"];
+
+/// The `src/` files of every [`CONSUMERS`] package present under
+/// `root`, sorted by relative path.
+pub fn consumers(root: &Path) -> io::Result<Vec<WorkItem>> {
+    let mut items = Vec::new();
+    for name in CONSUMERS {
+        let ctx = FileContext::example(name);
+        push_tree(&mut items, root, &root.join(name).join("src"), &ctx)?;
+    }
     items.sort_by(|a, b| a.rel.cmp(&b.rel));
     Ok(items)
 }

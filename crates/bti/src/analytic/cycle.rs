@@ -73,18 +73,6 @@ impl AnalyticBti {
         }
     }
 
-    /// The stress sub-model.
-    #[must_use]
-    pub fn stress_model(&self) -> &StressModel {
-        &self.stress
-    }
-
-    /// The recovery sub-model.
-    #[must_use]
-    pub fn recovery_model(&self) -> &RecoveryModel {
-        &self.recovery
-    }
-
     /// Current total threshold shift.
     #[must_use]
     pub fn delta_vth(&self) -> Millivolts {

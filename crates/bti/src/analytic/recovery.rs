@@ -118,6 +118,7 @@ impl RecoveryModel {
     /// Fraction of the *recoverable* shift healed after `t2` of sleep under
     /// `env`, following `t1` of stress.
     #[must_use]
+    // analyzer: allow(test-only-pub) -- Eq. (3)'s recovered share, pinned by the bti property tests
     pub fn recovered_fraction(&self, t2: Seconds, t1: Seconds, env: Environment) -> Fraction {
         Fraction::new(self.phi(env) * self.eta(t2, t1))
     }
@@ -128,6 +129,7 @@ impl RecoveryModel {
     /// its irreversible component, `t1` the stress duration that produced
     /// it.
     #[must_use]
+    // analyzer: allow(test-only-pub) -- Eq. (3) in full, pinned by the bti property tests
     pub fn delta_vth_after(
         &self,
         delta_1: Millivolts,

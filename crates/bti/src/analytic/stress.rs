@@ -107,15 +107,10 @@ impl StressModel {
         }
     }
 
-    /// Threshold shift under an arbitrary duty cycle: the paper's AC mode
-    /// simply scales the effective stress exposure (§5.1.1 observes AC
-    /// degradation ≈ half of DC).
-    #[must_use]
-    pub fn delta_vth_with_duty(&self, t: Seconds, cond: DeviceCondition) -> Millivolts {
-        self.factored_delta_vth(t, &self.factors(cond))
-    }
-
-    /// [`Self::delta_vth_with_duty`] with the condition's factors given.
+    /// Threshold shift under an arbitrary duty cycle, with the
+    /// condition's factors given: the paper's AC mode simply scales the
+    /// effective stress exposure (§5.1.1 observes AC degradation ≈ half
+    /// of DC).
     #[must_use]
     pub(super) fn factored_delta_vth(&self, t: Seconds, f: &StressFactors) -> Millivolts {
         if f.duty <= 0.0 {
@@ -130,32 +125,11 @@ impl StressModel {
         Millivolts::new(base.get() * f.relief)
     }
 
-    /// Inverts Eq. (1): the DC-equivalent stress time that would produce
-    /// `delta` under `env`. Used to carry state across stress/recovery
-    /// cycles.
-    ///
-    /// Returns zero for non-positive shifts.
-    #[must_use]
-    pub fn equivalent_stress_time(&self, delta: Millivolts, env: Environment) -> Seconds {
-        let d = delta.get();
-        if d <= 0.0 {
-            return Seconds::ZERO;
-        }
-        let x = d / (self.amplitude.get() * self.phi(env));
-        (x.exp() - 1.0) / self.log_rate_per_s
-    }
-
-    /// Inverts [`Self::delta_vth_with_duty`]: the wall-clock time under
-    /// `cond` that would produce `delta` from fresh.
+    /// Inverts [`Self::factored_delta_vth`]: the wall-clock time under
+    /// the condition with factors `f` that would produce `delta` from
+    /// fresh.
     ///
     /// Returns zero for non-positive shifts or a zero duty cycle.
-    #[must_use]
-    pub fn equivalent_time_with_duty(&self, delta: Millivolts, cond: DeviceCondition) -> Seconds {
-        self.factored_equivalent_time(delta, &self.factors(cond))
-    }
-
-    /// [`Self::equivalent_time_with_duty`] with the condition's factors
-    /// given.
     #[must_use]
     pub(super) fn factored_equivalent_time(&self, delta: Millivolts, f: &StressFactors) -> Seconds {
         let d = delta.get();
@@ -229,12 +203,9 @@ mod tests {
     fn ac_per_device_is_about_a_quarter_of_dc() {
         let m = StressModel::default();
         let day: Seconds = Hours::new(24.0).into();
-        let dc = m
-            .delta_vth_with_duty(day, DeviceCondition::dc_stress(env(1.2, 110.0)))
-            .get();
-        let ac = m
-            .delta_vth_with_duty(day, DeviceCondition::ac_stress(env(1.2, 110.0)))
-            .get();
+        let with_duty = |cond| m.factored_delta_vth(day, &m.factors(cond)).get();
+        let dc = with_duty(DeviceCondition::dc_stress(env(1.2, 110.0)));
+        let ac = with_duty(DeviceCondition::ac_stress(env(1.2, 110.0)));
         let ratio = ac / dc;
         // Per-device ratio; at the path level DC stresses only about half
         // the devices, so this maps to the paper's path-level ≈ 0.5.
@@ -245,17 +216,18 @@ mod tests {
     fn zero_duty_inflicts_nothing() {
         let m = StressModel::default();
         let day: Seconds = Hours::new(24.0).into();
-        let none = m.delta_vth_with_duty(day, DeviceCondition::recovery(env(0.0, 110.0)));
+        let none =
+            m.factored_delta_vth(day, &m.factors(DeviceCondition::recovery(env(0.0, 110.0))));
         assert_eq!(none.get(), 0.0);
     }
 
     #[test]
     fn equivalent_time_round_trips() {
         let m = StressModel::default();
-        let e = env(1.2, 110.0);
+        let dc = m.factors(DeviceCondition::dc_stress(env(1.2, 110.0)));
         for t in [1e2, 1e3, 1e4, 86_400.0] {
-            let d = m.delta_vth(Seconds::new(t), e);
-            let t_back = m.equivalent_stress_time(d, e);
+            let d = m.factored_delta_vth(Seconds::new(t), &dc);
+            let t_back = m.factored_equivalent_time(d, &dc);
             assert!(
                 (t_back.get() - t).abs() / t < 1e-9,
                 "t = {t}, t_back = {}",
@@ -267,12 +239,13 @@ mod tests {
     #[test]
     fn equivalent_time_of_zero_shift_is_zero() {
         let m = StressModel::default();
+        let dc = m.factors(DeviceCondition::dc_stress(env(1.2, 110.0)));
         assert_eq!(
-            m.equivalent_stress_time(Millivolts::new(0.0), env(1.2, 110.0)),
+            m.factored_equivalent_time(Millivolts::new(0.0), &dc),
             Seconds::ZERO
         );
         assert_eq!(
-            m.equivalent_stress_time(Millivolts::new(-3.0), env(1.2, 110.0)),
+            m.factored_equivalent_time(Millivolts::new(-3.0), &dc),
             Seconds::ZERO
         );
     }

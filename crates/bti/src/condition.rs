@@ -65,15 +65,6 @@ impl Environment {
     pub fn with_supply(self, supply: Volts) -> Self {
         Environment { supply, ..self }
     }
-
-    /// Returns a copy with a different temperature.
-    #[must_use]
-    pub fn with_temperature(self, temperature: Celsius) -> Self {
-        Environment {
-            temperature: temperature.to_kelvin(),
-            ..self
-        }
-    }
 }
 
 impl Default for Environment {
@@ -192,11 +183,9 @@ mod tests {
 
     #[test]
     fn with_builders_replace_one_field() {
-        let env = Environment::nominal()
-            .with_supply(Volts::new(-0.3))
-            .with_temperature(Celsius::new(110.0));
+        let env = Environment::nominal().with_supply(Volts::new(-0.3));
         assert!(env.supply().is_negative());
-        assert_eq!(env.temperature_c(), Celsius::new(110.0));
+        assert_eq!(env.temperature_c(), Environment::nominal().temperature_c());
     }
 
     #[test]

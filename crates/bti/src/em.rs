@@ -115,12 +115,6 @@ impl Electromigration {
         }
         self.drift = (self.drift + params.rate(cond) * dt.get()).min(1.0);
     }
-
-    /// The wire's delay multiplier: RC delay grows with resistance.
-    #[must_use]
-    pub fn delay_factor(&self) -> f64 {
-        1.0 + self.drift
-    }
 }
 
 #[cfg(test)]
@@ -154,7 +148,6 @@ mod tests {
             DeviceCondition::recovery(Environment::new(Volts::new(-0.3), Celsius::new(110.0)));
         wire.advance(sleep, year());
         assert_eq!(wire.resistance_drift().get(), 0.0);
-        assert_eq!(wire.delay_factor(), 1.0);
     }
 
     #[test]

@@ -82,12 +82,6 @@ impl HotCarrier {
         HotCarrier::default()
     }
 
-    /// Effective switching exposure accumulated so far.
-    #[must_use]
-    pub fn exposure(&self) -> Seconds {
-        Seconds::new(self.exposure_s)
-    }
-
     /// Accumulated (permanent) threshold drift with default kinetics.
     #[must_use]
     pub fn delta_vth(&self) -> Millivolts {

@@ -113,7 +113,7 @@ pub const LANES: usize = 8;
 ///     Celsius::new(110.0),
 /// ));
 /// let rates = PhaseRates::for_condition(cond);
-/// assert!(rates.capture_multiplier() > 0.0);
+/// assert_eq!(rates.condition(), cond);
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PhaseRates {
@@ -137,18 +137,6 @@ impl PhaseRates {
     #[must_use]
     pub fn condition(&self) -> DeviceCondition {
         self.cond
-    }
-
-    /// The capture-rate multiplier (duty, field, and temperature).
-    #[must_use]
-    pub fn capture_multiplier(&self) -> f64 {
-        self.capture_mult
-    }
-
-    /// The emission-rate multiplier (thermal speedup and field).
-    #[must_use]
-    pub fn emission_multiplier(&self) -> f64 {
-        self.emission_mult
     }
 
     /// The equilibrium occupancy and relaxation time constant for a trap
@@ -176,6 +164,11 @@ impl PhaseRates {
     }
 }
 
+/// Past this many distinct conditions a [`PhaseRateCache`] is emptied,
+/// so a stream of novel conditions (a fleet's reported duties) cannot
+/// grow it unbounded.
+const MAX_CACHED_RATES: usize = 256;
+
 /// A tiny memo table of [`PhaseRates`] keyed by condition.
 ///
 /// A chip-advance fans one environment out into at most a handful of
@@ -196,20 +189,18 @@ impl PhaseRateCache {
         }
     }
 
-    /// The rates for `cond`, evaluating them on first sight.
+    /// The rates for `cond`, evaluating them on first sight. A full
+    /// cache (256 conditions) is emptied first.
     pub fn rates(&mut self, cond: DeviceCondition) -> PhaseRates {
         if let Some(hit) = self.entries.iter().find(|r| r.cond == cond) {
             return *hit;
         }
+        if self.entries.len() == MAX_CACHED_RATES {
+            self.entries.clear();
+        }
         let rates = PhaseRates::for_condition(cond);
         self.entries.push(rates);
         rates
-    }
-
-    /// How many distinct conditions this cache has evaluated.
-    #[must_use]
-    pub fn distinct_conditions(&self) -> usize {
-        self.entries.len()
     }
 }
 
@@ -586,7 +577,7 @@ fn step_chunked(occupancy: &mut [f64], next: impl Fn(usize, f64) -> f64) {
 mod tests {
     use super::*;
     use crate::condition::Environment;
-    use selfheal_units::{Celsius, Millivolts, Volts};
+    use selfheal_units::{Celsius, DutyCycle, Millivolts, Volts};
 
     fn stress() -> DeviceCondition {
         DeviceCondition::dc_stress(Environment::new(Volts::new(1.2), Celsius::new(110.0)))
@@ -627,8 +618,8 @@ mod tests {
     fn phase_rates_match_kinetics_functions() {
         let cond = stress();
         let rates = PhaseRates::for_condition(cond);
-        assert_eq!(rates.capture_multiplier(), capture_rate_multiplier(cond));
-        assert_eq!(rates.emission_multiplier(), emission_rate_multiplier(cond));
+        assert_eq!(rates.capture_mult, capture_rate_multiplier(cond));
+        assert_eq!(rates.emission_mult, emission_rate_multiplier(cond));
     }
 
     #[test]
@@ -637,9 +628,22 @@ mod tests {
         let a = cache.rates(stress());
         let b = cache.rates(recovery());
         let a2 = cache.rates(stress());
-        assert_eq!(cache.distinct_conditions(), 2);
+        assert_eq!(cache.entries.len(), 2);
         assert_eq!(a, a2);
-        assert_ne!(a.capture_multiplier(), b.capture_multiplier());
+        assert_ne!(a.capture_mult, b.capture_mult);
+    }
+
+    #[test]
+    fn a_full_rate_cache_is_emptied_and_stays_exact() {
+        let mut cache = PhaseRateCache::new();
+        let env = Environment::new(Volts::new(1.2), Celsius::new(90.0));
+        for i in 0..=MAX_CACHED_RATES {
+            #[allow(clippy::cast_precision_loss)]
+            let cond = DeviceCondition::new(env, DutyCycle::new(i as f64 / 400.0));
+            assert_eq!(cache.rates(cond), PhaseRates::for_condition(cond));
+            assert!(cache.entries.len() <= MAX_CACHED_RATES);
+        }
+        assert_eq!(cache.entries.len(), 1, "the 257th condition emptied it");
     }
 
     #[test]

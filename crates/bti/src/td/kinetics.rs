@@ -14,8 +14,6 @@
 //!   voltage (the paper's −0.3 V knob) and *suppressed* while the gate is
 //!   stressed (a filled channel keeps traps filled).
 
-use selfheal_units::Kelvin;
-
 use crate::condition::DeviceCondition;
 use crate::constants::{
     arrhenius_factor, reference_stress_voltage, ACTIVATION_ENERGY_CAPTURE_EV,
@@ -89,15 +87,6 @@ pub fn emission_rate_multiplier(cond: DeviceCondition) -> f64 {
     };
     let recovering_part = (1.0 - duty) * (-FIELD_FACTOR_EMISSION_PER_VOLT * v.min(0.0)).exp();
     thermal * (stressed_part + recovering_part)
-}
-
-/// Convenience: the Arrhenius emission speed-up between two temperatures,
-/// used by the multi-core thermal analysis to reason about "on-chip
-/// heaters" (§6.2).
-#[must_use]
-pub fn emission_thermal_speedup(from: Kelvin, to: Kelvin) -> f64 {
-    arrhenius_factor(to, ACTIVATION_ENERGY_EMISSION_EV)
-        / arrhenius_factor(from, ACTIVATION_ENERGY_EMISSION_EV)
 }
 
 #[cfg(test)]
@@ -206,20 +195,6 @@ mod tests {
         let cond = DeviceCondition::recovery(env(0.0, 20.0));
         let (_, tau) = PhaseRates::for_condition(cond).relaxation(1.0, f64::INFINITY);
         assert!(tau.is_infinite());
-    }
-
-    #[test]
-    fn thermal_speedup_matches_arrhenius_ratio() {
-        let s = emission_thermal_speedup(
-            Celsius::new(20.0).to_kelvin(),
-            Celsius::new(110.0).to_kelvin(),
-        );
-        assert!(s > 1.0);
-        let inverse = emission_thermal_speedup(
-            Celsius::new(110.0).to_kelvin(),
-            Celsius::new(20.0).to_kelvin(),
-        );
-        assert!((s * inverse - 1.0).abs() < 1e-12);
     }
 
     #[test]

@@ -15,13 +15,11 @@
 mod ensemble;
 pub mod kernel;
 mod kinetics;
-mod population;
 mod rhythm;
 mod trap;
 
 pub use ensemble::TrapEnsembleParams;
 pub use kernel::{PhaseRateCache, PhaseRates, TrapBank, KERNEL_VERSION, LANES};
-pub use kinetics::{capture_rate_multiplier, emission_rate_multiplier, emission_thermal_speedup};
-pub use population::{advance_population, sample_population};
+pub use kinetics::{capture_rate_multiplier, emission_rate_multiplier};
 pub use rhythm::{Rhythm, RhythmPhase};
 pub use trap::Trap;

@@ -74,6 +74,7 @@ impl Trap {
     /// Panics on the same invalid constants as [`Trap::new`], or if
     /// `occupancy` lies outside `[0, 1]`.
     #[must_use]
+    // analyzer: allow(test-only-pub) -- the kernel-equivalence oracle starts from any occupancy
     pub fn restore(
         tau_c0: Seconds,
         tau_e0: Seconds,
@@ -114,6 +115,7 @@ impl Trap {
 
     /// Whether this trap is irreversible once filled.
     #[must_use]
+    // analyzer: allow(test-only-pub) -- the permanent floor the bti properties pin is summed from it
     pub fn is_permanent(&self) -> bool {
         self.permanent
     }
@@ -126,6 +128,7 @@ impl Trap {
 
     /// Expected ΔVth contribution right now.
     #[must_use]
+    // analyzer: allow(test-only-pub) -- the scalar oracle's ΔVth sum, read by the kernel-equivalence pin
     pub fn contribution(&self) -> Millivolts {
         Millivolts::new(self.occupancy * self.delta_vth.get())
     }

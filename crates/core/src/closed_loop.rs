@@ -1,12 +1,10 @@
 //! Closed-loop rejuvenation: a policy driving a real (simulated) chip
 //! through its on-chip odometer.
 //!
-//! [`crate::policy::simulate_policy`] drives the *analytic* model with a
-//! noiseless margin signal — fine for philosophy comparisons, but a real
-//! controller sees silicon only through a sensor. This module closes the
-//! loop the §2.2 discussion implies: the chip ages, the odometer (refs
-//! \[7, 8\]) measures, the policy decides, the supply and (locally
-//! controllable) temperature respond.
+//! A real controller sees silicon only through a sensor. This module
+//! closes the loop the §2.2 discussion implies: the chip ages, the
+//! odometer (refs \[7, 8\]) measures, the policy decides, the supply and
+//! (locally controllable) temperature respond.
 
 use selfheal_bti::Environment;
 use selfheal_fpga::{Chip, Odometer, RoMode};
@@ -139,6 +137,10 @@ mod tests {
     }
 
     fn run(policy: &mut dyn RecoveryPolicy, seed: u64) -> ClosedLoopRun {
+        run_for(policy, seed, Seconds::new(10.0 * 86_400.0))
+    }
+
+    fn run_for(policy: &mut dyn RecoveryPolicy, seed: u64, horizon: Seconds) -> ClosedLoopRun {
         let (mut chip, mut odo, _rng) = bench_setup(seed);
         run_closed_loop(
             policy,
@@ -147,7 +149,7 @@ mod tests {
             &ClosedLoopConfig {
                 active_env: active(),
                 sensor_margin: Fraction::new(0.05),
-                horizon: Seconds::new(10.0 * 86_400.0),
+                horizon,
                 step: Hours::new(2.0).into(),
             },
         )
@@ -165,6 +167,36 @@ mod tests {
         let result = run(&mut policy, 31);
         assert!(result.sleep_events > 0, "the sensor triggered sleeps");
         assert!(result.final_sensor_reading.get() > 0.0);
+    }
+
+    #[test]
+    fn reactive_accumulates_more_wear_up_front() {
+        // §2.2: reactive recovery "accumulates upfront more irreversible
+        // aging": it waits for a damage threshold, so when the proactive
+        // schedule has already slept once it has not, and its chip reads
+        // deeper into the margin; it does fire later on.
+        let reactive = || {
+            ReactivePolicy::new(
+                Fraction::new(0.5),
+                RejuvenationTechnique::Combined,
+                Hours::new(6.0).into(),
+            )
+        };
+        let first_night: Seconds = Hours::new(30.0).into();
+        let p = run_for(&mut ProactivePolicy::paper_default(), 34, first_night);
+        let r = run_for(&mut reactive(), 34, first_night);
+        assert_eq!(p.sleep_events, 1, "proactive sleeps on schedule");
+        assert_eq!(r.sleep_events, 0, "reactive has not reached its threshold");
+        assert!(
+            r.final_sensor_reading > p.final_sensor_reading,
+            "reactive {} vs proactive {}",
+            r.final_sensor_reading,
+            p.final_sensor_reading
+        );
+        assert!(
+            run(&mut reactive(), 34).sleep_events > 0,
+            "reactive does eventually fire"
+        );
     }
 
     #[test]

@@ -11,8 +11,8 @@
 //! * [`technique`] — the rejuvenation techniques themselves: passive
 //!   gating, negative voltage, high temperature and their combination
 //!   (§4.1's "knobs").
-//! * [`policy`] — *when* to heal: proactive, reactive and circadian
-//!   scheduling, with the §2.2 trade-offs executable.
+//! * [`policy`] — *when* to heal: proactive and reactive scheduling,
+//!   with the §2.2 trade-offs executable through [`closed_loop`].
 //! * [`metrics`] — *how much* healing happened: frequency degradation,
 //!   the Recovered Delay `RD` of Eq. (16), the design-margin-relaxed
 //!   parameter of Table 4 and the "within 90 % of original margin"

@@ -3,13 +3,10 @@
 //! "Without proactive accelerated rejuvenation, electronic systems need to
 //! be designed to cope with aging over the lifetime of the product ...
 //! This means increased design margins" (§2.2). This module makes that
-//! budget concrete: a guardband as a fraction of fresh delay, how much of
-//! it stress has consumed, and how long a chip can run before the budget
-//! is exhausted under a given model.
+//! budget concrete: a guardband as a fraction of fresh delay and how much
+//! of it stress has consumed.
 
-use selfheal_bti::analytic::StressModel;
-use selfheal_bti::Environment;
-use selfheal_units::{Fraction, Millivolts, Nanoseconds, Seconds};
+use selfheal_units::{Fraction, Nanoseconds};
 
 /// A timing guardband budget.
 ///
@@ -89,36 +86,9 @@ impl Default for MarginBudget {
     }
 }
 
-/// Estimated time until a continuously-stressed path exhausts a margin
-/// budget, under the first-order stress model.
-///
-/// Inverts `ΔTd(t) = margin`: with `ΔTd = β·ΔVth` and the Eq. (1) form
-/// this is the `exp`-inverse of the log law. `beta_ns_per_mv` converts the
-/// model's millivolt shift to path nanoseconds (the `β` of Eq. 10, as
-/// extracted by [`crate::fitting`]).
-///
-/// Returns `None` when the margin can never be exhausted (zero or negative
-/// sensitivity).
-#[must_use]
-pub fn time_to_margin_exhaustion(
-    model: &StressModel,
-    env: Environment,
-    // analyzer: allow(bare-physical-f64) -- compound unit (ns/mV), deferred per ROADMAP
-    beta_ns_per_mv: f64,
-    margin: Nanoseconds,
-) -> Option<Seconds> {
-    if beta_ns_per_mv <= 0.0 || margin.get() <= 0.0 {
-        return None;
-    }
-    let target_mv = Millivolts::new(margin.get() / beta_ns_per_mv);
-    let t = model.equivalent_stress_time(target_mv, env);
-    (t.get() > 0.0).then_some(t)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use selfheal_units::{Celsius, Volts};
 
     #[test]
     fn margin_of_90ns_at_10_percent() {
@@ -165,23 +135,5 @@ mod tests {
             b.consumed_fraction(fresh, Nanoseconds::new(89.0)).get(),
             0.0
         );
-    }
-
-    #[test]
-    fn exhaustion_time_grows_exponentially_with_margin() {
-        let model = StressModel::default();
-        let env = Environment::new(Volts::new(1.2), Celsius::new(110.0));
-        let beta = 0.06; // ns of path shift per mV of device shift
-        let t_small = time_to_margin_exhaustion(&model, env, beta, Nanoseconds::new(2.0)).unwrap();
-        let t_big = time_to_margin_exhaustion(&model, env, beta, Nanoseconds::new(4.0)).unwrap();
-        assert!(t_big > t_small * 2.0, "log-law inversion is super-linear");
-    }
-
-    #[test]
-    fn exhaustion_time_rejects_degenerate_inputs() {
-        let model = StressModel::default();
-        let env = Environment::new(Volts::new(1.2), Celsius::new(110.0));
-        assert!(time_to_margin_exhaustion(&model, env, 0.0, Nanoseconds::new(2.0)).is_none());
-        assert!(time_to_margin_exhaustion(&model, env, 0.06, Nanoseconds::ZERO).is_none());
     }
 }

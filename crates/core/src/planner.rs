@@ -13,7 +13,7 @@ use std::ops::Range;
 use selfheal_bti::analytic::{AnalyticBti, CycleModel, RecoveryModel, StressModel};
 use selfheal_bti::td::{PhaseRates, Rhythm, RhythmPhase, TrapBank};
 use selfheal_bti::{DeviceCondition, Environment};
-use selfheal_units::{DutyCycle, Fraction, Millivolts, Ratio, Seconds};
+use selfheal_units::{DutyCycle, Millivolts, Ratio, Seconds};
 
 use crate::technique::RejuvenationTechnique;
 
@@ -34,13 +34,7 @@ pub struct RejuvenationPlan {
     pub recover_first: bool,
 }
 
-impl RejuvenationPlan {
-    /// Fraction of time the plan spends doing useful work.
-    #[must_use]
-    pub fn availability(&self) -> Fraction {
-        self.alpha.active_fraction()
-    }
-}
+impl RejuvenationPlan {}
 
 /// The planner: first-order models plus the operating point.
 #[derive(Debug, Clone, PartialEq)]
@@ -174,23 +168,17 @@ impl SchedulePlanner {
         horizon: Seconds,
     ) -> Option<RejuvenationPlan> {
         let cycles = cycles(period, horizon);
-        let fitting_peak = |alpha: Ratio| {
+        let (alpha, predicted_peak) = search_alpha(|alpha| {
             let peak = self.probe(alpha, technique, period, cycles, budget);
             (peak.get() <= budget.get()).then_some(peak)
-        };
-        let plan = |(alpha, predicted_peak): (Ratio, Millivolts)| RejuvenationPlan {
+        })?;
+        Some(RejuvenationPlan {
             alpha,
             technique,
             period,
             predicted_peak,
             recover_first: false,
-        };
-
-        let fit = (alpha_min(), fitting_peak(alpha_min())?);
-        if let Some(peak) = fitting_peak(alpha_max()) {
-            return Some(plan((alpha_max(), peak)));
-        }
-        Some(plan(bisect(fit, fitting_peak)))
+        })
     }
 
     /// The margin still unspent after `consumed` mV of shift, or `None`
@@ -326,8 +314,8 @@ fn alpha_max() -> Ratio {
     planner_alpha(64.0)
 }
 
-/// The search of [`SchedulePlanner::plan_from_bank`]: α = 64 when it
-/// fits, else nothing when α = 0.5 does not, else the bisection.
+/// The α search of every plan: α = 64 when it fits, else nothing when
+/// α = 0.5 does not, else the bisection.
 fn search_alpha(
     mut fitting_peak: impl FnMut(Ratio) -> Option<Millivolts>,
 ) -> Option<(Ratio, Millivolts)> {
@@ -420,7 +408,7 @@ mod tests {
             tight.alpha.get(),
             loose.alpha.get()
         );
-        assert!(tight.availability().get() < loose.availability().get());
+        assert!(tight.alpha.active_fraction().get() < loose.alpha.active_fraction().get());
     }
 
     #[test]
@@ -460,7 +448,7 @@ mod tests {
             .plan(RejuvenationTechnique::Combined, day_period(), year())
             .unwrap();
         assert!(plan.alpha.get() >= 60.0, "α = {}", plan.alpha.get());
-        assert!(plan.availability().get() > 0.97);
+        assert!(plan.alpha.active_fraction().get() > 0.97);
     }
 
     #[test]

@@ -75,23 +75,6 @@ impl RejuvenationTechnique {
             }
         }
     }
-
-    /// Whether this is an *accelerated* technique (any knob turned).
-    #[must_use]
-    pub fn is_accelerated(self) -> bool {
-        !matches!(self, RejuvenationTechnique::PassiveGating)
-    }
-
-    /// The matching Table 1 recovery case name for a 6 h sleep.
-    #[must_use]
-    pub fn table1_case(self) -> &'static str {
-        match self {
-            RejuvenationTechnique::PassiveGating => "R20Z6",
-            RejuvenationTechnique::NegativeVoltage => "AR20N6",
-            RejuvenationTechnique::HighTemperature => "AR110Z6",
-            RejuvenationTechnique::Combined => "AR110N6",
-        }
-    }
 }
 
 impl fmt::Display for RejuvenationTechnique {
@@ -126,22 +109,5 @@ mod tests {
         let both = RejuvenationTechnique::Combined.environment();
         assert!(both.supply().is_negative());
         assert_eq!(both.temperature_c(), Celsius::new(110.0));
-    }
-
-    #[test]
-    fn acceleration_predicate() {
-        assert!(!RejuvenationTechnique::PassiveGating.is_accelerated());
-        for t in RejuvenationTechnique::ALL.into_iter().skip(1) {
-            assert!(t.is_accelerated(), "{t}");
-        }
-    }
-
-    #[test]
-    fn case_names_match_table1() {
-        let names: Vec<&str> = RejuvenationTechnique::ALL
-            .iter()
-            .map(|t| t.table1_case())
-            .collect();
-        assert_eq!(names, vec!["R20Z6", "AR20N6", "AR110Z6", "AR110N6"]);
     }
 }

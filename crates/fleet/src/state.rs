@@ -37,7 +37,7 @@
 use std::ops::Range;
 use std::sync::OnceLock;
 
-use selfheal_bti::td::{PhaseRates, TrapBank};
+use selfheal_bti::td::{PhaseRateCache, TrapBank};
 use selfheal_bti::DeviceCondition;
 use selfheal_runtime::{par_map_indexed, SeedSequence};
 use selfheal_telemetry::{fnv1a, fnv1a_extend};
@@ -201,10 +201,6 @@ impl Shard {
     }
 }
 
-/// Past this many distinct conditions a shard's rate table is cleared,
-/// so a stream of novel duties cannot grow it unbounded.
-const MAX_SHARD_RATES: usize = 256;
-
 /// A shard's derived epoch state: per trap, the decay `exp(-dt / tau)`
 /// and the equilibrium occupancy p∞ of one `epoch_dt` step under the
 /// chip's condition, and per chip, whether those are stale. A chip's
@@ -217,10 +213,9 @@ const MAX_SHARD_RATES: usize = 256;
 /// change, so the chip's duty is the whole cache key.
 #[derive(Debug, Clone, Default)]
 struct DecayCache {
-    /// Distinct rates the shard's chips were filled under, at most
-    /// [`MAX_SHARD_RATES`]: a memo, so a refill skips the rate
-    /// multipliers' transcendentals.
-    rates: Vec<PhaseRates>,
+    /// Distinct rates the shard's chips were filled under: a memo, so a
+    /// refill skips the rate multipliers' transcendentals.
+    rates: PhaseRateCache,
     /// Per chip: whether its columns must be refilled.
     stale: Vec<bool>,
     /// Per trap, bank-aligned: the chip's filled decay column.
@@ -251,20 +246,6 @@ impl DecayCache {
         self.stale.fill(true);
     }
 
-    /// The rates of `cond`, evaluating them on first sight. A full table
-    /// is emptied first.
-    fn rates(&mut self, cond: DeviceCondition) -> PhaseRates {
-        if let Some(hit) = self.rates.iter().find(|r| r.condition() == cond) {
-            return *hit;
-        }
-        if self.rates.len() == MAX_SHARD_RATES {
-            self.rates.clear();
-        }
-        let rates = PhaseRates::for_condition(cond);
-        self.rates.push(rates);
-        rates
-    }
-
     /// Refills `chip`'s columns (shard-local index `local`) for one
     /// `epoch_dt` under its duty when they are stale.
     fn refill_if_stale(
@@ -275,7 +256,9 @@ impl DecayCache {
         config: &FleetConfig,
     ) {
         if self.stale[local] {
-            let rates = self.rates(DeviceCondition::new(config.active_env, chip.duty));
+            let rates = self
+                .rates
+                .rates(DeviceCondition::new(config.active_env, chip.duty));
             bank.fill_decay(
                 chip.traps.clone(),
                 &rates,
@@ -747,7 +730,6 @@ mod tests {
                 reference.state_digest(),
                 "epoch {epoch}"
             );
-            assert!(fleet.shards[0].decay.rates.len() <= MAX_SHARD_RATES);
         }
     }
 

@@ -57,13 +57,6 @@ impl FrequencyCounter {
         FrequencyCounter::new(16, Hertz::new(500.0))
     }
 
-    /// A noise-free copy (for tests needing exact readings).
-    #[must_use]
-    pub fn without_jitter(mut self) -> Self {
-        self.jitter_counts = 0;
-        self
-    }
-
     /// The reference clock.
     #[must_use]
     pub fn reference_clock(&self) -> Hertz {
@@ -124,24 +117,6 @@ impl FrequencyCounter {
         }
         Nanoseconds::new(1e9 / (4.0 * count * self.fref.get()))
     }
-
-    /// Eq. (14): the oscillation frequency a reading implies.
-    #[must_use]
-    pub fn frequency_of(&self, reading: CounterReading) -> Hertz {
-        Hertz::new(2.0 * f64::from(reading.count) * self.fref.get())
-    }
-
-    /// Eq. (15): the CUT delay a reading implies,
-    /// `Td = 1/(4·Cout·fref)`.
-    ///
-    /// Returns an infinite delay for a zero count (oscillator stopped).
-    #[must_use]
-    pub fn delay_of(&self, reading: CounterReading) -> Nanoseconds {
-        if reading.count == 0 {
-            return Nanoseconds::new(f64::INFINITY);
-        }
-        Nanoseconds::new(1e9 / (4.0 * f64::from(reading.count) * self.fref.get()))
-    }
 }
 
 impl Default for FrequencyCounter {
@@ -156,6 +131,13 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
+    /// The paper's counter with its jitter off, for exact readings.
+    fn noise_free() -> FrequencyCounter {
+        let mut c = FrequencyCounter::paper_setup();
+        c.jitter_counts = 0;
+        c
+    }
+
     #[test]
     fn paper_setup_dimensions() {
         let c = FrequencyCounter::paper_setup();
@@ -165,16 +147,14 @@ mod tests {
 
     #[test]
     fn exact_round_trip_without_jitter() {
-        let c = FrequencyCounter::paper_setup().without_jitter();
+        let c = noise_free();
         let mut rng = StdRng::seed_from_u64(1);
         let fosc = Hertz::new(5_555_000.0);
         let reading = c.read(fosc, &mut rng);
         assert_eq!(reading.count, 5555);
         assert!(!reading.saturated);
-        let f = c.frequency_of(reading);
-        assert!((f.get() - 5_555_000.0).abs() < 1.0);
         // Td = 1/(2·fosc) ≈ 90.01 ns.
-        let td = c.delay_of(reading);
+        let td = c.delay_of_count(f64::from(reading.count));
         assert!((td.get() - 90.009).abs() < 0.01, "{td}");
     }
 
@@ -202,7 +182,7 @@ mod tests {
 
     #[test]
     fn saturation_flag() {
-        let c = FrequencyCounter::paper_setup().without_jitter();
+        let c = noise_free();
         let mut rng = StdRng::seed_from_u64(4);
         // 500 Hz reference: max measurable fosc = 2·65535·500 ≈ 65.5 MHz.
         let reading = c.read(Hertz::new(100e6), &mut rng);
@@ -212,12 +192,14 @@ mod tests {
 
     #[test]
     fn stopped_oscillator_reads_zero() {
-        let c = FrequencyCounter::paper_setup().without_jitter();
+        let c = noise_free();
         let mut rng = StdRng::seed_from_u64(5);
         let reading = c.read(Hertz::new(0.0), &mut rng);
         assert_eq!(reading.count, 0);
-        assert!(c.delay_of(reading).get().is_infinite());
-        assert_eq!(c.frequency_of(reading).get(), 0.0);
+        assert!(c
+            .delay_of_count(f64::from(reading.count))
+            .get()
+            .is_infinite());
     }
 
     #[test]

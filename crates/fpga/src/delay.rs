@@ -50,19 +50,6 @@ pub fn device_delay(
     Nanoseconds::new(fresh_delay.get() * overdrive_ref.get() / overdrive.get())
 }
 
-/// The linearised Eq. (6) form, `Δtd ≈ td0 · ΔVth / (Vdd − Vth)`, kept for
-/// model-validation comparisons against the exact ratio form.
-#[must_use]
-pub fn first_order_delay_shift(
-    fresh_delay: Nanoseconds,
-    vdd: Volts,
-    vth_ref: Volts,
-    delta_vth: Volts,
-) -> Nanoseconds {
-    let overdrive = vdd - vth_ref;
-    Nanoseconds::new(fresh_delay.get() * delta_vth.get() / overdrive.get())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -85,17 +72,6 @@ mod tests {
         // 36 mV on an 800 mV overdrive ⇒ ≈ +4.7 %.
         let rel = (d.get() - fresh.get()) / fresh.get();
         assert!((rel - 0.0471).abs() < 0.002, "rel = {rel}");
-    }
-
-    #[test]
-    fn exact_and_first_order_agree_for_small_shifts() {
-        let fresh = Nanoseconds::new(0.3);
-        let vdd = Volts::new(1.2);
-        let vth0 = Volts::new(0.4);
-        let dv = Volts::new(0.01);
-        let exact = device_delay(fresh, vdd, vth0 + dv, vth0) - fresh;
-        let linear = first_order_delay_shift(fresh, vdd, vth0, dv);
-        assert!((exact.get() - linear.get()).abs() / linear.get() < 0.02);
     }
 
     #[test]

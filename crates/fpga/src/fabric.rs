@@ -248,15 +248,6 @@ impl CutArray {
         self.cuts.iter().map(|(l, _)| *l)
     }
 
-    /// True (noise-free) CUT delay at a site.
-    #[must_use]
-    pub fn true_delay_at(&self, location: DieLocation) -> Option<Nanoseconds> {
-        self.cuts
-            .iter()
-            .find(|(l, _)| *l == location)
-            .map(|(_, ro)| ro.cut_delay(self.vdd))
-    }
-
     /// Measured CUT delay at a site (through the shared counter, with its
     /// jitter), averaging 8 reads like [`crate::Chip::measure`].
     pub fn measure_at<R: Rng + ?Sized>(
@@ -368,6 +359,15 @@ mod tests {
     use rand::SeedableRng;
     use selfheal_units::{Celsius, Hours, Volts};
 
+    /// True (noise-free) CUT delay at a site.
+    fn true_delay_at(array: &CutArray, location: DieLocation) -> Option<Nanoseconds> {
+        array
+            .cuts
+            .iter()
+            .find(|(l, _)| *l == location)
+            .map(|(_, ro)| ro.cut_delay(array.vdd))
+    }
+
     fn array() -> CutArray {
         let mut rng = StdRng::seed_from_u64(12);
         CutArray::sample(
@@ -439,10 +439,10 @@ mod tests {
                     &mut rng,
                 );
                 (
-                    a.true_delay_at(DieLocation { column: 0, row: 0 })
+                    true_delay_at(&a, DieLocation { column: 0, row: 0 })
                         .unwrap()
                         .get(),
-                    a.true_delay_at(DieLocation { column: 3, row: 2 })
+                    true_delay_at(&a, DieLocation { column: 3, row: 2 })
                         .unwrap()
                         .get(),
                 )
@@ -464,7 +464,7 @@ mod tests {
         let a = array();
         let mut rng = StdRng::seed_from_u64(77);
         for location in a.locations() {
-            let truth = a.true_delay_at(location).unwrap();
+            let truth = true_delay_at(&a, location).unwrap();
             let measured = a.measure_at(location, &mut rng).unwrap();
             assert!(
                 (measured.get() - truth.get()).abs() / truth.get() < 1.5e-3,
@@ -477,7 +477,7 @@ mod tests {
     fn unknown_location_is_none() {
         let a = array();
         let off_die = DieLocation { column: 9, row: 9 };
-        assert!(a.true_delay_at(off_die).is_none());
+        assert!(true_delay_at(&a, off_die).is_none());
         let mut rng = StdRng::seed_from_u64(1);
         assert!(a.measure_at(off_die, &mut rng).is_none());
     }
@@ -487,7 +487,7 @@ mod tests {
         let mut a = array();
         let before: Vec<f64> = a
             .locations()
-            .map(|l| a.true_delay_at(l).unwrap().get())
+            .map(|l| true_delay_at(&a, l).unwrap().get())
             .collect();
         a.advance(
             RoMode::Static,
@@ -496,7 +496,7 @@ mod tests {
         );
         for (location, b) in a.locations().zip(before) {
             assert!(
-                a.true_delay_at(location).unwrap().get() > b,
+                true_delay_at(&a, location).unwrap().get() > b,
                 "{location} aged"
             );
         }
@@ -537,7 +537,7 @@ mod tests {
         assert_eq!(first, second);
         assert_eq!(first.len(), a.len());
         for (location, measured) in &first {
-            let truth = a.true_delay_at(*location).unwrap();
+            let truth = true_delay_at(&a, *location).unwrap();
             assert!(
                 (measured.get() - truth.get()).abs() / truth.get() < 1.5e-3,
                 "{location}: {measured} vs {truth}"

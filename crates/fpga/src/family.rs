@@ -17,8 +17,10 @@ use selfheal_units::{Celsius, Hertz, Nanoseconds, Volts};
 ///
 /// let family = Family::commercial_40nm();
 /// assert_eq!(family.ro_stages, 75);
-/// assert!(family.allows_accelerated_temperature(selfheal_units::Celsius::new(110.0)));
-/// assert!(!family.allows_accelerated_temperature(selfheal_units::Celsius::new(150.0)));
+/// // §4.3's 110 °C lies above the recommended range, below the limit.
+/// let hot = selfheal_units::Celsius::new(110.0);
+/// assert!(hot > family.recommended_temperature.1);
+/// assert!(hot <= family.accelerated_temperature_limit);
 /// ```
 #[derive(Debug, Clone, PartialEq)]
 pub struct Family {
@@ -81,36 +83,10 @@ impl Family {
     /// A variation-free copy of the family — every sampled chip is
     /// identical. Used by tests that need exact baselines.
     #[must_use]
+    // analyzer: allow(test-only-pub) -- exact-baseline chips for the fpga unit and property tests
     pub fn without_variation(mut self) -> Self {
         self.variation = ProcessVariation::none();
         self
-    }
-
-    /// Fresh POI delay of one full stage (LUT + routing).
-    ///
-    /// LUT share: two pass transistors + two buffer devices.
-    #[must_use]
-    pub fn stage_delay(&self) -> Nanoseconds {
-        Nanoseconds::new(
-            2.0 * self.pass_delay.get()
-                + 2.0 * self.buffer_delay.get()
-                + 2.0 * self.routing_device_delay.get(),
-        )
-    }
-
-    /// Whether `t` lies inside the datasheet's recommended range.
-    #[must_use]
-    pub fn is_recommended_temperature(&self, t: Celsius) -> bool {
-        let (lo, hi) = self.recommended_temperature;
-        t >= lo && t <= hi
-    }
-
-    /// Whether `t` is usable for accelerated testing: possibly above the
-    /// recommended range, but below the functional limit.
-    #[must_use]
-    pub fn allows_accelerated_temperature(&self, t: Celsius) -> bool {
-        let (lo, _) = self.recommended_temperature;
-        t >= lo && t <= self.accelerated_temperature_limit
     }
 }
 
@@ -124,16 +100,22 @@ impl Default for Family {
 mod tests {
     use super::*;
 
+    /// Fresh POI delay of one full stage in ns (LUT + routing): two pass
+    /// transistors, two buffer devices and two routing devices.
+    fn stage_delay(f: &Family) -> f64 {
+        2.0 * f.pass_delay.get() + 2.0 * f.buffer_delay.get() + 2.0 * f.routing_device_delay.get()
+    }
+
     #[test]
     fn stage_delay_budget() {
         let f = Family::commercial_40nm();
-        assert!((f.stage_delay().get() - 1.2).abs() < 1e-12);
+        assert!((stage_delay(&f) - 1.2).abs() < 1e-12);
     }
 
     #[test]
     fn ro_frequency_lands_in_counter_range() {
         let f = Family::commercial_40nm();
-        let half_period_ns = f.stage_delay().get() * f.ro_stages as f64;
+        let half_period_ns = stage_delay(&f) * f.ro_stages as f64;
         let fosc_hz = 1e9 / (2.0 * half_period_ns);
         let count = fosc_hz / (2.0 * f.reference_clock.get());
         assert!(count > 1000.0, "enough resolution: {count}");
@@ -141,17 +123,6 @@ mod tests {
             count < f64::from(u32::pow(2, f.counter_bits) - 1),
             "no overflow: {count}"
         );
-    }
-
-    #[test]
-    fn temperature_windows() {
-        let f = Family::commercial_40nm();
-        assert!(f.is_recommended_temperature(Celsius::new(25.0)));
-        assert!(!f.is_recommended_temperature(Celsius::new(110.0)));
-        assert!(f.allows_accelerated_temperature(Celsius::new(110.0)));
-        assert!(f.allows_accelerated_temperature(Celsius::new(100.0)));
-        assert!(!f.allows_accelerated_temperature(Celsius::new(200.0)));
-        assert!(!f.allows_accelerated_temperature(Celsius::new(-55.0)));
     }
 
     #[test]

@@ -82,31 +82,6 @@ impl InverterChain {
         i.is_multiple_of(2)
     }
 
-    /// Logic depth `LD` of the POI: devices per stage × stages (Eq. 7).
-    #[must_use]
-    pub fn logic_depth(&self) -> usize {
-        // 4 LUT POI devices + 2 routing devices per stage.
-        self.stages.len() * 6
-    }
-
-    /// Number of POI devices currently under stress in DC (static) mode —
-    /// the `Ns` of Eq. 7 (`0 ≤ Ns ≤ LD`, Hypothesis 1).
-    #[must_use]
-    pub fn stressed_poi_count(&self) -> usize {
-        self.stages
-            .iter()
-            .enumerate()
-            .map(|(i, stage)| {
-                let in0 = Self::static_input(i);
-                let poi = stage.lut.poi_indices(in0, true);
-                let stressed = stage.lut.stressed_indices(in0, true);
-                let lut_count = stressed.iter().filter(|s| poi.contains(s)).count();
-                // The routing block's stressed device is always on the POI.
-                lut_count + 1
-            })
-            .sum()
-    }
-
     /// Total propagation delay along the POI at supply `vdd`.
     #[must_use]
     pub fn path_delay(&self, vdd: Volts) -> Nanoseconds {
@@ -190,26 +165,10 @@ mod tests {
     }
 
     #[test]
-    fn logic_depth_counts_poi_devices() {
-        let c = chain(75);
-        assert_eq!(c.logic_depth(), 450);
-    }
-
-    #[test]
     fn static_levels_alternate() {
         assert!(InverterChain::static_input(0));
         assert!(!InverterChain::static_input(1));
         assert!(InverterChain::static_input(2));
-    }
-
-    #[test]
-    fn ns_is_about_half_of_ld() {
-        // Even stages: {M1, M5, M8} ∩ POI = 3, plus routing = 4.
-        // Odd stages: {M7} ∩ POI = 1, plus routing = 2.
-        let c = chain(10);
-        assert_eq!(c.stressed_poi_count(), 5 * 4 + 5 * 2);
-        let ratio = c.stressed_poi_count() as f64 / c.logic_depth() as f64;
-        assert!((ratio - 0.5).abs() < 1e-12, "Ns/LD = {ratio}");
     }
 
     #[test]

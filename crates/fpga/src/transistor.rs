@@ -103,6 +103,7 @@ impl Transistor {
 
     /// Whether this device has (measurably) aged.
     #[must_use]
+    // analyzer: allow(test-only-pub) -- Hypothesis 2's fresh-device predicate, read by fpga_properties
     pub fn is_aged(&self) -> bool {
         self.delta_vth().get() > 1e-9
     }

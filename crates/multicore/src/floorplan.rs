@@ -108,16 +108,6 @@ impl Floorplan {
         }
         out
     }
-
-    /// How many of `active` are neighbours of `core` — the number of
-    /// on-chip heaters available to it while it sleeps.
-    #[must_use]
-    pub fn active_neighbour_count(&self, core: CoreId, active: &[bool]) -> usize {
-        self.neighbours(core)
-            .into_iter()
-            .filter(|n| active.get(n.index()).copied().unwrap_or(false))
-            .count()
-    }
 }
 
 impl Default for Floorplan {
@@ -172,8 +162,14 @@ mod tests {
         let mut active = [true; 8];
         active[2] = false;
         active[6] = false;
-        assert_eq!(plan.active_neighbour_count(CoreId::new(2), &active), 2);
-        assert_eq!(plan.active_neighbour_count(CoreId::new(6), &active), 2);
+        let heaters = |core| {
+            plan.neighbours(CoreId::new(core))
+                .iter()
+                .filter(|n| active[n.index()])
+                .count()
+        };
+        assert_eq!(heaters(2), 2);
+        assert_eq!(heaters(6), 2);
         // Core 3 and core 7 are vertical neighbours of each other — they
         // do not heat each other while both sleep.
         assert!(plan.neighbours(CoreId::new(2)).contains(&CoreId::new(6)));

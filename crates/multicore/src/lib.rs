@@ -41,7 +41,7 @@ pub mod thermal;
 pub mod workload;
 
 pub use floorplan::{CoreId, Floorplan};
-pub use lifetime::{estimate_lifetime, estimate_lifetimes, LifetimeCase, LifetimeEstimate};
+pub use lifetime::{estimate_lifetime, LifetimeEstimate};
 pub use sim::{MulticoreSim, SimConfig, SystemReport};
 pub use thermal::ThermalGrid;
 pub use workload::Workload;

@@ -242,8 +242,8 @@ mod tests {
         // Every sleeper has all neighbours active.
         for (i, active) in flags.iter().enumerate() {
             if !active {
-                let heaters = plan.active_neighbour_count(CoreId::new(i), &flags);
-                assert_eq!(heaters, plan.neighbours(CoreId::new(i)).len());
+                let neighbours = plan.neighbours(CoreId::new(i));
+                assert!(neighbours.iter().all(|n| flags[n.index()]));
             }
         }
     }

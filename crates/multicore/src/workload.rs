@@ -33,17 +33,6 @@ pub enum Workload {
         /// Daytime peak.
         max: usize,
     },
-    /// Deterministic pseudo-random bursts: demand switches between low
-    /// and high every `hold` seconds based on a hash of the interval
-    /// index (no RNG state to thread through the simulation).
-    Bursty {
-        /// Demand during quiet intervals.
-        low: usize,
-        /// Demand during bursts.
-        high: usize,
-        /// Interval length in seconds.
-        hold: f64,
-    },
 }
 
 impl Workload {
@@ -59,16 +48,6 @@ impl Workload {
         Workload::Diurnal { min, max }
     }
 
-    /// Bursty demand with a 2 h hold time.
-    #[must_use]
-    pub fn bursty(low: usize, high: usize) -> Self {
-        Workload::Bursty {
-            low,
-            high,
-            hold: 2.0 * 3600.0,
-        }
-    }
-
     /// Demand at time `now`, clamped to the machine's `total` cores.
     #[must_use]
     pub fn demand(&self, now: Seconds, total: usize) -> usize {
@@ -81,19 +60,6 @@ impl Workload {
                 let level = 0.5 - 0.5 * phase.cos();
                 let span = max.saturating_sub(min) as f64;
                 min + (level * span).round() as usize
-            }
-            Workload::Bursty { low, high, hold } => {
-                let slot = (now.get() / hold.max(1e-9)) as u64;
-                // Cheap deterministic hash of the slot index.
-                let h = slot
-                    .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                    .rotate_left(31)
-                    .wrapping_mul(0xBF58_476D_1CE4_E5B9);
-                if h & 1 == 0 {
-                    low
-                } else {
-                    high
-                }
             }
         };
         raw.min(total)
@@ -125,24 +91,5 @@ mod tests {
             w.demand(Seconds::new(36.0 * 3600.0), 8),
             w.demand(Seconds::new(12.0 * 3600.0), 8)
         );
-    }
-
-    #[test]
-    fn bursty_is_deterministic_and_two_level() {
-        let w = Workload::bursty(1, 7);
-        let mut lows = 0;
-        let mut highs = 0;
-        for i in 0..200 {
-            let t = Seconds::new(7200.0 * f64::from(i) + 10.0);
-            let d = w.demand(t, 8);
-            assert!(d == 1 || d == 7);
-            if d == 1 {
-                lows += 1;
-            } else {
-                highs += 1;
-            }
-            assert_eq!(d, w.demand(t, 8), "deterministic");
-        }
-        assert!(lows > 40 && highs > 40, "both levels occur: {lows}/{highs}");
     }
 }

@@ -285,12 +285,6 @@ impl Pool {
         self.shared.steals.load(Ordering::Relaxed)
     }
 
-    /// Jobs executed over the pool's lifetime.
-    #[must_use]
-    pub fn executed_count(&self) -> u64 {
-        self.shared.executed.load(Ordering::Relaxed)
-    }
-
     /// Maps `f` over `items` in parallel; output order matches input
     /// order bit-for-bit at any worker count.
     ///
@@ -617,7 +611,7 @@ mod tests {
     fn counters_move() {
         let pool = Pool::new(2);
         let _ = pool.par_map((0..256u32).collect(), |x| x);
-        assert!(pool.executed_count() > 0);
+        assert!(pool.shared.executed.load(Ordering::Relaxed) > 0);
     }
 
     #[test]

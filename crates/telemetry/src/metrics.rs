@@ -203,18 +203,6 @@ impl Histogram {
         self.count
     }
 
-    /// How many observations were exactly zero.
-    #[must_use]
-    pub fn zero_count(&self) -> u64 {
-        self.zero
-    }
-
-    /// How many observations were NaN.
-    #[must_use]
-    pub fn nan_count(&self) -> u64 {
-        self.nan
-    }
-
     /// Exact smallest non-NaN observation.
     #[must_use]
     pub fn min(&self) -> Option<f64> {
@@ -559,7 +547,7 @@ mod tests {
         h.observe(-0.0);
         h.observe(-5.0);
         h.observe(5.0);
-        assert_eq!(h.zero_count(), 2);
+        assert_eq!(h.zero, 2);
         assert_eq!(h.count(), 4);
         assert_eq!(h.min(), Some(-5.0));
         assert_eq!(h.max(), Some(5.0));
@@ -653,7 +641,7 @@ mod tests {
         let mut h = Histogram::new();
         h.observe(1.0);
         h.observe(f64::NAN);
-        assert_eq!(h.nan_count(), 1);
+        assert_eq!(h.nan, 1);
         assert_eq!(h.count(), 2);
         assert!(h.mean().expect("non-empty").is_nan(), "NaN poisons visibly");
         // NaN sorts last: the top quantile reports it.

@@ -438,6 +438,7 @@ impl MemorySink {
     /// Removes and returns the events emitted by the calling thread —
     /// the isolation primitive for tests running under a parallel harness.
     #[must_use]
+    // analyzer: allow(test-only-pub) -- per-thread event isolation for tests under the parallel harness
     pub fn drain_current_thread(&self) -> Vec<Event> {
         let me = current_thread_hash();
         let mut events = self.events.lock().unwrap_or_else(PoisonError::into_inner);

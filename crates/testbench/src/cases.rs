@@ -248,12 +248,12 @@ mod tests {
         let table = table1();
         let dc = table.iter().find(|c| c.name == "AS110DC24").unwrap();
         let spec = dc.to_phase_spec();
-        assert!((spec.sampling_interval.to_minutes().get() - 20.0).abs() < 1e-9);
+        assert!((spec.sampling_interval.get() - 20.0 * 60.0).abs() < 1e-9);
         assert_eq!(spec.name, "AS110DC24");
 
         let ar = table.iter().find(|c| c.name == "AR110N6").unwrap();
         let spec = ar.to_phase_spec();
-        assert!((spec.sampling_interval.to_minutes().get() - 30.0).abs() < 1e-9);
+        assert!((spec.sampling_interval.get() - 30.0 * 60.0).abs() < 1e-9);
         assert!(spec.supply.is_negative());
         assert!(spec.validate().is_ok());
     }

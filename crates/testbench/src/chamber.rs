@@ -78,13 +78,6 @@ impl ThermalChamber {
         ThermalChamber::new((Celsius::new(-70.0), Celsius::new(180.0)))
     }
 
-    /// A fluctuation-free copy (tests needing exact temperatures).
-    #[must_use]
-    pub fn without_fluctuation(mut self) -> Self {
-        self.fluctuation = Celsius::new(0.0);
-        self
-    }
-
     /// The current setpoint.
     #[must_use]
     pub fn setpoint(&self) -> Celsius {
@@ -177,7 +170,8 @@ mod tests {
 
     #[test]
     fn without_fluctuation_is_exact() {
-        let chamber = ThermalChamber::laboratory().without_fluctuation();
+        let mut chamber = ThermalChamber::laboratory();
+        chamber.fluctuation = Celsius::new(0.0);
         let mut rng = StdRng::seed_from_u64(3);
         assert_eq!(chamber.temperature(&mut rng), chamber.setpoint());
     }

@@ -2,7 +2,7 @@
 //! "A clock generator provides the external clock source for the
 //! counter").
 
-use selfheal_units::{Hertz, Seconds};
+use selfheal_units::Hertz;
 
 /// A fixed-frequency clock source.
 ///
@@ -42,14 +42,6 @@ impl ClockGenerator {
     pub fn frequency(&self) -> Hertz {
         self.frequency
     }
-
-    /// One gate window of the frequency counter: half the reference
-    /// period (the counter accumulates for `1/(2·fref)`, which is where
-    /// Eq. 14's factor of two comes from).
-    #[must_use]
-    pub fn gate_window(&self) -> Seconds {
-        Seconds::new(1.0 / (2.0 * self.frequency.get()))
-    }
 }
 
 impl Default for ClockGenerator {
@@ -61,12 +53,6 @@ impl Default for ClockGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn gate_window_of_paper_reference() {
-        let clk = ClockGenerator::paper_reference();
-        assert!((clk.gate_window().get() - 1e-3).abs() < 1e-15);
-    }
 
     #[test]
     #[should_panic(expected = "positive")]

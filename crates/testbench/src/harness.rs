@@ -120,6 +120,7 @@ impl TestHarness {
 
     /// Unmounts and returns the chip.
     #[must_use]
+    // analyzer: allow(test-only-pub) -- the unmount-and-remount workflow lab_workflow pins
     pub fn into_chip(self) -> Chip {
         self.chip
     }

@@ -165,12 +165,6 @@ impl Schedule {
         &self.phases
     }
 
-    /// Total wall-clock length of the schedule.
-    #[must_use]
-    pub fn total_duration(&self) -> Seconds {
-        self.phases.iter().map(|p| p.duration).sum()
-    }
-
     /// Validates every phase.
     ///
     /// # Errors
@@ -264,7 +258,8 @@ mod tests {
                 Minutes::new(20.0).into(),
             ));
         assert_eq!(schedule.phases().len(), 2);
-        assert!((schedule.total_duration().to_hours().get() - 26.0).abs() < 1e-9);
+        let total: Seconds = schedule.phases().iter().map(|p| p.duration).sum();
+        assert!((total.to_hours().get() - 26.0).abs() < 1e-9);
         assert!(schedule.validate().is_ok());
     }
 

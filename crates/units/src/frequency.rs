@@ -7,7 +7,7 @@
 use std::fmt;
 use std::ops::{Add, Div, Mul, Sub};
 
-use crate::time::{Nanoseconds, Seconds};
+use crate::time::Seconds;
 
 /// A frequency in hertz.
 ///
@@ -149,12 +149,6 @@ impl Megahertz {
     pub const fn get(self) -> f64 {
         self.0
     }
-
-    /// The period `1/f` in nanoseconds.
-    #[must_use]
-    pub fn period_ns(self) -> Nanoseconds {
-        Nanoseconds::new(1e3 / self.0)
-    }
 }
 
 impl fmt::Display for Megahertz {
@@ -199,8 +193,8 @@ mod tests {
     #[test]
     fn ro_period_in_nanoseconds() {
         // A 5.5 MHz oscillator has a ~181.8 ns period.
-        let p = Megahertz::new(5.5).period_ns();
-        assert!((p.get() - 181.818).abs() < 1e-2);
+        let p = Hertz::from(Megahertz::new(5.5)).period();
+        assert!((p.get() * 1e9 - 181.818).abs() < 1e-2);
     }
 
     #[test]

@@ -19,7 +19,7 @@ use crate::time::Seconds;
 /// use selfheal_units::Fraction;
 ///
 /// let recovered = Fraction::new(0.724); // the paper's headline 72.4 %
-/// assert!((recovered.to_percent().get() - 72.4).abs() < 1e-9);
+/// assert_eq!(recovered.complement(), Fraction::new(1.0 - 0.724));
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
 pub struct Fraction(f64);
@@ -40,12 +40,6 @@ impl Fraction {
     #[must_use]
     pub const fn get(self) -> f64 {
         self.0
-    }
-
-    /// Converts to a percentage.
-    #[must_use]
-    pub fn to_percent(self) -> Percent {
-        Percent::new(self.0 * 100.0)
     }
 
     /// The complement `1 − f`.
@@ -101,12 +95,6 @@ impl Percent {
     pub const fn get(self) -> f64 {
         self.0
     }
-
-    /// Converts to a fraction (clamped into `[0, 1]`).
-    #[must_use]
-    pub fn to_fraction(self) -> Fraction {
-        Fraction::from(self)
-    }
 }
 
 impl fmt::Display for Percent {
@@ -144,10 +132,10 @@ impl Mul<f64> for Percent {
 /// # Examples
 ///
 /// ```
-/// use selfheal_units::{Hours, Ratio};
+/// use selfheal_units::{Hours, Ratio, Seconds};
 ///
-/// let alpha = Ratio::from_durations(Hours::new(24.0).into(), Hours::new(6.0).into())
-///     .expect("positive durations");
+/// let (active, sleep): (Seconds, Seconds) = (Hours::new(24.0).into(), Hours::new(6.0).into());
+/// let alpha = Ratio::new(active / sleep).expect("positive durations");
 /// assert!((alpha.get() - 4.0).abs() < 1e-12);
 /// assert!((alpha.active_fraction().get() - 0.8).abs() < 1e-12);
 /// ```
@@ -166,18 +154,6 @@ impl Ratio {
     #[must_use]
     pub fn new(alpha: f64) -> Option<Self> {
         (alpha > 0.0 && alpha.is_finite()).then_some(Ratio(alpha))
-    }
-
-    /// Computes α from the active and sleep durations of one cycle.
-    ///
-    /// Returns `None` unless both durations are positive.
-    #[must_use]
-    pub fn from_durations(active: Seconds, sleep: Seconds) -> Option<Self> {
-        if active.get() > 0.0 && sleep.get() > 0.0 {
-            Ratio::new(active / sleep)
-        } else {
-            None
-        }
     }
 
     /// Returns the raw α value.
@@ -282,10 +258,8 @@ mod tests {
 
     #[test]
     fn fraction_percent_round_trip() {
-        let f = Fraction::new(0.724);
-        let p = f.to_percent();
-        assert!((p.get() - 72.4).abs() < 1e-9);
-        assert!((p.to_fraction().get() - 0.724).abs() < 1e-12);
+        let f = Fraction::from(Percent::new(72.4));
+        assert!((f.get() - 0.724).abs() < 1e-12);
     }
 
     #[test]
@@ -305,16 +279,10 @@ mod tests {
 
     #[test]
     fn ratio_from_paper_durations() {
-        let alpha = Ratio::from_durations(Seconds::new(86_400.0), Seconds::new(21_600.0)).unwrap();
+        let alpha = Ratio::new(Seconds::new(86_400.0) / Seconds::new(21_600.0)).unwrap();
         assert!((alpha.get() - 4.0).abs() < 1e-12);
         assert!((alpha.active_fraction().get() - 0.8).abs() < 1e-12);
         assert!((alpha.sleep_fraction().get() - 0.2).abs() < 1e-12);
-    }
-
-    #[test]
-    fn ratio_from_durations_rejects_zero_sleep() {
-        assert!(Ratio::from_durations(Seconds::new(10.0), Seconds::ZERO).is_none());
-        assert!(Ratio::from_durations(Seconds::ZERO, Seconds::new(10.0)).is_none());
     }
 
     #[test]

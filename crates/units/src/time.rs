@@ -52,12 +52,6 @@ impl Seconds {
         Hours::new(self.0 / 3600.0)
     }
 
-    /// Converts to minutes.
-    #[must_use]
-    pub fn to_minutes(self) -> Minutes {
-        Minutes::new(self.0 / 60.0)
-    }
-
     /// Returns the smaller of two durations.
     #[must_use]
     pub fn min(self, other: Seconds) -> Seconds {
@@ -409,7 +403,6 @@ mod tests {
         assert_eq!(Seconds::from(Hours::new(24.0)), Seconds::new(86_400.0));
         assert_eq!(Seconds::from(Minutes::new(20.0)), Seconds::new(1200.0));
         assert!((Seconds::new(7200.0).to_hours().get() - 2.0).abs() < 1e-12);
-        assert!((Seconds::new(90.0).to_minutes().get() - 1.5).abs() < 1e-12);
     }
 
     #[test]

@@ -60,16 +60,6 @@ impl Volts {
     pub fn to_millivolts(self) -> Millivolts {
         Millivolts::new(self.0 * 1e3)
     }
-
-    /// Linear interpolation between two voltages.
-    ///
-    /// Used by the supply model to ramp between setpoints. `t` is clamped to
-    /// `[0, 1]`.
-    #[must_use]
-    pub fn lerp(self, other: Volts, t: f64) -> Volts {
-        let t = t.clamp(0.0, 1.0);
-        Volts(self.0 + (other.0 - self.0) * t)
-    }
 }
 
 impl fmt::Display for Volts {
@@ -402,15 +392,6 @@ mod tests {
         assert!((mv.get() + 300.0).abs() < 1e-9);
         let back: Volts = mv.into();
         assert!((back.get() - v.get()).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lerp_clamps_parameter() {
-        let a = Volts::new(0.0);
-        let b = Volts::new(1.0);
-        assert_eq!(a.lerp(b, -1.0), a);
-        assert_eq!(a.lerp(b, 2.0), b);
-        assert_eq!(a.lerp(b, 0.5), Volts::new(0.5));
     }
 
     #[test]

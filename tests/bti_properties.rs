@@ -124,7 +124,7 @@ proptest! {
         let d0 = model.delta_vth(Seconds::new(t), base).get();
         let longer = model.delta_vth(Seconds::new(t * 2.0), base).get();
         let hotter = model
-            .delta_vth(Seconds::new(t), base.with_temperature(Celsius::new(80.0 + dt_c)))
+            .delta_vth(Seconds::new(t), Environment::new(Volts::new(1.2), Celsius::new(80.0 + dt_c)))
             .get();
         let higher_v = model
             .delta_vth(Seconds::new(t), base.with_supply(Volts::new(1.2 + dv)))

@@ -14,12 +14,11 @@
 //! for *representation* changes that keep these bits pinned.
 
 use proptest::prelude::*;
-use selfheal_bti::td::{
-    advance_population, sample_population, PhaseRates, Trap, TrapBank, TrapEnsembleParams, LANES,
-};
+use selfheal_bti::td::{PhaseRates, Trap, TrapBank, TrapEnsembleParams, LANES};
 use selfheal_bti::{DeviceCondition, Environment};
+use selfheal_fleet::{FleetConfig, FleetState};
 use selfheal_runtime::{set_global_threads, SeedSequence};
-use selfheal_units::{Celsius, Hours, Millivolts, Seconds, Volts};
+use selfheal_units::{Celsius, DutyCycle, Hours, Millivolts, Seconds, Volts};
 
 /// The paper's phase vocabulary: DC stress, accelerated recovery, AC
 /// stress, passive room-temperature recovery, and a zero-length step
@@ -95,34 +94,66 @@ fn bank_matches_per_trap_advance_across_phase_sequence() {
 
 #[test]
 fn population_fanout_is_worker_count_invariant_bitwise() {
-    let params = TrapEnsembleParams::default();
-    let fresh = sample_population(&params, 12, 99);
-    let sequence = phase_sequence();
+    // The fan-out the daemon runs: a fleet whose shards sample and step
+    // on the pool, with some chips reporting their own duty cycle.
+    let mut config = FleetConfig::default();
+    config.chips = 13;
+    config.shards = 3;
+    config.seed = 99;
+    config.trap_params = TrapEnsembleParams::default();
+    config.epoch_dt = Hours::new(6.0).into();
+    let reports = [(0u64, 2usize, 0.3), (0, 9, 0.6), (3, 2, 0.8), (3, 12, 0.05)];
+    let epochs = 6u64;
 
-    // Reference: every device's traps, drawn from the stream
-    // `sample_population` gives device `i`, stepped one at a time
-    // through the scalar oracle on this thread.
-    let seeds = SeedSequence::new(99);
-    let reference: Vec<Vec<Trap>> = (0..fresh.len() as u64)
-        .map(|i| {
-            let mut traps: Vec<Trap> = params.sample_traps(&mut seeds.rng(i)).collect();
-            for &(cond, dt) in &sequence {
-                for trap in &mut traps {
-                    trap.advance(cond, dt);
-                }
-            }
-            traps
+    // Reference: every chip's traps, drawn from its own stream
+    // `SeedSequence::new(seed).child(shard).rng(local)`, stepped one
+    // epoch at a time under its reported duty through the scalar oracle
+    // on this thread.
+    let mut reference: Vec<Vec<Trap>> = (0..config.chips)
+        .map(|chip| {
+            let shard = config.shard_of_chip(chip).expect("chip in fleet");
+            let local = chip - config.shard_chip_range(shard).start;
+            let seeds = SeedSequence::new(config.seed).child(shard as u64);
+            config
+                .trap_params
+                .sample_traps(&mut seeds.rng(local as u64))
+                .collect()
         })
         .collect();
+    let mut duties = vec![DutyCycle::default(); config.chips];
+    for epoch in 0..epochs {
+        for &(at, chip, duty) in &reports {
+            if at == epoch {
+                duties[chip] = DutyCycle::new(duty);
+            }
+        }
+        for (traps, &duty) in reference.iter_mut().zip(&duties) {
+            let cond = DeviceCondition::new(config.active_env, duty);
+            for trap in traps {
+                trap.advance(cond, config.epoch_dt);
+            }
+        }
+    }
 
     for workers in [1usize, 2, 8] {
         set_global_threads(workers);
-        let mut devices = fresh.clone();
-        for &(cond, dt) in &sequence {
-            devices = advance_population(devices, cond, dt);
+        let mut fleet = FleetState::build(config.clone());
+        for epoch in 0..epochs {
+            for &(at, chip, duty) in &reports {
+                if at == epoch {
+                    fleet.fold_report(chip, DutyCycle::new(duty));
+                }
+            }
+            fleet.advance_epoch();
         }
-        for (d, (device, traps)) in devices.iter().zip(&reference).enumerate() {
-            assert_bank_bit_identical(traps, device, &format!("workers={workers} device={d}"));
+        for (chip, traps) in reference.iter().enumerate() {
+            let (shard, range) = fleet.chip_view(chip).expect("chip in fleet");
+            assert_bit_identical(
+                traps,
+                &shard.bank,
+                range,
+                &format!("workers={workers} chip={chip}"),
+            );
         }
     }
 }

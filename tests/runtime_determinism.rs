@@ -5,7 +5,9 @@
 //!
 //! 1. **`par_map` == serial** on the Fig. 5 ensemble workload (sample a
 //!    trap population, stress it a simulated day) for pools of 1, 2 and
-//!    8 workers — a property test over seeds and population sizes.
+//!    8 workers — a property test over seeds and population sizes —
+//!    and on the fan-out the fleet daemon runs: `FleetState::build`
+//!    samples bit-identical shard columns at 1, 2 and 8 workers.
 //! 2. **Seed splitting is pinned**: the per-index RNG streams derived by
 //!    [`SeedSequence`] are fixed constants. If these move, every cached
 //!    result and every recorded manifest value silently changes meaning,
@@ -14,9 +16,10 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
-use selfheal_bti::td::{sample_population, PhaseRates, TrapBank, TrapEnsembleParams};
+use selfheal_bti::td::{PhaseRates, TrapBank, TrapEnsembleParams};
 use selfheal_bti::{DeviceCondition, Environment};
-use selfheal_runtime::{Pool, SeedSequence};
+use selfheal_fleet::{FleetConfig, FleetState};
+use selfheal_runtime::{set_global_threads, Pool, SeedSequence};
 use selfheal_units::{Celsius, Hours, Seconds, Volts};
 
 /// The Fig. 5 unit of work: sample device `i` from `(seed, i)` and run a
@@ -62,13 +65,32 @@ proptest! {
     }
 
     #[test]
-    fn population_helper_is_worker_count_invariant(seed in 0u64..10_000, count in 1usize..32) {
-        // The bti-level helper routes through the *global* pool; its
-        // contract is the same purity in (params, count, seed).
-        let params = TrapEnsembleParams::default();
-        let a = sample_population(&params, count, seed);
-        let b = sample_population(&params, count, seed);
-        prop_assert_eq!(a, b);
+    fn population_helper_is_worker_count_invariant(seed in 0u64..10_000, chips in 1usize..32) {
+        // The fleet build samples its shards on the *global* pool; its
+        // contract is the same purity in (config, seed): every shard
+        // column bit-identical at any worker count.
+        let mut config = FleetConfig::default();
+        config.chips = chips;
+        config.shards = chips.min(4);
+        config.seed = seed;
+        config.trap_params.mean_trap_count = 6.0;
+        let columns = |workers: usize| {
+            set_global_threads(workers);
+            let fleet = FleetState::build(config.clone());
+            fleet
+                .shards()
+                .iter()
+                .map(|shard| {
+                    let bank = &shard.bank;
+                    [bank.tau_c0(), bank.tau_e(), bank.step_mv(), bank.occupancies()]
+                        .map(|column| column.iter().map(|v| v.to_bits()).collect::<Vec<u64>>())
+                })
+                .collect::<Vec<_>>()
+        };
+        let serial = columns(1);
+        for workers in [2usize, 8] {
+            prop_assert_eq!(&serial, &columns(workers), "workers={}", workers);
+        }
     }
 }
 
