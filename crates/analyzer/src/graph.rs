@@ -637,8 +637,8 @@ pub fn build(files: &[FileGraph], crate_names: &BTreeSet<String>) -> CallGraph {
                 && file.fns.iter().all(|other| {
                     // no fn between the comment and this one, and the
                     // comment is not inside any fn
-                    !(other.line <= trust.line && trust.line <= other.end_line)
-                        && !(trust.line < other.line && other.line < raw.line)
+                    !(other.line <= trust.line && trust.line <= other.end_line
+                        || trust.line < other.line && other.line < raw.line)
                 });
             if is_innermost || is_next_below {
                 for kind in &trust.kinds {

@@ -150,11 +150,11 @@ pub fn run_all(path: &Path, parsed: &ParsedFile, ctx: &FileContext) -> Vec<Findi
             (a.line == f.line || a.line + 1 == f.line) && a.lints.iter().any(|l| l == f.lint.id())
         })
     });
-    findings.sort_by(|a, b| (a.line, a.lint).cmp(&(b.line, b.lint)));
+    findings.sort_by_key(|f| (f.line, f.lint));
     findings
 }
 
-/// Matches the hint table against a snake_case name.
+/// Matches the hint table against a `snake_case` name.
 fn physical_hint(name: &str) -> Option<(&'static str, &'static str)> {
     let lower = name.to_ascii_lowercase();
     PHYSICAL_NAME_HINTS
@@ -322,7 +322,7 @@ fn skip_call(tokens: &[Token], open: usize) -> usize {
 }
 
 /// If the tokens at `i` are `.method(`, returns the method name.
-fn followup_method<'a>(tokens: &'a [Token], i: usize) -> Option<&'a str> {
+fn followup_method(tokens: &[Token], i: usize) -> Option<&str> {
     if tokens.get(i).is_some_and(|t| t.is_punct('.'))
         && tokens
             .get(i + 1)

@@ -209,6 +209,7 @@ impl BenchRun {
     /// Ends the run: captures the manifest, writes it to `--out` or
     /// `target/manifests/<name>.json`, and under `--json` prints it to
     /// stdout. Returns the manifest for callers that want to inspect it.
+    #[allow(clippy::must_use_candidate)] // called for its side effect; the result is optional
     pub fn finish(mut self, config_repr: &str) -> telemetry::RunManifest {
         // Stop the sampler first: it takes a final read-only tick, so the
         // status file sees the finished run's last state.

@@ -215,7 +215,7 @@ impl CycleModel {
     const SAMPLES_PER_PHASE: usize = 8;
 
     /// Runs `cycles` full periods from a fresh device, returning the
-    /// sampled ΔVth trajectory (including the `t = 0` fresh point).
+    /// sampled `ΔVth` trajectory (including the `t = 0` fresh point).
     #[must_use]
     pub fn run(&self, cycles: usize) -> Vec<CycleSample> {
         self.run_from(AnalyticBti::default(), cycles)

@@ -16,7 +16,7 @@
 //!    authors measured and is the ground truth every "measurement" in the
 //!    workspace derives from.
 //! 2. [`analytic`] — the paper's **first-order closed-form model**
-//!    (Eqs. 1–4 and 12–13): logarithmic ΔVth growth under stress,
+//!    (Eqs. 1–4 and 12–13): logarithmic `ΔVth` growth under stress,
 //!    log-saturating partial recovery, and the duty-cycled α-ratio form
 //!    used for long-horizon schedules.
 //!

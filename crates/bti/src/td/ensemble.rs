@@ -65,7 +65,7 @@ impl TrapEnsembleParams {
     ///
     /// Returns `Err` if any field is not finite, any range is inverted,
     /// the trap count is not in `(0, 700]` (the Poisson sampler's exact
-    /// range), the ΔVth mean is non-positive, or the permanent fraction
+    /// range), the `ΔVth` mean is non-positive, or the permanent fraction
     /// lies outside `[0, 1]`.
     pub fn validate(&self) -> Result<(), String> {
         let (c_lo, c_hi) = self.log10_tau_c_range;

@@ -28,7 +28,7 @@
 //!    `exp` and no division per trap. The bank's one reduction,
 //!    [`delta_vth`](TrapBank::delta_vth) (or
 //!    [`delta_vth_range`](TrapBank::delta_vth_range) over a chip's
-//!    slice), is the ΔVth sum every caller reads.
+//!    slice), is the `ΔVth` sum every caller reads.
 //!
 //! The bank is the workspace's only trap state: devices, populations
 //! and fleet shards all hold one, and [`Trap`] values only go *into* a
@@ -86,7 +86,7 @@ pub const KERNEL_VERSION: u32 = 3;
 
 /// Fixed chunk width of the advance kernels, in traps.
 ///
-/// The hot loop processes the SoA columns in blocks of this many lanes
+/// The hot loop processes the `SoA` columns in blocks of this many lanes
 /// (one AVX-512 register of `f64`, two AVX2 registers) with a scalar
 /// tail, so the per-lane divisions and multiplies autovectorize.
 /// Exposed so the equivalence tests can pin the chunk-boundary sizes
@@ -215,7 +215,7 @@ impl PhaseRateCache {
 /// [`sample`](TrapBank::sample), [`Extend`] or [`FromIterator`]), or
 /// fresh from stored constant columns
 /// ([`from_columns`](TrapBank::from_columns)); there is no way back out
-/// to [`Trap`] values, because the kernel and the ΔVth sum read the
+/// to [`Trap`] values, because the kernel and the `ΔVth` sum read the
 /// columns directly. See the module docs for the layout decisions the
 /// bit-exactness contract forces.
 #[derive(Debug, Clone, PartialEq, Default)]
@@ -225,7 +225,7 @@ pub struct TrapBank {
     /// *Effective* emission time constants (s): the sampled value for
     /// recoverable traps, `f64::INFINITY` for permanent ones.
     tau_e: Vec<f64>,
-    /// Per-trap ΔVth contribution when occupied (mV).
+    /// Per-trap `ΔVth` contribution when occupied (mV).
     step_mv: Vec<f64>,
     /// Current capture probability of each trap, in `[0, 1]`.
     occupancy: Vec<f64>,
@@ -481,7 +481,7 @@ impl TrapBank {
         &self.tau_e
     }
 
-    /// Per-trap ΔVth contributions when occupied (mV), in trap order.
+    /// Per-trap `ΔVth` contributions when occupied (mV), in trap order.
     #[must_use]
     pub fn step_mv(&self) -> &[f64] {
         &self.step_mv

@@ -126,7 +126,7 @@ impl Trap {
         self.occupancy
     }
 
-    /// Expected ΔVth contribution right now.
+    /// Expected `ΔVth` contribution right now.
     #[must_use]
     // analyzer: allow(test-only-pub) -- the scalar oracle's ΔVth sum, read by the kernel-equivalence pin
     pub fn contribution(&self) -> Millivolts {

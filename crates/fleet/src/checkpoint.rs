@@ -498,6 +498,7 @@ impl Digest {
 /// write failed (the previous checkpoint, if any, is left as it was). A
 /// failed image write costs only the next resume's speed, so it does
 /// not fail the save.
+#[allow(clippy::must_use_candidate)] // called for its side effect; the result is optional
 pub fn save(cache: &ResultCache, fleet: &FleetState) -> bool {
     let Some(path) = checkpoint_path(cache, fleet.config()) else {
         return false;

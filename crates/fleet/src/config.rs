@@ -51,10 +51,12 @@ impl Default for FleetConfig {
     /// accelerated operating point, one simulated hour per epoch,
     /// day-long rhythms planned over a 30-day horizon.
     fn default() -> Self {
-        let mut trap_params = TrapEnsembleParams::default();
         // Fleet-scale default: fewer traps per chip than the single-chip
         // studies so a 100k-chip fleet stays within tens of megabytes.
-        trap_params.mean_trap_count = 16.0;
+        let trap_params = TrapEnsembleParams {
+            mean_trap_count: 16.0,
+            ..TrapEnsembleParams::default()
+        };
         FleetConfig {
             chips: 1024,
             shards: 8,

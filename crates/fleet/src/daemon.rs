@@ -176,6 +176,7 @@ impl FleetDaemon {
 
     /// Writes a final checkpoint (shutdown path). Returns `false` when
     /// the cache is disabled or the write failed.
+    #[allow(clippy::must_use_candidate)] // called for its side effect; the result is optional
     pub fn final_checkpoint(&self) -> bool {
         checkpoint::save(&self.cache, &self.state)
     }

@@ -5,7 +5,7 @@
 //! This crate turns the batch planner/policy machinery into a
 //! long-running daemon serving those decisions for a simulated fleet:
 //!
-//! * [`FleetState`] shards the fleet's chips into SoA
+//! * [`FleetState`] shards the fleet's chips into `SoA`
 //!   [`TrapBank`](selfheal_bti::td::TrapBank) blocks, seeded per shard
 //!   from a split [`SeedSequence`](selfheal_runtime::SeedSequence) and
 //!   advanced in epochs on the deterministic pool — state is

@@ -381,7 +381,7 @@ impl Request {
             .ok_or_else(|| (ErrorCode::BadRequest, "missing \"type\" field".to_string()))?;
         match kind {
             "plan" => Ok(Request::Plan {
-                chip: field_u64(&doc, "chip")?,
+                chip: field_u64(doc, "chip")?,
                 technique: match doc.get("technique").and_then(Json::as_str) {
                     None => RejuvenationTechnique::Combined,
                     Some(name) => parse_technique(name).ok_or_else(|| {
@@ -391,12 +391,12 @@ impl Request {
                         )
                     })?,
                 },
-                period: optional_seconds(&doc, "period_s")?,
-                horizon: optional_seconds(&doc, "horizon_s")?,
+                period: optional_seconds(doc, "period_s")?,
+                horizon: optional_seconds(doc, "horizon_s")?,
             }),
             "predict" => Ok(Request::Predict {
-                chip: field_u64(&doc, "chip")?,
-                dt: Seconds::new(positive_field(&doc, "dt_s")?),
+                chip: field_u64(doc, "chip")?,
+                dt: Seconds::new(positive_field(doc, "dt_s")?),
             }),
             "report" => {
                 let duty = doc
@@ -410,7 +410,7 @@ impl Request {
                         )
                     })?;
                 Ok(Request::Report {
-                    chip: field_u64(&doc, "chip")?,
+                    chip: field_u64(doc, "chip")?,
                     duty: DutyCycle::new(duty),
                 })
             }
@@ -451,9 +451,9 @@ pub struct StatsReply {
     pub sim_time: Seconds,
     /// Requests served so far (this process lifetime).
     pub requests: u64,
-    /// Mean per-chip ΔVth.
+    /// Mean per-chip `ΔVth`.
     pub mean_delta_vth: Millivolts,
-    /// Worst single chip's ΔVth.
+    /// Worst single chip's `ΔVth`.
     pub worst_delta_vth: Millivolts,
     /// Chips already out of budget.
     pub over_budget_chips: u64,
@@ -481,9 +481,9 @@ pub enum Response {
     Predict {
         /// The chip projected.
         chip: u64,
-        /// ΔVth now.
+        /// `ΔVth` now.
         current: Millivolts,
-        /// ΔVth after the requested interval at the chip's observed duty.
+        /// `ΔVth` after the requested interval at the chip's observed duty.
         projected: Millivolts,
         /// Margin left at that point (negative = out of spec).
         headroom: Millivolts,

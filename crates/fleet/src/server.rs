@@ -140,6 +140,7 @@ impl FleetServer {
     /// Serves until shutdown (request or epoch limit), then writes the
     /// final checkpoint and joins every worker. Blocking — spawn a
     /// thread to run it alongside test clients.
+    #[allow(clippy::must_use_candidate)] // called for its side effect; the result is optional
     pub fn run(self) -> ServeSummary {
         // Exported from the start, so an operator reads 0, not nothing,
         // while no request has yet found its shard lagging.

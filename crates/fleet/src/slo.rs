@@ -187,6 +187,7 @@ impl SloStatus {
 
 /// Evaluates every objective against a metrics snapshot and publishes
 /// the verdicts, returning them for callers that render directly.
+#[allow(clippy::must_use_candidate)] // called for its side effect; the result is optional
 pub fn evaluate_and_publish(
     objectives: &[SloObjective],
     snapshot: &MetricsSnapshot,

@@ -1,7 +1,7 @@
 //! The live fleet: sharded trap banks advanced in epochs.
 //!
 //! A [`FleetState`] partitions its chips into [`Shard`]s, each owning one
-//! SoA [`TrapBank`] holding the concatenated trap slices of a contiguous
+//! `SoA` [`TrapBank`] holding the concatenated trap slices of a contiguous
 //! chip block. Epochs advance every shard independently on the global
 //! pool; because shards are reassembled by input index and each chip's
 //! traps were sampled from a `SeedSequence`-split stream, the resulting
@@ -275,11 +275,11 @@ impl DecayCache {
 /// consumed-margin column.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetAggregates {
-    /// Sum of per-chip ΔVth over the fleet.
+    /// Sum of per-chip `ΔVth` over the fleet.
     pub total_delta_vth: Millivolts,
-    /// The single worst chip's ΔVth.
+    /// The single worst chip's `ΔVth`.
     pub worst_delta_vth: Millivolts,
-    /// Chips whose ΔVth has already crossed the margin.
+    /// Chips whose `ΔVth` has already crossed the margin.
     pub over_budget_chips: usize,
 }
 
@@ -498,7 +498,7 @@ impl FleetState {
         Some(self.shards[shard].chips[local].duty)
     }
 
-    /// The chip's consumed margin right now: the ΔVth of its bank slice.
+    /// The chip's consumed margin right now: the `ΔVth` of its bank slice.
     #[must_use]
     pub fn chip_consumed(&self, chip: usize) -> Option<Millivolts> {
         let (shard, traps) = self.chip_view(chip)?;

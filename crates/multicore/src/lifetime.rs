@@ -32,6 +32,7 @@ impl LifetimeEstimate {
 
 /// Runs the simulation until the worst core's shift crosses
 /// `config.margin_mv` or `horizon` elapses.
+#[must_use]
 // analyzer: allow(test-only-pub) -- §6.2's lifetime-extension claim, pinned by extension_features and the lifetime tests
 pub fn estimate_lifetime(
     config: SimConfig,

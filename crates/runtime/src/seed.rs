@@ -3,7 +3,7 @@
 //! Deterministic parallelism needs each work item's randomness to be a
 //! pure function of **what** the item is (its index), never of **where**
 //! or **when** it runs. [`SeedSequence`] derives an independent `u64`
-//! seed per index from a base seed using the SplitMix64 finalizer — the
+//! seed per index from a base seed using the `SplitMix64` finalizer — the
 //! same mixer the vendored `StdRng::seed_from_u64` uses for state
 //! expansion — so sibling streams are statistically decorrelated even
 //! for adjacent indices, and the mapping is pinned by unit tests below
@@ -11,11 +11,11 @@
 
 use rand::{rngs::StdRng, SeedableRng};
 
-/// 2^64 / φ — the SplitMix64 increment; also used here to separate the
+/// 2^64 / φ — the `SplitMix64` increment; also used here to separate the
 /// base-seed domain from the raw-index domain.
 const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// The SplitMix64 finalizer: a bijective avalanche mixer on `u64`.
+/// The `SplitMix64` finalizer: a bijective avalanche mixer on `u64`.
 fn splitmix64_mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

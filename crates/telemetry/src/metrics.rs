@@ -265,6 +265,8 @@ impl Histogram {
                 return Some(min);
             }
         }
+        // Exactly the top quantile: the exact maximum, not a bucket bound.
+        #[allow(clippy::float_cmp)]
         if q == 1.0 && self.nan == 0 {
             return self.max;
         }
