@@ -5,7 +5,7 @@
 use std::path::Path;
 
 use crate::findings::{Finding, Lint};
-use crate::lexer::{literal_value, Token, TokenKind};
+use crate::lexer::{literal_value, Allow, Token, TokenKind};
 use crate::sig::{parse_pub_struct_fields, FnItem, ParsedFile, SelfKind, StructField};
 
 /// Where a file sits in the workspace; drives lint applicability.
@@ -143,15 +143,17 @@ pub fn run_all(path: &Path, parsed: &ParsedFile, ctx: &FileContext) -> Vec<Findi
         }
     }
 
-    // Apply `// analyzer: allow(...)` suppressions: an allow comment
-    // silences matching findings on its own line and the next line.
-    findings.retain(|f| {
-        !lexed.allows.iter().any(|a| {
-            (a.line == f.line || a.line + 1 == f.line) && a.lints.iter().any(|l| l == f.lint.id())
-        })
-    });
+    findings.retain(|f| !allowed(&lexed.allows, f.line, f.lint));
     findings.sort_by_key(|f| (f.line, f.lint));
     findings
+}
+
+/// Whether an `// analyzer: allow(...)` comment silences `lint` at
+/// `line`: a comment covers its own line and the next one.
+pub(crate) fn allowed(allows: &[Allow], line: u32, lint: Lint) -> bool {
+    allows
+        .iter()
+        .any(|a| (a.line == line || a.line + 1 == line) && a.lints.iter().any(|l| l == lint.id()))
 }
 
 /// Matches the hint table against a `snake_case` name.

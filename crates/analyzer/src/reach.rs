@@ -16,11 +16,11 @@
 //! lexed as code here, so they name nothing.
 
 use std::collections::BTreeSet;
-use std::path::{Component, Path, PathBuf};
+use std::path::{Path, PathBuf};
 
 use crate::findings::{Finding, Lint};
 use crate::lexer::TokenKind;
-use crate::lints::FileContext;
+use crate::lints::{allowed, FileContext};
 use crate::sig::ParsedFile;
 
 /// What one file contributes to the pass.
@@ -59,18 +59,11 @@ pub(crate) fn scan(rel: &Path, parsed: &ParsedFile, ctx: &FileContext) -> FileNa
         uses.insert(t.text.clone());
         i += 1;
     }
-    let library = ctx.is_lib && !is_bin(rel);
-    let allowed = |line: u32| {
-        parsed.lexed.allows.iter().any(|a| {
-            (a.line == line || a.line + 1 == line)
-                && a.lints.iter().any(|l| l == Lint::TestOnlyPub.id())
-        })
-    };
     let candidates = parsed
         .fns
         .iter()
-        .filter(|f| library && f.is_pub && !f.pub_restricted && !f.in_test_region)
-        .filter(|f| !allowed(f.line))
+        .filter(|f| ctx.is_lib && f.is_pub && !f.pub_restricted && !f.in_test_region)
+        .filter(|f| !allowed(&parsed.lexed.allows, f.line, Lint::TestOnlyPub))
         .map(|f| (f.name.clone(), f.line))
         .collect();
     FileNames {
@@ -91,14 +84,6 @@ fn is_visibility_end(parsed: &ParsedFile, k: usize) -> bool {
             .rev()
             .find(|&m| tokens[m].is_punct('('))
             .is_some_and(|open| open > 0 && tokens[open - 1].is_ident("pub"))
-}
-
-/// True for a bin target's source (`src/main.rs`, `src/bin/**`).
-fn is_bin(rel: &Path) -> bool {
-    let parts: Vec<Component<'_>> = rel.components().collect();
-    parts.windows(2).any(|w| {
-        w[0].as_os_str() == "src" && (w[1].as_os_str() == "bin" || w[1].as_os_str() == "main.rs")
-    })
 }
 
 /// Every candidate whose name no file uses.
