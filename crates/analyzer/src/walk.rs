@@ -82,8 +82,8 @@ pub fn discover(root: &Path) -> io::Result<Vec<WorkItem>> {
 /// path: `fleetbench`, the repository benchmark.
 const CONSUMERS: [&str; 1] = ["fleetbench"];
 
-/// The `src/` files of every [`CONSUMERS`] package present under
-/// `root`, sorted by relative path.
+/// The `src/` files of every consumer package (`fleetbench`) present
+/// under `root`, sorted by relative path.
 pub fn consumers(root: &Path) -> io::Result<Vec<WorkItem>> {
     let mut items = Vec::new();
     for name in CONSUMERS {
