@@ -138,7 +138,7 @@ impl Lint {
                 "Mutex/RwLock acquisition order must be acyclic across the call graph (deadlock hazard)"
             }
             Lint::TaintedRoot => {
-                "deterministic roots (kernel, par_map closures, cache-feeding fns) must not transitively reach clock/env/IO/unseeded-RNG sinks"
+                "deterministic roots (kernel, par_map closures) must not transitively reach clock/env/IO/unseeded-RNG sinks"
             }
             Lint::TestOnlyPub => {
                 "a library pub fn must be named by non-test code (sources, bins, examples, fleetbench), not only by tests"

@@ -18,8 +18,7 @@
 //!   `.write()` calls with their guard scopes, feeding the lock-order
 //!   lint;
 //! * **deterministic-root evidence** — call sites inside
-//!   `par_map`/`par_map_indexed`/`par_chunks` closures and inside
-//!   `get_or_compute` argument groups.
+//!   `par_map`/`par_map_indexed`/`par_chunks` closures.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::path::PathBuf;
@@ -37,9 +36,6 @@ pub enum RootKind {
     /// Invoked inside a `par_map`/`par_map_indexed`/`par_chunks`
     /// argument group (closure body or bare fn reference).
     ParClosure,
-    /// Invoked inside a `get_or_compute` argument group — its result
-    /// flows into a content-addressed cache namespace.
-    CacheFeed,
 }
 
 impl RootKind {
@@ -49,7 +45,6 @@ impl RootKind {
         match self {
             RootKind::Kernel => "the trap-kinetics kernel entry point",
             RootKind::ParClosure => "invoked inside a par_map/par_chunks closure",
-            RootKind::CacheFeed => "feeds a content-addressed cache namespace",
         }
     }
 }
@@ -216,8 +211,8 @@ pub fn extract_file(rel: &std::path::Path, parsed: &ParsedFile, ctx: &FileContex
     }
 }
 
-/// Finds `par_map(`/`par_chunks(`/`get_or_compute(` argument-group
-/// token ranges inside `body`, tagged with the root kind they induce.
+/// Finds `par_map(`/`par_chunks(` argument-group token ranges inside
+/// `body`, tagged with the root kind they induce.
 fn root_group_ranges(
     tokens: &[Token],
     body: std::ops::Range<usize>,
@@ -228,8 +223,6 @@ fn root_group_ranges(
         let t = &tokens[i];
         let kind = if t.kind == TokenKind::Ident && PAR_ENTRY_FNS.contains(&t.text.as_str()) {
             Some(RootKind::ParClosure)
-        } else if t.is_ident("get_or_compute") {
-            Some(RootKind::CacheFeed)
         } else {
             None
         };
@@ -911,23 +904,6 @@ mod tests {
         assert!(!g.roots.contains_key(&bystander));
         // The enclosing driver is NOT a root merely for calling par_map.
         assert!(!g.roots.contains_key(&node_idx(&g, "driver")));
-    }
-
-    #[test]
-    fn cache_closure_callees_are_cache_feed_roots() {
-        let a = file(
-            "crates/x/src/lib.rs",
-            "x",
-            r#"
-            pub fn run_cached(cache: &ResultCache) -> f64 {
-                cache.get_or_compute("ns", 1, "k", || expensive()).0
-            }
-            pub fn expensive() -> f64 { 1.0 }
-            "#,
-        );
-        let g = build(&[a], &["x".to_string()].into_iter().collect());
-        let idx = node_idx(&g, "expensive");
-        assert_eq!(g.roots.get(&idx), Some(&RootKind::CacheFeed));
     }
 
     #[test]

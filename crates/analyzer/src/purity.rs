@@ -14,8 +14,8 @@
 //! <justification>` annotations and masks taint *at* the annotated
 //! function, so a telemetry clock read does not poison every caller.
 //!
-//! Deterministic roots (the kernel entry point, `par_map`-closure
-//! callees, cache-feeding functions) with non-empty effective taint
+//! Deterministic roots (the kernel entry point and `par_map`-closure
+//! callees) with non-empty effective taint
 //! become `tainted-root` findings carrying the offending call path.
 //! The same graph also yields the `lock-order` lint: a cross-function
 //! lock-acquisition graph whose cycles are deadlock hazards.

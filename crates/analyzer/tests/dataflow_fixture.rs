@@ -33,15 +33,15 @@ fn mini_workspace(tag: &str, lib_source: &str) -> PathBuf {
     root
 }
 
-/// The known tainted chain: a cache-fed root (`cell`) reaching a clock
-/// sink two hops down (`cell` → `helper` → `Instant::now`).
+/// The known tainted chain: a `par_map`-closure root (`cell`) reaching a
+/// clock sink two hops down (`cell` → `helper` → `Instant::now`).
 ///
 /// Line numbers in the expectations below index into this literal — the
 /// `fn` keywords sit on lines 2, 5, and 8, the sink on line 9.
 const TAINTED_CHAIN: &str = "\
 use std::time::Instant;
-pub fn run(cache: &ResultCache) -> f64 {
-    cache.get_or_compute(\"ns\", 1, \"k\", || cell()).0
+pub fn run(pool: &Pool) -> Vec<f64> {
+    pool.par_map(vec![0u64], |_| cell())
 }
 pub fn cell() -> f64 {
     helper()
@@ -67,7 +67,7 @@ fn tainted_chain_reports_the_exact_call_path() {
     assert_eq!(finding.line, 5);
     assert!(
         finding.message.contains("`cell`")
-            && finding.message.contains("cache")
+            && finding.message.contains("par_map")
             && finding.message.contains("clock sink"),
         "message: {}",
         finding.message

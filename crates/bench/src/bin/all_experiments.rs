@@ -23,7 +23,7 @@ fn main() {
     ));
     let outputs = {
         let _phase = run.phase("campaign");
-        campaign(run.cache())
+        campaign()
     };
 
     run.say("| artefact | quantity | paper | measured | shape holds |");

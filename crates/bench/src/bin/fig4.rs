@@ -12,7 +12,7 @@ fn main() {
     run.say("Fig. 4: AC/DC stress test results (24 h @ 110 degC)\n");
     let outputs = {
         let _phase = run.phase("campaign");
-        campaign(run.cache())
+        campaign()
     };
 
     let ac = outputs.stress("AS110AC24").expect("AC case ran");

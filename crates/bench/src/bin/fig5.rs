@@ -12,7 +12,7 @@ fn main() {
     run.say("Fig. 5: Accelerated wearout at 110 degC and 100 degC for 1 day\n");
     let outputs = {
         let _phase = run.phase("campaign");
-        campaign(run.cache())
+        campaign()
     };
 
     let hot = outputs

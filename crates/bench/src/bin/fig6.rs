@@ -12,7 +12,7 @@ fn main() {
     run.say("Fig. 6: Recovery at (a) 20 degC and (b) 110 degC, 0 V vs -0.3 V\n");
     let outputs = {
         let _phase = run.phase("campaign");
-        campaign(run.cache())
+        campaign()
     };
 
     for (panel, zero_case, neg_case) in [

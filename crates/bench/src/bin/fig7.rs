@@ -11,7 +11,7 @@ fn main() {
     run.say("Fig. 7: Recovery under (a) 0 V and (b) -0.3 V, 20 degC vs 110 degC\n");
     let outputs = {
         let _phase = run.phase("campaign");
-        campaign(run.cache())
+        campaign()
     };
 
     for (panel, cold_case, hot_case) in [

@@ -14,7 +14,7 @@ fn main() {
     run.say("Fig. 8: Delay change over time during recovery (four conditions + models)\n");
     let outputs = {
         let _phase = run.phase("campaign");
-        campaign(run.cache())
+        campaign()
     };
 
     let mut table = Table::new(&[

@@ -16,8 +16,7 @@
 //!
 //! Run with `cargo run -p selfheal-bench --release --bin lab -- <args>`.
 //! The common `BenchRun` flags (`--json`, `--out`, `--threads`,
-//! `--no-cache`, `--folded`, `--status`) work here as in every bench
-//! binary; `--json` prints the run manifest instead of the human report.
+//! `--folded`, `--status`) work here as in every bench binary; `--json` prints the run manifest instead of the human report.
 
 use std::fs::File;
 use std::io::BufWriter;

@@ -23,9 +23,9 @@ fn main() {
     // Parallel per-site surveys; distinct survey seeds keep the fresh
     // and aged measurement-noise draws independent, as two real bench
     // sessions would be.
-    let (fresh, fresh_outcome) = {
+    let fresh = {
         let _phase = run.phase("fresh-survey");
-        array.survey_cached(1, run.cache())
+        array.survey(1)
     };
     run.say(format!(
         "fresh survey (ns), spread {}:\n",
@@ -34,18 +34,15 @@ fn main() {
     let mut table = Table::new(&["site", "fresh (ns)", "aged (ns)", "shift (ns)"]);
 
     // Stress the whole fabric a day, then survey again.
-    let (aged, aged_outcome) = {
+    let aged = {
         let _phase = run.phase("stress-and-resurvey");
         array.advance(
             RoMode::Static,
             Environment::new(Volts::new(1.2), Celsius::new(110.0)),
             Hours::new(24.0).into(),
         );
-        array.survey_cached(2, run.cache())
+        array.survey(2)
     };
-    run.say(format!(
-        "result cache: fresh survey {fresh_outcome:?}, aged survey {aged_outcome:?}\n"
-    ));
 
     let mut worst_site_shift = 0.0f64;
     for ((site, f), (_, a)) in fresh.iter().zip(&aged) {

@@ -257,6 +257,6 @@ mod tests {
         assert!(!ignored("values.sites", &[]));
         let extra = vec!["metrics.runtime.pool".to_string()];
         assert!(ignored("metrics.runtime.pool.jobs", &extra));
-        assert!(!ignored("metrics.runtime.cache.hits", &extra));
+        assert!(!ignored("metrics.bti.td.kernel.traps_advanced", &extra));
     }
 }

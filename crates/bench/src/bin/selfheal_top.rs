@@ -2,8 +2,8 @@
 //!
 //! Tails the Prometheus text-exposition status file a `--status <path>`
 //! bench run rewrites atomically at the sampling cadence, and renders
-//! pool queue depth, steal ratio, cache hit rate, trap-kernel
-//! throughput and the top self-time spans:
+//! pool queue depth, steal ratio, trap-kernel throughput and the top
+//! self-time spans:
 //!
 //! ```text
 //! # terminal 1
@@ -131,16 +131,6 @@ fn render_frame(path: &Path, exposition: &Exposition, previous: &Scrape, stale: 
         fmt_opt(run_ratio, ""),
         fmt_opt(rate(now.executed, previous.executed, dt_s), ""),
     ));
-
-    // Cache hit rate from the registry counters.
-    let hits = value("selfheal_runtime_cache_hits").unwrap_or(0.0);
-    let misses = value("selfheal_runtime_cache_misses").unwrap_or(0.0);
-    if hits + misses > 0.0 {
-        out.push_str(&format!(
-            "cache   hit rate {:.1}%   ({hits:.0} hit(s) / {misses:.0} miss(es))\n",
-            100.0 * hits / (hits + misses),
-        ));
-    }
 
     // Trap-kernel throughput from counter deltas.
     if now.traps > 0.0 || now.advances > 0.0 {
@@ -407,8 +397,6 @@ selfheal_runtime_pool_jobs_executed_total 50
         let text = "\
 selfheal_sample_ts_ns 3000000000
 selfheal_runtime_pool_queue_depth 7
-selfheal_runtime_cache_hits 30
-selfheal_runtime_cache_misses 10
 selfheal_bti_td_kernel_traps_advanced 1000
 selfheal_span_self_seconds{stack=\"fig5;campaign\"} 1.25
 ";
@@ -420,7 +408,6 @@ selfheal_span_self_seconds{stack=\"fig5;campaign\"} 1.25
         };
         let frame = render_frame(Path::new("x.prom"), &exposition, &previous, false);
         assert!(frame.contains("queue depth 7"), "{frame}");
-        assert!(frame.contains("hit rate 75.0%"), "{frame}");
         assert!(frame.contains("traps/s 1000"), "{frame}");
         assert!(frame.contains("fig5;campaign"), "{frame}");
     }

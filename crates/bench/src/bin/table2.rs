@@ -10,7 +10,7 @@ fn main() {
     run.say("Table 2: Delay change (%) under different stress conditions (24 h)\n");
     let outputs = {
         let _phase = run.phase("campaign");
-        campaign(run.cache())
+        campaign()
     };
 
     let mut table = Table::new(&[

@@ -15,7 +15,7 @@ fn main() {
     run.say("Table 3: Extracted model parameters\n");
     let outputs = {
         let _phase = run.phase("campaign");
-        campaign(run.cache())
+        campaign()
     };
 
     run.say("Stress model: dTd(t) = beta * ln(1 + C*t)      (Eq. 10)\n");

@@ -12,7 +12,7 @@ fn main() {
     run.say("Table 4: Design-margin-relaxed parameter per recovery condition\n");
     let outputs = {
         let _phase = run.phase("campaign");
-        campaign(run.cache())
+        campaign()
     };
     let budget = MarginBudget::typical();
 

@@ -11,7 +11,7 @@ fn main() {
     run.say("Table 5: Same ratio (alpha = 4), different stress conditions\n");
     let outputs = {
         let _phase = run.phase("campaign");
-        campaign(run.cache())
+        campaign()
     };
 
     let mut table = Table::new(&[

@@ -22,7 +22,7 @@ fn main() {
             runs,
             base_seed: 2014,
         }
-        .run_cached(run.cache())
+        .run()
     };
 
     run.say("Margin relaxed (%) per recovery condition:\n");

@@ -26,20 +26,10 @@ use selfheal_units::float;
 /// the same simulated chip population.
 pub const CAMPAIGN_SEED: u64 = 2014;
 
-/// Runs the full Table 1 campaign at the paper's sampling cadence,
-/// through `cache` — a binary passes its [`BenchRun::cache`].
-///
-/// The first figure binary of a session pays for the simulation; the
-/// rest rehydrate bit-identical outputs from `target/cache/`. Pass
-/// `--no-cache` to force a full recompute — the cached and recomputed
-/// outputs are interchangeable, but a cache hit skips the campaign's
-/// per-chip telemetry, so manifests meant to profile the simulation
-/// itself should bypass it.
+/// Runs the full Table 1 campaign at the paper's sampling cadence.
 #[must_use]
-pub fn campaign(cache: &runtime::ResultCache) -> ExperimentOutputs {
-    PaperExperiment::paper_cadence(CAMPAIGN_SEED)
-        .run_cached(cache)
-        .0
+pub fn campaign() -> ExperimentOutputs {
+    PaperExperiment::paper_cadence(CAMPAIGN_SEED).run()
 }
 
 /// One telemetry-backed run of a figure/table binary.
@@ -60,8 +50,6 @@ pub fn campaign(cache: &runtime::ResultCache) -> ExperimentOutputs {
 /// * `--threads <n>` — size the `selfheal-runtime` global pool (`0` =
 ///   inline serial; the default follows `SELFHEAL_THREADS` or the
 ///   machine's parallelism). Results are bit-identical at any setting;
-/// * `--no-cache` — make [`cache`](Self::cache) the disabled cache
-///   instead of `target/cache/` (every stage recomputes);
 /// * `--folded <path>` — write the run's self-time profile in the
 ///   folded-stacks format `flamegraph.pl` consumes;
 /// * `--status <path>` — run the sampler, which rewrites a Prometheus
@@ -82,7 +70,6 @@ pub struct BenchRun {
     json: bool,
     out: Option<PathBuf>,
     folded: Option<PathBuf>,
-    cache: runtime::ResultCache,
     args: Vec<String>,
     values: Vec<(String, f64)>,
     sampler: Option<telemetry::Sampler>,
@@ -104,7 +91,6 @@ impl BenchRun {
         let mut folded = None;
         let mut status = None;
         let mut threads = None;
-        let mut no_cache = false;
         let mut rest = Vec::new();
         let mut args = std::env::args().skip(1);
         while let Some(arg) = args.next() {
@@ -121,7 +107,6 @@ impl BenchRun {
                         eprintln!("{name}: --threads expects a worker count; ignoring");
                     }
                 }
-                "--no-cache" => no_cache = true,
                 _ => rest.push(arg),
             }
         }
@@ -140,11 +125,6 @@ impl BenchRun {
             json,
             out,
             folded,
-            cache: if no_cache {
-                runtime::ResultCache::disabled()
-            } else {
-                runtime::ResultCache::standard()
-            },
             args: rest,
             values: Vec::new(),
             sampler,
@@ -157,13 +137,6 @@ impl BenchRun {
     #[must_use]
     pub fn args(&self) -> &[String] {
         &self.args
-    }
-
-    /// The run's result cache: `target/cache/`, or the disabled cache
-    /// under `--no-cache`.
-    #[must_use]
-    pub fn cache(&self) -> &runtime::ResultCache {
-        &self.cache
     }
 
     /// Prints one line of the human report (dropped under `--json`).

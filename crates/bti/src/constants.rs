@@ -26,15 +26,11 @@ pub const ACTIVATION_ENERGY_CAPTURE_EV: f64 = 0.6;
 /// (§2.2) while chamber-heated recovery is effective.
 pub const ACTIVATION_ENERGY_EMISSION_EV: f64 = 0.22;
 
-/// Effective oxide thickness of the 40 nm process in nanometres.
-///
-/// Appears only through the field factor `B·V/(tox·kT)`; we fold it into
-/// [`FIELD_FACTOR_CAPTURE_PER_VOLT`] at reference temperature but keep the
-/// raw value for documentation and for the analytic model's Eq. (2)/(4)
-/// forms.
-pub const OXIDE_THICKNESS_NM: f64 = 1.2;
-
 /// Capture field-acceleration coefficient, `Bs/(tox·k·Tref)`, in 1/V.
+///
+/// The 40 nm process's effective oxide thickness (`tox` ≈ 1.2 nm)
+/// enters the model only through this factor, folded in at the
+/// reference temperature.
 ///
 /// `exp(2.5 · ΔV)` ⇒ raising the stress supply by 100 mV speeds capture by
 /// ≈28 %, a typical 40 nm NBTI voltage acceleration.

@@ -17,8 +17,8 @@
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use selfheal_fpga::{Chip, ChipId};
-use selfheal_runtime::{self as runtime, CacheOutcome, CacheRecord, ResultCache};
-use selfheal_telemetry::{self as telemetry, json::Json};
+use selfheal_runtime as runtime;
+use selfheal_telemetry as telemetry;
 use selfheal_testbench::cases::{self, PhaseKind, TestCase};
 use selfheal_testbench::{PhaseSpec, TestHarness};
 use selfheal_units::{Hours, Minutes, Nanoseconds, Percent, Seconds};
@@ -160,61 +160,24 @@ impl PaperExperiment {
     /// this replaced, at any worker count.
     #[must_use]
     pub fn run(&self) -> ExperimentOutputs {
-        self.run_cached(&ResultCache::disabled()).0
-    }
-
-    /// Runs the whole campaign through a per-chip result cache.
-    ///
-    /// Each chip's outcome bundle is memoized independently under the
-    /// `experiment-chip` namespace, keyed by the full experiment
-    /// configuration (seed and both sampling cadences) plus the chip
-    /// number, and versioned by [`selfheal_bti::td::KERNEL_VERSION`] so a
-    /// trap-kinetics rewrite invalidates every stored run. Rehydration is
-    /// bit-exact (the codec stores shortest-round-trip doubles), so a hit
-    /// returns the same outputs the chip simulation would recompute — but
-    /// skips the simulation, and with it the chip's telemetry (spans,
-    /// counters, phase-list entries). Use [`Self::run`] when the
-    /// manifest must reflect a full simulation.
-    ///
-    /// Returns the assembled outputs plus one [`CacheOutcome`] per chip,
-    /// in chip order.
-    #[must_use]
-    pub fn run_cached(&self, cache: &ResultCache) -> (ExperimentOutputs, Vec<CacheOutcome>) {
         // Root span on the submitting thread: per-chip spans then nest
         // under it (or are drained by pool workers), keeping the phase
         // ledger a manifest drains deterministic under parallelism.
         let _campaign_span = telemetry::span!("experiment.campaign", chips = 5u32);
         let this = self.clone();
-        let cache = cache.clone();
-        let per_chip = runtime::par_map((1..=5u32).collect(), move |chip_no| {
-            let key = format!("{this:?};chip={chip_no}");
-            let runner = this.clone();
-            cache.get_or_compute(
-                "experiment-chip",
-                selfheal_bti::td::KERNEL_VERSION,
-                &key,
-                move || {
-                    let (stresses, recoveries) = runner.run_chip(chip_no);
-                    ChipRecord {
-                        stresses,
-                        recoveries,
-                    }
-                },
-            )
-        });
+        let per_chip =
+            runtime::par_map((1..=5u32).collect(), move |chip_no| this.run_chip(chip_no));
         let mut outputs = ExperimentOutputs::default();
-        let mut outcomes = Vec::with_capacity(5);
-        for (record, outcome) in per_chip {
-            outputs.stresses.extend(record.stresses);
-            outputs.recoveries.extend(record.recoveries);
-            outcomes.push(outcome);
+        for chip in per_chip {
+            outputs.stresses.extend(chip.stresses);
+            outputs.recoveries.extend(chip.recoveries);
         }
-        (outputs, outcomes)
+        outputs
     }
 
     /// Runs one chip's chronological case sequence (burn-in, then its
     /// Table 1 rows) and returns its outcomes in execution order.
-    fn run_chip(&self, chip_no: u32) -> (Vec<StressOutcome>, Vec<RecoveryOutcome>) {
+    fn run_chip(&self, chip_no: u32) -> ExperimentOutputs {
         let mut outputs = ExperimentOutputs::default();
         let table = cases::table1();
         {
@@ -324,209 +287,8 @@ impl PaperExperiment {
                 }
             }
         }
-        (outputs.stresses, outputs.recoveries)
+        outputs
     }
-}
-
-/// One chip's cached outcome bundle (the unit of memoization in
-/// [`PaperExperiment::run_cached`]).
-struct ChipRecord {
-    stresses: Vec<StressOutcome>,
-    recoveries: Vec<RecoveryOutcome>,
-}
-
-impl CacheRecord for ChipRecord {
-    fn to_cache_json(&self) -> Json {
-        Json::Array(vec![
-            Json::Array(self.stresses.iter().map(stress_to_json).collect()),
-            Json::Array(self.recoveries.iter().map(recovery_to_json).collect()),
-        ])
-    }
-
-    fn from_cache_json(json: &Json) -> Option<Self> {
-        let [stresses, recoveries] = json.as_array()? else {
-            return None;
-        };
-        Some(ChipRecord {
-            stresses: stresses
-                .as_array()?
-                .iter()
-                .map(stress_from_json)
-                .collect::<Option<Vec<_>>>()?,
-            recoveries: recoveries
-                .as_array()?
-                .iter()
-                .map(recovery_from_json)
-                .collect::<Option<Vec<_>>>()?,
-        })
-    }
-}
-
-/// A [`TestCase`] is table data, not simulation output: persist only its
-/// identity (name, chip) and rehydrate the full row from
-/// [`cases::table1`]. A cached run therefore can never resurrect a stale
-/// copy of an edited table row — the row's parameters come back from the
-/// current table, and the experiment key's version bump covers the
-/// physics that consumed them.
-fn case_to_json(case: &TestCase) -> Json {
-    Json::Array(vec![
-        Json::String(case.name.to_string()),
-        Json::Number(f64::from(case.chip.get())),
-    ])
-}
-
-fn case_from_json(json: &Json) -> Option<TestCase> {
-    let [name, chip] = json.as_array()? else {
-        return None;
-    };
-    let name = name.as_str()?;
-    let chip = ChipId::new(u32::try_from(chip.as_f64()? as u64).ok()?);
-    cases::table1()
-        .iter()
-        .find(|c| c.name == name && c.chip == chip)
-        .copied()
-}
-
-fn stress_to_json(s: &StressOutcome) -> Json {
-    Json::Array(vec![
-        case_to_json(&s.case),
-        Json::Array(
-            s.series
-                .iter()
-                .map(|p| {
-                    Json::Array(vec![
-                        Json::Number(p.elapsed.get()),
-                        Json::Number(p.frequency_degradation.get()),
-                        Json::Number(p.delay_shift.get()),
-                    ])
-                })
-                .collect(),
-        ),
-        s.fit.map_or(Json::Null, |f| {
-            Json::Array(vec![
-                Json::Number(f.beta_ns),
-                Json::Number(f.c_per_s),
-                Json::Number(f.rmse_ns),
-            ])
-        }),
-        Json::Number(s.start_delay.get()),
-        Json::Number(s.end_delay.get()),
-    ])
-}
-
-fn stress_from_json(json: &Json) -> Option<StressOutcome> {
-    let [case, series, fit, start, end] = json.as_array()? else {
-        return None;
-    };
-    let series = series
-        .as_array()?
-        .iter()
-        .map(|p| {
-            let [elapsed, deg, shift] = p.as_array()? else {
-                return None;
-            };
-            Some(DegradationPoint {
-                elapsed: Seconds::new(elapsed.as_f64()?),
-                frequency_degradation: Percent::new(deg.as_f64()?),
-                delay_shift: Nanoseconds::new(shift.as_f64()?),
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let fit = match fit {
-        Json::Null => None,
-        other => {
-            let [beta, c, rmse] = other.as_array()? else {
-                return None;
-            };
-            Some(FittedStressCurve {
-                beta_ns: beta.as_f64()?,
-                c_per_s: c.as_f64()?,
-                rmse_ns: rmse.as_f64()?,
-            })
-        }
-    };
-    Some(StressOutcome {
-        case: case_from_json(case)?,
-        series,
-        fit,
-        start_delay: Nanoseconds::new(start.as_f64()?),
-        end_delay: Nanoseconds::new(end.as_f64()?),
-    })
-}
-
-fn recovery_to_json(r: &RecoveryOutcome) -> Json {
-    Json::Array(vec![
-        case_to_json(&r.case),
-        Json::Array(
-            r.series
-                .iter()
-                .map(|p| {
-                    Json::Array(vec![
-                        Json::Number(p.elapsed.get()),
-                        Json::Number(p.recovered_delay.get()),
-                        Json::Number(p.remaining_shift.get()),
-                    ])
-                })
-                .collect(),
-        ),
-        r.fit.map_or(Json::Null, |f| {
-            Json::Array(vec![
-                Json::Number(f.a_ns),
-                Json::Number(f.b),
-                Json::Number(f.c_per_s),
-                Json::Number(f.t1.get()),
-                Json::Number(f.rmse_ns),
-            ])
-        }),
-        Json::Number(r.assessment.inflicted.get()),
-        Json::Number(r.assessment.recovered.get()),
-        Json::Number(r.stress_duration.get()),
-    ])
-}
-
-fn recovery_from_json(json: &Json) -> Option<RecoveryOutcome> {
-    let [case, series, fit, inflicted, recovered, stress_duration] = json.as_array()? else {
-        return None;
-    };
-    let series = series
-        .as_array()?
-        .iter()
-        .map(|p| {
-            let [elapsed, delay, remaining] = p.as_array()? else {
-                return None;
-            };
-            Some(RecoveryPoint {
-                elapsed: Seconds::new(elapsed.as_f64()?),
-                recovered_delay: Nanoseconds::new(delay.as_f64()?),
-                remaining_shift: Nanoseconds::new(remaining.as_f64()?),
-            })
-        })
-        .collect::<Option<Vec<_>>>()?;
-    let fit = match fit {
-        Json::Null => None,
-        other => {
-            let [a, b, c, t1, rmse] = other.as_array()? else {
-                return None;
-            };
-            Some(FittedRecoveryCurve {
-                a_ns: a.as_f64()?,
-                b: b.as_f64()?,
-                c_per_s: c.as_f64()?,
-                t1: Seconds::new(t1.as_f64()?),
-                rmse_ns: rmse.as_f64()?,
-            })
-        }
-    };
-    Some(RecoveryOutcome {
-        case: case_from_json(case)?,
-        series,
-        fit,
-        assessment: RecoveryAssessment {
-            inflicted: Nanoseconds::new(inflicted.as_f64()?),
-            recovered: Nanoseconds::new(recovered.as_f64()?),
-        },
-        stress_duration: Seconds::new(stress_duration.as_f64()?),
-    })
 }
 
 #[cfg(test)]
@@ -668,28 +430,6 @@ mod tests {
         assert!(o.recovery("AS110DC24").is_none());
         assert!(o.stress_on("AS110DC24", ChipId::new(5)).is_some());
         assert!(o.stress_on("AS110DC24", ChipId::new(1)).is_none());
-    }
-
-    #[test]
-    fn cached_campaign_round_trips_bit_for_bit() {
-        let root =
-            std::env::temp_dir().join(format!("selfheal-core-chipcache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let cache = ResultCache::at(root);
-        let exp = PaperExperiment::quick(2014);
-        let (first, outcomes) = exp.run_cached(&cache);
-        assert_eq!(outcomes, vec![CacheOutcome::Miss; 5]);
-        let (second, outcomes) = exp.run_cached(&cache);
-        assert_eq!(outcomes, vec![CacheOutcome::Hit; 5]);
-        assert_eq!(first, second, "rehydration reproduces the computed run");
-        assert_eq!(
-            &first,
-            outputs(),
-            "cached path matches PaperExperiment::run"
-        );
-        // A different configuration cannot replay these entries.
-        let (_, outcomes) = PaperExperiment::quick(2015).run_cached(&cache);
-        assert_eq!(outcomes, vec![CacheOutcome::Miss; 5]);
     }
 
     #[test]

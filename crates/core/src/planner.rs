@@ -34,8 +34,6 @@ pub struct RejuvenationPlan {
     pub recover_first: bool,
 }
 
-impl RejuvenationPlan {}
-
 /// The planner: first-order models plus the operating point.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SchedulePlanner {

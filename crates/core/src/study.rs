@@ -7,7 +7,7 @@
 //! headline metric across process corners, trap-population draws, chamber
 //! wobble and counter noise.
 
-use selfheal_runtime::{self as runtime, CacheOutcome, ResultCache};
+use selfheal_runtime as runtime;
 use selfheal_telemetry as telemetry;
 use selfheal_units::float;
 
@@ -15,10 +15,6 @@ use crate::experiment::PaperExperiment;
 
 /// The Table 1 recovery cases a study cell reports, in table order.
 const RECOVERY_NAMES: [&str; 5] = ["R20Z6", "AR20N6", "AR110Z6", "AR110N6", "AR110N12"];
-
-/// Bump whenever [`PaperExperiment`] or the cell extraction changes
-/// meaning — cached study cells from older code are then never read.
-const STUDY_CELL_CACHE_VERSION: u32 = 1;
 
 /// Summary statistics of one metric across campaign repetitions.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -102,36 +98,13 @@ impl VariationStudy {
     /// Panics if `runs` is zero.
     #[must_use]
     pub fn run(&self) -> VariationStudyOutcome {
-        self.run_cached(&ResultCache::disabled())
-    }
-
-    /// [`Self::run`] with study cells memoized through `cache`: a
-    /// population whose campaign configuration (cadence + derived seed)
-    /// was already evaluated is loaded instead of re-simulated. Bench
-    /// binaries pass their run's cache, which `--no-cache` disables.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `runs` is zero.
-    #[must_use]
-    pub fn run_cached(&self, cache: &ResultCache) -> VariationStudyOutcome {
         assert!(self.runs > 0, "need at least one run");
         let _study_span = telemetry::span!("study.run", runs = self.runs);
         let base_seed = self.base_seed;
-        let cache = cache.clone();
         let cells = runtime::par_map_indexed(vec![(); self.runs], move |i, ()| {
             let experiment = PaperExperiment::quick(base_seed.wrapping_add(i as u64 * 7919));
-            let key = format!("{experiment:?}");
-            let (cell, outcome) =
-                cache.get_or_compute("study-cell", STUDY_CELL_CACHE_VERSION, &key, || {
-                    study_cell(&experiment)
-                });
-            telemetry::event!(
-                "study.population",
-                run = i,
-                cached = outcome == CacheOutcome::Hit,
-            );
-            cell
+            telemetry::event!("study.population", run = i);
+            study_cell(&experiment)
         });
 
         let mut relaxed: Vec<Vec<f64>> = vec![Vec::new(); RECOVERY_NAMES.len()];
@@ -158,8 +131,8 @@ impl VariationStudy {
     }
 }
 
-/// One population's contribution to the study, as a flat cacheable
-/// vector: `[margin_relaxed × 5 (Table 1 order), dc110_mean, ac/dc]`.
+/// One population's contribution to the study, as a flat vector:
+/// `[margin_relaxed × 5 (Table 1 order), dc110_mean, ac/dc]`.
 fn study_cell(experiment: &PaperExperiment) -> Vec<f64> {
     let outputs = experiment.run();
     let mut cell = Vec::with_capacity(RECOVERY_NAMES.len() + 2);
@@ -238,23 +211,6 @@ mod tests {
         );
         assert!(outcome.dc110_degradation.mean > 1.0 && outcome.dc110_degradation.mean < 4.0);
         assert!(outcome.ac_over_dc.mean > 0.3 && outcome.ac_over_dc.mean < 0.8);
-    }
-
-    #[test]
-    fn cached_study_matches_uncached() {
-        let root =
-            std::env::temp_dir().join(format!("selfheal-study-cache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let study = VariationStudy {
-            runs: 2,
-            base_seed: 31,
-        };
-        let uncached = study.run();
-        let cache = ResultCache::at(root);
-        let first = study.run_cached(&cache);
-        let second = study.run_cached(&cache); // all cells hit
-        assert_eq!(uncached, first);
-        assert_eq!(first, second);
     }
 
     #[test]

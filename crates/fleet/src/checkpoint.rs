@@ -588,33 +588,15 @@ fn load_image(cache: &ResultCache, config: &FleetConfig) -> (FleetState, ImageSt
 /// Where `config`'s checkpoint lives under `cache`'s root; `None` when
 /// the cache is disabled.
 fn checkpoint_path(cache: &ResultCache, config: &FleetConfig) -> Option<PathBuf> {
-    store_path(
-        cache,
-        config,
-        CHECKPOINT_NAMESPACE,
-        CHECKPOINT_VERSION,
-        "ckpt",
-    )
+    let key = checkpoint_key(config);
+    cache.entry_path(CHECKPOINT_NAMESPACE, CHECKPOINT_VERSION, &key, "ckpt")
 }
 
 /// Where `config`'s fleet image lives under `cache`'s root; `None` when
 /// the cache is disabled.
 fn image_path(cache: &ResultCache, config: &FleetConfig) -> Option<PathBuf> {
-    store_path(cache, config, IMAGE_NAMESPACE, IMAGE_VERSION, "img")
-}
-
-fn store_path(
-    cache: &ResultCache,
-    config: &FleetConfig,
-    namespace: &str,
-    version: u32,
-    extension: &str,
-) -> Option<PathBuf> {
-    cache.is_active().then(|| {
-        cache
-            .entry_path(namespace, version, &checkpoint_key(config))
-            .with_extension(extension)
-    })
+    let key = checkpoint_key(config);
+    cache.entry_path(IMAGE_NAMESPACE, IMAGE_VERSION, &key, "img")
 }
 
 /// The per-config checkpoint key. Includes the kernel version: a kernel
@@ -799,6 +781,30 @@ mod tests {
             resume(&off, &config),
             Err(CheckpointError::Missing)
         ));
+    }
+
+    /// Stored checkpoints and images are found by name, so a renamed
+    /// file orphans every fleet's store: these literals are the names
+    /// stores already on disk carry. A disabled cache names no file.
+    #[test]
+    fn store_file_names_are_pinned() {
+        let cache = ResultCache::at(PathBuf::from("root"));
+        for (seed, hash) in [(3, "18e0daa2affbb27e"), (11, "343904df0c05d343")] {
+            let config = tiny_config(seed);
+            assert_eq!(
+                checkpoint_path(&cache, &config),
+                Some(PathBuf::from(format!(
+                    "root/fleet-checkpoint/f1-v5-{hash}.ckpt"
+                )))
+            );
+            assert_eq!(
+                image_path(&cache, &config),
+                Some(PathBuf::from(format!("root/fleet-image/f1-v1-{hash}.img")))
+            );
+        }
+        let off = ResultCache::disabled();
+        assert_eq!(checkpoint_path(&off, &tiny_config(3)), None);
+        assert_eq!(image_path(&off, &tiny_config(3)), None);
     }
 
     /// A save that cannot write reports it: here the cache root lies

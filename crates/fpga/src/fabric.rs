@@ -12,8 +12,8 @@ use std::sync::Arc;
 use rand::Rng;
 use selfheal_bti::td::PhaseRateCache;
 use selfheal_bti::Environment;
-use selfheal_runtime::{self as runtime, CacheOutcome, CacheRecord, ResultCache, SeedSequence};
-use selfheal_telemetry::{self as telemetry, json::Json, manifest::fnv1a};
+use selfheal_runtime::{self as runtime, SeedSequence};
+use selfheal_telemetry as telemetry;
 use selfheal_units::{float, Millivolts, Nanoseconds, Seconds};
 
 use crate::counter::FrequencyCounter;
@@ -194,43 +194,6 @@ impl CutArray {
         })
     }
 
-    /// [`survey`](Self::survey) memoized through a [`ResultCache`].
-    ///
-    /// The key fingerprints the array's full state (every site's trap
-    /// population, the gradient, the counter) plus the survey seed, so
-    /// any aging between surveys produces a different entry. The
-    /// namespace is versioned by the trap-kinetics
-    /// [`KERNEL_VERSION`](selfheal_bti::td::KERNEL_VERSION): a kernel
-    /// rewrite orphans old survey entries instead of replaying them.
-    ///
-    /// The fingerprint is a 64-bit FNV-1a hash of the array's `Debug`
-    /// form (the full form would make multi-megabyte keys); a hash
-    /// collision between two distinct fabric states could therefore
-    /// replay the wrong survey, at odds of ~2⁻⁶⁴ — acceptable for a
-    /// measurement cache, and `--no-cache` bypasses it entirely.
-    ///
-    /// Cache hits skip the per-site measurement telemetry (histogram and
-    /// events) the computing run emitted.
-    #[must_use]
-    pub fn survey_cached(
-        &self,
-        seed: u64,
-        cache: &ResultCache,
-    ) -> (Vec<(DieLocation, Nanoseconds)>, CacheOutcome) {
-        let fingerprint = fnv1a(format!("{self:?}").as_bytes());
-        let key = format!(
-            "fabric={fingerprint:016x};sites={};seed={seed}",
-            self.cuts.len()
-        );
-        let (record, outcome) = cache.get_or_compute(
-            "fpga-survey",
-            selfheal_bti::td::KERNEL_VERSION,
-            &key,
-            || SurveyRecord(self.survey(seed)),
-        );
-        (record.0, outcome)
-    }
-
     /// Number of survey sites.
     #[must_use]
     pub fn len(&self) -> usize {
@@ -310,48 +273,6 @@ impl CutArray {
     }
 }
 
-/// Newtype giving a survey result a cache-file representation:
-/// `[[column, row, delay_ns], …]` in row-major order. The JSON layer
-/// writes shortest-round-trip floats, so a hit is bit-identical to the
-/// miss that stored it.
-struct SurveyRecord(Vec<(DieLocation, Nanoseconds)>);
-
-impl CacheRecord for SurveyRecord {
-    fn to_cache_json(&self) -> Json {
-        Json::Array(
-            self.0
-                .iter()
-                .map(|(location, delay)| {
-                    Json::Array(vec![
-                        Json::Number(f64::from(location.column)),
-                        Json::Number(f64::from(location.row)),
-                        Json::Number(delay.get()),
-                    ])
-                })
-                .collect(),
-        )
-    }
-
-    fn from_cache_json(json: &Json) -> Option<Self> {
-        let sites = json
-            .as_array()?
-            .iter()
-            .map(|entry| {
-                let [column, row, delay] = entry.as_array()? else {
-                    return None;
-                };
-                let column = u8::try_from(column.as_f64()? as u64).ok()?;
-                let row = u8::try_from(row.as_f64()? as u64).ok()?;
-                Some((
-                    DieLocation { column, row },
-                    Nanoseconds::new(delay.as_f64()?),
-                ))
-            })
-            .collect::<Option<Vec<_>>>()?;
-        Some(SurveyRecord(sites))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -377,40 +298,6 @@ mod tests {
             3,
             &mut rng,
         )
-    }
-
-    #[test]
-    fn cached_survey_round_trips_bit_for_bit() {
-        let root =
-            std::env::temp_dir().join(format!("selfheal-fpga-surveycache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&root);
-        let cache = ResultCache::at(root);
-        let a = array();
-        let (missed, o1) = a.survey_cached(7, &cache);
-        assert_eq!(o1, CacheOutcome::Miss);
-        let (hit, o2) = a.survey_cached(7, &cache);
-        assert_eq!(o2, CacheOutcome::Hit);
-        assert_eq!(missed.len(), hit.len());
-        for ((l1, d1), (l2, d2)) in missed.iter().zip(&hit) {
-            assert_eq!(l1, l2);
-            assert_eq!(
-                d1.get().to_bits(),
-                d2.get().to_bits(),
-                "rehydration is bit-exact"
-            );
-        }
-        let (_, o3) = a.survey_cached(8, &cache);
-        assert_eq!(o3, CacheOutcome::Miss, "seed is part of the key");
-        // Aging the fabric changes the fingerprint, so stale surveys of
-        // the fresh state cannot replay.
-        let mut aged = a.clone();
-        aged.advance(
-            RoMode::Static,
-            Environment::new(Volts::new(1.2), Celsius::new(110.0)),
-            Hours::new(24.0).into(),
-        );
-        let (_, o4) = aged.survey_cached(7, &cache);
-        assert_eq!(o4, CacheOutcome::Miss, "fabric state is part of the key");
     }
 
     #[test]

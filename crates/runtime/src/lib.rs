@@ -1,7 +1,7 @@
-//! selfheal-runtime: deterministic work-stealing execution engine and
-//! content-addressed result cache for the self-healing reproduction.
+//! selfheal-runtime: deterministic work-stealing execution engine for
+//! the self-healing reproduction, plus the naming of its on-disk stores.
 //!
-//! Two subsystems, usable independently:
+//! Two parts, usable independently:
 //!
 //! * **[`Pool`]** — a work-stealing thread pool (per-worker deques plus a
 //!   global injector, parked idle workers, per-job panic isolation)
@@ -9,14 +9,13 @@
 //!   [`SeedSequence`] splittable seeding, parallel results are
 //!   bit-for-bit identical to serial execution at any worker count —
 //!   the whole stack's golden values survive parallelization unchanged.
-//! * **[`ResultCache`]** — an on-disk memo table under `target/cache/`
-//!   keyed by FNV-1a content hashes (the same hash
-//!   [`RunManifest`](selfheal_telemetry::RunManifest) stamps as
-//!   `config_hash`) with versioned invalidation, memoizing expensive
-//!   stage outputs (campaign chips, study cells, fabric surveys).
+//! * **[`ResultCache`]** — names the files of the on-disk stores (the
+//!   fleet's checkpoint and image) under one root, by FNV-1a content
+//!   hashes (the same hash [`RunManifest`](selfheal_telemetry::RunManifest)
+//!   stamps as `config_hash`) with versioned invalidation.
 //!
-//! Both report into the `selfheal-telemetry` registry: queue depth,
-//! steal and job counters, cache hit/miss counters.
+//! The pool reports into the `selfheal-telemetry` registry: queue
+//! depth, steal and job counters.
 //!
 //! # The determinism contract
 //!
@@ -49,7 +48,7 @@ mod cache;
 mod pool;
 mod seed;
 
-pub use cache::{CacheOutcome, CacheRecord, ResultCache};
+pub use cache::ResultCache;
 pub use pool::Pool;
 pub use seed::SeedSequence;
 

@@ -1,7 +1,7 @@
 //! A minimal JSON value, writer and parser.
 //!
 //! The workspace builds offline with no external crates, so this is its
-//! one JSON codec: sinks, manifests, cache records, checkpoints and the
+//! one JSON codec: sinks, manifests, the analyzer's reports and the
 //! fleet wire protocol all go through it. It covers exactly what they need:
 //! objects with string keys, arrays, finite numbers, strings, booleans and
 //! null. Non-finite numbers serialize as `null` (JSON has no NaN), which a

@@ -180,20 +180,6 @@ impl Sink for StderrSink {
             }
             eprintln!("{line}");
         }
-        // A fully-hit (or fully-missed) run only ever creates one of the
-        // two counters; the absent one reads as zero.
-        let hits = scalar("runtime.cache.hits");
-        let misses = scalar("runtime.cache.misses");
-        if hits.is_some() || misses.is_some() {
-            let (hits, misses) = (hits.unwrap_or(0.0), misses.unwrap_or(0.0));
-            let total = hits + misses;
-            if total > 0.0 {
-                eprintln!(
-                    "[telemetry] cache: {hits:.0} hit(s) / {misses:.0} miss(es) ({:.1}% hit rate)",
-                    100.0 * hits / total,
-                );
-            }
-        }
         let self_time = crate::span::self_time_snapshot();
         if !self_time.is_empty() {
             eprintln!(

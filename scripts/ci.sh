@@ -3,8 +3,8 @@
 # mode, check formatting and clippy on the library targets, run the full
 # test suite (no test may be ignored), run the domain-aware
 # static-analysis gate, build warning-free rustdoc,
-# smoke-check the telemetry sampler, the fleet daemon and a 1M-chip
-# fleet epoch, and smoke-run the repository benchmark.
+# smoke-check the telemetry sampler, the figure bins, the fleet daemon
+# and a 1M-chip fleet epoch, and smoke-run the repository benchmark.
 #
 # No benchmark is timed here, so this script stays deterministic on
 # noisy shared machines: `cargo test` checks that every committed
@@ -89,6 +89,15 @@ echo "== planner probe smoke" >&2
 # One run of the planner microbenchmark, so the bin cannot rot; its
 # timings are recorded with perf_ledger, not read here.
 target/release/planner_probe --json --out "$SMOKE_DIR/planner_probe.json" > /dev/null
+
+echo "== figure bins smoke" >&2
+# The paper campaign end to end: every artefact once, then fig5 twice.
+# Every run recomputes the campaign, so the two fig5 manifests (kernel
+# counters, fpga histograms, testbench samples and all) must agree.
+target/release/all_experiments --json --out "$SMOKE_DIR/all_experiments.json" > /dev/null
+target/release/fig5 --json --out "$SMOKE_DIR/fig5.a.json" > /dev/null
+target/release/fig5 --json --out "$SMOKE_DIR/fig5.b.json" > /dev/null
+target/release/manifest_diff "$SMOKE_DIR/fig5.a.json" "$SMOKE_DIR/fig5.b.json" --tolerance 1e-9
 
 echo "== fleet daemon smoke" >&2
 # End-to-end service path: fleetd on an ephemeral loopback port with a

@@ -34,7 +34,7 @@ fn deterministic_roots_are_closed_under_the_purity_analysis() {
 
     // The dataflow pass must actually see the workspace: at least one
     // node per crate, and a non-trivial root set anchored by the
-    // trap-kinetics kernel plus par/cache-derived roots.
+    // trap-kinetics kernel plus par-closure roots.
     let crates: std::collections::BTreeSet<&str> = flow
         .graph
         .nodes
@@ -52,8 +52,8 @@ fn deterministic_roots_are_closed_under_the_purity_analysis() {
         "TrapBank::advance_all must be a root: {kinds:?}"
     );
     assert!(
-        kinds.contains(&RootKind::ParClosure) && kinds.contains(&RootKind::CacheFeed),
-        "par-closure and cache-feed roots must both be derived: {kinds:?}"
+        kinds.contains(&RootKind::ParClosure),
+        "par-closure roots must be derived: {kinds:?}"
     );
 
     // Closure: every deterministic root's *effective* taint is empty —
