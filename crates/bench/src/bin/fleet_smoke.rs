@@ -1,11 +1,12 @@
 //! Smoke client for a live `selfheal-fleet` daemon — the CI handshake.
 //!
-//! Issues one request of each type (report, plan, predict, stats,
-//! debug-dump) against an already-running `fleetd`, checks each reply,
-//! and exits non-zero on any failure. With `--shutdown` it then asks the
-//! daemon to exit; with `--trace` it exports the client's side of every
-//! request's flow chain as a Chrome trace, the half `trace_merge` joins
-//! with the daemon's file. Load testing is `fleetbench`'s job.
+//! Sends one pipelined batch of eight predicts, then one request of
+//! each type (report, plan, predict, stats, debug-dump), against an
+//! already-running `fleetd`, checks each reply, and exits non-zero on
+//! any failure. With `--shutdown` it then asks the daemon to exit; with
+//! `--trace` it exports the client's side of every request's flow chain
+//! as a Chrome trace, the half `trace_merge` joins with the daemon's
+//! file. Load testing is `fleetbench`'s job.
 //!
 //! ```text
 //! fleet_smoke --connect 127.0.0.1:7414 --trace client.trace.json --shutdown
@@ -75,6 +76,24 @@ fn smoke(opts: &Options) -> Result<(), String> {
     if opts.trace.is_some() {
         client.enable_trace(SeedSequence::new(TRACE_SEED));
     }
+    // Eight predicts in one write: the daemon may answer them in one
+    // write too, but every reply must come back, in order.
+    let predicts: Vec<Request> = (0..8)
+        .map(|chip| Request::Predict {
+            chip,
+            dt: Seconds::new(3_600.0),
+        })
+        .collect();
+    let replies = client
+        .pipeline(&predicts)
+        .map_err(|err| format!("pipeline: {err}"))?;
+    for (chip, reply) in (0..).zip(&replies) {
+        match reply {
+            Response::Predict { chip: got, .. } if *got == chip => {}
+            other => return Err(format!("pipeline: reply {chip} is {other:?}")),
+        }
+    }
+    println!("fleet_smoke: pipeline ok (8 replies in order)");
     let mut call = |request: &Request| {
         client
             .call(request)

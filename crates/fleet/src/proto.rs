@@ -3,7 +3,10 @@
 //! A frame is a 4-byte big-endian payload length followed by that many
 //! bytes of UTF-8 JSON — the simplest framing that survives pipelining
 //! and partial reads, and the registry/message-passing idiom the server
-//! follows (no async runtime, no external deps).
+//! follows (no async runtime, no external deps). A [`FrameReader`]
+//! reads a connection's frames through one buffer, so one `read` can
+//! deliver a pipelined batch; frames are written through one encoder
+//! that appends them to a buffer sent in one write.
 //!
 //! All raw socket transfer funnels through one function, `pump`,
 //! which carries the module's single `analyzer: trust(io)` annotation:
@@ -53,55 +56,183 @@ impl std::fmt::Display for FrameError {
     }
 }
 
-/// One raw transfer: fill a buffer from the stream, or drain one into it.
+/// One raw transfer: one `read` into a buffer, or a whole buffer
+/// drained into the stream.
 #[derive(Debug)]
 enum WireOp<'a, S> {
-    Recv(&'a mut S, &'a mut [u8]),
+    Read(&'a mut S, &'a mut [u8]),
     Send(&'a mut S, &'a [u8]),
 }
 
-/// The single point where payload bytes cross the socket.
+/// The single point where payload bytes cross the socket. Returns the
+/// bytes moved: what one `read` delivered (0 at end of stream), or the
+/// whole buffer sent.
 // analyzer: trust(io): the only raw socket transfer in the fleet service; bytes entering here are length-checked frames whose effect on fleet state flows through the typed request dispatch, and every mutation is captured in the checkpoint mutation digest
-fn pump<S: Read + Write>(op: WireOp<'_, S>) -> std::io::Result<()> {
+fn pump<S: Read + Write>(op: WireOp<'_, S>) -> std::io::Result<usize> {
     match op {
-        WireOp::Recv(stream, buf) => stream.read_exact(buf),
-        WireOp::Send(stream, buf) => stream.write_all(buf),
+        WireOp::Read(stream, buf) => stream.read(buf),
+        WireOp::Send(stream, buf) => stream.write_all(buf).map(|()| buf.len()),
     }
 }
 
 fn classify(err: &std::io::Error, mid_frame: bool) -> FrameError {
     use std::io::ErrorKind;
     match err.kind() {
-        ErrorKind::UnexpectedEof if mid_frame => FrameError::Truncated,
-        ErrorKind::UnexpectedEof => FrameError::Closed,
-        ErrorKind::WouldBlock | ErrorKind::TimedOut if !mid_frame => FrameError::TimedOut,
-        ErrorKind::WouldBlock | ErrorKind::TimedOut => FrameError::Truncated,
+        ErrorKind::WouldBlock | ErrorKind::TimedOut if mid_frame => FrameError::Truncated,
+        ErrorKind::WouldBlock | ErrorKind::TimedOut => FrameError::TimedOut,
         _ => FrameError::Io(err.to_string()),
     }
 }
 
-/// Reads one frame. [`FrameError::Closed`]/[`FrameError::TimedOut`] are
-/// only reported on a clean inter-frame boundary; anything that dies
-/// after the first header byte is [`FrameError::Truncated`].
+/// The room one `read` gets in a reader holding no partial frame.
+const READ_CHUNK: usize = 16 * 1024;
+
+/// Reads the frames of one stream through one growable buffer.
 ///
-/// On [`FrameError::Oversize`] the payload has *not* been consumed — the
-/// stream is desynchronized and the caller must drop the connection
-/// after sending its error reply.
-///
-/// # Errors
-///
-/// See [`FrameError`].
-pub fn read_frame<S: Read + Write>(stream: &mut S) -> Result<Vec<u8>, FrameError> {
-    let mut header = [0u8; 4];
-    pump(WireOp::Recv(stream, &mut header[..1])).map_err(|e| classify(&e, false))?;
-    pump(WireOp::Recv(stream, &mut header[1..])).map_err(|e| classify(&e, true))?;
-    let len = u32::from_be_bytes(header);
-    if len as usize > MAX_FRAME {
-        return Err(FrameError::Oversize(len));
+/// Each `read` asks for all the room the buffer has, so one syscall can
+/// deliver a whole pipelined batch; [`next_frame`](Self::next_frame)
+/// then hands out each frame already buffered without touching the
+/// stream, and [`ready`](Self::ready) says whether it would. The buffer
+/// is zeroed once when it grows, never per read. It grows only to hold
+/// a frame whose header it has checked against [`MAX_FRAME`], so it
+/// never exceeds `MAX_FRAME + 4` bytes, and it shrinks back once such a
+/// frame has been read.
+#[derive(Debug)]
+pub struct FrameReader {
+    /// `buf[start..end]` is read but not yet handed out; `buf[end..]`
+    /// is the next `read`'s room.
+    buf: Vec<u8>,
+    start: usize,
+    end: usize,
+}
+
+impl Default for FrameReader {
+    fn default() -> Self {
+        FrameReader::new()
     }
-    let mut payload = vec![0u8; len as usize];
-    pump(WireOp::Recv(stream, &mut payload)).map_err(|e| classify(&e, true))?;
-    Ok(payload)
+}
+
+impl FrameReader {
+    /// An empty reader with 16 KiB of room for the first `read`.
+    #[must_use]
+    pub fn new() -> FrameReader {
+        FrameReader {
+            buf: vec![0; READ_CHUNK],
+            start: 0,
+            end: 0,
+        }
+    }
+
+    /// The payload length the buffered header announces, once all four
+    /// of its bytes are in.
+    fn announced(&self) -> Option<u32> {
+        let header = self.buf[self.start..self.end].first_chunk::<4>()?;
+        Some(u32::from_be_bytes(*header))
+    }
+
+    /// Whether a whole frame is buffered, so the next
+    /// [`next_frame`](Self::next_frame) makes no syscall.
+    #[must_use]
+    pub fn ready(&self) -> bool {
+        self.announced().is_some_and(|len| {
+            len as usize <= MAX_FRAME && self.end - self.start >= 4 + len as usize
+        })
+    }
+
+    /// The next frame's payload, read from the stream only when the
+    /// buffer does not already hold all of it.
+    /// [`FrameError::Closed`]/[`FrameError::TimedOut`] are only reported
+    /// with nothing buffered; a stream that ends or times out after the
+    /// first header byte is [`FrameError::Truncated`].
+    ///
+    /// On [`FrameError::Oversize`] nothing has been allocated for the
+    /// payload and the stream is desynchronized: the caller must drop
+    /// the connection after sending its error reply.
+    ///
+    /// # Errors
+    ///
+    /// See [`FrameError`].
+    pub fn next_frame<S: Read + Write>(&mut self, stream: &mut S) -> Result<&[u8], FrameError> {
+        loop {
+            let need = match self.announced() {
+                Some(len) if len as usize > MAX_FRAME => return Err(FrameError::Oversize(len)),
+                Some(len) => 4 + len as usize,
+                None => 4,
+            };
+            if self.end - self.start >= need {
+                let payload = self.start + 4..self.start + need;
+                self.start += need;
+                return Ok(&self.buf[payload]);
+            }
+            self.fill(stream, need)?;
+        }
+    }
+
+    /// Moves the buffered bytes to the front, sizes the buffer to hold
+    /// the `need` bytes of the frame they begin, and makes one `read`
+    /// into the room after them (retried if interrupted).
+    fn fill<S: Read + Write>(&mut self, stream: &mut S, need: usize) -> Result<(), FrameError> {
+        self.buf.copy_within(self.start..self.end, 0);
+        self.end -= self.start;
+        self.start = 0;
+        if self.buf.len() < need {
+            self.buf.resize(need, 0);
+        } else if self.end == 0 && self.buf.len() > READ_CHUNK {
+            self.buf = vec![0; READ_CHUNK];
+        }
+        loop {
+            match pump(WireOp::Read(stream, &mut self.buf[self.end..])) {
+                Ok(0) if self.end == 0 => return Err(FrameError::Closed),
+                Ok(0) => return Err(FrameError::Truncated),
+                Ok(read) => {
+                    self.end += read;
+                    return Ok(());
+                }
+                Err(err) if err.kind() == std::io::ErrorKind::Interrupted => {}
+                Err(err) => return Err(classify(&err, self.end > 0)),
+            }
+        }
+    }
+}
+
+/// Encodes frames into one buffer that leaves the process through one
+/// write, so a `TCP_NODELAY` socket sends a batch of frames as few
+/// segments as it can.
+#[derive(Debug, Default)]
+pub(crate) struct FrameWriter {
+    buf: Vec<u8>,
+    frames: usize,
+}
+
+impl FrameWriter {
+    /// Appends one frame: the payload's 4-byte big-endian length, then
+    /// the payload.
+    pub(crate) fn push(&mut self, payload: &[u8]) -> Result<(), FrameError> {
+        let Ok(len) = u32::try_from(payload.len()) else {
+            return Err(FrameError::Oversize(u32::MAX));
+        };
+        if payload.len() > MAX_FRAME {
+            return Err(FrameError::Oversize(len));
+        }
+        self.buf.extend_from_slice(&len.to_be_bytes());
+        self.buf.extend_from_slice(payload);
+        self.frames += 1;
+        Ok(())
+    }
+
+    /// Bytes waiting to be sent.
+    pub(crate) fn buffered(&self) -> usize {
+        self.buf.len()
+    }
+
+    /// Sends every buffered frame in one transfer and empties the
+    /// buffer; returns how many frames left.
+    pub(crate) fn send<S: Read + Write>(&mut self, stream: &mut S) -> Result<usize, FrameError> {
+        let frames = std::mem::take(&mut self.frames);
+        let sent = pump(WireOp::Send(stream, &self.buf));
+        self.buf.clear();
+        sent.map(|_| frames).map_err(|e| classify(&e, true))
+    }
 }
 
 /// Writes one frame: header and payload leave in one buffer through one
@@ -112,16 +243,9 @@ pub fn read_frame<S: Read + Write>(stream: &mut S) -> Result<Vec<u8>, FrameError
 /// [`FrameError::Oversize`] for a payload over [`MAX_FRAME`], otherwise
 /// transport failures as [`FrameError::Io`]/[`FrameError::Truncated`].
 pub fn write_frame<S: Read + Write>(stream: &mut S, payload: &[u8]) -> Result<(), FrameError> {
-    let Ok(len) = u32::try_from(payload.len()) else {
-        return Err(FrameError::Oversize(u32::MAX));
-    };
-    if payload.len() > MAX_FRAME {
-        return Err(FrameError::Oversize(len));
-    }
-    let mut frame = Vec::with_capacity(4 + payload.len());
-    frame.extend_from_slice(&len.to_be_bytes());
-    frame.extend_from_slice(payload);
-    pump(WireOp::Send(stream, &frame)).map_err(|e| classify(&e, true))
+    let mut frame = FrameWriter::default();
+    frame.push(payload)?;
+    frame.send(stream).map(drop)
 }
 
 /// Trace and flow ids are masked to 48 bits so they survive the f64
@@ -760,17 +884,177 @@ fn optional_seconds(doc: &Json, key: &str) -> Result<Option<Seconds>, (ErrorCode
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
+    use std::io::ErrorKind;
+
+    /// A peer that delivers `data` at most `per_read` bytes per `read`,
+    /// after `interrupts` interrupted reads; once `data` is spent every
+    /// read ends the stream or, with `then`, fails with that error.
+    #[derive(Debug)]
+    struct Trickle {
+        data: Vec<u8>,
+        pos: usize,
+        per_read: usize,
+        interrupts: usize,
+        then: Option<ErrorKind>,
+        reads: usize,
+    }
+
+    impl Trickle {
+        /// One byte per read, then end of stream.
+        fn new(data: Vec<u8>) -> Trickle {
+            Trickle {
+                data,
+                pos: 0,
+                per_read: 1,
+                interrupts: 0,
+                then: None,
+                reads: 0,
+            }
+        }
+    }
+
+    impl Read for Trickle {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.reads += 1;
+            if self.interrupts > 0 {
+                self.interrupts -= 1;
+                return Err(ErrorKind::Interrupted.into());
+            }
+            let rest = &self.data[self.pos..];
+            if rest.is_empty() {
+                return self.then.map_or(Ok(0), |kind| Err(kind.into()));
+            }
+            let n = rest.len().min(self.per_read).min(buf.len());
+            buf[..n].copy_from_slice(&rest[..n]);
+            self.pos += n;
+            Ok(n)
+        }
+    }
+
+    impl Write for Trickle {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    fn frames(payloads: &[&[u8]]) -> Vec<u8> {
+        let mut writer = FrameWriter::default();
+        for payload in payloads {
+            assert_eq!(writer.push(payload), Ok(()));
+        }
+        writer.buf
+    }
 
     #[test]
-    fn frames_round_trip() {
-        let mut wire = Cursor::new(Vec::new());
-        assert_eq!(write_frame(&mut wire, b"{\"type\":\"stats\"}"), Ok(()));
-        assert_eq!(write_frame(&mut wire, b""), Ok(()));
-        wire.set_position(0);
-        assert_eq!(read_frame(&mut wire), Ok(b"{\"type\":\"stats\"}".to_vec()));
-        assert_eq!(read_frame(&mut wire), Ok(Vec::new()));
-        assert_eq!(read_frame(&mut wire), Err(FrameError::Closed));
+    fn frames_round_trip_one_byte_per_read() {
+        let mut peer = Trickle::new(frames(&[b"{\"type\":\"stats\"}", b""]));
+        let mut reader = FrameReader::new();
+        assert_eq!(
+            reader.next_frame(&mut peer),
+            Ok(&b"{\"type\":\"stats\"}"[..])
+        );
+        assert!(!reader.ready());
+        assert_eq!(reader.next_frame(&mut peer), Ok(&b""[..]));
+        assert_eq!(reader.next_frame(&mut peer), Err(FrameError::Closed));
+    }
+
+    #[test]
+    fn frames_from_one_read_come_out_without_another() {
+        let mut peer = Trickle::new(frames(&[b"one", b"", b"three"]));
+        peer.per_read = usize::MAX;
+        let mut reader = FrameReader::new();
+        assert!(!reader.ready());
+        assert_eq!(reader.next_frame(&mut peer), Ok(&b"one"[..]));
+        assert!(reader.ready());
+        assert_eq!(reader.next_frame(&mut peer), Ok(&b""[..]));
+        assert!(reader.ready());
+        assert_eq!(reader.next_frame(&mut peer), Ok(&b"three"[..]));
+        assert!(!reader.ready());
+        assert_eq!(peer.reads, 1);
+        assert_eq!(reader.next_frame(&mut peer), Err(FrameError::Closed));
+        assert_eq!(peer.reads, 2);
+    }
+
+    #[test]
+    fn end_of_stream_is_closed_only_between_frames() {
+        let whole = frames(&[b"payload"]);
+        for cut in 0..whole.len() {
+            let mut peer = Trickle::new(whole[..cut].to_vec());
+            let expected = if cut == 0 {
+                FrameError::Closed
+            } else {
+                FrameError::Truncated
+            };
+            assert_eq!(
+                FrameReader::new().next_frame(&mut peer),
+                Err(expected),
+                "end of stream after {cut} byte(s)"
+            );
+        }
+    }
+
+    #[test]
+    fn a_timeout_is_truncation_only_inside_a_frame() {
+        for kind in [ErrorKind::WouldBlock, ErrorKind::TimedOut] {
+            let mut idle = Trickle::new(Vec::new());
+            idle.then = Some(kind);
+            assert_eq!(
+                FrameReader::new().next_frame(&mut idle),
+                Err(FrameError::TimedOut)
+            );
+            let mut stalled = Trickle::new(frames(&[b"payload"])[..6].to_vec());
+            stalled.then = Some(kind);
+            assert_eq!(
+                FrameReader::new().next_frame(&mut stalled),
+                Err(FrameError::Truncated)
+            );
+        }
+        // A timeout between frames leaves the reader usable.
+        let mut peer = Trickle::new(frames(&[b"a"]));
+        peer.then = Some(ErrorKind::WouldBlock);
+        let mut reader = FrameReader::new();
+        assert_eq!(reader.next_frame(&mut peer), Ok(&b"a"[..]));
+        assert_eq!(reader.next_frame(&mut peer), Err(FrameError::TimedOut));
+        peer.data.extend(frames(&[b"b"]));
+        assert_eq!(reader.next_frame(&mut peer), Ok(&b"b"[..]));
+    }
+
+    #[test]
+    fn an_oversize_header_allocates_nothing() {
+        for len in [u32::MAX, 0x7fff_ffff, MAX_FRAME as u32 + 1] {
+            let mut peer = Trickle::new(len.to_be_bytes().to_vec());
+            let mut reader = FrameReader::new();
+            assert_eq!(reader.next_frame(&mut peer), Err(FrameError::Oversize(len)));
+            assert!(!reader.ready());
+            assert_eq!(reader.buf.len(), READ_CHUNK);
+            assert_eq!(peer.reads, 4);
+        }
+    }
+
+    #[test]
+    fn the_buffer_holds_one_frame_at_most_and_shrinks_back() {
+        let big = vec![b' '; MAX_FRAME];
+        let mut peer = Trickle::new(frames(&[&big, b"small"]));
+        peer.per_read = usize::MAX;
+        let mut reader = FrameReader::new();
+        assert_eq!(reader.next_frame(&mut peer).map(<[u8]>::len), Ok(MAX_FRAME));
+        assert_eq!(reader.buf.len(), MAX_FRAME + 4);
+        assert_eq!(reader.next_frame(&mut peer), Ok(&b"small"[..]));
+        assert_eq!(reader.next_frame(&mut peer), Err(FrameError::Closed));
+        assert_eq!(reader.buf.len(), READ_CHUNK);
+    }
+
+    #[test]
+    fn interrupted_reads_are_retried() {
+        let mut peer = Trickle::new(frames(&[b"payload"]));
+        peer.interrupts = 3;
+        let mut reader = FrameReader::new();
+        assert_eq!(reader.next_frame(&mut peer), Ok(&b"payload"[..]));
+        assert_eq!(peer.reads, 3 + 4 + 7);
     }
 
     /// Records the size of every `write` call it receives.
@@ -803,16 +1087,16 @@ mod tests {
     }
 
     #[test]
-    fn oversize_and_truncated_frames_are_classified() {
-        let mut oversize = Cursor::new(0x7fff_ffffu32.to_be_bytes().to_vec());
-        assert_eq!(
-            read_frame(&mut oversize),
-            Err(FrameError::Oversize(0x7fff_ffff))
-        );
-        let mut short_header = Cursor::new(vec![0u8, 0]);
-        assert_eq!(read_frame(&mut short_header), Err(FrameError::Truncated));
-        let mut short_payload = Cursor::new(vec![0u8, 0, 0, 8, b'x']);
-        assert_eq!(read_frame(&mut short_payload), Err(FrameError::Truncated));
+    fn a_batch_of_frames_leaves_in_one_write() {
+        let mut log = WriteLog::default();
+        let mut batch = FrameWriter::default();
+        for payload in [&b"{\"type\":\"stats\"}"[..], b"", b"xyz"] {
+            assert_eq!(batch.push(payload), Ok(()));
+        }
+        assert_eq!(batch.buffered(), 4 + 16 + 4 + 4 + 3);
+        assert_eq!(batch.send(&mut log), Ok(3));
+        assert_eq!(batch.buffered(), 0);
+        assert_eq!(log.0, vec![4 + 16 + 4 + 4 + 3]);
     }
 
     #[test]

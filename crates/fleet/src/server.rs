@@ -2,27 +2,38 @@
 //! `std::net::TcpListener`.
 //!
 //! N worker threads share one listener (via `try_clone`) and each
-//! serves one connection at a time. A worker decodes a frame, takes the
-//! one daemon lock, runs [`FleetDaemon::handle`], releases the lock and
-//! writes the reply, so requests execute strictly one at a time and in
-//! order per connection. The caller of [`FleetServer::run`] keeps only
-//! the epoch clock: at each wall-clock deadline it ticks the fleet under
-//! the same lock, which moves only the fleet's epoch, and re-judges the
-//! latency objectives. It then sweeps the lagging shards one short lock
-//! hold at a time, yielding between holds; a request that reaches a
-//! lagging shard first catches that shard up itself. The tick is the
-//! epoch's linearization point, so every reply is the one an eager
-//! epoch would have given. `fleet.epoch.us` records each clock hold,
+//! serves one connection at a time through two per-connection buffers.
+//! One `read` fills the connection's [`FrameReader`] with whatever the
+//! socket holds, often a client's whole pipelined batch. For each
+//! buffered frame in turn the worker decodes it, takes the one daemon
+//! lock, runs [`FleetDaemon::handle`], releases the lock and appends the
+//! reply to the connection's reply buffer: requests execute strictly
+//! one at a time and in order per connection, and no lock hold spans a
+//! batch. The buffered replies leave in one write as soon as no whole
+//! frame is left to serve (so a lone request never waits), when they
+//! reach `FLUSH_BYTES`, on `Bye`, and before the worker lets the
+//! connection go for any reason; `fleet.request.batch` records the
+//! frames each write carried.
+//!
+//! The caller of [`FleetServer::run`] keeps only the epoch clock: at
+//! each wall-clock deadline it ticks the fleet under the same lock,
+//! which moves only the fleet's epoch, and re-judges the latency
+//! objectives. It then sweeps the lagging shards one short lock hold at
+//! a time, yielding between holds; a request that reaches a lagging
+//! shard first catches that shard up itself. The tick is the epoch's
+//! linearization point, so every reply is the one an eager epoch would
+//! have given. `fleet.epoch.us` records each clock hold,
 //! `fleet.epoch.sweep.us` each tick-to-caught-up span.
 //!
 //! Shutdown is cooperative: a `shutdown` request (the SIGTERM
 //! equivalent — the CLI sends one over loopback) raises a shared flag
 //! under the lock and wakes the clock once. A request that takes the
 //! lock after that is dropped unanswered and never runs, so the final
-//! checkpoint, written under the lock, holds every answered mutation.
-//! The clock thread then wakes every worker parked in `accept` with a
-//! dummy connection and joins them; connections in flight notice the
-//! flag at their next read timeout.
+//! checkpoint, written under the lock, holds every answered mutation;
+//! the replies its connection buffered for the requests that did run
+//! are still sent. The clock thread then wakes every worker parked in
+//! `accept` with a dummy connection and joins them; connections in
+//! flight notice the flag at their next read timeout.
 
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -34,13 +45,17 @@ use selfheal_telemetry::{counter, emit_flow_end, emit_flow_start, flight, histog
 
 use crate::daemon::FleetDaemon;
 use crate::proto::{
-    read_frame, trace_span, write_frame, ErrorCode, FrameError, Request, Response, TraceContext,
+    trace_span, ErrorCode, FrameError, FrameReader, FrameWriter, Request, Response, TraceContext,
 };
 use crate::slo;
 
 /// How often a blocked connection read wakes up to poll the shutdown
 /// flag (also bounds worker join latency).
 const READ_POLL: Duration = Duration::from_millis(100);
+
+/// A connection's buffered replies are sent once they reach this many
+/// bytes, even while whole request frames are still buffered.
+const FLUSH_BYTES: usize = 64 * 1024;
 
 /// Transport-side configuration.
 #[derive(Debug, Clone)]
@@ -316,19 +331,69 @@ fn worker_loop(listener: &TcpListener, shared: &Shared) {
     }
 }
 
-/// Serves one connection until it closes, errors fatally, or shutdown.
-fn serve_connection(mut stream: TcpStream, shared: &Shared) {
+/// One connection's two buffers: the frames read but not yet served,
+/// and the replies not yet sent.
+struct Connection {
+    stream: TcpStream,
+    reader: FrameReader,
+    replies: FrameWriter,
+}
+
+impl Connection {
+    /// Appends one reply; `false` when it cannot be encoded or, at the
+    /// byte cap, sent.
+    fn reply(&mut self, response: &Response) -> bool {
+        self.replies.push(&response.to_payload()).is_ok()
+            && (self.replies.buffered() < FLUSH_BYTES || self.flush())
+    }
+
+    /// Sends every buffered reply in one write; `false` if the write
+    /// failed. With metrics on, a non-empty batch's frame count lands
+    /// in `fleet.request.batch`.
+    fn flush(&mut self) -> bool {
+        if self.replies.buffered() == 0 {
+            return true;
+        }
+        match self.replies.send(&mut self.stream) {
+            Ok(frames) => {
+                #[allow(clippy::cast_precision_loss)]
+                let frames = frames as f64;
+                histogram!("fleet.request.batch", frames);
+                true
+            }
+            Err(_) => false,
+        }
+    }
+}
+
+/// Serves one connection until it closes, errors fatally, or shutdown,
+/// then sends the replies still buffered: every request that executed
+/// is answered.
+fn serve_connection(stream: TcpStream, shared: &Shared) {
     drop(stream.set_read_timeout(Some(READ_POLL)));
     drop(stream.set_nodelay(true));
+    let mut conn = Connection {
+        stream,
+        reader: FrameReader::new(),
+        replies: FrameWriter::default(),
+    };
+    serve_frames(&mut conn, shared);
+    conn.flush();
+}
+
+/// The frame loop of [`serve_connection`]. Replies batch up while the
+/// reader holds whole frames and go out in one write as soon as it does
+/// not, before the next read can block: a lone request never waits.
+fn serve_frames(conn: &mut Connection, shared: &Shared) {
     loop {
-        if shared.shutting_down() {
+        if shared.shutting_down() || (!conn.reader.ready() && !conn.flush()) {
             return;
         }
-        match read_frame(&mut stream) {
+        match conn.reader.next_frame(&mut conn.stream) {
             Ok(payload) => {
                 let started = Instant::now();
                 let mut trace = None;
-                let response = match Request::from_payload_traced(&payload) {
+                let response = match Request::from_payload_traced(payload) {
                     Ok((request, request_trace)) => {
                         trace = request_trace;
                         let kind = request.kind();
@@ -353,13 +418,12 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                         Response::Error { code, message }
                     }
                 };
-                let done = matches!(response, Response::Bye);
                 if let Some(trace) = trace {
                     // Open the reply arrow; the client closes it after
                     // reading the frame.
                     emit_flow_start("fleet.reply", trace.reply_flow());
                 }
-                if write_frame(&mut stream, &response.to_payload()).is_err() || done {
+                if !conn.reply(&response) || matches!(response, Response::Bye) {
                     return;
                 }
             }
@@ -369,11 +433,10 @@ fn serve_connection(mut stream: TcpStream, shared: &Shared) {
                 // The oversized payload was never read; the stream is
                 // desynchronized. Answer, then drop the connection.
                 counter!("fleet.protocol_errors", 1);
-                let reply = Response::Error {
+                conn.reply(&Response::Error {
                     code: ErrorCode::Oversize,
                     message: FrameError::Oversize(len).to_string(),
-                };
-                drop(write_frame(&mut stream, &reply.to_payload()));
+                });
                 return;
             }
             Err(FrameError::Truncated | FrameError::Io(_)) => {

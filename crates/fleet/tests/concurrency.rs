@@ -8,6 +8,7 @@
 //! server last served. A stop that lands while shards still lag their
 //! tick catches them up first: the final state is the eager one.
 
+use std::io::{Cursor, Write};
 use std::net::{SocketAddr, TcpStream};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -15,7 +16,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-use selfheal_fleet::proto::{read_frame, write_frame, Request, Response};
+use selfheal_fleet::proto::{write_frame, FrameReader, Request, Response};
 use selfheal_fleet::{
     FleetClient, FleetConfig, FleetDaemon, FleetServer, FleetState, ServeSummary, ServerConfig,
 };
@@ -202,9 +203,10 @@ fn shutdown_drops_only_unanswered_requests() {
             write_frame(stream, &frame).is_ok()
         };
         let mut open = (0..4).all(|_| send(&mut stream));
+        let mut reader = FrameReader::new();
         let mut epochs = Vec::new();
-        while let Ok(payload) = read_frame(&mut stream) {
-            let response = Response::from_payload(&payload).expect("a reply parses");
+        while let Ok(payload) = reader.next_frame(&mut stream) {
+            let response = Response::from_payload(payload).expect("a reply parses");
             epochs.push(report_epoch(&response));
             pipelined.fetch_add(1, Ordering::SeqCst);
             open = open && send(&mut stream);
@@ -234,6 +236,43 @@ fn shutdown_drops_only_unanswered_requests() {
     assert_monotone(&epochs);
     replies += epochs.len() as u64;
     assert_eq!(summary.requests, replies, "no request ran unanswered");
+    assert!(summary.checkpointed);
+    assert_eq!(resumed_digest(&root), summary.final_state_digest);
+    let _ = std::fs::remove_dir_all(&root);
+}
+
+#[test]
+fn shutdown_inside_a_pipelined_batch_answers_what_ran() {
+    let root = scratch_root("batch-shutdown");
+    let (addr, server) = start(&root, None);
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(10)))
+        .expect("set timeout");
+    // 4 reports, shutdown and 4 more reports, all in one write.
+    let batch: Vec<Request> = (0..4)
+        .map(|n| report(0, n))
+        .chain([Request::Shutdown])
+        .chain((4..8).map(|n| report(0, n)))
+        .collect();
+    let mut bytes = Cursor::new(Vec::new());
+    for request in &batch {
+        write_frame(&mut bytes, &request.to_json().render().into_bytes())
+            .expect("frame into memory");
+    }
+    stream
+        .write_all(&bytes.into_inner())
+        .expect("send the batch");
+    let mut reader = FrameReader::new();
+    let mut replies = Vec::new();
+    while let Ok(payload) = reader.next_frame(&mut stream) {
+        replies.push(Response::from_payload(payload).expect("a reply parses"));
+    }
+    assert_eq!(replies.len(), 5, "4 reports and the bye, nothing after");
+    assert_monotone(&replies[..4].iter().map(report_epoch).collect::<Vec<_>>());
+    assert_eq!(replies[4], Response::Bye);
+    let summary = server.join().expect("server joins");
+    assert_eq!(summary.requests, 5, "no request ran unanswered");
     assert!(summary.checkpointed);
     assert_eq!(resumed_digest(&root), summary.final_state_digest);
     let _ = std::fs::remove_dir_all(&root);

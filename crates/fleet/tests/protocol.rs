@@ -11,9 +11,10 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::Duration;
 
-use selfheal_fleet::proto::{read_frame, ErrorCode, Request, Response, MAX_FRAME};
+use selfheal_fleet::proto::{ErrorCode, FrameError, FrameReader, Request, Response, MAX_FRAME};
 use selfheal_fleet::{FleetClient, FleetConfig, FleetDaemon, FleetServer, ServerConfig};
 use selfheal_runtime::ResultCache;
+use selfheal_telemetry::metrics::{self, Metric};
 use selfheal_units::{DutyCycle, Seconds};
 
 fn start_server() -> (
@@ -41,26 +42,50 @@ fn start_server() -> (
     (addr, handle)
 }
 
-fn raw_connection(addr: std::net::SocketAddr) -> TcpStream {
-    let stream = TcpStream::connect(addr).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .expect("set timeout");
-    stream
+/// A hand-driven connection: bytes written as given, replies read
+/// through a [`FrameReader`].
+struct Raw {
+    stream: TcpStream,
+    reader: FrameReader,
 }
 
-fn expect_error(stream: &mut TcpStream, expected: ErrorCode) {
-    let payload = read_frame(stream).expect("an error reply frame");
-    match Response::from_payload(&payload) {
-        Some(Response::Error { code, .. }) => assert_eq!(code, expected),
-        other => panic!("expected {expected:?} error, got {other:?}"),
+impl Raw {
+    fn connect(addr: std::net::SocketAddr) -> Raw {
+        let stream = TcpStream::connect(addr).expect("connect");
+        stream
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .expect("set timeout");
+        Raw {
+            stream,
+            reader: FrameReader::new(),
+        }
+    }
+
+    fn send(&mut self, bytes: &[u8]) {
+        self.stream.write_all(bytes).expect("send");
+    }
+
+    fn send_frame(&mut self, payload: &[u8]) {
+        self.send(&frame(payload));
+    }
+
+    fn reply(&mut self) -> Result<Response, FrameError> {
+        let payload = self.reader.next_frame(&mut self.stream)?;
+        Ok(Response::from_payload(payload).expect("a reply parses"))
+    }
+
+    fn expect_error(&mut self, expected: ErrorCode) {
+        match self.reply() {
+            Ok(Response::Error { code, .. }) => assert_eq!(code, expected),
+            other => panic!("expected {expected:?} error, got {other:?}"),
+        }
     }
 }
 
-fn send_frame(stream: &mut TcpStream, payload: &[u8]) {
+/// `payload` behind its 4-byte length.
+fn frame(payload: &[u8]) -> Vec<u8> {
     let len = u32::try_from(payload.len()).expect("small frame");
-    stream.write_all(&len.to_be_bytes()).expect("send header");
-    stream.write_all(payload).expect("send payload");
+    [&len.to_be_bytes()[..], payload].concat()
 }
 
 #[test]
@@ -69,51 +94,48 @@ fn abuse_cases_never_wedge_the_worker() {
 
     // 1. Oversized length prefix: structured error, then disconnect.
     {
-        let mut stream = raw_connection(addr);
-        stream
-            .write_all(&0x4000_0000u32.to_be_bytes())
-            .expect("send oversized header");
-        expect_error(&mut stream, ErrorCode::Oversize);
+        let mut conn = Raw::connect(addr);
+        conn.send(&0x4000_0000u32.to_be_bytes());
+        conn.expect_error(ErrorCode::Oversize);
         // The server drops the desynchronized connection.
-        match read_frame(&mut stream) {
+        match conn.reply() {
             Err(_) => {}
-            Ok(frame) => panic!("connection must be closed after oversize, got {frame:?}"),
+            Ok(reply) => panic!("connection must be closed after oversize, got {reply:?}"),
         }
     }
 
     // 2. Truncated frame: header promises 64 bytes, 10 arrive, we hang
     //    up. The server must just drop the connection.
     {
-        let mut stream = raw_connection(addr);
-        stream.write_all(&64u32.to_be_bytes()).expect("send header");
-        stream.write_all(&[0x20; 10]).expect("send partial payload");
+        let mut conn = Raw::connect(addr);
+        conn.send(&64u32.to_be_bytes());
+        conn.send(&[0x20; 10]);
     }
 
     // 3. Invalid JSON: structured error AND the connection stays usable.
     {
-        let mut stream = raw_connection(addr);
-        send_frame(&mut stream, b"definitely not json {{{");
-        expect_error(&mut stream, ErrorCode::BadJson);
-        send_frame(&mut stream, b"{\"type\":\"stats\"}");
-        let payload = read_frame(&mut stream).expect("stats after bad json");
-        match Response::from_payload(&payload) {
-            Some(Response::Stats(stats)) => assert_eq!(stats.chips, 16),
+        let mut conn = Raw::connect(addr);
+        conn.send_frame(b"definitely not json {{{");
+        conn.expect_error(ErrorCode::BadJson);
+        conn.send_frame(b"{\"type\":\"stats\"}");
+        match conn.reply() {
+            Ok(Response::Stats(stats)) => assert_eq!(stats.chips, 16),
             other => panic!("expected stats on the same connection, got {other:?}"),
         }
     }
 
     // 4. Unknown request type: structured error.
     {
-        let mut stream = raw_connection(addr);
-        send_frame(&mut stream, b"{\"type\":\"frobnicate\"}");
-        expect_error(&mut stream, ErrorCode::UnknownType);
+        let mut conn = Raw::connect(addr);
+        conn.send_frame(b"{\"type\":\"frobnicate\"}");
+        conn.expect_error(ErrorCode::UnknownType);
     }
 
     // 5. Mid-request client disconnect: two header bytes, then gone.
     {
-        let mut stream = raw_connection(addr);
-        stream.write_all(&[0u8, 0]).expect("send partial header");
-        drop(stream);
+        let mut conn = Raw::connect(addr);
+        conn.send(&[0u8, 0]);
+        drop(conn);
     }
 
     // 6. Hostile plans: a horizon of billions of cycles, an infinite
@@ -121,15 +143,15 @@ fn abuse_cases_never_wedge_the_worker() {
     //    refused as a bad request on a connection that stays usable,
     //    never planned (which would allocate one entry per cycle).
     {
-        let mut stream = raw_connection(addr);
+        let mut conn = Raw::connect(addr);
         for payload in [
             &b"{\"type\":\"plan\",\"chip\":0,\"period_s\":0.001}"[..],
             b"{\"type\":\"plan\",\"chip\":0,\"horizon_s\":1e999}",
             b"{\"type\":\"plan\",\"chip\":0,\"horizon_s\":1e300}",
             b"{\"type\":\"plan\",\"chip\":0,\"period_s\":5e-324}",
         ] {
-            send_frame(&mut stream, payload);
-            expect_error(&mut stream, ErrorCode::BadRequest);
+            conn.send_frame(payload);
+            conn.expect_error(ErrorCode::BadRequest);
         }
     }
 
@@ -137,7 +159,7 @@ fn abuse_cases_never_wedge_the_worker() {
     //    would escape to a reply twice the frame limit. Each still gets
     //    its structured error on a connection that then serves stats.
     {
-        let mut stream = raw_connection(addr);
+        let mut conn = Raw::connect(addr);
         for (head, expected) in [
             (&b"{\"type\":\""[..], ErrorCode::UnknownType),
             (
@@ -149,15 +171,11 @@ fn abuse_cases_never_wedge_the_worker() {
             let mut payload = head.to_vec();
             payload.extend(b"\\\"".repeat(quotes));
             payload.extend(b"\"}");
-            send_frame(&mut stream, &payload);
-            expect_error(&mut stream, expected);
+            conn.send_frame(&payload);
+            conn.expect_error(expected);
         }
-        send_frame(&mut stream, b"{\"type\":\"stats\"}");
-        let payload = read_frame(&mut stream).expect("stats after the long names");
-        assert!(matches!(
-            Response::from_payload(&payload),
-            Some(Response::Stats(_))
-        ));
+        conn.send_frame(b"{\"type\":\"stats\"}");
+        assert!(matches!(conn.reply(), Ok(Response::Stats(_))));
     }
 
     // After all of that, the single worker still serves real traffic.
@@ -193,4 +211,97 @@ fn abuse_cases_never_wedge_the_worker() {
         summary.requests
     );
     assert!(!summary.checkpointed, "cache was disabled");
+}
+
+/// The predict for `chip`, as wire bytes.
+fn predict(chip: u64) -> Vec<u8> {
+    Request::Predict {
+        chip,
+        dt: Seconds::new(3_600.0),
+    }
+    .to_json()
+    .render()
+    .into_bytes()
+}
+
+fn assert_predict(reply: Result<Response, FrameError>, chip: u64) {
+    match reply {
+        Ok(Response::Predict { chip: got, .. }) => assert_eq!(got, chip, "reply out of order"),
+        other => panic!("expected the predict for chip {chip}, got {other:?}"),
+    }
+}
+
+#[test]
+fn a_pipelined_batch_is_answered_in_order() {
+    metrics::set_enabled(true);
+    let (addr, server) = start_server();
+
+    // 8 frames in one write, the fifth bad JSON: 8 replies in order,
+    // the fifth a bad-json error.
+    {
+        let mut conn = Raw::connect(addr);
+        let batch: Vec<u8> = (0..8u64)
+            .flat_map(|slot| match slot {
+                4 => frame(b"{\"type\":"),
+                chip => frame(&predict(chip)),
+            })
+            .collect();
+        conn.send(&batch);
+        for slot in 0..8 {
+            if slot == 4 {
+                conn.expect_error(ErrorCode::BadJson);
+            } else {
+                assert_predict(conn.reply(), slot);
+            }
+        }
+    }
+
+    // Two requests and an oversized header in one write: both answered,
+    // then the oversize error, then the connection closes.
+    {
+        let mut conn = Raw::connect(addr);
+        let batch = [
+            frame(&predict(1)),
+            frame(&predict(2)),
+            0x4000_0000u32.to_be_bytes().to_vec(),
+        ]
+        .concat();
+        conn.send(&batch);
+        assert_predict(conn.reply(), 1);
+        assert_predict(conn.reply(), 2);
+        conn.expect_error(ErrorCode::Oversize);
+        match conn.reply() {
+            Err(FrameError::Closed) => {}
+            other => panic!("connection must be closed after oversize, got {other:?}"),
+        }
+    }
+
+    let mut client = FleetClient::connect(addr).expect("connect typed client");
+    let requests: Vec<Request> = (0..3u64)
+        .map(|chip| Request::Predict {
+            chip,
+            dt: Seconds::new(3_600.0),
+        })
+        .chain([Request::Shutdown])
+        .collect();
+    let replies = client.pipeline(&requests).expect("a pipelined batch");
+    for (chip, reply) in (0..3u64).zip(&replies) {
+        assert_predict(Ok(reply.clone()), chip);
+    }
+    assert_eq!(replies[3], Response::Bye);
+    let summary = server.join().expect("server thread joins");
+    assert_eq!(
+        summary.requests,
+        7 + 2 + 4,
+        "every parsed request was served"
+    );
+    // Replies to frames that one read delivered left together. Read
+    // once the workers are joined: a worker records its batch after
+    // the write, so a client can see the replies first.
+    match metrics::snapshot().get("fleet.request.batch") {
+        Some(Metric::Histogram(batches)) => {
+            assert!(batches.max() >= Some(2.0), "replies sent one per write");
+        }
+        other => panic!("no fleet.request.batch histogram: {other:?}"),
+    }
 }

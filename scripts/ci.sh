@@ -103,7 +103,8 @@ echo "== fleet daemon smoke" >&2
 # End-to-end service path: fleetd on an ephemeral loopback port with a
 # small fleet, an isolated checkpoint store, latency objectives, a flight
 # recorder, and a Chrome-trace sink; one request of each type (plus a
-# debug-dump) via fleet_smoke tracing its own side, the live
+# debug-dump and a pipelined batch of 8 predicts) via fleet_smoke
+# tracing its own side, the live
 # status file re-checked (including mtime freshness, the epoch gauge and
 # the slo gauges),
 # both trace halves merged into one connected flow graph, and a clean
@@ -142,6 +143,9 @@ grep -Eq '^selfheal_fleet_request_queue_us_count [1-9]' "$SMOKE_DIR/fleet.prom" 
     || { echo "status file carries no request queue-wait histogram" >&2; exit 1; }
 grep -Eq '^selfheal_fleet_request_exec_us_count [1-9]' "$SMOKE_DIR/fleet.prom" \
     || { echo "status file carries no request execution histogram" >&2; exit 1; }
+# How many replies each write carried (fleet_smoke pipelines 8 predicts).
+grep -Eq '^selfheal_fleet_request_batch_count [1-9]' "$SMOKE_DIR/fleet.prom" \
+    || { echo "status file carries no reply batch histogram" >&2; exit 1; }
 # Requests that caught up their own lagging shard (exported from 0).
 grep -Eq '^selfheal_fleet_request_catch_ups [0-9]' "$SMOKE_DIR/fleet.prom" \
     || { echo "status file carries no request catch-up counter" >&2; exit 1; }
