@@ -77,10 +77,11 @@ use crate::state::{FleetState, Shard};
 pub const CHECKPOINT_NAMESPACE: &str = "fleet-checkpoint";
 /// Checkpoint format version (bumped on layout changes; the kernel
 /// version rides in the key so kernel changes also invalidate).
-/// Version 5 is the binary column stream described in the module docs;
-/// version 4 also stored a tier tag per chip, and versions 1–3 were JSON
-/// records. Neither is ever read.
-pub const CHECKPOINT_VERSION: u32 = 5;
+/// Version 6 is the binary column stream described in the module docs.
+/// Version 5 had the same layout but recorded a state digest whose slot
+/// digests were FNV chains, not sums; version 4 also stored a tier tag
+/// per chip, and versions 1–3 were JSON records. None is ever read.
+pub const CHECKPOINT_VERSION: u32 = 6;
 /// Cache namespace (directory) for fleet images.
 pub const IMAGE_NAMESPACE: &str = "fleet-image";
 /// Fleet image format version (layout in the module docs).
@@ -709,6 +710,19 @@ mod tests {
         ));
     }
 
+    /// A checkpoint of the previous version, whose state digest was
+    /// defined differently, is refused by its version before any digest
+    /// is compared.
+    #[test]
+    fn read_refuses_the_previous_version() {
+        let mut bytes = encode(&reported_fleet());
+        bytes[8..16].copy_from_slice(&u64::from(CHECKPOINT_VERSION - 1).to_le_bytes());
+        assert!(matches!(
+            read(tiny_config(3), &mut bytes.as_slice()),
+            Err(CheckpointError::Invalid("version"))
+        ));
+    }
+
     /// Every truncation, an appended byte and every single-bit flip is
     /// refused without a panic. The one flip that may resume is a duty
     /// bit that [`DutyCycle`]'s clamp absorbs, and then the restored
@@ -794,7 +808,7 @@ mod tests {
             assert_eq!(
                 checkpoint_path(&cache, &config),
                 Some(PathBuf::from(format!(
-                    "root/fleet-checkpoint/f1-v5-{hash}.ckpt"
+                    "root/fleet-checkpoint/f1-v6-{hash}.ckpt"
                 )))
             );
             assert_eq!(

@@ -585,7 +585,10 @@ pub struct StatsReply {
     /// bit-exactness across a daemon restart. It is
     /// [`FleetState::state_digest`](crate::state::FleetState::state_digest):
     /// FNV-1a over the epoch, the mutation digest and each shard's
-    /// cached occupancy and slot digests.
+    /// cached occupancy digest (FNV-1a over its occupancy bits) and slot
+    /// digest (a wrapping sum of one mixed term per chip's duty). The
+    /// mean, worst and over-budget fields fold one cached margin summary
+    /// per shard.
     pub state_digest: u64,
 }
 

@@ -280,7 +280,8 @@ fn epoch_clock(shared: &Shared, config: &ServerConfig, woken: &Receiver<()>) -> 
 /// first: such a request is dropped unanswered and never runs, so the
 /// final checkpoint holds every answered mutation. With metrics on, the
 /// wait for the lock lands in `fleet.request.queue.us` and the time
-/// under it in `fleet.request.exec.us`.
+/// under it in `fleet.request.exec.us` and, for plan, predict, report
+/// and stats, `fleet.request.<kind>.exec.us`.
 fn execute(shared: &Shared, request: &Request, trace: Option<TraceContext>) -> Option<Response> {
     let queued = metrics::enabled().then(Instant::now);
     let mut daemon = shared.lock();
@@ -303,7 +304,7 @@ fn execute(shared: &Shared, request: &Request, trace: Option<TraceContext>) -> O
     drop(daemon);
     if let Some((queue, exec)) = executed {
         histogram!("fleet.request.queue.us", queue.as_secs_f64() * 1e6);
-        histogram!("fleet.request.exec.us", exec.as_secs_f64() * 1e6);
+        observe_exec(request.kind(), exec);
     }
     Some(response)
 }
@@ -444,6 +445,20 @@ fn serve_frames(conn: &mut Connection, shared: &Shared) {
                 return;
             }
         }
+    }
+}
+
+/// Time under the daemon lock, per kind as well, so a slow `stats`
+/// shows apart from the lock wait and from the other kinds.
+fn observe_exec(kind: &str, elapsed: Duration) {
+    let us = elapsed.as_secs_f64() * 1e6;
+    histogram!("fleet.request.exec.us", us);
+    match kind {
+        "plan" => histogram!("fleet.request.plan.exec.us", us),
+        "predict" => histogram!("fleet.request.predict.exec.us", us),
+        "report" => histogram!("fleet.request.report.exec.us", us),
+        "stats" => histogram!("fleet.request.stats.exec.us", us),
+        _ => {}
     }
 }
 

@@ -30,16 +30,17 @@
 //! produced it.
 //!
 //! `stats` reads ([`FleetState::aggregates`], [`FleetState::state_digest`])
-//! are served from per-shard caches that fill on first read; a mutation
-//! only drops the caches it stales, so a read after a report rescans
-//! one shard, not the fleet.
+//! fold one cached summary and two cached digests per shard, so a warm
+//! read costs O(shards). Each fills on first read. An epoch drops its
+//! shard's margin summary and occupancy digest; a report moves none of
+//! them but updates its shard's slot digest in place, in O(1).
 
 use std::ops::Range;
 use std::sync::OnceLock;
 
 use selfheal_bti::td::{PhaseRateCache, TrapBank};
 use selfheal_bti::DeviceCondition;
-use selfheal_runtime::{par_map_indexed, SeedSequence};
+use selfheal_runtime::{par_map_indexed, splitmix64_mix, SeedSequence};
 use selfheal_telemetry::{fnv1a, fnv1a_extend};
 use selfheal_units::{DutyCycle, Millivolts, Seconds};
 
@@ -271,11 +272,12 @@ impl DecayCache {
     }
 }
 
-/// Fleet-wide aggregates, folded in chip order from each shard's cached
-/// consumed-margin column.
+/// Fleet-wide aggregates, folded in shard order from each shard's
+/// cached margin summary (its total, worst chip and over-budget count).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FleetAggregates {
-    /// Sum of per-chip `ΔVth` over the fleet.
+    /// Sum of per-chip `ΔVth` over the fleet: per shard in chip order,
+    /// then across shards in shard order.
     pub total_delta_vth: Millivolts,
     /// The single worst chip's `ΔVth`.
     pub worst_delta_vth: Millivolts,
@@ -283,28 +285,82 @@ pub struct FleetAggregates {
     pub over_budget_chips: usize,
 }
 
+/// Consumed margins folded in order: a shard's over its chips, the
+/// fleet's over its shards.
+#[derive(Debug, Clone, Copy, Default)]
+struct MarginSummary {
+    /// Sum of the chips' `ΔVth` in mV.
+    total: f64,
+    /// The worst chip's `ΔVth` in mV (0 with no chips).
+    worst: f64,
+    /// Chips whose `ΔVth` has crossed the margin.
+    over_budget: usize,
+}
+
+impl MarginSummary {
+    /// One chip that has consumed `mv` of `margin`.
+    fn chip(mv: f64, margin: f64) -> MarginSummary {
+        MarginSummary {
+            total: mv,
+            worst: mv,
+            over_budget: usize::from(mv >= margin),
+        }
+    }
+
+    /// `self` followed by `next`.
+    fn then(self, next: MarginSummary) -> MarginSummary {
+        MarginSummary {
+            total: self.total + next.total,
+            worst: if next.worst > self.worst {
+                next.worst
+            } else {
+                self.worst
+            },
+            over_budget: self.over_budget + next.over_budget,
+        }
+    }
+}
+
 /// What `stats` reads of one shard. Each value fills on its first read
-/// (under `&self`) and is dropped, never recomputed, by the mutations
-/// that stale it: epochs and overlays drop all three, a report drops
-/// its shard's slot digest.
+/// (under `&self`). An epoch moves occupancies, so it drops the
+/// occupancy digest and the margin summary; it never moves a duty, so
+/// the slot digest stands. A report moves one duty and no occupancy: it
+/// updates a filled slot digest in place. An overlay drops all three.
 #[derive(Debug, Clone, Default)]
 struct ShardCache {
     /// FNV-1a over the bank's occupancy bit patterns, in trap order.
     occupancy_digest: OnceLock<u64>,
-    /// Each chip's consumed margin in mV, in chip order. Apart from the
-    /// digest, so a checkpoint restore, which verifies only the digest,
-    /// never fills it.
-    consumed: OnceLock<Vec<f64>>,
-    /// FNV-1a over every chip's duty.
+    /// The shard's consumed margins. Apart from the digests, so a
+    /// checkpoint restore, which verifies only the digest, never fills
+    /// it.
+    summary: OnceLock<MarginSummary>,
+    /// The wrapping sum of [`slot_term`] over the shard's chips.
     slot_digest: OnceLock<u64>,
 }
 
 impl ShardCache {
-    fn clear(&mut self) {
+    /// Drops what an epoch stales.
+    fn clear_occupancy(&mut self) {
         self.occupancy_digest.take();
-        self.consumed.take();
+        self.summary.take();
+    }
+
+    fn clear(&mut self) {
+        self.clear_occupancy();
         self.slot_digest.take();
     }
+}
+
+/// Chip `local`'s term in its shard's slot digest. The `SplitMix64`
+/// finalizer is a bijection of `u64`, so two duties of one chip never
+/// share a term, and a term is keyed by the chip's place, so moving a
+/// duty between chips changes the sum. Being a sum, the digest takes a
+/// report in O(1): subtract the old term, add the new one.
+fn slot_term(local: usize, duty: DutyCycle) -> u64 {
+    // The index is offset by the SplitMix64 increment, so chip 0's key
+    // is not the finalizer's fixed point 0.
+    let key = splitmix64_mix(local as u64 ^ 0x9E37_79B9_7F4A_7C15);
+    splitmix64_mix(duty.get().to_bits() ^ key)
 }
 
 /// The daemon's entire mutable world: shards plus epoch bookkeeping.
@@ -398,7 +454,8 @@ impl FleetState {
     }
 
     /// Catches shard `index` up to the fleet's epoch on the calling
-    /// thread and drops its `stats` caches. Returns whether it lagged.
+    /// thread and drops the `stats` caches its epochs stale. Returns
+    /// whether it lagged.
     fn catch_up_shard(&mut self, index: usize) -> bool {
         let Some(shard) = self.shards.get_mut(index) else {
             return false;
@@ -407,7 +464,7 @@ impl FleetState {
             return false;
         }
         shard.catch_up(index, &self.config, self.epoch);
-        self.caches[index].clear();
+        self.caches[index].clear_occupancy();
         true
     }
 
@@ -444,7 +501,7 @@ impl FleetState {
             });
             for (index, shard) in stepped {
                 self.shards[index] = shard;
-                self.caches[index].clear();
+                self.caches[index].clear_occupancy();
             }
         }
         lagging.len() - now.len()
@@ -515,9 +572,13 @@ impl FleetState {
             return false;
         };
         self.debug_assert_caught_up(shard);
-        self.shards[shard].chips[local].duty = duty;
+        let old = std::mem::replace(&mut self.shards[shard].chips[local].duty, duty);
         self.shards[shard].decay.invalidate(local);
-        self.caches[shard].slot_digest.take();
+        if let Some(digest) = self.caches[shard].slot_digest.get_mut() {
+            *digest = digest
+                .wrapping_sub(slot_term(local, old))
+                .wrapping_add(slot_term(local, duty));
+        }
         let mut hash = fnv1a(&self.mutation_digest.to_be_bytes());
         hash = fnv1a_extend(hash, &self.epoch.to_be_bytes());
         hash = fnv1a_extend(hash, &(chip as u64).to_be_bytes());
@@ -526,40 +587,28 @@ impl FleetState {
     }
 
     /// Fleet totals, the worst chip and the count already out of budget,
-    /// folded in chip order over each shard's cached consumed column.
-    /// Only shards whose cache a mutation dropped are rescanned.
+    /// folded in shard order over each shard's cached margin summary.
+    /// Only shards an epoch or an overlay dropped are rescanned.
     #[must_use]
     pub fn aggregates(&self) -> FleetAggregates {
         self.debug_assert_all_caught_up();
-        let margin = self.config.margin.get();
-        let mut total = 0.0f64;
-        let mut worst = 0.0f64;
-        let mut over = 0usize;
-        for index in 0..self.shards.len() {
-            for &mv in self.consumed(index) {
-                total += mv;
-                if mv > worst {
-                    worst = mv;
-                }
-                if mv >= margin {
-                    over += 1;
-                }
-            }
-        }
+        let fleet = (0..self.shards.len())
+            .map(|index| self.summary(index))
+            .fold(MarginSummary::default(), MarginSummary::then);
         FleetAggregates {
-            total_delta_vth: Millivolts::new(total),
-            worst_delta_vth: Millivolts::new(worst),
-            over_budget_chips: over,
+            total_delta_vth: Millivolts::new(fleet.total),
+            worst_delta_vth: Millivolts::new(fleet.worst),
+            over_budget_chips: fleet.over_budget,
         }
     }
 
     /// A digest of the complete observable state: FNV-1a over the epoch,
     /// the mutation chain and then, per shard in order, the shard's
-    /// occupancy digest and its slot digest (each an FNV-1a of its own:
-    /// every occupancy bit pattern; every reported duty). Two
-    /// states with equal digests answer every request identically.
-    /// Served from the per-shard caches, so only shards a mutation
-    /// dirtied are rehashed.
+    /// occupancy digest (an FNV-1a over every occupancy bit pattern) and
+    /// its slot digest (a wrapping sum of one mixed term per chip over
+    /// its local index and duty). Two states with equal digests answer
+    /// every request identically. Served from the per-shard caches, so
+    /// only shards an epoch or an overlay dirtied are rehashed.
     #[must_use]
     pub fn state_digest(&self) -> u64 {
         self.debug_assert_all_caught_up();
@@ -585,26 +634,32 @@ impl FleetState {
         })
     }
 
-    /// Shard `index`'s consumed column, filled on first read.
-    fn consumed(&self, index: usize) -> &[f64] {
-        self.caches[index].consumed.get_or_init(|| {
+    /// Shard `index`'s margin summary, filled on first read from each
+    /// chip's consumed margin, in chip order.
+    fn summary(&self, index: usize) -> MarginSummary {
+        *self.caches[index].summary.get_or_init(|| {
+            let margin = self.config.margin.get();
             let shard = &self.shards[index];
             shard
                 .chips
                 .iter()
-                .map(|slot| shard.bank.delta_vth_range(slot.traps.clone()).get())
-                .collect()
+                .map(|slot| {
+                    let mv = shard.bank.delta_vth_range(slot.traps.clone()).get();
+                    MarginSummary::chip(mv, margin)
+                })
+                .fold(MarginSummary::default(), MarginSummary::then)
         })
     }
 
-    /// Shard `index`'s digest of duties, filled on first read.
+    /// Shard `index`'s slot digest, filled on first read.
     fn slot_digest(&self, index: usize) -> u64 {
         *self.caches[index].slot_digest.get_or_init(|| {
             self.shards[index]
                 .chips
                 .iter()
-                .fold(fnv1a(&[]), |hash, chip| {
-                    fnv1a_extend(hash, &chip.duty.get().to_bits().to_be_bytes())
+                .enumerate()
+                .fold(0, |sum, (local, chip)| {
+                    sum.wrapping_add(slot_term(local, chip.duty))
                 })
         })
     }
@@ -742,7 +797,64 @@ mod tests {
         assert!(fleet.fold_report(1, DutyCycle::new(0.3)));
         fleet.advance_epoch();
         assert_eq!(fleet.mutation_digest(), 0x7561_bd13_9a68_93d7);
-        assert_eq!(fleet.state_digest(), 0x5c58_20bd_d78f_e203);
+        assert_eq!(fleet.state_digest(), 0x3d22_7b32_eeab_27e5);
+    }
+
+    /// A slot digest updated in place by reports equals one summed from
+    /// scratch over the same duties, after reports and epochs
+    /// interleaved with reads that keep every digest filled.
+    #[test]
+    fn in_place_slot_digests_equal_recomputed_ones() {
+        let mut fleet = FleetState::build(tiny_config());
+        let _ = fleet.state_digest();
+        for round in 0..40usize {
+            for report in 0..5 {
+                let chip = (round * 7 + report * 3) % 10;
+                #[allow(clippy::cast_precision_loss)]
+                let duty = DutyCycle::new(((round + report) % 11) as f64 / 10.0);
+                assert!(fleet.fold_report(chip, duty));
+            }
+            if round % 3 == 0 {
+                fleet.advance_epoch();
+            }
+            let digest = fleet.state_digest();
+            let mut cleared = fleet.clone();
+            cleared.caches.iter_mut().for_each(ShardCache::clear);
+            for index in 0..fleet.shards.len() {
+                assert!(fleet.caches[index].slot_digest.get().is_some());
+                assert_eq!(
+                    fleet.slot_digest(index),
+                    cleared.slot_digest(index),
+                    "shard {index} after round {round}"
+                );
+            }
+            assert_eq!(digest, cleared.state_digest(), "round {round}");
+        }
+    }
+
+    /// The total is a two-level sum: per shard over its chips' consumed
+    /// margins in chip order, then across shards in shard order.
+    #[test]
+    fn the_total_sums_shard_totals_in_shard_order() {
+        let mut fleet = FleetState::build(tiny_config());
+        for epoch in 0..4 {
+            fleet.advance_epoch();
+            assert!(fleet.fold_report(epoch * 3, DutyCycle::new(0.2)));
+            let mut total = 0.0f64;
+            for shard in &fleet.shards {
+                let first = shard.first_chip;
+                let mut shard_total = 0.0f64;
+                for chip in first..first + shard.chips.len() {
+                    shard_total += fleet.chip_consumed(chip).map_or(f64::NAN, Millivolts::get);
+                }
+                total += shard_total;
+            }
+            assert_eq!(
+                fleet.aggregates().total_delta_vth.get().to_bits(),
+                total.to_bits(),
+                "epoch {epoch}"
+            );
+        }
     }
 
     /// The `stats` totals are bit-identical to the full per-chip scan

@@ -50,7 +50,7 @@ mod seed;
 
 pub use cache::ResultCache;
 pub use pool::Pool;
-pub use seed::SeedSequence;
+pub use seed::{splitmix64_mix, SeedSequence};
 
 use std::sync::{Arc, Mutex, PoisonError};
 

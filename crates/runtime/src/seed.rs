@@ -16,7 +16,8 @@ use rand::{rngs::StdRng, SeedableRng};
 const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
 /// The `SplitMix64` finalizer: a bijective avalanche mixer on `u64`.
-fn splitmix64_mix(mut z: u64) -> u64 {
+#[must_use]
+pub fn splitmix64_mix(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
     z ^ (z >> 31)

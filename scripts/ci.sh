@@ -143,6 +143,9 @@ grep -Eq '^selfheal_fleet_request_queue_us_count [1-9]' "$SMOKE_DIR/fleet.prom" 
     || { echo "status file carries no request queue-wait histogram" >&2; exit 1; }
 grep -Eq '^selfheal_fleet_request_exec_us_count [1-9]' "$SMOKE_DIR/fleet.prom" \
     || { echo "status file carries no request execution histogram" >&2; exit 1; }
+# Execution per kind: fleet_smoke sends one stats request.
+grep -Eq '^selfheal_fleet_request_stats_exec_us_count [1-9]' "$SMOKE_DIR/fleet.prom" \
+    || { echo "status file carries no stats execution histogram" >&2; exit 1; }
 # How many replies each write carried (fleet_smoke pipelines 8 predicts).
 grep -Eq '^selfheal_fleet_request_batch_count [1-9]' "$SMOKE_DIR/fleet.prom" \
     || { echo "status file carries no reply batch histogram" >&2; exit 1; }
