@@ -23,10 +23,7 @@ fn mix(seed: u64) -> u64 {
     let mut x = seed;
     for _ in 0..ROUNDS {
         x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut z = x;
-        z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^= z ^ (z >> 31);
+        x ^= runtime::splitmix64_mix(x);
     }
     x
 }

@@ -8,6 +8,17 @@
 //! deliver a pipelined batch; frames are written through one encoder
 //! that appends them to a buffer sent in one write.
 //!
+//! Payloads go through the workspace's one JSON codec
+//! (`selfheal_telemetry::json`) without a tree on the daemon's path. A
+//! reply is written field by field, in the key order a JSON object
+//! renders in, into the connection's buffer; a request is decoded from a
+//! scan of its top-level object, whose keys and strings stay borrowed
+//! from the payload. A key given twice counts at its last occurrence, as
+//! a parsed object keeps it, and unknown fields are skipped at any
+//! nesting. Requests are encoded, and replies decoded on the client
+//! side, through the same codec: [`Request::to_json`] builds a tree,
+//! [`Response::from_payload`] scans.
+//!
 //! All raw socket transfer funnels through one function, `pump`,
 //! which carries the module's single `analyzer: trust(io)` annotation:
 //! everything above it (framing, parsing, dispatch, state) stays in the
@@ -18,7 +29,8 @@ use std::io::{Read, Write};
 
 use selfheal::{RejuvenationPlan, RejuvenationTechnique};
 use selfheal_runtime::SeedSequence;
-use selfheal_telemetry::{json, span, Json, Span};
+use selfheal_telemetry::json::{self, FieldValue, Fields, ObjectWriter};
+use selfheal_telemetry::{span, Json, Span};
 use selfheal_units::{DutyCycle, Millivolts, Ratio, Seconds};
 
 /// Hard ceiling on frame payloads (1 MiB). A peer announcing more is
@@ -304,15 +316,19 @@ impl TraceContext {
         ])
     }
 
-    /// Extracts the trace context from a parsed request document.
-    /// Anything malformed — wrong type, negative, fractional, out of the
-    /// 48-bit range — yields `None` rather than an error: a bad trace id
-    /// must never fail an otherwise-valid request.
-    #[must_use]
-    pub fn from_doc(doc: &Json) -> Option<TraceContext> {
-        let trace = doc.get("trace")?;
-        let id = trace.get("id").and_then(json_u64)?;
-        let flow = trace.get("flow").and_then(json_u64)?;
+    /// Extracts the trace context from a scanned request. Anything
+    /// malformed — wrong type, negative, fractional, out of the 48-bit
+    /// range — yields `None` rather than an error: a bad trace id must
+    /// never fail an otherwise-valid request.
+    fn from_fields(doc: &Fields) -> Option<TraceContext> {
+        let Some(FieldValue::Json(trace)) = doc.get("trace") else {
+            return None;
+        };
+        let id = trace.get("id").and_then(Json::as_f64).and_then(json_u64)?;
+        let flow = trace
+            .get("flow")
+            .and_then(Json::as_f64)
+            .and_then(json_u64)?;
         (id <= TRACE_ID_MASK && flow <= TRACE_ID_MASK).then_some(TraceContext {
             trace_id: id,
             flow_id: flow,
@@ -422,7 +438,7 @@ impl Request {
                 horizon,
             } => {
                 fields.push(("type".into(), Json::String("plan".into())));
-                fields.push(("chip".into(), number_u64(*chip)));
+                fields.push(("chip".into(), Json::Number(wire_u64(*chip))));
                 fields.push((
                     "technique".into(),
                     Json::String(technique_name(*technique).into()),
@@ -436,12 +452,12 @@ impl Request {
             }
             Request::Predict { chip, dt } => {
                 fields.push(("type".into(), Json::String("predict".into())));
-                fields.push(("chip".into(), number_u64(*chip)));
+                fields.push(("chip".into(), Json::Number(wire_u64(*chip))));
                 fields.push(("dt_s".into(), Json::Number(dt.get())));
             }
             Request::Report { chip, duty } => {
                 fields.push(("type".into(), Json::String("report".into())));
-                fields.push(("chip".into(), number_u64(*chip)));
+                fields.push(("chip".into(), Json::Number(wire_u64(*chip))));
                 fields.push(("duty".into(), Json::Number(duty.get())));
             }
             Request::Stats => fields.push(("type".into(), Json::String("stats".into()))),
@@ -492,21 +508,23 @@ impl Request {
     ) -> Result<(Request, Option<TraceContext>), (ErrorCode, String)> {
         let text = std::str::from_utf8(payload)
             .map_err(|_| (ErrorCode::BadJson, "payload is not UTF-8".to_string()))?;
-        let doc = json::parse(text)
-            .map_err(|e| (ErrorCode::BadJson, format!("payload is not JSON: {e:?}")))?;
-        let trace = TraceContext::from_doc(&doc);
-        Request::from_doc(&doc).map(|request| (request, trace))
+        // A document that is not an object has no fields to find.
+        let doc = json::parse_fields(text)
+            .map_err(|e| (ErrorCode::BadJson, format!("payload is not JSON: {e:?}")))?
+            .unwrap_or_default();
+        let trace = TraceContext::from_fields(&doc);
+        Request::from_fields(&doc).map(|request| (request, trace))
     }
 
-    fn from_doc(doc: &Json) -> Result<Request, (ErrorCode, String)> {
+    fn from_fields(doc: &Fields) -> Result<Request, (ErrorCode, String)> {
         let kind = doc
             .get("type")
-            .and_then(Json::as_str)
+            .and_then(FieldValue::as_str)
             .ok_or_else(|| (ErrorCode::BadRequest, "missing \"type\" field".to_string()))?;
         match kind {
             "plan" => Ok(Request::Plan {
                 chip: field_u64(doc, "chip")?,
-                technique: match doc.get("technique").and_then(Json::as_str) {
+                technique: match doc.get("technique").and_then(FieldValue::as_str) {
                     None => RejuvenationTechnique::Combined,
                     Some(name) => parse_technique(name).ok_or_else(|| {
                         (
@@ -525,7 +543,7 @@ impl Request {
             "report" => {
                 let duty = doc
                     .get("duty")
-                    .and_then(Json::as_f64)
+                    .and_then(FieldValue::as_f64)
                     .filter(|d| (0.0..=1.0).contains(d))
                     .ok_or_else(|| {
                         (
@@ -648,150 +666,146 @@ pub enum Response {
 }
 
 impl Response {
-    /// Serializes for the wire.
-    #[must_use]
-    pub fn to_json(&self) -> Json {
+    /// Appends the frame payload to `out`, field by field in the order a
+    /// [`Json::Object`] renders its keys, so the bytes are those of the
+    /// same fields rendered as a tree.
+    pub(crate) fn write_payload(&self, out: &mut String) {
+        let mut fields = ObjectWriter::new(out);
         match self {
             Response::Plan {
                 chip,
                 consumed,
                 plan,
             } => {
-                let mut fields = vec![
-                    ("type".to_string(), Json::String("plan".into())),
-                    ("chip".to_string(), number_u64(*chip)),
-                    ("consumed_mv".to_string(), Json::Number(consumed.get())),
-                    ("feasible".to_string(), Json::Bool(plan.is_some())),
-                ];
+                if let Some(plan) = plan {
+                    fields.number("alpha", plan.alpha.get());
+                }
+                fields
+                    .number("chip", wire_u64(*chip))
+                    .number("consumed_mv", consumed.get())
+                    .bool("feasible", plan.is_some());
                 if let Some(plan) = plan {
                     let (_, sleep) = plan.alpha.split_cycle(plan.period);
-                    fields.push(("alpha".into(), Json::Number(plan.alpha.get())));
-                    fields.push((
-                        "technique".into(),
-                        Json::String(technique_name(plan.technique).into()),
-                    ));
-                    fields.push(("period_s".into(), Json::Number(plan.period.get())));
-                    fields.push(("sleep_s_per_period".into(), Json::Number(sleep.get())));
-                    fields.push((
-                        "predicted_peak_mv".into(),
-                        Json::Number(plan.predicted_peak.get()),
-                    ));
+                    fields
+                        .number("period_s", plan.period.get())
+                        .number("predicted_peak_mv", plan.predicted_peak.get());
                     // Only a recover-first plan names it, so every other
                     // plan reply keeps its bytes.
                     if plan.recover_first {
-                        fields.push(("recover_first".into(), Json::Bool(true)));
+                        fields.bool("recover_first", true);
                     }
+                    fields
+                        .number("sleep_s_per_period", sleep.get())
+                        .string("technique", technique_name(plan.technique));
                 }
-                Json::object(fields)
+                fields.string("type", "plan");
             }
             Response::Predict {
                 chip,
                 current,
                 projected,
                 headroom,
-            } => Json::object(vec![
-                ("type".into(), Json::String("predict".into())),
-                ("chip".into(), number_u64(*chip)),
-                ("current_mv".into(), Json::Number(current.get())),
-                ("projected_mv".into(), Json::Number(projected.get())),
-                ("headroom_mv".into(), Json::Number(headroom.get())),
-            ]),
-            Response::Report { chip, duty, epoch } => Json::object(vec![
-                ("type".into(), Json::String("report".into())),
-                ("chip".into(), number_u64(*chip)),
-                ("duty".into(), Json::Number(duty.get())),
-                ("epoch".into(), number_u64(*epoch)),
-            ]),
-            Response::Stats(stats) => Json::object(vec![
-                ("type".into(), Json::String("stats".into())),
-                ("chips".into(), number_u64(stats.chips)),
-                ("shards".into(), number_u64(stats.shards)),
-                ("epoch".into(), number_u64(stats.epoch)),
-                ("sim_time_s".into(), Json::Number(stats.sim_time.get())),
-                ("requests".into(), number_u64(stats.requests)),
-                (
-                    "mean_delta_vth_mv".into(),
-                    Json::Number(stats.mean_delta_vth.get()),
-                ),
-                (
-                    "worst_delta_vth_mv".into(),
-                    Json::Number(stats.worst_delta_vth.get()),
-                ),
-                (
-                    "over_budget_chips".into(),
-                    number_u64(stats.over_budget_chips),
-                ),
-                (
-                    "state_digest".into(),
-                    Json::String(format!("{:016x}", stats.state_digest)),
-                ),
-            ]),
-            Response::DebugDump { events, path } => {
-                let mut fields = vec![
-                    ("type".to_string(), Json::String("debug-dump".into())),
-                    ("events".to_string(), number_u64(*events)),
-                ];
-                if let Some(path) = path {
-                    fields.push(("path".into(), Json::String(path.clone())));
-                }
-                Json::object(fields)
+            } => {
+                fields
+                    .number("chip", wire_u64(*chip))
+                    .number("current_mv", current.get())
+                    .number("headroom_mv", headroom.get())
+                    .number("projected_mv", projected.get())
+                    .string("type", "predict");
             }
-            Response::Bye => Json::object(vec![("type".into(), Json::String("bye".into()))]),
-            Response::Error { code, message } => Json::object(vec![
-                ("type".into(), Json::String("error".into())),
-                ("code".into(), Json::String(code.as_str().into())),
-                ("message".into(), Json::String(message.clone())),
-            ]),
+            Response::Report { chip, duty, epoch } => {
+                fields
+                    .number("chip", wire_u64(*chip))
+                    .number("duty", duty.get())
+                    .number("epoch", wire_u64(*epoch))
+                    .string("type", "report");
+            }
+            Response::Stats(stats) => {
+                fields
+                    .number("chips", wire_u64(stats.chips))
+                    .number("epoch", wire_u64(stats.epoch))
+                    .number("mean_delta_vth_mv", stats.mean_delta_vth.get())
+                    .number("over_budget_chips", wire_u64(stats.over_budget_chips))
+                    .number("requests", wire_u64(stats.requests))
+                    .number("shards", wire_u64(stats.shards))
+                    .number("sim_time_s", stats.sim_time.get())
+                    .string("state_digest", digest_hex(stats.state_digest, &mut [0; 16]))
+                    .string("type", "stats")
+                    .number("worst_delta_vth_mv", stats.worst_delta_vth.get());
+            }
+            Response::DebugDump { events, path } => {
+                fields.number("events", wire_u64(*events));
+                if let Some(path) = path {
+                    fields.string("path", path);
+                }
+                fields.string("type", "debug-dump");
+            }
+            Response::Bye => {
+                fields.string("type", "bye");
+            }
+            Response::Error { code, message } => {
+                fields
+                    .string("code", code.as_str())
+                    .string("message", message)
+                    .string("type", "error");
+            }
         }
+        fields.finish();
     }
 
     /// Decodes a reply payload (the client side of the protocol).
     #[must_use]
     pub fn from_payload(payload: &[u8]) -> Option<Response> {
-        let doc = json::parse(std::str::from_utf8(payload).ok()?).ok()?;
-        match doc.get("type")?.as_str()? {
+        let doc = json::parse_fields(std::str::from_utf8(payload).ok()?).ok()??;
+        let number = |key: &str| doc.get(key)?.as_f64();
+        let count = |key: &str| json_u64(number(key)?);
+        let text = |key: &str| doc.get(key)?.as_str();
+        match text("type")? {
             "plan" => {
-                let plan = if matches!(doc.get("feasible")?, Json::Bool(true)) {
+                let plan = if matches!(doc.get("feasible")?, FieldValue::Json(Json::Bool(true))) {
                     Some(RejuvenationPlan {
-                        alpha: Ratio::new(doc.get("alpha")?.as_f64()?)?,
-                        technique: parse_technique(doc.get("technique")?.as_str()?)?,
-                        period: Seconds::new(doc.get("period_s")?.as_f64()?),
-                        predicted_peak: Millivolts::new(doc.get("predicted_peak_mv")?.as_f64()?),
-                        recover_first: matches!(doc.get("recover_first"), Some(Json::Bool(true))),
+                        alpha: Ratio::new(number("alpha")?)?,
+                        technique: parse_technique(text("technique")?)?,
+                        period: Seconds::new(number("period_s")?),
+                        predicted_peak: Millivolts::new(number("predicted_peak_mv")?),
+                        recover_first: matches!(
+                            doc.get("recover_first"),
+                            Some(FieldValue::Json(Json::Bool(true)))
+                        ),
                     })
                 } else {
                     None
                 };
                 Some(Response::Plan {
-                    chip: json_u64(doc.get("chip")?)?,
-                    consumed: Millivolts::new(doc.get("consumed_mv")?.as_f64()?),
+                    chip: count("chip")?,
+                    consumed: Millivolts::new(number("consumed_mv")?),
                     plan,
                 })
             }
             "predict" => Some(Response::Predict {
-                chip: json_u64(doc.get("chip")?)?,
-                current: Millivolts::new(doc.get("current_mv")?.as_f64()?),
-                projected: Millivolts::new(doc.get("projected_mv")?.as_f64()?),
-                headroom: Millivolts::new(doc.get("headroom_mv")?.as_f64()?),
+                chip: count("chip")?,
+                current: Millivolts::new(number("current_mv")?),
+                projected: Millivolts::new(number("projected_mv")?),
+                headroom: Millivolts::new(number("headroom_mv")?),
             }),
             "report" => Some(Response::Report {
-                chip: json_u64(doc.get("chip")?)?,
-                duty: DutyCycle::new(doc.get("duty")?.as_f64()?),
-                epoch: json_u64(doc.get("epoch")?)?,
+                chip: count("chip")?,
+                duty: DutyCycle::new(number("duty")?),
+                epoch: count("epoch")?,
             }),
             "stats" => Some(Response::Stats(StatsReply {
-                chips: json_u64(doc.get("chips")?)?,
-                shards: json_u64(doc.get("shards")?)?,
-                epoch: json_u64(doc.get("epoch")?)?,
-                sim_time: Seconds::new(doc.get("sim_time_s")?.as_f64()?),
-                requests: json_u64(doc.get("requests")?)?,
-                mean_delta_vth: Millivolts::new(doc.get("mean_delta_vth_mv")?.as_f64()?),
-                worst_delta_vth: Millivolts::new(doc.get("worst_delta_vth_mv")?.as_f64()?),
-                over_budget_chips: json_u64(doc.get("over_budget_chips")?)?,
-                state_digest: u64::from_str_radix(doc.get("state_digest")?.as_str()?, 16).ok()?,
+                chips: count("chips")?,
+                shards: count("shards")?,
+                epoch: count("epoch")?,
+                sim_time: Seconds::new(number("sim_time_s")?),
+                requests: count("requests")?,
+                mean_delta_vth: Millivolts::new(number("mean_delta_vth_mv")?),
+                worst_delta_vth: Millivolts::new(number("worst_delta_vth_mv")?),
+                over_budget_chips: count("over_budget_chips")?,
+                state_digest: u64::from_str_radix(text("state_digest")?, 16).ok()?,
             })),
             "debug-dump" => Some(Response::DebugDump {
-                events: json_u64(doc.get("events")?)?,
+                events: count("events")?,
                 path: match doc.get("path") {
                     None => None,
                     Some(path) => Some(path.as_str()?.to_string()),
@@ -799,8 +813,8 @@ impl Response {
             }),
             "bye" => Some(Response::Bye),
             "error" => Some(Response::Error {
-                code: ErrorCode::parse(doc.get("code")?.as_str()?)?,
-                message: doc.get("message")?.as_str()?.to_string(),
+                code: ErrorCode::parse(text("code")?)?,
+                message: text("message")?.to_string(),
             }),
             _ => None,
         }
@@ -809,7 +823,9 @@ impl Response {
     /// Renders the frame payload bytes.
     #[must_use]
     pub fn to_payload(&self) -> Vec<u8> {
-        self.to_json().render().into_bytes()
+        let mut out = String::with_capacity(PAYLOAD_CAPACITY);
+        self.write_payload(&mut out);
+        out.into_bytes()
     }
 }
 
@@ -845,29 +861,45 @@ fn echo(text: &str) -> &str {
         .map_or(text, |(cut, _)| &text[..cut])
 }
 
+/// Room for a typical reply payload.
+const PAYLOAD_CAPACITY: usize = 256;
+
+/// An integer as the wire's JSON number.
 #[allow(clippy::cast_precision_loss)]
-fn number_u64(value: u64) -> Json {
-    Json::Number(value as f64)
+fn wire_u64(value: u64) -> f64 {
+    value as f64
 }
 
-fn json_u64(json: &Json) -> Option<u64> {
-    let value = json.as_f64()?;
+/// A state digest's wire spelling, 16 lowercase hex digits, written
+/// into `buf`.
+fn digest_hex(digest: u64, buf: &mut [u8; 16]) -> &str {
+    for (i, digit) in buf.iter_mut().enumerate() {
+        let nibble = (digest >> (60 - 4 * i)) & 0xf;
+        *digit = b"0123456789abcdef"[nibble as usize];
+    }
+    std::str::from_utf8(buf).unwrap_or_default()
+}
+
+fn json_u64(value: f64) -> Option<u64> {
     #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)]
     (value >= 0.0 && value.fract() == 0.0).then_some(value as u64)
 }
 
-fn field_u64(doc: &Json, key: &str) -> Result<u64, (ErrorCode, String)> {
-    doc.get(key).and_then(json_u64).ok_or_else(|| {
-        (
-            ErrorCode::BadRequest,
-            format!("\"{key}\" must be a non-negative integer"),
-        )
-    })
+fn field_u64(doc: &Fields, key: &str) -> Result<u64, (ErrorCode, String)> {
+    doc.get(key)
+        .and_then(FieldValue::as_f64)
+        .and_then(json_u64)
+        .ok_or_else(|| {
+            (
+                ErrorCode::BadRequest,
+                format!("\"{key}\" must be a non-negative integer"),
+            )
+        })
 }
 
-fn positive_field(doc: &Json, key: &str) -> Result<f64, (ErrorCode, String)> {
+fn positive_field(doc: &Fields, key: &str) -> Result<f64, (ErrorCode, String)> {
     doc.get(key)
-        .and_then(Json::as_f64)
+        .and_then(FieldValue::as_f64)
         .filter(|v| *v > 0.0 && v.is_finite())
         .ok_or_else(|| {
             (
@@ -877,7 +909,7 @@ fn positive_field(doc: &Json, key: &str) -> Result<f64, (ErrorCode, String)> {
         })
 }
 
-fn optional_seconds(doc: &Json, key: &str) -> Result<Option<Seconds>, (ErrorCode, String)> {
+fn optional_seconds(doc: &Fields, key: &str) -> Result<Option<Seconds>, (ErrorCode, String)> {
     match doc.get(key) {
         None => Ok(None),
         Some(_) => Ok(Some(Seconds::new(positive_field(doc, key)?))),

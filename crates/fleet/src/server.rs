@@ -280,8 +280,9 @@ fn epoch_clock(shared: &Shared, config: &ServerConfig, woken: &Receiver<()>) -> 
 /// first: such a request is dropped unanswered and never runs, so the
 /// final checkpoint holds every answered mutation. With metrics on, the
 /// wait for the lock lands in `fleet.request.queue.us` and the time
-/// under it in `fleet.request.exec.us` and, for plan, predict, report
-/// and stats, `fleet.request.<kind>.exec.us`.
+/// under it in `fleet.request.exec.us`; for plan, predict, report and
+/// stats, also in `fleet.request.<kind>.queue.us` and
+/// `fleet.request.<kind>.exec.us`.
 fn execute(shared: &Shared, request: &Request, trace: Option<TraceContext>) -> Option<Response> {
     let queued = metrics::enabled().then(Instant::now);
     let mut daemon = shared.lock();
@@ -303,8 +304,7 @@ fn execute(shared: &Shared, request: &Request, trace: Option<TraceContext>) -> O
     let executed = locked.map(|(queue, locked)| (queue, locked.elapsed()));
     drop(daemon);
     if let Some((queue, exec)) = executed {
-        histogram!("fleet.request.queue.us", queue.as_secs_f64() * 1e6);
-        observe_exec(request.kind(), exec);
+        observe_lock(request.kind(), queue, exec);
     }
     Some(response)
 }
@@ -332,19 +332,23 @@ fn worker_loop(listener: &TcpListener, shared: &Shared) {
     }
 }
 
-/// One connection's two buffers: the frames read but not yet served,
-/// and the replies not yet sent.
+/// One connection's buffers: the frames read but not yet served, the
+/// reply being encoded, and the replies not yet sent.
 struct Connection {
     stream: TcpStream,
     reader: FrameReader,
+    payload: String,
     replies: FrameWriter,
 }
 
 impl Connection {
-    /// Appends one reply; `false` when it cannot be encoded or, at the
-    /// byte cap, sent.
+    /// Encodes one reply into the connection's payload buffer and
+    /// appends it; `false` when it cannot be framed or, at the byte cap,
+    /// sent.
     fn reply(&mut self, response: &Response) -> bool {
-        self.replies.push(&response.to_payload()).is_ok()
+        self.payload.clear();
+        response.write_payload(&mut self.payload);
+        self.replies.push(self.payload.as_bytes()).is_ok()
             && (self.replies.buffered() < FLUSH_BYTES || self.flush())
     }
 
@@ -376,6 +380,7 @@ fn serve_connection(stream: TcpStream, shared: &Shared) {
     let mut conn = Connection {
         stream,
         reader: FrameReader::new(),
+        payload: String::new(),
         replies: FrameWriter::default(),
     };
     serve_frames(&mut conn, shared);
@@ -448,18 +453,32 @@ fn serve_frames(conn: &mut Connection, shared: &Shared) {
     }
 }
 
-/// Time under the daemon lock, per kind as well, so a slow `stats`
-/// shows apart from the lock wait and from the other kinds.
-fn observe_exec(kind: &str, elapsed: Duration) {
-    let us = elapsed.as_secs_f64() * 1e6;
-    histogram!("fleet.request.exec.us", us);
-    match kind {
-        "plan" => histogram!("fleet.request.plan.exec.us", us),
-        "predict" => histogram!("fleet.request.predict.exec.us", us),
-        "report" => histogram!("fleet.request.report.exec.us", us),
-        "stats" => histogram!("fleet.request.stats.exec.us", us),
-        _ => {}
-    }
+/// The wait for the daemon lock and the time under it, per kind as
+/// well, so a slow `stats` shows apart from the lock wait and from the
+/// other kinds.
+fn observe_lock(kind: &str, queue: Duration, exec: Duration) {
+    let queue = queue.as_secs_f64() * 1e6;
+    let exec = exec.as_secs_f64() * 1e6;
+    histogram!("fleet.request.queue.us", queue);
+    histogram!("fleet.request.exec.us", exec);
+    let (queue_name, exec_name) = match kind {
+        "plan" => ("fleet.request.plan.queue.us", "fleet.request.plan.exec.us"),
+        "predict" => (
+            "fleet.request.predict.queue.us",
+            "fleet.request.predict.exec.us",
+        ),
+        "report" => (
+            "fleet.request.report.queue.us",
+            "fleet.request.report.exec.us",
+        ),
+        "stats" => (
+            "fleet.request.stats.queue.us",
+            "fleet.request.stats.exec.us",
+        ),
+        _ => return,
+    };
+    histogram!(queue_name, queue);
+    histogram!(exec_name, exec);
 }
 
 /// Request latency into the mergeable histograms `selfheal-top` watches.

@@ -62,13 +62,13 @@ fn script(epoch: u64) -> Vec<Request> {
 
 /// Renders a response to its exact wire bytes — the bit-exactness
 /// currency (every f64 serializes shortest-round-trip).
-fn wire(response: &Response) -> String {
-    response.to_json().render()
+fn wire(response: &Response) -> Vec<u8> {
+    response.to_payload()
 }
 
 /// Runs epochs `from+1..=to` with scripted traffic, returning the wire
 /// form of every response.
-fn drive(daemon: &mut FleetDaemon, from: u64, to: u64) -> Vec<String> {
+fn drive(daemon: &mut FleetDaemon, from: u64, to: u64) -> Vec<Vec<u8>> {
     let mut responses = Vec::new();
     for epoch in from + 1..=to {
         daemon.advance_epoch();
@@ -84,7 +84,7 @@ fn drive(daemon: &mut FleetDaemon, from: u64, to: u64) -> Vec<String> {
 /// and 8 workers, an uninterrupted run and a killed-and-resumed run
 /// must produce bit-identical wire logs and state digests.
 fn assert_kill_resume_is_bit_exact(config: &FleetConfig, tag: &str) {
-    let mut reference: Option<(Vec<String>, u64)> = None;
+    let mut reference: Option<(Vec<Vec<u8>>, u64)> = None;
 
     for workers in [1usize, 2, 8] {
         set_global_threads(workers);
@@ -115,7 +115,7 @@ fn assert_kill_resume_is_bit_exact(config: &FleetConfig, tag: &str) {
         // before the kill (the checkpoint lands inside the epoch-4
         // advance, *before* epoch 4's traffic), then the remaining
         // epochs of the campaign.
-        let mut replayed_log: Vec<String> = script(resumed_at)
+        let mut replayed_log: Vec<Vec<u8>> = script(resumed_at)
             .iter()
             .map(|request| wire(&resumed.handle(request)))
             .collect();

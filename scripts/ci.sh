@@ -143,7 +143,9 @@ grep -Eq '^selfheal_fleet_request_queue_us_count [1-9]' "$SMOKE_DIR/fleet.prom" 
     || { echo "status file carries no request queue-wait histogram" >&2; exit 1; }
 grep -Eq '^selfheal_fleet_request_exec_us_count [1-9]' "$SMOKE_DIR/fleet.prom" \
     || { echo "status file carries no request execution histogram" >&2; exit 1; }
-# Execution per kind: fleet_smoke sends one stats request.
+# Lock wait and execution per kind: fleet_smoke sends one stats request.
+grep -Eq '^selfheal_fleet_request_stats_queue_us_count [1-9]' "$SMOKE_DIR/fleet.prom" \
+    || { echo "status file carries no stats queue-wait histogram" >&2; exit 1; }
 grep -Eq '^selfheal_fleet_request_stats_exec_us_count [1-9]' "$SMOKE_DIR/fleet.prom" \
     || { echo "status file carries no stats execution histogram" >&2; exit 1; }
 # How many replies each write carried (fleet_smoke pipelines 8 predicts).
